@@ -39,22 +39,21 @@ def main() -> None:
     sc = jet_scenario(nx=args.nx, nr=args.nr, viscous=not args.euler)
     grid, q0, config = sc.state.grid, sc.state.q, sc.solver.config
 
+    from repro.parallel.decomposition import (
+        AxialDecomposition,
+        CartesianDecomposition,
+        RadialDecomposition,
+    )
+    from repro.parallel.spmd import BlockDistributedSolver
+
     if args.decomposition == "radial":
-        from repro.parallel.spmd_radial import RadialDistributedSolver
-
-        solver = RadialDistributedSolver(comm, grid, q0, config,
-                                         version=args.version)
+        decomp = RadialDecomposition(grid.nr, comm.size)
     elif args.decomposition == "2d":
-        from repro.parallel.spmd2d import Distributed2DSolver
-
-        solver = Distributed2DSolver(comm, grid, q0, config,
-                                     px=args.px, pr=args.pr,
-                                     version=args.version)
+        decomp = CartesianDecomposition(grid.nx, grid.nr, args.px, args.pr)
     else:
-        from repro.parallel.spmd import DistributedSolver
-
-        solver = DistributedSolver(comm, grid, q0, config,
-                                   version=args.version)
+        decomp = AxialDecomposition(grid.nx, comm.size)
+    solver = BlockDistributedSolver(comm, grid, q0, config, decomp,
+                                    version=args.version)
 
     for _ in range(args.steps):
         solver.step()

@@ -314,7 +314,7 @@ def run(
         :class:`~repro.obs.Tracer` to record into, or a path to also
         export Chrome-trace JSON (openable in Perfetto).
     backend:
-        Kernel backend name (``"baseline"`` or ``"fused"``; see
+        Kernel backend name (``"baseline"``, ``"fused"`` or ``"compiled"``; see
         :mod:`repro.numerics.kernels`).  ``None`` keeps the scenario's
         configured backend, which itself defaults to the ``REPRO_BACKEND``
         environment variable.  Backends are bitwise-identical — this only

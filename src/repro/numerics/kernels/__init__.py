@@ -6,10 +6,11 @@ The registry maps names to :class:`~.base.KernelBackend` instances:
 * ``"fused"`` — in-place kernels over a preallocated
   :class:`~.base.StepWorkspace`, bitwise-identical to the baseline (paper
   Versions 2-4 transplanted to numpy);
-* ``"compiled"`` — the fused kernels JIT-compiled to native loops (Numba
-  ``njit`` or a gcc/ctypes C build; paper "V6"), bitwise-identical again,
-  with a clean :class:`~.compiled.BackendUnavailable` fallback to the
-  fused kernels on hosts with no toolchain.
+* ``"compiled"`` — the fused kernels as native loops: one C translation
+  unit built once with the system compiler and called through ctypes
+  (paper "V6"), bitwise-identical again, with a clean
+  :class:`~.compiled.BackendUnavailable` fallback to the fused kernels on
+  hosts with no C toolchain.
 
 Selection order: an explicit ``SolverConfig(backend=...)`` /
 ``repro.api.run(..., backend=...)`` argument wins; otherwise the
@@ -82,7 +83,7 @@ def available_backends() -> list[str]:
 
 register_backend("baseline", BaselineBackend())
 register_backend("fused", FusedBackend())
-# Registration is unconditional; engine resolution (numba, then a C
-# toolchain) is lazy and per-host, and an unavailable engine falls back
-# to the fused workspace with a warning at solver construction.
+# Registration is unconditional; the C build is lazy and per-host, and a
+# host without a toolchain falls back to the fused workspace with a
+# warning at solver construction.
 register_backend("compiled", CompiledBackend())

@@ -706,11 +706,16 @@ def build_library(cc: str | None = None) -> str:
     """Compile (or reuse) the kernel shared object; returns its path.
 
     Raises ``RuntimeError`` with the compiler diagnostics on failure; the
-    caller (``compiled._resolve_ops``) converts that into
+    caller (``compiled.CcOps``) converts that into
     ``BackendUnavailable``.
     """
     cc = cc or find_compiler()
     if cc is None:
+        forced = os.environ.get(CC_ENV_VAR)
+        if forced:
+            raise RuntimeError(
+                f"C compiler ${CC_ENV_VAR}={forced!r} not found on PATH"
+            )
         raise RuntimeError("no C compiler found (cc/gcc/clang; set $REPRO_CC)")
     key = hashlib.sha256(
         ("\x00".join((cc, *CFLAGS)) + SOURCE).encode()

@@ -8,7 +8,9 @@ combinations, the fourth-difference filter):
   every flux call and stencil difference returns fresh temporaries;
 * the ``"fused"`` backend owns a :class:`StepWorkspace` of persistent
   scratch arrays and evaluates the same arithmetic with in-place
-  ``np.<ufunc>(..., out=...)`` kernels, bitwise-identically.
+  ``np.<ufunc>(..., out=...)`` kernels, bitwise-identically;
+* the ``"compiled"`` backend subclasses the workspace and runs the same
+  per-element chains as native C loops, bitwise-identically again.
 
 Backends must never change the numbers — only where they are stored and how
 much work is repeated.  This mirrors the paper's single-processor Versions
@@ -147,46 +149,6 @@ class StepWorkspace:
 
         return fused_radial_flux(
             fm, q, self, uvT_halo=uvT_halo, primitives_ready=primitives_ready
-        )
-
-    def rate_interior(
-        self, sc, flux, lo, hi, axis, h, forward, source, inv_weight
-    ) -> np.ndarray:
-        """Provisional (interior-final) rate pass for the overlap window.
-
-        The in-flight side's ghosts are ``None`` — the kernels then
-        cubic-extrapolate that side exactly like a serial boundary — so
-        every column except the two on the in-flight side is already
-        final.  Dispatches to the compiled ops when present, else the
-        fused in-place numpy chain; bitwise-identical either way.
-        """
-        if sc.ops is not None:
-            return sc.ops.rate(
-                flux, lo, hi, axis, h, forward, source, inv_weight,
-                out=sc.rate,
-            )
-        from ..stencils import backward_difference, extend_axis, forward_difference
-
-        ext = extend_axis(flux, axis, low=lo, high=hi, out=sc.ext)
-        diff = forward_difference if forward else backward_difference
-        d = diff(ext, axis, h, out=sc.rate, tmp=sc.tmp)
-        if source is None:
-            np.negative(d, out=d)
-        else:
-            np.subtract(source, d, out=d)
-        if not (isinstance(inv_weight, float) and inv_weight == 1.0):
-            np.multiply(d, inv_weight, out=d)
-        return d
-
-    def rate_edges(
-        self, flux, ghosts, axis, h, forward, source, inv_weight, out
-    ) -> np.ndarray:
-        """Recompute the two ghost-dependent edge columns of ``out``
-        once the overlapped exchange has delivered the real ghosts."""
-        from .overlap import rate_edges
-
-        return rate_edges(
-            flux, ghosts, axis, h, forward, source, inv_weight, out
         )
 
     def ext_for(self, axis: int) -> np.ndarray:

@@ -1,37 +1,27 @@
-"""The compiled "V6" kernel backend: JIT-compiled fused-step kernels.
+"""The compiled "V6" kernel backend: the fused step as native C loops.
 
 The paper's single-processor story is a V1→V5 ladder that kept the
 algorithm fixed while recompiling the hot loops harder; this backend is
 the same move one rung further.  The fused backend's numpy ufunc chains
-are transcribed per element into native loops and dispatched through a
-:class:`CompiledWorkspace`, so every solver layer — serial, all three
+are transcribed per element into the C translation unit in :mod:`_cc`,
+built once with the system compiler (``-ffp-contract=off``, no
+fast-math), called through ctypes (:class:`CcOps`) and dispatched through
+a :class:`CompiledWorkspace`, so every solver layer — serial, all three
 decompositions, every substrate — inherits the speedup without touching
 the spatial or communication machinery.
 
-Three interchangeable engines provide the kernels:
+There is exactly one engine.  On a host with no usable C toolchain
+:func:`resolve_ops` raises :class:`BackendUnavailable` and
+``step_workspace`` falls back to the fused workspace with a warning, so a
+solver asked for ``"compiled"`` always runs (and, because the C kernels
+are bitwise-equal to fused, always computes the same flow field).
 
-* ``"numba"`` — :mod:`_loops` functions wrapped in ``numba.njit`` (strict
-  IEEE semantics: no fastmath, no FMA contraction), used when numba is
-  importable;
-* ``"cc"`` — the C translation unit in :mod:`_cc` built with the system
-  compiler (``-ffp-contract=off``) and called through ctypes;
-* ``"python"`` — the raw loop functions, uncompiled.  Orders of magnitude
-  too slow for production grids but it lets the differential wall run on
-  hosts with neither numba nor a C compiler (tiny grids only).
-
-Engine order: ``$REPRO_COMPILED_ENGINE`` if set, else numba, else cc,
-else ``"python"`` is **not** silently substituted — the backend raises
-:class:`BackendUnavailable` and ``step_workspace`` falls back to the
-fused workspace with a warning, so a solver asked for ``"compiled"``
-always runs (and, because every engine is bitwise-equal to fused,
-always computes the same flow field).
-
-**Tolerance policy.**  Each engine declares ``bitwise = True`` because
+**Tolerance policy.**  :class:`CcOps` declares ``bitwise = True`` because
 every kernel replicates the fused op order with strict IEEE-754 double
 arithmetic (no fast-math, no FMA, divisions stay divisions).  On a
-platform where an engine cannot honour that (e.g. a toolchain that
-ignores ``-ffp-contract=off``), flip its ``bitwise`` flag to ``False``:
-the differential tests then assert the pinned ULP bound
+platform where the toolchain cannot honour that (e.g. one that ignores
+``-ffp-contract=off``), flip the flag to ``False``: the differential
+tests then assert the pinned ULP bound
 (``tests/test_compiled.py::ULP_BOUND``) instead of equality, and the run
 fingerprint keeps ``"compiled"`` results in a separate cache identity
 (see ``RunRequest.fingerprint``).
@@ -39,7 +29,6 @@ fingerprint keeps ``"compiled"`` results in a separate cache identity
 
 from __future__ import annotations
 
-import os
 import warnings
 import weakref
 
@@ -47,135 +36,24 @@ import numpy as np
 
 from ... import constants
 from ...physics import eos
+from . import _cc
 from .base import KernelBackend, StepWorkspace
 from .fused import _halo_stress, _mu, _subtract_viscous
-from . import _loops
-
-#: Environment variable forcing a specific engine ("numba", "cc", "python").
-ENGINE_ENV_VAR = "REPRO_COMPILED_ENGINE"
-
-#: Engines tried in order when none is forced.
-_ENGINE_ORDER = ("numba", "cc")
 
 
 class BackendUnavailable(RuntimeError):
-    """No engine can supply compiled kernels on this host."""
+    """The C kernels cannot be built or loaded on this host."""
 
 
-class _OpsBase:
-    """Engine-neutral kernel facade the workspace dispatches through.
+def _c_contig(a: np.ndarray) -> np.ndarray:
+    """The array itself when kernel-ready, else a C-contiguous copy.
 
-    Subclasses implement the raw kernels (``prim``/``ax_inv``/…); the
-    shapes, optional-operand conventions, and op orders are identical
-    across engines, so the differential tests can compare engines
-    directly.
+    Inputs are only ever read, so a copy preserves bitwise identity; all
+    output buffers are workspace-owned and already contiguous float64.
     """
-
-    engine = ""
-    #: Engine produces bitwise-identical doubles to the fused backend.
-    #: See the module docstring for the policy when a platform cannot.
-    bitwise = True
-
-    # Raw kernels — subclasses override.
-    def prim(self, q, gamma, inv_rho, u, v, p, T):  # pragma: no cover
-        raise NotImplementedError
-
-    def ax_inv(self, q, u, v, p, F):  # pragma: no cover
-        raise NotImplementedError
-
-    def rad_inv(self, q, u, v, p, G):  # pragma: no cover
-        raise NotImplementedError
-
-    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial):  # pragma: no cover
-        raise NotImplementedError
-
-    def rad_finish(self, G, S2, p, tau_tt, r, viscous):  # pragma: no cover
-        raise NotImplementedError
-
-    def rate(self, f, lo, hi, axis, h, forward, source, iw, out):  # pragma: no cover
-        raise NotImplementedError
-
-    def predictor(self, q, rate, dt, q_star):  # pragma: no cover
-        raise NotImplementedError
-
-    def corrector(self, q, q_star, rate, dt, out):  # pragma: no cover
-        raise NotImplementedError
-
-    def filter_apply(self, q, lo, hi, axis, eps, scratch):  # pragma: no cover
-        raise NotImplementedError
-
-    # -- overlapped-exchange loop variants (shared across engines) ---------
-    def rate_interior(self, f, lo, hi, axis, h, forward, source, iw, out):
-        """Provisional rate pass for the overlap window.
-
-        The in-flight side's ghost argument is ``None`` (every engine's
-        rate kernel then cubic-extrapolates it, the serial-boundary
-        path), so all interior columns come out final and only the two
-        edge columns on the in-flight side are provisional — exactly the
-        strip :meth:`rate_edges` recomputes after the exchange lands.
-        """
-        return self.rate(f, lo, hi, axis, h, forward, source, iw, out)
-
-    def rate_edges(self, f, ghosts, axis, h, forward, source, iw, out):
-        """Recompute the two ghost-dependent edge columns of ``out``.
-
-        Engine-neutral by construction: the strip replay in
-        :func:`repro.numerics.kernels.overlap.rate_edges` follows the
-        identical strict-IEEE op chain all engines implement, so its
-        columns are bitwise what this engine's full kernel would have
-        produced with the real ghosts.
-        """
-        from .overlap import rate_edges as _rate_edges
-
-        return _rate_edges(f, ghosts, axis, h, forward, source, iw, out)
-
-    def warmup(self) -> None:
-        """Run every kernel once on a tiny grid.
-
-        For the numba engine this triggers (and caches) every ``njit``
-        specialization the solver will need, so JIT compile time lands
-        here — at backend resolution — and never inside a benchmarked or
-        traced step.  For the other engines it doubles as a smoke test.
-        """
-        nx, nr = 5, 4
-        q = np.ascontiguousarray(
-            1.0 + 0.01 * np.arange(4 * nx * nr, dtype=np.float64)
-        ).reshape(4, nx, nr)
-        ws = StepWorkspace((4, nx, nr), viscous=True, mu_field=True)
-        r = np.linspace(0.5, 2.0, nr)
-        self.prim(q, 1.4, ws.inv_rho, ws.u, ws.v, ws.p, ws.T)
-        self.prim(q, 1.4, ws.inv_rho, ws.u, ws.v, ws.p, None)
-        self.ax_inv(q, ws.u, ws.v, ws.p, ws.F)
-        self.rad_inv(q, ws.u, ws.v, ws.p, ws.F)
-        for radial in (False, True):
-            for mu in (0.01, ws.mu):
-                k = eos.conductivity(mu, 1.4, constants.PRANDTL)
-                self.visc(ws.F, ws.tau_tt, ws, r, mu, k, 0.1, 0.1, radial)
-        for viscous in (True, False):
-            self.rad_finish(ws.F, ws.S[2], ws.p, ws.tau_tt, r, viscous)
-        iw = 1.0 / r
-        for axis in (1, 2):
-            gh = np.ones((2, 4, nx if axis == 2 else nr))
-            for forward in (True, False):
-                for ghost in (None, gh):
-                    self.rate(
-                        q, ghost, ghost, axis, 0.1, forward, None, 1.0,
-                        ws.rate,
-                    )
-                    self.rate(
-                        q, ghost, ghost, axis, 0.1, forward, ws.S,
-                        iw[None, None, :], ws.rate,
-                    )
-            self.filter_apply(ws.q_star, None, None, axis, 0.01, ws.rate[0])
-            self.filter_apply(ws.q_star, gh, gh, axis, 0.01, ws.rate[0])
-        self.predictor(q, ws.rate, 0.01, ws.q_star)
-        self.corrector(q, ws.q_star, ws.rate, 0.01, ws.tmp3)
-
-
-#: Stable-typed placeholders for optional loop-kernel operands (Numba sees
-#: one signature per kernel regardless of which optionals are present).
-_DUMMY1 = np.empty(1)
-_DUMMY3 = np.empty((1, 1, 1))
+    if a.dtype == np.float64 and a.flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 def _ghost_planes(gh):
@@ -185,12 +63,7 @@ def _ghost_planes(gh):
     extrapolation); received halos may be views, so this forces the
     contiguous float64 layout the kernels index directly.
     """
-    if gh is None:
-        return None
-    gh = np.asarray(gh)
-    if gh.dtype == np.float64 and gh.flags.c_contiguous:
-        return gh
-    return np.ascontiguousarray(gh, dtype=np.float64)
+    return None if gh is None else _c_contig(np.asarray(gh))
 
 
 def _iw_array(iw):
@@ -210,103 +83,20 @@ def _iw_array(iw):
     return np.ascontiguousarray(iw).reshape(-1)
 
 
-class _LoopOps(_OpsBase):
-    """Shared facade over the loop kernels (python or numba-jitted)."""
+class CcOps:
+    """The C translation unit in ``_cc.py`` via the system compiler.
 
-    def __init__(self, kernels: dict):
-        self._k = kernels
-
-    def prim(self, q, gamma, inv_rho, u, v, p, T):
-        with_T = T is not None
-        self._k["prim"](
-            q, gamma, inv_rho, u, v, p, T if with_T else inv_rho, with_T
-        )
-
-    def ax_inv(self, q, u, v, p, F):
-        self._k["ax_inv"](q, u, v, p, F)
-
-    def rad_inv(self, q, u, v, p, G):
-        self._k["rad_inv"](q, u, v, p, G)
-
-    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial):
-        has_mu = isinstance(mu, np.ndarray)
-        has_k = isinstance(k, np.ndarray)
-        dummy = ws.p  # any plane-shaped array; flag-guarded, never read
-        self._k["visc"](
-            F, tau_tt if tau_tt is not None else dummy,
-            ws.u, ws.v, ws.T, r,
-            mu if has_mu else dummy, 0.0 if has_mu else float(mu), has_mu,
-            k if has_k else dummy, 0.0 if has_k else -float(k), has_k,
-            dx, dr, radial,
-        )
-
-    def rad_finish(self, G, S2, p, tau_tt, r, viscous):
-        self._k["rad_finish"](
-            G, S2, p, tau_tt if tau_tt is not None else p, r, viscous
-        )
-
-    def rate(self, f, lo, hi, axis, h, forward, source, iw, out):
-        gh = _ghost_planes(hi if forward else lo)
-        if gh is None and f.shape[axis] < 4:
-            raise ValueError("cubic extrapolation needs at least 4 points")
-        iw1 = _iw_array(iw)
-        self._k["rate"](
-            f, gh if gh is not None else _DUMMY3, gh is not None,
-            source if source is not None else out, source is not None,
-            iw1 if iw1 is not None else _DUMMY1, iw1 is not None,
-            out, axis, h, forward,
-        )
-        return out
-
-    def predictor(self, q, rate, dt, q_star):
-        self._k["predict"](q, rate, dt, q_star)
-
-    def corrector(self, q, q_star, rate, dt, out):
-        self._k["correct"](q, q_star, rate, dt, out)
-
-    def filter_apply(self, q, lo, hi, axis, eps, scratch):
-        lo_a = _ghost_planes(lo)
-        hi_a = _ghost_planes(hi)
-        if (lo_a is None or hi_a is None) and q.shape[axis] < 4:
-            raise ValueError("cubic extrapolation needs at least 4 points")
-        self._k["filter"](
-            q, lo_a if lo_a is not None else _DUMMY3, lo_a is not None,
-            hi_a if hi_a is not None else _DUMMY3, hi_a is not None,
-            scratch, eps, axis,
-        )
-
-
-class PythonOps(_LoopOps):
-    """Uncompiled loop kernels — the no-toolchain reference engine."""
-
-    engine = "python"
-
-    def __init__(self):
-        super().__init__(dict(_loops.KERNELS))
-
-
-class NumbaOps(_LoopOps):
-    """Loop kernels under ``numba.njit`` (strict IEEE: fastmath off)."""
-
-    engine = "numba"
-
-    def __init__(self):
-        try:
-            import numba
-        except ImportError as exc:  # pragma: no cover - depends on host
-            raise BackendUnavailable(f"numba not importable: {exc}") from exc
-        jit = numba.njit(cache=True, fastmath=False)
-        super().__init__({n: jit(f) for n, f in _loops.KERNELS.items()})
-
-
-class CcOps(_OpsBase):
-    """The C translation unit in ``_cc.py`` via the system compiler."""
+    The workspace, the MacCormack operators and the filter dispatch their
+    per-element chains through these methods; shapes, optional-operand
+    conventions and op orders mirror the fused numpy kernels one for one.
+    """
 
     engine = "cc"
+    #: The kernels produce bitwise-identical doubles to the fused backend.
+    #: See the module docstring for the policy when a platform cannot.
+    bitwise = True
 
     def __init__(self):
-        from . import _cc
-
         try:
             self._lib = _cc.load_library()
         except (RuntimeError, OSError) as exc:
@@ -409,71 +199,75 @@ class CcOps(_OpsBase):
             self._p(scratch), eps, nx, nr, axis,
         )
 
+    def warmup(self) -> None:
+        """Run every kernel once on a tiny grid: a smoke test of the
+        freshly loaded library at backend resolution, never inside a
+        benchmarked or traced step."""
+        nx, nr = 5, 4
+        q = np.ascontiguousarray(
+            1.0 + 0.01 * np.arange(4 * nx * nr, dtype=np.float64)
+        ).reshape(4, nx, nr)
+        ws = StepWorkspace((4, nx, nr), viscous=True, mu_field=True)
+        r = np.linspace(0.5, 2.0, nr)
+        self.prim(q, 1.4, ws.inv_rho, ws.u, ws.v, ws.p, ws.T)
+        self.prim(q, 1.4, ws.inv_rho, ws.u, ws.v, ws.p, None)
+        self.ax_inv(q, ws.u, ws.v, ws.p, ws.F)
+        self.rad_inv(q, ws.u, ws.v, ws.p, ws.F)
+        for radial in (False, True):
+            for mu in (0.01, ws.mu):
+                k = eos.conductivity(mu, 1.4, constants.PRANDTL)
+                self.visc(ws.F, ws.tau_tt, ws, r, mu, k, 0.1, 0.1, radial)
+        for viscous in (True, False):
+            self.rad_finish(ws.F, ws.S[2], ws.p, ws.tau_tt, r, viscous)
+        iw = 1.0 / r
+        for axis in (1, 2):
+            gh = np.ones((2, 4, nx if axis == 2 else nr))
+            for forward in (True, False):
+                for ghost in (None, gh):
+                    self.rate(
+                        q, ghost, ghost, axis, 0.1, forward, None, 1.0,
+                        ws.rate,
+                    )
+                    self.rate(
+                        q, ghost, ghost, axis, 0.1, forward, ws.S,
+                        iw[None, None, :], ws.rate,
+                    )
+            self.filter_apply(ws.q_star, None, None, axis, 0.01, ws.rate[0])
+            self.filter_apply(ws.q_star, gh, gh, axis, 0.01, ws.rate[0])
+        self.predictor(q, ws.rate, 0.01, ws.q_star)
+        self.corrector(q, ws.q_star, ws.rate, 0.01, ws.tmp3)
 
-_ENGINES = {"python": PythonOps, "numba": NumbaOps, "cc": CcOps}
 
-#: Warm ops per engine name (compile/JIT happens once per process).
-_OPS_CACHE: dict[str, _OpsBase] = {}
+#: The warm ops (the library is built/loaded once per process).
+_OPS: CcOps | None = None
 
 
-def resolve_ops(engine: str | None = None) -> _OpsBase:
-    """Build (or reuse) the kernel ops for an engine.
+def resolve_ops() -> CcOps:
+    """Build (or reuse) the C kernel ops.
 
-    ``engine=None`` consults ``$REPRO_COMPILED_ENGINE``, then tries numba
-    and the C toolchain in order.  Raises :class:`BackendUnavailable`
-    when nothing works.
+    Raises :class:`BackendUnavailable` when the host has no usable C
+    toolchain; failures are not cached, so a later call retries.
     """
-    name = engine or os.environ.get(ENGINE_ENV_VAR) or None
-    if name is not None:
-        if name not in _ENGINES:
-            raise BackendUnavailable(
-                f"unknown compiled engine {name!r}; "
-                f"expected one of {sorted(_ENGINES)}"
-            )
-        candidates = (name,)
-    else:
-        candidates = _ENGINE_ORDER
-    errors = []
-    for cand in candidates:
-        ops = _OPS_CACHE.get(cand)
-        if ops is not None:
-            return ops
-        try:
-            ops = _ENGINES[cand]()
-            ops.warmup()
-        except BackendUnavailable as exc:
-            errors.append(f"{cand}: {exc}")
-            continue
-        _OPS_CACHE[cand] = ops
-        return ops
-    raise BackendUnavailable(
-        "no compiled-kernel engine available (" + "; ".join(errors) + ")"
-    )
-
-
-def _c_contig(a: np.ndarray) -> np.ndarray:
-    """The array itself when kernel-ready, else a C-contiguous copy.
-
-    Inputs are only ever read, so a copy preserves bitwise identity; all
-    output buffers are workspace-owned and already contiguous float64.
-    """
-    if a.dtype == np.float64 and a.flags.c_contiguous:
-        return a
-    return np.ascontiguousarray(a, dtype=np.float64)
+    global _OPS
+    if _OPS is None:
+        ops = CcOps()
+        ops.warmup()
+        _OPS = ops
+    return _OPS
 
 
 class CompiledWorkspace(StepWorkspace):
-    """A fused workspace whose hot kernels dispatch to a compiled engine.
+    """A fused workspace whose hot kernels dispatch to the C kernels.
 
     Everything numpy-side stays identical to the fused backend — ghost
     extrapolation, halo exchange, boundary treatment, the distributed
     viscous halo path — while the per-element heavy lifting (primitives,
     flux assembly, gradients, stress application, 2-4 differences,
     predictor/corrector combines, the fourth-difference filter) runs in
-    the engine's native loops, bitwise-identically.
+    native loops, bitwise-identically.
     """
 
-    def __init__(self, shape, viscous, mu_field, ops: _OpsBase):
+    def __init__(self, shape, viscous, mu_field, ops: CcOps):
         super().__init__(shape, viscous, mu_field=mu_field)
         self.ops = ops
         self.sweep_x.ops = ops
@@ -554,27 +348,24 @@ class CompiledBackend(KernelBackend):
 
     name = "compiled"
 
-    def __init__(self, engine: str | None = None):
-        self._engine = engine
-
     def available(self) -> bool:
-        """True when some engine can supply kernels on this host."""
+        """True when the C kernels can be built and loaded on this host."""
         try:
-            resolve_ops(self._engine)
+            resolve_ops()
         except BackendUnavailable:
             return False
         return True
 
-    def ops(self) -> _OpsBase:
+    def ops(self) -> CcOps:
         """The resolved (warm) kernel ops; raises BackendUnavailable."""
-        return resolve_ops(self._engine)
+        return resolve_ops()
 
     def step_workspace(self, solver) -> StepWorkspace:
         viscous = bool(solver.fm.mu)
         mu_field = viscous and solver.config.mu_exponent != 0.0
         shape = solver.state.q.shape
         try:
-            ops = resolve_ops(self._engine)
+            ops = resolve_ops()
         except BackendUnavailable as exc:
             warnings.warn(
                 f"compiled backend unavailable ({exc}); "

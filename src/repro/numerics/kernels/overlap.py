@@ -13,11 +13,11 @@ Bitwise identity with the blocking path holds because the recompute
 replays the *identical* IEEE-754 operation chain the rate kernels use —
 ``7*(Δ₁) - Δ₂``, divide by ``6h``, negate / subtract source, multiply by
 ``1/r`` — element by element on the strip.  numpy ufuncs and the
-compiled engines (all built strict-IEEE, no fastmath/FMA; see the
-``bitwise`` flag on :class:`~repro.numerics.kernels.compiled._OpsBase`)
+compiled C kernels (built strict-IEEE, no fastmath/FMA; see the
+``bitwise`` flag on :class:`~repro.numerics.kernels.compiled.CcOps`)
 agree per element, which the compiled differential test wall already
-proves array-wide, so a strip recomputed here matches what any engine
-would have produced for those columns with the real ghosts.
+proves array-wide, so a strip recomputed here matches what either
+backend would have produced for those columns with the real ghosts.
 """
 
 from __future__ import annotations

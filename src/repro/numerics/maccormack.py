@@ -195,8 +195,7 @@ class SplitOperator:
             # kernel, which consumes the one boundary the one-sided stencil
             # reaches past.  Both providers still run (their send legs keep
             # distributed neighbours in lockstep), matching extend_axis.
-            kernel = sc.ops.rate if pending is None else sc.ops.rate_interior
-            d = kernel(
+            d = sc.ops.rate(
                 flux, lo, hi,
                 self.axis, self.h, forward, source, ws.inv_weight,
                 sc.rate,
@@ -217,18 +216,12 @@ class SplitOperator:
         if pending is not None:
             ghosts = pending.finish()
             if ghosts is not None:
-                if sc.ops is not None:
-                    sc.ops.rate_edges(
-                        flux, ghosts, self.axis, self.h, forward, source,
-                        ws.inv_weight, d,
-                    )
-                else:
-                    from .kernels.overlap import rate_edges
+                from .kernels.overlap import rate_edges
 
-                    rate_edges(
-                        flux, ghosts, self.axis, self.h, forward, source,
-                        ws.inv_weight, d,
-                    )
+                rate_edges(
+                    flux, ghosts, self.axis, self.h, forward, source,
+                    ws.inv_weight, d,
+                )
         return d
 
     def apply(

@@ -86,7 +86,7 @@ class SolverConfig:
     ``"baseline"``.  Backends select *how* the hot-path kernels are
     evaluated, never what they compute: all backends are
     bitwise-identical (``"compiled"`` falls back to the fused kernels
-    with a warning on hosts with neither numba nor a C toolchain)."""
+    with a warning on hosts without a C toolchain)."""
 
     def viscosity(self) -> float:
         if not self.viscous:

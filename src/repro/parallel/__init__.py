@@ -6,12 +6,14 @@
 * :mod:`repro.parallel.versions` — the optimization-version registry
   (V1..V5 single-processor optimizations, V6 overlapped communication,
   V7 de-burstified communication).
-* :mod:`repro.parallel.halo` — grouped halo-exchange plans implementing the
-  paper's communication structure: velocity/temperature columns for the
-  viscous stresses, predictor/corrector flux columns for the one-sided
-  stencils, plus the filter's state halo.
-* :mod:`repro.parallel.spmd` — the per-rank distributed solver (bitwise
-  identical to the serial solver for every processor count and version).
+* :mod:`repro.parallel.halo` — the per-rank ``ExchangePlan`` implementing
+  the paper's communication structure through two entry points: ``uvT``
+  (velocity/temperature lines for the viscous stresses) and ``exchange``
+  (the predictor/corrector flux pairs for the one-sided stencils and the
+  filter's state halo, one table-driven operation).
+* :mod:`repro.parallel.spmd` — the one per-rank distributed solver, over
+  any decomposition object (bitwise identical to the serial solver for
+  every decomposition, processor count and version).
 * :mod:`repro.parallel.runner` — high-level facade over the virtual cluster.
 """
 

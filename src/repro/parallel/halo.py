@@ -3,21 +3,24 @@
 The paper reduces communication startups by *grouping*: "first, all the
 velocity and temperature values along a boundary are calculated and then
 packaged into a single send.  We use a similar scheme for the flux values."
-The helpers here implement exactly those grouped messages for the
-distributed solver:
+A rank's :class:`ExchangePlan` implements exactly those grouped messages
+for the distributed solver, through two entry points:
 
-* ``exchange_uvT`` — one packed ``(u, v, T)`` edge column to each
+* :meth:`ExchangePlan.uvT` — one packed ``(u, v, T)`` edge line to each
   neighbour, for the viscous stress gradients (Navier-Stokes only);
-* ``exchange_flux_high`` / ``exchange_flux_low`` — the two flux columns
-  feeding the one-sided predictor/corrector stencils, grouped into a single
-  send (Version 5/6) or sent one column at a time (Version 7);
-* ``exchange_state_halo_low/high`` — two conservative-state columns for the
-  fourth-difference filter.
+* :meth:`ExchangePlan.exchange` — the one send-two-lines /
+  receive-two-lines operation, in four kinds (:data:`_KINDS`):
+  ``flux_high`` / ``flux_low`` carry the two flux lines feeding the
+  one-sided predictor/corrector stencils, grouped into a single send
+  (Version 5/6) or sent one line at a time (Version 7), blocking or
+  split-phase (``post=True``, the overlapped V6 protocol);
+  ``state_low`` / ``state_high`` carry two conservative-state lines for
+  the fourth-difference filter.
 
 All sends are buffered (deposit-and-return), so the send-then-receive
 ordering used throughout is deadlock-free for any processor count.
 
-Every function returns ghost planes in the orientation
+Every exchange returns ghost planes in the orientation
 :func:`repro.numerics.stencils.extend_axis` expects — ordered *outward*,
 nearest ghost first — or ``None`` at physical boundaries (which selects the
 serial cubic extrapolation, keeping parallel and serial arithmetic
@@ -26,7 +29,6 @@ identical).
 
 from __future__ import annotations
 
-import functools
 import time as _time
 from dataclasses import dataclass
 
@@ -36,53 +38,43 @@ from ..obs import get_metrics, get_tracer
 from .versions import Version
 
 
-def _traced(kind: str):
-    """Wrap an exchange helper in a ``halo.<kind>`` span, accumulate the
+def _traced(kind: str, comm, tag: str, fn, *args):
+    """Run ``fn(*args)`` inside a ``halo.<kind>`` span, accumulate the
     per-rank ``halo_seconds`` tracer counter, and — when a metrics
     registry is active — record the exchange's wall time, byte volume
     (from the communicator's own stats delta, so retransmitted frames are
     counted as sent) and call count.  Zero-cost beyond two branches when
     neither tracer nor metrics are installed."""
-
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(comm, tag, *args, **kwargs):
-            tr = get_tracer()
-            mx = get_metrics()
-            if not tr.enabled and not mx.enabled:
-                return fn(comm, tag, *args, **kwargs)
-            stats = getattr(comm, "stats", None)
-            b0 = (
-                stats.bytes_sent + stats.bytes_received
-                if mx.enabled and stats is not None
-                else 0
+    tr = get_tracer()
+    mx = get_metrics()
+    if not tr.enabled and not mx.enabled:
+        return fn(*args)
+    stats = getattr(comm, "stats", None)
+    b0 = (
+        stats.bytes_sent + stats.bytes_received
+        if mx.enabled and stats is not None
+        else 0
+    )
+    t0 = _time.perf_counter()
+    if tr.enabled:
+        with tr.span(f"halo.{kind}", cat="halo", rank=comm.rank, tag=tag):
+            out = fn(*args)
+    else:
+        out = fn(*args)
+    seconds = _time.perf_counter() - t0
+    if tr.enabled:
+        tr.count("halo_seconds", seconds, rank=comm.rank)
+    if mx.enabled:
+        mx.observe(f"halo.{kind}_seconds", seconds, rank=comm.rank)
+        mx.count("halo.seconds", seconds, rank=comm.rank)
+        mx.count("halo.exchanges", 1.0, rank=comm.rank)
+        if stats is not None:
+            mx.count(
+                "halo.bytes",
+                float(stats.bytes_sent + stats.bytes_received - b0),
+                rank=comm.rank,
             )
-            t0 = _time.perf_counter()
-            if tr.enabled:
-                with tr.span(
-                    f"halo.{kind}", cat="halo", rank=comm.rank, tag=tag
-                ):
-                    out = fn(comm, tag, *args, **kwargs)
-            else:
-                out = fn(comm, tag, *args, **kwargs)
-            seconds = _time.perf_counter() - t0
-            if tr.enabled:
-                tr.count("halo_seconds", seconds, rank=comm.rank)
-            if mx.enabled:
-                mx.observe(f"halo.{kind}_seconds", seconds, rank=comm.rank)
-                mx.count("halo.seconds", seconds, rank=comm.rank)
-                mx.count("halo.exchanges", 1.0, rank=comm.rank)
-                if stats is not None:
-                    mx.count(
-                        "halo.bytes",
-                        float(stats.bytes_sent + stats.bytes_received - b0),
-                        rank=comm.rank,
-                    )
-            return out
-
-        return wrapper
-
-    return deco
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,53 +92,20 @@ class ExchangePolicy:
         )
 
 
-@_traced("uvT")
-def exchange_uvT(
-    comm,
-    tag: str,
-    u: np.ndarray,
-    v: np.ndarray,
-    T: np.ndarray,
-    left: int | None,
-    right: int | None,
-    axis: int = 0,
-    buf: np.ndarray | None = None,
-):
-    """Exchange one packed ``(u, v, T)`` ghost line with each neighbour.
-
-    ``axis = 0`` exchanges edge *columns* (axial decomposition); ``axis =
-    1`` exchanges edge *rows* (radial decomposition).  Returns
-    ``(halo_lo, halo_hi)`` — each a ``(3, n_perp)`` array or ``None`` at a
-    physical boundary — for
-    :func:`repro.physics.viscous.field_gradients`.
-
-    ``buf`` optionally supplies a ``(3, n_perp)`` packing buffer (fused
-    kernel backend).  It is reused for both directions because sends are
-    buffered: the payload is copied before ``send`` returns.
-    """
-
-    def edge(f, k):
-        return f[k] if axis == 0 else np.ascontiguousarray(f[:, k])
-
-    def pack(k):
-        if buf is None:
-            return np.stack([edge(u, k), edge(v, k), edge(T, k)])
-        buf[0] = edge(u, k)
-        buf[1] = edge(v, k)
-        buf[2] = edge(T, k)
-        return buf
-
-    if left is not None:
-        comm.send(left, f"{tag}:uvT:toleft", pack(0))
-    if right is not None:
-        comm.send(right, f"{tag}:uvT:toright", pack(-1))
-    halo_lo = comm.recv(left, f"{tag}:uvT:toright") if left is not None else None
-    halo_hi = comm.recv(right, f"{tag}:uvT:toleft") if right is not None else None
-    return halo_lo, halo_hi
+#: The four pair exchanges as rows of constants: wire-tag suffix, whether
+#: the pair travels toward the higher rank (then it is the sender's *last*
+#: two lines, received from the lower neighbour and stacked nearest-first,
+#: i.e. reversed), and whether Version 7 splits it into single lines.
+_KINDS = {
+    "flux_high": ("fxh", False, True),
+    "flux_low": ("fxl", True, True),
+    "state_low": ("qlo", True, False),
+    "state_high": ("qhi", False, False),
+}
 
 
 def _pair(F: np.ndarray, axis: int, sl: slice, buf: np.ndarray | None = None) -> np.ndarray:
-    """Two edge lines of a ``(4, nx, nr)`` flux array along ``axis`` as a
+    """Two edge lines of a ``(4, nx, nr)`` array along ``axis`` as a
     ``(4, 2, n_perp)`` pair, optionally packed into ``buf``."""
     if axis == 1:
         src = F[:, sl, :]
@@ -158,124 +117,45 @@ def _pair(F: np.ndarray, axis: int, sl: slice, buf: np.ndarray | None = None) ->
     return np.ascontiguousarray(src)
 
 
-def _send_flux_columns(
-    comm, dest: int, tag: str, cols: np.ndarray, split: bool
-) -> None:
-    """Send a ``(4, 2, n_perp)`` flux-line pair, grouped or one at a time."""
-    if split:
-        comm.send(dest, f"{tag}:c0", np.ascontiguousarray(cols[:, 0]))
-        comm.send(dest, f"{tag}:c1", np.ascontiguousarray(cols[:, 1]))
-    else:
-        comm.send(dest, tag, np.ascontiguousarray(cols))
+def _stack(c0: np.ndarray, c1: np.ndarray, reverse: bool) -> np.ndarray:
+    """Two received lines as a ``(2, 4, n_perp)`` outward-ordered stack."""
+    return np.stack([c1, c0]) if reverse else np.stack([c0, c1])
 
 
-def _recv_pair_stacked(comm, source: int, tag: str, reverse: bool) -> np.ndarray:
-    """Receive a ``(4, 2, n_perp)`` line pair and return it as a
-    ``(2, 4, n_perp)`` outward-ordered ghost stack.
+def _unpack(lines, split: bool, reverse: bool) -> np.ndarray:
+    """The ghost stack from the received message(s).
 
-    ``recv_view`` is part of the :class:`~repro.msglib.api.Communicator`
-    contract: zero-copy on the shared-memory substrate (the stack copies
-    straight out of the ring slot, released immediately after — one copy
-    instead of two), an owned read-only view everywhere else, so no
-    substrate guard is needed here.
+    ``lines`` holds the two single-line arrays of a split (Version 7)
+    exchange, or the one view of a grouped ``(4, 2, n_perp)`` pair.  The
+    ``recv_view`` / ``irecv_view`` handle is part of the
+    :class:`~repro.msglib.api.Communicator` contract: zero-copy on the
+    shared-memory substrate (the stack copies straight out of the ring
+    slot, released on leaving the ``with`` — one copy instead of two), an
+    owned read-only view everywhere else, so no substrate guard is needed.
     """
-    with comm.recv_view(source, tag) as view:
+    if split:
+        return _stack(lines[0], lines[1], reverse)
+    with lines[0] as view:
         cols = view.array
-        if reverse:
-            return np.stack([cols[:, 1], cols[:, 0]])
-        return np.stack([cols[:, 0], cols[:, 1]])
+        return _stack(cols[:, 0], cols[:, 1], reverse)
 
 
-def _recv_flux_stacked(
-    comm, source: int, tag: str, split: bool, reverse: bool
-) -> np.ndarray:
-    """Receive a flux-line pair as an outward-ordered ``(2, 4, n_perp)``
-    ghost stack (grouped single message, or per-column for Version 7)."""
-    if split:
-        c0 = comm.recv(source, f"{tag}:c0")
-        c1 = comm.recv(source, f"{tag}:c1")
-        if reverse:
-            return np.stack([c1, c0])
-        return np.stack([c0, c1])
-    return _recv_pair_stacked(comm, source, tag, reverse)
-
-
-@_traced("flux_high")
-def exchange_flux_high(
-    comm,
-    tag: str,
-    F: np.ndarray,
-    left: int | None,
-    right: int | None,
-    policy: ExchangePolicy,
-    axis: int = 1,
-    buf: np.ndarray | None = None,
-):
-    """Flux ghosts for a *forward* one-sided difference.
-
-    Every rank ships its two lowest columns leftward; the ghosts beyond a
-    rank's high edge are therefore its right neighbour's first two columns.
-    Returns ``(2, 4, nr)`` ordered outward, or ``None`` at the outflow end.
-    ``buf`` optionally supplies a ``(4, 2, n_perp)`` packing buffer.
-    """
-    t = f"{tag}:fxh"
-    if left is not None:
-        _send_flux_columns(
-            comm, left, t, _pair(F, axis, slice(0, 2), buf), policy.split_flux_columns
-        )
-    if right is None:
-        return None
-    return _recv_flux_stacked(
-        comm, right, t, policy.split_flux_columns, reverse=False
-    )
-
-
-@_traced("flux_low")
-def exchange_flux_low(
-    comm,
-    tag: str,
-    F: np.ndarray,
-    left: int | None,
-    right: int | None,
-    policy: ExchangePolicy,
-    axis: int = 1,
-    buf: np.ndarray | None = None,
-):
-    """Flux ghosts for a *backward* one-sided difference.
-
-    Every rank ships its two highest columns rightward; the ghosts below a
-    rank's low edge are its left neighbour's last two columns.  Returns
-    ``(2, 4, nr)`` ordered outward (nearest ghost = neighbour's last
-    column), or ``None`` at the inflow end.
-    ``buf`` optionally supplies a ``(4, 2, n_perp)`` packing buffer.
-    """
-    t = f"{tag}:fxl"
-    if right is not None:
-        _send_flux_columns(
-            comm, right, t, _pair(F, axis, slice(-2, None), buf),
-            policy.split_flux_columns,
-        )
-    if left is None:
-        return None
-    return _recv_flux_stacked(
-        comm, left, t, policy.split_flux_columns, reverse=True
-    )
+def _finish(reqs, split: bool, reverse: bool) -> np.ndarray:
+    """Wait + unpack for :meth:`PendingGhosts.finish`."""
+    return _unpack([r.wait() for r in reqs], split, reverse)
 
 
 class PendingGhosts:
     """An in-flight flux-ghost exchange (the split-phase V6 protocol).
 
-    Created by :func:`post_flux_exchange` *after* the send legs have been
-    deposited and the receive has been posted; the caller runs its
-    interior compute while the message crosses, then calls
-    :meth:`finish` exactly once to wait, unpack and get back the same
-    outward-ordered ``(2, 4, n_perp)`` ghost stack the blocking exchange
-    returns.  ``finish`` returns ``None`` when nothing was in flight (a
-    physical boundary on the receive side) — the provisional ghosts used
-    during the overlap window were already final.
-
-    ``side`` names which ghost side (``"low"``/``"high"``) the exchange
-    feeds, so the edge-strip recompute knows which columns to redo.
+    Created by :meth:`ExchangePlan.exchange` with ``post=True`` *after*
+    the send legs have been deposited and the receive has been posted;
+    the caller runs its interior compute while the message crosses, then
+    calls :meth:`finish` exactly once to wait, unpack and get back the
+    same outward-ordered ``(2, 4, n_perp)`` ghost stack the blocking
+    exchange returns.  ``finish`` returns ``None`` when nothing was in
+    flight (a physical boundary on the receive side) — the provisional
+    ghosts used during the overlap window were already final.
 
     Borrow lifetime: on the process substrate the grouped (non-split)
     receive borrows a ring slot zero-copy from ``test()``-completion
@@ -286,13 +166,11 @@ class PendingGhosts:
     :class:`~repro.msglib.vchannel.DeadlockError` documents.
     """
 
-    __slots__ = ("comm", "tag", "side", "_reqs", "_split", "_reverse",
-                 "_done")
+    __slots__ = ("comm", "tag", "_reqs", "_split", "_reverse", "_done")
 
-    def __init__(self, comm, tag, side, reqs, split, reverse) -> None:
+    def __init__(self, comm, tag, reqs, split, reverse) -> None:
         self.comm = comm
         self.tag = tag
-        self.side = side
         self._reqs = reqs
         self._split = split
         self._reverse = reverse
@@ -303,105 +181,19 @@ class PendingGhosts:
         return self._reqs is not None and not self._done
 
     def finish(self):
-        """Wait for the posted receive; the ghost stack, or ``None``."""
+        """Wait for the posted receive; the ghost stack, or ``None``.
+
+        Traced as ``halo.finish`` so halo metrics cover the
+        non-overlapped remainder of the exchange."""
         if self._done:
             raise RuntimeError("PendingGhosts.finish() called twice")
         self._done = True
         if self._reqs is None:
             return None
-        return _finish_flux(
-            self.comm, self.tag, self._reqs, self._split, self._reverse
+        return _traced(
+            "finish", self.comm, self.tag,
+            _finish, self._reqs, self._split, self._reverse,
         )
-
-
-@_traced("post")
-def post_flux_exchange(
-    comm,
-    tag: str,
-    F: np.ndarray,
-    left: int | None,
-    right: int | None,
-    policy: ExchangePolicy,
-    *,
-    high: bool,
-    axis: int = 1,
-    buf: np.ndarray | None = None,
-) -> PendingGhosts:
-    """Split-phase counterpart of :func:`exchange_flux_high` / ``_low``.
-
-    Deposits the same send legs (same wire tags, same message
-    granularity — grouped pair or per-column — so the on-wire traffic is
-    indistinguishable from the blocking exchange) and *posts* the
-    receive instead of blocking on it: per-column messages via ``irecv``,
-    grouped pairs via ``irecv_view`` so the process substrate borrows the
-    ring slot zero-copy across the overlap window.
-    """
-    split = policy.split_flux_columns
-    if high:
-        t = f"{tag}:fxh"
-        send_to, recv_from = left, right
-        sl = slice(0, 2)
-        reverse = False
-    else:
-        t = f"{tag}:fxl"
-        send_to, recv_from = right, left
-        sl = slice(-2, None)
-        reverse = True
-    if send_to is not None:
-        _send_flux_columns(comm, send_to, t, _pair(F, axis, sl, buf), split)
-    side = "high" if high else "low"
-    if recv_from is None:
-        return PendingGhosts(comm, t, side, None, split, reverse)
-    if split:
-        reqs = (
-            comm.irecv(recv_from, f"{t}:c0"),
-            comm.irecv(recv_from, f"{t}:c1"),
-        )
-    else:
-        reqs = (comm.irecv_view(recv_from, t),)
-    # Opportunistic probe: when phase skew means the neighbour's message
-    # already landed, complete the receive now — on the process substrate
-    # the grouped pair's ring slot is then borrowed zero-copy across the
-    # whole interior compute and only unpacked at finish().
-    for r in reqs:
-        r.test()
-    return PendingGhosts(comm, t, side, reqs, split, reverse)
-
-
-@_traced("finish")
-def _finish_flux(comm, tag, reqs, split: bool, reverse: bool) -> np.ndarray:
-    """Wait + unpack for :meth:`PendingGhosts.finish` (traced so halo
-    metrics cover the non-overlapped remainder of the exchange)."""
-    if split:
-        c0 = reqs[0].wait()
-        c1 = reqs[1].wait()
-        if reverse:
-            return np.stack([c1, c0])
-        return np.stack([c0, c1])
-    with reqs[0].wait() as view:
-        cols = view.array
-        if reverse:
-            return np.stack([cols[:, 1], cols[:, 0]])
-        return np.stack([cols[:, 0], cols[:, 1]])
-
-
-@_traced("state_low")
-def exchange_state_halo_low(
-    comm,
-    tag: str,
-    q: np.ndarray,
-    left: int | None,
-    right: int | None,
-    axis: int = 1,
-    buf: np.ndarray | None = None,
-):
-    """Two state lines flowing toward higher ranks (filter low ghosts)."""
-    t = f"{tag}:qlo"
-    if right is not None:
-        comm.send(right, t, _pair(q, axis, slice(-2, None), buf))
-    if left is None:
-        return None
-    return _recv_pair_stacked(comm, left, t, reverse=True)
 
 
 class ExchangePlan:
@@ -415,14 +207,12 @@ class ExchangePlan:
     across directions and steps because ``Communicator.send`` copies its
     payload before returning.
 
-    The ``*_x`` methods exchange with the axial (``left``/``right``)
-    neighbours, the ``*_r`` methods with the radial (``lower``/``upper``)
-    ones; each returns ``None`` ghosts at physical boundaries exactly like
-    the module-level helpers it delegates to (tracing and metrics
-    therefore instrument plan exchanges identically).  Exchanges on
-    arrays whose perpendicular extent differs from the state's — e.g. the
-    5-column characteristic-outflow window — automatically fall back to
-    allocating packs.
+    ``axis`` is the ``(4, nx, nr)`` state-array axis the exchange crosses:
+    1 talks to the axial (``left``/``right``) neighbours, 2 to the radial
+    (``lower``/``upper``) ones.  Ghosts are ``None`` at physical
+    boundaries.  Exchanges on arrays whose perpendicular extent differs
+    from the state's — e.g. the 5-column characteristic-outflow window —
+    automatically fall back to allocating packs.
     """
 
     def __init__(self, comm, topology, policy: ExchangePolicy, shape) -> None:
@@ -437,113 +227,109 @@ class ExchangePlan:
         self._uvT_r = np.empty((3, nx)) if topology.exchanges_r else None
         self._pair_r = np.empty((nvars, 2, nx)) if topology.exchanges_r else None
 
-    @staticmethod
-    def _fit(buf: np.ndarray | None, n_perp: int) -> np.ndarray | None:
-        return buf if buf is not None and buf.shape[-1] == n_perp else None
+    def _route(self, axis: int, uvT: bool, n_perp: int):
+        """``(low neighbour, high neighbour, pack buffer or None)``."""
+        if axis == 1:
+            lo, hi = self.left, self.right
+            buf = self._uvT_x if uvT else self._pair_x
+        else:
+            lo, hi = self.lower, self.upper
+            buf = self._uvT_r if uvT else self._pair_r
+        if buf is not None and buf.shape[-1] != n_perp:
+            buf = None
+        return lo, hi, buf
 
-    # -- uvT halos (viscous gradients) ---------------------------------------
-    def uvT_x(self, tag: str, u, v, T):
-        return exchange_uvT(
-            self.comm, tag, u, v, T, self.left, self.right, axis=0,
-            buf=self._fit(self._uvT_x, u.shape[1]),
+    def uvT(self, axis: int, tag: str, u, v, T):
+        """Exchange one packed ``(u, v, T)`` ghost line with each neighbour.
+
+        ``axis = 1`` exchanges edge *columns* (axial neighbours), ``axis =
+        2`` edge *rows* (radial neighbours).  Returns ``(halo_lo,
+        halo_hi)`` — each a ``(3, n_perp)`` array or ``None`` at a
+        physical boundary — for
+        :func:`repro.physics.viscous.field_gradients`.  The one pack
+        buffer serves both directions because sends are buffered: the
+        payload is copied before ``send`` returns.
+        """
+        return _traced("uvT", self.comm, tag, self._uvT, axis, tag, u, v, T)
+
+    def _uvT(self, axis, tag, u, v, T):
+        comm = self.comm
+        lo, hi, buf = self._route(axis, True, u.shape[2 - axis])
+
+        def edge(f, k):
+            return f[k] if axis == 1 else np.ascontiguousarray(f[:, k])
+
+        def pack(k):
+            if buf is None:
+                return np.stack([edge(u, k), edge(v, k), edge(T, k)])
+            buf[0] = edge(u, k)
+            buf[1] = edge(v, k)
+            buf[2] = edge(T, k)
+            return buf
+
+        if lo is not None:
+            comm.send(lo, f"{tag}:uvT:toleft", pack(0))
+        if hi is not None:
+            comm.send(hi, f"{tag}:uvT:toright", pack(-1))
+        halo_lo = comm.recv(lo, f"{tag}:uvT:toright") if lo is not None else None
+        halo_hi = comm.recv(hi, f"{tag}:uvT:toleft") if hi is not None else None
+        return halo_lo, halo_hi
+
+    def exchange(self, kind: str, axis: int, tag: str, arr, *, post: bool = False):
+        """Ship two edge lines of ``arr`` one way, receive the neighbour's.
+
+        ``kind`` picks the row of :data:`_KINDS`.  ``flux_high`` feeds a
+        *forward* one-sided difference: every rank ships its two lowest
+        lines to the lower neighbour, so the ghosts beyond a rank's high
+        edge are its upper neighbour's first two lines.  ``flux_low``
+        (backward difference) is the mirror image: the two highest lines
+        travel up and the nearest low ghost is the lower neighbour's last
+        line.  ``state_low`` / ``state_high`` move conservative-state
+        lines the same two ways for the filter, always grouped.
+
+        Returns the ``(2, 4, n_perp)`` ghost stack ordered outward, or
+        ``None`` at a physical boundary on the receive side (the send leg
+        still runs).  With ``post=True`` the same send legs are deposited
+        (same wire tags, same message granularity, so the on-wire traffic
+        is indistinguishable from the blocking exchange) and the receive
+        is *posted* instead of blocked on — per-line messages via
+        ``irecv``, grouped pairs via ``irecv_view`` so the process
+        substrate borrows the ring slot zero-copy across the overlap
+        window — and a :class:`PendingGhosts` is returned.
+        """
+        return _traced(
+            "post" if post else kind, self.comm, tag,
+            self._exchange, kind, axis, tag, arr, post,
         )
 
-    def uvT_r(self, tag: str, u, v, T):
-        return exchange_uvT(
-            self.comm, tag, u, v, T, self.lower, self.upper, axis=1,
-            buf=self._fit(self._uvT_r, u.shape[0]),
-        )
-
-    # -- flux ghosts (one-sided predictor/corrector stencils) ----------------
-    def flux_high_x(self, tag: str, F):
-        return exchange_flux_high(
-            self.comm, tag, F, self.left, self.right, self.policy, axis=1,
-            buf=self._fit(self._pair_x, F.shape[2]),
-        )
-
-    def flux_low_x(self, tag: str, F):
-        return exchange_flux_low(
-            self.comm, tag, F, self.left, self.right, self.policy, axis=1,
-            buf=self._fit(self._pair_x, F.shape[2]),
-        )
-
-    def flux_high_r(self, tag: str, F):
-        return exchange_flux_high(
-            self.comm, tag, F, self.lower, self.upper, self.policy, axis=2,
-            buf=self._fit(self._pair_r, F.shape[1]),
-        )
-
-    def flux_low_r(self, tag: str, F):
-        return exchange_flux_low(
-            self.comm, tag, F, self.lower, self.upper, self.policy, axis=2,
-            buf=self._fit(self._pair_r, F.shape[1]),
-        )
-
-    # -- split-phase flux ghosts (overlapped V6 exchange) --------------------
-    def post_flux_high_x(self, tag: str, F) -> PendingGhosts:
-        return post_flux_exchange(
-            self.comm, tag, F, self.left, self.right, self.policy,
-            high=True, axis=1, buf=self._fit(self._pair_x, F.shape[2]),
-        )
-
-    def post_flux_low_x(self, tag: str, F) -> PendingGhosts:
-        return post_flux_exchange(
-            self.comm, tag, F, self.left, self.right, self.policy,
-            high=False, axis=1, buf=self._fit(self._pair_x, F.shape[2]),
-        )
-
-    def post_flux_high_r(self, tag: str, F) -> PendingGhosts:
-        return post_flux_exchange(
-            self.comm, tag, F, self.lower, self.upper, self.policy,
-            high=True, axis=2, buf=self._fit(self._pair_r, F.shape[1]),
-        )
-
-    def post_flux_low_r(self, tag: str, F) -> PendingGhosts:
-        return post_flux_exchange(
-            self.comm, tag, F, self.lower, self.upper, self.policy,
-            high=False, axis=2, buf=self._fit(self._pair_r, F.shape[1]),
-        )
-
-    # -- state halos (fourth-difference filter) ------------------------------
-    def state_low_x(self, tag: str, q):
-        return exchange_state_halo_low(
-            self.comm, tag, q, self.left, self.right, axis=1,
-            buf=self._fit(self._pair_x, q.shape[2]),
-        )
-
-    def state_high_x(self, tag: str, q):
-        return exchange_state_halo_high(
-            self.comm, tag, q, self.left, self.right, axis=1,
-            buf=self._fit(self._pair_x, q.shape[2]),
-        )
-
-    def state_low_r(self, tag: str, q):
-        return exchange_state_halo_low(
-            self.comm, tag, q, self.lower, self.upper, axis=2,
-            buf=self._fit(self._pair_r, q.shape[1]),
-        )
-
-    def state_high_r(self, tag: str, q):
-        return exchange_state_halo_high(
-            self.comm, tag, q, self.lower, self.upper, axis=2,
-            buf=self._fit(self._pair_r, q.shape[1]),
-        )
-
-
-@_traced("state_high")
-def exchange_state_halo_high(
-    comm,
-    tag: str,
-    q: np.ndarray,
-    left: int | None,
-    right: int | None,
-    axis: int = 1,
-    buf: np.ndarray | None = None,
-):
-    """Two state lines flowing toward lower ranks (filter high ghosts)."""
-    t = f"{tag}:qhi"
-    if left is not None:
-        comm.send(left, t, _pair(q, axis, slice(0, 2), buf))
-    if right is None:
-        return None
-    return _recv_pair_stacked(comm, right, t, reverse=False)
+    def _exchange(self, kind, axis, tag, arr, post):
+        comm = self.comm
+        lo, hi, buf = self._route(axis, False, arr.shape[3 - axis])
+        suffix, upward, splittable = _KINDS[kind]
+        split = splittable and self.policy.split_flux_columns
+        send_to, recv_from = (hi, lo) if upward else (lo, hi)
+        t = f"{tag}:{suffix}"
+        tags = (f"{t}:c0", f"{t}:c1") if split else (t,)
+        if send_to is not None:
+            cols = _pair(arr, axis, slice(-2, None) if upward else slice(0, 2), buf)
+            if split:
+                for k, line_tag in enumerate(tags):
+                    comm.send(send_to, line_tag, np.ascontiguousarray(cols[:, k]))
+            else:
+                comm.send(send_to, t, cols)
+        if not post:
+            if recv_from is None:
+                return None
+            recv = comm.recv if split else comm.recv_view
+            return _unpack([recv(recv_from, x) for x in tags], split, upward)
+        if recv_from is None:
+            return PendingGhosts(comm, t, None, split, upward)
+        irecv = comm.irecv if split else comm.irecv_view
+        reqs = [irecv(recv_from, x) for x in tags]
+        # Opportunistic probe: when phase skew means the neighbour's message
+        # already landed, complete the receive now — on the process substrate
+        # the grouped pair's ring slot is then borrowed zero-copy across the
+        # whole interior compute and only unpacked at finish().
+        for r in reqs:
+            r.test()
+        return PendingGhosts(comm, t, reqs, split, upward)

@@ -18,7 +18,6 @@ with ``last_good_step``) propagates to the caller.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,12 @@ from ..numerics.solver import SolverConfig
 from ..obs import Trace, Tracer, get_flight, get_tracer, use_tracer
 from ..physics.state import FlowState
 from .checkpoint import CheckpointStore, Snapshot
-from .spmd import DistributedSolver
+from .decomposition import (
+    AxialDecomposition,
+    CartesianDecomposition,
+    RadialDecomposition,
+)
+from .spmd import BlockDistributedSolver
 
 
 def interior_stats(per_rank_stats: list[CommStats]) -> CommStats:
@@ -172,24 +176,15 @@ class ParallelJetSolver:
     def _make_solver(self, comm, q_global: np.ndarray):
         """Build the per-rank solver from a (possibly restored) global q."""
         grid = self.global_grid
-        config = self.config
-        version = self.version
-        overlap = self.overlap
         if self.decomposition == "radial":
-            from .spmd_radial import RadialDistributedSolver
-
-            return RadialDistributedSolver(
-                comm, grid, q_global, config, version=version, overlap=overlap
-            )
-        if self.decomposition == "2d":
-            from .spmd2d import Distributed2DSolver
-
-            return Distributed2DSolver(
-                comm, grid, q_global, config,
-                px=self.px, pr=self.pr, version=version, overlap=overlap,
-            )
-        return DistributedSolver(
-            comm, grid, q_global, config, version=version, overlap=overlap
+            decomp = RadialDecomposition(grid.nr, self.nranks)
+        elif self.decomposition == "2d":
+            decomp = CartesianDecomposition(grid.nx, grid.nr, self.px, self.pr)
+        else:
+            decomp = AxialDecomposition(grid.nx, self.nranks)
+        return BlockDistributedSolver(
+            comm, grid, q_global, self.config, decomp,
+            version=self.version, overlap=self.overlap,
         )
 
     def _attempt(
@@ -355,21 +350,3 @@ def serial_reference(
     for _ in range(steps):
         solver.step()
     return solver.state
-
-
-def run_serial_reference(
-    state: FlowState, config: SolverConfig, steps: int
-) -> FlowState:
-    """Deprecated alias of :func:`serial_reference`.
-
-    .. deprecated:: 1.1
-       Use ``repro.api.run(scenario, steps=...)`` (or
-       :func:`serial_reference` for raw state/config inputs).
-    """
-    warnings.warn(
-        "run_serial_reference is deprecated; use repro.api.run(scenario, "
-        "steps=...) or repro.parallel.runner.serial_reference",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return serial_reference(state, config, steps)

@@ -45,7 +45,6 @@ from ..numerics.maccormack import PREDICTOR, SplitOperator, SweepWorkspace
 from ..numerics.solver import CompressibleSolver, SolverConfig
 from ..numerics.timestep import stable_dt
 from ..physics.state import FlowState
-from .decomposition import AxialDecomposition
 from .halo import ExchangePlan, ExchangePolicy
 from .versions import Version, version_by_number
 
@@ -53,11 +52,11 @@ from .versions import Version, version_by_number
 class BlockDistributedSolver(CompressibleSolver):
     """Per-rank solver over any block decomposition.
 
-    Subclasses pick the decomposition by overriding
-    :meth:`_make_decomposition` (or passing ``decomp``); everything else —
-    halo plumbing, fused-kernel workspace, filter halos, collective ``dt``,
-    boundary ownership, gather, and checkpoint/restart — is decided by the
-    decomposition's :class:`~repro.parallel.decomposition.HaloTopology`.
+    The caller picks the decomposition by passing ``decomp``; everything
+    else — halo plumbing, fused-kernel workspace, filter halos, collective
+    ``dt``, boundary ownership, gather, and checkpoint/restart — is decided
+    by the decomposition's
+    :class:`~repro.parallel.decomposition.HaloTopology`.
 
     Parameters
     ----------
@@ -72,11 +71,13 @@ class BlockDistributedSolver(CompressibleSolver):
     config:
         The same :class:`~repro.numerics.solver.SolverConfig` the serial
         solver takes.
+    decomp:
+        The block decomposition (an
+        :class:`~repro.parallel.decomposition.AxialDecomposition`,
+        ``RadialDecomposition`` or ``CartesianDecomposition``); its
+        ``nparts`` must equal ``comm.size``.
     version:
         Paper code version (5, 6 or 7) controlling message grouping.
-    decomp:
-        Optional explicit decomposition instance (otherwise built by
-        :meth:`_make_decomposition`).
     overlap:
         Overlapped (split-phase) flux-ghost exchange: ``True``/``False``
         forces it on/off; ``None`` (default) follows the version's
@@ -92,14 +93,17 @@ class BlockDistributedSolver(CompressibleSolver):
         global_grid: Grid,
         q_global: np.ndarray,
         config: SolverConfig,
+        decomp,
         version: int | Version = 5,
-        decomp=None,
         overlap: bool | None = None,
     ) -> None:
+        if decomp.nparts != comm.size:
+            raise ValueError(
+                f"decomposition has {decomp.nparts} blocks but the "
+                f"communicator has {comm.size} ranks"
+            )
         self.comm = comm
         self._overlap = False  # finalized below, after the workspace exists
-        if decomp is None:
-            decomp = self._make_decomposition(global_grid, comm.size)
         self.decomp = decomp
         self.topo = decomp.topology(comm.rank)
         self.left, self.right = self.topo.left, self.topo.right
@@ -163,9 +167,6 @@ class BlockDistributedSolver(CompressibleSolver):
             rec["lost"] = faults.lost_messages
         return rec
 
-    def _make_decomposition(self, global_grid: Grid, nranks: int):
-        raise NotImplementedError
-
     # -- tags -----------------------------------------------------------------
     def _tag(self, op: str, phase: str = "") -> str:
         return f"{self.nstep}:{op}:{phase}"
@@ -187,17 +188,17 @@ class BlockDistributedSolver(CompressibleSolver):
         if axis == 0:
             if self.left is None and self.right is None:
                 return None
-            return self.plan.uvT_x(tag, u, v, T)
+            return self.plan.uvT(1, tag, u, v, T)
         if axis == 1:
             if self.lower is None and self.upper is None:
                 return None
-            return self.plan.uvT_r(tag, u, v, T)
+            return self.plan.uvT(2, tag, u, v, T)
         halo_x = None
         if include_x and (self.left is not None or self.right is not None):
-            halo_x = self.plan.uvT_x(f"{tag}:hx", u, v, T)
+            halo_x = self.plan.uvT(1, f"{tag}:hx", u, v, T)
         halo_r = None
         if self.lower is not None or self.upper is not None:
-            halo_r = self.plan.uvT_r(f"{tag}:hr", u, v, T)
+            halo_r = self.plan.uvT(2, f"{tag}:hr", u, v, T)
         if halo_x is None and halo_r is None:
             return None
         return {"x": halo_x, "r": halo_r}
@@ -256,12 +257,16 @@ class BlockDistributedSolver(CompressibleSolver):
         def high_ghosts(F, phase):
             # Forward differencing consumes high-side ghosts.
             if solver._active_high(variant, phase):
-                return solver.plan.flux_high_x(solver._tag("x", phase), F)
+                return solver.plan.exchange(
+                    "flux_high", 1, solver._tag("x", phase), F
+                )
             return None
 
         def low_ghosts(F, phase):
             if not solver._active_high(variant, phase):
-                return solver.plan.flux_low_x(solver._tag("x", phase), F)
+                return solver.plan.exchange(
+                    "flux_low", 1, solver._tag("x", phase), F
+                )
             return None
 
         post_ghosts = None
@@ -273,11 +278,11 @@ class BlockDistributedSolver(CompressibleSolver):
                 # pass uses cubic ghosts on both sides (the inactive side
                 # is never read by the one-sided stencil, the in-flight
                 # side is recomputed from the real ghosts at finish).
-                tag = solver._tag("x", phase)
-                if solver._active_high(variant, phase):
-                    pending = solver.plan.post_flux_high_x(tag, F)
-                else:
-                    pending = solver.plan.post_flux_low_x(tag, F)
+                high = solver._active_high(variant, phase)
+                pending = solver.plan.exchange(
+                    "flux_high" if high else "flux_low", 1,
+                    solver._tag("x", phase), F, post=True,
+                )
                 return None, None, pending
 
         return SweepWorkspace(
@@ -298,7 +303,9 @@ class BlockDistributedSolver(CompressibleSolver):
                 # run even on ranks with no lower neighbour, or their
                 # upper neighbour deadlocks); ranks at the axis get None
                 # back and mirror instead.
-                ghosts = solver.plan.flux_low_r(solver._tag(tag_op, phase), rG)
+                ghosts = solver.plan.exchange(
+                    "flux_low", 2, solver._tag(tag_op, phase), rG
+                )
                 if ghosts is None:
                     return apply_axis_ghosts(rG)
                 return ghosts
@@ -312,7 +319,9 @@ class BlockDistributedSolver(CompressibleSolver):
             if solver._active_high(variant, phase):
                 # None at the far field selects cubic extrapolation, as in
                 # the serial solver; the send leg runs on every rank.
-                return solver.plan.flux_high_r(solver._tag(tag_op, phase), rG)
+                return solver.plan.exchange(
+                    "flux_high", 2, solver._tag(tag_op, phase), rG
+                )
             return None
 
         return low_ghosts, high_ghosts
@@ -330,14 +339,12 @@ class BlockDistributedSolver(CompressibleSolver):
         solver = self
 
         def post_ghosts(rG, phase):
-            tag = solver._tag(tag_op, phase)
-            at_axis = solver.lower is None
-            if solver._active_high(variant, phase):
-                pending = solver.plan.post_flux_high_r(tag, rG)
-                lo = apply_axis_ghosts(rG) if at_axis else None
-                return lo, None, pending
-            pending = solver.plan.post_flux_low_r(tag, rG)
-            lo = apply_axis_ghosts(rG) if at_axis else None
+            high = solver._active_high(variant, phase)
+            pending = solver.plan.exchange(
+                "flux_high" if high else "flux_low", 2,
+                solver._tag(tag_op, phase), rG, post=True,
+            )
+            lo = apply_axis_ghosts(rG) if solver.lower is None else None
             return lo, None, pending
 
         return post_ghosts
@@ -416,23 +423,20 @@ class BlockDistributedSolver(CompressibleSolver):
 
     # -- filter halos ---------------------------------------------------------
     def _state_ghosts(self, q: np.ndarray, axis: int, side: str):  # type: ignore[override]
-        if axis == 1:
-            if not self.topo.exchanges_x:
-                return super()._state_ghosts(q, axis, side)
-            tag = f"{self._tag('filter')}:x"
-            if side == "low":
-                return self.plan.state_low_x(tag, q)
-            return self.plan.state_high_x(tag, q)
-        if not self.topo.exchanges_r:
+        decomposed = self.topo.exchanges_x if axis == 1 else self.topo.exchanges_r
+        if not decomposed:
             return super()._state_ghosts(q, axis, side)
-        tag = f"{self._tag('filter')}:r"
-        if side == "low":
-            ghosts = self.plan.state_low_r(tag, q)
-            if ghosts is None and self.config.axisymmetric:
-                signs = AXIS_STATE_SIGNS[:, None]
-                return np.stack([signs * q[:, :, 0], signs * q[:, :, 1]])
-            return ghosts
-        return self.plan.state_high_r(tag, q)
+        tag = f"{self._tag('filter')}:{'x' if axis == 1 else 'r'}"
+        ghosts = self.plan.exchange(f"state_{side}", axis, tag, q)
+        if (
+            ghosts is None
+            and axis == 2
+            and side == "low"
+            and self.config.axisymmetric
+        ):
+            signs = AXIS_STATE_SIGNS[:, None]
+            return np.stack([signs * q[:, :, 0], signs * q[:, :, 1]])
+        return ghosts
 
     # -- characteristic outflow -----------------------------------------------
     def _outflow_rates(self, q: np.ndarray, variant: int) -> np.ndarray:  # type: ignore[override]
@@ -519,10 +523,3 @@ class BlockDistributedSolver(CompressibleSolver):
         if parts is None:
             return None
         return self.nstep, self.t, self.decomp.assemble(parts)
-
-
-class DistributedSolver(BlockDistributedSolver):
-    """Per-rank solver over the paper's axial block decomposition."""
-
-    def _make_decomposition(self, global_grid: Grid, nranks: int):
-        return AxialDecomposition(global_grid.nx, nranks)

@@ -66,8 +66,8 @@ class ExecutionConfig:
     version: int = 7
     """Paper code version (5 grouped / 6 overlapped / 7 de-burstified)."""
     backend: str | None = None
-    """Kernel backend override (``"baseline"``/``"fused"``), ``None`` keeps
-    the scenario's configured backend."""
+    """Kernel backend override (``"baseline"``/``"fused"``/``"compiled"``),
+    ``None`` keeps the scenario's configured backend."""
     steps_window: int = 30
     """DES steps actually executed before scaling (simulated route)."""
     timeout: float = 120.0

@@ -97,7 +97,7 @@ def test_interior_rank_stats_raises_without_interior_rank():
 
 
 # ---------------------------------------------------------------------------
-# Errors and deprecations
+# Errors
 # ---------------------------------------------------------------------------
 
 
@@ -115,15 +115,6 @@ def test_scenario_kwargs_rejected_with_scenario_object():
     sc = jet_scenario(**SMALL)
     with pytest.raises(TypeError, match="only valid when the scenario is"):
         run(sc, steps=1, nx=99)
-
-
-def test_run_serial_reference_shim_warns_and_matches():
-    from repro.parallel.runner import run_serial_reference
-
-    sc = jet_scenario(**SMALL)
-    with pytest.warns(DeprecationWarning, match="repro.api.run"):
-        old = run_serial_reference(sc.state, sc.solver.config, 3)
-    assert np.array_equal(old.q, serial_reference(sc.state, sc.solver.config, 3).q)
 
 
 # ---------------------------------------------------------------------------

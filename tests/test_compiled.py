@@ -1,13 +1,12 @@
 """The compiled ("V6") kernel backend: differential + property wall.
 
 The compiled backend replays the paper's Version 5-6 compiler rung — the
-same physics, rebuilt as native loops (numba njit, a cached C shared
-object, or the uncompiled reference loops).  Like the fused backend, it
-must change performance only, never results:
+same physics, rebuilt as native loops in one cached C shared object.
+Like the fused backend, it must change performance only, never results:
 
-* every engine declares a **tolerance policy** through its ``bitwise``
-  flag — ``True`` (the default, honoured by every engine on this
-  container) makes bitwise equality the acceptance bar, and a platform
+* the C engine declares a **tolerance policy** through its ``bitwise``
+  flag — ``True`` (the default, honoured on this container) makes
+  bitwise equality the acceptance bar, and a platform
   that cannot honour it (e.g. a toolchain ignoring ``-ffp-contract=off``)
   flips the flag and is held to the pinned :data:`ULP_BOUND` instead;
 * the differential matrix mirrors ``tests/test_kernels.py``: Euler and
@@ -18,7 +17,6 @@ must change performance only, never results:
 """
 
 import copy
-import os
 
 import numpy as np
 import pytest
@@ -35,7 +33,8 @@ from repro.numerics.kernels import (
     get_backend,
     resolve_backend,
 )
-from repro.numerics.kernels.compiled import ENGINE_ENV_VAR, resolve_ops
+from repro.numerics.kernels import compiled
+from repro.numerics.kernels.compiled import resolve_ops
 from repro.numerics.solver import CompressibleSolver
 
 #: Maximum per-element ULP distance tolerated from a compiled engine that
@@ -82,24 +81,18 @@ def _evolve(backend, steps=5, nx=36, nr=18, viscous=True, mu_exp=0.0):
     return solver.state.q
 
 
-def _evolve_engine(engine, **kw):
-    """Evolve under the compiled backend with a forced engine choice."""
-    old = os.environ.get(ENGINE_ENV_VAR)
-    os.environ[ENGINE_ENV_VAR] = engine
-    try:
-        return _evolve("compiled", **kw)
-    finally:
-        if old is None:
-            del os.environ[ENGINE_ENV_VAR]
-        else:
-            os.environ[ENGINE_ENV_VAR] = old
+@pytest.fixture
+def no_toolchain(monkeypatch):
+    """A host whose C compiler is missing and whose ops are not yet warm."""
+    monkeypatch.setenv("REPRO_CC", "no-such-compiler")
+    monkeypatch.setattr(compiled, "_OPS", None)
 
 
 @pytest.fixture(scope="module")
 def ops():
     """The resolved compiled ops, or skip when no engine exists."""
     try:
-        return resolve_ops(os.environ.get(ENGINE_ENV_VAR) or None)
+        return resolve_ops()
     except BackendUnavailable as exc:  # pragma: no cover - bare container
         pytest.skip(f"no compiled engine: {exc}")
 
@@ -121,30 +114,30 @@ class TestSelection:
         assert isinstance(solver._ws, CompiledWorkspace)
         assert solver._ws.ops is not None
 
-    def test_unavailable_falls_back_to_fused(self):
-        backend = CompiledBackend(engine="engine-that-does-not-exist")
+    def test_unavailable_falls_back_to_fused(self, no_toolchain):
         sc = jet_scenario(nx=16, nr=12)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            ws = backend.step_workspace(sc.solver)
+            ws = get_backend("compiled").step_workspace(sc.solver)
         assert type(ws) is StepWorkspace  # the fused workspace, not compiled
         assert ws.ops is None
 
-    def test_fallback_run_is_bitwise_fused(self, monkeypatch):
+    def test_fallback_run_is_bitwise_fused(self, no_toolchain):
         """A fallback run produces the fused numbers, not an error."""
-        monkeypatch.setenv(ENGINE_ENV_VAR, "engine-that-does-not-exist")
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = _evolve("compiled", steps=3, nx=24, nr=12)
         want = _evolve("fused", steps=3, nx=24, nr=12)
         assert np.array_equal(got, want)
 
-    def test_unknown_engine_raises_structured(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "fortran-2077")
-        with pytest.raises(BackendUnavailable, match="fortran-2077"):
+    def test_missing_compiler_names_the_override(self, no_toolchain):
+        """The error names the $REPRO_CC value that is not on PATH instead
+        of claiming the host has no compiler at all."""
+        with pytest.raises(BackendUnavailable, match="REPRO_CC='no-such-compiler'"):
             resolve_ops()
 
-    def test_available_reports_without_raising(self):
+    def test_available_reports_without_raising(self, request):
         assert get_backend("compiled").available() in (True, False)
-        assert CompiledBackend(engine="no-such-engine").available() is False
+        request.getfixturevalue("no_toolchain")
+        assert get_backend("compiled").available() is False
 
 
 class TestDifferentialSerial:
@@ -161,14 +154,6 @@ class TestDifferentialSerial:
         """Sutherland-style variable viscosity hits the mu-array kernels."""
         want = _evolve("fused", mu_exp=0.7)
         got = _evolve("compiled", mu_exp=0.7)
-        assert_matches_policy(ops, got, want)
-
-    def test_python_engine_matches_fused(self):
-        """The no-toolchain reference engine is always available and must
-        hold the same contract the optimized engines do."""
-        ops = resolve_ops("python")
-        got = _evolve_engine("python", steps=4, nx=20, nr=10)
-        want = _evolve("fused", steps=4, nx=20, nr=10)
         assert_matches_policy(ops, got, want)
 
 
@@ -196,29 +181,6 @@ class TestDifferentialDistributed:
             **kw,
         ).state.q
         assert_matches_policy(ops, got, want)
-
-
-class TestEngineCross:
-    """Engines must agree with each other, not only with fused."""
-
-    def test_python_vs_resolved_engine(self, ops):
-        if ops.engine == "python":
-            pytest.skip("resolved engine is already the python reference")
-        a = _evolve("compiled", steps=3, nx=24, nr=12)
-        b = _evolve_engine("python", steps=3, nx=24, nr=12)
-        ref = resolve_ops("python")
-        if ops.bitwise and ref.bitwise:
-            assert np.array_equal(a, b)
-        else:
-            assert _ulp_distance(a, b) <= 2 * ULP_BOUND
-
-    @pytest.mark.requires_numba
-    def test_numba_engine_matches_fused(self):
-        pytest.importorskip("numba")
-        nops = resolve_ops("numba")
-        got = _evolve_engine("numba", steps=4, nx=24, nr=12)
-        want = _evolve("fused", steps=4, nx=24, nr=12)
-        assert_matches_policy(nops, got, want)
 
 
 class TestWorkspaceReuse:

@@ -1,16 +1,16 @@
 """Halo-exchange orientation and version grouping, against a stub comm."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.parallel.halo import (
-    ExchangePolicy,
-    exchange_flux_high,
-    exchange_flux_low,
-    exchange_state_halo_high,
-    exchange_state_halo_low,
-    exchange_uvT,
-)
+from repro import jet_scenario
+from repro.msglib import VirtualCluster
+from repro.parallel.decomposition import HaloTopology
+from repro.parallel.halo import ExchangePlan, ExchangePolicy
+from repro.parallel.runner import ParallelJetSolver
 from repro.parallel.versions import version_by_number
 
 
@@ -39,6 +39,12 @@ GROUPED = ExchangePolicy(split_flux_columns=False)
 SPLIT = ExchangePolicy(split_flux_columns=True)
 
 
+def plan(comm, shape, left, right, policy=GROUPED):
+    """A rank's plan over an axial neighbour pair (axis 1)."""
+    topo = HaloTopology(5, left, right, None, None, True, False)
+    return ExchangePlan(comm, topo, policy, shape)
+
+
 class TestPolicy:
     def test_from_version(self):
         assert ExchangePolicy.from_version(version_by_number(5)) == ExchangePolicy()
@@ -55,7 +61,7 @@ class TestUvT:
         comm = LoopbackComm(
             {(1, "t:uvT:toright"): lo_ghost, (3, "t:uvT:toleft"): hi_ghost}
         )
-        halo_lo, halo_hi = exchange_uvT(comm, "t", u, v, T, left=1, right=3)
+        halo_lo, halo_hi = plan(comm, (4, 5, nr), 1, 3).uvT(1, "t", u, v, T)
         assert np.array_equal(halo_lo, lo_ghost)
         assert np.array_equal(halo_hi, hi_ghost)
         # Sent the packed edge columns the right way.
@@ -69,7 +75,7 @@ class TestUvT:
         u, v, T = (rng.random((5, 4)) for _ in range(3))
         ghost = rng.random((3, 4))
         comm = LoopbackComm({(1, "t:uvT:toleft"): ghost})
-        halo_lo, halo_hi = exchange_uvT(comm, "t", u, v, T, left=None, right=1)
+        halo_lo, halo_hi = plan(comm, (4, 5, 4), None, 1).uvT(1, "t", u, v, T)
         assert halo_lo is None
         assert np.array_equal(halo_hi, ghost)
         assert len(comm.sent) == 1
@@ -81,7 +87,7 @@ class TestFluxExchanges:
         F = rng.random((4, 7, 5))
         neighbour_cols = rng.random((4, 2, 5))
         comm = LoopbackComm({(9, "t:fxh"): neighbour_cols})
-        ghosts = exchange_flux_high(comm, "t", F, left=3, right=9, policy=GROUPED)
+        ghosts = plan(comm, F.shape, 3, 9).exchange("flux_high", 1, "t", F)
         assert ghosts.shape == (2, 4, 5)
         assert np.array_equal(ghosts[0], neighbour_cols[:, 0])
         assert np.array_equal(ghosts[1], neighbour_cols[:, 1])
@@ -95,7 +101,7 @@ class TestFluxExchanges:
         F = rng.random((4, 7, 5))
         neighbour_cols = rng.random((4, 2, 5))  # their [:, -2:]
         comm = LoopbackComm({(3, "t:fxl"): neighbour_cols})
-        ghosts = exchange_flux_low(comm, "t", F, left=3, right=9, policy=GROUPED)
+        ghosts = plan(comm, F.shape, 3, 9).exchange("flux_low", 1, "t", F)
         # Nearest ghost = their LAST column = index 1 of the sent pair.
         assert np.array_equal(ghosts[0], neighbour_cols[:, 1])
         assert np.array_equal(ghosts[1], neighbour_cols[:, 0])
@@ -106,10 +112,7 @@ class TestFluxExchanges:
     def test_boundary_rank_returns_none(self, rng):
         F = rng.random((4, 7, 5))
         comm = LoopbackComm()
-        assert (
-            exchange_flux_high(comm, "t", F, left=0, right=None, policy=GROUPED)
-            is None
-        )
+        assert plan(comm, F.shape, 0, None).exchange("flux_high", 1, "t", F) is None
         # Still sent to the left neighbour.
         assert len(comm.sent) == 1
 
@@ -117,7 +120,7 @@ class TestFluxExchanges:
         F = rng.random((4, 7, 5))
         c0, c1 = rng.random((4, 5)), rng.random((4, 5))
         comm = LoopbackComm({(9, "t:fxh:c0"): c0, (9, "t:fxh:c1"): c1})
-        ghosts = exchange_flux_high(comm, "t", F, left=3, right=9, policy=SPLIT)
+        ghosts = plan(comm, F.shape, 3, 9, SPLIT).exchange("flux_high", 1, "t", F)
         assert np.array_equal(ghosts[0], c0)
         assert np.array_equal(ghosts[1], c1)
         # Two separate sends, same total data.
@@ -131,7 +134,7 @@ class TestStateHalo:
         q = rng.random((4, 6, 3))
         left_cols = rng.random((4, 2, 3))
         comm = LoopbackComm({(0, "t:qlo"): left_cols})
-        ghosts = exchange_state_halo_low(comm, "t", q, left=0, right=2)
+        ghosts = plan(comm, q.shape, 0, 2).exchange("state_low", 1, "t", q)
         assert np.array_equal(ghosts[0], left_cols[:, 1])  # nearest first
         assert np.array_equal(ghosts[1], left_cols[:, 0])
         dest, _, sent = comm.sent[0]
@@ -142,7 +145,7 @@ class TestStateHalo:
         q = rng.random((4, 6, 3))
         right_cols = rng.random((4, 2, 3))
         comm = LoopbackComm({(2, "t:qhi"): right_cols})
-        ghosts = exchange_state_halo_high(comm, "t", q, left=0, right=2)
+        ghosts = plan(comm, q.shape, 0, 2).exchange("state_high", 1, "t", q)
         assert np.array_equal(ghosts[0], right_cols[:, 0])
         assert np.array_equal(ghosts[1], right_cols[:, 1])
         dest, _, sent = comm.sent[0]
@@ -152,6 +155,46 @@ class TestStateHalo:
     def test_global_edges(self, rng):
         q = rng.random((4, 6, 3))
         comm = LoopbackComm()
-        assert exchange_state_halo_low(comm, "t", q, left=None, right=None) is None
-        assert exchange_state_halo_high(comm, "t", q, left=None, right=None) is None
+        edge = plan(comm, q.shape, None, None)
+        for kind in ("state_low", "state_high", "flux_low", "flux_high"):
+            assert edge.exchange(kind, 1, "t", q) is None
         assert comm.sent == []
+
+
+class TestWireLog:
+    """The on-wire traffic is part of the contract: the fault schedules,
+    the dedupe cache and the per-step message counts all key on each
+    rank's ordered ``(peer, tag, nbytes)`` send sequence."""
+
+    #: sha256 prefixes of the per-rank send logs, recorded at PR 12 (the
+    #: last commit with one exchange function per kind).  Version 6 posts
+    #: its receives instead of blocking on them but must put the same
+    #: messages on the wire as Version 5; Version 7 splits the flux pairs.
+    DIGESTS = {5: "727d687ac99cfe4c", 6: "727d687ac99cfe4c", 7: "a0d1a0767a67f316"}
+
+    @pytest.mark.parametrize("version", [5, 6, 7])
+    def test_send_log_digest_is_pinned(self, version):
+        sc = jet_scenario(nx=24, nr=20, viscous=True)
+        config = dataclasses.replace(sc.solver.config, backend="fused")
+        runner = ParallelJetSolver(
+            sc.state, config, nranks=4, version=version,
+            decomposition="2d", px=2, pr=2,
+        )
+        cluster = VirtualCluster(4, timeout=60)
+        for comm in cluster.comms:
+            comm.stats.trace = []
+
+        def program(comm):
+            solver = runner._make_solver(comm, sc.state.q)
+            for _ in range(3):
+                solver.step()
+            return solver.overlap
+
+        overlapped = cluster.run(program)
+        assert overlapped == [version == 6] * 4
+        log = [
+            [(m.peer, m.tag, m.nbytes) for m in c.stats.trace if m.kind == "send"]
+            for c in cluster.comms
+        ]
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
+        assert digest == self.DIGESTS[version]

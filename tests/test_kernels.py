@@ -222,32 +222,29 @@ class TestWorkspaceMechanics:
         degradation to the allocating path (the pre-unification radial
         and 2-D solvers dropped ``_ws`` to ``None``)."""
         from repro.msglib.virtual import VirtualCluster
-        from repro.parallel.spmd import DistributedSolver
-        from repro.parallel.spmd2d import Distributed2DSolver
-        from repro.parallel.spmd_radial import RadialDistributedSolver
+        from repro.parallel.decomposition import (
+            AxialDecomposition,
+            CartesianDecomposition,
+            RadialDecomposition,
+        )
+        from repro.parallel.spmd import BlockDistributedSolver
 
         sc = jet_scenario(nx=36, nr=24)
         config = sc.solver.config
         config.backend = "fused"
         grid, q = sc.state.grid, sc.state.q
 
-        def has_workspace(make, nranks):
-            cluster = VirtualCluster(nranks, timeout=60)
+        def has_workspace(decomp):
+            cluster = VirtualCluster(decomp.nparts, timeout=60)
             return cluster.run(
-                lambda comm: isinstance(make(comm)._ws, StepWorkspace)
+                lambda comm: isinstance(
+                    BlockDistributedSolver(comm, grid, q, config, decomp)._ws,
+                    StepWorkspace,
+                )
             )
 
+        assert all(has_workspace(AxialDecomposition(grid.nx, 2)))
+        assert all(has_workspace(RadialDecomposition(grid.nr, 2)))
         assert all(
-            has_workspace(lambda c: DistributedSolver(c, grid, q, config), 2)
-        )
-        assert all(
-            has_workspace(
-                lambda c: RadialDistributedSolver(c, grid, q, config), 2
-            )
-        )
-        assert all(
-            has_workspace(
-                lambda c: Distributed2DSolver(c, grid, q, config, px=2, pr=2),
-                4,
-            )
+            has_workspace(CartesianDecomposition(grid.nx, grid.nr, 2, 2))
         )

@@ -31,7 +31,6 @@ from repro import jet_scenario
 from repro.faults import FaultPlan, fault_plan_by_name
 from repro.msglib import VirtualCluster
 from repro.msglib.api import OwnedView
-from repro.numerics.kernels.base import StepWorkspace
 from repro.numerics.kernels.overlap import rate_edges
 from repro.numerics.stencils import (
     backward_difference,
@@ -210,29 +209,13 @@ class TestRateEdges:
         # Forward differencing: only the two high-side columns change.
         assert np.array_equal(out[:, :-2, :], provisional[:, :-2, :])
 
-    def test_workspace_facade_dispatch(self):
-        """StepWorkspace.rate_interior/rate_edges — the named loop
-        variants of the kernel-backend API — compose to the full rate."""
-        rng = np.random.default_rng(3)
-        shape = (4, 9, 7)
-        ws = StepWorkspace(shape, viscous=False)
-        sc = ws.sweep_x
-        flux = rng.random(shape)
-        ghosts = rng.random((2, 7))
-        want = _full_rate(flux, None, ghosts, 1, 0.05, True, None, 1.0)
-        got = ws.rate_interior(
-            sc, flux, None, None, 1, 0.05, True, None, 1.0
-        )
-        ws.rate_edges(flux, ghosts, 1, 0.05, True, None, 1.0, got)
-        assert np.array_equal(got, want)
-
 
 # -- split-phase protocol objects ---------------------------------------------
 
 
 class TestPendingGhosts:
     def test_finish_twice_raises(self):
-        pending = PendingGhosts(None, "t", "high", None, False, False)
+        pending = PendingGhosts(None, "t", None, False, False)
         assert not pending.in_flight
         assert pending.finish() is None
         with pytest.raises(RuntimeError, match="called twice"):

@@ -29,13 +29,8 @@ from repro import EulerSolver, SolverConfig
 from repro.faults import FaultPlan, FaultyComm
 from repro.grid import Grid
 from repro.msglib.virtual import VirtualCluster
-from repro.parallel.halo import (
-    ExchangePolicy,
-    exchange_flux_high,
-    exchange_flux_low,
-    exchange_state_halo_high,
-    exchange_state_halo_low,
-)
+from repro.parallel.decomposition import AxialDecomposition
+from repro.parallel.halo import ExchangePlan, ExchangePolicy
 from repro.physics.state import FlowState
 
 from test_solver_properties import _planar_config, _smooth_periodic_state
@@ -181,15 +176,18 @@ def _halo_roundtrip(widths: tuple[int, int], nr: int, wrap_in_faults: bool):
     def program(comm):
         if wrap_in_faults:
             comm = FaultyComm(comm, FaultPlan(always_wrap=True))
-        rank = comm.rank
-        left = rank - 1 if rank > 0 else None
-        right = rank + 1 if rank < comm.size - 1 else None
-        q = blocks[rank]
-        lo = exchange_state_halo_low(comm, "0:filter", q, left, right)
-        hi = exchange_state_halo_high(comm, "0:filter", q, left, right)
-        fh = exchange_flux_high(comm, "0:x:p", q, left, right, policy)
-        fl = exchange_flux_low(comm, "0:x:p", q, left, right, policy)
-        return lo, hi, fh, fl
+        q = blocks[comm.rank]
+        topo = AxialDecomposition(5 * comm.size, comm.size).topology(comm.rank)
+        plan = ExchangePlan(comm, topo, policy, q.shape)
+        return tuple(
+            plan.exchange(kind, 1, tag, q)
+            for kind, tag in (
+                ("state_low", "0:filter"),
+                ("state_high", "0:filter"),
+                ("flux_high", "0:x:p"),
+                ("flux_low", "0:x:p"),
+            )
+        )
 
     return VirtualCluster(2, timeout=30).run(program)
 

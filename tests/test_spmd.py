@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from repro import jet_scenario
+from repro.msglib import VirtualCluster
+from repro.parallel.decomposition import (
+    AxialDecomposition,
+    CartesianDecomposition,
+    RadialDecomposition,
+)
 from repro.parallel.runner import ParallelJetSolver, serial_reference
+from repro.parallel.spmd import BlockDistributedSolver
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +130,25 @@ class TestGather:
         res = ParallelJetSolver(sc.state, sc.solver.config, nranks=3, timeout=60).run(4)
         assert res.state.q.shape == (4, 60, 20)
         assert res.state.grid.nx == 60
+
+
+class TestRankCount:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: AxialDecomposition(g.nx, 3),
+            lambda g: RadialDecomposition(g.nr, 3),
+            lambda g: CartesianDecomposition(g.nx, g.nr, 3, 1),
+        ],
+        ids=["axial", "radial", "2d"],
+    )
+    def test_decomposition_must_match_communicator(self, make):
+        """A 3-block decomposition on a 2-rank communicator is rejected at
+        construction, naming both numbers — not later inside an exchange."""
+        sc = jet_scenario(nx=60, nr=20)
+        comm = VirtualCluster(2).comms[0]
+        with pytest.raises(ValueError, match="3 blocks .* 2 ranks"):
+            BlockDistributedSolver(
+                comm, sc.state.grid, sc.state.q, sc.solver.config,
+                make(sc.state.grid),
+            )

@@ -5,7 +5,7 @@ import pytest
 
 from repro import jet_scenario
 from repro.parallel.runner import ParallelJetSolver, serial_reference
-from repro.parallel.spmd2d import CartesianDecomposition
+from repro.parallel.decomposition import CartesianDecomposition
 
 
 class TestCartesianDecomposition:
