@@ -18,14 +18,29 @@ contract over
   senders keep PVM's buffered deposit-and-return semantics up to the ring
   depth and block on exactly the slot they would overwrite beyond it —
   a borrowed slot is therefore never overwritten before release;
-* a **queue control plane** — one :class:`multiprocessing.Queue` per rank
-  carrying small ``(kind, source, tag, ...)`` records: shared-memory slot
-  descriptors, oversized payloads inline (state gathers, checkpoints),
-  and abort notices.  Tag matching, ``(source, tag)`` selectivity with a
-  stash, per-call ``recv(timeout=)`` and the mailbox failure contract
-  (:class:`~repro.msglib.vchannel.DeadlockError`,
-  :class:`~repro.msglib.vchannel.ClusterAborted`) mirror
-  :class:`~repro.msglib.vchannel.Mailbox` exactly.
+* a **pipe control plane** — one ``Pipe(duplex=False)`` per rank carrying
+  the small records a blocked receive waits for: ``("shm", ...)`` slot
+  descriptors, ``("abort", reason)`` notices and ``("cold", source)`` wake
+  tokens.  Any process may write a rank's pipe, *synchronously*, under
+  that rank's lock: the record is readable the moment ``send`` returns.
+  (A :class:`multiprocessing.Queue` hands the write to a feeder thread
+  that must first win the GIL from a sender which has gone back to
+  computing — that wait, not the copy, was most of a message's latency.)
+  The write never blocks: a descriptor is ~150 bytes and at most ring
+  depth x peers of them are ever unread, far below the pipe's capacity;
+* a **queue for oversize payloads only** — one
+  :class:`multiprocessing.Queue` per rank for arrays too big for a slot
+  (state gathers, checkpoints), pickled inline.  Here the feeder thread's
+  unbounded buffering is the point: two ranks that each ``send`` 2 MB
+  before either receives would block forever on a synchronous pipe.  The
+  sender follows the ``put`` with a ``"cold"`` token on the pipe, so the
+  pipe stays the receiver's single wait point.
+
+Tag matching, ``(source, tag)`` selectivity with a stash, per-call
+``recv(timeout=)`` and the mailbox failure contract
+(:class:`~repro.msglib.vchannel.DeadlockError`,
+:class:`~repro.msglib.vchannel.ClusterAborted`) mirror
+:class:`~repro.msglib.vchannel.Mailbox` exactly.
 
 Failure semantics match the virtual cluster: any worker exception is
 shipped back structured, the parent broadcasts an abort to every rank
@@ -84,7 +99,7 @@ __all__ = [
 ]
 
 #: Bytes per shared-memory slot.  Sized for halo traffic (a V7 flux pair
-#: at nr=1000 is 64 KB); anything larger rides the control queue inline.
+#: at nr=1000 is 64 KB); anything larger rides the oversize queue inline.
 DEFAULT_SLOT_BYTES = 1 << 16
 
 #: Slots per directed channel — the buffered-send ring depth.
@@ -94,10 +109,12 @@ DEFAULT_SLOTS_PER_CHANNEL = 8
 _POLL = 0.05
 
 #: How long a receive may observe "ring head borrowed by us + nothing
-#: arriving" before it is declared a borrow deadlock.  Long enough for a
-#: genuinely in-flight control record (oversized inline payloads pickle
-#: through the queue feeder) to land, short enough that the failure is
-#: prompt next to the cluster-level timeout.
+#: arriving" before it is declared a borrow deadlock.  Slot descriptors
+#: are in the pipe before their ``send`` returns, so the grace only has
+#: to cover a sender still copying into a slot it already owns and an
+#: oversize payload, which bypasses the ring and may be what this receive
+#: waits for; short enough that the failure is prompt next to the
+#: cluster-level timeout.
 _BORROW_GRACE = 1.0
 
 
@@ -225,8 +242,8 @@ class ProcessCommunicator(Communicator):
 
     Constructed inside the worker process (the cluster object arrives by
     fork inheritance, never pickled).  Point-to-point traffic small
-    enough for a slot crosses through shared memory; larger payloads and
-    all control records cross the rank's queue.
+    enough for a slot crosses through shared memory, announced by a
+    descriptor on the destination's pipe; larger payloads cross its queue.
     """
 
     def __init__(self, cluster: "ProcessCluster", rank: int) -> None:
@@ -234,12 +251,16 @@ class ProcessCommunicator(Communicator):
         self.rank = rank
         self.size = cluster.size
         self.stats = CommStats()
+        self._rx = cluster._ctl_rx[rank]
         self._q = cluster._queues[rank]
+        # Per-source oversize payloads announced on the pipe but not yet
+        # taken off the queue (negative: taken early, token still to come).
+        self._cold_owed: dict[int, int] = defaultdict(int)
         self._stash: dict[tuple[int, str], deque] = defaultdict(deque)
         self._lazy: dict[int, deque] = defaultdict(deque)
         self._tx_seq = [0] * cluster.size
         # Borrow-deadlock bookkeeping: per-source count of shared-memory
-        # envelopes ingested (mirrors the sender's _tx_seq once the queue
+        # envelopes ingested (mirrors the sender's _tx_seq once the pipe
         # drains) and the set of ring slots currently borrowed out via
         # recv_view.  Together they tell a blocked receive whether the
         # sender's *next* slot is one we ourselves are holding.
@@ -335,9 +356,10 @@ class ProcessCommunicator(Communicator):
             nbytes = payload.nbytes
             if nbytes <= self.cluster.slot_bytes:
                 slot = self._pack(dest, payload)
-                self.cluster._queues[dest].put(
+                self._post(
+                    dest,
                     ("shm", self.rank, tag, slot, payload.shape,
-                     payload.dtype.str, nbytes)
+                     payload.dtype.str, nbytes),
                 )
             else:
                 # Copy before queueing: the queue's feeder thread pickles
@@ -347,6 +369,7 @@ class ProcessCommunicator(Communicator):
                 self.cluster._queues[dest].put(
                     ("inline", self.rank, tag, payload)
                 )
+                self._post(dest, ("cold", self.rank))
             seconds = _time.perf_counter() - t0
         self.stats.record_send(dest, tag, nbytes, seconds)
         fl = get_flight()
@@ -358,6 +381,16 @@ class ProcessCommunicator(Communicator):
         mx = get_metrics()
         if mx.enabled:
             mx.observe("comm.send_call_seconds", seconds, rank=self.rank)
+
+    def _post(self, dest: int, record: tuple) -> None:
+        """Write one control record into ``dest``'s pipe; abort-aware,
+        because a rank killed mid-write keeps the pipe's lock."""
+        while not self.cluster._post(dest, record):
+            if self.cluster._abort.is_set():
+                raise ClusterAborted(
+                    f"rank {self.rank}: cluster aborted while sending to "
+                    f"{dest}"
+                )
 
     def _raise_aborted(self, source: int, tag: str) -> None:
         raise ClusterAborted(
@@ -390,18 +423,44 @@ class ProcessCommunicator(Communicator):
                 old = lz.popleft()
                 if not old.claimed and old.lazy:
                     old.materialize()
-        elif kind == "inline":
-            _, src, tag, payload = record
-            self._stash[(src, tag)].append(payload)
+        elif kind == "cold":
+            # ``src`` put an oversize payload on our queue before writing
+            # this token.  Queue order across senders is arbitrary, so take
+            # payloads until src's has been stashed; one taken early is
+            # credited against its own token, which keeps every source's
+            # messages in send order.
+            owed = self._cold_owed
+            owed[record[1]] += 1
+            while owed[record[1]] > 0:
+                _, src, tag, payload = self._cold_get()
+                owed[src] -= 1
+                self._stash[(src, tag)].append(payload)
         elif kind == "abort":
             self._aborted = record[1]
 
-    def _drain_nowait(self) -> None:
+    def _cold_get(self) -> tuple:
+        """The next oversize payload off the queue.  Its token has been
+        read, so it is at worst still crossing the sender's feeder thread;
+        only a sender that died in between can make this wait long."""
+        deadline = _time.monotonic() + self.cluster.timeout
         while True:
             try:
-                self._ingest(self._q.get_nowait())
+                return self._q.get(timeout=_POLL)
             except _queue.Empty:
-                return
+                if self.cluster._abort.is_set():
+                    raise ClusterAborted(
+                        f"rank {self.rank}: cluster aborted while an "
+                        "oversize payload was in flight"
+                    ) from None
+                if _time.monotonic() > deadline:
+                    raise DeadlockError(
+                        f"rank {self.rank}: an announced oversize payload "
+                        f"did not arrive within {self.cluster.timeout}s"
+                    ) from None
+
+    def _drain_nowait(self) -> None:
+        while self._rx.poll():
+            self._ingest(self._rx.recv())
 
     def _mailbox_get(
         self, source: int, tag: str, timeout: float | None
@@ -425,14 +484,12 @@ class ProcessCommunicator(Communicator):
                     f"within {limit}s (likely deadlock, tag mismatch, or a "
                     "lost message)"
                 )
-            try:
-                record = self._q.get(timeout=min(remaining, _POLL))
-            except _queue.Empty:
+            if not self._rx.poll(min(remaining, _POLL)):
                 borrow_deadline = self._borrow_deadlock_check(
                     source, tag, borrow_deadline
                 )
                 continue
-            self._ingest(record)
+            self._ingest(self._rx.recv())
             borrow_deadline = None  # progress from this drain re-arms
 
     def _borrow_deadlock_check(
@@ -445,9 +502,10 @@ class ProcessCommunicator(Communicator):
         the sender's next shared-memory send blocks on our own semaphore
         and the message this receive waits for can never arrive: a true
         deadlock, not a slow peer.  The condition must persist for
-        :data:`_BORROW_GRACE` (envelopes already sent but still pickling
-        through the queue feeder, and oversized payloads that bypass the
-        ring entirely, both land within it) before the structured
+        :data:`_BORROW_GRACE` (a descriptor whose slot the sender is still
+        filling, and oversize payloads, which bypass the ring entirely and
+        cross the queue's feeder thread, both land within it) before the
+        structured
         :class:`DeadlockError` — carrying ``rank`` / ``source`` / ``slot``
         attributes — replaces what would otherwise be a full cluster-
         timeout hang.
@@ -505,7 +563,7 @@ class ProcessCommunicator(Communicator):
     def irecv(
         self, source: int, tag: str, timeout: float | None = None
     ) -> Request:
-        """True non-blocking receive: ``test()`` probes the control queue."""
+        """True non-blocking receive: ``test()`` probes the control pipe."""
         comm = self
         key = (source, tag)
 
@@ -606,7 +664,7 @@ class ProcessCommunicator(Communicator):
         self, source: int, tag: str, timeout: float | None = None
     ) -> Request:
         """Non-blocking :meth:`recv_view`: ``test()`` probes the control
-        queue and borrows the slot the moment the envelope lands, so a
+        pipe and borrows the slot the moment the envelope lands, so a
         split-phase exchange can post the borrow before the interior
         compute and alias the slot zero-copy at ``wait()``."""
         comm = self
@@ -739,6 +797,14 @@ class ProcessCluster:
         self.slots_per_channel = int(slots_per_channel)
         nbytes = size * size * self.slots_per_channel * self.slot_bytes
         self._shm = _shm.SharedMemory(create=True, size=max(nbytes, 1))
+        # Control plane: one synchronous pipe per rank (slot descriptors,
+        # abort notices, oversize wake tokens; any process may write, under
+        # the rank's lock) and one queue per rank for the oversize payloads
+        # themselves, whose unbounded buffering a pipe cannot give.
+        pipes = [self._ctx.Pipe(duplex=False) for _ in range(size)]
+        self._ctl_rx = [rx for rx, _ in pipes]
+        self._ctl_tx = [tx for _, tx in pipes]
+        self._ctl_locks = [self._ctx.Lock() for _ in range(size)]
         self._queues = [self._ctx.Queue() for _ in range(size)]
         self._to_parent = self._ctx.Queue()
         self._abort = self._ctx.Event()
@@ -791,8 +857,29 @@ class ProcessCluster:
     def abort(self, reason: str) -> None:
         """Poison every rank: blocked operations raise ``ClusterAborted``."""
         self._abort.set()
-        for q in self._queues:
-            q.put(("abort", reason))
+        for dest in range(self.size):
+            # The notice only makes the wake-up prompt and carries the
+            # reason: if a rank killed mid-write still holds the lock, the
+            # event above reaches every waiter within one _POLL anyway.
+            self._post(dest, ("abort", reason))
+
+    def _post(self, dest: int, record: tuple) -> bool:
+        """Write one small control record into ``dest``'s pipe, now;
+        False when the pipe's lock could not be had within ``_POLL``.
+
+        Synchronous on purpose: the record is in the pipe when this
+        returns, so the receiver's wake-up never waits for a feeder
+        thread to win the GIL from a sender that went back to computing.
+        The write itself cannot block — records are ~150 bytes and at
+        most ring depth x peers descriptors are ever unread."""
+        lock = self._ctl_locks[dest]
+        if not lock.acquire(timeout=_POLL):
+            return False
+        try:
+            self._ctl_tx[dest].send(record)
+        finally:
+            lock.release()
+        return True
 
     def _handle_silent_deaths(self, pending, errors) -> None:
         for rank in sorted(pending):
@@ -916,7 +1003,7 @@ class ProcessCluster:
         return agg
 
     def close(self) -> None:
-        """Release processes, queues and the shared-memory segment."""
+        """Release processes, queues, pipes and the shared-memory segment."""
         if self._closed:
             return
         self._closed = True
@@ -927,6 +1014,8 @@ class ProcessCluster:
         for q in [*self._queues, self._to_parent]:
             q.close()
             q.cancel_join_thread()
+        for conn in [*self._ctl_rx, *self._ctl_tx]:
+            conn.close()
         try:
             self._shm.close()
             self._shm.unlink()

@@ -8,7 +8,10 @@ built once with the system compiler (``-ffp-contract=off``, no
 fast-math), called through ctypes (:class:`CcOps`) and dispatched through
 a :class:`CompiledWorkspace`, so every solver layer — serial, all three
 decompositions, every substrate — inherits the speedup without touching
-the spatial or communication machinery.
+the spatial or communication machinery.  That includes the viscous
+gradients at subdomain edges: ``k_visc`` takes the neighbours' ghost lines
+and differences across them centrally, exactly as the serial kernel does
+at the same grid points, so no decomposition leaves the C kernels.
 
 There is exactly one engine.  On a host with no usable C toolchain
 :func:`resolve_ops` raises :class:`BackendUnavailable` and
@@ -38,7 +41,7 @@ from ... import constants
 from ...physics import eos
 from . import _cc
 from .base import KernelBackend, StepWorkspace
-from .fused import _halo_stress, _mu, _subtract_viscous
+from .fused import _mu
 
 
 class BackendUnavailable(RuntimeError):
@@ -64,6 +67,36 @@ def _ghost_planes(gh):
     contiguous float64 layout the kernels index directly.
     """
     return None if gh is None else _c_contig(np.asarray(gh))
+
+
+def _uvT_ghosts(halo, halo_axis: int, nx: int, nr: int) -> list:
+    """The four ``(u, v, T)`` ghost lines ``[xlo, xhi, rlo, rhi]`` of a
+    uvT halo in kernel layout, ``None`` at a physical boundary.
+
+    Accepts both shapes the distributed solver hands ``FluxModel``: an
+    ``(lo, hi)`` pair along ``halo_axis`` (0 = columns from the axial
+    neighbours, anything else = rows from the radial ones) or the 2-D
+    blocks' ``{'x': pair, 'r': pair}`` dict.  Every line is checked
+    against ``(3, n_perp)`` here, so the kernel never reads out of bounds.
+    """
+    if halo is None:
+        return [None] * 4
+    if isinstance(halo, dict):
+        pairs = (halo.get("x"), halo.get("r"))
+    else:
+        pairs = (halo, None) if halo_axis == 0 else (None, halo)
+    lines = []
+    for pair, n_perp in zip(pairs, (nr, nx)):
+        for g in pair or (None, None):
+            if g is not None:
+                g = _c_contig(np.asarray(g))
+                if g.shape != (3, n_perp):
+                    raise ValueError(
+                        f"uvT ghost line has shape {g.shape}, expected "
+                        f"{(3, n_perp)} for a {(nx, nr)} block"
+                    )
+            lines.append(g)
+    return lines
 
 
 def _iw_array(iw):
@@ -137,16 +170,30 @@ class CcOps:
             self._p(q), self._p(u), self._p(v), self._p(p), self._p(G), u.size
         )
 
-    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial):
+    def visc(
+        self, F, tau_tt, ws, r, mu, k, dx, dr, radial, halo=None, halo_axis=0
+    ):
+        """Subtract the viscous flux from ``F`` (and store ``tau_tt`` when
+        ``radial``).  ``halo`` is the distributed solver's uvT halo — an
+        ``(lo, hi)`` pair along ``halo_axis`` or a ``{'x', 'r'}`` dict, see
+        :func:`_uvT_ghosts` — whose lines replace the one-sided edge
+        stencils with the serial central differences."""
         nx, nr = ws.u.shape
+        if nx < 3 or nr < 3:
+            raise ValueError("viscous gradients need at least 3 points per axis")
         has_mu = isinstance(mu, np.ndarray)
         has_k = isinstance(k, np.ndarray)
+        # The ghost lines die with this call, so their pointers bypass the
+        # identity cache (no finalizer per line); the local list keeps any
+        # contiguous copy alive across the foreign call.
+        ghosts = _uvT_ghosts(halo, halo_axis, nx, nr)
         self._lib.k_visc(
             self._p(F), self._p(tau_tt) if tau_tt is not None else None,
             self._p(ws.u), self._p(ws.v), self._p(ws.T), self._p(r),
             self._p(mu) if has_mu else None, 0.0 if has_mu else float(mu),
             self._p(k) if has_k else None, 0.0 if has_k else -float(k),
             nx, nr, dx, dr, int(radial),
+            *(g.ctypes.data if g is not None else None for g in ghosts),
         )
 
     def rad_finish(self, G, S2, p, tau_tt, r, viscous):
@@ -259,12 +306,14 @@ def resolve_ops() -> CcOps:
 class CompiledWorkspace(StepWorkspace):
     """A fused workspace whose hot kernels dispatch to the C kernels.
 
-    Everything numpy-side stays identical to the fused backend — ghost
-    extrapolation, halo exchange, boundary treatment, the distributed
-    viscous halo path — while the per-element heavy lifting (primitives,
+    Halo exchange and boundary treatment stay numpy-side, identical to
+    the fused backend, while the per-element heavy lifting (primitives,
     flux assembly, gradients, stress application, 2-4 differences,
     predictor/corrector combines, the fourth-difference filter) runs in
-    native loops, bitwise-identically.
+    native loops, bitwise-identically — on a distributed block too: the
+    neighbours' ``(u, v, T)`` ghost lines go into the viscous kernel as
+    they arrive, so a rank's step costs what its share of the serial
+    step costs.
     """
 
     def __init__(self, shape, viscous, mu_field, ops: CcOps):
@@ -292,18 +341,11 @@ class CompiledWorkspace(StepWorkspace):
         if not viscous:
             return self.F
         mu = _mu(fm, self)
-        if uvT_halo is not None:
-            # Subdomain-edge gradients keep the numpy reference machinery,
-            # exactly as the fused backend does (bitwise-equal to it by
-            # construction; the interior kernels above did the hot work).
-            terms = _halo_stress(fm, self, mu, uvT_halo)
-            _subtract_viscous(
-                self.F, terms.tau_xx, terms.tau_xr, terms.heat_x,
-                self.u, self.v, 1, 2, self,
-            )
-            return self.F
         k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
-        ops.visc(self.F, None, self, fm.r, mu, k, fm.dx, fm.dr, radial=False)
+        ops.visc(
+            self.F, None, self, fm.r, mu, k, fm.dx, fm.dr, radial=False,
+            halo=uvT_halo, halo_axis=fm.halo_axis,
+        )
         return self.F
 
     def radial_flux(self, fm, q, uvT_halo=None, primitives_ready=False):
@@ -319,20 +361,10 @@ class CompiledWorkspace(StepWorkspace):
         ops.rad_inv(q, self.u, self.v, self.p, G)
         if viscous:
             mu = _mu(fm, self)
-            if uvT_halo is not None:
-                terms = _halo_stress(fm, self, mu, uvT_halo)
-                _subtract_viscous(
-                    G, terms.tau_rr, terms.tau_xr, terms.heat_r,
-                    self.u, self.v, 2, 1, self,
-                )
-                if not fm.config.axisymmetric:
-                    return G, self.S
-                np.multiply(G, fm.weight, out=G)
-                np.subtract(self.p, terms.tau_tt, out=self.S[2])
-                return G, self.S
             k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
             ops.visc(
-                G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, radial=True
+                G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, radial=True,
+                halo=uvT_halo, halo_axis=fm.halo_axis,
             )
         if not fm.config.axisymmetric:
             return G, self.S  # planar: unweighted flux, all-zero source

@@ -94,7 +94,9 @@ def _halo_stress(fm, ws: StepWorkspace, mu, uvT_halo):
     dict; 1-axis decompositions pass an ``(lo, hi)`` pair.  Both routes use
     the reference gradient machinery on the workspace primitives — the
     identical expressions the baseline backend evaluates, so the result is
-    bitwise-equal.
+    bitwise-equal.  This numpy path is the fused backend's and the oracle
+    the compiled backend's ghost-aware ``k_visc`` is tested against
+    (``tests/test_compiled.py``); the compiled backend never calls it.
     """
     if isinstance(uvT_halo, dict):
         grads = field_gradients_2d(

@@ -245,10 +245,11 @@ class ExchangePlan:
         ``axis = 1`` exchanges edge *columns* (axial neighbours), ``axis =
         2`` edge *rows* (radial neighbours).  Returns ``(halo_lo,
         halo_hi)`` — each a ``(3, n_perp)`` array or ``None`` at a
-        physical boundary — for
-        :func:`repro.physics.viscous.field_gradients`.  The one pack
-        buffer serves both directions because sends are buffered: the
-        payload is copied before ``send`` returns.
+        physical boundary — for the viscous edge gradients
+        (:func:`repro.physics.viscous.field_gradients` on the numpy
+        backends, the ghost-aware C kernel on the compiled one).  The one
+        pack buffer serves both directions because sends are buffered:
+        the payload is copied before ``send`` returns.
         """
         return _traced("uvT", self.comm, tag, self._uvT, axis, tag, u, v, T)
 
@@ -257,11 +258,12 @@ class ExchangePlan:
         lo, hi, buf = self._route(axis, True, u.shape[2 - axis])
 
         def edge(f, k):
-            return f[k] if axis == 1 else np.ascontiguousarray(f[:, k])
+            return f[k] if axis == 1 else f[:, k]
 
         def pack(k):
             if buf is None:
                 return np.stack([edge(u, k), edge(v, k), edge(T, k)])
+            # Strided edge rows copy straight into the pack buffer.
             buf[0] = edge(u, k)
             buf[1] = edge(v, k)
             buf[2] = edge(T, k)

@@ -17,11 +17,12 @@ Like the fused backend, it must change performance only, never results:
 """
 
 import copy
+import types
 
 import numpy as np
 import pytest
 
-from repro import jet_scenario
+from repro import constants, jet_scenario
 from repro.api import run
 from repro.numerics.kernels import (
     BACKEND_ENV_VAR,
@@ -35,7 +36,9 @@ from repro.numerics.kernels import (
 )
 from repro.numerics.kernels import compiled
 from repro.numerics.kernels.compiled import resolve_ops
+from repro.numerics.kernels.fused import _halo_stress, _subtract_viscous
 from repro.numerics.solver import CompressibleSolver
+from repro.physics import eos
 
 #: Maximum per-element ULP distance tolerated from a compiled engine that
 #: cannot honour ``bitwise = True`` on its platform.  Engines that do
@@ -203,3 +206,121 @@ class TestWorkspaceReuse:
         for _ in range(3):
             solver.step()
         assert np.array_equal(solver.state.q, first)
+
+
+#: Which block edges carry a neighbour's ghost line, and in which of the
+#: two halo shapes the distributed solver hands them over: an ``(lo, hi)``
+#: pair along one axis, or the 2-D blocks' ``{'x', 'r'}`` dict.
+GHOST_SETS = {
+    "x-lo": ("pair-x", {"xlo"}),
+    "x-hi": ("pair-x", {"xhi"}),
+    "x-both": ("pair-x", {"xlo", "xhi"}),
+    "r-lo": ("pair-r", {"rlo"}),
+    "r-hi": ("pair-r", {"rhi"}),
+    "r-both": ("pair-r", {"rlo", "rhi"}),
+    "2d-all": ("dict", {"xlo", "xhi", "rlo", "rhi"}),
+    "2d-none-side": ("dict", {"xhi", "rlo"}),
+}
+
+
+def _visc_case(nx, nr, mu_field, seed=0):
+    """A workspace with random primitives, a flux to subtract from, the
+    viscosity (scalar or field) and one random ghost line per edge."""
+    rng = np.random.default_rng(seed)
+    ws = StepWorkspace((4, nx, nr), viscous=True, mu_field=True)
+    ws.u[:] = rng.standard_normal((nx, nr))
+    ws.v[:] = rng.standard_normal((nx, nr))
+    ws.T[:] = 1.0 + rng.random((nx, nr))
+    mu = 0.01
+    if mu_field:
+        np.multiply(ws.T**0.7, 0.01, out=ws.mu)
+        mu = ws.mu
+    fm = types.SimpleNamespace(
+        r=np.linspace(0.5, 2.0, nr), dx=0.1, dr=0.07, gamma=1.4, halo_axis=0
+    )
+    lines = {
+        "xlo": rng.standard_normal((3, nr)), "xhi": rng.standard_normal((3, nr)),
+        "rlo": rng.standard_normal((3, nx)), "rhi": rng.standard_normal((3, nx)),
+    }
+    return ws, fm, mu, rng.standard_normal((4, nx, nr)), lines
+
+
+def _halo(shape, present, lines):
+    """``(halo, halo_axis)`` in the requested shape, ``None`` where absent."""
+    g = {k: (v if k in present else None) for k, v in lines.items()}
+    if shape == "pair-x":
+        return (g["xlo"], g["xhi"]), 0
+    if shape == "pair-r":
+        return (g["rlo"], g["rhi"]), 1
+    return {"x": (g["xlo"], g["xhi"]), "r": (g["rlo"], g["rhi"])}, 2
+
+
+def _reference_visc(fm, ws, mu, flux, halo, radial):
+    """The numpy oracle the fused backend runs: flux rows and tau_tt."""
+    terms = _halo_stress(fm, ws, mu, halo)
+    out = flux.copy()
+    if radial:
+        _subtract_viscous(
+            out, terms.tau_rr, terms.tau_xr, terms.heat_r, ws.u, ws.v, 2, 1, ws
+        )
+    else:
+        _subtract_viscous(
+            out, terms.tau_xx, terms.tau_xr, terms.heat_x, ws.u, ws.v, 1, 2, ws
+        )
+    return out, terms.tau_tt
+
+
+def _compiled_visc(ops, fm, ws, mu, flux, halo, radial):
+    out = flux.copy()
+    k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
+    ops.visc(
+        out, ws.tau_tt if radial else None, ws, fm.r, mu, k, fm.dx, fm.dr,
+        radial, halo=halo, halo_axis=fm.halo_axis,
+    )
+    return out
+
+
+class TestGhostAwareViscousKernel:
+    """``ops.visc(halo=...)`` == the numpy halo path, bit for bit: every
+    flux row and ``tau_tt``, for every ghost set the decompositions make."""
+
+    @pytest.mark.parametrize("shape", [(7, 5), (125, 100)], ids=["7x5", "125x100"])
+    @pytest.mark.parametrize("ghosts", list(GHOST_SETS))
+    @pytest.mark.parametrize("mu_field", [False, True], ids=["mu-scalar", "mu-field"])
+    @pytest.mark.parametrize("radial", [False, True], ids=["axial", "radial"])
+    def test_matches_numpy_halo_path(self, ops, shape, ghosts, mu_field, radial):
+        ws, fm, mu, flux, lines = _visc_case(*shape, mu_field)
+        halo, fm.halo_axis = _halo(*GHOST_SETS[ghosts], lines)
+        want, want_tt = _reference_visc(fm, ws, mu, flux, halo, radial)
+        got = _compiled_visc(ops, fm, ws, mu, flux, halo, radial)
+        assert np.array_equal(got, want)
+        if radial:
+            assert np.array_equal(ws.tau_tt, want_tt)
+
+    def test_ghost_lines_are_copied_to_kernel_layout(self, ops):
+        """Strided or float32 lines give the result of their float64
+        contiguous copies — the kernel never reads the foreign layout."""
+        ws, fm, mu, flux, lines = _visc_case(7, 5, mu_field=False)
+        f32 = {k: v.astype(np.float32) for k, v in lines.items()}
+        strided = {k: np.repeat(v, 2, axis=1)[:, ::2] for k, v in f32.items()}
+        assert not strided["xlo"].flags.c_contiguous
+        plain = {k: v.astype(np.float64) for k, v in f32.items()}
+        all_four = GHOST_SETS["2d-all"]
+        want = _compiled_visc(ops, fm, ws, mu, flux, _halo(*all_four, plain)[0], False)
+        for odd in (f32, strided):
+            halo, _ = _halo(*all_four, odd)
+            got = _compiled_visc(ops, fm, ws, mu, flux, halo, False)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", ["pair-x", "pair-r", "dict"])
+    def test_wrong_shape_ghost_is_rejected(self, ops, shape):
+        """A line of the wrong length is a ValueError naming both shapes,
+        raised before the kernel could read past its end."""
+        ws, fm, mu, flux, lines = _visc_case(7, 5, mu_field=False)
+        lines["xlo"] = lines["xlo"][:, :-1]
+        lines["rlo"] = lines["rlo"][:, :-1]
+        halo, fm.halo_axis = _halo(shape, set(lines), lines)
+        bad, good = ((3, 6), (3, 7)) if shape == "pair-r" else ((3, 4), (3, 5))
+        with pytest.raises(ValueError) as exc:
+            _compiled_visc(ops, fm, ws, mu, flux, halo, False)
+        assert str(bad) in str(exc.value) and str(good) in str(exc.value)

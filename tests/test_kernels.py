@@ -6,6 +6,8 @@ performance only, never results.  Bitwise equality — not tolerance — is the
 acceptance bar, serial and distributed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,69 @@ class TestWorkspaceMechanics:
         assert all(
             has_workspace(CartesianDecomposition(grid.nx, grid.nr, 2, 2))
         )
+
+
+class TestCompiledHaloEngagement:
+    """Distributed compiled runs take their edge gradients in the C kernel
+    — the numpy halo path cannot silently come back.
+
+    ``field_gradients`` is made to raise.  The characteristic-outflow
+    helper is switched off because it alone calls the allocating numpy
+    flux on its 5-column window, by design, on every backend (serial
+    included); nothing else in a compiled step may reach numpy gradients.
+    """
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        from repro.numerics.kernels import BackendUnavailable
+        from repro.numerics.kernels.compiled import resolve_ops
+        from repro.parallel.runner import serial_reference
+        from repro.physics import viscous
+
+        try:
+            resolve_ops()
+        except BackendUnavailable as exc:  # pragma: no cover - bare container
+            pytest.skip(f"no compiled engine: {exc}")
+        sc = jet_scenario(nx=36, nr=24)
+        bc = dataclasses.replace(
+            sc.solver.config.boundary, characteristic_outflow=False
+        )
+        config = dataclasses.replace(sc.solver.config, boundary=bc)
+        ref = serial_reference(sc.state, config, steps=4)
+
+        def numpy_gradients_forbidden(*args, **kwargs):
+            raise AssertionError("numpy field_gradients reached")
+
+        monkeypatch.setattr(
+            viscous, "field_gradients", numpy_gradients_forbidden
+        )
+        return sc, config, ref
+
+    def _run(self, case, backend, nranks, kw):
+        from repro.parallel.runner import ParallelJetSolver
+
+        sc, config, _ref = case
+        config = dataclasses.replace(config, backend=backend)
+        return ParallelJetSolver(
+            sc.state, config, nranks=nranks, timeout=60, **kw
+        ).run(4)
+
+    @pytest.mark.parametrize(
+        "nranks,kw",
+        [
+            (2, dict(decomposition="axial")),
+            (2, dict(decomposition="radial")),
+            (2, dict(decomposition="2d", px=1, pr=2)),
+            (4, dict(decomposition="2d", px=2, pr=2)),
+        ],
+        ids=["axial", "radial", "2d-1x2", "2d-2x2"],
+    )
+    def test_compiled_never_reaches_numpy_gradients(self, case, nranks, kw):
+        res = self._run(case, "compiled", nranks, kw)
+        assert np.array_equal(res.state.q, case[2].q)
+
+    def test_guard_bites_on_the_fused_backend(self, case):
+        from repro.msglib import RankFailure
+
+        with pytest.raises(RankFailure, match="field_gradients reached"):
+            self._run(case, "fused", 2, dict(decomposition="axial"))

@@ -220,12 +220,14 @@ def test_committed_baseline_matches_schema():
         doc = json.load(fh)
     assert doc["schema"] == "repro.bench-core/1"
     assert doc["calibration_ms"] > 0
-    assert len(doc["cases"]) == 10
+    assert len(doc["cases"]) == 11
     # Every decomposition is benchmarked on the process substrate, the
-    # compiled ("V6") rung is pinned alongside baseline/fused, and the
-    # overlapped exchange has its blocking twin to compare against.
+    # compiled ("V6") rung is pinned alongside baseline/fused — serial and
+    # on two process ranks of the paper's grid — and the overlapped
+    # exchange has its blocking twin to compare against.
     assert {"ns-p2-process-fused", "ns-p2-radial-fused",
             "ns-p4-2d-fused", "ns-serial-compiled",
+            "ns-p2-process-compiled",
             "ns-p2-overlap-fused"} <= set(doc["cases"])
     for case in doc["cases"].values():
         assert case["ms_per_step"] > 0

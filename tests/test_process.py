@@ -44,7 +44,11 @@ from repro.msglib import (
     RemoteRankError,
     VirtualCluster,
 )
-from repro.msglib.process import DEFAULT_SLOT_BYTES, _portable_exception
+from repro.msglib.process import (
+    _POLL,
+    DEFAULT_SLOT_BYTES,
+    _portable_exception,
+)
 from repro.parallel.runner import ParallelJetSolver, serial_reference
 
 STEPS = 6
@@ -126,6 +130,65 @@ class TestProcessCluster:
         with ProcessCluster(2, timeout=20) as cluster:
             results = cluster.run(program)
         assert results[1] is True
+
+    def test_symmetric_oversize_exchange(self):
+        """Both ranks send 2 MB before either receives.  Oversize payloads
+        must keep the queue's unbounded buffering: on the synchronous
+        descriptor pipe each send would block on a full pipe nobody is
+        reading, and the pair would hang."""
+        big = np.arange(1 << 18, dtype=np.float64)  # 2 MB
+
+        def program(comm):
+            peer = 1 - comm.rank
+            comm.send(peer, "swap", big + comm.rank)
+            got = comm.recv(peer, "swap")
+            return bool(np.array_equal(got, big + peer))
+
+        with ProcessCluster(2, timeout=10) as cluster:
+            assert cluster.run(program) == [True, True]
+
+    def test_abort_wakes_a_blocked_recv_after_oversize_exchange(self):
+        """abort() reaches a rank blocked in recv through the pipe it is
+        waiting on: ClusterAborted within a poll interval, never a hang."""
+        big = np.zeros(1 << 18)
+
+        def program(comm):
+            peer = 1 - comm.rank
+            comm.send(peer, "swap", big)
+            comm.recv(peer, "swap")
+            if comm.rank == 1:
+                time.sleep(0.3)  # let rank 0 block first
+                issued = time.monotonic()
+                comm.cluster.abort("test abort")
+                return issued
+            with pytest.raises(ClusterAborted, match="test abort"):
+                comm.recv(peer, "never")
+            return time.monotonic()
+
+        with ProcessCluster(2, timeout=10) as cluster:
+            woke, issued = cluster.run(program)
+        # One _POLL by design; the slack absorbs scheduling on a busy host.
+        assert 0.0 <= woke - issued < 10 * _POLL
+
+    def test_oversize_and_slot_messages_keep_send_order(self):
+        """A source's messages are matched in send order even when they
+        alternate between the queue (oversize) and the slot ring, with a
+        second source's oversize payloads interleaved on the same queue."""
+        big = np.zeros(DEFAULT_SLOT_BYTES // 8 + 1)
+
+        def program(comm):
+            if comm.rank != 0:
+                for k in range(6):
+                    comm.send(0, "seq", (big if k % 2 == 0 else big[:4]) + k)
+                return None
+            return [
+                [float(comm.recv(src, "seq")[0]) for _ in range(6)]
+                for src in (1, 2)
+            ]
+
+        with ProcessCluster(3, timeout=20) as cluster:
+            order = cluster.run(program)[0]
+        assert order == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]] * 2
 
     def test_collectives_and_stats(self):
         def program(comm):
