@@ -4,8 +4,9 @@
 registered scenario name) to
 
 * the **serial solver** (``nprocs=1``, the default),
-* the **distributed solver** over the in-process virtual cluster
-  (``nprocs > 1`` — real SPMD execution, real message passing), or
+* the **distributed solver** (``nprocs > 1`` — real SPMD execution, real
+  message passing: one thread per rank on the virtual cluster, or one OS
+  process per rank with ``substrate="process"``), or
 * the **simulated platform** (``platform=...`` — the discrete-event model
   of one of the paper's 1995 machines),
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..msglib.api import Communicator
+from ..msglib.api import Communicator, MessageView
 from ..msglib.vchannel import DeadlockError
 from ..obs import get_metrics, get_tracer
 from .plan import FaultPlan
@@ -118,6 +118,15 @@ class FaultStats:
         return out
 
 
+#: Recovery kind -> the :class:`FaultStats` field and tracer counter it bumps.
+_RECOVERY_COUNTER = {
+    "retransmission": "retransmissions",
+    "recv_retry": "recv_retries",
+    "corrupt_rx": "corrupt_discarded",
+    "duplicate_rx": "dups_discarded",
+}
+
+
 def _step_of(tag: str) -> int | None:
     """Solver step encoded as the tag's leading ``:``-field, if any."""
     head = tag.split(":", 1)[0]
@@ -126,6 +135,10 @@ def _step_of(tag: str) -> int | None:
 
 class FaultyComm(Communicator):
     """Fault-injecting, self-healing decorator around a communicator.
+
+    Overrides the public calls (it has no transport of its own) and shares
+    the inner endpoint's ``stats``: whatever it puts on the wire is
+    accounted once, by the inner endpoint.
 
     Parameters
     ----------
@@ -162,22 +175,26 @@ class FaultyComm(Communicator):
 
     # -- bookkeeping ---------------------------------------------------------
     def _note(self, kind: str, **args) -> None:
+        """Record one injected fault."""
         self.fault_stats.injected[kind] += 1
+        self._emit(kind, "faults_injected", args)
+
+    def _recover(self, kind: str, **ctx) -> None:
+        """Record one recovery action; given peer/tag context it also
+        lands on the fault timeline."""
+        counter = _RECOVERY_COUNTER[kind]
+        setattr(self.fault_stats, counter, getattr(self.fault_stats, counter) + 1)
+        self._emit(kind, counter, ctx or None)
+
+    def _emit(self, kind: str, counter: str, args: dict | None) -> None:
         tr = get_tracer()
         if tr.enabled:
-            tr.instant(
-                f"fault.{kind}", cat="fault", rank=self.rank,
-                step=self._step, **args,
-            )
-            tr.count("faults_injected", 1, rank=self.rank)
-        mx = get_metrics()
-        if mx.enabled:
-            mx.count(f"fault.{kind}", 1.0, rank=self.rank)
-
-    def _recover(self, kind: str) -> None:
-        """Count one recovery action in the metrics registry (the tracer
-        instants/counters for these are emitted at the call sites, which
-        carry the peer/tag context)."""
+            if args is not None:
+                tr.instant(
+                    f"fault.{kind}", cat="fault", rank=self.rank,
+                    step=self._step, **args,
+                )
+            tr.count(counter, 1, rank=self.rank)
         mx = get_metrics()
         if mx.enabled:
             mx.count(f"fault.{kind}", 1.0, rank=self.rank)
@@ -227,11 +244,7 @@ class FaultyComm(Communicator):
         for attempt in range(max(plan.max_transmits, 1)):
             fate = plan.fate(self.rank, dest, tag, seq, attempt, self.salt)
             if attempt > 0:
-                self.fault_stats.retransmissions += 1
                 self._recover("retransmission")
-                tr = get_tracer()
-                if tr.enabled:
-                    tr.count("retransmissions", 1, rank=self.rank)
             if fate.delay_seconds > 0.0:
                 self._note("delay", peer=dest, tag=tag,
                            seconds=round(fate.delay_seconds, 6))
@@ -281,14 +294,12 @@ class FaultyComm(Communicator):
         poll = plan.recv_timeout if timeout is None else timeout
         retries_left = plan.recv_retries
         waited = 0.0
-        tr = get_tracer()
         while True:
             try:
                 raw = self.inner.recv(source, tag, timeout=poll)
             except DeadlockError:
                 waited += poll
                 if retries_left <= 0:
-                    self.fault_stats.recv_retries += 1
                     self._recover("recv_retry")
                     raise MessageTimeout(
                         self.rank, source, tag, waited,
@@ -296,36 +307,15 @@ class FaultyComm(Communicator):
                     ) from None
                 retries_left -= 1
                 poll *= plan.backoff
-                self.fault_stats.recv_retries += 1
-                self._recover("recv_retry")
-                if tr.enabled:
-                    tr.instant(
-                        "fault.recv_retry", cat="fault", rank=self.rank,
-                        peer=source, tag=tag, step=self._step,
-                    )
-                    tr.count("recv_retries", 1, rank=self.rank)
+                self._recover("recv_retry", peer=source, tag=tag)
                 continue
             unpacked = unpack_frame(raw)
             if unpacked is None:
-                self.fault_stats.corrupt_discarded += 1
-                self._recover("corrupt_rx")
-                if tr.enabled:
-                    tr.instant(
-                        "fault.corrupt_rx", cat="fault", rank=self.rank,
-                        peer=source, tag=tag, step=self._step,
-                    )
-                    tr.count("corrupt_discarded", 1, rank=self.rank)
+                self._recover("corrupt_rx", peer=source, tag=tag)
                 continue
             seq, payload = unpacked
             if seq < expected:
-                self.fault_stats.dups_discarded += 1
-                self._recover("duplicate_rx")
-                if tr.enabled:
-                    tr.instant(
-                        "fault.duplicate_rx", cat="fault", rank=self.rank,
-                        peer=source, tag=tag, seq=seq, step=self._step,
-                    )
-                    tr.count("dups_discarded", 1, rank=self.rank)
+                self._recover("duplicate_rx", peer=source, tag=tag, seq=seq)
                 continue
             if seq > expected:
                 stream["stash"][seq] = payload
@@ -338,7 +328,7 @@ class FaultyComm(Communicator):
 
         With injection disabled this passes straight through to the
         inner communicator's ``recv_view`` (zero-copy on the process
-        substrate, owned copy everywhere else via the ABC default).
+        substrate, an owned view everywhere else).
         With injection enabled the payload necessarily crosses the
         framed retransmission path (a raw slot holds a *frame*, not the
         payload), so the view is an owned copy — but the release
@@ -346,6 +336,4 @@ class FaultyComm(Communicator):
         """
         if not self._enabled:
             return self.inner.recv_view(source, tag, timeout=timeout)
-        from ..msglib.api import OwnedView
-
-        return OwnedView(self.recv(source, tag, timeout=timeout))
+        return MessageView(self.recv(source, tag, timeout=timeout))

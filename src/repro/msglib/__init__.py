@@ -10,8 +10,8 @@ Three halves (two real, one modelled):
   serial solver.
 * A **multi-core** counterpart (:class:`~repro.msglib.process.ProcessCluster`
   + :class:`~repro.msglib.process.ProcessCommunicator`): one OS process per
-  rank, halo payloads through POSIX shared memory, a queue control plane for
-  tags/collectives/timeouts.  Same :class:`~repro.msglib.api.Communicator`
+  rank, halo payloads through POSIX shared memory, a pipe control plane for
+  slot descriptors and aborts.  Same :class:`~repro.msglib.api.Communicator`
   contract, bitwise-identical results, and — unlike the GIL-serialized
   virtual cluster — real wall-clock speedup on multi-core hosts.
 * **Cost models** of the 1995 message-passing libraries the paper used

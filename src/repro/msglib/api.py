@@ -1,4 +1,4 @@
-"""Communicator interface and per-rank communication accounting.
+"""The one instrumented message path, and per-rank communication accounting.
 
 The interface is deliberately PVM-flavoured (the paper's primary library):
 sends are *buffered* — they deposit the message and return immediately —
@@ -7,18 +7,22 @@ This matches how the paper's code communicates (group data into long
 vectors, send, continue) and makes the neighbour-exchange patterns
 deadlock-free by construction.
 
-Every send/receive is recorded in :class:`CommStats`; the distributed
-solver's statistics are the *measured* source for the paper's Table 1
-(communication startups and volume per processor).
+Every send/receive on every transport is timed and recorded by
+:class:`Communicator` itself, in :class:`CommStats` and in the
+:mod:`repro.obs` sinks alike; the distributed solver's statistics are the
+*measured* source for the paper's Table 1 (communication startups and
+volume per processor).
 """
 
 from __future__ import annotations
 
-import abc
 import time as _time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..obs import get_flight, get_metrics, get_tracer
 
 
 @dataclass
@@ -131,69 +135,106 @@ class Request:
     """Handle for a non-blocking operation (PVM/MPL ``irecv`` style).
 
     ``test()`` polls without blocking; ``wait()`` blocks until completion
-    and returns the payload (receives) or ``None`` (sends).
+    and returns the payload (receives) or ``None`` (sends).  The base
+    class is the request that completed immediately — what a buffered
+    ``isend`` returns.
     """
-
-    def test(self) -> bool:  # pragma: no cover - interface default
-        return True
-
-    def wait(self):  # pragma: no cover - interface default
-        return None
-
-
-class CompletedRequest(Request):
-    """A request that completed immediately (buffered sends)."""
-
-    def __init__(self, value=None) -> None:
-        self._value = value
 
     def test(self) -> bool:
         return True
 
     def wait(self):
+        return None
+
+
+#: Stands in for the span a probing receive does not open.
+_NO_SPAN = nullcontext()
+
+
+class PostedRecv(Request):
+    """A posted receive (``irecv`` / ``irecv_view``) on any transport.
+
+    ``test()`` asks the transport's probing primitive and completes the
+    receive the moment the message has landed; ``wait()`` is the blocking
+    ``recv`` / ``recv_view`` call (``kind`` names which).  Either way the
+    completion goes through the communicator's one accounting point,
+    exactly once.
+    """
+
+    def __init__(self, comm, kind: str, source: int, tag: str, timeout) -> None:
+        self._comm = comm
+        self._args = (kind, source, tag)
+        self._timeout = timeout
+        self._value = None
+
+    def test(self) -> bool:
+        if self._value is None:
+            self._value = self._comm._receive(*self._args, probe=True)
+        return self._value is not None
+
+    def wait(self):
+        if self._value is None:
+            kind, source, tag = self._args
+            blocking = getattr(self._comm, kind)  # a decorator's override counts
+            self._value = blocking(source, tag, timeout=self._timeout)
         return self._value
 
 
-class OwnedView:
-    """Copy-semantics receive view: an owned, read-only payload.
+class MessageView:
+    """A received payload behind the borrow protocol: read-only ``array``,
+    mandatory ``release()`` exactly once, context manager to scope it.
 
-    Duck-types :class:`~repro.msglib.process.SlotView` (``.array``,
-    ``.release()``, context manager, ``zero_copy``) so exchange code can
-    hold any communicator's view across an interior compute without
-    substrate branches.  The payload is owned by this view — releasing it
-    frees nothing, but the access protocol (no reads after release,
-    exactly one release) is enforced identically to the zero-copy case so
-    lifetime bugs surface on every substrate, not just the process one.
+    Every communicator's ``recv_view`` / ``irecv_view`` hands out this one
+    type, so exchange code can hold a view across an interior compute
+    without substrate branches.  With a ``release_cb`` the array *aliases
+    transport memory* (the process substrate's shared-memory ring slot,
+    which stays **borrowed** — the sender blocks rather than overwrite it
+    — until :meth:`release` runs the callback); without one the payload is
+    owned by the view and releasing frees nothing.  The access protocol
+    (no reads after release, a second release raises ``RuntimeError``) is
+    enforced identically in both cases so lifetime bugs surface on every
+    substrate, not just the zero-copy one.  Releasing a borrowed slot
+    after the cluster aborted raises a structured
+    :class:`~repro.msglib.vchannel.ClusterAborted` from the callback (the
+    slot ring is gone; the data must be treated as lost).
     """
 
-    __slots__ = ("_array", "_released")
+    __slots__ = ("_array", "_release_cb", "_released")
 
-    #: Owned views never alias transport memory.
-    zero_copy = False
-
-    def __init__(self, array: np.ndarray) -> None:
+    def __init__(self, array: np.ndarray, release_cb=None) -> None:
         array.setflags(write=False)
         self._array = array
+        self._release_cb = release_cb
         self._released = False
 
     @property
     def array(self) -> np.ndarray:
         if self._released:
-            raise RuntimeError("OwnedView.array accessed after release()")
+            raise RuntimeError("MessageView.array accessed after release()")
         return self._array
 
     @property
     def released(self) -> bool:
         return self._released
 
+    @property
+    def zero_copy(self) -> bool:
+        """True when ``array`` aliases transport memory (a ring slot)."""
+        return self._release_cb is not None
+
     def release(self) -> None:
+        """End the borrow: return the slot to the sender's ring, if any."""
         if self._released:
             raise RuntimeError(
-                "OwnedView.release() called twice (view already returned)"
+                "MessageView.release() called twice (view already returned)"
             )
         self._released = True
+        cb, self._release_cb = self._release_cb, None
+        self._array = None
+        if cb is not None:
+            cb()
 
-    def __enter__(self) -> "OwnedView":
+    def __enter__(self) -> "MessageView":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -201,19 +242,117 @@ class OwnedView:
             self.release()
 
 
-class Communicator(abc.ABC):
-    """Abstract point-to-point + collective interface for SPMD programs."""
+#: Message kind -> (``CommStats`` recorder, tracer byte counter, histogram).
+_LEDGER = {
+    "send": ("record_send", "bytes_sent", "comm.send_call_seconds"),
+    "recv": ("record_recv", "bytes_received", "comm.recv_call_seconds"),
+}
+_LEDGER["recv_view"] = _LEDGER["recv"]
+
+
+class Communicator:
+    """Point-to-point + collective interface for SPMD programs.
+
+    This class is the one place a message is validated, timed and
+    accounted: the public calls below open the ``comm.*`` span, time the
+    call and feed :class:`CommStats`, the tracer counters, the per-call
+    histograms and the flight ring, the same way on every transport.  A
+    transport only moves bytes, through five primitives:
+
+    * :meth:`_deposit` — buffered send of a copy, returns its byte count;
+    * :meth:`_take` / :meth:`_probe` — the ``(source, tag)`` item,
+      blocking or only if it has already arrived.  An item is opaque
+      apart from ``.nbytes``;
+    * :meth:`_as_array` / :meth:`_as_view` — turn an item into an owned
+      array or a :class:`MessageView`.
+
+    A decorator (:class:`~repro.faults.FaultyComm`) overrides the public
+    calls instead and shares the wrapped endpoint's ``stats``.
+    """
 
     rank: int
     size: int
     stats: CommStats
 
+    # -- transport primitives --------------------------------------------------
+    def _deposit(self, dest: int, tag: str, array: np.ndarray) -> int:
+        raise NotImplementedError
+
+    def _take(self, source: int, tag: str, timeout: float | None):
+        raise NotImplementedError
+
+    def _probe(self, source: int, tag: str):
+        """Default for transports without a probing mailbox: never ready,
+        so a posted receive completes at ``wait()``."""
+        return None
+
+    def _as_array(self, item) -> np.ndarray:
+        return item
+
+    def _as_view(self, item) -> MessageView:
+        return MessageView(item)
+
+    # -- the one accounting point ----------------------------------------------
+    def _flight(self, kind: str, **fields) -> None:
+        """One event into this rank's flight ring."""
+        fl = get_flight()
+        if fl.enabled:
+            fl.record(kind, rank=self.rank, **fields)
+
+    def _account(
+        self, kind: str, peer: int, tag: str, nbytes: int, seconds: float
+    ) -> None:
+        """Record one completed message in every sink."""
+        record, byte_counter, histogram = _LEDGER[kind]
+        getattr(self.stats, record)(peer, tag, nbytes, seconds)
+        self._flight(kind, peer=peer, tag=tag, nbytes=nbytes)
+        tr = get_tracer()
+        if tr.enabled:
+            tr.count("messages", 1, rank=self.rank)
+            tr.count(byte_counter, nbytes, rank=self.rank)
+        mx = get_metrics()
+        if mx.enabled:
+            mx.observe(histogram, seconds, rank=self.rank)
+
+    def _receive(
+        self, kind: str, source: int, tag: str, timeout=None, probe=False
+    ):
+        """Every receive completes here.  ``probe`` only asks whether the
+        message has landed (``None`` if not) and opens no span — a polling
+        loop would flood the trace — but a completion is accounted with
+        the time the probe took."""
+        span = _NO_SPAN if probe else get_tracer().span(
+            f"comm.{kind}", cat="comm", rank=self.rank, peer=source, tag=tag
+        )
+        with span:
+            t0 = _time.perf_counter()
+            if probe:
+                item = self._probe(source, tag)
+                if item is None:
+                    return None
+            else:
+                item = self._take(source, tag, timeout)
+            value = (
+                self._as_view(item) if kind == "recv_view"
+                else self._as_array(item)
+            )
+            seconds = _time.perf_counter() - t0
+        self._account(kind, source, tag, item.nbytes, seconds)
+        return value
+
     # -- point to point ------------------------------------------------------
-    @abc.abstractmethod
     def send(self, dest: int, tag: str, array: np.ndarray) -> None:
         """Buffered send: deposits a copy and returns immediately."""
+        if not (0 <= dest < self.size) or dest == self.rank:
+            raise ValueError(f"invalid destination {dest} from rank {self.rank}")
+        with get_tracer().span(
+            "comm.send", cat="comm", rank=self.rank, peer=dest, tag=tag
+        ):
+            t0 = _time.perf_counter()
+            nbytes = self._deposit(dest, tag, array)
+            seconds = _time.perf_counter() - t0
+        self._account("send", dest, tag, nbytes, seconds)
 
-    @abc.abstractmethod
     def recv(
         self, source: int, tag: str, timeout: float | None = None
     ) -> np.ndarray:
@@ -224,13 +363,14 @@ class Communicator(abc.ABC):
         :class:`~repro.msglib.vchannel.DeadlockError` naming receiver,
         sender and tag so a mis-tagged send fails fast instead of hanging.
         """
+        return self._receive("recv", source, tag, timeout)
 
     # -- non-blocking variants (paper Version 6's primitive) -------------------
     def isend(self, dest: int, tag: str, array: np.ndarray) -> Request:
         """Non-blocking send.  With buffered semantics this completes
         immediately (the paper's PVM behaves the same way)."""
         self.send(dest, tag, array)
-        return CompletedRequest()
+        return Request()
 
     def irecv(
         self, source: int, tag: str, timeout: float | None = None
@@ -238,67 +378,46 @@ class Communicator(abc.ABC):
         """Non-blocking receive: returns a request to poll or wait on.
 
         ``timeout`` bounds the eventual ``wait()`` exactly like
-        :meth:`recv`'s — a lazy irecv against a crashed peer fails fast
-        instead of hanging for the backend default.  Default
-        implementation blocks at ``wait()``; backends with a probing
-        mailbox override for true progress polling.
+        :meth:`recv`'s — an irecv against a crashed peer fails fast
+        instead of hanging for the backend default.  ``test()`` makes true
+        progress on transports with a probing mailbox (virtual: the
+        mailbox; process: the control pipe) and stays false until
+        ``wait()`` elsewhere.
         """
-        comm = self
-
-        class _LazyRecv(Request):
-            def __init__(self) -> None:
-                self._value = None
-                self._done = False
-
-            def test(self) -> bool:
-                return self._done
-
-            def wait(self):
-                if not self._done:
-                    self._value = comm.recv(source, tag, timeout=timeout)
-                    self._done = True
-                return self._value
-
-        return _LazyRecv()
+        return PostedRecv(self, "recv", source, tag, timeout)
 
     def recv_view(
         self, source: int, tag: str, timeout: float | None = None
-    ) -> OwnedView:
-        """Blocking receive returning a view (copy semantics by default).
+    ) -> MessageView:
+        """Blocking receive returning a :class:`MessageView`.
 
-        Backends whose transport can lend message memory (the process
-        substrate's shared-memory slots) override this with a zero-copy
-        borrow; everywhere else the payload is simply an owned read-only
-        array wrapped in the same view protocol, so exchange code never
-        needs a substrate branch or ``hasattr`` guard.
+        Where the transport can lend message memory (the process
+        substrate's shared-memory slots) the view *borrows* the payload in
+        place: it aliases the ring slot directly (zero-copy) and the
+        sender cannot overwrite that slot until :meth:`MessageView.release`
+        runs — it blocks on the slot's semaphore, and times out into a
+        ``DeadlockError`` if the borrow is held too long.  Payloads that
+        arrived inline (oversized), were already copied out under ring
+        pressure, or crossed any other transport come back as owned
+        read-only views (``zero_copy`` is False); release is still
+        required, so exchange code never needs a substrate branch or
+        ``hasattr`` guard.  Semantics otherwise match :meth:`recv` (same
+        tag matching, timeouts, abort behaviour, accounting).
         """
-        return OwnedView(self.recv(source, tag, timeout=timeout))
+        return self._receive("recv_view", source, tag, timeout)
 
     def irecv_view(
         self, source: int, tag: str, timeout: float | None = None
     ) -> Request:
-        """Non-blocking receive whose ``wait()`` yields a view.
+        """Non-blocking :meth:`recv_view`: ``wait()`` yields the view.
 
-        The split-phase exchange posts these before the interior compute;
-        ``wait()`` returns the same view type :meth:`recv_view` does.
-        Default implementation wraps :meth:`irecv` and wraps the payload
-        at completion; backends with zero-copy views override.
+        The split-phase exchange posts these before the interior compute.
+        On the process substrate ``test()`` probes the control pipe and
+        borrows the slot the moment the envelope lands, so the borrow can
+        be posted before the compute and the slot aliased zero-copy at
+        ``wait()``.
         """
-        inner = self.irecv(source, tag, timeout=timeout)
-
-        class _ViewRecv(Request):
-            def __init__(self) -> None:
-                self._view: OwnedView | None = None
-
-            def test(self) -> bool:
-                return self._view is not None or inner.test()
-
-            def wait(self) -> OwnedView:
-                if self._view is None:
-                    self._view = OwnedView(inner.wait())
-                return self._view
-
-        return _ViewRecv()
+        return PostedRecv(self, "recv_view", source, tag, timeout)
 
     # -- collectives (generic implementations over send/recv) -----------------
     def _collective_tag(self, tag: str) -> str:
@@ -321,12 +440,8 @@ class Communicator(abc.ABC):
         """Global minimum via gather-to-root + broadcast."""
         if self.size == 1:
             return value
-        from ..obs import get_flight, get_tracer
-
         wire = self._collective_tag(tag)
-        fl = get_flight()
-        if fl.enabled:
-            fl.record("collective", rank=self.rank, tag=wire, op="allreduce_min")
+        self._flight("collective", tag=wire, op="allreduce_min")
         tr = get_tracer()
         with tr.span("comm.allreduce", cat="collective", rank=self.rank, tag=tag):
             t0 = _time.perf_counter() if tr.enabled else 0.0
@@ -361,11 +476,7 @@ class Communicator(abc.ABC):
         after the gather cannot corrupt the gathered state.
         """
         wire = self._collective_tag(tag)
-        from ..obs import get_flight
-
-        fl = get_flight()
-        if fl.enabled:
-            fl.record("collective", rank=self.rank, tag=wire, op="gather_arrays")
+        self._flight("collective", tag=wire, op="gather_arrays")
         if self.rank == 0:
             out = [np.ascontiguousarray(array).copy()]
             for src in range(1, self.size):

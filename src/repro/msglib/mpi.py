@@ -1,10 +1,12 @@
 """mpi4py backend: run the distributed solver on a real MPI cluster.
 
-The in-process :class:`~repro.msglib.virtual.VirtualCluster` is the default
-(and the only backend exercised in this repository's CI-like environment,
-which has neither MPI nor multiple cores); this adapter maps the same
-:class:`~repro.msglib.api.Communicator` interface onto ``mpi4py`` so the
-identical SPMD solver code runs across real processes::
+The in-process :class:`~repro.msglib.virtual.VirtualCluster` is the
+default and :class:`~repro.msglib.process.ProcessCluster` the multi-core
+one; this adapter supplies the same
+:class:`~repro.msglib.api.Communicator` transport primitives over
+``mpi4py`` so the identical SPMD solver code — with the same spans,
+timing and accounting — runs across the processes of an MPI job (CI has
+no MPI: the tests drive it through a stub ``mpi4py``)::
 
     mpiexec -n 8 python scripts/mpi_runner.py --nx 250 --nr 100 --steps 100
 
@@ -23,9 +25,12 @@ Design notes:
 
 from __future__ import annotations
 
+import time as _time
+
 import numpy as np
 
 from .api import Communicator, CommStats
+from .vchannel import DeadlockError
 
 #: MPI tag space is implementation-defined but at least 2**15 - 1.
 _TAG_SPACE = 32_000
@@ -61,34 +66,28 @@ class MPIComm(Communicator):
         self.size = self._comm.Get_size()
         self.stats = CommStats()
 
-    def send(self, dest: int, tag: str, array: np.ndarray) -> None:
+    def _deposit(self, dest: int, tag: str, array: np.ndarray) -> int:
         payload = np.ascontiguousarray(array)
         itag = tag_to_int(tag)
         header = (tag, payload.shape, payload.dtype.str)
         self._comm.send(header, dest=dest, tag=itag)
         self._comm.Send(payload, dest=dest, tag=itag)
-        self.stats.record_send(dest, tag, payload.nbytes)
+        return payload.nbytes
 
-    def recv(
-        self, source: int, tag: str, timeout: float | None = None
-    ) -> np.ndarray:
+    def _take(self, source: int, tag: str, timeout: float | None) -> np.ndarray:
         itag = tag_to_int(tag)
-        if timeout is not None:  # pragma: no cover - exercised on-cluster
+        if timeout is not None:
             # MPI has no timed receive; poll the matching envelope so the
             # fault layer's retry/backoff loop works over this adapter too.
-            import time as _t
-
-            from .vchannel import DeadlockError
-
-            deadline = _t.monotonic() + timeout
+            deadline = _time.monotonic() + timeout
             while not self._comm.iprobe(source=source, tag=itag):
-                if _t.monotonic() >= deadline:
+                if _time.monotonic() >= deadline:
                     raise DeadlockError(
                         f"rank {self.rank}: no message from {source} tag "
                         f"{tag!r} within {timeout}s (likely deadlock, tag "
                         "mismatch, or a lost message)"
                     )
-                _t.sleep(1e-4)
+                _time.sleep(1e-4)
         header = self._comm.recv(source=source, tag=itag)
         got_tag, shape, dtype = header
         if got_tag != tag:
@@ -98,7 +97,6 @@ class MPIComm(Communicator):
             )
         buf = np.empty(shape, dtype=np.dtype(dtype))
         self._comm.Recv(buf, source=source, tag=itag)
-        self.stats.record_recv(source, tag, buf.nbytes)
         return buf
 
     # MPI has efficient native collectives; override the generic loops.

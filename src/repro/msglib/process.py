@@ -14,10 +14,11 @@ contract over
   ``np.copyto`` (no pickling on the hot halo path); the receiver either
   copies out of the slot and releases it (``recv``) or *borrows* the slot
   zero-copy until an explicit release (``recv_view`` ->
-  :class:`SlotView`).  Each slot has its own free/occupied semaphore, so
-  senders keep PVM's buffered deposit-and-return semantics up to the ring
-  depth and block on exactly the slot they would overwrite beyond it —
-  a borrowed slot is therefore never overwritten before release;
+  :class:`~repro.msglib.api.MessageView`).  Each slot has its own
+  free/occupied semaphore, so senders keep PVM's buffered
+  deposit-and-return semantics up to the ring depth and block on exactly
+  the slot they would overwrite beyond it — a borrowed slot is therefore
+  never overwritten before release;
 * a **pipe control plane** — one ``Pipe(duplex=False)`` per rank carrying
   the small records a blocked receive waits for: ``("shm", ...)`` slot
   descriptors, ``("abort", reason)`` notices and ``("cold", source)`` wake
@@ -49,12 +50,10 @@ shipped back structured, the parent broadcasts an abort to every rank
 reporting (killed, segfault) is detected by liveness polling and treated
 the same way, so the cluster never hangs on a silent death.
 
-Observability composes by *local record, exact merge*: each worker
-installs a fresh tracer/metrics registry mirroring the parent's enabled
-state, records rank-locally, and ships the results back with its return
-value; the parent folds them in with the order-independent exact merge
-(:meth:`repro.obs.metrics.MetricsRegistry.ingest`), so a process run's
-metrics are bitwise-independent of rank completion order.
+Observability composes by *local record, exact merge*
+(:class:`repro.obs.ForkedRanks`): what each worker records rank-locally
+is shipped back with its result and folded into the parent's sinks, so a
+process run's metrics are bitwise-independent of rank completion order.
 
 Requires the ``fork`` start method (rank programs are closures; POSIX
 only) — :class:`ProcessCluster` raises a clear error where unavailable.
@@ -62,11 +61,11 @@ only) — :class:`ProcessCluster` raises a clear error where unavailable.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as _mp
 import os
 import pickle
 import queue as _queue
-import tempfile
 import time as _time
 from collections import defaultdict, deque
 from multiprocessing import shared_memory as _shm
@@ -74,19 +73,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..obs import (
-    FlightRing,
-    MetricsRegistry,
-    Tracer,
-    get_flight,
-    get_metrics,
-    get_tracer,
-    set_flight,
-    set_metrics,
-    set_tracer,
-)
-from ..obs.flight import DEFAULT_CAPACITY as _FLIGHT_CAPACITY
-from .api import Communicator, CommStats, Request
+from ..obs import ForkedRanks
+from .api import Communicator, CommStats, MessageView
 from .vchannel import ClusterAborted, DeadlockError
 from .virtual import RankFailure, VirtualCluster
 
@@ -95,7 +83,6 @@ __all__ = [
     "ProcessCommunicator",
     "ProcessComm",
     "RemoteRankError",
-    "SlotView",
 ]
 
 #: Bytes per shared-memory slot.  Sized for halo traffic (a V7 flux pair
@@ -145,62 +132,6 @@ def _portable_exception(exc: BaseException) -> BaseException:
     return wrapped
 
 
-class SlotView:
-    """A received payload borrowed in place — zero-copy when it lives in
-    a shared-memory ring slot.
-
-    Returned by :meth:`ProcessCommunicator.recv_view`.  ``array`` is
-    read-only; for slot-backed views it aliases the sender's ring slot,
-    which stays **borrowed** (the sender blocks rather than overwrite it)
-    until :meth:`release` runs.  Use as a context manager to scope the
-    borrow.  ``release`` is mandatory exactly once: a second call raises
-    ``RuntimeError``, and releasing after the cluster aborted raises a
-    structured :class:`~repro.msglib.vchannel.ClusterAborted` (the slot
-    ring is gone; the data must be treated as lost).
-    """
-
-    __slots__ = ("_array", "_release_cb", "_released")
-
-    def __init__(self, array: np.ndarray, release_cb=None) -> None:
-        self._array = array
-        self._release_cb = release_cb
-        self._released = False
-
-    @property
-    def array(self) -> np.ndarray:
-        if self._released:
-            raise RuntimeError("SlotView.array accessed after release()")
-        return self._array
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    @property
-    def zero_copy(self) -> bool:
-        """True when ``array`` aliases a shared-memory ring slot."""
-        return self._release_cb is not None
-
-    def release(self) -> None:
-        """Return the borrowed slot to the sender's ring."""
-        if self._released:
-            raise RuntimeError(
-                "SlotView.release() called twice (slot already returned)"
-            )
-        self._released = True
-        cb, self._release_cb = self._release_cb, None
-        self._array = None
-        if cb is not None:
-            cb()
-
-    def __enter__(self) -> "SlotView":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._released:
-            self.release()
-
-
 class _SlotRef:
     """A stashed-but-unconsumed shared-memory envelope.
 
@@ -208,7 +139,7 @@ class _SlotRef:
     it: ``materialize`` copies it out and frees the slot (the eager
     ``recv`` path), while ``recv_view`` borrows the slot in place.
     ``claimed`` marks refs popped from the stash so the ingest-side
-    pressure relief never frees a slot that a live ``SlotView`` borrows.
+    pressure relief never frees a slot that a live view borrows.
     """
 
     __slots__ = ("comm", "src", "slot", "shape", "dtype", "nbytes",
@@ -244,6 +175,8 @@ class ProcessCommunicator(Communicator):
     fork inheritance, never pickled).  Point-to-point traffic small
     enough for a slot crosses through shared memory, announced by a
     descriptor on the destination's pipe; larger payloads cross its queue.
+    Only the transport primitives live here; validation, timing and
+    accounting are :class:`~repro.msglib.api.Communicator`'s.
     """
 
     def __init__(self, cluster: "ProcessCluster", rank: int) -> None:
@@ -253,9 +186,10 @@ class ProcessCommunicator(Communicator):
         self.stats = CommStats()
         self._rx = cluster._ctl_rx[rank]
         self._q = cluster._queues[rank]
-        # Per-source oversize payloads announced on the pipe but not yet
-        # taken off the queue (negative: taken early, token still to come).
-        self._cold_owed: dict[int, int] = defaultdict(int)
+        # Per-source oversize payloads taken off the queue ahead of their
+        # token (another source's token was being served): held here, in
+        # send order, until that token is read from the pipe.
+        self._cold_early: dict[int, deque] = defaultdict(deque)
         self._stash: dict[tuple[int, str], deque] = defaultdict(deque)
         self._lazy: dict[int, deque] = defaultdict(deque)
         self._tx_seq = [0] * cluster.size
@@ -269,18 +203,13 @@ class ProcessCommunicator(Communicator):
         self._aborted: str | None = None
 
     # -- shared-memory ring helpers --------------------------------------------
-    def _slot_offset(self, src: int, dst: int, slot: int) -> int:
-        channel = src * self.size + dst
-        return (
-            channel * self.cluster.slots_per_channel + slot
-        ) * self.cluster.slot_bytes
+    def _slot_index(self, src: int, dst: int, slot: int) -> int:
+        """Position of a slot of channel ``src -> dst`` in the segment."""
+        return (src * self.size + dst) * self.cluster.slots_per_channel + slot
 
     def _slot_sem(self, src: int, dst: int, slot: int):
         """The per-slot free/occupied semaphore (1 = free)."""
-        channel = src * self.size + dst
-        return self.cluster._slot_sems[
-            channel * self.cluster.slots_per_channel + slot
-        ]
+        return self.cluster._slot_sems[self._slot_index(src, dst, slot)]
 
     def _pack(self, dest: int, payload: np.ndarray) -> int:
         """Copy ``payload`` into the next ring slot of ``self -> dest``;
@@ -297,11 +226,7 @@ class ProcessCommunicator(Communicator):
         while not sem.acquire(timeout=_POLL):
             if not waited:
                 waited = True
-                fl = get_flight()
-                if fl.enabled:
-                    fl.record(
-                        "slot_wait", rank=self.rank, peer=dest, slot=slot
-                    )
+                self._flight("slot_wait", peer=dest, slot=slot)
             if self.cluster._abort.is_set():
                 raise ClusterAborted(
                     f"rank {self.rank}: cluster aborted while sending to "
@@ -315,72 +240,44 @@ class ProcessCommunicator(Communicator):
                     "stuck, dead, or holding an unreleased recv_view)"
                 )
         self._tx_seq[dest] += 1
-        off = self._slot_offset(self.rank, dest, slot)
-        view = np.frombuffer(
-            self.cluster._shm.buf, dtype=payload.dtype,
-            count=payload.size, offset=off,
-        ).reshape(payload.shape)
-        np.copyto(view, payload)
+        np.copyto(
+            self._slot_array(self.rank, dest, slot, payload.shape, payload.dtype),
+            payload,
+        )
         return slot
+
+    def _slot_array(self, src: int, dst: int, slot: int, shape, dtype) -> np.ndarray:
+        """An array aliasing a ring slot of ``src -> dst`` (no copy)."""
+        return np.frombuffer(
+            self.cluster._shm.buf, dtype=np.dtype(dtype), count=math.prod(shape),
+            offset=self._slot_index(src, dst, slot) * self.cluster.slot_bytes,
+        ).reshape(shape)
 
     def _unpack(self, src: int, slot: int, shape, dtype: str) -> np.ndarray:
         """Copy a payload out of ``src``'s slot and free it."""
-        off = self._slot_offset(src, self.rank, slot)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(
-            self.cluster._shm.buf, dtype=np.dtype(dtype),
-            count=count, offset=off,
-        ).reshape(shape).copy()
+        arr = self._slot_array(src, self.rank, slot, shape, dtype).copy()
         self._slot_sem(src, self.rank, slot).release()
         return arr
 
-    def _slot_array(self, ref: "_SlotRef") -> np.ndarray:
-        """A read-only array aliasing ``ref``'s ring slot (no copy)."""
-        off = self._slot_offset(ref.src, self.rank, ref.slot)
-        count = int(np.prod(ref.shape, dtype=np.int64)) if ref.shape else 1
-        arr = np.frombuffer(
-            self.cluster._shm.buf, dtype=np.dtype(ref.dtype),
-            count=count, offset=off,
-        ).reshape(ref.shape)
-        arr.setflags(write=False)
-        return arr
-
     # -- point to point --------------------------------------------------------
-    def send(self, dest: int, tag: str, array: np.ndarray) -> None:
-        if not (0 <= dest < self.size) or dest == self.rank:
-            raise ValueError(f"invalid destination {dest} from rank {self.rank}")
-        tr = get_tracer()
-        with tr.span("comm.send", cat="comm", rank=self.rank, peer=dest, tag=tag):
-            t0 = _time.perf_counter()
-            payload = np.ascontiguousarray(array)
-            nbytes = payload.nbytes
-            if nbytes <= self.cluster.slot_bytes:
-                slot = self._pack(dest, payload)
-                self._post(
-                    dest,
-                    ("shm", self.rank, tag, slot, payload.shape,
-                     payload.dtype.str, nbytes),
-                )
-            else:
-                # Copy before queueing: the queue's feeder thread pickles
-                # asynchronously and the caller may reuse its buffer.
-                if payload is array or payload.base is not None:
-                    payload = payload.copy()
-                self.cluster._queues[dest].put(
-                    ("inline", self.rank, tag, payload)
-                )
-                self._post(dest, ("cold", self.rank))
-            seconds = _time.perf_counter() - t0
-        self.stats.record_send(dest, tag, nbytes, seconds)
-        fl = get_flight()
-        if fl.enabled:
-            fl.record("send", rank=self.rank, peer=dest, tag=tag, nbytes=nbytes)
-        if tr.enabled:
-            tr.count("messages", 1, rank=self.rank)
-            tr.count("bytes_sent", nbytes, rank=self.rank)
-        mx = get_metrics()
-        if mx.enabled:
-            mx.observe("comm.send_call_seconds", seconds, rank=self.rank)
+    def _deposit(self, dest: int, tag: str, array: np.ndarray) -> int:
+        payload = np.ascontiguousarray(array)
+        nbytes = payload.nbytes
+        if nbytes <= self.cluster.slot_bytes:
+            slot = self._pack(dest, payload)
+            self._post(
+                dest,
+                ("shm", self.rank, tag, slot, payload.shape,
+                 payload.dtype.str, nbytes),
+            )
+        else:
+            # Copy before queueing: the queue's feeder thread pickles
+            # asynchronously and the caller may reuse its buffer.
+            if payload is array or payload.base is not None:
+                payload = payload.copy()
+            self.cluster._queues[dest].put(("inline", self.rank, tag, payload))
+            self._post(dest, ("cold", self.rank))
+        return nbytes
 
     def _post(self, dest: int, record: tuple) -> None:
         """Write one control record into ``dest``'s pipe; abort-aware,
@@ -424,17 +321,18 @@ class ProcessCommunicator(Communicator):
                 if not old.claimed and old.lazy:
                     old.materialize()
         elif kind == "cold":
-            # ``src`` put an oversize payload on our queue before writing
-            # this token.  Queue order across senders is arbitrary, so take
-            # payloads until src's has been stashed; one taken early is
-            # credited against its own token, which keeps every source's
-            # messages in send order.
-            owed = self._cold_owed
-            owed[record[1]] += 1
-            while owed[record[1]] > 0:
+            # ``source`` put an oversize payload on our queue before
+            # writing this token.  Queue order across senders is arbitrary,
+            # so take payloads until source's is there; another sender's is
+            # held back until its own token is read — stashing it now would
+            # let it overtake that sender's slot descriptors still in the pipe.
+            source = record[1]
+            early = self._cold_early[source]
+            while not early:
                 _, src, tag, payload = self._cold_get()
-                owed[src] -= 1
-                self._stash[(src, tag)].append(payload)
+                self._cold_early[src].append((tag, payload))
+            tag, payload = early.popleft()
+            self._stash[(source, tag)].append(payload)
         elif kind == "abort":
             self._aborted = record[1]
 
@@ -458,13 +356,7 @@ class ProcessCommunicator(Communicator):
                         f"did not arrive within {self.cluster.timeout}s"
                     ) from None
 
-    def _drain_nowait(self) -> None:
-        while self._rx.poll():
-            self._ingest(self._rx.recv())
-
-    def _mailbox_get(
-        self, source: int, tag: str, timeout: float | None
-    ) -> np.ndarray:
+    def _take(self, source: int, tag: str, timeout: float | None):
         """Blocking tag-matched fetch with Mailbox-identical semantics."""
         limit = self.cluster.timeout if timeout is None else timeout
         key = (source, tag)
@@ -534,163 +426,45 @@ class ProcessCommunicator(Communicator):
         exc.slot = nxt
         raise exc
 
-    def recv(
-        self, source: int, tag: str, timeout: float | None = None
-    ) -> np.ndarray:
-        tr = get_tracer()
-        with tr.span("comm.recv", cat="comm", rank=self.rank, peer=source, tag=tag):
-            t0 = _time.perf_counter()
-            payload = self._mailbox_get(source, tag, timeout)
-            if isinstance(payload, _SlotRef):
-                payload.claimed = True
-                payload = payload.materialize()
-            seconds = _time.perf_counter() - t0
-        self.stats.record_recv(source, tag, payload.nbytes, seconds)
-        fl = get_flight()
-        if fl.enabled:
-            fl.record(
-                "recv", rank=self.rank, peer=source, tag=tag,
-                nbytes=payload.nbytes,
-            )
-        if tr.enabled:
-            tr.count("messages", 1, rank=self.rank)
-            tr.count("bytes_received", payload.nbytes, rank=self.rank)
-        mx = get_metrics()
-        if mx.enabled:
-            mx.observe("comm.recv_call_seconds", seconds, rank=self.rank)
-        return payload
+    def _probe(self, source: int, tag: str):
+        while self._rx.poll():
+            self._ingest(self._rx.recv())
+        stash = self._stash[(source, tag)]
+        return stash.popleft() if stash else None
 
-    def irecv(
-        self, source: int, tag: str, timeout: float | None = None
-    ) -> Request:
-        """True non-blocking receive: ``test()`` probes the control pipe."""
-        comm = self
-        key = (source, tag)
-
-        class _ProbingRecv(Request):
-            def __init__(self) -> None:
-                self._value = None
-                self._done = False
-
-            def test(self) -> bool:
-                if self._done:
-                    return True
-                comm._drain_nowait()
-                if comm._stash[key]:
-                    payload = comm._stash[key].popleft()
-                    if isinstance(payload, _SlotRef):
-                        payload.claimed = True
-                        payload = payload.materialize()
-                    comm.stats.record_recv(source, tag, payload.nbytes)
-                    self._value = payload
-                    self._done = True
-                return self._done
-
-            def wait(self):
-                if not self._done:
-                    self._value = comm.recv(source, tag, timeout=timeout)
-                    self._done = True
-                return self._value
-
-        return _ProbingRecv()
-
-    def _make_view(self, item) -> tuple[SlotView, int]:
-        """Wrap a stash item as a :class:`SlotView` (borrowing lazy slot
-        refs in place); returns ``(view, nbytes)``."""
+    def _as_array(self, item) -> np.ndarray:
         if isinstance(item, _SlotRef):
             item.claimed = True
-            nbytes = item.nbytes
-            if item.lazy:
-                src, slot = item.src, item.slot
-                sem = self._slot_sem(src, self.rank, slot)
-                self._borrowed[src].add(slot)
+            return item.materialize()
+        return item
 
-                def _release() -> None:
-                    self._borrowed[src].discard(slot)
-                    if (
-                        self._aborted is not None
-                        or self.cluster._abort.is_set()
-                    ):
-                        raise ClusterAborted(
-                            f"rank {self.rank}: released a borrowed "
-                            f"slot from {src} after cluster abort — "
-                            "the slot ring is gone and the borrowed "
-                            "data must be treated as lost"
-                        )
-                    sem.release()
+    def _as_view(self, item) -> MessageView:
+        """Borrow a lazy slot ref in place (zero-copy, the slot stays
+        occupied until the view's release); anything already copied out
+        or delivered inline becomes an owned view."""
+        if not isinstance(item, _SlotRef):
+            return MessageView(item)
+        item.claimed = True
+        if not item.lazy:
+            return MessageView(item.array)
+        src, slot = item.src, item.slot
+        sem = self._slot_sem(src, self.rank, slot)
+        self._borrowed[src].add(slot)
 
-                return SlotView(self._slot_array(item), _release), nbytes
-            return SlotView(item.array), nbytes
-        return SlotView(item), item.nbytes
+        def _release() -> None:
+            self._borrowed[src].discard(slot)
+            if self._aborted is not None or self.cluster._abort.is_set():
+                raise ClusterAborted(
+                    f"rank {self.rank}: released a borrowed slot from "
+                    f"{src} after cluster abort — the slot ring is gone "
+                    "and the borrowed data must be treated as lost"
+                )
+            sem.release()
 
-    def recv_view(
-        self, source: int, tag: str, timeout: float | None = None
-    ) -> SlotView:
-        """Blocking tag-matched receive that *borrows* the payload in
-        place instead of copying it out.
-
-        For payloads still sitting in their shared-memory ring slot the
-        returned :class:`SlotView` aliases the slot directly (zero-copy);
-        the sender cannot overwrite that slot until :meth:`SlotView.release`
-        runs — it blocks on the slot's semaphore, and times out into a
-        ``DeadlockError`` if the borrow is held too long.  Payloads that
-        arrived inline (oversized) or were already copied out under ring
-        pressure come back as owned views (``zero_copy`` is False);
-        release is still required, keeping the calling discipline
-        uniform.  Semantics otherwise match :meth:`recv` (same tag
-        matching, timeouts, abort behaviour, stats accounting).
-        """
-        tr = get_tracer()
-        with tr.span(
-            "comm.recv_view", cat="comm", rank=self.rank, peer=source, tag=tag
-        ):
-            t0 = _time.perf_counter()
-            item = self._mailbox_get(source, tag, timeout)
-            view, nbytes = self._make_view(item)
-            seconds = _time.perf_counter() - t0
-        self.stats.record_recv(source, tag, nbytes, seconds)
-        fl = get_flight()
-        if fl.enabled:
-            fl.record(
-                "recv_view", rank=self.rank, peer=source, tag=tag,
-                nbytes=nbytes,
-            )
-        if tr.enabled:
-            tr.count("messages", 1, rank=self.rank)
-            tr.count("bytes_received", nbytes, rank=self.rank)
-        return view
-
-    def irecv_view(
-        self, source: int, tag: str, timeout: float | None = None
-    ) -> Request:
-        """Non-blocking :meth:`recv_view`: ``test()`` probes the control
-        pipe and borrows the slot the moment the envelope lands, so a
-        split-phase exchange can post the borrow before the interior
-        compute and alias the slot zero-copy at ``wait()``."""
-        comm = self
-        key = (source, tag)
-
-        class _ProbingRecvView(Request):
-            def __init__(self) -> None:
-                self._view: SlotView | None = None
-
-            def test(self) -> bool:
-                if self._view is not None:
-                    return True
-                comm._drain_nowait()
-                if comm._stash[key]:
-                    item = comm._stash[key].popleft()
-                    view, nbytes = comm._make_view(item)
-                    comm.stats.record_recv(source, tag, nbytes)
-                    self._view = view
-                return self._view is not None
-
-            def wait(self) -> SlotView:
-                if self._view is None:
-                    self._view = comm.recv_view(source, tag, timeout=timeout)
-                return self._view
-
-        return _ProbingRecvView()
+        return MessageView(
+            self._slot_array(src, self.rank, slot, item.shape, item.dtype),
+            _release,
+        )
 
     def pending(self) -> int:
         """Stashed (unconsumed) envelopes — should be 0 at a clean exit."""
@@ -729,45 +503,20 @@ def _worker_main(
     args: tuple,
     extra: tuple,
 ) -> None:
-    """Worker-process entry: run the rank program, ship the outcome.
-
-    Inherits the parent's enabled/disabled observability state through
-    fork, but records into *fresh* per-process instances (the parent's
-    tracer and registry hold thread locks the child must not share) and
-    ships the recorded data back with the result for an exact merge."""
+    """Worker-process entry: run the rank program, ship the outcome
+    (with what this rank's own sinks recorded, for an exact merge)."""
     bind_to_parent_lifetime()
     if os.getppid() != cluster._owner_pid:
         os._exit(1)  # parent died before the death signal was armed
     comm = ProcessCommunicator(cluster, rank)
-    parent_tracer = get_tracer()
-    tracer = None
-    if parent_tracer.enabled:
-        # The distributed trace context (if any) crosses the fork so the
-        # rank's spans share the submit-time trace id.
-        tracer = Tracer(context=parent_tracer.context)
-        set_tracer(tracer)
-        tracer.bind_rank(rank)
-    reg = None
-    if get_metrics().enabled:
-        reg = MetricsRegistry()
-        set_metrics(reg)
-        reg.bind_rank(rank)
-    if cluster._flight_ring is not None:
-        # Record straight into the crash-survivable shared file: the
-        # parent (or the service, after a SIGKILL) reads it back by path.
-        set_flight(cluster._flight_ring.writer(rank))
+    cluster._sinks.enter(rank)
     try:
         value = fn(comm, *args, *extra)
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        cluster._to_parent.put(
-            ("error", rank, _portable_exception(exc), comm.stats, reg,
-             tracer.trace if tracer is not None else None)
-        )
+        outcome = ("error", rank, _portable_exception(exc))
     else:
-        cluster._to_parent.put(
-            ("result", rank, value, comm.stats, reg,
-             tracer.trace if tracer is not None else None)
-        )
+        outcome = ("result", rank, value)
+    cluster._to_parent.put((*outcome, comm.stats, cluster._sinks.shipment()))
 
 
 class ProcessCluster:
@@ -819,25 +568,9 @@ class ProcessCluster:
         self._procs: list = []
         self._closed = False
         self._owner_pid = os.getpid()
-        # Flight recorder backing file: created while a recorder is
-        # installed, so rank events survive even a SIGKILLed worker.  An
-        # explicit recorder ``ring_path`` (the service points it into the
-        # result store) is reused; otherwise a throwaway temp file.
-        self._flight_ring: FlightRing | None = None
-        self._flight_ring_owned = False
-        recorder = get_flight()
-        if recorder.enabled:
-            path = getattr(recorder, "ring_path", None)
-            if path is None:
-                fd, path = tempfile.mkstemp(
-                    prefix="repro-flight-", suffix=".ring"
-                )
-                os.close(fd)
-                self._flight_ring_owned = True
-            self._flight_ring = FlightRing.create(
-                str(path), size,
-                capacity=getattr(recorder, "capacity", _FLIGHT_CAPACITY),
-            )
+        # Created now, while the caller's recorder is installed: the
+        # ranks' flight events go to a file that survives a SIGKILL.
+        self._sinks = ForkedRanks(size)
         self.last_stats: list[CommStats] = [CommStats() for _ in range(size)]
         #: Parent-side checkpoint hook: ``snapshot_sink(step, t, q)`` is
         #: called for every snapshot a worker submits (see
@@ -914,7 +647,6 @@ class ProcessCluster:
                                "fresh cluster per attempt")
         results: list[Any] = [None] * self.size
         errors: list[tuple[int, BaseException]] = []
-        shipped_obs: list[tuple] = []
         self._procs = [
             self._ctx.Process(
                 target=_worker_main,
@@ -940,60 +672,28 @@ class ProcessCluster:
                 _, step, t, q = msg
                 if self.snapshot_sink is not None:
                     self.snapshot_sink(step, t, q)
-            elif kind == "result":
-                _, rank, value, stats, reg, trace = msg
-                results[rank] = value
+            else:
+                _, rank, outcome, stats, shipped = msg
                 self.last_stats[rank] = stats
-                shipped_obs.append((reg, trace))
+                self._sinks.absorb(shipped)
                 pending.discard(rank)
-            elif kind == "error":
-                _, rank, exc, stats, reg, trace = msg
-                errors.append((rank, exc))
-                self.last_stats[rank] = stats
-                shipped_obs.append((reg, trace))
-                pending.discard(rank)
-                self.abort(f"rank {rank} died with {exc!r}")
+                if kind == "result":
+                    results[rank] = outcome
+                else:
+                    errors.append((rank, outcome))
+                    self.abort(f"rank {rank} died with {outcome!r}")
         for p in self._procs:
             p.join(timeout=10.0)
             if p.is_alive():  # pragma: no cover - stuck worker backstop
                 p.terminate()
                 p.join(timeout=5.0)
-        self._absorb_observability(shipped_obs)
-        flight_events = self._collect_flight()
+        flight_events = self._sinks.flight_events()
         if errors:
             failure = VirtualCluster._failure(errors)
             if flight_events is not None:
                 failure.flight = flight_events
             raise failure
         return results
-
-    def _collect_flight(self) -> dict[int, list] | None:
-        """Read every rank's surviving ring events back into the parent's
-        recorder; returns them (also attached to any RankFailure)."""
-        if self._flight_ring is None:
-            return None
-        events = self._flight_ring.read_all()
-        recorder = get_flight()
-        if recorder.enabled and hasattr(recorder, "ingest"):
-            for rank, evs in events.items():
-                if evs:
-                    recorder.ingest(rank, evs)
-        return events
-
-    @staticmethod
-    def _absorb_observability(shipped: list[tuple]) -> None:
-        """Fold worker registries/traces into the parent's active ones."""
-        reg_parent = get_metrics()
-        tr_parent = get_tracer()
-        for reg, trace in shipped:
-            if reg is not None and reg_parent.enabled:
-                reg_parent.ingest(reg)
-            if trace is not None and tr_parent.enabled:
-                dst = tr_parent.trace
-                dst.spans.extend(trace.spans)
-                dst.events.extend(trace.events)
-                for key, v in trace.counters.items():
-                    dst.counters[key] = dst.counters.get(key, 0.0) + v
 
     def total_stats(self) -> CommStats:
         """Aggregate statistics over all ranks (last completed run)."""
@@ -1021,11 +721,7 @@ class ProcessCluster:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
-        if self._flight_ring is not None:
-            self._flight_ring.close()
-            if self._flight_ring_owned:
-                self._flight_ring.unlink()
-            self._flight_ring = None
+        self._sinks.close()
 
     def __enter__(self) -> "ProcessCluster":
         return self

@@ -25,13 +25,12 @@ Failure semantics (the resilience contract the chaos suite exercises):
 from __future__ import annotations
 
 import threading
-import time as _time
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..obs import get_metrics, get_tracer
-from .api import Communicator, CommStats, Request
+from ..obs import bind_rank
+from .api import Communicator, CommStats
 from .vchannel import ClusterAborted, Mailbox
 
 
@@ -86,87 +85,19 @@ class VirtualComm(Communicator):
         self.size = cluster.size
         self.stats = CommStats()
 
-    def send(self, dest: int, tag: str, array: np.ndarray) -> None:
-        if not (0 <= dest < self.size) or dest == self.rank:
-            raise ValueError(f"invalid destination {dest} from rank {self.rank}")
-        tr = get_tracer()
-        with tr.span("comm.send", cat="comm", rank=self.rank, peer=dest, tag=tag):
-            t0 = _time.perf_counter()
-            payload = np.ascontiguousarray(array).copy()
-            self.cluster.mailboxes[dest].put(self.rank, tag, payload)
-            seconds = _time.perf_counter() - t0
-        self.stats.record_send(dest, tag, payload.nbytes, seconds)
-        if tr.enabled:
-            tr.count("messages", 1, rank=self.rank)
-            tr.count("bytes_sent", payload.nbytes, rank=self.rank)
-        mx = get_metrics()
-        if mx.enabled:
-            mx.observe("comm.send_call_seconds", seconds, rank=self.rank)
+    def _deposit(self, dest: int, tag: str, array: np.ndarray) -> int:
+        payload = np.ascontiguousarray(array).copy()
+        self.cluster.mailboxes[dest].put(self.rank, tag, payload)
+        return payload.nbytes
 
-    def recv(
-        self, source: int, tag: str, timeout: float | None = None
-    ) -> np.ndarray:
-        """Blocking receive; ``timeout`` overrides the cluster default for
-        this call (seconds), failing fast with a ``DeadlockError`` that
-        names receiver, sender and tag."""
-        tr = get_tracer()
-        with tr.span("comm.recv", cat="comm", rank=self.rank, peer=source, tag=tag):
-            t0 = _time.perf_counter()
-            payload = self.cluster.mailboxes[self.rank].get(
-                source, tag, timeout=timeout
-            )
-            seconds = _time.perf_counter() - t0
-        self.stats.record_recv(source, tag, payload.nbytes, seconds)
-        if tr.enabled:
-            tr.count("messages", 1, rank=self.rank)
-            tr.count("bytes_received", payload.nbytes, rank=self.rank)
-        mx = get_metrics()
-        if mx.enabled:
-            mx.observe("comm.recv_call_seconds", seconds, rank=self.rank)
-        return payload
+    def _take(self, source: int, tag: str, timeout: float | None) -> np.ndarray:
+        """``timeout`` overrides the cluster default for this call
+        (seconds), failing fast with a ``DeadlockError`` that names
+        receiver, sender and tag."""
+        return self.cluster.mailboxes[self.rank].get(source, tag, timeout=timeout)
 
-    def irecv(
-        self, source: int, tag: str, timeout: float | None = None
-    ) -> Request:
-        """True non-blocking receive: ``test()`` probes the mailbox;
-        ``timeout`` bounds ``wait()`` like :meth:`recv`'s."""
-        comm = self
-        mailbox = self.cluster.mailboxes[self.rank]
-
-        class _ProbingRecv(Request):
-            def __init__(self) -> None:
-                self._value = None
-                self._done = False
-
-            def _account(self, payload, seconds: float = 0.0) -> None:
-                comm.stats.record_recv(source, tag, payload.nbytes, seconds)
-                self._value = payload
-                self._done = True
-
-            def test(self) -> bool:
-                if self._done:
-                    return True
-                payload = mailbox.try_get(source, tag)
-                if payload is not None:
-                    self._account(payload)
-                return self._done
-
-            def wait(self):
-                if not self._done:
-                    tr = get_tracer()
-                    with tr.span(
-                        "comm.recv",
-                        cat="comm",
-                        rank=comm.rank,
-                        peer=source,
-                        tag=tag,
-                    ):
-                        t0 = _time.perf_counter()
-                        payload = mailbox.get(source, tag, timeout=timeout)
-                        self._account(payload, _time.perf_counter() - t0)
-                return self._value
-
-        return _ProbingRecv()
+    def _probe(self, source: int, tag: str) -> np.ndarray | None:
+        return self.cluster.mailboxes[self.rank].try_get(source, tag)
 
 
 class VirtualCluster:
@@ -198,11 +129,7 @@ class VirtualCluster:
 
         def worker(rank: int) -> None:
             extra = per_rank_args[rank] if per_rank_args is not None else ()
-            # Default-rank binding: spans and metrics recorded below here
-            # (solver stages, MacCormack phases) are attributed to this
-            # rank's thread.
-            get_tracer().bind_rank(rank)
-            get_metrics().bind_rank(rank)
+            bind_rank(rank)
             try:
                 results[rank] = fn(self.comms[rank], *args, *extra)
             except BaseException as exc:  # noqa: BLE001 - reported to caller

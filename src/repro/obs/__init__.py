@@ -90,6 +90,7 @@ from .metrics import (
     set_metrics,
     use_metrics,
 )
+from .ranks import ForkedRanks, bind_rank
 from .report import (
     PerfReport,
     append_ledger,
@@ -145,6 +146,8 @@ __all__ = [
     "merge",
     "set_metrics",
     "use_metrics",
+    "ForkedRanks",
+    "bind_rank",
     "PerfReport",
     "append_ledger",
     "build_perf_report",

@@ -60,10 +60,9 @@ class FlightRecorder:
     """In-memory per-rank rings of the last ``capacity`` events.
 
     ``ring_path`` does not change this recorder's own behaviour — it names
-    the file a :class:`~repro.msglib.process.ProcessCluster` should back
-    its rank writers with, so the events survive a SIGKILL (the cluster
-    reads ``get_flight().ring_path``; ``None`` means a throwaway temp
-    file).
+    the file :class:`~repro.obs.ranks.ForkedRanks` should back a process
+    cluster's rank writers with, so the events survive a SIGKILL
+    (``None`` means a throwaway temp file).
     """
 
     enabled = True

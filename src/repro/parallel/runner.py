@@ -1,8 +1,10 @@
-"""High-level facade: run the decomposed jet solver over a virtual cluster.
+"""High-level facade: run the decomposed jet solver over a message-passing
+cluster.
 
 :class:`ParallelJetSolver` takes the same inputs as the serial solver plus a
 processor count and a paper code version, executes the SPMD program for real
-(one thread per rank, actual message passing), and returns the gathered
+(actual message passing: one thread per rank on the virtual cluster, one OS
+process per rank with ``substrate="process"``), and returns the gathered
 global state together with per-rank communication statistics — the measured
 source for the paper's Table 1.
 

@@ -44,6 +44,7 @@ from ..numerics.boundary import (
 from ..numerics.maccormack import PREDICTOR, SplitOperator, SweepWorkspace
 from ..numerics.solver import CompressibleSolver, SolverConfig
 from ..numerics.timestep import stable_dt
+from ..obs import bind_rank
 from ..physics.state import FlowState
 from .halo import ExchangePlan, ExchangePolicy
 from .versions import Version, version_by_number
@@ -140,10 +141,7 @@ class BlockDistributedSolver(CompressibleSolver):
         # thread default so MacCormack-phase spans inherit it under MPI,
         # where no VirtualCluster worker does the binding).
         self._trace_rank = comm.rank
-        from ..obs import get_metrics, get_tracer
-
-        get_tracer().bind_rank(comm.rank)
-        get_metrics().bind_rank(comm.rank)
+        bind_rank(comm.rank)
         # Baselines for per-step comm deltas in the streamed records.
         self._stream_comm_prev = (0.0, 0, 0)
 

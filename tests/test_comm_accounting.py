@@ -1,0 +1,162 @@
+"""One instrument for every transport.
+
+``Communicator`` is the only place a message is timed and accounted, so
+``CommStats``, the tracer counters, the per-call histograms and the flight
+ring must tell the same story per rank, and the virtual and process
+substrates must tell the same story as each other for the same run.
+"""
+
+import ast
+import pathlib
+import time
+
+import numpy as np
+import pytest
+
+import repro.msglib
+from repro import jet_scenario
+from repro.api import run
+from repro.faults import FaultPlan
+from repro.msglib import ProcessCluster, RankFailure, VirtualCluster
+from repro.obs import (
+    FlightRecorder,
+    MetricsRegistry,
+    Tracer,
+    use_flight,
+    use_metrics,
+    use_tracer,
+)
+from repro.parallel.runner import ParallelJetSolver
+
+SUBSTRATES = ("virtual", "process")
+
+
+def _accounts(substrate: str, version: int) -> list[dict]:
+    """Per rank: what each sink counted for one small jet run."""
+    res = run(
+        "jet", steps=4, nprocs=2, nx=32, nr=16, version=version,
+        substrate=substrate, trace=True, metrics=True, flight=1 << 14,
+    )
+    out = []
+    for rank, stats in enumerate(res.per_rank_stats):
+        kinds = [e["kind"] for e in res.flight[rank]]
+        out.append({
+            "sends": stats.sends,
+            "recvs": stats.recvs,
+            "bytes_sent": stats.bytes_sent,
+            "bytes_received": stats.bytes_received,
+            "send_hist": res.metrics.get("comm.send_call_seconds", rank).count,
+            "recv_hist": res.metrics.get("comm.recv_call_seconds", rank).count,
+            "messages": res.trace.counter(rank, "messages"),
+            "traced_sent": res.trace.counter(rank, "bytes_sent"),
+            "traced_received": res.trace.counter(rank, "bytes_received"),
+            "flight_sends": kinds.count("send"),
+            "flight_recvs": kinds.count("recv") + kinds.count("recv_view"),
+            "flight_collectives": kinds.count("collective"),
+        })
+    return out
+
+
+@pytest.mark.parametrize("version", [5, 6, 7])
+def test_every_sink_agrees_on_every_substrate(version):
+    per_substrate = {s: _accounts(s, version) for s in SUBSTRATES}
+    for substrate, ranks in per_substrate.items():
+        for rank, a in enumerate(ranks):
+            where = f"{substrate} rank {rank}"
+            assert a["sends"] > 0 and a["recvs"] > 0, where
+            assert a["send_hist"] == a["sends"], where
+            assert a["recv_hist"] == a["recvs"], where
+            assert a["messages"] == a["sends"] + a["recvs"], where
+            assert a["traced_sent"] == a["bytes_sent"], where
+            assert a["traced_received"] == a["bytes_received"], where
+            assert a["flight_sends"] == a["sends"], where
+            assert a["flight_recvs"] == a["recvs"], where
+    assert per_substrate["virtual"] == per_substrate["process"]
+
+
+def _cluster(substrate: str):
+    if substrate == "process":
+        return ProcessCluster(2, timeout=20)
+    return VirtualCluster(2, timeout=20)
+
+
+@pytest.mark.parametrize("view", [False, True])
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_completion_by_test_is_accounted_like_a_blocking_receive(substrate, view):
+    """A posted receive that ``test()`` completes reaches every sink, not
+    just ``CommStats``, with the time the probe took."""
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.send(1, "posted", np.arange(16.0))
+            return None
+        post = comm.irecv_view if view else comm.irecv
+        req = post(0, "posted", timeout=20)
+        deadline = time.monotonic() + 20
+        while not req.test():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        got = req.wait()  # already complete: must not account twice
+        if view:
+            with got:
+                total = float(got.array.sum())
+        else:
+            total = float(got.sum())
+        return total, comm.stats.recvs, comm.stats.recv_seconds
+
+    tracer, reg, flight = Tracer(), MetricsRegistry(), FlightRecorder(256)
+    with use_tracer(tracer), use_metrics(reg), use_flight(flight):
+        cluster = _cluster(substrate)
+        try:
+            total, recvs, seconds = cluster.run(program)[1]
+        finally:
+            if substrate == "process":
+                cluster.close()
+    assert total == 120.0
+    assert recvs == 1 and seconds > 0.0
+    assert tracer.trace.counter(1, "messages") == 1
+    assert tracer.trace.counter(1, "bytes_received") == 128
+    assert reg.get("comm.recv_call_seconds", 1).count == 1
+    kinds = [e["kind"] for e in flight.events(1)]
+    assert kinds == ["recv_view" if view else "recv"]
+    # The probe opened no span; only rank 0's send is on the timeline.
+    assert [s.name for s in tracer.trace.spans] == ["comm.send"]
+
+
+def test_virtual_post_mortem_holds_sends_and_recvs():
+    """``RankFailure.flight`` of a virtual-cluster crash shows the message
+    traffic that led up to it, as the process substrate's always did."""
+    sc = jet_scenario(nx=32, nr=16)
+    plan = FaultPlan(seed=1, crashes=((1, 3),), recv_timeout=0.2, recv_retries=2)
+    with use_flight(FlightRecorder(512)):
+        with pytest.raises(RankFailure) as exc:
+            ParallelJetSolver(
+                sc.state, sc.solver.config, nranks=2, timeout=20,
+                faults=plan, max_restarts=0,
+            ).run(6)
+    kinds = {e["kind"] for evs in exc.value.flight.values() for e in evs}
+    assert {"send", "recv", "collective"} <= kinds
+
+
+# -- structure ----------------------------------------------------------------
+
+_SINK_NAMES = {
+    "get_tracer", "get_metrics", "get_flight", "get_stream",
+    "record_send", "record_recv",
+}
+
+
+def test_transports_only_move_bytes():
+    """The transports name no sink accessor and never touch ``CommStats``
+    themselves; the process substrate's ``slot_wait`` event goes through
+    the communicator's ``_flight`` helper like every other event."""
+    root = pathlib.Path(repro.msglib.__file__).parent
+    for name in ("virtual.py", "process.py", "mpi.py"):
+        tree = ast.parse((root / name).read_text())
+        named = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            or getattr(node, "name", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        }
+        assert not named & _SINK_NAMES, f"{name} names {named & _SINK_NAMES}"

@@ -28,11 +28,11 @@ class LoopbackComm:
         return self.inbox[(source, tag)]
 
     def recv_view(self, source, tag, timeout=None):
-        # recv_view is part of the Communicator contract now (the ABC
-        # supplies this exact copy-semantics default).
-        from repro.msglib.api import OwnedView
+        # recv_view is part of the Communicator contract (a transport
+        # that lends no memory hands out exactly this owned view).
+        from repro.msglib.api import MessageView
 
-        return OwnedView(np.array(self.recv(source, tag)))
+        return MessageView(np.array(self.recv(source, tag)))
 
 
 GROUPED = ExchangePolicy(split_flux_columns=False)

@@ -1,8 +1,16 @@
-"""The mpi4py backend adapter (full path only runs on an MPI cluster)."""
+"""The mpi4py backend adapter (the real library only runs on an MPI
+cluster; a dict-mailbox stub drives the adapter's own code here)."""
 
+import sys
+import types
+from collections import defaultdict, deque
+
+import numpy as np
 import pytest
 
+from repro.msglib import DeadlockError
 from repro.msglib.mpi import _TAG_SPACE, MPIComm, tag_to_int
+from repro.obs import Tracer, use_tracer
 
 try:
     import mpi4py  # noqa: F401
@@ -45,6 +53,84 @@ class TestWithoutMPI:
     def test_helpful_error_without_mpi4py(self):
         with pytest.raises(RuntimeError, match="mpi4py is not installed"):
             MPIComm()
+
+
+class _StubWorld:
+    """The slice of ``mpi4py.MPI.Comm`` the adapter calls, for one rank of
+    a world whose mailboxes are one shared dict of deques."""
+
+    def __init__(self, rank, size, boxes):
+        self._rank, self._size, self._boxes = rank, size, boxes
+
+    def Get_rank(self):
+        return self._rank
+
+    def Get_size(self):
+        return self._size
+
+    def send(self, obj, dest, tag):
+        self._boxes[dest, self._rank, tag].append(obj)
+
+    def Send(self, buf, dest, tag):
+        self._boxes[dest, self._rank, tag].append(np.array(buf))
+
+    def recv(self, source, tag):
+        return self._boxes[self._rank, source, tag].popleft()
+
+    def Recv(self, buf, source, tag):
+        buf[...] = self._boxes[self._rank, source, tag].popleft()
+
+    def iprobe(self, source, tag):
+        return bool(self._boxes[self._rank, source, tag])
+
+
+class TestOverStubMPI:
+    """MPIComm supplies only transport primitives, so it inherits the
+    destination check, the spans and the timing of every other backend."""
+
+    @pytest.fixture
+    def pair(self, monkeypatch):
+        boxes = defaultdict(deque)
+        worlds = [_StubWorld(r, 2, boxes) for r in range(2)]
+        stub = types.ModuleType("mpi4py")
+        stub.MPI = types.SimpleNamespace(COMM_WORLD=worlds[0], MIN="min")
+        monkeypatch.setitem(sys.modules, "mpi4py", stub)
+        return [MPIComm(w) for w in worlds]
+
+    def test_send_and_recv_are_timed_and_traced(self, pair):
+        a, b = pair
+        tracer = Tracer()
+        with use_tracer(tracer):
+            a.send(1, "7:x:fxh", np.arange(12.0).reshape(3, 4))
+            got = b.recv(0, "7:x:fxh", timeout=1.0)
+        assert np.array_equal(got, np.arange(12.0).reshape(3, 4))
+        assert a.stats.sends == 1 and a.stats.bytes_sent == 96
+        assert b.stats.recvs == 1 and b.stats.bytes_received == 96
+        assert a.stats.send_seconds > 0 and b.stats.recv_seconds > 0
+        assert [(s.name, s.rank) for s in tracer.trace.ordered_spans()] == [
+            ("comm.send", 0), ("comm.recv", 1)
+        ]
+        assert tracer.trace.counter(0, "bytes_sent") == 96
+
+    def test_rejects_an_invalid_destination(self, pair):
+        for dest in (0, 2, -1):
+            with pytest.raises(ValueError, match="invalid destination"):
+                pair[0].send(dest, "t", np.zeros(1))
+
+    def test_timed_receive_expires_into_deadlock_error(self, pair):
+        with pytest.raises(DeadlockError, match="no message from 0"):
+            pair[1].recv(0, "never", timeout=0.01)
+        assert pair[1].stats.recvs == 0
+
+    def test_posted_receive_completes_at_wait(self, pair):
+        a, b = pair
+        req = b.irecv_view(0, "v", timeout=1.0)
+        a.send(1, "v", np.full(4, 2.0))
+        assert not req.test()  # no probing primitive under MPI
+        with req.wait() as view:
+            assert not view.zero_copy
+            assert np.array_equal(view.array, np.full(4, 2.0))
+        assert b.stats.recvs == 1
 
 
 @pytest.mark.skipif(not HAVE_MPI, reason="mpi4py not installed")

@@ -487,8 +487,8 @@ class TestIrecvTimeout:
         assert waited < 5.0
 
     def test_generic_fallback_irecv_wait_honours_timeout(self):
-        """The ABC's default _LazyRecv (used by backends without a probing
-        mailbox) must forward timeout= to recv."""
+        """The base class's posted receive (what a backend without a
+        probing mailbox gets too) must forward timeout= to recv."""
         import time
 
         from repro.msglib.api import Communicator

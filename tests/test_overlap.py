@@ -11,8 +11,8 @@ distributed == serial, so equality here pins overlap == blocking too.
 The protocol units cover the split-phase machinery directly: the
 provisional-pass edge recompute (``rate_edges``), the
 :class:`~repro.parallel.halo.PendingGhosts` lifetime rules, the
-:class:`~repro.msglib.api.OwnedView` copy-semantics default of the
-``Communicator`` ABC, and the fingerprint normalization (overlapped and
+:class:`~repro.msglib.api.MessageView` owned (copy-semantics) case every
+non-lending transport hands out, and the fingerprint normalization (overlapped and
 blocking requests share one cache identity).
 
 The chaos half lives at the bottom: the self-healing transport and
@@ -30,7 +30,7 @@ import pytest
 from repro import jet_scenario
 from repro.faults import FaultPlan, fault_plan_by_name
 from repro.msglib import VirtualCluster
-from repro.msglib.api import OwnedView
+from repro.msglib.api import MessageView
 from repro.numerics.kernels.overlap import rate_edges
 from repro.numerics.stencils import (
     backward_difference,
@@ -223,10 +223,11 @@ class TestPendingGhosts:
 
 
 class TestOwnedView:
-    """The Communicator ABC's copy-semantics recv_view default."""
+    """The one view class without a release callback: an owned payload
+    (the zero-copy side is ``test_process.py::TestRecvView``)."""
 
     def test_protocol(self):
-        view = OwnedView(np.arange(5.0))
+        view = MessageView(np.arange(5.0))
         assert not view.zero_copy
         assert not view.array.flags.writeable
         assert np.array_equal(view.array, np.arange(5.0))
@@ -238,14 +239,14 @@ class TestOwnedView:
             view.release()
 
     def test_context_manager(self):
-        with OwnedView(np.ones(3)) as view:
+        with MessageView(np.ones(3)) as view:
             assert view.array.sum() == 3.0
         assert view.released
 
     def test_virtual_comm_recv_view_default(self):
-        """VirtualComm has no recv_view of its own — the ABC default
-        supplies owned views with the uniform release discipline, so no
-        call site needs a hasattr guard."""
+        """VirtualComm lends no memory — the base ``_as_view`` supplies
+        owned views with the uniform release discipline, so no call site
+        needs a hasattr guard."""
 
         def program(comm):
             if comm.rank == 0:
