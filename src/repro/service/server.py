@@ -75,7 +75,7 @@ class _Handler(socketserver.StreamRequestHandler):
             "ok": True,
             "pid": os.getpid(),
             "workers": svc.workers,
-            "jobs": len(svc.jobs()),
+            "jobs": svc.job_count,
             "executed": svc.executed,
             "store_root": str(svc.store.root),
             "store_entries": len(svc.store),

@@ -54,7 +54,7 @@ from ..obs import (
 from ..obs.flight import FlightRing, write_flight_jsonl
 from ..request import RunRequest
 from .experiments import EXPERIMENT_SCHEMA, ExperimentRequest
-from .store import ResultStore
+from .store import ResultStore, write_payload
 
 __all__ = ["Job", "JobFailed", "RunService"]
 
@@ -190,7 +190,6 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
     # Workers are non-daemonic (they fork rank children), so they would
     # survive a SIGKILLed service process; die with the parent instead.
     bind_to_parent_lifetime()
-    store = ResultStore(store_root)
     while True:
         item = tasks.get()
         if item is None:
@@ -202,7 +201,7 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
             if kind == "experiment":
                 req = ExperimentRequest.from_dict(req_dict)
                 text = req.execute()
-                store.write_payload(req.fingerprint(), text)
+                write_payload(store_root, req.fingerprint(), text)
                 report = req.report_for(text)
             else:
                 from ..api import run_request
@@ -235,7 +234,7 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
                 )
                 result = run_request(req, context=context)
                 result.request = None  # live objects stay out of the pickle
-                store.write_payload(fp, result)
+                write_payload(store_root, fp, result)
                 if result.flight:
                     write_flight_jsonl(
                         result.flight, _flight_jsonl_path(ring_path)
@@ -482,6 +481,11 @@ class RunService:
     def jobs(self) -> list[Job]:
         with self._lock:
             return [_snapshot(self._jobs[i]) for i in self._order]
+
+    @property
+    def job_count(self) -> int:
+        """``len(jobs())`` without snapshotting the table."""
+        return len(self._order)
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until the job reaches a terminal state (or timeout)."""

@@ -165,6 +165,26 @@ class TestPersistentStore:
         assert fp in store
         assert store.load_result(fp).steps == SOD["steps"]
 
+    def test_torn_index_tail_means_reexecution_not_a_bricked_service(
+        self, tmp_path
+    ):
+        """A writer killed mid-append leaves half a line; the entry is
+        simply absent, so the request runs again and results still load
+        (every ``result`` used to raise ``JSONDecodeError`` from then on)."""
+        with make_service(tmp_path, workers=1) as svc:
+            svc.wait(svc.submit(sod_request()).id, timeout=120)
+        index = tmp_path / "store" / "index.jsonl"
+        index.write_bytes(index.read_bytes()[:-40])
+        with make_service(tmp_path, workers=1) as svc:
+            job = svc.submit(sod_request())
+            assert job.status != "cached"
+            assert svc.wait(job.id, timeout=120).status == "done"
+            with pytest.warns(UserWarning, match="skipping corrupt index"):
+                assert svc.result(job.id).steps == SOD["steps"]
+            assert svc.executed == 1 and svc.store.skipped_lines == 1
+        with pytest.warns(UserWarning, match="skipping corrupt index"):
+            assert len(ResultStore(tmp_path / "store")) == 1
+
     def test_experiment_jobs_cache_rendered_text(self, tmp_path):
         req = ExperimentRequest("table2")
         with make_service(tmp_path, workers=1) as svc:
@@ -241,6 +261,10 @@ class TestSocketFrontEnd:
         assert client.submit(sod_request())["status"] == "cached"
         assert client.ping()["executed"] == 1
         assert len(client.jobs()) == 2
+        ping = client.ping()
+        assert ping["jobs"] == 2 and ping["store_entries"] == 1
+        assert set(ping) == {"ok", "pid", "workers", "jobs", "executed",
+                             "store_root", "store_entries"}
 
     def test_unavailable_raises_with_hint(self, tmp_path):
         client = ServiceClient(tmp_path / "nobody-home.sock")
