@@ -10,7 +10,7 @@ justifies the paper's Section-5 choice.
 
 from repro import jet_scenario
 from repro.analysis.report import format_table
-from repro.parallel.decomposition import AxialDecomposition, RadialDecomposition
+from repro.parallel.decomposition import CartesianDecomposition
 from repro.parallel.runner import ParallelJetSolver
 
 from conftest import run_and_print
@@ -42,8 +42,8 @@ def _study() -> str:
         rows,
         title="Decomposition study (measured, real distributed solver, p=4):",
     )
-    d_ax = AxialDecomposition(250, 16)
-    d_ra = RadialDecomposition(100, 16)
+    d_ax = CartesianDecomposition.named("axial", 250, 100, 16).axial
+    d_ra = CartesianDecomposition.named("radial", 250, 100, 16).radial
     note = (
         f"\nLoad balance at p=16 on the paper grid: axial blocks "
         f"{min(d_ax.sizes())}-{max(d_ax.sizes())} columns; radial blocks "

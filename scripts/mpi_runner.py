@@ -39,19 +39,12 @@ def main() -> None:
     sc = jet_scenario(nx=args.nx, nr=args.nr, viscous=not args.euler)
     grid, q0, config = sc.state.grid, sc.state.q, sc.solver.config
 
-    from repro.parallel.decomposition import (
-        AxialDecomposition,
-        CartesianDecomposition,
-        RadialDecomposition,
-    )
+    from repro.parallel.decomposition import CartesianDecomposition
     from repro.parallel.spmd import BlockDistributedSolver
 
-    if args.decomposition == "radial":
-        decomp = RadialDecomposition(grid.nr, comm.size)
-    elif args.decomposition == "2d":
-        decomp = CartesianDecomposition(grid.nx, grid.nr, args.px, args.pr)
-    else:
-        decomp = AxialDecomposition(grid.nx, comm.size)
+    decomp = CartesianDecomposition.named(
+        args.decomposition, grid.nx, grid.nr, comm.size, args.px, args.pr
+    )
     solver = BlockDistributedSolver(comm, grid, q0, config, decomp,
                                     version=args.version)
 

@@ -64,7 +64,7 @@ from .request import (
     ResilienceConfig,
     RunRequest,
 )
-from .scenarios import Scenario, scenario_by_name
+from .scenarios import Scenario
 
 __all__ = [
     "run",
@@ -242,18 +242,6 @@ def _profile_top(stats: dict, n: int) -> list[dict]:
             }
         )
     return rows
-
-
-def _resolve(scenario, **scenario_kw) -> Scenario:
-    if isinstance(scenario, Scenario):
-        if scenario_kw:
-            raise TypeError(
-                "scenario keyword arguments "
-                f"{sorted(scenario_kw)} are only valid when the scenario is "
-                "given by name; pass them to the scenario constructor instead"
-            )
-        return scenario
-    return scenario_by_name(scenario, **scenario_kw)
 
 
 def run(

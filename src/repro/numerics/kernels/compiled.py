@@ -6,8 +6,8 @@ the same move one rung further.  The fused backend's numpy ufunc chains
 are transcribed per element into the C translation unit in :mod:`_cc`,
 built once with the system compiler (``-ffp-contract=off``, no
 fast-math), called through ctypes (:class:`CcOps`) and dispatched through
-a :class:`CompiledWorkspace`, so every solver layer — serial, all three
-decompositions, every substrate — inherits the speedup without touching
+a :class:`CompiledWorkspace`, so every solver layer — serial, every
+decomposition, every substrate — inherits the speedup without touching
 the spatial or communication machinery.  That includes the viscous
 gradients at subdomain edges: ``k_visc`` takes the neighbours' ghost lines
 and differences across them centrally, exactly as the serial kernel does
@@ -69,33 +69,23 @@ def _ghost_planes(gh):
     return None if gh is None else _c_contig(np.asarray(gh))
 
 
-def _uvT_ghosts(halo, halo_axis: int, nx: int, nr: int) -> list:
-    """The four ``(u, v, T)`` ghost lines ``[xlo, xhi, rlo, rhi]`` of a
-    uvT halo in kernel layout, ``None`` at a physical boundary.
+def _uvT_ghosts(halo, nx: int, nr: int) -> list:
+    """The ``(xlo, xhi, rlo, rhi)`` lines of a uvT halo in kernel layout
+    (``None`` at a physical boundary; a ``None`` halo is four of them).
 
-    Accepts both shapes the distributed solver hands ``FluxModel``: an
-    ``(lo, hi)`` pair along ``halo_axis`` (0 = columns from the axial
-    neighbours, anything else = rows from the radial ones) or the 2-D
-    blocks' ``{'x': pair, 'r': pair}`` dict.  Every line is checked
-    against ``(3, n_perp)`` here, so the kernel never reads out of bounds.
+    Every line is checked against ``(3, n_perp)`` here, so the kernel
+    never reads out of bounds.
     """
-    if halo is None:
-        return [None] * 4
-    if isinstance(halo, dict):
-        pairs = (halo.get("x"), halo.get("r"))
-    else:
-        pairs = (halo, None) if halo_axis == 0 else (None, halo)
     lines = []
-    for pair, n_perp in zip(pairs, (nr, nx)):
-        for g in pair or (None, None):
-            if g is not None:
-                g = _c_contig(np.asarray(g))
-                if g.shape != (3, n_perp):
-                    raise ValueError(
-                        f"uvT ghost line has shape {g.shape}, expected "
-                        f"{(3, n_perp)} for a {(nx, nr)} block"
-                    )
-            lines.append(g)
+    for g, n_perp in zip(halo or (None,) * 4, (nr, nr, nx, nx)):
+        if g is not None:
+            g = _c_contig(np.asarray(g))
+            if g.shape != (3, n_perp):
+                raise ValueError(
+                    f"uvT ghost line has shape {g.shape}, expected "
+                    f"{(3, n_perp)} for a {(nx, nr)} block"
+                )
+        lines.append(g)
     return lines
 
 
@@ -170,13 +160,10 @@ class CcOps:
             self._p(q), self._p(u), self._p(v), self._p(p), self._p(G), u.size
         )
 
-    def visc(
-        self, F, tau_tt, ws, r, mu, k, dx, dr, radial, halo=None, halo_axis=0
-    ):
+    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial, halo=None):
         """Subtract the viscous flux from ``F`` (and store ``tau_tt`` when
-        ``radial``).  ``halo`` is the distributed solver's uvT halo — an
-        ``(lo, hi)`` pair along ``halo_axis`` or a ``{'x', 'r'}`` dict, see
-        :func:`_uvT_ghosts` — whose lines replace the one-sided edge
+        ``radial``).  ``halo`` is the distributed solver's uvT halo
+        ``(xlo, xhi, rlo, rhi)``, whose lines replace the one-sided edge
         stencils with the serial central differences."""
         nx, nr = ws.u.shape
         if nx < 3 or nr < 3:
@@ -186,7 +173,7 @@ class CcOps:
         # The ghost lines die with this call, so their pointers bypass the
         # identity cache (no finalizer per line); the local list keeps any
         # contiguous copy alive across the foreign call.
-        ghosts = _uvT_ghosts(halo, halo_axis, nx, nr)
+        ghosts = _uvT_ghosts(halo, nx, nr)
         self._lib.k_visc(
             self._p(F), self._p(tau_tt) if tau_tt is not None else None,
             self._p(ws.u), self._p(ws.v), self._p(ws.T), self._p(r),
@@ -344,7 +331,7 @@ class CompiledWorkspace(StepWorkspace):
         k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
         ops.visc(
             self.F, None, self, fm.r, mu, k, fm.dx, fm.dr, radial=False,
-            halo=uvT_halo, halo_axis=fm.halo_axis,
+            halo=uvT_halo,
         )
         return self.F
 
@@ -364,7 +351,7 @@ class CompiledWorkspace(StepWorkspace):
             k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
             ops.visc(
                 G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, radial=True,
-                halo=uvT_halo, halo_axis=fm.halo_axis,
+                halo=uvT_halo,
             )
         if not fm.config.axisymmetric:
             return G, self.S  # planar: unweighted flux, all-zero source

@@ -32,12 +32,7 @@ from ...physics.fluxes import (
     primitives_into,
     radial_inviscid_into,
 )
-from ...physics.viscous import (
-    assemble_stress,
-    field_gradients_2d,
-    gradient_axis,
-    stress_tensor,
-)
+from ...physics.viscous import gradient_axis, stress_tensor
 from .base import KernelBackend, StepWorkspace
 
 
@@ -65,7 +60,7 @@ def _mu(fm, ws: StepWorkspace):
 def _two_thirds_dilatation(ws: StepWorkspace, r: np.ndarray) -> None:
     """``ws.dilat <- (2/3)(du/dx + dv/dr + v/r)``; ``ws.t2a`` keeps ``v/r``.
 
-    Matches ``assemble_stress`` term for term: the sum associates as
+    Matches ``stress_tensor`` term for term: the sum associates as
     ``(du_dx + dv_dr) + v_over_r`` and ``v/r`` stays a true division.
     """
     np.divide(ws.v, r[None, :], out=ws.t2a)
@@ -88,26 +83,16 @@ def _heat_flux(g_t: np.ndarray, mu, gamma: float, out: np.ndarray) -> np.ndarray
 
 
 def _halo_stress(fm, ws: StepWorkspace, mu, uvT_halo):
-    """Viscous stress terms with neighbour ghost lines, any decomposition.
+    """Viscous stress terms across the neighbours' ghost lines.
 
-    A 2-D block decomposition passes its ``{'x': pair, 'r': pair}`` halo
-    dict; 1-axis decompositions pass an ``(lo, hi)`` pair.  Both routes use
-    the reference gradient machinery on the workspace primitives — the
+    The reference gradient machinery on the workspace primitives — the
     identical expressions the baseline backend evaluates, so the result is
     bitwise-equal.  This numpy path is the fused backend's and the oracle
     the compiled backend's ghost-aware ``k_visc`` is tested against
     (``tests/test_compiled.py``); the compiled backend never calls it.
     """
-    if isinstance(uvT_halo, dict):
-        grads = field_gradients_2d(
-            ws.u, ws.v, ws.T, fm.dx, fm.dr,
-            halo_x=uvT_halo.get("x"), halo_r=uvT_halo.get("r"),
-        )
-        return assemble_stress(grads, ws.v, fm.r, mu, fm.gamma)
     return stress_tensor(
-        ws.u, ws.v, ws.T, fm.r, fm.dx, fm.dr, mu, fm.gamma,
-        halo_lo=uvT_halo[0], halo_hi=uvT_halo[1],
-        halo_axis=min(fm.halo_axis, 1),
+        ws.u, ws.v, ws.T, fm.r, fm.dx, fm.dr, mu, fm.gamma, halo=uvT_halo
     )
 
 

@@ -22,7 +22,7 @@ solutions.  All benchmark experiments use the axisymmetric jet mode.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,11 +127,6 @@ class FluxModel:
         T = self.gamma * p * inv_rho
         return u, v, T
 
-    #: Axis of uvT halo lines: 0 = columns (axial decomposition), 1 = rows
-    #: (radial decomposition), 2 = both (2-D blocks, where ``uvT_halo`` is
-    #: a ``{'x': pair, 'r': pair}`` dict).  Set by the distributed solvers.
-    halo_axis: int = 0
-
     def _mu_field(self, T: np.ndarray):
         """Viscosity at the local temperature (scalar when constant)."""
         exp = self.config.mu_exponent
@@ -141,33 +136,9 @@ class FluxModel:
 
     def _viscous(self, q: np.ndarray, uvT_halo=None):
         u, v, T = self.primitives(q)
-        if self.halo_axis == 2 and uvT_halo is not None:
-            from ..physics.viscous import assemble_stress, field_gradients_2d
-
-            grads = field_gradients_2d(
-                u, v, T, self.dx, self.dr,
-                halo_x=uvT_halo.get("x"),
-                halo_r=uvT_halo.get("r"),
-            )
-            terms = assemble_stress(
-                grads, v, self.r, self._mu_field(T), self.gamma
-            )
-            return u, v, terms
-        halo_lo = halo_hi = None
-        if uvT_halo is not None:
-            halo_lo, halo_hi = uvT_halo
         terms = stress_tensor(
-            u,
-            v,
-            T,
-            self.r,
-            self.dx,
-            self.dr,
-            self._mu_field(T),
-            self.gamma,
-            halo_lo=halo_lo,
-            halo_hi=halo_hi,
-            halo_axis=min(self.halo_axis, 1),
+            u, v, T, self.r, self.dx, self.dr, self._mu_field(T), self.gamma,
+            halo=uvT_halo,
         )
         return u, v, terms
 
@@ -176,12 +147,13 @@ class FluxModel:
     ) -> np.ndarray:
         """Total axial flux ``F`` (no radial weight: r is constant in x).
 
-        ``uvT_halo = (lo, hi)`` optionally supplies neighbour ghost columns
-        of ``(u, v, T)`` so viscous gradients at subdomain edges match the
-        serial interior arithmetic.  ``ws`` selects the workspace's
-        zero-allocation kernels — fused numpy in-place ufuncs, or native
-        loops when the workspace came from the compiled backend (result
-        lands in ``ws.F``, bitwise-identical either way);
+        ``uvT_halo = (xlo, xhi, rlo, rhi)`` optionally supplies the
+        neighbours' ghost lines of ``(u, v, T)`` so viscous gradients at
+        subdomain edges match the serial interior arithmetic.  ``ws``
+        selects the workspace's zero-allocation kernels — fused numpy
+        in-place ufuncs, or native loops when the workspace came from the
+        compiled backend (result lands in ``ws.F``, bitwise-identical
+        either way);
         ``primitives_ready`` says the workspace primitive buffers already
         hold this ``q``'s values (set by the distributed halo packing).
         """
@@ -261,9 +233,9 @@ class CompressibleSolver:
         self._trace_rank = 0
         self.backend = resolve_backend(self.config.backend)
         self._ws = self.backend.step_workspace(self)
-        #: Split operators cached per variant (their workspaces close over
-        #: ``self`` and read mutable state lazily, so reuse is safe).  Also
-        #: holds the outflow helper's radial operator under ("ofw", variant).
+        #: Split operators cached per variant (their workspaces read mutable
+        #: state lazily, so reuse is safe).  Also holds the outflow helper's
+        #: radial operator under ("ofw", variant).
         self._ops_cache: dict = {}
         #: Filter index tuples cached per axis (rebuilt-per-step before).
         self._filter_ix: dict[int, list[tuple]] = {}
@@ -291,12 +263,15 @@ class CompressibleSolver:
             self._sponge_col = None
 
     # -- sweep plumbing ------------------------------------------------------
+    # The sweep closures below capture the flux model and the workspace,
+    # never ``self``: the operators they end up in are cached on the solver
+    # (``_ops_cache``), so a closure over ``self`` would be a reference
+    # cycle that keeps the whole workspace alive until a gen-2 collection.
     def _x_workspace(self) -> SweepWorkspace:
-        cfg = self.config
-        ws = self._ws
-        flux = lambda q, ph: (self.fm.axial_flux(q, ws=ws), None)
+        fm, ws = self.fm, self._ws
+        flux = lambda q, ph: (fm.axial_flux(q, ws=ws), None)
         scratch = ws.sweep_x if ws is not None else None
-        if cfg.periodic_x:
+        if self.config.periodic_x:
             return SweepWorkspace(
                 flux=flux,
                 low_ghosts=lambda f, ph: _wrap_ghosts(f, 1, "low"),
@@ -307,21 +282,20 @@ class CompressibleSolver:
 
     def _r_workspace(self) -> SweepWorkspace:
         base = self._r_workspace_serial()
-        ws = self._ws
+        fm, ws = self.fm, self._ws
         if ws is None:
             return base
-        return SweepWorkspace(
-            flux=lambda q, ph: self.fm.radial_flux(q, ws=ws),
-            low_ghosts=base.low_ghosts,
-            high_ghosts=base.high_ghosts,
-            inv_weight=base.inv_weight,
+        return replace(
+            base,
+            flux=lambda q, ph: fm.radial_flux(q, ws=ws),
             scratch=ws.sweep_r,
         )
 
     def _r_workspace_serial(self) -> SweepWorkspace:
-        """Halo-free radial workspace (also used by the outflow helper,
-        whose 5-column window is always local to the owning rank)."""
+        """Halo-free radial workspace on the allocating kernels (also used
+        by the outflow helper, whose 5-column window is not state-shaped)."""
         cfg = self.config
+        fm = self.fm
         if cfg.periodic_r:
             low = lambda f, ph: _wrap_ghosts(f, 2, "low")
             high = lambda f, ph: _wrap_ghosts(f, 2, "high")
@@ -332,7 +306,7 @@ class CompressibleSolver:
             low = lambda f, ph: None
             high = lambda f, ph: None
         return SweepWorkspace(
-            flux=lambda q, ph: self.fm.radial_flux(q),
+            flux=lambda q, ph: fm.radial_flux(q),
             low_ghosts=low,
             high_ghosts=high,
             inv_weight=self._inv_weight,
@@ -348,9 +322,9 @@ class CompressibleSolver:
     def _cached_operators(self, variant: int):
         """The per-variant operator pair, constructed once and reused.
 
-        Safe for every solver subclass because the sweep workspaces close
-        over ``self`` and read mutable state (``nstep``, halo tags) at call
-        time, not construction time.
+        Safe for every solver subclass because the sweep workspaces read
+        mutable state (``nstep``, halo tags) at call time, not construction
+        time.
         """
         ops = self._ops_cache.get(variant)
         if ops is None:

@@ -1,8 +1,9 @@
 """The paper's core contribution: parallelization of the jet solver.
 
-* :mod:`repro.parallel.decomposition` — block domain decompositions.  The
-  paper decomposes "by blocks along the axial direction only" (Section 5);
-  the radial variant it defers to future work (Section 8) is also provided.
+* :mod:`repro.parallel.decomposition` — the ``px x pr`` block domain
+  decomposition.  The paper decomposes "by blocks along the axial direction
+  only" (Section 5), here ``nranks x 1``; the radial variant it defers to
+  future work (Section 8) is ``1 x nranks``.
 * :mod:`repro.parallel.versions` — the optimization-version registry
   (V1..V5 single-processor optimizations, V6 overlapped communication,
   V7 de-burstified communication).
@@ -12,19 +13,18 @@
   (the predictor/corrector flux pairs for the one-sided stencils and the
   filter's state halo, one table-driven operation).
 * :mod:`repro.parallel.spmd` — the one per-rank distributed solver, over
-  any decomposition object (bitwise identical to the serial solver for
-  every decomposition, processor count and version).
+  any block grid (bitwise identical to the serial solver for every
+  decomposition, processor count and version).
 * :mod:`repro.parallel.runner` — high-level facade over the virtual cluster.
 """
 
-from .decomposition import AxialDecomposition, RadialDecomposition
+from .decomposition import CartesianDecomposition
 from .versions import VERSIONS, Version, version_by_number
 from .halo import ExchangePolicy
 from .runner import ParallelJetSolver, ParallelRunResult
 
 __all__ = [
-    "AxialDecomposition",
-    "RadialDecomposition",
+    "CartesianDecomposition",
     "Version",
     "VERSIONS",
     "version_by_number",

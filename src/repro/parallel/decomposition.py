@@ -1,20 +1,19 @@
-"""Block domain decompositions and their halo topologies.
+"""The block domain decomposition and its halo topology.
 
 The paper chose, "after some experimentation, to decompose the domain by
 blocks along the axial direction only" (Section 5): each processor owns a
 contiguous slab of axial columns with full radial extent, so only the
 axial sweep needs halo exchange and messages group naturally into long
-column vectors.  :class:`RadialDecomposition` implements the radial
-blocking the paper leaves to future work (Section 8), and
-:class:`CartesianDecomposition` the general ``px x pr`` grid of blocks.
+column vectors.  It leaves radial blocking to future work (Section 8).
+Here both are instances of the one :class:`CartesianDecomposition`, a
+``px x pr`` grid of blocks: ``"axial"`` is ``nranks x 1``, ``"radial"`` is
+``1 x nranks`` (:meth:`CartesianDecomposition.named` is the only place the
+public names are mapped).  An axis exchanges halos exactly when it is
+split, which every rank reads off its own :class:`HaloTopology`.
 
-Every decomposition exposes the same interface, consumed by the unified
-:class:`~repro.parallel.spmd.BlockDistributedSolver`:
+The :class:`~repro.parallel.spmd.BlockDistributedSolver` consumes:
 
-* ``halo_axis`` — orientation of the uvT ghost lines (0 = columns,
-  1 = rows, 2 = both, matching ``FluxModel.halo_axis``);
-* ``topology(rank)`` — the rank's :class:`HaloTopology` (neighbour map
-  plus which array axes exchange halos);
+* ``topology(rank)`` — the rank's :class:`HaloTopology` (neighbour map);
 * ``local_block(rank)`` / ``local_grid(global_grid, rank)`` — the slices
   and subgrid of the rank's block;
 * ``assemble(parts)`` — reassemble gathered per-rank blocks into the
@@ -37,16 +36,14 @@ MIN_BLOCK = 5
 
 @dataclass(frozen=True)
 class HaloTopology:
-    """One rank's neighbour map and exchange requirements.
+    """One rank's neighbour map.
 
     ``left``/``right`` are the axial (axis-1) neighbours and
     ``lower``/``upper`` the radial (axis-2) neighbours; ``None`` marks a
-    physical boundary.  ``exchanges_x``/``exchanges_r`` say whether the
-    decomposition splits that array axis at all — they gate which sweep
-    ghost callbacks, filter halos and boundary collectives a rank
-    installs (a flag can be set with all neighbours ``None``: a 1-rank
-    run then degenerates to the serial arithmetic because every exchange
-    returns ``None``).
+    physical boundary.  Every rank of a split axis has a neighbour across
+    it, so ``exchanges_x``/``exchanges_r`` — which gate the sweep ghost
+    callbacks, filter halos and boundary collectives a rank installs — are
+    read off the map rather than stored beside it.
     """
 
     rank: int
@@ -54,8 +51,26 @@ class HaloTopology:
     right: int | None
     lower: int | None
     upper: int | None
-    exchanges_x: bool
-    exchanges_r: bool
+
+    def neighbours(self, axis: int) -> tuple[int | None, int | None]:
+        """``(low, high)`` neighbours across ``(4, nx, nr)`` array axis
+        ``axis`` (1 = axial, 2 = radial)."""
+        if axis == 1:
+            return self.left, self.right
+        return self.lower, self.upper
+
+    def exchanges(self, axis: int) -> bool:
+        """Whether array axis ``axis`` is split (has a neighbour across it)."""
+        low, high = self.neighbours(axis)
+        return low is not None or high is not None
+
+    @property
+    def exchanges_x(self) -> bool:
+        return self.exchanges(1)
+
+    @property
+    def exchanges_r(self) -> bool:
+        return self.exchanges(2)
 
 
 @dataclass(frozen=True)
@@ -118,81 +133,6 @@ class BlockDecomposition1D:
         return slice(lo, hi)
 
 
-class AxialDecomposition(BlockDecomposition1D):
-    """The paper's decomposition: axial slabs with full radial extent."""
-
-    axis = 1  # array axis of (4, nx, nr) states
-    halo_axis = 0  # uvT ghost lines are columns
-
-    def __init__(self, nx: int, nparts: int) -> None:
-        super().__init__(n=nx, nparts=nparts)
-
-    @property
-    def nx(self) -> int:
-        return self.n
-
-    def topology(self, rank: int) -> HaloTopology:
-        left, right = self.neighbors(rank)
-        return HaloTopology(
-            rank, left, right, None, None,
-            exchanges_x=True, exchanges_r=False,
-        )
-
-    def local_block(self, rank: int) -> tuple[slice, slice]:
-        return self.local_slice(rank), slice(None)
-
-    def local_grid(self, global_grid, rank: int):
-        lo, hi = self.bounds(rank)
-        return global_grid.subgrid(lo, hi)
-
-    def assemble(self, parts: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(parts, axis=1)
-
-    def top_radial_size(self) -> int | None:
-        return None  # every rank owns the full radial extent
-
-
-class RadialDecomposition(BlockDecomposition1D):
-    """Radial blocking (the paper's Section 8 future-work variant).
-
-    Messages become *row* segments of length ``nx`` per exchange instead of
-    columns of length ``nr``; with the paper's 250 x 100 grid this more
-    than doubles the per-message volume while the sweep structure forces
-    exchanges in the radial operator instead — the extension benchmark
-    quantifies the difference.
-    """
-
-    axis = 2
-    halo_axis = 1  # uvT ghost lines are rows
-
-    def __init__(self, nr: int, nparts: int) -> None:
-        super().__init__(n=nr, nparts=nparts)
-
-    @property
-    def nr(self) -> int:
-        return self.n
-
-    def topology(self, rank: int) -> HaloTopology:
-        lower, upper = self.neighbors(rank)
-        return HaloTopology(
-            rank, None, None, lower, upper,
-            exchanges_x=False, exchanges_r=True,
-        )
-
-    def local_block(self, rank: int) -> tuple[slice, slice]:
-        return slice(None), self.local_slice(rank)
-
-    def local_grid(self, global_grid, rank: int):
-        lo, hi = self.bounds(rank)
-        return global_grid.radial_subgrid(lo, hi)
-
-    def assemble(self, parts: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(parts, axis=2)
-
-    def top_radial_size(self) -> int | None:
-        return self.size(self.nparts - 1)
-
-
 @dataclass(frozen=True)
 class CartesianDecomposition:
     """A ``px x pr`` grid of blocks; ``rank = ix * pr + jr``."""
@@ -202,24 +142,67 @@ class CartesianDecomposition:
     px: int
     pr: int
 
-    halo_axis = 2  # uvT ghost lines along both axes
-
     def __post_init__(self) -> None:
-        # Constructing the 1-D decompositions validates the block sizes.
+        # Constructing the 1-D partitions validates the block sizes.
         self.axial  # noqa: B018
         self.radial  # noqa: B018
+
+    @classmethod
+    def named(
+        cls,
+        name: str,
+        nx: int,
+        nr: int,
+        nranks: int,
+        px: int | None = None,
+        pr: int | None = None,
+    ) -> "CartesianDecomposition":
+        """The decomposition behind the public ``decomposition=`` names:
+        ``"axial"`` = ``nranks x 1`` (the paper's choice), ``"radial"`` =
+        ``1 x nranks`` (its Section-8 variant), ``"2d"`` = ``px x pr``."""
+        if name == "axial":
+            return cls(nx, nr, nranks, 1)
+        if name == "radial":
+            return cls(nx, nr, 1, nranks)
+        if name != "2d":
+            raise ValueError(
+                f"decomposition must be 'axial', 'radial' or '2d', got {name!r}"
+            )
+        if px is None or pr is None or px * pr != nranks:
+            raise ValueError(
+                "2d decomposition needs px and pr with px * pr == nranks"
+            )
+        return cls(nx, nr, px, pr)
+
+    def reject_split_periodic(self, periodic_x: bool, periodic_r: bool) -> None:
+        """Refuse a configuration whose periodic wrap would cross ranks.
+
+        No exchange carries a wrap from the last block of an axis round to
+        the first, so both end blocks would extrapolate instead — a run
+        that "succeeds" with a wrong answer.
+        """
+        for axis, periodic, parts in (
+            ("x", periodic_x, self.px), ("r", periodic_r, self.pr)
+        ):
+            if periodic and parts > 1:
+                raise ValueError(
+                    f"periodic_{axis} cannot be combined with {parts} blocks "
+                    f"along {axis}: the wrap would have to cross ranks.  "
+                    "Split only an axis that is not periodic "
+                    "(decomposition=), or run serially (nprocs=1)."
+                )
 
     @property
     def nparts(self) -> int:
         return self.px * self.pr
 
     @property
-    def axial(self) -> AxialDecomposition:
-        return AxialDecomposition(self.nx, self.px)
+    def axial(self) -> BlockDecomposition1D:
+        return BlockDecomposition1D(self.nx, self.px)
 
     @property
-    def radial(self) -> RadialDecomposition:
-        return RadialDecomposition(self.nr, self.pr)
+    def radial(self) -> BlockDecomposition1D:
+        return BlockDecomposition1D(self.nr, self.pr)
 
     def coords(self, rank: int) -> tuple[int, int]:
         """``(ix, jr)`` block coordinates of a rank."""
@@ -245,11 +228,7 @@ class CartesianDecomposition:
         return left, right, lower, upper
 
     def topology(self, rank: int) -> HaloTopology:
-        left, right, lower, upper = self.neighbors(rank)
-        return HaloTopology(
-            rank, left, right, lower, upper,
-            exchanges_x=True, exchanges_r=True,
-        )
+        return HaloTopology(rank, *self.neighbors(rank))
 
     def local_block(self, rank: int) -> tuple[slice, slice]:
         (ilo, ihi), (jlo, jhi) = self.block(rank)
@@ -267,4 +246,6 @@ class CartesianDecomposition:
         return np.concatenate(columns, axis=1)
 
     def top_radial_size(self) -> int | None:
+        if self.pr == 1:
+            return None  # every rank owns the full radial extent
         return self.radial.size(self.pr - 1)

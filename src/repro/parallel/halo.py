@@ -7,7 +7,8 @@ A rank's :class:`ExchangePlan` implements exactly those grouped messages
 for the distributed solver, through two entry points:
 
 * :meth:`ExchangePlan.uvT` — one packed ``(u, v, T)`` edge line to each
-  neighbour, for the viscous stress gradients (Navier-Stokes only);
+  neighbour, for the viscous stress gradients (Navier-Stokes only),
+  returned in the one ``(xlo, xhi, rlo, rhi)`` shape the kernels take;
 * :meth:`ExchangePlan.exchange` — the one send-two-lines /
   receive-two-lines operation, in four kinds (:data:`_KINDS`):
   ``flux_high`` / ``flux_low`` carry the two flux lines feeding the
@@ -220,38 +221,58 @@ class ExchangePlan:
         self.comm = comm
         self.topo = topology
         self.policy = policy
-        self.left, self.right = topology.left, topology.right
-        self.lower, self.upper = topology.lower, topology.upper
-        self._uvT_x = np.empty((3, nr)) if topology.exchanges_x else None
-        self._pair_x = np.empty((nvars, 2, nr)) if topology.exchanges_x else None
-        self._uvT_r = np.empty((3, nx)) if topology.exchanges_r else None
-        self._pair_r = np.empty((nvars, 2, nx)) if topology.exchanges_r else None
+        split_x, split_r = topology.exchanges_x, topology.exchanges_r
+        self._uvT_x = np.empty((3, nr)) if split_x else None
+        self._pair_x = np.empty((nvars, 2, nr)) if split_x else None
+        self._uvT_r = np.empty((3, nx)) if split_r else None
+        self._pair_r = np.empty((nvars, 2, nx)) if split_r else None
+        # Wire-tag suffixes of the per-axis uvT exchanges: needed only to
+        # tell the two apart, i.e. when both axes are split.
+        self._uvT_axes = tuple(
+            (axis, suffix if split_x and split_r else "")
+            for axis, split, suffix in ((1, split_x, ":hx"), (2, split_r, ":hr"))
+            if split
+        )
 
     def _route(self, axis: int, uvT: bool, n_perp: int):
         """``(low neighbour, high neighbour, pack buffer or None)``."""
+        topo = self.topo
         if axis == 1:
-            lo, hi = self.left, self.right
+            lo, hi = topo.left, topo.right
             buf = self._uvT_x if uvT else self._pair_x
         else:
-            lo, hi = self.lower, self.upper
+            lo, hi = topo.lower, topo.upper
             buf = self._uvT_r if uvT else self._pair_r
         if buf is not None and buf.shape[-1] != n_perp:
             buf = None
         return lo, hi, buf
 
-    def uvT(self, axis: int, tag: str, u, v, T):
+    def uvT(self, tag: str, u, v, T, include_x: bool = True):
         """Exchange one packed ``(u, v, T)`` ghost line with each neighbour.
 
-        ``axis = 1`` exchanges edge *columns* (axial neighbours), ``axis =
-        2`` edge *rows* (radial neighbours).  Returns ``(halo_lo,
-        halo_hi)`` — each a ``(3, n_perp)`` array or ``None`` at a
-        physical boundary — for the viscous edge gradients
-        (:func:`repro.physics.viscous.field_gradients` on the numpy
-        backends, the ghost-aware C kernel on the compiled one).  The one
-        pack buffer serves both directions because sends are buffered:
-        the payload is copied before ``send`` returns.
+        Edge *columns* go to the axial neighbours and edge *rows* to the
+        radial ones (``include_x=False`` skips the former: the outflow
+        window differences one-sidedly along ``x``, as the serial helper
+        does).  Returns ``(xlo, xhi, rlo, rhi)`` — each a ``(3, n_perp)``
+        array, or ``None`` at a physical boundary — the shape
+        :func:`repro.physics.viscous.field_gradients` and the ghost-aware C
+        kernel both take; ``None`` when no axis exchanged.  Each axis is
+        one traced exchange; its wire tag carries an ``:hx``/``:hr`` suffix
+        only when both axes are split.  The one pack buffer per axis
+        serves both directions because sends are buffered: the payload is
+        copied before ``send`` returns.
         """
-        return _traced("uvT", self.comm, tag, self._uvT, axis, tag, u, v, T)
+        lines = None
+        for axis, suffix in self._uvT_axes:
+            if axis == 1 and not include_x:
+                continue
+            if lines is None:
+                lines = [None] * 4
+            t = tag + suffix
+            lines[2 * axis - 2 : 2 * axis] = _traced(
+                "uvT", self.comm, t, self._uvT, axis, t, u, v, T
+            )
+        return None if lines is None else tuple(lines)
 
     def _uvT(self, axis, tag, u, v, T):
         comm = self.comm

@@ -31,11 +31,7 @@ from ..numerics.solver import SolverConfig
 from ..obs import Trace, Tracer, get_flight, get_tracer, use_tracer
 from ..physics.state import FlowState
 from .checkpoint import CheckpointStore, Snapshot
-from .decomposition import (
-    AxialDecomposition,
-    CartesianDecomposition,
-    RadialDecomposition,
-)
+from .decomposition import CartesianDecomposition
 from .spmd import BlockDistributedSolver
 
 
@@ -147,27 +143,20 @@ class ParallelJetSolver:
         overlap: bool | None = None,
     ) -> None:
         from ..faults import resolve_fault_plan
-        if substrate not in ("virtual", "process"):
-            raise ValueError(
-                f"substrate must be 'virtual' or 'process', got {substrate!r}"
-            )
-        if decomposition not in ("axial", "radial", "2d"):
-            raise ValueError(
-                f"decomposition must be 'axial', 'radial' or '2d', got "
-                f"{decomposition!r}"
-            )
-        if decomposition == "2d":
-            if px is None or pr is None or px * pr != nranks:
-                raise ValueError(
-                    "2d decomposition needs px and pr with px * pr == nranks"
-                )
         self.global_grid: Grid = state.grid
         self.q0 = state.q.copy()
         self.config = config or SolverConfig()
         self.nranks = nranks
         self.version = version
-        self.decomposition = decomposition
-        self.px, self.pr = px, pr
+        # Built (and checked) here, in the caller: a block too thin for the
+        # stencil or a split periodic axis is a plain ValueError before any
+        # rank thread or process starts.
+        self.decomp = CartesianDecomposition.named(
+            decomposition, state.grid.nx, state.grid.nr, nranks, px, pr
+        )
+        self.decomp.reject_split_periodic(
+            self.config.periodic_x, self.config.periodic_r
+        )
         self.timeout = timeout
         self.substrate = substrate
         self.faults = resolve_fault_plan(faults)
@@ -177,15 +166,8 @@ class ParallelJetSolver:
 
     def _make_solver(self, comm, q_global: np.ndarray):
         """Build the per-rank solver from a (possibly restored) global q."""
-        grid = self.global_grid
-        if self.decomposition == "radial":
-            decomp = RadialDecomposition(grid.nr, self.nranks)
-        elif self.decomposition == "2d":
-            decomp = CartesianDecomposition(grid.nx, grid.nr, self.px, self.pr)
-        else:
-            decomp = AxialDecomposition(grid.nx, self.nranks)
         return BlockDistributedSolver(
-            comm, grid, q_global, self.config, decomp,
+            comm, self.global_grid, q_global, self.config, self.decomp,
             version=self.version, overlap=self.overlap,
         )
 
@@ -225,6 +207,7 @@ class ParallelJetSolver:
                 if plan is not None and plan.enabled
                 else comm
             )
+            solver = None
             try:
                 solver = self._make_solver(fcomm, start.q)
                 if start.step:
@@ -254,6 +237,8 @@ class ParallelJetSolver:
                     fcomm.fault_stats if fcomm is not comm else None,
                 )
             finally:
+                if solver is not None:
+                    solver.close()
                 if fcomm is not comm:
                     fcomm.drain()
 

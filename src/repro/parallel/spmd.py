@@ -2,45 +2,45 @@
 
 :class:`BlockDistributedSolver` subclasses the serial
 :class:`~repro.numerics.solver.CompressibleSolver` and overrides exactly the
-points where subdomain boundaries appear, for *any* block decomposition
-(axial, radial, or 2-D Cartesian) described by its
+points where subdomain boundaries appear, for any ``px x pr`` block
+decomposition, as described by the rank's
 :class:`~repro.parallel.decomposition.HaloTopology`:
 
 * viscous gradients receive neighbour ``(u, v, T)`` ghost lines on every
-  decomposed axis;
+  split axis;
 * the one-sided flux stencils receive neighbour flux lines on the side the
   current predictor/corrector phase differences toward;
 * the fourth-difference filter receives two conservative-state lines per
-  decomposed axis;
+  split axis;
 * the stable ``dt`` is the all-reduce minimum of the per-block values;
 * boundary treatments run only on the ranks owning them: inflow on ranks
   with no left neighbour, characteristic outflow on ranks with no right
   neighbour (a *collective* among radial neighbours when the radial axis is
-  decomposed), axis mirror on ranks with no lower neighbour, and the
-  far-field sponge on ranks with no upper neighbour.
+  split), and the far-field sponge on ranks with no upper neighbour.
 
-All exchanges go through a per-rank
-:class:`~repro.parallel.halo.ExchangePlan` with preallocated pack buffers,
-so the fused :class:`~repro.numerics.kernels.StepWorkspace` works for every
-decomposition.  Because every ghost is *real* neighbour data entering the
-identical vectorized expressions, the distributed solver is
-bitwise-identical to the serial solver for any decomposition, processor
-count, communication version, and substrate — verified by the test suite.
-This mirrors the paper's property that its parallelization changes
-performance, never the numerics.
+There is one boundary rule and it lives in the serial solver: a block side
+with a neighbour takes the neighbour's lines through the rank's
+:class:`~repro.parallel.halo.ExchangePlan`; a side on a physical boundary
+takes exactly what the serial solver's halo-free workspace returns for
+that side (axis mirror, cubic extrapolation or periodic wrap).  Because
+every ghost is either *real* neighbour data or the serial solver's own
+answer, entering the identical vectorized expressions, the distributed
+solver is bitwise-identical to the serial solver for any decomposition,
+processor count, communication version, and substrate — verified by the
+test suite.  This mirrors the paper's property that its parallelization
+changes performance, never the numerics.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from functools import partial
 
 import numpy as np
 
 from ..grid import Grid
 from ..msglib.api import Communicator
-from ..numerics.boundary import (
-    AXIS_STATE_SIGNS,
-    apply_axis_ghosts,
-    characteristic_outflow_rates,
-)
+from ..numerics.boundary import characteristic_outflow_rates
 from ..numerics.maccormack import PREDICTOR, SplitOperator, SweepWorkspace
 from ..numerics.solver import CompressibleSolver, SolverConfig
 from ..numerics.timestep import stable_dt
@@ -73,10 +73,9 @@ class BlockDistributedSolver(CompressibleSolver):
         The same :class:`~repro.numerics.solver.SolverConfig` the serial
         solver takes.
     decomp:
-        The block decomposition (an
-        :class:`~repro.parallel.decomposition.AxialDecomposition`,
-        ``RadialDecomposition`` or ``CartesianDecomposition``); its
-        ``nparts`` must equal ``comm.size``.
+        The :class:`~repro.parallel.decomposition.CartesianDecomposition`;
+        its ``nparts`` must equal ``comm.size`` and it must not split a
+        periodic axis.
     version:
         Paper code version (5, 6 or 7) controlling message grouping.
     overlap:
@@ -103,12 +102,11 @@ class BlockDistributedSolver(CompressibleSolver):
                 f"decomposition has {decomp.nparts} blocks but the "
                 f"communicator has {comm.size} ranks"
             )
+        decomp.reject_split_periodic(config.periodic_x, config.periodic_r)
         self.comm = comm
         self._overlap = False  # finalized below, after the workspace exists
         self.decomp = decomp
         self.topo = decomp.topology(comm.rank)
-        self.left, self.right = self.topo.left, self.topo.right
-        self.lower, self.upper = self.topo.lower, self.topo.upper
         if isinstance(version, int):
             version = version_by_number(version)
         self.version = version
@@ -129,7 +127,6 @@ class BlockDistributedSolver(CompressibleSolver):
         ):
             raise ValueError("sponge width exceeds the top radial slab")
         super().__init__(local_state, config)
-        self.fm.halo_axis = decomp.halo_axis
         # The overlapped rate path lives in the scratch-backed _rate_into,
         # so overlap needs a workspace; without one (baseline backend) the
         # solver degrades to the blocking exchange.
@@ -169,233 +166,120 @@ class BlockDistributedSolver(CompressibleSolver):
     def _tag(self, op: str, phase: str = "") -> str:
         return f"{self.nstep}:{op}:{phase}"
 
-    def _active_high(self, variant: int, phase: str) -> bool:
-        """Forward differencing (consuming high ghosts) for this phase?"""
-        return (variant == 1) == (phase == PREDICTOR)
-
     # -- halo-aware flux evaluation ------------------------------------------
-    def _uvT_exchange(self, u, v, T, tag: str, include_x: bool = True):
-        """Route the packed ``(u, v, T)`` edge lines per the topology.
-
-        Returns the halo in the shape ``FluxModel`` expects for this
-        decomposition's ``halo_axis``: an ``(lo, hi)`` pair for 1-axis
-        decompositions, a ``{'x': pair, 'r': pair}`` dict for 2-D blocks,
-        or ``None`` when nothing was exchanged.
-        """
-        axis = self.fm.halo_axis
-        if axis == 0:
-            if self.left is None and self.right is None:
-                return None
-            return self.plan.uvT(1, tag, u, v, T)
-        if axis == 1:
-            if self.lower is None and self.upper is None:
-                return None
-            return self.plan.uvT(2, tag, u, v, T)
-        halo_x = None
-        if include_x and (self.left is not None or self.right is not None):
-            halo_x = self.plan.uvT(1, f"{tag}:hx", u, v, T)
-        halo_r = None
-        if self.lower is not None or self.upper is not None:
-            halo_r = self.plan.uvT(2, f"{tag}:hr", u, v, T)
-        if halo_x is None and halo_r is None:
-            return None
-        return {"x": halo_x, "r": halo_r}
-
     def _uvT_halo(self, q: np.ndarray, tag: str, include_x: bool = True):
         """Exchange the paper's velocity/temperature ghost lines."""
         if not self.fm.mu:
             return None
         u, v, T = self.fm.primitives(q)
-        return self._uvT_exchange(u, v, T, tag, include_x)
+        return self.plan.uvT(tag, u, v, T, include_x)
 
-    def _uvT_halo_fused(self, q: np.ndarray, tag: str):
-        """Halo exchange with primitives evaluated once into the workspace.
+    def _flux(self, axis: int, q: np.ndarray, phase: str):
+        """Halo-aware split flux along ``axis`` as ``(flux, source)``.
 
-        Returns ``(halo, primitives_ready)``: the workspace flux kernels
-        skip their own primitive evaluation when the packing already did
-        it (bitwise the same values either way).  Dispatching through
-        ``ws.primitives_into`` keeps the evaluation on whichever backend
-        owns the workspace (fused numpy or compiled native loops).
+        With a workspace the primitives are evaluated once into it —
+        through ``ws.primitives_into``, so on whichever backend owns the
+        workspace — packed from there, and the flux kernels told to skip
+        their own evaluation (bitwise the same values either way).
         """
-        ws = self._ws
-        fm = self.fm
-        if not fm.mu:
-            return None, False
-        ws.primitives_into(fm, q)
-        return self._uvT_exchange(ws.u, ws.v, ws.T, tag), True
-
-    def _flux_x(self, q, phase):
-        """Halo-aware axial flux (fused when a workspace exists)."""
-        tag = self._tag("x", phase)
-        ws = self._ws
+        tag = self._tag("x" if axis == 1 else "r", phase)
+        fm, ws = self.fm, self._ws
+        evaluate = fm.axial_flux if axis == 1 else fm.radial_flux
         if ws is None:
-            return self.fm.axial_flux(q, uvT_halo=self._uvT_halo(q, tag))
-        halo, ready = self._uvT_halo_fused(q, tag)
-        return self.fm.axial_flux(q, uvT_halo=halo, ws=ws, primitives_ready=ready)
+            out = evaluate(q, uvT_halo=self._uvT_halo(q, tag))
+        else:
+            halo, ready = None, bool(fm.mu)
+            if ready:
+                ws.primitives_into(fm, q)
+                halo = self.plan.uvT(tag, ws.u, ws.v, ws.T)
+            out = evaluate(q, uvT_halo=halo, ws=ws, primitives_ready=ready)
+        return (out, None) if axis == 1 else out
 
-    def _flux_r(self, q, phase):
-        """Halo-aware radial flux (fused when a workspace exists)."""
-        tag = self._tag("r", phase)
-        ws = self._ws
-        if ws is None:
-            return self.fm.radial_flux(q, uvT_halo=self._uvT_halo(q, tag))
-        halo, ready = self._uvT_halo_fused(q, tag)
-        return self.fm.radial_flux(q, uvT_halo=halo, ws=ws, primitives_ready=ready)
+    # -- ghost supply ----------------------------------------------------------
+    def _halo_sweep(
+        self, axis: int, variant: int, op: str, base: SweepWorkspace, flux
+    ) -> SweepWorkspace:
+        """``base`` — the serial solver's workspace for this sweep — with
+        the halo-aware ``flux`` and, on a split axis, the neighbours' flux
+        lines on every side that has a neighbour.
 
-    def _x_workspace(self, variant: int) -> SweepWorkspace:  # type: ignore[override]
-        solver = self
-        ws = self._ws
-        flux = lambda q, phase: (solver._flux_x(q, phase), None)
-        scratch = ws.sweep_x if ws is not None else None
-        if not self.topo.exchanges_x:
-            # The axial direction is not decomposed: cubic ghosts as in
-            # the serial code.
-            return SweepWorkspace(flux=flux, scratch=scratch)
-
-        def high_ghosts(F, phase):
-            # Forward differencing consumes high-side ghosts.
-            if solver._active_high(variant, phase):
-                return solver.plan.exchange(
-                    "flux_high", 1, solver._tag("x", phase), F
-                )
-            return None
-
-        def low_ghosts(F, phase):
-            if not solver._active_high(variant, phase):
-                return solver.plan.exchange(
-                    "flux_low", 1, solver._tag("x", phase), F
-                )
-            return None
-
-        post_ghosts = None
-        if self._overlap:
-
-            def post_ghosts(F, phase):
-                # Split phase: deposit send legs + post the receive for
-                # the side this phase differences toward; the provisional
-                # pass uses cubic ghosts on both sides (the inactive side
-                # is never read by the one-sided stencil, the in-flight
-                # side is recomputed from the real ghosts at finish).
-                high = solver._active_high(variant, phase)
-                pending = solver.plan.exchange(
-                    "flux_high" if high else "flux_low", 1,
-                    solver._tag("x", phase), F, post=True,
-                )
-                return None, None, pending
-
-        return SweepWorkspace(
-            flux=flux,
-            low_ghosts=low_ghosts,
-            high_ghosts=high_ghosts,
-            scratch=scratch,
-            post_ghosts=post_ghosts,
-        )
-
-    def _radial_ghost_callbacks(self, variant: int, tag_op: str):
-        """Low/high ghost providers for an r-sweep over a radial block."""
-        solver = self
-
-        def low_ghosts(rG, phase):
-            if not solver._active_high(variant, phase):  # backward: low side
-                # Every rank participates (the exchange's *send* leg must
-                # run even on ranks with no lower neighbour, or their
-                # upper neighbour deadlocks); ranks at the axis get None
-                # back and mirror instead.
-                ghosts = solver.plan.exchange(
-                    "flux_low", 2, solver._tag(tag_op, phase), rG
-                )
-                if ghosts is None:
-                    return apply_axis_ghosts(rG)
-                return ghosts
-            # Inactive side: values unused by the one-sided stencil.  Ranks
-            # at the axis still mirror (matches serial); others extrapolate.
-            if solver.lower is None:
-                return apply_axis_ghosts(rG)
-            return None
-
-        def high_ghosts(rG, phase):
-            if solver._active_high(variant, phase):
-                # None at the far field selects cubic extrapolation, as in
-                # the serial solver; the send leg runs on every rank.
-                return solver.plan.exchange(
-                    "flux_high", 2, solver._tag(tag_op, phase), rG
-                )
-            return None
-
-        return low_ghosts, high_ghosts
-
-    def _radial_post_ghosts(self, variant: int, tag_op: str):
-        """Split-phase ghost supply for an r-sweep over a radial block.
-
-        The provisional ghosts mirror the blocking callbacks' *local*
-        decisions exactly: the axis rank mirrors across the axis on the
-        low side (for the active-low case no receive is ever posted
-        there, so the mirror is already final and ``finish`` returns
-        ``None``); everywhere else the in-flight side extrapolates
-        cubically and is recomputed at finish.
+        A side on a physical boundary keeps ``base``'s own ghost provider,
+        so the mirror / cubic / wrap decision is the serial solver's.  The
+        exchange runs once per phase, for the side that phase differences
+        toward, on *every* rank of the axis — a boundary rank's send leg
+        feeds its neighbour even though it gets ``None`` back.  The other
+        side's planes are never read by the one-sided stencil, so toward a
+        neighbour they are simply extrapolated.
         """
-        solver = self
+        if not self.topo.exchanges(axis):
+            return dataclasses.replace(base, flux=flux)
+        plan = self.plan
+        lo_nb, hi_nb = self.topo.neighbours(axis)
+        cubic = lambda F, phase: None  # extrapolate toward a neighbour
+        local = {
+            "low": base.low_ghosts if lo_nb is None else cubic,
+            "high": base.high_ghosts if hi_nb is None else cubic,
+        }
 
-        def post_ghosts(rG, phase):
-            high = solver._active_high(variant, phase)
-            pending = solver.plan.exchange(
-                "flux_high" if high else "flux_low", 2,
-                solver._tag(tag_op, phase), rG, post=True,
+        # A phase differences forward — toward its high side — when
+        # ``(variant == 1) == (phase == PREDICTOR)``.
+        def provider(side):
+            kind, high, fallback = f"flux_{side}", side == "high", local[side]
+
+            def ghosts(F, phase):
+                if ((variant == 1) == (phase == PREDICTOR)) == high:
+                    lines = plan.exchange(kind, axis, self._tag(op, phase), F)
+                    if lines is not None:
+                        return lines
+                return fallback(F, phase)
+
+            return ghosts
+
+        def post_ghosts(F, phase):
+            # Split phase: deposit the send legs and post the receive for
+            # the active side; the provisional pass runs on the local
+            # ghosts, and the in-flight side is recomputed at finish.
+            forward = (variant == 1) == (phase == PREDICTOR)
+            pending = plan.exchange(
+                "flux_high" if forward else "flux_low", axis,
+                self._tag(op, phase), F, post=True,
             )
-            lo = apply_axis_ghosts(rG) if solver.lower is None else None
-            return lo, None, pending
+            return local["low"](F, phase), local["high"](F, phase), pending
 
-        return post_ghosts
-
-    def _r_workspace(self, variant: int | None = None) -> SweepWorkspace:  # type: ignore[override]
-        solver = self
-        ws = self._ws
-        scratch = ws.sweep_r if ws is not None else None
-        flux = lambda q, phase: solver._flux_r(q, phase)
-        if not self.topo.exchanges_r:
-            # The radial direction is not decomposed: serial ghost logic
-            # (axis mirror / periodic wrap / cubic) on every rank.
-            base = self._r_workspace_serial()
-            return SweepWorkspace(
-                flux=flux,
-                low_ghosts=base.low_ghosts,
-                high_ghosts=base.high_ghosts,
-                inv_weight=base.inv_weight,
-                scratch=scratch,
-            )
-        if variant is None:
-            # Requested by serial helpers; halo-free (used only on windows
-            # fully interior to the block, which never happens here — the
-            # outflow helper overrides below).
-            return super()._r_workspace_serial()
-        low, high = self._radial_ghost_callbacks(variant, "r")
-        return SweepWorkspace(
+        overlapped = self._overlap and base.scratch is not None
+        return dataclasses.replace(
+            base,
             flux=flux,
-            low_ghosts=low,
-            high_ghosts=high,
-            inv_weight=self._inv_weight,
-            scratch=scratch,
-            post_ghosts=(
-                self._radial_post_ghosts(variant, "r")
-                if self._overlap
-                else None
-            ),
+            low_ghosts=provider("low"),
+            high_ghosts=provider("high"),
+            post_ghosts=post_ghosts if overlapped else None,
         )
 
-    def _operators(self, variant: int):  # type: ignore[override]
-        Lx = SplitOperator(
-            axis=1,
-            h=self.grid.dx,
-            variant=variant,
-            workspace=self._x_workspace(variant),
+    def _operators(self, variant: int):
+        def operator(axis, h, op, base):
+            return SplitOperator(
+                axis=axis,
+                h=h,
+                variant=variant,
+                workspace=self._halo_sweep(
+                    axis, variant, op, base, partial(self._flux, axis)
+                ),
+            )
+
+        return (
+            operator(1, self.grid.dx, "x", super()._x_workspace()),
+            operator(2, self.grid.dr, "r", super()._r_workspace()),
         )
-        Lr = SplitOperator(
-            axis=2,
-            h=self.grid.dr,
-            variant=variant,
-            workspace=self._r_workspace(variant),
-        )
-        return Lx, Lr
+
+    def close(self) -> None:
+        """Drop the cached split operators when the stepping loop ends.
+
+        Their ghost providers refer back to this solver, a reference cycle
+        through ``_ops_cache`` that would otherwise keep the whole step
+        workspace (≈ 5 MB on the paper's grid) alive until a generation-2
+        collection — which a process doing back-to-back runs never reaches.
+        """
+        self._ops_cache.clear()
 
     # -- time step: global reduction ----------------------------------------
     def current_dt(self) -> float:  # type: ignore[override]
@@ -421,20 +305,15 @@ class BlockDistributedSolver(CompressibleSolver):
 
     # -- filter halos ---------------------------------------------------------
     def _state_ghosts(self, q: np.ndarray, axis: int, side: str):  # type: ignore[override]
-        decomposed = self.topo.exchanges_x if axis == 1 else self.topo.exchanges_r
-        if not decomposed:
-            return super()._state_ghosts(q, axis, side)
-        tag = f"{self._tag('filter')}:{'x' if axis == 1 else 'r'}"
-        ghosts = self.plan.exchange(f"state_{side}", axis, tag, q)
-        if (
-            ghosts is None
-            and axis == 2
-            and side == "low"
-            and self.config.axisymmetric
-        ):
-            signs = AXIS_STATE_SIGNS[:, None]
-            return np.stack([signs * q[:, :, 0], signs * q[:, :, 1]])
-        return ghosts
+        if self.topo.exchanges(axis):
+            # Every rank of a split axis runs the exchange (its send leg
+            # feeds the neighbour on the other side); ``None`` comes back
+            # on a physical boundary.
+            tag = f"{self._tag('filter')}:{'x' if axis == 1 else 'r'}"
+            ghosts = self.plan.exchange(f"state_{side}", axis, tag, q)
+            if ghosts is not None:
+                return ghosts
+        return super()._state_ghosts(q, axis, side)
 
     # -- characteristic outflow -----------------------------------------------
     def _outflow_rates(self, q: np.ndarray, variant: int) -> np.ndarray:  # type: ignore[override]
@@ -462,12 +341,8 @@ class BlockDistributedSolver(CompressibleSolver):
             whalo = solver._uvT_halo(qw, f"{tag}:uvr:{phase}", include_x=False)
             return solver.fm.radial_flux(qw, uvT_halo=whalo)
 
-        low, high = self._radial_ghost_callbacks(variant, "ofwr")
-        ws = SweepWorkspace(
-            flux=wflux,
-            low_ghosts=low,
-            high_ghosts=high,
-            inv_weight=self._inv_weight,
+        ws = self._halo_sweep(
+            2, variant, "ofwr", self._r_workspace_serial(), wflux
         )
         Lr = SplitOperator(axis=2, h=self.grid.dr, variant=variant, workspace=ws)
         radial_rate = Lr._rate(window, PREDICTOR)[:, -1, :]
@@ -479,7 +354,7 @@ class BlockDistributedSolver(CompressibleSolver):
         if bc is None:
             return
         q = self.state.q
-        if bc.characteristic_outflow and self.right is None:
+        if bc.characteristic_outflow and self.topo.right is None:
             # When the radial axis is decomposed this is a *collective*
             # among the outflow-owning ranks (all of which have
             # ``right is None``): the window exchanges inside
@@ -489,12 +364,12 @@ class BlockDistributedSolver(CompressibleSolver):
                 q_tail[:, -1, :], q_t, self.config.gamma
             )
             q[:, -1, :] = q_tail[:, -1, :] + dt * rates
-        if bc.inflow is not None and self.left is None:
+        if bc.inflow is not None and self.topo.left is None:
             q[:, 0, :] = bc.inflow_column(self.grid.r, self.t, self.config.gamma)
         if (
             bc.sponge is not None
             and self._sponge_col is not None
-            and self.upper is None
+            and self.topo.upper is None
         ):
             bc.sponge.apply(q, self._sponge_col)
 

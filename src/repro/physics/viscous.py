@@ -82,89 +82,63 @@ def gradient_axis(
     return out
 
 
+def _ghosted_gradient(f: np.ndarray, h: float, axis: int, lo, hi) -> np.ndarray:
+    """Central gradient of ``f`` along ``axis`` across the optional ghost
+    lines ``lo``/``hi``, trimmed back to the extent of ``f``."""
+    if lo is None and hi is None:
+        return gradient_axis(f, h, axis)
+    parts = [f]
+    if lo is not None:
+        parts.insert(0, np.expand_dims(lo, axis))
+    if hi is not None:
+        parts.append(np.expand_dims(hi, axis))
+    first = 0 if lo is None else 1
+    sl = [slice(None), slice(None)]
+    sl[axis] = slice(first, first + f.shape[axis])
+    return gradient_axis(np.concatenate(parts, axis=axis), h, axis)[tuple(sl)]
+
+
 def field_gradients(
     u: np.ndarray,
     v: np.ndarray,
     T: np.ndarray,
     dx: float,
     dr: float,
-    halo_lo: np.ndarray | None = None,
-    halo_hi: np.ndarray | None = None,
-    halo_axis: int = 0,
+    halo=None,
 ):
     """Central x/r gradients of (u, v, T), optionally halo-extended.
 
-    ``halo_lo``/``halo_hi`` are single ghost lines of shape ``(3, n_perp)``
-    ordered ``(u, v, T)`` received from neighbours by the distributed
-    solver — columns (``halo_axis = 0``, axial decomposition) or rows
-    (``halo_axis = 1``, radial decomposition).  Gradients are evaluated on
-    the extended arrays and trimmed back to the local extent, so a line
+    ``halo = (xlo, xhi, rlo, rhi)`` holds the single ghost lines the
+    distributed solver received from its neighbours — columns below and
+    above the block along ``x``, rows below and above it along ``r`` —
+    each of shape ``(3, n_perp)`` ordered ``(u, v, T)``, or ``None`` at a
+    physical boundary (the same four optional lines the C kernel
+    ``k_visc`` takes).  Each derivative is evaluated on the array extended
+    along its own axis and trimmed back to the local extent, so a line
     adjacent to a subdomain boundary gets the same central-difference
     arithmetic as in the serial solver — this is what makes the parallel
-    solvers bitwise-identical.
+    solver bitwise-identical — and no corner ghosts are needed: ``d/dx``
+    never reads radial neighbours and vice versa.
 
     Returns the six local-extent arrays
     ``(du_dx, du_dr, dv_dx, dv_dr, dT_dx, dT_dr)``.
     """
-    axis = halo_axis
-    lo = 1 if halo_lo is not None else 0
-
-    def _line(h):
-        return h[None, :] if axis == 0 else h[:, None]
-
-    fields = []
-    for k, f in enumerate((u, v, T)):
-        parts = []
-        if halo_lo is not None:
-            parts.append(_line(halo_lo[k]))
-        parts.append(f)
-        if halo_hi is not None:
-            parts.append(_line(halo_hi[k]))
-        fields.append(
-            np.concatenate(parts, axis=axis) if len(parts) > 1 else f
+    if halo is None:
+        # One two-axis call per field: half the numpy call overhead, which
+        # is what the 5-column outflow window pays every step.
+        return tuple(
+            g for f in (u, v, T) for g in np.gradient(f, dx, dr, edge_order=2)
         )
-    n = u.shape[axis]
-    sl = [slice(None), slice(None)]
-    sl[axis] = slice(lo, lo + n)
-    sl = tuple(sl)
+    xlo, xhi, rlo, rhi = halo
+
+    def line(g, k):
+        return None if g is None else g[k]
+
     out = []
-    for f in fields:
-        gx, gr = np.gradient(f, dx, dr, edge_order=2)
-        out.extend([gx[sl], gr[sl]])
+    for k, f in enumerate((u, v, T)):
+        out.append(_ghosted_gradient(f, dx, 0, line(xlo, k), line(xhi, k)))
+        out.append(_ghosted_gradient(f, dr, 1, line(rlo, k), line(rhi, k)))
     return tuple(out)
-
-
-def field_gradients_2d(
-    u: np.ndarray,
-    v: np.ndarray,
-    T: np.ndarray,
-    dx: float,
-    dr: float,
-    halo_x: tuple | None = None,
-    halo_r: tuple | None = None,
-):
-    """Central gradients with ghost lines along *both* axes (2-D blocks).
-
-    ``halo_x = (lo, hi)`` supplies ghost columns and ``halo_r = (lo, hi)``
-    ghost rows (each entry a ``(3, n_perp)`` array or ``None``).  The x- and
-    r-derivatives are evaluated on separately extended arrays, so no corner
-    ghosts are needed — ``d/dx`` never reads radial neighbours and vice
-    versa.  Returns the same six arrays as :func:`field_gradients`.
-    """
-    gx = field_gradients(
-        u, v, T, dx, dr,
-        halo_lo=halo_x[0] if halo_x else None,
-        halo_hi=halo_x[1] if halo_x else None,
-        halo_axis=0,
-    )
-    gr = field_gradients(
-        u, v, T, dx, dr,
-        halo_lo=halo_r[0] if halo_r else None,
-        halo_hi=halo_r[1] if halo_r else None,
-        halo_axis=1,
-    )
-    # x-derivatives from the x-extended pass, r-derivatives from the other.
-    return gx[0], gr[1], gx[2], gr[3], gx[4], gr[5]
 
 
 def stress_tensor(
@@ -177,9 +151,7 @@ def stress_tensor(
     mu: np.ndarray | float,
     gamma: float = constants.GAMMA,
     prandtl: float = constants.PRANDTL,
-    halo_lo: np.ndarray | None = None,
-    halo_hi: np.ndarray | None = None,
-    halo_axis: int = 0,
+    halo=None,
 ) -> ViscousTerms:
     """Compute stresses and heat fluxes from primitive fields.
 
@@ -194,32 +166,13 @@ def stress_tensor(
         Grid spacings.
     mu:
         Dynamic viscosity, scalar or field.
-    halo_lo, halo_hi:
-        Optional ghost lines ``(3, n_perp)`` of ``(u, v, T)`` for the
-        distributed solvers (see :func:`field_gradients`).
-    halo_axis:
-        0 for axial halos (columns), 1 for radial halos (rows).
+    halo:
+        Optional ``(xlo, xhi, rlo, rhi)`` ghost lines of ``(u, v, T)`` for
+        the distributed solver (see :func:`field_gradients`).
     """
-    grads = field_gradients(
-        u, v, T, dx, dr, halo_lo=halo_lo, halo_hi=halo_hi, halo_axis=halo_axis
+    du_dx, du_dr, dv_dx, dv_dr, dT_dx, dT_dr = field_gradients(
+        u, v, T, dx, dr, halo=halo
     )
-    return assemble_stress(grads, v, r, mu, gamma, prandtl)
-
-
-def assemble_stress(
-    gradients,
-    v: np.ndarray,
-    r: np.ndarray,
-    mu: np.ndarray | float,
-    gamma: float = constants.GAMMA,
-    prandtl: float = constants.PRANDTL,
-) -> ViscousTerms:
-    """Stress/heat-flux assembly from precomputed gradients.
-
-    ``gradients`` is the 6-tuple returned by :func:`field_gradients` or
-    :func:`field_gradients_2d`.
-    """
-    du_dx, du_dr, dv_dx, dv_dr, dT_dx, dT_dr = gradients
     v_over_r = v / r[None, :]
     dilat = du_dx + dv_dr + v_over_r
     two_thirds_dilat = (2.0 / 3.0) * dilat

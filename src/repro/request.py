@@ -332,9 +332,15 @@ class RunRequest:
         Route-irrelevant fields are nulled out so e.g. a serial run's
         identity does not vary with ``decomposition=`` or ``faults=``;
         observability and ``timeout`` never appear.  ``decomposition`` (and
-        ``px``/``pr``) is nulled even on the parallel route: all three
-        decompositions produce bitwise-identical states (verified by the
-        test suite), so the result cache soundly dedupes across them.
+        ``px``/``pr``) is nulled even on the parallel route, so the result
+        cache dedupes across block grids.  That is sound where every
+        ``px x pr`` grid reproduces the serial state bit for bit, which the
+        tier-1 suite enforces for the axisymmetric jet (``test_spmd*.py``,
+        ``test_kernels.py::test_every_decomposition``) and for planar
+        non-periodic runs (``test_spmd.py::TestPlanarWall``); a grid that
+        would split a periodic axis — the one case that used to return a
+        different state without an error — is refused before it runs, so
+        no such result can reach the cache.
         ``substrate`` stays in the parallel identity because per-rank
         statistics and wall-clock observables differ across substrates.
         ``backend`` is normalized the same way: ``None``/``"baseline"``/

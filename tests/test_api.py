@@ -203,3 +203,61 @@ def test_acceptance_traced_4rank_paper_grid(tmp_path):
     bd2 = component_breakdown(load_trace(str(p)))
     assert bd2.total == pytest.approx(bd.total, rel=1e-3)
     assert bd2.communication == pytest.approx(bd.communication, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# A run leaves nothing for the cycle collector
+# ---------------------------------------------------------------------------
+
+
+def _live_workspaces():
+    import gc
+
+    from repro.numerics.kernels import StepWorkspace
+
+    return {id(o) for o in gc.get_objects() if isinstance(o, StepWorkspace)}
+
+
+@pytest.mark.parametrize("nprocs", [1, 2], ids=["serial", "2-virtual-ranks"])
+def test_run_frees_its_workspace_without_the_cycle_collector(nprocs):
+    """The solver's cached split operators must not tie it into a
+    reference cycle: each run's workspace (≈ 5 MB on the paper's grid)
+    would then wait for a generation-2 collection, which back-to-back
+    runs never trigger — ``ru_maxrss`` climbed 53 -> 105 MB over 20 runs."""
+    import gc
+
+    gc.collect()
+    before = _live_workspaces()
+    gc.disable()
+    try:
+        res = run("jet", steps=4, nprocs=nprocs, backend="fused", **SMALL)
+        assert res.state is not None
+        assert _live_workspaces() <= before
+    finally:
+        gc.enable()
+
+
+def test_ten_serial_runs_do_not_grow_peak_rss():
+    """Fresh interpreter, automatic collection off: after the first run has
+    set the high-water mark, nine more leave it where it was."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import gc, resource\n"
+        "from repro import run\n"
+        "gc.disable()\n"
+        "peaks = []\n"
+        "for _ in range(10):\n"
+        "    run('jet', steps=4, nx=250, nr=100, backend='fused')\n"
+        "    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(peaks[0], peaks[-1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    ).stdout.split()
+    first_kb, last_kb = int(out[0]), int(out[1])
+    assert last_kb - first_kb < 2048, f"ru_maxrss {first_kb} -> {last_kb} kB"

@@ -208,18 +208,17 @@ class TestWorkspaceReuse:
         assert np.array_equal(solver.state.q, first)
 
 
-#: Which block edges carry a neighbour's ghost line, and in which of the
-#: two halo shapes the distributed solver hands them over: an ``(lo, hi)``
-#: pair along one axis, or the 2-D blocks' ``{'x', 'r'}`` dict.
+#: Which block edges carry a neighbour's ghost line (every other side is a
+#: physical boundary) — the sets the ``px x pr`` block grids make.
 GHOST_SETS = {
-    "x-lo": ("pair-x", {"xlo"}),
-    "x-hi": ("pair-x", {"xhi"}),
-    "x-both": ("pair-x", {"xlo", "xhi"}),
-    "r-lo": ("pair-r", {"rlo"}),
-    "r-hi": ("pair-r", {"rhi"}),
-    "r-both": ("pair-r", {"rlo", "rhi"}),
-    "2d-all": ("dict", {"xlo", "xhi", "rlo", "rhi"}),
-    "2d-none-side": ("dict", {"xhi", "rlo"}),
+    "x-lo": {"xlo"},
+    "x-hi": {"xhi"},
+    "x-both": {"xlo", "xhi"},
+    "r-lo": {"rlo"},
+    "r-hi": {"rhi"},
+    "r-both": {"rlo", "rhi"},
+    "2d-all": {"xlo", "xhi", "rlo", "rhi"},
+    "2d-none-side": {"xhi", "rlo"},
 }
 
 
@@ -236,7 +235,7 @@ def _visc_case(nx, nr, mu_field, seed=0):
         np.multiply(ws.T**0.7, 0.01, out=ws.mu)
         mu = ws.mu
     fm = types.SimpleNamespace(
-        r=np.linspace(0.5, 2.0, nr), dx=0.1, dr=0.07, gamma=1.4, halo_axis=0
+        r=np.linspace(0.5, 2.0, nr), dx=0.1, dr=0.07, gamma=1.4
     )
     lines = {
         "xlo": rng.standard_normal((3, nr)), "xhi": rng.standard_normal((3, nr)),
@@ -245,14 +244,11 @@ def _visc_case(nx, nr, mu_field, seed=0):
     return ws, fm, mu, rng.standard_normal((4, nx, nr)), lines
 
 
-def _halo(shape, present, lines):
-    """``(halo, halo_axis)`` in the requested shape, ``None`` where absent."""
-    g = {k: (v if k in present else None) for k, v in lines.items()}
-    if shape == "pair-x":
-        return (g["xlo"], g["xhi"]), 0
-    if shape == "pair-r":
-        return (g["rlo"], g["rhi"]), 1
-    return {"x": (g["xlo"], g["xhi"]), "r": (g["rlo"], g["rhi"])}, 2
+def _halo(present, lines):
+    """The ``(xlo, xhi, rlo, rhi)`` halo, ``None`` where absent."""
+    return tuple(
+        lines[k] if k in present else None for k in ("xlo", "xhi", "rlo", "rhi")
+    )
 
 
 def _reference_visc(fm, ws, mu, flux, halo, radial):
@@ -275,7 +271,7 @@ def _compiled_visc(ops, fm, ws, mu, flux, halo, radial):
     k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
     ops.visc(
         out, ws.tau_tt if radial else None, ws, fm.r, mu, k, fm.dx, fm.dr,
-        radial, halo=halo, halo_axis=fm.halo_axis,
+        radial, halo=halo,
     )
     return out
 
@@ -290,7 +286,7 @@ class TestGhostAwareViscousKernel:
     @pytest.mark.parametrize("radial", [False, True], ids=["axial", "radial"])
     def test_matches_numpy_halo_path(self, ops, shape, ghosts, mu_field, radial):
         ws, fm, mu, flux, lines = _visc_case(*shape, mu_field)
-        halo, fm.halo_axis = _halo(*GHOST_SETS[ghosts], lines)
+        halo = _halo(GHOST_SETS[ghosts], lines)
         want, want_tt = _reference_visc(fm, ws, mu, flux, halo, radial)
         got = _compiled_visc(ops, fm, ws, mu, flux, halo, radial)
         assert np.array_equal(got, want)
@@ -306,21 +302,21 @@ class TestGhostAwareViscousKernel:
         assert not strided["xlo"].flags.c_contiguous
         plain = {k: v.astype(np.float64) for k, v in f32.items()}
         all_four = GHOST_SETS["2d-all"]
-        want = _compiled_visc(ops, fm, ws, mu, flux, _halo(*all_four, plain)[0], False)
+        want = _compiled_visc(ops, fm, ws, mu, flux, _halo(all_four, plain), False)
         for odd in (f32, strided):
-            halo, _ = _halo(*all_four, odd)
-            got = _compiled_visc(ops, fm, ws, mu, flux, halo, False)
+            got = _compiled_visc(ops, fm, ws, mu, flux, _halo(all_four, odd), False)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("shape", ["pair-x", "pair-r", "dict"])
-    def test_wrong_shape_ghost_is_rejected(self, ops, shape):
+    @pytest.mark.parametrize(
+        "short,bad,good",
+        [("xlo", (3, 4), (3, 5)), ("rhi", (3, 6), (3, 7))],
+        ids=["x-line", "r-line"],
+    )
+    def test_wrong_shape_ghost_is_rejected(self, ops, short, bad, good):
         """A line of the wrong length is a ValueError naming both shapes,
         raised before the kernel could read past its end."""
         ws, fm, mu, flux, lines = _visc_case(7, 5, mu_field=False)
-        lines["xlo"] = lines["xlo"][:, :-1]
-        lines["rlo"] = lines["rlo"][:, :-1]
-        halo, fm.halo_axis = _halo(shape, set(lines), lines)
-        bad, good = ((3, 6), (3, 7)) if shape == "pair-r" else ((3, 4), (3, 5))
+        lines[short] = lines[short][:, :-1]
         with pytest.raises(ValueError) as exc:
-            _compiled_visc(ops, fm, ws, mu, flux, halo, False)
+            _compiled_visc(ops, fm, ws, mu, flux, _halo(set(lines), lines), False)
         assert str(bad) in str(exc.value) and str(good) in str(exc.value)

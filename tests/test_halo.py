@@ -41,7 +41,7 @@ SPLIT = ExchangePolicy(split_flux_columns=True)
 
 def plan(comm, shape, left, right, policy=GROUPED):
     """A rank's plan over an axial neighbour pair (axis 1)."""
-    topo = HaloTopology(5, left, right, None, None, True, False)
+    topo = HaloTopology(5, left, right, None, None)
     return ExchangePlan(comm, topo, policy, shape)
 
 
@@ -61,9 +61,10 @@ class TestUvT:
         comm = LoopbackComm(
             {(1, "t:uvT:toright"): lo_ghost, (3, "t:uvT:toleft"): hi_ghost}
         )
-        halo_lo, halo_hi = plan(comm, (4, 5, nr), 1, 3).uvT(1, "t", u, v, T)
+        halo_lo, halo_hi, *radial = plan(comm, (4, 5, nr), 1, 3).uvT("t", u, v, T)
         assert np.array_equal(halo_lo, lo_ghost)
         assert np.array_equal(halo_hi, hi_ghost)
+        assert radial == [None, None]
         # Sent the packed edge columns the right way.
         (d1, t1, a1), (d2, t2, a2) = comm.sent
         assert (d1, t1) == (1, "t:uvT:toleft")
@@ -75,9 +76,10 @@ class TestUvT:
         u, v, T = (rng.random((5, 4)) for _ in range(3))
         ghost = rng.random((3, 4))
         comm = LoopbackComm({(1, "t:uvT:toleft"): ghost})
-        halo_lo, halo_hi = plan(comm, (4, 5, 4), None, 1).uvT(1, "t", u, v, T)
+        halo_lo, halo_hi, *radial = plan(comm, (4, 5, 4), None, 1).uvT("t", u, v, T)
         assert halo_lo is None
         assert np.array_equal(halo_hi, ghost)
+        assert radial == [None, None]
         assert len(comm.sent) == 1
 
 
@@ -166,19 +168,30 @@ class TestWireLog:
     the dedupe cache and the per-step message counts all key on each
     rank's ordered ``(peer, tag, nbytes)`` send sequence."""
 
-    #: sha256 prefixes of the per-rank send logs, recorded at PR 12 (the
-    #: last commit with one exchange function per kind).  Version 6 posts
-    #: its receives instead of blocking on them but must put the same
-    #: messages on the wire as Version 5; Version 7 splits the flux pairs.
-    DIGESTS = {5: "727d687ac99cfe4c", 6: "727d687ac99cfe4c", 7: "a0d1a0767a67f316"}
+    #: sha256 prefixes of the per-rank send logs: the 2x2 ones recorded at
+    #: PR 12 (the last commit with one exchange function per kind), the
+    #: axial and radial ones at PR 16 (the last commit with a class per
+    #: decomposition).  Version 6 posts its receives instead of blocking
+    #: on them but must put the same messages on the wire as Version 5;
+    #: Version 7 splits the flux pairs.
+    DIGESTS = {
+        ("2d", 5): "727d687ac99cfe4c",
+        ("2d", 6): "727d687ac99cfe4c",
+        ("2d", 7): "a0d1a0767a67f316",
+        ("axial", 5): "86ccc11512154cf7",
+        ("axial", 6): "86ccc11512154cf7",
+        ("axial", 7): "3694bca0f05cfc96",
+        ("radial", 5): "8e3419a50e909baf",
+        ("radial", 6): "8e3419a50e909baf",
+        ("radial", 7): "5fe011df82f70c01",
+    }
 
-    @pytest.mark.parametrize("version", [5, 6, 7])
-    def test_send_log_digest_is_pinned(self, version):
+    def _check(self, decomposition, version):
         sc = jet_scenario(nx=24, nr=20, viscous=True)
         config = dataclasses.replace(sc.solver.config, backend="fused")
         runner = ParallelJetSolver(
             sc.state, config, nranks=4, version=version,
-            decomposition="2d", px=2, pr=2,
+            decomposition=decomposition, px=2, pr=2,
         )
         cluster = VirtualCluster(4, timeout=60)
         for comm in cluster.comms:
@@ -197,4 +210,13 @@ class TestWireLog:
             for c in cluster.comms
         ]
         digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
-        assert digest == self.DIGESTS[version]
+        assert digest == self.DIGESTS[decomposition, version]
+
+    @pytest.mark.parametrize("version", [5, 6, 7])
+    def test_send_log_digest_is_pinned(self, version):
+        self._check("2d", version)
+
+    @pytest.mark.parametrize("version", [5, 6, 7])
+    @pytest.mark.parametrize("decomposition", ["axial", "radial"])
+    def test_one_axis_send_log_digest_is_pinned(self, decomposition, version):
+        self._check(decomposition, version)

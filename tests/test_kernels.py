@@ -224,11 +224,7 @@ class TestWorkspaceMechanics:
         degradation to the allocating path (the pre-unification radial
         and 2-D solvers dropped ``_ws`` to ``None``)."""
         from repro.msglib.virtual import VirtualCluster
-        from repro.parallel.decomposition import (
-            AxialDecomposition,
-            CartesianDecomposition,
-            RadialDecomposition,
-        )
+        from repro.parallel.decomposition import CartesianDecomposition
         from repro.parallel.spmd import BlockDistributedSolver
 
         sc = jet_scenario(nx=36, nr=24)
@@ -245,11 +241,10 @@ class TestWorkspaceMechanics:
                 )
             )
 
-        assert all(has_workspace(AxialDecomposition(grid.nx, 2)))
-        assert all(has_workspace(RadialDecomposition(grid.nr, 2)))
-        assert all(
-            has_workspace(CartesianDecomposition(grid.nx, grid.nr, 2, 2))
-        )
+        for px, pr in ((2, 1), (1, 2), (2, 2)):
+            assert all(
+                has_workspace(CartesianDecomposition(grid.nx, grid.nr, px, pr))
+            )
 
 
 class TestCompiledHaloEngagement:

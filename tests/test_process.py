@@ -168,7 +168,10 @@ class TestProcessCluster:
         with ProcessCluster(2, timeout=10) as cluster:
             woke, issued = cluster.run(program)
         # One _POLL by design; the slack absorbs scheduling on a busy host.
-        assert 0.0 <= woke - issued < 10 * _POLL
+        assert 0.0 <= woke - issued < 10 * _POLL, (
+            f"woke {woke - issued:.4f} s after the abort was issued "
+            f"(limit {10 * _POLL:.4f} s)"
+        )
 
     def test_oversize_and_slot_messages_keep_send_order(self):
         """A source's messages are matched in send order even when they

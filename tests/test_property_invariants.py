@@ -29,7 +29,7 @@ from repro import EulerSolver, SolverConfig
 from repro.faults import FaultPlan, FaultyComm
 from repro.grid import Grid
 from repro.msglib.virtual import VirtualCluster
-from repro.parallel.decomposition import AxialDecomposition
+from repro.parallel.decomposition import CartesianDecomposition
 from repro.parallel.halo import ExchangePlan, ExchangePolicy
 from repro.physics.state import FlowState
 
@@ -177,7 +177,9 @@ def _halo_roundtrip(widths: tuple[int, int], nr: int, wrap_in_faults: bool):
         if wrap_in_faults:
             comm = FaultyComm(comm, FaultPlan(always_wrap=True))
         q = blocks[comm.rank]
-        topo = AxialDecomposition(5 * comm.size, comm.size).topology(comm.rank)
+        topo = CartesianDecomposition(5 * comm.size, 5, comm.size, 1).topology(
+            comm.rank
+        )
         plan = ExchangePlan(comm, topo, policy, q.shape)
         return tuple(
             plan.exchange(kind, 1, tag, q)

@@ -9,11 +9,7 @@ import pytest
 
 from repro import jet_scenario
 from repro.msglib import VirtualCluster
-from repro.parallel.decomposition import (
-    AxialDecomposition,
-    CartesianDecomposition,
-    RadialDecomposition,
-)
+from repro.parallel.decomposition import CartesianDecomposition
 from repro.parallel.runner import ParallelJetSolver, serial_reference
 from repro.parallel.spmd import BlockDistributedSolver
 
@@ -134,15 +130,9 @@ class TestGather:
 
 class TestRankCount:
     @pytest.mark.parametrize(
-        "make",
-        [
-            lambda g: AxialDecomposition(g.nx, 3),
-            lambda g: RadialDecomposition(g.nr, 3),
-            lambda g: CartesianDecomposition(g.nx, g.nr, 3, 1),
-        ],
-        ids=["axial", "radial", "2d"],
+        "name", ["axial", "radial", "2d"]
     )
-    def test_decomposition_must_match_communicator(self, make):
+    def test_decomposition_must_match_communicator(self, name):
         """A 3-block decomposition on a 2-rank communicator is rejected at
         construction, naming both numbers — not later inside an exchange."""
         sc = jet_scenario(nx=60, nr=20)
@@ -150,5 +140,93 @@ class TestRankCount:
         with pytest.raises(ValueError, match="3 blocks .* 2 ranks"):
             BlockDistributedSolver(
                 comm, sc.state.grid, sc.state.q, sc.solver.config,
-                make(sc.state.grid),
+                CartesianDecomposition.named(name, 60, 20, 3, px=3, pr=1),
+            )
+
+
+def _planar_case(viscous):
+    """The advection scenario with both wraps off: planar, non-periodic,
+    cubic ghosts on all four sides — nothing like the jet."""
+    import dataclasses
+
+    from repro.scenarios import periodic_advection_scenario
+
+    sc = periodic_advection_scenario()
+    config = dataclasses.replace(
+        sc.solver.config, periodic_x=False, periodic_r=False,
+        viscous=viscous, mu=1e-3 if viscous else None,
+    )
+    return sc.state, config
+
+
+class TestPlanarWall:
+    """Off the jet the contract is the same: with no axis to mirror across
+    and no wrap, a block's physical sides must extrapolate exactly as the
+    serial solver does.  Radial and 2-D blocks used to mirror their low-r
+    side regardless (flux, provisional split-phase and filter ghosts):
+    max-abs 0.81 from serial after 6 steps."""
+
+    @pytest.mark.parametrize("version", [5, 6])
+    @pytest.mark.parametrize("backend", ["baseline", "fused", "compiled"])
+    @pytest.mark.parametrize("px,pr", [(2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("viscous", [False, True], ids=["euler", "ns"])
+    def test_planar_non_periodic(self, viscous, px, pr, backend, version):
+        import dataclasses
+
+        state, config = _planar_case(viscous)
+        ref = serial_reference(state, config, steps=6)
+        res = ParallelJetSolver(
+            state, dataclasses.replace(config, backend=backend),
+            nranks=px * pr, version=version,
+            decomposition="2d", px=px, pr=pr, timeout=60,
+        ).run(6)
+        assert np.array_equal(res.state.q, ref.q)
+
+    def test_unsplit_periodic_axis_still_wraps(self):
+        """``sod`` is periodic in r and split in x: bit for bit, as before."""
+        from repro.api import run
+
+        serial = run("sod", steps=6)
+        split = run("sod", steps=6, nprocs=2)
+        assert np.array_equal(split.state.q, serial.state.q)
+
+
+class TestRejectedInTheCaller:
+    """Configurations no rank could run are plain ``ValueError``s raised by
+    ``ParallelJetSolver.__init__`` — before a rank thread, a forked child
+    or a shared-memory segment exists, and not wrapped in a
+    ``RankFailure``."""
+
+    @pytest.mark.parametrize("substrate", ["virtual", "process"])
+    @pytest.mark.parametrize(
+        "scenario,kw,match",
+        [
+            ("advection", dict(), "periodic_x .* 2 blocks along x"),
+            ("acoustic", dict(decomposition="radial"), "periodic_r .* 2 blocks along r"),
+            ("sod", dict(decomposition="radial"), "cannot split 8 points into 2 blocks"),
+        ],
+        ids=["periodic-x-split", "periodic-r-split", "thin-blocks"],
+    )
+    def test_no_rank_is_started(self, monkeypatch, scenario, kw, match, substrate):
+        from repro.api import run
+        from repro.msglib import ProcessCluster
+
+        def never(*a, **k):
+            raise AssertionError("a cluster was launched")
+
+        monkeypatch.setattr(VirtualCluster, "__init__", never)
+        monkeypatch.setattr(ProcessCluster, "__init__", never)
+        with pytest.raises(ValueError, match=match):
+            run(scenario, steps=2, nprocs=2, substrate=substrate, **kw)
+
+    def test_mpi_path_shares_the_check(self):
+        """``scripts/mpi_runner.py`` builds the per-rank solver directly."""
+        from repro.scenarios import periodic_advection_scenario
+
+        sc = periodic_advection_scenario()
+        comm = VirtualCluster(2).comms[0]
+        with pytest.raises(ValueError, match="periodic_x .*run serially"):
+            BlockDistributedSolver(
+                comm, sc.state.grid, sc.state.q, sc.solver.config,
+                CartesianDecomposition.named("axial", 32, 32, 2),
             )
