@@ -12,11 +12,13 @@ Commands
     instrumented distributed run.
 ``simulate --platform NAME --procs P [--euler] [--version V]``
     One simulated-machine run with the execution-time split.
-``run <scenario> [--steps S --nprocs P --platform NAME --version V
---trace PATH]``
+``run <scenario> [request options] [--trace PATH --metrics --ledger PATH]``
     The unified facade (``repro.api.run``): serial, distributed, or
     simulated-platform execution of a named scenario, optionally exporting
-    a Chrome/Perfetto trace.
+    a Chrome/Perfetto trace.  The request options (``--nprocs``,
+    ``--backend``, ``--faults``, ...; see ``run --help``) are one table
+    shared with ``submit``; a flag not given leaves the default declared
+    in :mod:`repro.request` in charge.
 ``jet [--nx N --nr N --steps S --euler]``
     Run the real solver and print diagnostics plus a momentum contour.
 ``report [paths ...] [--last N]``
@@ -27,7 +29,7 @@ Commands
 ``serve [--workers N --socket PATH --store DIR]``
     Start the run service: a worker-pool job queue behind a Unix socket,
     deduplicating identical requests against a persistent result store.
-``submit <scenario> [run options] | submit --experiment ID``
+``submit <scenario> [request options] | submit --experiment ID``
     Submit a run (or paper-artifact regeneration) to a running service
     and stream its status; cached fingerprints return instantly.
 ``jobs [--socket PATH]``
@@ -74,18 +76,18 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .machines.platforms import platform_by_name, CRAY_YMP
-    from .simulate.machine import SimulatedMachine
-    from .simulate.sharedmem import SharedMemoryMachine
-    from .simulate.workload import EULER, NAVIER_STOKES
+    from .api import run
 
-    app = EULER if args.euler else NAVIER_STOKES
-    plat = platform_by_name(args.platform)
-    if plat is CRAY_YMP or plat.cpu is None:
-        r = SharedMemoryMachine(plat, args.procs).run(app)
-    else:
-        r = SimulatedMachine(plat, args.procs, version=args.version).run(app)
-    print(r.summary())
+    res = run(
+        "jet-euler" if args.euler else "jet",
+        platform=args.platform,
+        nprocs=args.procs,
+        version=args.version,
+        # The machine models' own window (run() defaults to 30): this
+        # command's printed times predate the facade and must not move.
+        steps_window=40,
+    )
+    print(res.summary())
     return 0
 
 
@@ -118,32 +120,67 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+#: The request flags ``repro run`` and ``repro submit`` share.  No row
+#: carries a default (``_add_request_options`` suppresses absent flags), so
+#: the config dataclasses in :mod:`repro.request` — and the scenario
+#: constructors, for ``--nx``/``--nr`` — stay the one place a default lives.
+_REQUEST_OPTIONS = {
+    "--steps": dict(type=int),
+    "--nprocs": dict(type=int),
+    "--platform": dict(help="simulate on a 1995 platform instead of running"),
+    "--version": dict(type=int, choices=(5, 6, 7)),
+    "--backend": dict(
+        choices=("baseline", "fused", "compiled"),
+        help="kernel backend: how the hot-path kernels are evaluated "
+             "(results are bitwise-identical)"),
+    "--decomposition": dict(choices=("axial", "radial", "2d")),
+    "--px": dict(
+        type=int,
+        help="axial rank-grid extent for --decomposition 2d "
+             "(px * pr must equal --nprocs)"),
+    "--pr": dict(
+        type=int, help="radial rank-grid extent for --decomposition 2d"),
+    "--substrate": dict(
+        choices=("virtual", "process"),
+        help="distributed execution substrate: 'virtual' (one thread per "
+             "rank, GIL-serialized) or 'process' (one OS process per rank "
+             "over shared memory — real multi-core speedup)"),
+    "--faults": dict(
+        metavar="PRESET",
+        help="inject faults: lossy-ethernet, jittery-now, drop-storm, "
+             "crash-rank1, lossy-crash"),
+    "--fault-seed": dict(
+        type=int, help="re-seed the fault plan (reproduces a printed seed)"),
+    "--checkpoint-every": dict(
+        type=int, metavar="N",
+        help="gather a restart snapshot every N steps (distributed runs; "
+             "lets injected crashes recover)"),
+    "--nx": dict(type=int),
+    "--nr": dict(type=int),
+}
+
+
+def _add_request_options(parser) -> None:
+    for flag, kw in _REQUEST_OPTIONS.items():
+        parser.add_argument(flag, default=argparse.SUPPRESS, **kw)
+
+
+def _request_options(args) -> dict:
+    """The request keywords the command line actually gave."""
+    dests = (flag[2:].replace("-", "_") for flag in _REQUEST_OPTIONS)
+    return {dest: getattr(args, dest) for dest in dests if hasattr(args, dest)}
+
+
 def _cmd_run(args) -> int:
     from .api import run
 
-    kw = {}
-    if args.nx is not None:
-        kw["nx"] = args.nx
-    if args.nr is not None:
-        kw["nr"] = args.nr
     try:
         res = run(
             args.scenario,
-            steps=args.steps,
-            nprocs=args.nprocs,
-            platform=args.platform,
-            version=args.version,
             trace=args.trace,
-            decomposition=args.decomposition,
-            px=args.px,
-            pr=args.pr,
-            substrate=args.substrate,
-            faults=args.faults,
-            fault_seed=args.fault_seed,
-            checkpoint_every=args.checkpoint_every,
             metrics=args.metrics,
             ledger=args.ledger or args.metrics,
-            **kw,
+            **_request_options(args),
         )
     except (KeyError, TypeError, ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
@@ -310,25 +347,7 @@ def _cmd_submit(args) -> int:
             return 2
         req = ExperimentRequest(args.experiment)
     elif args.scenario:
-        kw = {}
-        if args.nx is not None:
-            kw["nx"] = args.nx
-        if args.nr is not None:
-            kw["nr"] = args.nr
-        req = RunRequest.from_run_args(
-            args.scenario,
-            steps=args.steps,
-            nprocs=args.nprocs,
-            substrate=args.substrate,
-            decomposition=args.decomposition,
-            px=args.px,
-            pr=args.pr,
-            version=args.version,
-            faults=args.faults,
-            fault_seed=args.fault_seed,
-            checkpoint_every=args.checkpoint_every,
-            **kw,
-        )
+        req = RunRequest.from_run_args(args.scenario, **_request_options(args))
     else:
         print("error: need a scenario or --experiment ID", file=sys.stderr)
         return 2
@@ -496,36 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("scenario",
                    help="jet, jet-euler, advection, acoustic, sod")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--nprocs", type=int, default=1)
-    p.add_argument("--platform", default=None,
-                   help="simulate on a 1995 platform instead of running")
-    p.add_argument("--version", type=int, default=7, choices=(5, 6, 7))
+    _add_request_options(p)
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="export a Chrome/Perfetto trace of the run")
-    p.add_argument("--decomposition", default="axial",
-                   choices=("axial", "radial", "2d"))
-    p.add_argument("--px", type=int, default=None,
-                   help="axial rank-grid extent for --decomposition 2d "
-                        "(px * pr must equal --nprocs)")
-    p.add_argument("--pr", type=int, default=None,
-                   help="radial rank-grid extent for --decomposition 2d")
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--faults", default=None, metavar="PRESET",
-                   help="inject faults: lossy-ethernet, jittery-now, "
-                        "drop-storm, crash-rank1, lossy-crash")
-    p.add_argument("--fault-seed", type=int, default=None,
-                   help="re-seed the fault plan (reproduces a printed seed)")
-    p.add_argument("--substrate", choices=("virtual", "process"),
-                   default="virtual",
-                   help="distributed execution substrate: 'virtual' (one "
-                        "thread per rank, GIL-serialized) or 'process' (one "
-                        "OS process per rank over shared memory — real "
-                        "multi-core speedup)")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="gather a restart snapshot every N steps "
-                        "(distributed runs; lets injected crashes recover)")
     p.add_argument("--metrics", action="store_true",
                    help="collect per-stage/per-rank metrics, print the "
                         "performance report, and append it to the run "
@@ -571,22 +563,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="jet, jet-euler, advection, acoustic, sod")
     p.add_argument("--experiment", default=None, metavar="ID",
                    help="submit a paper artifact instead (table1, fig01 ..)")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--nprocs", type=int, default=1)
-    p.add_argument("--version", type=int, default=7, choices=(5, 6, 7))
-    p.add_argument("--decomposition", default="axial",
-                   choices=("axial", "radial", "2d"))
-    p.add_argument("--px", type=int, default=None,
-                   help="axial rank-grid extent for --decomposition 2d")
-    p.add_argument("--pr", type=int, default=None,
-                   help="radial rank-grid extent for --decomposition 2d")
-    p.add_argument("--substrate", choices=("virtual", "process"),
-                   default="virtual")
-    p.add_argument("--faults", default=None, metavar="PRESET")
-    p.add_argument("--fault-seed", type=int, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N")
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--nr", type=int, default=None)
+    _add_request_options(p)
     p.add_argument("--socket", default=None, metavar="PATH")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="seconds to wait for completion (default 600)")

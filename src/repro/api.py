@@ -244,33 +244,7 @@ def _profile_top(stats: dict, n: int) -> list[dict]:
     return rows
 
 
-def run(
-    scenario,
-    *,
-    steps: int | None = None,
-    nprocs: int = 1,
-    platform=None,
-    version: int = 7,
-    trace=None,
-    backend: str | None = None,
-    decomposition: str = "axial",
-    px: int | None = None,
-    pr: int | None = None,
-    timeout: float = 120.0,
-    substrate: str = "virtual",
-    steps_window: int = 30,
-    overlap: bool = False,
-    faults=None,
-    fault_seed: int | None = None,
-    checkpoint_every: int = 0,
-    max_restarts: int = 2,
-    metrics=None,
-    profile: bool | int = False,
-    ledger=None,
-    stream=None,
-    flight=None,
-    **scenario_kw,
-) -> RunResult:
+def run(scenario, **options) -> RunResult:
     """Run ``scenario`` on the selected substrate and return a
     :class:`RunResult`.
 
@@ -305,9 +279,9 @@ def run(
     backend:
         Kernel backend name (``"baseline"``, ``"fused"`` or ``"compiled"``; see
         :mod:`repro.numerics.kernels`).  ``None`` keeps the scenario's
-        configured backend, which itself defaults to the ``REPRO_BACKEND``
-        environment variable.  Backends are bitwise-identical — this only
-        selects how the hot-path kernels are evaluated.
+        configured backend, which itself defaults to ``"baseline"``.
+        Backends are bitwise-identical — this only selects how the
+        hot-path kernels are evaluated.
     decomposition, px, pr, timeout:
         Forwarded to the distributed solver (``nprocs > 1`` route).
     substrate:
@@ -375,38 +349,15 @@ def run(
 
     Notes
     -----
-    This is a thin shim: it packs its keyword surface into a typed
-    :class:`~repro.request.RunRequest` and calls :func:`run_request`.
-    New code (and anything that serializes, caches, or ships runs — see
-    :mod:`repro.service`) should build ``RunRequest`` objects directly.
+    ``run(scenario, **options)`` *is*
+    ``run_request(RunRequest.from_run_args(scenario, **options))``: every
+    option above but ``scenario`` and ``steps`` is a field of one of the
+    three config dataclasses in :mod:`repro.request` (its default is
+    declared there and nowhere else), and a keyword no config declares is
+    a scenario constructor override.  Anything that serializes, caches, or
+    ships runs (see :mod:`repro.service`) builds ``RunRequest`` objects.
     """
-    req = RunRequest.from_run_args(
-        scenario,
-        steps=steps,
-        nprocs=nprocs,
-        platform=platform,
-        version=version,
-        trace=trace,
-        backend=backend,
-        decomposition=decomposition,
-        px=px,
-        pr=pr,
-        timeout=timeout,
-        substrate=substrate,
-        steps_window=steps_window,
-        overlap=overlap,
-        faults=faults,
-        fault_seed=fault_seed,
-        checkpoint_every=checkpoint_every,
-        max_restarts=max_restarts,
-        metrics=metrics,
-        profile=profile,
-        ledger=ledger,
-        stream=stream,
-        flight=flight,
-        **scenario_kw,
-    )
-    return run_request(req)
+    return run_request(RunRequest.from_run_args(scenario, **options))
 
 
 def run_request(
@@ -463,27 +414,16 @@ def run_request(
             profiler.enable()
         try:
             if ex.platform is not None:
-                result = _run_simulated(
-                    sc, req.resolve_platform(), ex.nprocs, ex.version,
-                    req.steps, ex.steps_window, tracer, faults=plan,
-                )
+                result = _run_simulated(sc, req, plan, tracer)
             elif ex.nprocs == 1:
                 if plan is not None:
                     raise ValueError(
                         "faults= requires a network to break: use nprocs > 1 "
                         "(virtual cluster) or platform=... (simulated machine)"
                     )
-                result = _run_serial(sc, req.steps, tracer, ex.backend)
+                result = _run_serial(sc, req, tracer)
             else:
-                result = _run_parallel(
-                    sc, req.steps, ex.nprocs, ex.version, ex.decomposition,
-                    ex.px, ex.pr, ex.timeout, tracer, ex.backend,
-                    faults=plan,
-                    checkpoint_every=rz.checkpoint_every,
-                    max_restarts=rz.max_restarts,
-                    substrate=ex.substrate,
-                    overlap=ex.overlap,
-                )
+                result = _run_parallel(sc, req, plan, tracer)
         finally:
             if profiler is not None:
                 profiler.disable()
@@ -549,14 +489,13 @@ def _backend_config(config, backend: str | None):
     return _dc_replace(config, backend=backend)
 
 
-def _run_serial(
-    sc: Scenario,
-    steps: int | None,
-    tracer: Tracer | None,
-    backend: str | None = None,
-) -> RunResult:
-    steps = _require_steps(steps)
-    config = _backend_config(sc.solver.config, backend)
+# The three routes take the request (plus what ``run_request`` resolved from
+# it) and read options off its configs; none is re-listed as a parameter.
+
+
+def _run_serial(sc: Scenario, req: RunRequest, tracer: Tracer | None) -> RunResult:
+    steps = _require_steps(req.steps)
+    config = _backend_config(sc.solver.config, req.execution.backend)
     solver = type(sc.solver)(
         FlowState(sc.grid, sc.state.q.copy(), config.gamma),
         config,
@@ -581,42 +520,31 @@ def _run_serial(
 
 
 def _run_parallel(
-    sc: Scenario,
-    steps: int | None,
-    nprocs: int,
-    version: int,
-    decomposition: str,
-    px: int | None,
-    pr: int | None,
-    timeout: float,
-    tracer: Tracer | None,
-    backend: str | None = None,
-    faults=None,
-    checkpoint_every: int = 0,
-    max_restarts: int = 2,
-    substrate: str = "virtual",
-    overlap: bool = False,
+    sc: Scenario, req: RunRequest, plan, tracer: Tracer | None
 ) -> RunResult:
     from .parallel.runner import ParallelJetSolver
 
-    steps = _require_steps(steps)
+    ex, rz = req.execution, req.resilience
+    steps = _require_steps(req.steps)
+    # The one mapping from request fields to solver arguments.
     solver = ParallelJetSolver(
         sc.state,
-        _backend_config(sc.solver.config, backend),
-        nranks=nprocs,
-        version=version,
-        decomposition=decomposition,
-        px=px,
-        pr=pr,
-        timeout=timeout,
-        substrate=substrate,
-        faults=faults,
-        checkpoint_every=checkpoint_every,
-        max_restarts=max_restarts,
+        _backend_config(sc.solver.config, ex.backend),
+        nranks=ex.nprocs,
+        version=ex.version,
+        decomposition=ex.decomposition,
+        px=ex.px,
+        pr=ex.pr,
+        timeout=ex.timeout,
+        substrate=ex.substrate,
+        # The resolved (re-seeded) plan, never the raw ``rz.faults``.
+        faults=plan,
+        checkpoint_every=rz.checkpoint_every,
+        max_restarts=rz.max_restarts,
         # False means "the version's default", not "force blocking":
         # request-level overlap is an opt-in override on top of the
         # version policy (V6+ already overlaps).
-        overlap=True if overlap else None,
+        overlap=True if ex.overlap else None,
     )
     t0 = _time.perf_counter()
     res = solver.run(steps, tracer=tracer)
@@ -624,8 +552,8 @@ def _run_parallel(
     return RunResult(
         scenario=sc.name or "scenario",
         mode="parallel",
-        nprocs=nprocs,
-        version=version,
+        nprocs=ex.nprocs,
+        version=ex.version,
         steps=res.nsteps,
         t=res.t,
         state=res.state,
@@ -638,38 +566,30 @@ def _run_parallel(
         trace=res.trace,
         restarts=res.restarts,
         fault_stats=res.fault_stats,
-        substrate=substrate,
+        substrate=ex.substrate,
     )
 
 
 def _run_simulated(
-    sc: Scenario,
-    platform,
-    nprocs: int,
-    version: int,
-    steps: int | None,
-    steps_window: int,
-    tracer: Tracer | None,
-    faults=None,
+    sc: Scenario, req: RunRequest, plan, tracer: Tracer | None
 ) -> RunResult:
-    from .machines.platforms import platform_by_name
     from .simulate.machine import SimulatedMachine
     from .simulate.sharedmem import SharedMemoryMachine
     from .simulate.workload import EULER, NAVIER_STOKES
 
-    if isinstance(platform, str):
-        platform = platform_by_name(platform)
+    ex = req.execution
+    platform = req.resolve_platform()
     app = NAVIER_STOKES if sc.solver.config.viscous else EULER
     t0 = _time.perf_counter()
     if platform.cpu is None:
         # Shared-memory vector machine (the Y-MP): analytic, no DES trace.
-        if faults is not None:
+        if plan is not None:
             raise ValueError(
                 f"faults= is not supported on {platform.name}: the "
                 "shared-memory model has no network to degrade"
             )
-        sim = SharedMemoryMachine(platform, nprocs).run(
-            app, version=version, total_steps=steps
+        sim = SharedMemoryMachine(platform, ex.nprocs).run(
+            app, version=ex.version, total_steps=req.steps
         )
         if tracer is not None:
             from .obs import trace_from_timelines
@@ -677,23 +597,27 @@ def _run_simulated(
             trace_from_timelines(
                 sim.timelines,
                 tracer=tracer,
-                meta={"platform": platform.name, "app": app.name, "nprocs": nprocs},
+                meta={
+                    "platform": platform.name,
+                    "app": app.name,
+                    "nprocs": ex.nprocs,
+                },
             )
     else:
         sim = SimulatedMachine(
-            platform, nprocs, version=version, faults=faults
+            platform, ex.nprocs, version=ex.version, faults=plan
         ).run(
             app,
-            steps_window=steps_window,
-            total_steps=steps,
+            steps_window=ex.steps_window,
+            total_steps=req.steps,
             tracer=tracer,
         )
     wall = _time.perf_counter() - t0
     return RunResult(
         scenario=sc.name or "scenario",
         mode="simulated",
-        nprocs=nprocs,
-        version=version,
+        nprocs=ex.nprocs,
+        version=ex.version,
         steps=sim.total_steps,
         t=None,
         state=None,

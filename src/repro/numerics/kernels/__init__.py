@@ -1,26 +1,29 @@
-"""Pluggable kernel backends for the solver hot path.
+"""The three kernel backends for the solver hot path.
 
-The registry maps names to :class:`~.base.KernelBackend` instances:
-
-* ``"baseline"`` — the original allocating numpy kernels (paper Version 1);
+* ``"baseline"`` — the allocating numpy kernels (paper Version 1).  The
+  **reference**: every other backend is pinned bitwise against it, and it
+  is live code on every backend's jet step (the 5-column outflow window
+  and the fused backend's distributed edge stress both run it).
 * ``"fused"`` — in-place kernels over a preallocated
   :class:`~.base.StepWorkspace`, bitwise-identical to the baseline (paper
-  Versions 2-4 transplanted to numpy);
+  Versions 2-4 transplanted to numpy).  The supported **no-toolchain
+  fallback**, and the benchmark harness's bitwise oracle.
 * ``"compiled"`` — the fused kernels as native loops: one C translation
   unit built once with the system compiler and called through ctypes
-  (paper "V6"), bitwise-identical again, with a clean
-  :class:`~.compiled.BackendUnavailable` fallback to the fused kernels on
-  hosts with no C toolchain.
+  (paper "V6"), bitwise-identical again.  The **product**; on a host with
+  no C toolchain it degrades to the fused kernels with a warning
+  (:class:`~.compiled.BackendUnavailable`).
 
-Selection order: an explicit ``SolverConfig(backend=...)`` /
-``repro.api.run(..., backend=...)`` argument wins; otherwise the
-``REPRO_BACKEND`` environment variable; otherwise ``"baseline"``.
-Third-party backends can be added with :func:`register_backend`.
+A backend is selected by the request and by nothing else:
+``SolverConfig(backend=...)`` / ``repro.api.run(..., backend=...)`` /
+``repro run --backend``; ``None`` means ``"baseline"``, so constructing a
+solver (which building a :class:`~repro.scenarios.Scenario` does) never
+triggers a C build.  No environment variable and no runtime registration
+can change which kernels a request runs — what ran is what the request's
+identity says (see DESIGN.md section 7).
 """
 
 from __future__ import annotations
-
-import os
 
 from .base import KernelBackend, StepWorkspace
 from .baseline import BaselineBackend
@@ -37,31 +40,24 @@ __all__ = [
     "BackendUnavailable",
     "fused_axial_flux",
     "fused_radial_flux",
-    "register_backend",
     "get_backend",
     "resolve_backend",
     "available_backends",
 ]
 
-#: Environment variable consulted when no backend is named explicitly.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_REGISTRY: dict[str, KernelBackend] = {}
-
-
-def register_backend(name: str, backend: KernelBackend) -> None:
-    """Register ``backend`` under ``name`` (replacing any previous entry)."""
-    if not isinstance(backend, KernelBackend):
-        raise TypeError(
-            f"backend must be a KernelBackend instance, got {type(backend).__name__}"
-        )
-    _REGISTRY[name] = backend
+_BACKENDS: dict[str, KernelBackend] = {
+    # Instantiating CompiledBackend builds nothing: the C build is lazy and
+    # per-host, and a host without a toolchain falls back to the fused
+    # workspace with a warning at solver construction.
+    backend.name: backend
+    for backend in (BaselineBackend(), FusedBackend(), CompiledBackend())
+}
 
 
 def get_backend(name: str) -> KernelBackend:
-    """Look up a registered backend by name."""
+    """Look up a backend by name."""
     try:
-        return _REGISTRY[name]
+        return _BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {name!r}; "
@@ -70,20 +66,10 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Resolve an explicit name, the ``REPRO_BACKEND`` variable, or the default."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or "baseline"
-    return get_backend(name)
+    """The named backend; ``None`` is ``"baseline"``, always."""
+    return get_backend("baseline" if name is None else name)
 
 
 def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-register_backend("baseline", BaselineBackend())
-register_backend("fused", FusedBackend())
-# Registration is unconditional; the C build is lazy and per-host, and a
-# host without a toolchain falls back to the fused workspace with a
-# warning at solver construction.
-register_backend("compiled", CompiledBackend())
+    """Backend names, sorted."""
+    return sorted(_BACKENDS)

@@ -80,11 +80,9 @@ class SolverConfig:
     periodic conservation is preserved; set to 0 to disable.
     """
     backend: str | None = None
-    """Kernel backend name (``"baseline"``, ``"fused"``, ``"compiled"``,
-    or a name added via :func:`repro.numerics.kernels.register_backend`).
-    ``None`` defers to the ``REPRO_BACKEND`` environment variable, then
-    ``"baseline"``.  Backends select *how* the hot-path kernels are
-    evaluated, never what they compute: all backends are
+    """Kernel backend name (``"baseline"``, ``"fused"`` or ``"compiled"``);
+    ``None`` is ``"baseline"``.  Backends select *how* the hot-path
+    kernels are evaluated, never what they compute: all backends are
     bitwise-identical (``"compiled"`` falls back to the fused kernels
     with a warning on hosts without a C toolchain)."""
 

@@ -16,6 +16,7 @@ component tables.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -80,62 +81,30 @@ class PerfReport:
     """Full registry snapshot (:meth:`MetricsRegistry.snapshot`)."""
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "backend": self.backend,
-            "platform": self.platform,
-            "substrate": self.substrate,
-            "nprocs": self.nprocs,
-            "version": self.version,
-            "steps": self.steps,
-            "grid": list(self.grid) if self.grid is not None else None,
-            "viscous": self.viscous,
-            "fingerprint": self.fingerprint,
-            "wall_seconds": self.wall_seconds,
-            "ms_per_step": self.ms_per_step,
-            "mflops_total": self.mflops_total,
-            "comp_comm_ratio": self.comp_comm_ratio,
-            "stages": self.stages,
-            "per_rank": self.per_rank,
-            "faults": self.faults,
-            "restarts": self.restarts,
-            "trace_summary": self.trace_summary,
-            "profile_top": self.profile_top,
-            "balance": self.balance,
-            "metrics": self.metrics,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if self.grid is not None:
+            d["grid"] = list(self.grid)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PerfReport":
-        grid = d.get("grid")
-        return cls(
-            schema=d.get("schema", LEDGER_SCHEMA),
-            scenario=d["scenario"],
-            mode=d["mode"],
-            backend=d.get("backend"),
-            platform=d.get("platform"),
-            substrate=d.get("substrate"),
-            nprocs=int(d["nprocs"]),
-            version=d.get("version"),
-            steps=int(d["steps"]),
-            grid=tuple(grid) if grid is not None else None,
-            viscous=d.get("viscous"),
-            fingerprint=d.get("fingerprint", ""),
-            wall_seconds=float(d["wall_seconds"]),
-            ms_per_step=float(d["ms_per_step"]),
-            mflops_total=d.get("mflops_total"),
-            comp_comm_ratio=d.get("comp_comm_ratio"),
-            stages=d.get("stages", []),
-            per_rank=d.get("per_rank", []),
-            faults=d.get("faults", {}),
-            restarts=int(d.get("restarts", 0)),
-            trace_summary=d.get("trace_summary"),
-            profile_top=d.get("profile_top"),
-            balance=d.get("balance"),
-            metrics=d.get("metrics", {}),
-        )
+        """Inverse of :meth:`to_dict`; absent optional keys keep the field
+        default, keys this version does not know are ignored."""
+        kw = {f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d}
+        if kw.get("grid") is not None:
+            kw["grid"] = tuple(kw["grid"])
+        for name, number in _NUMERIC_FIELDS.items():
+            if name in kw:
+                kw[name] = number(kw[name])
+        return cls(**kw)
+
+
+#: Fields coerced on load; a value that cannot be coerced marks a bad line
+#: (:func:`read_ledger` skips it with a warning).
+_NUMERIC_FIELDS = {
+    "nprocs": int, "steps": int, "restarts": int,
+    "wall_seconds": float, "ms_per_step": float,
+}
 
 
 # -- fingerprinting -----------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Typed, serializable run requests — the facade's wire-ready API.
+"""Typed, serializable run requests — where a run option is declared.
 
-:func:`repro.api.run` grew to 20+ loose keyword arguments; a run *service*
-cannot ship loose kwargs over a wire, and a result *cache* needs one
-canonical identity per workload.  This module factors the sprawl into
-dataclasses:
+A run option's name and default exist in exactly one place: a field of one
+of the three frozen config dataclasses below.  Every other layer *reads*
+them — :func:`repro.api.run` and :meth:`RunRequest.from_run_args` route a
+keyword to the config whose :func:`dataclasses.fields` names it, the wire
+format (``to_dict``/``from_dict``) is derived from the same fields, the
+facade's route functions take the request itself, and the ``repro run`` /
+``repro submit`` parsers leave every default to the dataclass.
 
 * :class:`ExecutionConfig` — where and how the run executes (nprocs,
   platform, substrate, decomposition, code version, kernel backend);
@@ -15,9 +18,10 @@ dataclasses:
   as the **single source of the cache key** used by the run service's
   result store and stamped into every :class:`~repro.obs.PerfReport`.
 
-``run(scenario, **kw)`` remains a thin shim that builds a
-:class:`RunRequest` (see :func:`repro.api.run`); the typed entry point is
-:func:`repro.api.run_request`.
+Nothing outside the request selects what runs: no environment variable
+picks a kernel backend, and a wire dict carrying a key nobody reads
+(``"nproc"`` for ``"nprocs"``) is refused by :meth:`RunRequest.from_dict`
+instead of executing — and being cached — as a different workload.
 
 Identity vs. observability
 --------------------------
@@ -119,24 +123,9 @@ class ObservabilityConfig:
 
     def to_dict(self) -> dict:
         return {
-            "trace": _plain_flag(self.trace),
-            "metrics": _plain_flag(self.metrics),
-            "profile": self.profile if isinstance(self.profile, int) else bool(self.profile),
-            "ledger": _plain_flag(self.ledger),
-            "stream": _plain_flag(self.stream),
-            "flight": _plain_flag(self.flight),
+            name: _plain_flag(getattr(self, name))
+            for name in _FIELDS["observability"]
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ObservabilityConfig":
-        return cls(
-            trace=d.get("trace"),
-            metrics=d.get("metrics"),
-            profile=d.get("profile", False),
-            ledger=d.get("ledger"),
-            stream=d.get("stream"),
-            flight=d.get("flight"),
-        )
 
 
 def _plain_flag(value: Any) -> Any:
@@ -149,6 +138,36 @@ def _plain_flag(value: Any) -> Any:
         return os.fspath(value)
     except TypeError:
         return True
+
+
+#: ``RunRequest`` attribute -> the config dataclass that declares its options.
+_CONFIGS = {
+    "execution": ExecutionConfig,
+    "resilience": ResilienceConfig,
+    "observability": ObservabilityConfig,
+}
+#: Field names per config, computed once: every layer that needs "the
+#: options" (keyword routing, the wire format) reads these.
+_FIELDS = {
+    group: tuple(f.name for f in dataclasses.fields(cls))
+    for group, cls in _CONFIGS.items()
+}
+_GROUP_OF = {name: group for group, names in _FIELDS.items() for name in names}
+_WIRE_KEYS = ("schema", "scenario", "steps", "scenario_kw", *_CONFIGS)
+
+
+def _known_keys(d: Mapping | None, known: tuple, where: str) -> dict:
+    """``d`` as a dict, refusing keys outside ``known``: dropping a key
+    nobody reads (a typo, a newer client) would run — and cache — a
+    different workload than the sender described.  Missing keys are fine;
+    they mean "the default"."""
+    d = dict(d or {})
+    unknown = sorted(d.keys() - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {where} field(s) {unknown}; known: {sorted(known)}"
+        )
+    return d
 
 
 #: Backends whose results are bitwise-interchangeable (locked down by the
@@ -217,41 +236,21 @@ class RunRequest:
 
     @classmethod
     def from_run_args(
-        cls,
-        scenario,
-        *,
-        steps: int | None = None,
-        nprocs: int = 1,
-        platform=None,
-        version: int = 7,
-        trace=None,
-        backend: str | None = None,
-        decomposition: str = "axial",
-        px: int | None = None,
-        pr: int | None = None,
-        timeout: float = 120.0,
-        substrate: str = "virtual",
-        steps_window: int = 30,
-        overlap: bool = False,
-        faults=None,
-        fault_seed: int | None = None,
-        checkpoint_every: int = 0,
-        max_restarts: int = 2,
-        metrics=None,
-        profile=False,
-        ledger=None,
-        stream=None,
-        flight=None,
-        **scenario_kw,
+        cls, scenario, *, steps: int | None = None, **options
     ) -> "RunRequest":
         """Build a request from :func:`repro.api.run`'s keyword surface.
 
-        The parameter names and defaults are exactly the legacy ``run``
-        signature — this is the shim's one-line body.
+        Each keyword goes to the config whose dataclass fields name it;
+        anything else is a scenario constructor override (``nx=...``), so a
+        misspelt option still ends as that constructor's ``TypeError``.
         """
-        scenario_obj = None
         from .scenarios import Scenario
 
+        grouped: dict[str, dict] = {group: {} for group in _CONFIGS}
+        scenario_kw: dict[str, Any] = {}
+        for name, value in options.items():
+            grouped.get(_GROUP_OF.get(name), scenario_kw)[name] = value
+        scenario_obj = None
         if isinstance(scenario, Scenario):
             if scenario_kw:
                 raise TypeError(
@@ -263,38 +262,18 @@ class RunRequest:
             scenario_obj = scenario
             scenario = scenario.name or "scenario"
         platform_obj = None
+        ex = grouped["execution"]
+        platform = ex.get("platform")
         if platform is not None and not isinstance(platform, str):
             platform_obj = platform
-            platform = getattr(platform, "name", str(platform))
+            ex["platform"] = getattr(platform, "name", str(platform))
         return cls(
             scenario=scenario,
             steps=steps,
-            scenario_kw=dict(scenario_kw),
-            execution=ExecutionConfig(
-                nprocs=nprocs,
-                platform=platform,
-                substrate=substrate,
-                decomposition=decomposition,
-                px=px,
-                pr=pr,
-                version=version,
-                backend=backend,
-                steps_window=steps_window,
-                timeout=timeout,
-                overlap=overlap,
-            ),
-            resilience=ResilienceConfig(
-                faults=faults,
-                fault_seed=fault_seed,
-                checkpoint_every=checkpoint_every,
-                max_restarts=max_restarts,
-            ),
-            observability=ObservabilityConfig(
-                trace=trace, metrics=metrics, profile=profile, ledger=ledger,
-                stream=stream, flight=flight,
-            ),
+            scenario_kw=scenario_kw,
             scenario_obj=scenario_obj,
             platform_obj=platform_obj,
+            **{group: _CONFIGS[group](**kw) for group, kw in grouped.items()},
         )
 
     # -- routing helpers -----------------------------------------------------
@@ -405,61 +384,42 @@ class RunRequest:
                 "a RunRequest carrying a live Platform object is not "
                 "serializable; use a registered platform name"
             )
-        ex, rz = self.execution, self.resilience
-        return {
+        wire = {
             "schema": REQUEST_SCHEMA,
             "scenario": self.scenario,
             "steps": self.steps,
             "scenario_kw": dict(self.scenario_kw),
-            "execution": {
-                "nprocs": ex.nprocs,
-                "platform": ex.platform,
-                "substrate": ex.substrate,
-                "decomposition": ex.decomposition,
-                "px": ex.px,
-                "pr": ex.pr,
-                "version": ex.version,
-                "backend": ex.backend,
-                "steps_window": ex.steps_window,
-                "timeout": ex.timeout,
-                "overlap": ex.overlap,
-            },
-            "resilience": {
-                "faults": _faults_identity(rz.faults),
-                "fault_seed": rz.fault_seed,
-                "checkpoint_every": rz.checkpoint_every,
-                "max_restarts": rz.max_restarts,
-            },
-            "observability": self.observability.to_dict(),
         }
+        for group in ("execution", "resilience"):
+            config = getattr(self, group)
+            wire[group] = {name: getattr(config, name) for name in _FIELDS[group]}
+        wire["resilience"]["faults"] = _faults_identity(self.resilience.faults)
+        wire["observability"] = self.observability.to_dict()
+        return wire
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunRequest":
+        """Inverse of :meth:`to_dict`.  A missing key means "the default";
+        an unknown key (top level or inside a config) is a ``ValueError``."""
         schema = d.get("schema", REQUEST_SCHEMA)
         if schema != REQUEST_SCHEMA:
             raise ValueError(
                 f"unknown request schema {schema!r} "
                 f"(expected {REQUEST_SCHEMA!r})"
             )
-        ex = dict(d.get("execution") or {})
-        rz = dict(d.get("resilience") or {})
+        d = _known_keys(d, _WIRE_KEYS, "request")
+        configs = {
+            group: _known_keys(d.get(group), _FIELDS[group], group)
+            for group in _CONFIGS
+        }
+        rz = configs["resilience"]
         if "faults" in rz:
             rz["faults"] = _faults_from_wire(rz["faults"])
-        known_ex = {f.name for f in dataclasses.fields(ExecutionConfig)}
-        known_rz = {f.name for f in dataclasses.fields(ResilienceConfig)}
         return cls(
             scenario=d["scenario"],
             steps=d.get("steps"),
             scenario_kw=dict(d.get("scenario_kw") or {}),
-            execution=ExecutionConfig(
-                **{k: v for k, v in ex.items() if k in known_ex}
-            ),
-            resilience=ResilienceConfig(
-                **{k: v for k, v in rz.items() if k in known_rz}
-            ),
-            observability=ObservabilityConfig.from_dict(
-                d.get("observability") or {}
-            ),
+            **{group: _CONFIGS[group](**kw) for group, kw in configs.items()},
         )
 
     def replace(self, **changes) -> "RunRequest":

@@ -56,6 +56,39 @@ class TestCLI:
             main(["simulate", "--platform", "Connection Machine", "--procs", "4"])
 
 
+class TestRequestOptions:
+    """``run`` and ``submit`` share one option table that restates no
+    default: the config dataclasses in ``repro.request`` own those."""
+
+    def test_run_selects_a_backend(self, capsys):
+        assert main(["run", "sod", "--steps", "5", "--backend", "fused"]) == 0
+        assert "serial" in capsys.readouterr().out
+
+    def test_run_and_submit_expose_the_same_request_options(self, capsys):
+        from repro.__main__ import _REQUEST_OPTIONS
+
+        assert {"--nprocs", "--platform", "--backend",
+                "--checkpoint-every"} <= set(_REQUEST_OPTIONS)
+        assert all("default" not in kw for kw in _REQUEST_OPTIONS.values())
+        for command in ("run", "submit"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            usage = capsys.readouterr().out
+            assert [f for f in _REQUEST_OPTIONS if f not in usage] == []
+
+    def test_absent_flag_is_absent_from_the_kwargs(self):
+        import argparse
+
+        from repro.__main__ import _add_request_options, _request_options
+
+        p = argparse.ArgumentParser()
+        _add_request_options(p)
+        assert _request_options(p.parse_args([])) == {}
+        assert _request_options(
+            p.parse_args(["--nprocs", "2", "--checkpoint-every", "5"])
+        ) == {"nprocs": 2, "checkpoint_every": 5}
+
+
 class TestSweeps:
     def test_records_and_rendering(self):
         from repro.experiments.sweeps import sweep, sweep_table

@@ -11,9 +11,9 @@ Like the fused backend, it must change performance only, never results:
   flips the flag and is held to the pinned :data:`ULP_BOUND` instead;
 * the differential matrix mirrors ``tests/test_kernels.py``: Euler and
   Navier-Stokes, serial and all three decompositions, both substrates;
-* selection mirrors the other backends: ``SolverConfig.backend``,
-  ``$REPRO_BACKEND``, and a clean ``BackendUnavailable`` fallback to the
-  fused workspace (with a ``RuntimeWarning``, never a crash).
+* selection mirrors the other backends: ``SolverConfig.backend`` (or
+  ``run(..., backend=)``), and a clean ``BackendUnavailable`` fallback to
+  the fused workspace (with a ``RuntimeWarning``, never a crash).
 """
 
 import copy
@@ -25,14 +25,12 @@ import pytest
 from repro import constants, jet_scenario
 from repro.api import run
 from repro.numerics.kernels import (
-    BACKEND_ENV_VAR,
     BackendUnavailable,
     CompiledBackend,
     CompiledWorkspace,
     StepWorkspace,
     available_backends,
     get_backend,
-    resolve_backend,
 )
 from repro.numerics.kernels import compiled
 from repro.numerics.kernels.compiled import resolve_ops
@@ -104,10 +102,6 @@ class TestSelection:
     def test_registered(self):
         assert "compiled" in available_backends()
         assert isinstance(get_backend("compiled"), CompiledBackend)
-
-    def test_env_var_selects_compiled(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compiled")
-        assert resolve_backend(None).name == "compiled"
 
     def test_config_selects_compiled_workspace(self, ops):
         sc = jet_scenario(nx=16, nr=12)

@@ -14,14 +14,11 @@ import pytest
 from repro import jet_scenario
 from repro.api import run
 from repro.numerics.kernels import (
-    BACKEND_ENV_VAR,
     BaselineBackend,
     FusedBackend,
-    KernelBackend,
     StepWorkspace,
     available_backends,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.numerics.stencils import (
@@ -45,50 +42,29 @@ class TestRegistry:
         with pytest.raises(ValueError, match="baseline"):
             get_backend("vectorized-fortran")
 
-    def test_register_rejects_non_backend(self):
-        with pytest.raises(TypeError):
-            register_backend("bogus", object())
-
-    def test_register_custom_backend(self):
-        class Custom(KernelBackend):
-            name = "custom-test"
-
-            def step_workspace(self, solver):
-                return None
-
-        register_backend("custom-test", Custom())
-        try:
-            assert get_backend("custom-test").name == "custom-test"
-        finally:
-            import repro.numerics.kernels as K
-
-            del K._REGISTRY["custom-test"]
-
-    def test_resolve_default_is_baseline(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_resolve_default_is_baseline(self):
         assert resolve_backend(None).name == "baseline"
 
-    def test_resolve_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
-        assert resolve_backend(None).name == "fused"
-
     def test_explicit_name_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
+        monkeypatch.setenv("REPRO_BACKEND", "fused")
         assert resolve_backend("baseline").name == "baseline"
 
-    def test_config_selects_backend(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_config_selects_backend(self):
         sc = jet_scenario(nx=16, nr=12)
         sc.solver.config.backend = "fused"
         solver = type(sc.solver)(sc.state, sc.solver.config)
         assert solver.backend.name == "fused"
         assert isinstance(solver._ws, StepWorkspace)
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fused")
-        sc = jet_scenario(nx=16, nr=12)
-        solver = type(sc.solver)(sc.state, sc.solver.config)
-        assert solver.backend.name == "fused"
+    def test_environment_cannot_select_backend(self, monkeypatch):
+        """What ran is what the request's identity says: ``backend=None``
+        fingerprints as the baseline family, so no environment variable may
+        turn it into a compiled run behind the cache's back."""
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
+        assert resolve_backend(None).name == "baseline"
+        res = run("sod", steps=3, metrics=True, ledger=False)
+        assert res.perf.backend == "baseline"
+        assert res.request.identity()["backend"] is None
 
 
 class TestKernelPrimitives:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.faults import FaultPlan
 from repro.request import (
     ExecutionConfig,
     ObservabilityConfig,
@@ -18,6 +21,12 @@ from repro.request import (
     RunRequest,
 )
 from repro.scenarios import shock_tube_scenario
+
+CONFIGS = {
+    "execution": ExecutionConfig,
+    "resilience": ResilienceConfig,
+    "observability": ObservabilityConfig,
+}
 
 
 class TestRoundTrip:
@@ -41,6 +50,27 @@ class TestRoundTrip:
         wire["schema"] = "repro.request/99"
         with pytest.raises(ValueError, match="schema"):
             RunRequest.from_dict(wire)
+
+    def test_unknown_config_key_refused_not_run_serially(self):
+        """``"nproc"`` for ``"nprocs"`` used to be dropped: the dict ran —
+        and was cached — as a *serial* workload."""
+        wire = {"scenario": "sod", "steps": 5, "execution": {"nproc": 4}}
+        with pytest.raises(ValueError, match=r"execution field\(s\) \['nproc'\]"):
+            RunRequest.from_dict(wire)
+        for group in ("resilience", "observability"):
+            with pytest.raises(ValueError, match=f"unknown {group} field"):
+                RunRequest.from_dict({"scenario": "sod", group: {"bogus": 1}})
+
+    def test_unknown_top_level_key_refused(self):
+        """``"step"`` for ``"steps"`` used to load as ``steps=None``."""
+        with pytest.raises(ValueError, match=r"\['step'\].*'steps'"):
+            RunRequest.from_dict({"scenario": "sod", "step": 5})
+
+    def test_missing_keys_still_mean_the_default(self):
+        req = RunRequest.from_dict(
+            {"scenario": "sod", "execution": {"nprocs": 2}, "resilience": None}
+        )
+        assert req == RunRequest.from_run_args("sod", nprocs=2)
 
     def test_adhoc_scenario_object_not_serializable(self):
         req = RunRequest.from_run_args(shock_tube_scenario(nx=32), steps=5)
@@ -107,6 +137,97 @@ class TestFingerprint:
         assert bumped.fingerprint() != req.fingerprint()
 
 
+class TestPinnedBytes:
+    """Literal fingerprints and wire bytes: a refactor of the request path
+    must not orphan a result store or move ``index.jsonl`` sizes."""
+
+    @pytest.mark.parametrize("kw, fingerprint", [
+        (dict(steps=25), "be3bc1784b93"),
+        (dict(steps=25, nprocs=2), "b8cbaf7e3b31"),
+        (dict(steps=10, nprocs=2, substrate="process",
+              faults="lossy-ethernet", fault_seed=7, checkpoint_every=5),
+         "ccb0eb216d41"),
+        (dict(platform="Cray T3D", nprocs=16, version=5), "25b583d224b2"),
+    ])
+    def test_fingerprints(self, kw, fingerprint):
+        assert RunRequest.from_run_args("jet", **kw).fingerprint() == fingerprint
+
+    def test_wire_bytes(self):
+        req = RunRequest.from_run_args(
+            "jet", steps=12, nx=48, nr=24, nprocs=2, substrate="process",
+            backend="compiled", checkpoint_every=4, metrics=True, profile=5,
+            faults=FaultPlan(drop=0.05, seed=3, crashes=((1, 4),)),
+        )
+        assert json.dumps(req.to_dict()) == (
+            '{"schema": "repro.request/1", "scenario": "jet", "steps": 12, '
+            '"scenario_kw": {"nx": 48, "nr": 24}, "execution": {"nprocs": 2, '
+            '"platform": null, "substrate": "process", "decomposition": '
+            '"axial", "px": null, "pr": null, "version": 7, "backend": '
+            '"compiled", "steps_window": 30, "timeout": 120.0, "overlap": '
+            'false}, "resilience": {"faults": {"seed": 3, "name": "", "drop": '
+            '0.05, "duplicate": 0.0, "reorder": 0.0, "truncate": 0.0, "delay": '
+            '0.0, "max_delay": 0.002, "max_transmits": 3, "slow_ranks": [], '
+            '"op_seconds": 0.0002, "crashes": [[1, 4]], "crash_attempts": 1, '
+            '"recv_timeout": 0.5, "recv_retries": 4, "backoff": 1.5, '
+            '"always_wrap": false}, "fault_seed": null, "checkpoint_every": 4, '
+            '"max_restarts": 2}, "observability": {"trace": null, "metrics": '
+            'true, "profile": 5, "ledger": null, "stream": null, "flight": '
+            'null}}'
+        )
+        assert req.fingerprint() == "7014db024bba"
+        assert RunRequest.from_dict(json.loads(json.dumps(req.to_dict()))) == req
+
+
+class TestDeclaredOnce:
+    """A run option's name and default live in one config dataclass; every
+    other layer reads the fields instead of re-listing them."""
+
+    @pytest.mark.parametrize("group", CONFIGS)
+    def test_every_field_routes_to_its_config_and_round_trips(self, group):
+        for f in dataclasses.fields(CONFIGS[group]):
+            # A non-default value of the field's own kind (opaque here:
+            # nothing is validated until the request runs).
+            value = {bool: True, int: 3, float: 9.5, str: "other",
+                     type(None): "other"}[type(f.default)]
+            req = RunRequest.from_run_args("sod", steps=5, **{f.name: value})
+            assert getattr(getattr(req, group), f.name) == value
+            assert req.scenario_kw == {}
+            wire = req.to_dict()
+            assert wire[group][f.name] == value
+            assert all(f.name not in wire[g] for g in CONFIGS if g != group)
+            assert RunRequest.from_dict(wire) == req
+
+    def test_signatures_restate_no_option(self):
+        options = {
+            f.name for cls in CONFIGS.values() for f in dataclasses.fields(cls)
+        }
+        routes = (api._run_serial, api._run_parallel, api._run_simulated)
+        for fn in (api.run, RunRequest.from_run_args, *routes):
+            assert not options & set(inspect.signature(fn).parameters), fn
+        for fn in routes:  # they take the request itself instead
+            assert "req" in inspect.signature(fn).parameters, fn
+
+    def test_unknown_keyword_is_a_scenario_override(self):
+        req = RunRequest.from_run_args("sod", steps=5, nx=32, nprcs=4)
+        assert req.scenario_kw == {"nx": 32, "nprcs": 4}
+        with pytest.raises(TypeError, match="nprcs"):
+            api.run("sod", steps=5, nprcs=4)
+
+    def test_scenario_object_refuses_constructor_overrides(self):
+        with pytest.raises(TypeError, match="only valid when the scenario"):
+            RunRequest.from_run_args(shock_tube_scenario(nx=32), steps=5, nx=64)
+
+    def test_live_platform_becomes_platform_obj_and_name(self):
+        from repro.machines.platforms import CRAY_T3D
+
+        req = RunRequest.from_run_args("jet", platform=CRAY_T3D, nprocs=4)
+        assert req.platform_obj is CRAY_T3D
+        assert req.execution.platform == CRAY_T3D.name
+        assert req.resolve_platform() is CRAY_T3D
+        assert req.fingerprint() == RunRequest.from_run_args(
+            "jet", platform=CRAY_T3D.name, nprocs=4).fingerprint()
+
+
 class TestRunShim:
     def test_run_equals_run_request(self):
         direct = api.run("sod", steps=30)
@@ -128,12 +249,17 @@ class TestRunShim:
         assert res.perf.fingerprint == res.request.fingerprint()
 
     def test_config_dataclass_defaults_match_run_signature(self):
-        ex, rz, ob = ExecutionConfig(), ResilienceConfig(), ObservabilityConfig()
-        assert (ex.nprocs, ex.substrate, ex.decomposition, ex.version) == (
-            1, "virtual", "axial", 7)
-        assert (rz.checkpoint_every, rz.max_restarts) == (0, 2)
-        assert (ob.trace, ob.metrics, ob.profile, ob.ledger) == (
-            None, None, False, None)
+        """The defaults themselves, pinned (``run`` no longer restates
+        them, so there is no second copy to compare against)."""
+        assert dataclasses.asdict(RunRequest("sod").execution) == dict(
+            nprocs=1, platform=None, substrate="virtual",
+            decomposition="axial", px=None, pr=None, version=7, backend=None,
+            steps_window=30, timeout=120.0, overlap=False)
+        assert dataclasses.asdict(ResilienceConfig()) == dict(
+            faults=None, fault_seed=None, checkpoint_every=0, max_restarts=2)
+        assert dataclasses.asdict(ObservabilityConfig()) == dict(
+            trace=None, metrics=None, profile=False, ledger=None,
+            stream=None, flight=None)
 
 
 class TestDataDir:

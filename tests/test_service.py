@@ -266,6 +266,20 @@ class TestSocketFrontEnd:
         assert set(ping) == {"ok", "pid", "workers", "jobs", "executed",
                              "store_root", "store_entries"}
 
+    def test_unknown_wire_key_is_a_structured_error_and_no_job(self, endpoint):
+        """A dict with a key nobody reads must not run as something else
+        (``"nproc": 4`` used to execute, and cache, a serial run)."""
+        client = ServiceClient(endpoint, timeout=120)
+        wire = sod_request().to_dict()
+        wire["execution"] = {"nproc": 4}
+        with pytest.raises(
+            RuntimeError,
+            match=r"ValueError: unknown execution field\(s\) \['nproc'\]",
+        ):
+            client.submit(wire)
+        ping = client.ping()
+        assert (ping["jobs"], ping["executed"], ping["store_entries"]) == (0, 0, 0)
+
     def test_unavailable_raises_with_hint(self, tmp_path):
         client = ServiceClient(tmp_path / "nobody-home.sock")
         with pytest.raises(ServiceUnavailable, match="repro serve"):
