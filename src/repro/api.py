@@ -50,10 +50,9 @@ from .obs import (
     Tracer,
     append_ledger,
     build_perf_report,
-    use_flight,
-    use_metrics,
-    use_stream,
-    use_tracer,
+    current,
+    trace_from_timelines,
+    use,
     write_chrome_trace,
     write_flight_jsonl,
 )
@@ -145,6 +144,10 @@ class RunResult:
     its :meth:`~repro.request.RunRequest.fingerprint` is the cache key)."""
     flight: dict | None = None
     """``rank -> last flight-recorder events`` when ``flight=`` was on."""
+    stream: list | None = None
+    """The buffered ``repro.stream/1`` records, oldest first, when
+    ``stream=`` was ``True`` or an in-process buffer (a live publisher
+    such as the service's queue keeps nothing to return)."""
 
     @property
     def interior_rank_stats(self) -> CommStats:
@@ -338,9 +341,10 @@ def run(scenario, **options) -> RunResult:
         :class:`~repro.obs.PerfReport` to as one JSON line.  Implies
         ``metrics``.
     stream:
-        ``True`` (buffered) or a live publisher to stream one compact
-        ``repro.stream/1`` progress record per solver step per rank
-        (step, t, dt, ms, comm split) — see :mod:`repro.obs.stream`.
+        ``True`` (buffered, returned in ``RunResult.stream``) or a live
+        publisher to stream one compact ``repro.stream/1`` progress record
+        per solver step per rank (step, t, dt, ms, comm split) — see
+        :mod:`repro.obs.stream`.
     flight:
         ``True`` (or a capacity / recorder / flush path) keeps a bounded
         flight-recorder ring of each rank's last events (sends, recvs,
@@ -349,6 +353,10 @@ def run(scenario, **options) -> RunResult:
 
     Notes
     -----
+    A sink named here (``trace``, ``metrics``, ``stream``, ``flight``) is
+    in charge for the run; one left off stays whatever the caller's
+    enclosing ``repro.obs.use(...)`` made it, on every route.
+
     ``run(scenario, **options)`` *is*
     ``run_request(RunRequest.from_run_args(scenario, **options))``: every
     option above but ``scenario`` and ``steps`` is a field of one of the
@@ -376,8 +384,6 @@ def run_request(
     stamped into the tracer (and inherited by forked rank processes), so
     a service-executed run's spans line up under the submitting client's.
     """
-    from contextlib import ExitStack
-
     ex, rz, ob = req.execution, req.resilience, req.observability
     if ex.substrate not in ("virtual", "process"):
         raise ValueError(
@@ -403,44 +409,39 @@ def run_request(
         import cProfile
 
         profiler = cProfile.Profile()
-    with ExitStack() as stack:
-        if reg is not None:
-            stack.enter_context(use_metrics(reg))
-        if publisher is not None:
-            stack.enter_context(use_stream(publisher))
-        if flight is not None:
-            stack.enter_context(use_flight(flight))
+    named = {"tracer": tracer, "metrics": reg, "stream": publisher, "flight": flight}
+    # Only what the request named: the rest is inherited from the caller.
+    with use(**{slot: sink for slot, sink in named.items() if sink is not None}):
         if profiler is not None:
             profiler.enable()
         try:
             if ex.platform is not None:
-                result = _run_simulated(sc, req, plan, tracer)
+                result = _run_simulated(sc, req, plan)
             elif ex.nprocs == 1:
                 if plan is not None:
                     raise ValueError(
                         "faults= requires a network to break: use nprocs > 1 "
                         "(virtual cluster) or platform=... (simulated machine)"
                     )
-                result = _run_serial(sc, req, tracer)
+                result = _run_serial(sc, req)
             else:
-                result = _run_parallel(sc, req, plan, tracer)
+                result = _run_parallel(sc, req, plan)
         finally:
             if profiler is not None:
                 profiler.disable()
     result.request = req
+    if tracer is not None:
+        result.trace = tracer.trace
+        if trace_path is not None:
+            write_chrome_trace(tracer.trace, trace_path)
+            result.trace_path = trace_path
+    if isinstance(publisher, BufferStepStream):
+        result.stream = publisher.records()
     if flight is not None and hasattr(flight, "events_by_rank"):
         result.flight = flight.events_by_rank()
         if flight_path is not None:
             write_flight_jsonl(result.flight, flight_path)
-    if tracer is not None and trace_path is not None:
-        write_chrome_trace(tracer.trace, trace_path)
-        result.trace_path = trace_path
     if reg is not None:
-        # Exact post-run totals from the communicators' own accounting
-        # (live metrics only sample per-call distributions; see
-        # CommStats.ingest_into).
-        for r, st in enumerate(result.per_rank_stats or []):
-            st.ingest_into(reg, r)
         top = None
         if profiler is not None:
             profiler.create_stats()
@@ -491,9 +492,10 @@ def _backend_config(config, backend: str | None):
 
 # The three routes take the request (plus what ``run_request`` resolved from
 # it) and read options off its configs; none is re-listed as a parameter.
+# They run inside the sinks ``run_request`` installed and name none of them.
 
 
-def _run_serial(sc: Scenario, req: RunRequest, tracer: Tracer | None) -> RunResult:
+def _run_serial(sc: Scenario, req: RunRequest) -> RunResult:
     steps = _require_steps(req.steps)
     config = _backend_config(sc.solver.config, req.execution.backend)
     solver = type(sc.solver)(
@@ -501,9 +503,8 @@ def _run_serial(sc: Scenario, req: RunRequest, tracer: Tracer | None) -> RunResu
         config,
     )
     t0 = _time.perf_counter()
-    with use_tracer(tracer):
-        for _ in range(steps):
-            solver.step()
+    for _ in range(steps):
+        solver.step()
     wall = _time.perf_counter() - t0
     return RunResult(
         scenario=sc.name or "scenario",
@@ -515,13 +516,10 @@ def _run_serial(sc: Scenario, req: RunRequest, tracer: Tracer | None) -> RunResu
         state=solver.state,
         per_rank_stats=None,
         timings=RunTimings(wall_seconds=wall, steps=solver.nstep),
-        trace=tracer.trace if tracer is not None else None,
     )
 
 
-def _run_parallel(
-    sc: Scenario, req: RunRequest, plan, tracer: Tracer | None
-) -> RunResult:
+def _run_parallel(sc: Scenario, req: RunRequest, plan) -> RunResult:
     from .parallel.runner import ParallelJetSolver
 
     ex, rz = req.execution, req.resilience
@@ -547,7 +545,7 @@ def _run_parallel(
         overlap=True if ex.overlap else None,
     )
     t0 = _time.perf_counter()
-    res = solver.run(steps, tracer=tracer)
+    res = solver.run(steps)
     wall = _time.perf_counter() - t0
     return RunResult(
         scenario=sc.name or "scenario",
@@ -563,16 +561,13 @@ def _run_parallel(
             steps=res.nsteps,
             per_rank_wall=tuple(res.per_rank_wall),
         ),
-        trace=res.trace,
         restarts=res.restarts,
         fault_stats=res.fault_stats,
         substrate=ex.substrate,
     )
 
 
-def _run_simulated(
-    sc: Scenario, req: RunRequest, plan, tracer: Tracer | None
-) -> RunResult:
+def _run_simulated(sc: Scenario, req: RunRequest, plan) -> RunResult:
     from .simulate.machine import SimulatedMachine
     from .simulate.sharedmem import SharedMemoryMachine
     from .simulate.workload import EULER, NAVIER_STOKES
@@ -580,6 +575,9 @@ def _run_simulated(
     ex = req.execution
     platform = req.resolve_platform()
     app = NAVIER_STOKES if sc.solver.config.viscous else EULER
+    # The one hand-off past the verbs: the simulator stamps its records
+    # with the engine's clock, so it is given the tracer itself.
+    tracer = current().tracer
     t0 = _time.perf_counter()
     if platform.cpu is None:
         # Shared-memory vector machine (the Y-MP): analytic, no DES trace.
@@ -592,8 +590,6 @@ def _run_simulated(
             app, version=ex.version, total_steps=req.steps
         )
         if tracer is not None:
-            from .obs import trace_from_timelines
-
             trace_from_timelines(
                 sim.timelines,
                 tracer=tracer,
@@ -623,6 +619,5 @@ def _run_simulated(
         state=None,
         per_rank_stats=None,
         timings=RunTimings(wall_seconds=wall, steps=sim.total_steps),
-        trace=tracer.trace if tracer is not None else None,
         sim=sim,
     )

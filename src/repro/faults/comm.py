@@ -32,7 +32,7 @@ import numpy as np
 
 from ..msglib.api import Communicator, MessageView
 from ..msglib.vchannel import DeadlockError
-from ..obs import get_metrics, get_tracer
+from ..obs import current
 from .plan import FaultPlan
 from .wire import pack_frame, truncate_frame, unpack_frame
 
@@ -187,17 +187,14 @@ class FaultyComm(Communicator):
         self._emit(kind, counter, ctx or None)
 
     def _emit(self, kind: str, counter: str, args: dict | None) -> None:
-        tr = get_tracer()
-        if tr.enabled:
-            if args is not None:
-                tr.instant(
-                    f"fault.{kind}", cat="fault", rank=self.rank,
-                    step=self._step, **args,
-                )
-            tr.count(counter, 1, rank=self.rank)
-        mx = get_metrics()
-        if mx.enabled:
-            mx.count(f"fault.{kind}", 1.0, rank=self.rank)
+        obs = current()
+        if args is not None:
+            obs.instant(
+                f"fault.{kind}", cat="fault", rank=self.rank,
+                step=self._step, **args,
+            )
+        obs.count(counter, rank=self.rank)  # the trace's total
+        obs.count(f"fault.{kind}", rank=self.rank)  # the ledger's
 
     def _enter_op(self, tag: str) -> None:
         """Per-call prologue: track the step, slow down, maybe crash, and

@@ -19,7 +19,7 @@ Three halves (two real, one modelled):
   the discrete-event simulator, not the real executor.
 """
 
-from .api import CommStats, Communicator, MessageRecord
+from .api import CommStats, Communicator
 from .vchannel import ClusterAborted, DeadlockError, Mailbox
 from .virtual import RankFailure, VirtualCluster, VirtualComm
 from .process import ProcessCluster, ProcessComm, ProcessCommunicator, RemoteRankError
@@ -30,7 +30,6 @@ __all__ = [
     "Communicator",
     "CommStats",
     "DeadlockError",
-    "MessageRecord",
     "Mailbox",
     "ProcessCluster",
     "ProcessComm",

@@ -22,19 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import get_flight, get_metrics, get_tracer
-
-
-@dataclass
-class MessageRecord:
-    """One communication event, for tracing and workload derivation."""
-
-    kind: str  # "send" or "recv"
-    peer: int
-    tag: str
-    nbytes: int
-    seconds: float = 0.0
-    """Wall seconds spent inside the library call (0 when not timed)."""
+from ..obs import current
 
 
 @dataclass
@@ -61,7 +49,6 @@ class CommStats:
     max_message_bytes: int = 0
     """Largest single message this rank sent (grouping diagnostics: V5's
     grouped flux pairs double this relative to V7's split columns)."""
-    trace: list[MessageRecord] | None = None
 
     @property
     def startups(self) -> int:
@@ -77,25 +64,17 @@ class CommStats:
         """Total wall time inside send + receive calls."""
         return self.send_seconds + self.recv_seconds
 
-    def record_send(
-        self, peer: int, tag: str, nbytes: int, seconds: float = 0.0
-    ) -> None:
+    def record_send(self, nbytes: int, seconds: float) -> None:
         self.sends += 1
         self.bytes_sent += nbytes
         self.send_seconds += seconds
         if nbytes > self.max_message_bytes:
             self.max_message_bytes = nbytes
-        if self.trace is not None:
-            self.trace.append(MessageRecord("send", peer, tag, nbytes, seconds))
 
-    def record_recv(
-        self, peer: int, tag: str, nbytes: int, seconds: float = 0.0
-    ) -> None:
+    def record_recv(self, nbytes: int, seconds: float) -> None:
         self.recvs += 1
         self.bytes_received += nbytes
         self.recv_seconds += seconds
-        if self.trace is not None:
-            self.trace.append(MessageRecord("recv", peer, tag, nbytes, seconds))
 
     def merged_with(self, other: "CommStats") -> "CommStats":
         return CommStats(
@@ -108,26 +87,6 @@ class CommStats:
             max_message_bytes=max(
                 self.max_message_bytes, other.max_message_bytes
             ),
-        )
-
-    def ingest_into(self, metrics, rank: int) -> None:
-        """Record this rank's totals as ``comm.*`` counters in a
-        :class:`~repro.obs.metrics.MetricsRegistry` — the deterministic
-        post-run source the performance report uses.  (Per-*call* time
-        distributions are recorded live during the run under
-        ``comm.send_call_seconds`` / ``comm.recv_call_seconds``; the
-        totals here come from :class:`CommStats` so they are exact even
-        when no registry was installed while the run executed.)"""
-        metrics.count("comm.sends", float(self.sends), rank=rank)
-        metrics.count("comm.recvs", float(self.recvs), rank=rank)
-        metrics.count("comm.bytes_sent", float(self.bytes_sent), rank=rank)
-        metrics.count(
-            "comm.bytes_received", float(self.bytes_received), rank=rank
-        )
-        metrics.count("comm.send_seconds", self.send_seconds, rank=rank)
-        metrics.count("comm.recv_seconds", self.recv_seconds, rank=rank)
-        metrics.gauge(
-            "comm.max_message_bytes", float(self.max_message_bytes), rank=rank
         )
 
 
@@ -242,22 +201,15 @@ class MessageView:
             self.release()
 
 
-#: Message kind -> (``CommStats`` recorder, tracer byte counter, histogram).
-_LEDGER = {
-    "send": ("record_send", "bytes_sent", "comm.send_call_seconds"),
-    "recv": ("record_recv", "bytes_received", "comm.recv_call_seconds"),
-}
-_LEDGER["recv_view"] = _LEDGER["recv"]
-
-
 class Communicator:
     """Point-to-point + collective interface for SPMD programs.
 
     This class is the one place a message is validated, timed and
     accounted: the public calls below open the ``comm.*`` span, time the
-    call and feed :class:`CommStats`, the tracer counters, the per-call
-    histograms and the flight ring, the same way on every transport.  A
-    transport only moves bytes, through five primitives:
+    call and report it once — to :class:`CommStats` and, as one
+    ``message`` event, to whatever :mod:`repro.obs` sinks are installed —
+    the same way on every transport.  A transport only moves bytes,
+    through five primitives:
 
     * :meth:`_deposit` — buffered send of a copy, returns its byte count;
     * :meth:`_take` / :meth:`_probe` — the ``(source, tag)`` item,
@@ -293,26 +245,20 @@ class Communicator:
         return MessageView(item)
 
     # -- the one accounting point ----------------------------------------------
-    def _flight(self, kind: str, **fields) -> None:
-        """One event into this rank's flight ring."""
-        fl = get_flight()
-        if fl.enabled:
-            fl.record(kind, rank=self.rank, **fields)
+    def _mark(self, kind: str, **fields) -> None:
+        """A post-mortem breadcrumb of this rank (a transport's too: the
+        transports name nothing from :mod:`repro.obs`)."""
+        current().mark(kind, self.rank, **fields)
 
     def _account(
         self, kind: str, peer: int, tag: str, nbytes: int, seconds: float
     ) -> None:
-        """Record one completed message in every sink."""
-        record, byte_counter, histogram = _LEDGER[kind]
-        getattr(self.stats, record)(peer, tag, nbytes, seconds)
-        self._flight(kind, peer=peer, tag=tag, nbytes=nbytes)
-        tr = get_tracer()
-        if tr.enabled:
-            tr.count("messages", 1, rank=self.rank)
-            tr.count(byte_counter, nbytes, rank=self.rank)
-        mx = get_metrics()
-        if mx.enabled:
-            mx.observe(histogram, seconds, rank=self.rank)
+        """Record one completed message: in ``stats``, and as one event."""
+        if kind == "send":
+            self.stats.record_send(nbytes, seconds)
+        else:
+            self.stats.record_recv(nbytes, seconds)
+        current().message(kind, self.rank, peer, tag, nbytes, seconds)
 
     def _receive(
         self, kind: str, source: int, tag: str, timeout=None, probe=False
@@ -321,7 +267,7 @@ class Communicator:
         message has landed (``None`` if not) and opens no span — a polling
         loop would flood the trace — but a completion is accounted with
         the time the probe took."""
-        span = _NO_SPAN if probe else get_tracer().span(
+        span = _NO_SPAN if probe else current().span(
             f"comm.{kind}", cat="comm", rank=self.rank, peer=source, tag=tag
         )
         with span:
@@ -345,7 +291,7 @@ class Communicator:
         """Buffered send: deposits a copy and returns immediately."""
         if not (0 <= dest < self.size) or dest == self.rank:
             raise ValueError(f"invalid destination {dest} from rank {self.rank}")
-        with get_tracer().span(
+        with current().span(
             "comm.send", cat="comm", rank=self.rank, peer=dest, tag=tag
         ):
             t0 = _time.perf_counter()
@@ -441,10 +387,10 @@ class Communicator:
         if self.size == 1:
             return value
         wire = self._collective_tag(tag)
-        self._flight("collective", tag=wire, op="allreduce_min")
-        tr = get_tracer()
-        with tr.span("comm.allreduce", cat="collective", rank=self.rank, tag=tag):
-            t0 = _time.perf_counter() if tr.enabled else 0.0
+        self._mark("collective", tag=wire, op="allreduce_min")
+        obs = current()
+        with obs.span("comm.allreduce", cat="collective", rank=self.rank, tag=tag):
+            t0 = _time.perf_counter()
             buf = np.array([value])
             if self.rank == 0:
                 acc = float(value)
@@ -456,12 +402,9 @@ class Communicator:
             else:
                 self.send(0, f"{wire}:up", buf)
                 acc = float(self.recv(0, f"{wire}:down")[0])
-            if tr.enabled:
-                tr.count(
-                    "barrier_wait_seconds",
-                    _time.perf_counter() - t0,
-                    rank=self.rank,
-                )
+            obs.count(
+                "barrier_wait_seconds", _time.perf_counter() - t0, rank=self.rank
+            )
             return acc
 
     def barrier(self, tag: str = "barrier") -> None:
@@ -476,7 +419,7 @@ class Communicator:
         after the gather cannot corrupt the gathered state.
         """
         wire = self._collective_tag(tag)
-        self._flight("collective", tag=wire, op="gather_arrays")
+        self._mark("collective", tag=wire, op="gather_arrays")
         if self.rank == 0:
             out = [np.ascontiguousarray(array).copy()]
             for src in range(1, self.size):

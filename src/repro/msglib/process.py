@@ -226,7 +226,7 @@ class ProcessCommunicator(Communicator):
         while not sem.acquire(timeout=_POLL):
             if not waited:
                 waited = True
-                self._flight("slot_wait", peer=dest, slot=slot)
+                self._mark("slot_wait", peer=dest, slot=slot)
             if self.cluster._abort.is_set():
                 raise ClusterAborted(
                     f"rank {self.rank}: cluster aborted while sending to "
@@ -636,10 +636,10 @@ class ProcessCluster:
 
         Mirrors :meth:`VirtualCluster.run`: any rank failure aborts the
         others and raises one structured
-        :class:`~repro.msglib.virtual.RankFailure`.  Each worker's
-        locally-recorded metrics and trace are folded into the parent's
-        active registry/tracer (exact, order-independent merge) before
-        this returns or raises."""
+        :class:`~repro.msglib.virtual.RankFailure`.  What each worker's
+        own sinks recorded (metrics, trace, buffered step records) is
+        folded into the caller's installed ones — metrics by the exact,
+        order-independent merge — before this returns or raises."""
         if self._closed:
             raise RuntimeError("ProcessCluster is closed")
         if self._procs:

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..obs import get_tracer
+from ..obs import current
 from .stencils import backward_difference, extend_axis, forward_difference
 
 #: Phase labels passed to workspace hooks.
@@ -234,19 +234,19 @@ class SplitOperator:
         written into preallocated buffers and the result lands in ``out``;
         the two paths are bitwise-identical.  ``out`` must not alias ``q``.
         """
-        tr = get_tracer()
+        obs = current()
         ws = self.workspace
         sc = ws.scratch
         if out is None or sc is None:
-            with tr.span("maccormack.predictor", axis=self.axis):
+            with obs.span("maccormack.predictor", axis=self.axis):
                 q_star = q + dt * self._rate(q, PREDICTOR)
                 q_star = ws.fix_state(q_star, PREDICTOR)
-            with tr.span("maccormack.corrector", axis=self.axis):
+            with obs.span("maccormack.corrector", axis=self.axis):
                 q_new = 0.5 * (q + q_star + dt * self._rate(q_star, CORRECTOR))
                 return ws.fix_state(q_new, CORRECTOR)
         if out is q:
             raise ValueError("apply(out=...) must not alias the input state")
-        with tr.span("maccormack.predictor", axis=self.axis):
+        with obs.span("maccormack.predictor", axis=self.axis):
             rate = self._rate_into(q, PREDICTOR, sc)
             if sc.ops is not None:
                 sc.ops.predictor(q, rate, dt, sc.q_star)
@@ -254,7 +254,7 @@ class SplitOperator:
                 np.multiply(rate, dt, out=rate)
                 np.add(q, rate, out=sc.q_star)
             q_star = ws.fix_state(sc.q_star, PREDICTOR)
-        with tr.span("maccormack.corrector", axis=self.axis):
+        with obs.span("maccormack.corrector", axis=self.axis):
             rate = self._rate_into(q_star, CORRECTOR, sc)
             if sc.ops is not None:
                 sc.ops.corrector(q, q_star, rate, dt, out)

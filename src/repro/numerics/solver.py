@@ -29,7 +29,7 @@ import numpy as np
 
 from .. import constants
 from ..grid import Grid
-from ..obs import get_metrics, get_stream, get_tracer, step_record
+from ..obs import current, step_record
 from ..physics import eos
 from ..physics.fluxes import axisymmetric_source, inviscid_fluxes
 from ..physics.state import FlowState
@@ -508,82 +508,38 @@ class CompressibleSolver:
         by then) and the filter runs in place — a steady-state step touches
         no fresh heap memory beyond small boundary lines.
         """
-        tr = get_tracer()
-        mx = get_metrics()
-        mon = mx.enabled
+        obs = current()
         rank = self._trace_rank
         ws = self._ws
         t0 = _time.perf_counter()
-        s1 = t0
-        with tr.span("solver.step", rank=rank, step=self.nstep):
-            with tr.span("solver.dt", rank=rank):
+        with obs.stages(rank, self.nstep) as stage:
+            with stage("dt"):
                 dt = self.current_dt()
-            if mon:
-                s2 = _time.perf_counter()
-                mx.observe("stage.dt", s2 - s1, rank=rank)
-                s1 = s2
             variant = 1 if self.nstep % 2 == 0 else 2
             Lx, Lr = self._cached_operators(variant)
             q_tail = self._boundary_snapshot()
-            q_in = self.state.q
-            if ws is not None:
-                out1, out2 = ws.rotate_states(q_in)
-            else:
-                out1 = out2 = None
-            if variant == 1:
-                with tr.span("solver.sweep_r", rank=rank):
-                    q = Lr.apply(q_in, dt, out=out1)
-                if mon:
-                    s2 = _time.perf_counter()
-                    mx.observe("stage.sweep_r", s2 - s1, rank=rank)
-                    s1 = s2
-                with tr.span("solver.sweep_x", rank=rank):
-                    q = Lx.apply(q, dt, out=out2)
-                if mon:
-                    s2 = _time.perf_counter()
-                    mx.observe("stage.sweep_x", s2 - s1, rank=rank)
-                    s1 = s2
-            else:
-                with tr.span("solver.sweep_x", rank=rank):
-                    q = Lx.apply(q_in, dt, out=out1)
-                if mon:
-                    s2 = _time.perf_counter()
-                    mx.observe("stage.sweep_x", s2 - s1, rank=rank)
-                    s1 = s2
-                with tr.span("solver.sweep_r", rank=rank):
-                    q = Lr.apply(q, dt, out=out2)
-                if mon:
-                    s2 = _time.perf_counter()
-                    mx.observe("stage.sweep_r", s2 - s1, rank=rank)
-                    s1 = s2
-            with tr.span("solver.filter", rank=rank):
+            q = self.state.q
+            outs = ws.rotate_states(q) if ws is not None else (None, None)
+            # L1x(L1r(Q)) runs the radial sweep first, L2r(L2x(Q)) the axial.
+            sweeps = (("sweep_r", Lr), ("sweep_x", Lx))
+            if variant == 2:
+                sweeps = sweeps[::-1]
+            for (name, operator), out in zip(sweeps, outs):
+                with stage(name):
+                    q = operator.apply(q, dt, out=out)
+            with stage("filter"):
                 q = self.apply_filter(q, ws=ws)
-            if mon:
-                s2 = _time.perf_counter()
-                mx.observe("stage.filter", s2 - s1, rank=rank)
-                s1 = s2
             self.state.q = q
             self.t += dt
             self.nstep += 1
-            with tr.span("solver.boundaries", rank=rank):
+            with stage("boundaries"):
                 self._apply_boundaries(q_tail, dt, variant)
-            if mon:
-                mx.observe(
-                    "stage.boundaries", _time.perf_counter() - s1, rank=rank
-                )
         wall = _time.perf_counter() - t0
         self.wall_time += wall
-        if mon:
-            mx.observe("solver.step_seconds", wall, rank=rank)
-            mx.count("solver.steps", 1.0, rank=rank)
-            mx.count(
-                "solver.cell_steps",
-                float(q.shape[1] * q.shape[2]),
-                rank=rank,
-            )
-        stream = get_stream()
-        if stream.enabled:
-            stream.publish(self._step_stream_record(dt, wall))
+        obs.step(
+            rank, wall, q.shape[1] * q.shape[2],
+            lambda: self._step_stream_record(dt, wall),
+        )
 
     def _step_stream_record(self, dt: float, wall: float) -> dict:
         """One ``repro.stream/1`` progress record for the step just taken

@@ -1,19 +1,25 @@
-"""Observability: hierarchical tracing and per-rank metrics.
+"""Observability: one seam, four sinks.
 
 The paper's entire contribution is *measurement* — Section 6 decomposes
 execution time into computation, communication-startup and data-transfer
 components per platform.  This package provides the corresponding
 instrumentation for the reproduction itself:
 
-* :class:`Tracer` — hierarchical spans (``with tracer.span("solver.step")``)
-  with per-rank attribution, instant events, and per-rank counters
-  (messages, bytes, barrier/halo time).  Records are monotonically ordered
-  by ``(t0, seq)`` where ``seq`` is a global monotone sequence number, so
-  exports from deterministic clocks (the DES engine's) are byte-stable.
-* :class:`NullTracer` — the zero-overhead default.  All hot seams fetch the
-  active tracer via :func:`get_tracer`; with the null tracer every span is
-  a shared no-op context manager, keeping the uninstrumented fast path
-  within noise (asserted by ``benchmarks/bench_solver_kernels.py``).
+* :mod:`~repro.obs.spine` — the one seam.  Instrumented code calls a verb
+  on :func:`current` (``span``, ``stages``/``step``, ``exchange``,
+  ``message``, ``mark``, ``instant``, ``count``) and the spine routes the
+  event to whichever of the four sinks :func:`use` installed; with none
+  installed a verb is a slot test, keeping the unobserved path within
+  noise (asserted by ``tests/test_obs.py``).
+* :class:`Tracer` — hierarchical spans with per-rank attribution, instant
+  events, and per-rank counters (messages, bytes, barrier/halo time).
+  Records are monotonically ordered by ``(t0, seq)`` where ``seq`` is a
+  global monotone sequence number, so exports from deterministic clocks
+  (the DES engine's) are byte-stable.
+* :class:`MetricsRegistry`, the step streams and :class:`FlightRecorder` —
+  the other three sinks: fixed-size aggregates for the run ledger, one
+  live record per solver step, and a bounded ring of each rank's last
+  events for post-mortems.
 * Exporters — JSON-lines (:func:`to_jsonl` / :func:`load_trace`) and Chrome
   ``trace_event`` format (:func:`chrome_trace_json`,
   :func:`write_chrome_trace`) whose files open directly in Perfetto
@@ -29,45 +35,27 @@ Or standalone::
 
     from repro import obs
     tracer = obs.Tracer()
-    with obs.use_tracer(tracer):
-        with tracer.span("maccormack.predictor", rank=0):
-            ...
+    with obs.use(tracer=tracer):
+        solver.run(10)              # every instrumented seam reports to it
     print(obs.to_jsonl(tracer.trace))
 """
 
-from .tracer import (
-    EventRecord,
-    NullTracer,
-    SpanRecord,
-    Trace,
-    TraceContext,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
+from .spine import Sinks, current, use
+from .tracer import EventRecord, SpanRecord, Trace, TraceContext, Tracer
 from .flight import (
     FLIGHT_SCHEMA,
     FlightRecorder,
     FlightRing,
-    NullFlightRecorder,
-    get_flight,
     read_flight_jsonl,
-    set_flight,
-    use_flight,
     write_flight_jsonl,
 )
 from .stream import (
     STREAM_SCHEMA,
     BufferStepStream,
-    NullStepStream,
     QueueStepStream,
     StragglerDetector,
-    get_stream,
     imbalance_verdict,
-    set_stream,
     step_record,
-    use_stream,
 )
 from .export import (
     chrome_counter_events,
@@ -83,12 +71,8 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetrics,
     STEP_TIME_BUCKETS,
-    get_metrics,
     merge,
-    set_metrics,
-    use_metrics,
 )
 from .ranks import ForkedRanks, bind_rank
 from .report import (
@@ -101,34 +85,25 @@ from .report import (
 )
 
 __all__ = [
+    "Sinks",
+    "current",
+    "use",
     "EventRecord",
-    "NullTracer",
     "SpanRecord",
     "Trace",
     "TraceContext",
     "Tracer",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
     "FLIGHT_SCHEMA",
     "FlightRecorder",
     "FlightRing",
-    "NullFlightRecorder",
-    "get_flight",
     "read_flight_jsonl",
-    "set_flight",
-    "use_flight",
     "write_flight_jsonl",
     "STREAM_SCHEMA",
     "BufferStepStream",
-    "NullStepStream",
     "QueueStepStream",
     "StragglerDetector",
-    "get_stream",
     "imbalance_verdict",
-    "set_stream",
     "step_record",
-    "use_stream",
     "chrome_counter_events",
     "chrome_trace_events",
     "chrome_trace_json",
@@ -140,12 +115,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetrics",
     "STEP_TIME_BUCKETS",
-    "get_metrics",
     "merge",
-    "set_metrics",
-    "use_metrics",
     "ForkedRanks",
     "bind_rank",
     "PerfReport",

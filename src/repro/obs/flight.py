@@ -8,10 +8,10 @@ marks) in a fixed-size ring, cheap enough to leave on for whole runs, and
 written so a *parent* process can recover the ring after the writer is
 killed:
 
-* :class:`FlightRecorder` — in-memory per-rank rings behind the
-  process-global :func:`get_flight` seam (null-object pattern, like the
-  tracer/metrics/stream seams).  Virtual-cluster ranks are threads
-  sharing one recorder.
+* :class:`FlightRecorder` — in-memory per-rank rings, installed with
+  ``obs.use(flight=...)`` and fed by the ``message`` and ``mark`` verbs
+  of :mod:`repro.obs.spine`.  Virtual-cluster ranks are threads sharing
+  one recorder.
 * :class:`FlightRing` — a file-backed mmap ring with one single-writer
   region per rank.  The process substrate gives each forked rank a
   :class:`FlightRingWriter` over the shared file; because the file lives
@@ -34,7 +34,6 @@ import struct
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 
 #: Version tag on flushed flight files.
 FLIGHT_SCHEMA = "repro.flight/1"
@@ -45,17 +44,6 @@ DEFAULT_CAPACITY = 64
 DEFAULT_SLOT_BYTES = 256
 
 
-class NullFlightRecorder:
-    """Inert recorder: the zero-overhead global default."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def record(self, kind, rank=0, **fields) -> None:
-        return None
-
-
 class FlightRecorder:
     """In-memory per-rank rings of the last ``capacity`` events.
 
@@ -64,8 +52,6 @@ class FlightRecorder:
     cluster's rank writers with, so the events survive a SIGKILL
     (``None`` means a throwaway temp file).
     """
-
-    enabled = True
 
     def __init__(
         self, capacity: int = DEFAULT_CAPACITY, ring_path: str | None = None
@@ -114,15 +100,13 @@ _SLOT_LEN = struct.Struct("<I")  # payload length prefix per slot
 class FlightRingWriter:
     """Single-writer view of one rank's region of a :class:`FlightRing`.
 
-    Satisfies the recorder protocol (``enabled`` / ``record``), so a
-    forked rank process installs one via ``set_flight`` and every hot-path
-    hook writes straight into the shared file.  A slot is written payload
+    Satisfies the recorder protocol (``record``), so a forked rank
+    process installs one as its flight sink and every hot-path hook
+    writes straight into the shared file.  A slot is written payload
     first, length second, counter last — a reader that races (or outlives)
     the writer sees either the previous complete event or a torn slot that
     fails to parse, never a half-event accepted as truth.
     """
-
-    enabled = True
 
     __slots__ = ("_ring", "_rank", "_count", "_clock")
 
@@ -312,32 +296,3 @@ def read_flight_jsonl(path) -> dict[int, list[dict]]:
             event = json.loads(line)
             events.setdefault(int(event.get("rank", 0)), []).append(event)
     return events
-
-
-#: Process-wide active recorder; hot paths read it via :func:`get_flight`.
-_NULL = NullFlightRecorder()
-_active = _NULL
-
-
-def get_flight():
-    """The active flight recorder (null by default)."""
-    return _active
-
-
-def set_flight(recorder):
-    """Install ``recorder`` globally (``None`` restores the null one)."""
-    global _active
-    _active = recorder if recorder is not None else _NULL
-    return _active
-
-
-@contextmanager
-def use_flight(recorder):
-    """Scoped :func:`set_flight`: restores the previous recorder on exit."""
-    global _active
-    previous = _active
-    _active = recorder if recorder is not None else _NULL
-    try:
-        yield _active
-    finally:
-        _active = previous

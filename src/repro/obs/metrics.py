@@ -1,4 +1,4 @@
-"""Typed metric registry: counters, gauges, histograms, timers.
+"""Typed metric registry: counters, gauges, histograms.
 
 The tracer (:mod:`repro.obs.tracer`) records *every* span — precise but
 heavy for long runs.  This module is the continuous-measurement
@@ -6,11 +6,11 @@ counterpart: fixed-size aggregates (a counter is one float, a histogram a
 handful of buckets) that can stay on for a whole production run and feed
 the per-run performance ledger (:mod:`repro.obs.report`).
 
-Design constraints (mirroring the tracer's):
+A :class:`MetricsRegistry` is one of the four sinks of
+:mod:`repro.obs.spine`: install it with ``obs.use(metrics=...)`` and the
+instrumented seams feed it through the spine's verbs; with none installed
+they cost a slot test.  Design constraints (mirroring the tracer's):
 
-* **Cheap when off.**  The process default is a :class:`NullMetrics`
-  whose every method is a no-op; instrumented hot seams read the active
-  registry once (:func:`get_metrics`) and branch on ``.enabled``.
 * **Per-rank.**  Every metric is keyed ``(name, rank)``; rank threads of
   the virtual cluster bind their default rank once
   (:meth:`MetricsRegistry.bind_rank`), exactly like the tracer, so each
@@ -33,9 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
-import time as _time
 from bisect import bisect_right
-from contextlib import contextmanager
 
 __all__ = [
     "STEP_TIME_BUCKETS",
@@ -43,11 +41,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetrics",
-    "get_metrics",
     "merge",
-    "set_metrics",
-    "use_metrics",
 ]
 
 #: Fixed log-spaced bucket boundaries (seconds): 3 per decade, 1e-7..1e3.
@@ -200,60 +194,6 @@ class Histogram:
         }
 
 
-class _Timer:
-    """Context manager observing elapsed wall seconds into a histogram."""
-
-    __slots__ = ("hist", "t0")
-
-    def __init__(self, hist: Histogram) -> None:
-        self.hist = hist
-
-    def __enter__(self) -> "_Timer":
-        self.t0 = _time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.hist.observe(_time.perf_counter() - self.t0)
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class NullMetrics:
-    """Inert registry: every operation is a no-op.  The global default."""
-
-    enabled = False
-    __slots__ = ()
-
-    def count(self, name, value=1.0, rank=None) -> None:
-        return None
-
-    def observe(self, name, value, rank=None) -> None:
-        return None
-
-    def gauge(self, name, value, rank=None) -> None:
-        return None
-
-    def timer(self, name, rank=None):
-        return _NULL_TIMER
-
-    def bind_rank(self, rank) -> None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {}
-
-
 class MetricsRegistry:
     """Collects per-rank typed metrics; see the module docstring.
 
@@ -262,8 +202,6 @@ class MetricsRegistry:
     counter name as a histogram raises ``TypeError`` at the call site
     rather than silently corrupting the ledger.
     """
-
-    enabled = True
 
     def __init__(self, name: str = "") -> None:
         self.meta: dict[str, object] = {"name": name} if name else {}
@@ -316,9 +254,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, value: float, rank: int | None = None) -> None:
         self._metric(Gauge, name, rank).set(value)
-
-    def timer(self, name: str, rank: int | None = None) -> _Timer:
-        return _Timer(self._metric(Histogram, name, rank))
 
     # -- reading ---------------------------------------------------------------
     def get(self, name: str, rank: int = 0):
@@ -406,32 +341,3 @@ def merge(registries) -> MetricsRegistry:
     for r in regs[1:]:
         out = out.merged_with(r)
     return out
-
-
-#: Process-wide active registry; hot seams read it via :func:`get_metrics`.
-_NULL = NullMetrics()
-_active: MetricsRegistry | NullMetrics = _NULL
-
-
-def get_metrics() -> MetricsRegistry | NullMetrics:
-    """The active registry (a :class:`NullMetrics` unless one is installed)."""
-    return _active
-
-
-def set_metrics(registry: MetricsRegistry | None) -> MetricsRegistry | NullMetrics:
-    """Install ``registry`` globally (``None`` restores the null registry)."""
-    global _active
-    _active = registry if registry is not None else _NULL
-    return _active
-
-
-@contextmanager
-def use_metrics(registry: MetricsRegistry | None):
-    """Scoped :func:`set_metrics`: restores the previous registry on exit."""
-    global _active
-    previous = _active
-    _active = registry if registry is not None else _NULL
-    try:
-        yield _active
-    finally:
-        _active = previous

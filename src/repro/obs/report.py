@@ -24,7 +24,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NullMetrics
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .stream import imbalance_verdict
 
 __all__ = [
@@ -293,7 +293,7 @@ def _aggregate_ratio(per_rank: list[dict]) -> float | None:
 
 def build_perf_report(
     result,
-    metrics: MetricsRegistry | NullMetrics,
+    metrics: MetricsRegistry,
     *,
     backend: str | None = None,
     grid: tuple[int, int] | None = None,
@@ -303,11 +303,11 @@ def build_perf_report(
 ) -> PerfReport:
     """Derive a :class:`PerfReport` from a run outcome + metrics registry.
 
-    ``result`` is a :class:`repro.api.RunResult`; communication totals
-    must already be ingested (``CommStats.ingest_into``) — the facade does
-    this before calling here.  Works for all three substrates: real runs
-    get opcount-derived per-stage MFLOPS, simulated runs get the DES
-    timeline split and the modelled flop count.
+    ``result`` is a :class:`repro.api.RunResult`; its per-rank
+    communication totals are ingested into ``metrics`` here, once.  Works
+    for all three substrates: real runs get opcount-derived per-stage
+    MFLOPS, simulated runs get the DES timeline split and the modelled
+    flop count.
 
     ``fingerprint`` is the *request-derived* cache key
     (:meth:`repro.request.RunRequest.fingerprint`) — the facade always
@@ -315,8 +315,17 @@ def build_perf_report(
     hand), a legacy hash over the run's observable configuration is used
     instead.
     """
-    if isinstance(metrics, NullMetrics):
-        metrics = MetricsRegistry()
+    # Exact post-run totals from the communicators' own accounting: what
+    # was recorded live only samples per-call distributions, and these hold
+    # even for a registry that was not installed while the run executed.
+    for r, st in enumerate(result.per_rank_stats or []):
+        metrics.count("comm.sends", float(st.sends), rank=r)
+        metrics.count("comm.recvs", float(st.recvs), rank=r)
+        metrics.count("comm.bytes_sent", float(st.bytes_sent), rank=r)
+        metrics.count("comm.bytes_received", float(st.bytes_received), rank=r)
+        metrics.count("comm.send_seconds", st.send_seconds, rank=r)
+        metrics.count("comm.recv_seconds", st.recv_seconds, rank=r)
+        metrics.gauge("comm.max_message_bytes", float(st.max_message_bytes), rank=r)
     hists, counters = _collect(metrics)
     platform = result.sim.platform if result.sim is not None else None
     substrate = getattr(result, "substrate", None)

@@ -2,11 +2,9 @@
 
 While a run executes, each rank publishes one compact record per solver
 step — step number, simulated time, dt, wall ms, comm split and byte
-deltas — through the process-global *step stream*.  The default stream is
-a :class:`NullStepStream` (``enabled = False``), so the solver hot path
-pays one global read and a branch when streaming is off, mirroring the
-null-tracer / null-metrics pattern whose budget
-``benchmarks/bench_solver_kernels.py`` enforces.
+deltas — to the step stream installed with ``obs.use(stream=...)``.  The
+solver hands the ``step`` verb of :mod:`repro.obs.spine` a callback, so
+with no publisher installed the record is never even built.
 
 Publishers:
 
@@ -18,6 +16,11 @@ Publishers:
   each worker so per-rank records (the queue is inherited through fork by
   the rank processes) flow straight to the service parent, which serves
   them to ``repro tail`` / ``repro top``.
+
+Across a fork (``substrate="process"``) a buffer cannot be shared: each
+rank fills a buffer of its own and the parent republishes the records
+when the rank reports (:class:`~repro.obs.ranks.ForkedRanks`); a queue
+publisher keeps publishing live.
 
 Records follow the versioned ``repro.stream/1`` schema built by
 :func:`step_record`.
@@ -34,7 +37,6 @@ from __future__ import annotations
 import queue as _queue
 import threading
 from collections import deque
-from contextlib import contextmanager
 
 #: Version tag carried by every streamed step record.
 STREAM_SCHEMA = "repro.stream/1"
@@ -64,17 +66,6 @@ def step_record(
     return rec
 
 
-class NullStepStream:
-    """Inert stream: the zero-overhead global default."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def publish(self, record: dict) -> None:
-        return None
-
-
 class BufferStepStream:
     """Thread-safe bounded ring of step records (in-process consumers).
 
@@ -82,8 +73,6 @@ class BufferStepStream:
     record is evicted (``dropped`` counts evictions).  Virtual-cluster
     ranks are threads sharing one instance, so the lock is required.
     """
-
-    enabled = True
 
     def __init__(self, capacity: int = 1024) -> None:
         self.capacity = capacity
@@ -113,8 +102,6 @@ class QueueStepStream:
     into every record so a shared fan-in queue can demultiplex.
     """
 
-    enabled = True
-
     def __init__(self, channel, **tags) -> None:
         self._channel = channel
         self._tags = tags
@@ -131,35 +118,6 @@ class QueueStepStream:
             self.dropped += 1
         else:
             self.published += 1
-
-
-#: Process-wide active step stream; hot paths read it via :func:`get_stream`.
-_NULL = NullStepStream()
-_active: BufferStepStream | QueueStepStream | NullStepStream = _NULL
-
-
-def get_stream():
-    """The active step stream (a :class:`NullStepStream` by default)."""
-    return _active
-
-
-def set_stream(stream):
-    """Install ``stream`` globally (``None`` restores the null stream)."""
-    global _active
-    _active = stream if stream is not None else _NULL
-    return _active
-
-
-@contextmanager
-def use_stream(stream):
-    """Scoped :func:`set_stream`: restores the previous stream on exit."""
-    global _active
-    previous = _active
-    _active = stream if stream is not None else _NULL
-    try:
-        yield _active
-    finally:
-        _active = previous
 
 
 # -- imbalance analysis -------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Core tracing primitives: spans, events, counters, and the global tracer.
+"""Core tracing primitives: spans, events, counters.
 
-Design constraints (see ISSUE 1):
+A :class:`Tracer` is one of the four sinks of :mod:`repro.obs.spine`:
+install it with ``obs.use(tracer=...)`` and the instrumented seams reach
+it through the spine's verbs; with none installed they cost a slot test.
+Design constraints:
 
-* **Cheap when off.**  The default active tracer is a :class:`NullTracer`
-  whose ``span()`` returns one shared no-op context manager; instrumented
-  hot paths cost a function call and a branch, nothing more.
 * **Deterministic when driven by a deterministic clock.**  Every record
   carries a global monotone sequence number assigned at span *start*;
   exports sort by ``(t0, seq)``, so two runs over the discrete-event
@@ -21,7 +21,6 @@ import itertools
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -192,46 +191,6 @@ class _Span:
         )
 
 
-class _NullSpan:
-    """Shared do-nothing context manager (the fast path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Inert tracer: every operation is a no-op.  The global default."""
-
-    enabled = False
-    trace = None
-    context = None
-
-    __slots__ = ()
-
-    def span(self, name, cat="solver", rank=None, **args):
-        return _NULL_SPAN
-
-    def instant(self, name, cat="event", rank=None, ts=None, **args) -> None:
-        return None
-
-    def count(self, name, value, rank=0) -> None:
-        return None
-
-    def add_span(self, name, t0, t1, cat="solver", rank=0, parent=None, **args) -> None:
-        return None
-
-    def bind_rank(self, rank) -> None:
-        return None
-
-
 class Tracer:
     """Collects spans/events/counters into a :class:`Trace`.
 
@@ -249,8 +208,6 @@ class Tracer:
         Optional :class:`TraceContext` stamping this tracer's records with
         a distributed trace identity (``trace.meta['trace_id']`` etc.).
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -349,32 +306,3 @@ class Tracer:
                 args=tuple(sorted(args.items())),
             )
         )
-
-
-#: Process-wide active tracer; hot paths read it via :func:`get_tracer`.
-_NULL = NullTracer()
-_active: Tracer | NullTracer = _NULL
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The active tracer (a :class:`NullTracer` unless one was installed)."""
-    return _active
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` globally (``None`` restores the null tracer)."""
-    global _active
-    _active = tracer if tracer is not None else _NULL
-    return _active
-
-
-@contextmanager
-def use_tracer(tracer: Tracer | None):
-    """Scoped :func:`set_tracer`: restores the previous tracer on exit."""
-    global _active
-    previous = _active
-    _active = tracer if tracer is not None else _NULL
-    try:
-        yield _active
-    finally:
-        _active = previous

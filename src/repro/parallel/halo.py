@@ -30,52 +30,12 @@ identical).
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import get_metrics, get_tracer
+from ..obs import current
 from .versions import Version
-
-
-def _traced(kind: str, comm, tag: str, fn, *args):
-    """Run ``fn(*args)`` inside a ``halo.<kind>`` span, accumulate the
-    per-rank ``halo_seconds`` tracer counter, and — when a metrics
-    registry is active — record the exchange's wall time, byte volume
-    (from the communicator's own stats delta, so retransmitted frames are
-    counted as sent) and call count.  Zero-cost beyond two branches when
-    neither tracer nor metrics are installed."""
-    tr = get_tracer()
-    mx = get_metrics()
-    if not tr.enabled and not mx.enabled:
-        return fn(*args)
-    stats = getattr(comm, "stats", None)
-    b0 = (
-        stats.bytes_sent + stats.bytes_received
-        if mx.enabled and stats is not None
-        else 0
-    )
-    t0 = _time.perf_counter()
-    if tr.enabled:
-        with tr.span(f"halo.{kind}", cat="halo", rank=comm.rank, tag=tag):
-            out = fn(*args)
-    else:
-        out = fn(*args)
-    seconds = _time.perf_counter() - t0
-    if tr.enabled:
-        tr.count("halo_seconds", seconds, rank=comm.rank)
-    if mx.enabled:
-        mx.observe(f"halo.{kind}_seconds", seconds, rank=comm.rank)
-        mx.count("halo.seconds", seconds, rank=comm.rank)
-        mx.count("halo.exchanges", 1.0, rank=comm.rank)
-        if stats is not None:
-            mx.count(
-                "halo.bytes",
-                float(stats.bytes_sent + stats.bytes_received - b0),
-                rank=comm.rank,
-            )
-    return out
 
 
 @dataclass(frozen=True)
@@ -141,11 +101,6 @@ def _unpack(lines, split: bool, reverse: bool) -> np.ndarray:
         return _stack(cols[:, 0], cols[:, 1], reverse)
 
 
-def _finish(reqs, split: bool, reverse: bool) -> np.ndarray:
-    """Wait + unpack for :meth:`PendingGhosts.finish`."""
-    return _unpack([r.wait() for r in reqs], split, reverse)
-
-
 class PendingGhosts:
     """An in-flight flux-ghost exchange (the split-phase V6 protocol).
 
@@ -184,17 +139,17 @@ class PendingGhosts:
     def finish(self):
         """Wait for the posted receive; the ghost stack, or ``None``.
 
-        Traced as ``halo.finish`` so halo metrics cover the
+        Observed as a ``finish`` exchange so halo metrics cover the
         non-overlapped remainder of the exchange."""
         if self._done:
             raise RuntimeError("PendingGhosts.finish() called twice")
         self._done = True
         if self._reqs is None:
             return None
-        return _traced(
-            "finish", self.comm, self.tag,
-            _finish, self._reqs, self._split, self._reverse,
-        )
+        with current().exchange("finish", self.comm, self.tag):
+            return _unpack(
+                [r.wait() for r in self._reqs], self._split, self._reverse
+            )
 
 
 class ExchangePlan:
@@ -257,7 +212,7 @@ class ExchangePlan:
         array, or ``None`` at a physical boundary — the shape
         :func:`repro.physics.viscous.field_gradients` and the ghost-aware C
         kernel both take; ``None`` when no axis exchanged.  Each axis is
-        one traced exchange; its wire tag carries an ``:hx``/``:hr`` suffix
+        one observed exchange; its wire tag carries an ``:hx``/``:hr`` suffix
         only when both axes are split.  The one pack buffer per axis
         serves both directions because sends are buffered: the payload is
         copied before ``send`` returns.
@@ -269,9 +224,8 @@ class ExchangePlan:
             if lines is None:
                 lines = [None] * 4
             t = tag + suffix
-            lines[2 * axis - 2 : 2 * axis] = _traced(
-                "uvT", self.comm, t, self._uvT, axis, t, u, v, T
-            )
+            with current().exchange("uvT", self.comm, t):
+                lines[2 * axis - 2 : 2 * axis] = self._uvT(axis, t, u, v, T)
         return None if lines is None else tuple(lines)
 
     def _uvT(self, axis, tag, u, v, T):
@@ -320,10 +274,8 @@ class ExchangePlan:
         substrate borrows the ring slot zero-copy across the overlap
         window — and a :class:`PendingGhosts` is returned.
         """
-        return _traced(
-            "post" if post else kind, self.comm, tag,
-            self._exchange, kind, axis, tag, arr, post,
-        )
+        with current().exchange("post" if post else kind, self.comm, tag):
+            return self._exchange(kind, axis, tag, arr, post)
 
     def _exchange(self, kind, axis, tag, arr, post):
         comm = self.comm

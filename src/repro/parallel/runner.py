@@ -28,7 +28,7 @@ from ..grid import Grid
 from ..msglib.api import CommStats
 from ..msglib.virtual import RankFailure, VirtualCluster
 from ..numerics.solver import SolverConfig
-from ..obs import Trace, Tracer, get_flight, get_tracer, use_tracer
+from ..obs import Trace, Tracer, current, use
 from ..physics.state import FlowState
 from .checkpoint import CheckpointStore, Snapshot
 from .decomposition import CartesianDecomposition
@@ -222,12 +222,9 @@ class ParallelJetSolver:
                         snap = solver.checkpoint()
                         if snap is not None and save is not None:
                             save(*snap)
-                        fl = get_flight()
-                        if fl.enabled:
-                            fl.record(
-                                "checkpoint", rank=comm.rank,
-                                step=solver.nstep,
-                            )
+                        current().mark(
+                            "checkpoint", comm.rank, step=solver.nstep
+                        )
                 gathered = solver.gather_state()
                 return (
                     gathered,
@@ -256,7 +253,8 @@ class ParallelJetSolver:
 
         ``tracer`` optionally records per-rank spans (solver stages, sends,
         receives, halo exchanges) for the duration of the run; it is
-        installed as the process-global tracer while the cluster executes.
+        installed (``obs.use(tracer=...)``) while the cluster executes; the
+        other sinks, and the tracer when none is given, are the caller's.
 
         With a fault plan active a :class:`~repro.msglib.virtual.RankFailure`
         triggers a restart from the newest checkpoint (fresh cluster,
@@ -281,30 +279,24 @@ class ParallelJetSolver:
                     # Post-mortem: the last recorded events of every rank.
                     # Process clusters attach their ring contents before
                     # raising; virtual ranks share the parent's recorder.
-                    fl = get_flight()
-                    if not hasattr(failure, "flight") and fl.enabled and (
-                        hasattr(fl, "events_by_rank")
-                    ):
-                        failure.flight = fl.events_by_rank()
+                    if not hasattr(failure, "flight"):
+                        events = current().post_mortem()
+                        if events is not None:
+                            failure.flight = events
                     if self.faults is None or attempt >= self.max_restarts:
                         raise
                     attempt += 1
-                    tr = get_tracer()
-                    if tr.enabled:
-                        tr.instant(
-                            "recovery.restart",
-                            cat="fault",
-                            attempt=attempt,
-                            failed_rank=failure.rank,
-                            resume_step=failure.last_good_step,
-                        )
+                    current().instant(
+                        "recovery.restart",
+                        cat="fault",
+                        attempt=attempt,
+                        failed_rank=failure.rank,
+                        resume_step=failure.last_good_step,
+                    )
                     if latest is not None:
                         start = latest
 
-        if tracer is not None:
-            with use_tracer(tracer):
-                results = attempts()
-        else:
+        with use(tracer=tracer) if tracer is not None else use():
             results = attempts()
         state, t, nsteps, _, _ = results[0]
         fault_stats = [r[4] for r in results]

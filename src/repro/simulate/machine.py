@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..machines.platforms import Platform
 from ..msglib.libmodel import LibraryModel
+from ..obs import current, trace_from_timelines
 from ..parallel.versions import Version, version_by_number
 from .costmodel import CostModel
 from .engine import Engine, Event, Resource
@@ -226,8 +227,6 @@ class SimulatedMachine:
             )
         makespan = engine.run()
         if tracer is not None:
-            from ..obs import trace_from_timelines
-
             trace_from_timelines(
                 [c.timeline for c in contexts],
                 tracer=tracer,
@@ -249,22 +248,19 @@ class SimulatedMachine:
             timelines=[c.timeline for c in contexts],
             makespan_window=makespan,
         )
-        from ..obs import get_metrics
-
-        mx = get_metrics()
-        if mx.enabled:
-            # Scaled per-rank timeline split plus the modelled flop count,
-            # so the performance report can derive MFLOPS and comp:comm for
-            # simulated runs exactly as it does for measured ones.
-            scale = result.scale
-            flops = workload.flops_per_step_per_rank(p) * total
-            for tl in result.timelines:
-                r = tl.rank
-                mx.count("sim.compute_seconds", tl.compute * scale, rank=r)
-                mx.count("sim.library_seconds", tl.library * scale, rank=r)
-                mx.count("sim.wait_seconds", tl.comm_wait * scale, rank=r)
-                mx.count("sim.busy_seconds", tl.busy * scale, rank=r)
-                mx.count("sim.flops", flops, rank=r)
-                mx.count("sim.steps", float(total), rank=r)
-            mx.count("sim.engine_events", float(engine.steps), rank=0)
+        # Scaled per-rank timeline split plus the modelled flop count, so
+        # the performance report can derive MFLOPS and comp:comm for
+        # simulated runs exactly as it does for measured ones.
+        obs = current()
+        scale = result.scale
+        flops = workload.flops_per_step_per_rank(p) * total
+        for tl in result.timelines:
+            r = tl.rank
+            obs.count("sim.compute_seconds", tl.compute * scale, rank=r)
+            obs.count("sim.library_seconds", tl.library * scale, rank=r)
+            obs.count("sim.wait_seconds", tl.comm_wait * scale, rank=r)
+            obs.count("sim.busy_seconds", tl.busy * scale, rank=r)
+            obs.count("sim.flops", flops, rank=r)
+            obs.count("sim.steps", float(total), rank=r)
+        obs.count("sim.engine_events", float(engine.steps), rank=0)
         return result

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-import repro.msglib
+import repro
 from repro import jet_scenario
 from repro.api import run
 from repro.faults import FaultPlan
@@ -22,9 +22,7 @@ from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     Tracer,
-    use_flight,
-    use_metrics,
-    use_tracer,
+    use,
 )
 from repro.parallel.runner import ParallelJetSolver
 
@@ -105,7 +103,7 @@ def test_completion_by_test_is_accounted_like_a_blocking_receive(substrate, view
         return total, comm.stats.recvs, comm.stats.recv_seconds
 
     tracer, reg, flight = Tracer(), MetricsRegistry(), FlightRecorder(256)
-    with use_tracer(tracer), use_metrics(reg), use_flight(flight):
+    with use(tracer=tracer, metrics=reg, flight=flight):
         cluster = _cluster(substrate)
         try:
             total, recvs, seconds = cluster.run(program)[1]
@@ -128,7 +126,7 @@ def test_virtual_post_mortem_holds_sends_and_recvs():
     traffic that led up to it, as the process substrate's always did."""
     sc = jet_scenario(nx=32, nr=16)
     plan = FaultPlan(seed=1, crashes=((1, 3),), recv_timeout=0.2, recv_retries=2)
-    with use_flight(FlightRecorder(512)):
+    with use(flight=FlightRecorder(512)):
         with pytest.raises(RankFailure) as exc:
             ParallelJetSolver(
                 sc.state, sc.solver.config, nranks=2, timeout=20,
@@ -140,23 +138,87 @@ def test_virtual_post_mortem_holds_sends_and_recvs():
 
 # -- structure ----------------------------------------------------------------
 
-_SINK_NAMES = {
-    "get_tracer", "get_metrics", "get_flight", "get_stream",
-    "record_send", "record_recv",
+SRC = pathlib.Path(repro.__file__).parent
+_SLOTS = ("tracer", "metrics", "stream", "flight")
+#: Deleted for good: a get_/set_/use_ triple and a null object per sink,
+#: and the fifth message log that lived in ``CommStats``.
+_DELETED = {f"{verb}_{slot}" for verb in ("get", "set", "use") for slot in _SLOTS} | {
+    "NullTracer", "NullMetrics", "NullStepStream", "NullFlightRecorder",
+    "MessageRecord",
 }
+#: The sinks' own recording methods: outside ``obs/`` only a verb of
+#: ``repro.obs.spine`` leads to one.
+_SINK_METHODS = {"observe", "gauge", "publish", "add_span", "record"}
+#: Same method names on objects that are not sinks.
+_NOT_A_SINK = {
+    ("service/service.py", "self.detector.observe"),  # a StragglerDetector
+    ("analysis/jetdiag.py", "self.record"),  # the diagnostics' own sampler
+}
+#: The one documented hand-off: the DES (``simulate/engine.py`` and
+#: ``simulate/machine.py``, explicit ``tracer=``) stamps records with the
+#: engine's clock, so ``_run_simulated`` passes it ``current().tracer``.
+_READS_A_SLOT = {"api.py"}
+
+
+def _seam_breaches(path: pathlib.Path) -> list[str]:
+    """What ``path`` does to a sink other than through a verb."""
+    rel = path.relative_to(SRC).as_posix()
+    tree = ast.parse(path.read_text())
+    found = []
+    held = {  # names bound to ``current()``
+        target.id
+        for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "current"
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
+        name = (
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            or getattr(node, "name", None)
+        )
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in _DELETED:
+            found.append(f"names {name}")
+        if rel.startswith("obs/") or not isinstance(node, ast.Attribute):
+            continue
+        text = ast.unparse(node)
+        if node.attr == "enabled" and not text.endswith("plan.enabled"):
+            found.append(f"reads {text}")
+        if node.attr in _SINK_METHODS and (rel, text) not in _NOT_A_SINK:
+            found.append(f"calls {text}")
+        on_current = ast.unparse(node.value) == "current()" or (
+            getattr(node.value, "id", None) in held
+        )
+        if node.attr in _SLOTS and on_current and rel not in _READS_A_SLOT:
+            found.append(f"reads {text}")
+    return found
 
 
 def test_transports_only_move_bytes():
-    """The transports name no sink accessor and never touch ``CommStats``
-    themselves; the process substrate's ``slot_wait`` event goes through
-    the communicator's ``_flight`` helper like every other event."""
-    root = pathlib.Path(repro.msglib.__file__).parent
+    """One seam, tree-wide: no file names a deleted accessor or null
+    object; outside ``obs/`` none reads ``.enabled`` of anything but a
+    ``FaultPlan``, calls a sink's own method, or takes a sink out of
+    ``current()``.  The transports still name nothing from ``repro.obs``
+    but ``ForkedRanks`` / ``bind_rank`` and never touch ``CommStats``
+    themselves (``slot_wait`` goes through ``Communicator._mark``)."""
+    breaches = {
+        path.relative_to(SRC).as_posix(): found
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := _seam_breaches(path))
+    }
+    assert not breaches
     for name in ("virtual.py", "process.py", "mpi.py"):
-        tree = ast.parse((root / name).read_text())
+        tree = ast.parse((SRC / "msglib" / name).read_text())
+        from_obs = {
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "obs"
+            for alias in node.names
+        }
+        assert from_obs <= {"ForkedRanks", "bind_rank"}, name
         named = {
             getattr(node, "id", None) or getattr(node, "attr", None)
-            or getattr(node, "name", None)
             for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            if isinstance(node, (ast.Name, ast.Attribute))
         }
-        assert not named & _SINK_NAMES, f"{name} names {named & _SINK_NAMES}"
+        assert not named & {"record_send", "record_recv", "current"}, name

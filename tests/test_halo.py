@@ -8,6 +8,7 @@ import pytest
 
 from repro import jet_scenario
 from repro.msglib import VirtualCluster
+from repro.obs import FlightRecorder, use
 from repro.parallel.decomposition import HaloTopology
 from repro.parallel.halo import ExchangePlan, ExchangePolicy
 from repro.parallel.runner import ParallelJetSolver
@@ -194,8 +195,6 @@ class TestWireLog:
             decomposition=decomposition, px=2, pr=2,
         )
         cluster = VirtualCluster(4, timeout=60)
-        for comm in cluster.comms:
-            comm.stats.trace = []
 
         def program(comm):
             solver = runner._make_solver(comm, sc.state.q)
@@ -203,11 +202,16 @@ class TestWireLog:
                 solver.step()
             return solver.overlap
 
-        overlapped = cluster.run(program)
+        flight = FlightRecorder(1 << 14)
+        with use(flight=flight):
+            overlapped = cluster.run(program)
         assert overlapped == [version == 6] * 4
         log = [
-            [(m.peer, m.tag, m.nbytes) for m in c.stats.trace if m.kind == "send"]
-            for c in cluster.comms
+            [
+                (e["peer"], e["tag"], e["nbytes"])
+                for e in flight.events(rank) if e["kind"] == "send"
+            ]
+            for rank in range(4)
         ]
         digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
         assert digest == self.DIGESTS[decomposition, version]

@@ -10,7 +10,7 @@ import pytest
 
 from repro.msglib import DeadlockError
 from repro.msglib.mpi import _TAG_SPACE, MPIComm, tag_to_int
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, use
 
 try:
     import mpi4py  # noqa: F401
@@ -100,7 +100,7 @@ class TestOverStubMPI:
     def test_send_and_recv_are_timed_and_traced(self, pair):
         a, b = pair
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             a.send(1, "7:x:fxh", np.arange(12.0).reshape(3, 4))
             got = b.recv(0, "7:x:fxh", timeout=1.0)
         assert np.array_equal(got, np.arange(12.0).reshape(3, 4))

@@ -25,11 +25,10 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetrics,
-    get_metrics,
+    Tracer,
+    current,
     merge,
-    set_metrics,
-    use_metrics,
+    use,
 )
 
 # Adversarial float magnitudes: merging values spanning many decades is
@@ -143,13 +142,6 @@ class TestRegistrySemantics:
         with pytest.raises(TypeError, match="Counter"):
             m.observe("x", 1.0, rank=0)
 
-    def test_timer_records_into_histogram(self):
-        m = MetricsRegistry()
-        with m.timer("t", rank=2):
-            pass
-        h = m.get("t", rank=2)
-        assert h.count == 1 and h.sum >= 0.0
-
     def test_bind_rank_is_per_thread(self):
         m = MetricsRegistry()
         m.bind_rank(3)
@@ -169,25 +161,20 @@ class TestRegistrySemantics:
         assert m.value("c", rank=7) == 1.0
         assert m.ranks() == [3, 7]
 
-    def test_global_default_is_null_and_use_metrics_restores(self):
-        assert isinstance(get_metrics(), NullMetrics)
-        assert not get_metrics().enabled
-        # the null registry swallows everything without state
-        get_metrics().count("x")
-        get_metrics().observe("y", 1.0)
-        with get_metrics().timer("z"):
-            pass
-        assert get_metrics().snapshot() == {}
-        m = MetricsRegistry()
-        with use_metrics(m):
-            assert get_metrics() is m
-            get_metrics().count("inside")
-        assert isinstance(get_metrics(), NullMetrics)
-        assert m.value("inside", rank=0) == 1.0
-        prev = set_metrics(m)
-        assert prev is m and get_metrics() is m
-        set_metrics(None)
-        assert isinstance(get_metrics(), NullMetrics)
+    def test_no_registry_by_default_and_use_routes_dotted_counts_to_it(self):
+        assert current().metrics is None
+        current().count("layer.outside")  # nobody listens: swallowed
+        m, tr = MetricsRegistry(), Tracer()
+        with use(metrics=m, tracer=tr):
+            assert current().metrics is m
+            current().count("layer.inside")
+            current().count("layer.weighted", 2.5, rank=3)
+            current().count("bare_total", 4.0)  # a total of the trace
+        assert current().metrics is None
+        assert m.names() == ["layer.inside", "layer.weighted"]
+        assert m.value("layer.inside", rank=0) == 1.0
+        assert m.value("layer.weighted", rank=3) == 2.5
+        assert tr.trace.counters == {(0, "bare_total"): 4.0}
 
     def test_snapshot_shape_is_json_stable(self):
         m = MetricsRegistry()

@@ -297,6 +297,21 @@ class TestTornAndCorruptLines:
         with open(root / rel, "rb") as fh:
             assert pickle.load(fh) == {"v": 7}
 
+    def test_payload_stored_before_runresult_had_a_stream_still_loads(
+        self, tmp_path
+    ):
+        """``RunResult.stream`` arrived after payloads were already on
+        disk: one pickled without the key loads and reads ``None``."""
+        from repro.api import run
+
+        res = run("sod", steps=1, nx=32, nr=8)
+        del res.__dict__["stream"], res.__dict__["request"]
+        store = ResultStore(tmp_path / "s")
+        store.put("old", res, kind="run", request={}, report={})
+        loaded = store.load_result("old")
+        assert "stream" not in loaded.__dict__ and loaded.stream is None
+        assert loaded.steps == 1 and loaded.state.q.shape == res.state.q.shape
+
 
 class TestLocking:
     def test_commit_during_a_refresh_is_not_lost(self, tmp_path, monkeypatch):

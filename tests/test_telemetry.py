@@ -49,7 +49,7 @@ from repro.obs import (
     imbalance_verdict,
     read_flight_jsonl,
     step_record,
-    use_flight,
+    use,
     write_flight_jsonl,
 )
 from repro.obs.flight import FLIGHT_SCHEMA, FlightRing
@@ -148,6 +148,35 @@ class TestStepStream:
         assert {r["rank"] for r in recs} == {0, 1}
         assert all("comm_ms" in r and "sent_bytes" in r for r in recs)
 
+    @needs_fork
+    def test_a_step_stream_survives_the_fork(self):
+        """A forked rank buffers its own records and the parent
+        republishes them: both substrates deliver the same set."""
+        seen = {}
+        for substrate in ("virtual", "process"):
+            buf = BufferStepStream()
+            api.run(
+                "sod", steps=4, nprocs=2, stream=buf, substrate=substrate,
+                **SOD_SMALL,
+            )
+            recs = buf.records()
+            assert len(recs) == 8, substrate
+            assert all("comm_ms" in r and "sent_bytes" in r for r in recs)
+            seen[substrate] = {(r["rank"], r["step"]) for r in recs}
+        assert seen["process"] == seen["virtual"]
+        assert seen["virtual"] == {(r, n) for r in (0, 1) for n in (1, 2, 3, 4)}
+
+    def test_stream_true_returns_what_it_buffered(self):
+        res = api.run("sod", steps=5, stream=True, **SOD_SMALL)
+        assert [r["step"] for r in res.stream] == [1, 2, 3, 4, 5]
+        assert all(r["schema"] == STREAM_SCHEMA for r in res.stream)
+        buf = BufferStepStream()
+        assert api.run("sod", steps=2, stream=buf, **SOD_SMALL).stream == buf.records()
+        # Nothing buffered in-process, nothing to return.
+        live = QueueStepStream(queue.Queue())
+        assert api.run("sod", steps=2, stream=live, **SOD_SMALL).stream is None
+        assert api.run("sod", steps=2, **SOD_SMALL).stream is None
+
 
 # -- flight recorder ----------------------------------------------------------
 
@@ -242,7 +271,7 @@ class TestFlightRing:
                 os.kill(os.getpid(), signal.SIGKILL)
             comm.recv(1, "never", timeout=60)  # survivor gets aborted
 
-        with use_flight(FlightRecorder()):
+        with use(flight=FlightRecorder()):
             with ProcessCluster(2, timeout=60) as cluster:
                 with pytest.raises(RankFailure) as exc:
                     cluster.run(program)
