@@ -456,6 +456,8 @@ def _cmd_tail(args) -> int:
                 if rec.get("comm_ms") is not None
                 else ""
             )
+            if rec.get("wait_ms") is not None:
+                comm += f" ({rec['wait_ms']:.2f} blocked)"
             extra = ""
             if rec.get("retries"):
                 extra += f"  retries {rec['retries']}"

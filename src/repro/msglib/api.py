@@ -38,6 +38,9 @@ class CommStats:
     wall time spent inside the communication calls — the measured
     counterpart of the paper's communication-startup (send side, buffered
     deposit) and data-transfer/wait (receive side, blocking) components.
+    ``wait_seconds`` is the part of ``recv_seconds`` spent *blocked* until
+    the message had arrived (partner skew, scheduler); the rest of a
+    receive is transfer and unpack.
     """
 
     sends: int = 0
@@ -46,6 +49,7 @@ class CommStats:
     bytes_received: int = 0
     send_seconds: float = 0.0
     recv_seconds: float = 0.0
+    wait_seconds: float = 0.0
     max_message_bytes: int = 0
     """Largest single message this rank sent (grouping diagnostics: V5's
     grouped flux pairs double this relative to V7's split columns)."""
@@ -71,10 +75,11 @@ class CommStats:
         if nbytes > self.max_message_bytes:
             self.max_message_bytes = nbytes
 
-    def record_recv(self, nbytes: int, seconds: float) -> None:
+    def record_recv(self, nbytes: int, seconds: float, wait: float) -> None:
         self.recvs += 1
         self.bytes_received += nbytes
         self.recv_seconds += seconds
+        self.wait_seconds += wait
 
     def merged_with(self, other: "CommStats") -> "CommStats":
         return CommStats(
@@ -84,6 +89,7 @@ class CommStats:
             bytes_received=self.bytes_received + other.bytes_received,
             send_seconds=self.send_seconds + other.send_seconds,
             recv_seconds=self.recv_seconds + other.recv_seconds,
+            wait_seconds=self.wait_seconds + other.wait_seconds,
             max_message_bytes=max(
                 self.max_message_bytes, other.max_message_bytes
             ),
@@ -251,14 +257,17 @@ class Communicator:
         current().mark(kind, self.rank, **fields)
 
     def _account(
-        self, kind: str, peer: int, tag: str, nbytes: int, seconds: float
+        self, kind: str, peer: int, tag: str, nbytes: int, seconds: float,
+        wait: float = 0.0,
     ) -> None:
-        """Record one completed message: in ``stats``, and as one event."""
+        """Record one completed message: in ``stats``, and as one event.
+        ``wait`` is the part of a receive's ``seconds`` spent blocked
+        before the message had arrived."""
         if kind == "send":
             self.stats.record_send(nbytes, seconds)
         else:
-            self.stats.record_recv(nbytes, seconds)
-        current().message(kind, self.rank, peer, tag, nbytes, seconds)
+            self.stats.record_recv(nbytes, seconds, wait)
+        current().message(kind, self.rank, peer, tag, nbytes, seconds, wait)
 
     def _receive(
         self, kind: str, source: int, tag: str, timeout=None, probe=False
@@ -266,7 +275,9 @@ class Communicator:
         """Every receive completes here.  ``probe`` only asks whether the
         message has landed (``None`` if not) and opens no span — a polling
         loop would flood the trace — but a completion is accounted with
-        the time the probe took."""
+        the time the probe took.  The clock is read once more between the
+        transport's two halves, so a receive is accounted as *blocked until
+        the item was in hand* plus *transfer and unpack*."""
         span = _NO_SPAN if probe else current().span(
             f"comm.{kind}", cat="comm", rank=self.rank, peer=source, tag=tag
         )
@@ -278,12 +289,13 @@ class Communicator:
                     return None
             else:
                 item = self._take(source, tag, timeout)
+            arrived = _time.perf_counter()
             value = (
                 self._as_view(item) if kind == "recv_view"
                 else self._as_array(item)
             )
             seconds = _time.perf_counter() - t0
-        self._account(kind, source, tag, item.nbytes, seconds)
+        self._account(kind, source, tag, item.nbytes, seconds, arrived - t0)
         return value
 
     # -- point to point ------------------------------------------------------

@@ -41,7 +41,9 @@ Tag matching, ``(source, tag)`` selectivity with a stash, per-call
 ``recv(timeout=)`` and the mailbox failure contract
 (:class:`~repro.msglib.vchannel.DeadlockError`,
 :class:`~repro.msglib.vchannel.ClusterAborted`) mirror
-:class:`~repro.msglib.vchannel.Mailbox` exactly.
+:class:`~repro.msglib.vchannel.Mailbox` exactly.  A blocked receive does
+not sleep at once: it polls the pipe and yields the CPU in turn for up to
+:data:`_SPIN`, then sleeps (:meth:`ProcessCommunicator._take`).
 
 Failure semantics match the virtual cluster: any worker exception is
 shipped back structured, the parent broadcasts an abort to every rank
@@ -75,7 +77,7 @@ import numpy as np
 
 from ..obs import ForkedRanks
 from .api import Communicator, CommStats, MessageView
-from .vchannel import ClusterAborted, DeadlockError
+from .vchannel import ClusterAborted, DeadlockError, TagStash
 from .virtual import RankFailure, VirtualCluster
 
 __all__ = [
@@ -94,6 +96,19 @@ DEFAULT_SLOTS_PER_CHANNEL = 8
 
 #: Poll interval for abort-aware blocking waits (seconds).
 _POLL = 0.05
+
+#: How long a blocked receive spins on its pipe — ``poll(0)`` and
+#: ``os.sched_yield()`` in turn — before it sleeps in ``poll(_POLL)``.
+#: A sleeping receiver halts its vCPU, and waking it costs the sender and
+#: the receiver more than the message does (one way 6400 B: 92 us asleep,
+#: 34 us spinning).  A constant, because the result is flat in it: on the
+#: paper's grid 2 ranks read 3.4-3.6 / 3.3-3.7 / 3.5-3.8 ms/step at
+#: 0.5 / 2 / 5 ms and 4 ranks on 2 vCPUs 8.0-8.5 / 8.1-8.6 / 7.6-8.4
+#: (parent 9.1-12.9).  2 ms is > 99 % of the waits of a balanced 2-rank
+#: step (< 1 ms); what outlives it — a gather, a straggler, a dead
+#: peer — is worth sleeping through.  The yield is not optional: without
+#: it 4 ranks on 2 vCPUs take 16.5 ms/step (DESIGN section 11).
+_SPIN = 0.002
 
 #: How long a receive may observe "ring head borrowed by us + nothing
 #: arriving" before it is declared a borrow deadlock.  Slot descriptors
@@ -190,7 +205,7 @@ class ProcessCommunicator(Communicator):
         # token (another source's token was being served): held here, in
         # send order, until that token is read from the pipe.
         self._cold_early: dict[int, deque] = defaultdict(deque)
-        self._stash: dict[tuple[int, str], deque] = defaultdict(deque)
+        self._stash = TagStash()
         self._lazy: dict[int, deque] = defaultdict(deque)
         self._tx_seq = [0] * cluster.size
         # Borrow-deadlock bookkeeping: per-source count of shared-memory
@@ -357,26 +372,40 @@ class ProcessCommunicator(Communicator):
                     ) from None
 
     def _take(self, source: int, tag: str, timeout: float | None):
-        """Blocking tag-matched fetch with Mailbox-identical semantics."""
+        """Blocking tag-matched fetch with Mailbox-identical semantics.
+
+        A receive that finds nothing first *spins*: for up to
+        :data:`_SPIN` it polls the pipe without sleeping and yields the
+        CPU between polls, so a descriptor written meanwhile is picked up
+        by a receiver that never left its core.  Only then does it sleep
+        in ``poll(_POLL)``.  Abort, the deadline and the borrow check sit
+        where they always did; the spin merely postpones the first sleep."""
         limit = self.cluster.timeout if timeout is None else timeout
         key = (source, tag)
         deadline = _time.monotonic() + limit
+        spin_until = min(deadline, _time.monotonic() + _SPIN)
         borrow_deadline: float | None = None
         while True:
-            if self._stash[key]:
-                return self._stash[key].popleft()
+            item = self._stash.take(key)
+            if item is not None:
+                return item
             if self._aborted is not None or self.cluster._abort.is_set():
                 if self._aborted is None:
                     self._aborted = "cluster abort flagged"
                 self._raise_aborted(source, tag)
-            remaining = deadline - _time.monotonic()
+            now = _time.monotonic()
+            remaining = deadline - now
             if remaining <= 0:
                 raise DeadlockError(
                     f"rank {self.rank}: no message from {source} tag {tag!r} "
                     f"within {limit}s (likely deadlock, tag mismatch, or a "
                     "lost message)"
                 )
-            if not self._rx.poll(min(remaining, _POLL)):
+            if now < spin_until:
+                if not self._rx.poll(0):
+                    os.sched_yield()
+                    continue
+            elif not self._rx.poll(min(remaining, _POLL)):
                 borrow_deadline = self._borrow_deadlock_check(
                     source, tag, borrow_deadline
                 )
@@ -429,8 +458,7 @@ class ProcessCommunicator(Communicator):
     def _probe(self, source: int, tag: str):
         while self._rx.poll():
             self._ingest(self._rx.recv())
-        stash = self._stash[(source, tag)]
-        return stash.popleft() if stash else None
+        return self._stash.take((source, tag))
 
     def _as_array(self, item) -> np.ndarray:
         if isinstance(item, _SlotRef):

@@ -34,12 +34,14 @@ class KernelBackend(ABC):
     name: str = ""
 
     @abstractmethod
-    def step_workspace(self, solver) -> "StepWorkspace | None":
+    def step_workspace(self, solver, shape=None) -> "StepWorkspace | None":
         """Per-solver workspace, or ``None`` for the allocating path.
 
-        Called once from ``CompressibleSolver.__init__`` with the (local)
+        Called from ``CompressibleSolver.__init__`` with the (local)
         state already constructed; distributed solvers therefore get
-        slab-shaped buffers automatically.
+        slab-shaped buffers automatically.  ``shape`` asks for the same
+        kernels over another ``(nvars, nx, nr)`` extent than the state's —
+        the solver's second workspace, for the 5-column outflow window.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -61,7 +63,9 @@ class StepWorkspace:
     * **flux evaluation** — ``F``/``S`` plus the 2-D primitive and stress
       buffers consumed by the fused flux kernels;
     * **boundary strips** — ``q_tail`` holds the trailing five columns the
-      characteristic outflow needs (replacing the full-state copy).
+      characteristic outflow needs (replacing the full-state copy); the
+      solver evaluates that window on a second workspace of this class,
+      sized ``q_tail.shape`` (``KernelBackend.step_workspace(shape=)``).
 
     Halo *pack* buffers live on the distributed solver's
     :class:`~repro.parallel.halo.ExchangePlan`, which preallocates them per

@@ -16,5 +16,5 @@ class BaselineBackend(KernelBackend):
 
     name = "baseline"
 
-    def step_workspace(self, solver) -> StepWorkspace | None:
+    def step_workspace(self, solver, shape=None) -> StepWorkspace | None:
         return None

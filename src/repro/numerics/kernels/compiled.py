@@ -379,10 +379,10 @@ class CompiledBackend(KernelBackend):
         """The resolved (warm) kernel ops; raises BackendUnavailable."""
         return resolve_ops()
 
-    def step_workspace(self, solver) -> StepWorkspace:
+    def step_workspace(self, solver, shape=None) -> StepWorkspace:
         viscous = bool(solver.fm.mu)
         mu_field = viscous and solver.config.mu_exponent != 0.0
-        shape = solver.state.q.shape
+        shape = shape or solver.state.q.shape
         try:
             ops = resolve_ops()
         except BackendUnavailable as exc:

@@ -41,10 +41,12 @@ class FusedBackend(KernelBackend):
 
     name = "fused"
 
-    def step_workspace(self, solver) -> StepWorkspace:
+    def step_workspace(self, solver, shape=None) -> StepWorkspace:
         viscous = bool(solver.fm.mu)
         mu_field = viscous and solver.config.mu_exponent != 0.0
-        return StepWorkspace(solver.state.q.shape, viscous, mu_field=mu_field)
+        return StepWorkspace(
+            shape or solver.state.q.shape, viscous, mu_field=mu_field
+        )
 
 
 def _mu(fm, ws: StepWorkspace):

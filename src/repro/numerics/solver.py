@@ -22,7 +22,7 @@ solutions.  All benchmark experiments use the axisymmetric jet mode.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -231,9 +231,15 @@ class CompressibleSolver:
         self._trace_rank = 0
         self.backend = resolve_backend(self.config.backend)
         self._ws = self.backend.step_workspace(self)
+        #: The same backend's kernels over the outflow helper's 5-column
+        #: window (the shape of the ``q_tail`` strip it is handed).
+        self._ws_window = (
+            self.backend.step_workspace(self, shape=self._ws.q_tail.shape)
+            if self._ws is not None else None
+        )
         #: Split operators cached per variant (their workspaces read mutable
         #: state lazily, so reuse is safe).  Also holds the outflow helper's
-        #: radial operator under ("ofw", variant).
+        #: radial operator under ("ofw", variant, on its workspace or not).
         self._ops_cache: dict = {}
         #: Filter index tuples cached per axis (rebuilt-per-step before).
         self._filter_ix: dict[int, list[tuple]] = {}
@@ -279,19 +285,12 @@ class CompressibleSolver:
         return SweepWorkspace(flux=flux, scratch=scratch)
 
     def _r_workspace(self) -> SweepWorkspace:
-        base = self._r_workspace_serial()
-        fm, ws = self.fm, self._ws
-        if ws is None:
-            return base
-        return replace(
-            base,
-            flux=lambda q, ph: fm.radial_flux(q, ws=ws),
-            scratch=ws.sweep_r,
-        )
+        return self._r_workspace_serial(self._ws)
 
-    def _r_workspace_serial(self) -> SweepWorkspace:
-        """Halo-free radial workspace on the allocating kernels (also used
-        by the outflow helper, whose 5-column window is not state-shaped)."""
+    def _r_workspace_serial(self, ws=None) -> SweepWorkspace:
+        """Halo-free radial workspace on the kernels of ``ws``: the state's
+        workspace for the step's own sweep, the window's for the outflow
+        helper, ``None`` for the allocating reference kernels."""
         cfg = self.config
         fm = self.fm
         if cfg.periodic_r:
@@ -304,10 +303,11 @@ class CompressibleSolver:
             low = lambda f, ph: None
             high = lambda f, ph: None
         return SweepWorkspace(
-            flux=lambda q, ph: fm.radial_flux(q),
+            flux=lambda q, ph: fm.radial_flux(q, ws=ws),
             low_ghosts=low,
             high_ghosts=high,
             inv_weight=self._inv_weight,
+            scratch=ws.sweep_r if ws is not None else None,
         )
 
     def _operators(self, variant: int):
@@ -351,24 +351,38 @@ class CompressibleSolver:
 
     # -- boundary updates -------------------------------------------------------
     def _outflow_rates(self, q: np.ndarray, variant: int) -> np.ndarray:
-        """Interior conservative rates at the outflow column, shape (4, nr)."""
+        """Interior conservative rates at the outflow column, shape (4, nr).
+
+        Evaluated on the trailing 5-column window (which keeps the viscous
+        x-gradients well-posed) by the step's own kernels: the window has
+        its own workspace from the solver's backend, so a fused step stays
+        in place and a compiled step stays in C.  The baseline backend has
+        no workspace and runs the allocating kernels, the reference the
+        other two are pinned against — as does any strip that is not the
+        shape the window workspace was sized for, which is never handed to
+        kernels that index raw buffers.
+        """
         window = q[:, -5:, :]
-        F = self.fm.axial_flux(window)
+        ws = self._ws_window
+        if ws is not None and window.shape != ws.shape:
+            ws = None
+        F = self.fm.axial_flux(window, ws=ws)
         h = self.grid.dx
         # Backward one-sided 2-4 difference at the last column.
         dF = (7.0 * (F[:, -1] - F[:, -2]) - (F[:, -2] - F[:, -3])) / (6.0 * h)
-        # Radial contribution near the boundary via the split machinery
-        # (a 5-column window keeps the viscous x-gradients well-posed).
-        # The window shape differs from the state's, so this stays on the
-        # allocating kernels regardless of backend.
-        col = np.ascontiguousarray(window)
-        Lr = self._ops_cache.get(("ofw", variant))
+        # Radial contribution near the boundary via the split machinery.
+        key = ("ofw", variant, ws is not None)
+        Lr = self._ops_cache.get(key)
         if Lr is None:
-            ws = self._r_workspace_serial()
-            Lr = SplitOperator(axis=2, h=self.grid.dr, variant=variant, workspace=ws)
-            self._ops_cache[("ofw", variant)] = Lr
-        radial_rate = Lr._rate(col, PREDICTOR)[:, -1, :]
-        return -dF + radial_rate
+            Lr = self._ops_cache[key] = SplitOperator(
+                axis=2, h=self.grid.dr, variant=variant,
+                workspace=self._r_workspace_serial(ws),
+            )
+        if ws is None:
+            rate = Lr._rate(np.ascontiguousarray(window), PREDICTOR)
+        else:
+            rate = Lr._rate_into(window, PREDICTOR, ws.sweep_r)
+        return -dF + rate[:, -1, :]
 
     def _boundary_snapshot(self) -> np.ndarray | None:
         """Pre-step copy of the state strips the boundary update reads.

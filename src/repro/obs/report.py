@@ -69,6 +69,11 @@ class PerfReport:
     """Per-stage rows: ``{name, seconds, share, mflops}`` (seconds are the
     mean over ranks — the concurrent-elapsed estimate)."""
     per_rank: list[dict] = field(default_factory=list)
+    exchanges: list[dict] = field(default_factory=list)
+    """Per-exchange-kind rows of a parallel run: ``{kind, exchanges,
+    seconds, wait_seconds}`` — ``seconds`` inside ``halo.<kind>`` and the
+    part of it its receives spent blocked waiting for the neighbour (the
+    rest is pack, send, transfer and unpack); means over ranks."""
     faults: dict = field(default_factory=dict)
     restarts: int = 0
     trace_summary: dict | None = None
@@ -201,9 +206,31 @@ def _real_per_rank(hists, counters) -> list[dict]:
                 "comm_seconds": comm_s,
                 "comp_seconds": comp_s,
                 "comp_comm": (comp_s / comm_s) if comm_s > 0.0 else None,
+                "wait_seconds": counters.get("comm.wait_seconds", {}).get(r, 0.0),
                 "bytes_sent": counters.get("comm.bytes_sent", {}).get(r, 0.0),
                 "halo_bytes": counters.get("halo.bytes", {}).get(r, 0.0),
                 "halo_seconds": counters.get("halo.seconds", {}).get(r, 0.0),
+            }
+        )
+    return rows
+
+
+def _exchange_rows(hists, counters) -> list[dict]:
+    """One row per halo exchange kind: how long the exchanges took and how
+    much of that their receives spent blocked (means over ranks)."""
+    rows = []
+    for name in sorted(hists):
+        if not (name.startswith("halo.") and name.endswith("_seconds")):
+            continue
+        kind = name[len("halo."):-len("_seconds")]
+        per_rank = hists[name]
+        wait = counters.get(f"halo.{kind}_wait_seconds", {})
+        rows.append(
+            {
+                "kind": kind,
+                "exchanges": sum(h.count for h in per_rank.values()) / len(per_rank),
+                "seconds": _mean_seconds(per_rank),
+                "wait_seconds": math.fsum(wait.values()) / len(per_rank),
             }
         )
     return rows
@@ -325,6 +352,7 @@ def build_perf_report(
         metrics.count("comm.bytes_received", float(st.bytes_received), rank=r)
         metrics.count("comm.send_seconds", st.send_seconds, rank=r)
         metrics.count("comm.recv_seconds", st.recv_seconds, rank=r)
+        metrics.count("comm.wait_seconds", st.wait_seconds, rank=r)
         metrics.gauge("comm.max_message_bytes", float(st.max_message_bytes), rank=r)
     hists, counters = _collect(metrics)
     platform = result.sim.platform if result.sim is not None else None
@@ -344,6 +372,7 @@ def build_perf_report(
         )
     wall = result.timings.wall_seconds
     ms_per_step = result.timings.ms_per_step
+    exchanges: list[dict] = []
     if result.mode == "simulated":
         stages = _sim_stages(counters)
         per_rank = _sim_per_rank(counters)
@@ -360,6 +389,7 @@ def build_perf_report(
             ops = navier_stokes_ops() if viscous else euler_ops()
         stages, cell_steps = _solver_stages(hists, counters, ops)
         per_rank = _real_per_rank(hists, counters)
+        exchanges = _exchange_rows(hists, counters)
         mflops_total = (
             _mflops(ops.per_cell_step * cell_steps, wall)
             if ops is not None and cell_steps > 0.0
@@ -395,6 +425,7 @@ def build_perf_report(
         comp_comm_ratio=_aggregate_ratio(per_rank),
         stages=stages,
         per_rank=per_rank,
+        exchanges=exchanges,
         faults=_fault_summary(counters, result.fault_stats),
         restarts=result.restarts,
         trace_summary=trace_summary,
@@ -548,6 +579,7 @@ def render_report(report: PerfReport) -> str:
                 str(r["rank"]),
                 _fmt(r.get("comp_seconds"), "{:.4f}"),
                 _fmt(r.get("comm_seconds"), "{:.4f}"),
+                _fmt(r.get("wait_seconds"), "{:.4f}"),
                 _fmt(r.get("comp_comm"), "{:.1f}"),
                 _fmt(r.get("bytes_sent"), "{:.0f}"),
             ]
@@ -555,8 +587,26 @@ def render_report(report: PerfReport) -> str:
         ]
         lines.append("")
         lines.append(
-            _table(["rank", "comp s", "comm s", "comp:comm", "bytes sent"],
-                   rows, title="per-rank split")
+            _table(["rank", "comp s", "comm s", "blocked s", "comp:comm",
+                    "bytes sent"],
+                   rows, title="per-rank split (blocked: the part of comm "
+                               "spent waiting for a message to arrive)")
+        )
+    if report.exchanges:
+        rows = [
+            [
+                "halo." + x["kind"],
+                _fmt(x["exchanges"], "{:.0f}"),
+                _fmt(x["seconds"], "{:.4f}"),
+                _fmt(x["wait_seconds"], "{:.4f}"),
+                _fmt(x["seconds"] - x["wait_seconds"], "{:.4f}"),
+            ]
+            for x in report.exchanges
+        ]
+        lines.append("")
+        lines.append(
+            _table(["exchange", "n", "seconds", "blocked s", "transfer s"],
+                   rows, title="per-exchange split (mean over ranks)")
         )
     if report.balance:
         b = report.balance

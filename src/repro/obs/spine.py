@@ -21,11 +21,15 @@ which name.  That routing is this table and nothing else:
 ``exchange(kind, comm, tag)``
     tracer: the ``halo.<kind>`` span and the ``halo_seconds`` total;
     metrics: the ``halo.<kind>_seconds`` histogram, ``halo.seconds``,
-    ``halo.exchanges`` and ``halo.bytes`` (the communicator's stats delta).
-``message(kind, rank, peer, tag, nbytes, seconds)``
+    ``halo.exchanges``, and from the communicator's stats delta
+    ``halo.bytes`` and ``halo.<kind>_wait_seconds`` (the part of the
+    exchange its receives spent blocked).
+``message(kind, rank, peer, tag, nbytes, seconds, wait)``
     flight: a ``send`` / ``recv`` / ``recv_view`` event; tracer: the
-    ``messages`` and ``bytes_sent`` / ``bytes_received`` totals; metrics:
-    the ``comm.send_call_seconds`` / ``comm.recv_call_seconds`` histogram.
+    ``messages`` and ``bytes_sent`` / ``bytes_received`` totals and, of a
+    receive, ``recv_wait_seconds``; metrics: the
+    ``comm.send_call_seconds`` / ``comm.recv_call_seconds`` histogram and,
+    of a receive, ``comm.recv_wait_seconds`` (the blocked part of the call).
 ``mark(kind, rank, **fields)``
     flight: the event ``kind`` (``collective``, ``slot_wait``,
     ``checkpoint``).
@@ -129,7 +133,7 @@ class _Stage:
 class _Exchange:
     """One halo exchange in flight (see :meth:`Sinks.exchange`)."""
 
-    __slots__ = ("sinks", "kind", "comm", "span", "b0", "t0")
+    __slots__ = ("sinks", "kind", "comm", "span", "s0", "t0")
 
     def __init__(self, sinks: "Sinks", kind: str, comm, tag: str) -> None:
         self.sinks = sinks
@@ -137,14 +141,17 @@ class _Exchange:
         self.comm = comm
         self.span = sinks.span("halo." + kind, cat="halo", rank=comm.rank, tag=tag)
 
-    def _bytes(self) -> int | None:
-        """Both directions, from the communicator's own accounting — so
-        frames a fault layer retransmits are counted as sent."""
+    def _stats(self) -> tuple[int, float] | None:
+        """``(bytes both ways, seconds its receives were blocked)`` so far,
+        from the communicator's own accounting — so frames a fault layer
+        retransmits are counted as sent."""
         stats = getattr(self.comm, "stats", None)
-        return None if stats is None else stats.bytes_sent + stats.bytes_received
+        if stats is None:
+            return None
+        return stats.bytes_sent + stats.bytes_received, stats.wait_seconds
 
     def __enter__(self) -> None:
-        self.b0 = None if self.sinks.metrics is None else self._bytes()
+        self.s0 = None if self.sinks.metrics is None else self._stats()
         self.t0 = perf_counter()
         self.span.__enter__()
 
@@ -160,8 +167,12 @@ class _Exchange:
             mx.observe(f"halo.{self.kind}_seconds", seconds, rank=rank)
             mx.count("halo.seconds", seconds, rank=rank)
             mx.count("halo.exchanges", 1.0, rank=rank)
-            if self.b0 is not None:
-                mx.count("halo.bytes", float(self._bytes() - self.b0), rank=rank)
+            if self.s0 is not None:
+                nbytes, wait = self._stats()
+                mx.count("halo.bytes", float(nbytes - self.s0[0]), rank=rank)
+                mx.count(
+                    f"halo.{self.kind}_wait_seconds", wait - self.s0[1], rank=rank
+                )
 
 
 @dataclass(slots=True, eq=False)
@@ -216,9 +227,12 @@ class Sinks:
         return _Exchange(self, kind, comm, tag)
 
     def message(
-        self, kind: str, rank: int, peer: int, tag: str, nbytes: int, seconds: float
+        self, kind: str, rank: int, peer: int, tag: str, nbytes: int,
+        seconds: float, wait: float = 0.0,
     ) -> None:
-        """One completed ``send`` / ``recv`` / ``recv_view``."""
+        """One completed ``send`` / ``recv`` / ``recv_view``; ``wait`` is
+        the part of a receive's ``seconds`` spent blocked before the
+        message had arrived."""
         if self.flight is not None:
             self.flight.record(kind, rank=rank, peer=peer, tag=tag, nbytes=nbytes)
         sent = kind == "send"
@@ -227,11 +241,15 @@ class Sinks:
             self.tracer.count(
                 "bytes_sent" if sent else "bytes_received", nbytes, rank=rank
             )
+            if not sent:
+                self.tracer.count("recv_wait_seconds", wait, rank=rank)
         if self.metrics is not None:
             self.metrics.observe(
                 "comm.send_call_seconds" if sent else "comm.recv_call_seconds",
                 seconds, rank=rank,
             )
+            if not sent:
+                self.metrics.observe("comm.recv_wait_seconds", wait, rank=rank)
 
     def mark(self, kind: str, rank: int, **fields) -> None:
         """A breadcrumb for post-mortems: ``collective``, ``slot_wait``,

@@ -52,7 +52,8 @@ def step_record(
     **extra,
 ) -> dict:
     """One ``repro.stream/1`` record.  ``extra`` carries optional fields
-    (``comm_ms``, ``sent_bytes``, ``retries``, ...)."""
+    (``comm_ms`` and the blocked part of it, ``wait_ms``; ``sent_bytes``,
+    ``retries``, ...)."""
     rec = {
         "schema": STREAM_SCHEMA,
         "rank": rank,

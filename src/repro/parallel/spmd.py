@@ -140,20 +140,22 @@ class BlockDistributedSolver(CompressibleSolver):
         self._trace_rank = comm.rank
         bind_rank(comm.rank)
         # Baselines for per-step comm deltas in the streamed records.
-        self._stream_comm_prev = (0.0, 0, 0)
+        self._stream_comm_prev = (0.0, 0.0, 0, 0)
 
     def _step_stream_record(self, dt: float, wall: float) -> dict:
         rec = super()._step_stream_record(dt, wall)
         stats = getattr(self.comm, "stats", None)
         if stats is not None:
             comm_s = stats.send_seconds + stats.recv_seconds
+            wait_s = stats.wait_seconds
             sent = stats.bytes_sent
             recvd = stats.bytes_received
-            p_comm, p_sent, p_recvd = self._stream_comm_prev
+            p_comm, p_wait, p_sent, p_recvd = self._stream_comm_prev
             rec["comm_ms"] = 1e3 * (comm_s - p_comm)
+            rec["wait_ms"] = 1e3 * (wait_s - p_wait)
             rec["sent_bytes"] = sent - p_sent
             rec["halo_bytes"] = (sent - p_sent) + (recvd - p_recvd)
-            self._stream_comm_prev = (comm_s, sent, recvd)
+            self._stream_comm_prev = (comm_s, wait_s, sent, recvd)
         faults = getattr(self.comm, "fault_stats", None)
         if faults is not None:
             rec["retries"] = (
@@ -317,15 +319,18 @@ class BlockDistributedSolver(CompressibleSolver):
 
     # -- characteristic outflow -----------------------------------------------
     def _outflow_rates(self, q: np.ndarray, variant: int) -> np.ndarray:  # type: ignore[override]
+        """The serial helper on every outflow-owning rank that holds the
+        full radial extent — on the window workspace of the rank's
+        backend, like the serial solver's.  Where the radial axis is split
+        the window is a *collective* among the radial neighbours, and that
+        one stays on the allocating numpy kernels on every backend: its
+        halo-aware fluxes and exchanges are window-shaped and per phase,
+        and only ``1 x pr`` / ``px x pr`` grids pay it."""
         if not self.topo.exchanges_r:
-            # The owning rank holds the full radial extent: the serial
-            # (cached, halo-free) helper applies unchanged.
             return super()._outflow_rates(q, variant)
-        # The outflow column is split across radial neighbours: the radial
-        # part of the boundary rates needs neighbour rows, exchanged on the
-        # 5-column window by all participating ranks symmetrically.  The
-        # window shape differs from the state's, so this stays on the
-        # allocating kernels regardless of backend.
+        # The radial part of the boundary rates needs neighbour rows,
+        # exchanged on the 5-column window by all participating ranks
+        # symmetrically.
         window = np.ascontiguousarray(q[:, -5:, :])
         tag = self._tag("ofw")
         # The serial helper uses one-sided x-gradients on the window (no

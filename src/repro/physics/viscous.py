@@ -125,7 +125,8 @@ def field_gradients(
     """
     if halo is None:
         # One two-axis call per field: half the numpy call overhead, which
-        # is what the 5-column outflow window pays every step.
+        # is what the allocating 5-column outflow window (baseline backend,
+        # radially split blocks) pays every step.
         return tuple(
             g for f in (u, v, T) for g in np.gradient(f, dx, dr, edge_order=2)
         )

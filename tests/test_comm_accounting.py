@@ -51,6 +51,20 @@ def _accounts(substrate: str, version: int) -> list[dict]:
             "flight_sends": kinds.count("send"),
             "flight_recvs": kinds.count("recv") + kinds.count("recv_view"),
             "flight_collectives": kinds.count("collective"),
+            # Seconds differ from run to run: compared across the sinks of
+            # one run, taken out before substrates are compared.
+            "seconds": {
+                "recv": stats.recv_seconds,
+                "wait": stats.wait_seconds,
+                "wait_traced": res.trace.counter(rank, "recv_wait_seconds"),
+                "wait_hist": res.metrics.get("comm.recv_wait_seconds", rank),
+                "wait_reported": res.perf.per_rank[rank]["wait_seconds"],
+                "wait_in_exchanges": sum(
+                    m.value for (name, r), m in res.metrics.items()
+                    if r == rank and name.startswith("halo.")
+                    and name.endswith("_wait_seconds")
+                ),
+            },
         })
     return out
 
@@ -69,6 +83,17 @@ def test_every_sink_agrees_on_every_substrate(version):
             assert a["traced_received"] == a["bytes_received"], where
             assert a["flight_sends"] == a["sends"], where
             assert a["flight_recvs"] == a["recvs"], where
+            # The blocked part of the receives: inside the receive time,
+            # and one number whichever sink is asked for it.
+            s = a.pop("seconds")
+            assert 0.0 <= s["wait"] <= s["recv"], where
+            assert s["wait_traced"] == s["wait"], where
+            assert s["wait_hist"].count == a["recvs"], where
+            assert s["wait_hist"].sum == pytest.approx(s["wait"], rel=1e-12), where
+            assert s["wait_reported"] == s["wait"], where
+            # ...and the exchanges' shares of it leave out only what the
+            # collectives (dt, gather) waited.
+            assert 0.0 < s["wait_in_exchanges"] <= s["wait"], where
     assert per_substrate["virtual"] == per_substrate["process"]
 
 
@@ -119,6 +144,43 @@ def test_completion_by_test_is_accounted_like_a_blocking_receive(substrate, view
     assert kinds == ["recv_view" if view else "recv"]
     # The probe opened no span; only rank 0's send is on the timeline.
     assert [s.name for s in tracer.trace.spans] == ["comm.send"]
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_tag_stash_keeps_no_key_for_a_consumed_message(substrate):
+    """Tags carry the step number, so every message has a key of its own:
+    a stash that kept the drained deque — or made one just by looking —
+    grew by one entry per message for the life of the run."""
+    rounds = 200
+
+    def mailbox(comm):
+        """What holds the rank's stash and answers ``pending()``."""
+        if substrate == "process":
+            return comm
+        return comm.cluster.mailboxes[comm.rank]
+
+    def program(comm):
+        peer = 1 - comm.rank
+        keys_while_stashed = []
+        for k in range(rounds):
+            comm.send(peer, f"{k}:first", np.zeros(4))
+            comm.send(peer, f"{k}:second", np.ones(4))
+            # Asking for a message that has not come must not leave a key.
+            assert not comm.irecv(peer, f"{k}:never").test()
+            comm.recv(peer, f"{k}:second", timeout=20)  # "first" waits stashed
+            keys_while_stashed.append(len(mailbox(comm)._stash))
+            comm.recv(peer, f"{k}:first", timeout=20)
+        return min(keys_while_stashed), len(mailbox(comm)._stash), mailbox(comm).pending()
+
+    cluster = _cluster(substrate)
+    try:
+        results = cluster.run(program)
+    finally:
+        if substrate == "process":
+            cluster.close()
+    for stashed, keys_left, pending in results:
+        assert stashed >= 1  # the stash was in use...
+        assert (keys_left, pending) == (0, 0)  # ...and is empty again
 
 
 def test_virtual_post_mortem_holds_sends_and_recvs():

@@ -225,16 +225,22 @@ class TestWorkspaceMechanics:
 
 class TestCompiledHaloEngagement:
     """Distributed compiled runs take their edge gradients in the C kernel
-    — the numpy halo path cannot silently come back.
+    — the numpy halo path cannot silently come back — and so does the
+    characteristic-outflow window, on its own window-shaped workspace.
 
-    ``field_gradients`` is made to raise.  The characteristic-outflow
-    helper is switched off because it alone calls the allocating numpy
-    flux on its 5-column window, by design, on every backend (serial
-    included); nothing else in a compiled step may reach numpy gradients.
+    ``field_gradients`` and ``np.gradient`` are made to raise.  The
+    outflow treatment is on wherever the radial axis is whole (serial and
+    axial splits): nothing in such a compiled step may reach numpy
+    gradients.  It is switched off only where the radial axis is split:
+    there the window is a collective over radial neighbours and stays on
+    the allocating numpy kernels by design
+    (``BlockDistributedSolver._outflow_rates``).
     """
 
-    @pytest.fixture
-    def case(self, monkeypatch):
+    @staticmethod
+    def _guarded(monkeypatch, outflow: bool):
+        """``(scenario, config, reference)`` with numpy gradients forbidden
+        from here on (the reference is computed first, on ``baseline``)."""
         from repro.numerics.kernels import BackendUnavailable
         from repro.numerics.kernels.compiled import resolve_ops
         from repro.parallel.runner import serial_reference
@@ -245,19 +251,34 @@ class TestCompiledHaloEngagement:
         except BackendUnavailable as exc:  # pragma: no cover - bare container
             pytest.skip(f"no compiled engine: {exc}")
         sc = jet_scenario(nx=36, nr=24)
-        bc = dataclasses.replace(
-            sc.solver.config.boundary, characteristic_outflow=False
-        )
-        config = dataclasses.replace(sc.solver.config, boundary=bc)
+        config = sc.solver.config
+        assert config.boundary.characteristic_outflow
+        if not outflow:
+            bc = dataclasses.replace(
+                config.boundary, characteristic_outflow=False
+            )
+            config = dataclasses.replace(config, boundary=bc)
         ref = serial_reference(sc.state, config, steps=4)
 
         def numpy_gradients_forbidden(*args, **kwargs):
             raise AssertionError("numpy field_gradients reached")
 
+        def numpy_gradient_forbidden(*args, **kwargs):
+            raise AssertionError("np.gradient reached")
+
         monkeypatch.setattr(
             viscous, "field_gradients", numpy_gradients_forbidden
         )
+        monkeypatch.setattr(np, "gradient", numpy_gradient_forbidden)
         return sc, config, ref
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        return self._guarded(monkeypatch, outflow=False)
+
+    @pytest.fixture
+    def outflow_case(self, monkeypatch):
+        return self._guarded(monkeypatch, outflow=True)
 
     def _run(self, case, backend, nranks, kw):
         from repro.parallel.runner import ParallelJetSolver
@@ -287,3 +308,93 @@ class TestCompiledHaloEngagement:
 
         with pytest.raises(RankFailure, match="field_gradients reached"):
             self._run(case, "fused", 2, dict(decomposition="axial"))
+
+    @pytest.mark.parametrize("nranks", [1, 2, 4])
+    def test_outflow_window_never_reaches_numpy_gradients(
+        self, outflow_case, nranks
+    ):
+        from repro.parallel.runner import serial_reference
+
+        sc, config, ref = outflow_case
+        if nranks == 1:
+            compiled = dataclasses.replace(config, backend="compiled")
+            q = serial_reference(sc.state, compiled, steps=4).q
+        else:
+            q = self._run(
+                outflow_case, "compiled", nranks, dict(decomposition="axial")
+            ).state.q
+        assert np.array_equal(q, ref.q)
+
+    def test_outflow_guard_bites_on_the_allocating_window(self, outflow_case):
+        """What every step of the runs above hit before the window had a
+        workspace — reached here through a strip it is not sized for."""
+        sc, config, _ref = outflow_case
+        compiled = dataclasses.replace(config, backend="compiled")
+        solver = type(sc.solver)(sc.state.copy(), compiled)
+        q = solver.state.q
+        with pytest.raises(AssertionError, match="field_gradients reached"):
+            solver._outflow_rates(q[:, -4:, :].copy(), 1)
+        solver._outflow_rates(q[:, -5:, :].copy(), 1)  # the window stays in C
+
+
+class TestOutflowWindowWorkspace:
+    """``_outflow_rates`` on the window workspace of the solver's backend
+    is the allocating evaluation, bit for bit."""
+
+    @staticmethod
+    def _solver(physics, nx, backend, q=None):
+        from repro.physics.state import FlowState
+
+        viscous, mu_exponent = physics
+        sc = jet_scenario(nx=nx, nr=20, viscous=viscous)
+        config = dataclasses.replace(
+            sc.solver.config, mu_exponent=mu_exponent, backend=backend
+        )
+        if q is None:
+            # Every term of the window live: no symmetry left to hide in.
+            rng = np.random.default_rng(nx)
+            q = sc.state.q * (1.0 + 1e-2 * rng.standard_normal(sc.state.q.shape))
+        state = FlowState(sc.grid, q.copy(), config.gamma)
+        return type(sc.solver)(state, config)
+
+    @pytest.mark.parametrize("nx", [5, 6, 250])
+    @pytest.mark.parametrize("backend", ["fused", "compiled"])
+    @pytest.mark.parametrize(
+        "physics",
+        [(False, 0.0), (True, 0.0), (True, 0.7)],
+        ids=["euler", "ns-scalar-mu", "ns-field-mu"],
+    )
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_workspace_window_equals_allocating_window(
+        self, variant, physics, backend, nx
+    ):
+        if backend == "compiled" and not get_backend("compiled").available():
+            pytest.skip("no compiled kernel engine on this host")
+        reference = self._solver(physics, nx, None)
+        solver = self._solver(physics, nx, backend, reference.state.q)
+        assert reference._ws_window is None
+        assert solver._ws_window.shape == (4, 5, 20)
+        strip = solver.state.q[:, -5:, :].copy()
+        expected = reference._outflow_rates(strip, variant)
+        assert np.array_equal(solver._outflow_rates(strip, variant), expected)
+        assert ("ofw", variant, True) in solver._ops_cache
+        # A second evaluation reuses every buffer and still agrees.
+        assert np.array_equal(solver._outflow_rates(strip, variant), expected)
+
+    @pytest.mark.parametrize("backend", ["fused", "compiled"])
+    def test_strip_narrower_than_the_window_keeps_the_allocating_path(
+        self, backend
+    ):
+        """The workspace is sized for five columns; a narrower strip is
+        never handed to kernels that index raw buffers."""
+        if backend == "compiled" and not get_backend("compiled").available():
+            pytest.skip("no compiled kernel engine on this host")
+        physics = (True, 0.0)
+        reference = self._solver(physics, 12, None)
+        solver = self._solver(physics, 12, backend, reference.state.q)
+        strip = solver.state.q[:, -4:, :].copy()
+        assert np.array_equal(
+            solver._outflow_rates(strip, 1), reference._outflow_rates(strip, 1)
+        )
+        assert ("ofw", 1, False) in solver._ops_cache
+        assert ("ofw", 1, True) not in solver._ops_cache

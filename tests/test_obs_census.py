@@ -11,9 +11,20 @@ free to vary.  Timing-dependent ``slot_wait`` flight events are left out.
 The expectations were recorded by running this file's own
 :func:`census` on a clone of the commit before ``repro.obs.spine``
 existed (``python tests/test_obs_census.py`` prints them); it imports
-nothing newer than ``run`` and ``BufferStepStream`` for that reason.  The
-one deliberate difference from that commit: a process-substrate run now
-delivers its step records (there: none).
+nothing newer than ``run`` and ``BufferStepStream`` for that reason.  Two
+deliberate differences from that commit.  A process-substrate run now
+delivers its step records (there: none).  And every receive carries one
+new field, the part of it spent blocked before the message had arrived:
+a ``recv_wait_seconds`` tracer counter per rank, a
+``comm.recv_wait_seconds`` histogram (one update per receive), a
+``halo.<kind>_wait_seconds`` counter (one update per exchange), a
+``comm.wait_seconds`` total per rank in the report, and ``wait_ms`` beside
+``comm_ms`` in a distributed step record — so the ``counters``,
+``metrics`` and ``stream`` sections of the message-passing runs were
+recorded again (``updates`` grew by receives + exchanges + ranks: 51 + 64
++ 2 for the 2-rank V5 runs); their ``spans``, ``instants`` and ``flight``
+sections, and the serial and simulated runs entirely, still carry the
+digests of that commit.
 """
 
 import hashlib
@@ -41,13 +52,14 @@ def expect(*totals: int, **digests: str) -> dict:
 
 
 P2_V5 = expect(
-    248, 0, 436, 106, 8,
-    spans="675132fa3212", counters="4628284865b9", metrics="58a9d6eb13fe",
-    flight="7c9c5328ecdf", stream="02e34c79967d",
+    248, 0, 553, 106, 8,
+    spans="675132fa3212", counters="305ddc92a659", metrics="1f2153c8c826",
+    flight="7c9c5328ecdf", stream="f51d88854fa7",
 )
 
-#: run -> (options, totals and per-section digests recorded at the parent;
-#: the two process rows carry the virtual substrate's stream section).
+#: run -> (options, totals and per-section digests; see the module
+#: docstring for which were recorded where.  The two process rows carry the
+#: virtual substrate's stream section).
 RUNS = {
     "serial": ({}, expect(
         40, 0, 32, 0, 4,
@@ -58,26 +70,26 @@ RUNS = {
     "p2-radial-v7-compiled": (
         dict(nprocs=2, version=7, decomposition="radial", backend="compiled"),
         expect(
-            336, 0, 596, 170, 8,
-            spans="533c6ff6649a", counters="4628284865b9", metrics="eedee4b8652a",
-            flight="b4a155605e27", stream="02e34c79967d",
+            336, 0, 769, 170, 8,
+            spans="533c6ff6649a", counters="305ddc92a659", metrics="f172adc4f8eb",
+            flight="b4a155605e27", stream="f51d88854fa7",
         ),
     ),
     "2x2-v7-process": (
         dict(nprocs=4, version=7, decomposition="2d", px=2, pr=2,
              substrate="process"),
         expect(
-            958, 0, 1790, 522, 16,
-            spans="dbb259928e9c", counters="414e765f0d11", metrics="162b14a960d2",
-            flight="3f6f8fa7bf27", stream="a164bd463743",
+            958, 0, 2331, 522, 16,
+            spans="dbb259928e9c", counters="d38c32cac076", metrics="7831240c1aed",
+            flight="3f6f8fa7bf27", stream="b6f560f6b524",
         ),
     ),
     "p2-v5-lossy3": (
         dict(nprocs=2, version=5, faults="lossy-ethernet", fault_seed=3),
         expect(
-            256, 28, 478, 114, 8,
-            spans="93d0323b84f2", instants="7c7089dcc4db", counters="7d1a09883b09",
-            metrics="3c71c9db280e", flight="4a8dc7df22a8", stream="9ffe575a9fcd",
+            256, 28, 598, 114, 8,
+            spans="93d0323b84f2", instants="7c7089dcc4db", counters="2426164d7e0f",
+            metrics="1c88ba10c380", flight="4a8dc7df22a8", stream="20f2c39413b1",
         ),
     ),
     "t3d-p4": (dict(platform="Cray T3D", nprocs=4), expect(

@@ -26,6 +26,7 @@ matrix subset behind ``-m slow``.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 import time
 
@@ -44,8 +45,11 @@ from repro.msglib import (
     RemoteRankError,
     VirtualCluster,
 )
+from repro.msglib import process as process_module
 from repro.msglib.process import (
+    _BORROW_GRACE,
     _POLL,
+    _SPIN,
     DEFAULT_SLOT_BYTES,
     _portable_exception,
 )
@@ -271,6 +275,123 @@ class TestProcessCluster:
             assert cluster.run(program) == [True, True]
 
 
+class _PollSpy:
+    """Stands in for a rank's end of its pipe and counts the polls that
+    may sleep (a non-zero timeout); spinning polls pass ``0``."""
+
+    def __init__(self, rx) -> None:
+        self._rx = rx
+        self.sleeping = 0
+
+    def poll(self, timeout=0.0):
+        if timeout:
+            self.sleeping += 1
+        return self._rx.poll(timeout)
+
+    def recv(self):
+        return self._rx.recv()
+
+
+class TestSpinThenSleep:
+    """A blocked receive polls without sleeping for ``_SPIN`` before it
+    sleeps — and every way out of a receive still works while it spins."""
+
+    def test_message_inside_the_spin_window_needs_no_sleeping_poll(self):
+        rounds = 20
+
+        def program(comm):
+            peer = 1 - comm.rank
+            if comm.rank == 0:
+                for k in range(rounds):
+                    comm.recv(peer, f"{k}:ready", timeout=20)
+                    until = time.perf_counter() + _SPIN / 10
+                    while time.perf_counter() < until:
+                        pass  # the receiver is inside recv by now, waiting
+                    comm.send(peer, f"{k}:go", np.zeros(4))
+                return None
+            spy = comm._rx = _PollSpy(comm._rx)
+            waits = []
+            for k in range(rounds):
+                comm.send(peer, f"{k}:ready", np.zeros(4))
+                spy.sleeping = 0
+                began = time.perf_counter()
+                comm.recv(peer, f"{k}:go", timeout=20)
+                waits.append((time.perf_counter() - began, spy.sleeping))
+            return waits
+
+        with ProcessCluster(2, timeout=30) as cluster:
+            waits = cluster.run(program)[1]
+        # Every round waits (the sender dawdles a tenth of the spin bound);
+        # a round the host stretched past the bound — both ranks on one
+        # CPU, say — may sleep, one that stayed inside it must not have.
+        inside = [slept for waited, slept in waits if waited < _SPIN]
+        assert inside and not any(inside), waits
+
+    def test_timeout_shorter_than_the_spin_still_bounds_the_call(self):
+        limit = _SPIN / 4
+
+        def program(comm):
+            if comm.rank == 1:
+                began = time.monotonic()
+                with pytest.raises(DeadlockError, match="never"):
+                    comm.recv(0, "never", timeout=limit)
+                waited = time.monotonic() - began
+            else:
+                waited = None
+            comm.barrier()
+            return waited
+
+        with ProcessCluster(2, timeout=20) as cluster:
+            waited = cluster.run(program)[1]
+        assert limit <= waited < limit + _POLL, waited
+
+    def test_abort_wakes_a_receiver_that_is_still_spinning(self, monkeypatch):
+        """The abort test above, with the spin stretched over the whole
+        wait: the receiver never reaches a sleeping poll, so it is the
+        spin loop's own abort check that ends the receive (on the flag,
+        which is raised before the notice carrying the reason is written)."""
+        monkeypatch.setattr(process_module, "_SPIN", 60.0)  # forked with it
+
+        def program(comm):
+            peer = 1 - comm.rank
+            if comm.rank == 1:
+                comm.recv(peer, "blocking-next", timeout=20)
+                time.sleep(0.3)  # let rank 0 spin for a while
+                issued = time.monotonic()
+                comm.cluster.abort("test abort")
+                return issued
+            spy = comm._rx = _PollSpy(comm._rx)
+            comm.send(peer, "blocking-next", np.zeros(1))
+            with pytest.raises(ClusterAborted, match="waiting for message"):
+                comm.recv(peer, "never")
+            return time.monotonic(), spy.sleeping
+
+        with ProcessCluster(2, timeout=10) as cluster:
+            (woke, slept), issued = cluster.run(program)
+        assert slept == 0
+        assert 0.0 <= woke - issued < 10 * _POLL, (
+            f"woke {woke - issued:.4f} s after the abort was issued "
+            f"(limit {10 * _POLL:.4f} s)"
+        )
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control"
+    )
+    def test_four_ranks_on_one_cpu_match_serial(self, ns_case):
+        """Oversubscription is correct, not just fast: four spinning ranks
+        confined to a single CPU make progress only by yielding it."""
+        sc, config, ref = ns_case
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})  # inherited by the ranks
+        try:
+            res = ParallelJetSolver(
+                sc.state, config, nranks=4, timeout=60, substrate="process",
+            ).run(STEPS)
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert np.array_equal(res.state.q, ref.q)
+
+
 class TestRecvView:
     """Zero-copy borrow receives on the shared-memory slot ring.
 
@@ -385,8 +506,12 @@ class TestRecvView:
                 comm.send(1, "b", np.ones(4))
                 return True
             view = comm.recv_view(0, "a", timeout=20)
+            began = time.monotonic()
             with pytest.raises(DeadlockError, match="recv_view") as exc:
                 comm.recv(0, "b", timeout=10)
+            # Spinning first postpones the verdict by the spin, no more:
+            # the grace, the polls that arm and fire it, and slack.
+            assert time.monotonic() - began < _BORROW_GRACE + _SPIN + 10 * _POLL
             assert exc.value.rank == 1
             assert exc.value.source == 0
             assert exc.value.slot == 0
