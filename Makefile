@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all trace-smoke bench perf-gate bless-baseline speedup
+.PHONY: check test test-all trace-smoke bench perf-gate bless-baseline speedup loc
 
 ## check: fast test suite + trace-determinism smoke (the pre-commit gate)
 check: trace-smoke
@@ -36,3 +36,10 @@ perf-gate:
 ## bless-baseline: accept the current bench results as the new baseline
 bless-baseline:
 	$(PY) scripts/perf_gate.py --update-baseline
+
+## loc: tracked python line counts, the figure ROADMAP item 6 asks every PR
+## to report (per directory, and src/repro/obs/ alone)
+loc:
+	@for d in src tests "benchmarks scripts" src/repro/obs; do \
+		printf '%-20s %6d\n' "$$d" $$(git ls-files -- $$d | grep '\.py$$' | xargs cat | wc -l); \
+	done

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Component-split report from a recorded trace file (the paper's Figure 5).
 
-Reads a trace produced by ``repro.api.run(..., trace="out.json")`` — either
-the Chrome ``trace_event`` JSON or the JSON-lines export — and prints the
-per-rank and mean computation / message-startup / data-transfer breakdown
-that Figures 5-6 of the paper plot per platform.
+Reads a trace produced by ``repro.api.run(..., trace="out.json")`` (Chrome
+``trace_event`` JSON) and prints the per-rank and mean computation /
+message-startup / data-transfer breakdown that Figures 5-6 of the paper
+plot per platform.
 
 Flight-recorder post-mortems (``*.flight.jsonl`` files flushed by
 ``run(..., flight=...)`` or recovered by the run service after a killed
@@ -107,46 +107,15 @@ def flight_report(path: str, last: int = 10) -> str:
 
 def report(path: str) -> str:
     from repro.analysis.metrics import component_breakdown
-    from repro.analysis.report import format_table
+    from repro.analysis.report import render_components
     from repro.obs import load_trace
 
     if _is_flight_file(path):
         return flight_report(path)
     trace = load_trace(path)
     bd = component_breakdown(trace)
-    rows = []
-    for rank, c in bd.per_rank:
-        rows.append(
-            [
-                rank,
-                f"{c.computation:.4f}",
-                f"{c.startup:.4f}",
-                f"{c.transfer:.4f}",
-                f"{c.total:.4f}",
-            ]
-        )
-    fc, fs, ft = bd.fractions()
-    rows.append(
-        [
-            "mean",
-            f"{bd.computation:.4f}",
-            f"{bd.startup:.4f}",
-            f"{bd.transfer:.4f}",
-            f"{bd.total:.4f}",
-        ]
-    )
-    meta = trace.meta or {}
-    where = meta.get("platform", f"{len(bd.per_rank)} rank(s)")
-    title = (
-        f"{path}: {bd.source} components, {where} — "
-        f"computation {100 * fc:.1f}%, startup {100 * fs:.1f}%, "
-        f"transfer {100 * ft:.1f}% (paper Fig. 5)"
-    )
-    table = format_table(
-        ["rank", "computation s", "startup s", "transfer s", "total s"],
-        rows,
-        title=title,
-    )
+    where = trace.meta.get("platform", f"{len(bd.per_rank)} rank(s)")
+    table = render_components(bd, f"{path} ({where})")
     faults = fault_timeline(trace)
     if faults:
         table += "\n\n" + faults
@@ -157,14 +126,14 @@ def selftest() -> int:
     import tempfile, os
 
     from repro import run
-    from repro.obs import chrome_trace_json, to_jsonl
+    from repro.obs import chrome_trace_json
 
-    def one() -> tuple[str, str]:
+    def one() -> str:
         res = run(
             "jet", platform="Cray T3D", nprocs=4, version=5,
             steps_window=4, trace=True,
         )
-        return to_jsonl(res.trace), chrome_trace_json(res.trace)
+        return chrome_trace_json(res.trace)
 
     a, b = one(), one()
     if a != b:
@@ -183,7 +152,7 @@ def selftest() -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("paths", nargs="*", help="trace files (chrome or jsonl)")
+    ap.add_argument("paths", nargs="*", help="trace or flight post-mortem files")
     ap.add_argument("--selftest", action="store_true",
                     help="trace determinism smoke test")
     args = ap.parse_args(argv)

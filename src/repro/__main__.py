@@ -215,7 +215,7 @@ def _cmd_run(args) -> int:
 
 def _looks_like_ledger(path: str) -> bool:
     """A perf ledger starts with a JSON object carrying our schema tag;
-    trace files are either Chrome JSON or typed JSON-lines."""
+    a trace file is one Chrome JSON document."""
     import json
 
     try:
@@ -252,26 +252,15 @@ def _cmd_report(args) -> int:
             # Fall back to the trace component-split report.
             try:
                 from .analysis.metrics import component_breakdown
-                from .analysis.report import format_table
+                from .analysis.report import render_components
                 from .obs import load_trace
 
-                trace = load_trace(path)
-                bd = component_breakdown(trace)
+                bd = component_breakdown(load_trace(path))
             except (OSError, ValueError) as exc:
                 print(f"error: {path}: {exc}", file=sys.stderr)
                 status = 2
                 continue
-            rows = [
-                [r, f"{c.computation:.4f}", f"{c.startup:.4f}",
-                 f"{c.transfer:.4f}", f"{c.total:.4f}"]
-                for r, c in bd.per_rank
-            ]
-            print(format_table(
-                ["rank", "computation s", "startup s", "transfer s",
-                 "total s"],
-                rows,
-                title=f"{path}: {bd.source} components",
-            ))
+            print(render_components(bd, path))
         print()
     return status
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..obs.report import rank_split
+
 
 def speedup(t1: float, tp: float) -> float:
     """Classic speedup ``T(1) / T(p)``."""
@@ -143,70 +145,21 @@ class MissingMeasurementError(ValueError):
         super().__init__(f"{missing}; {hint}")
 
 
-def _snapshot_of(metrics) -> dict:
-    """Accept a live :class:`~repro.obs.MetricsRegistry` or the JSON-able
-    snapshot dict the run ledger stores."""
-    if isinstance(metrics, dict):
-        return metrics
-    snap = getattr(metrics, "snapshot", None)
-    if callable(snap):
-        return snap()
-    raise TypeError(
-        "metrics must be a MetricsRegistry or its snapshot() dict, "
-        f"got {type(metrics).__name__}"
-    )
-
-
 def _breakdown_from_metrics(metrics) -> ComponentBreakdown:
-    """The component split from a metrics snapshot (no trace needed)."""
-    snap = _snapshot_of(metrics)
-    counters = snap.get("counters", {})
-    hists = snap.get("histograms", {})
-
-    def per_rank_values(group: dict, name: str) -> dict[int, float]:
-        cells = group.get(name, {})
-        key = "sum" if group is hists else "value"
-        return {int(r): float(d[key]) for r, d in cells.items()}
-
-    if "sim.compute_seconds" in counters:
-        comp = per_rank_values(counters, "sim.compute_seconds")
-        lib = per_rank_values(counters, "sim.library_seconds")
-        wait = per_rank_values(counters, "sim.wait_seconds")
-        per_rank = tuple(
-            (
-                r,
-                RankComponents(
-                    computation=comp.get(r, 0.0),
-                    startup=lib.get(r, 0.0),
-                    transfer=wait.get(r, 0.0),
-                ),
-            )
-            for r in sorted(comp)
-        )
-        return ComponentBreakdown(per_rank=per_rank, source="simulated")
-    step = per_rank_values(hists, "solver.step_seconds")
-    if not step:
+    """The component split from a live :class:`~repro.obs.MetricsRegistry`
+    or the snapshot dict a run-ledger line stores (no trace needed)."""
+    snap = metrics if isinstance(metrics, dict) else metrics.snapshot()
+    source, split = rank_split(snap)
+    if not split:
         raise MissingMeasurementError(
             "metrics snapshot holds neither sim.* counters nor a "
             "solver.step_seconds histogram",
             "record one with repro.api.run(..., metrics=True)",
         )
-    send = per_rank_values(counters, "comm.send_seconds")
-    recv = per_rank_values(counters, "comm.recv_seconds")
-    per_rank = tuple(
-        (
-            r,
-            RankComponents(
-                computation=max(
-                    step[r] - send.get(r, 0.0) - recv.get(r, 0.0), 0.0
-                ),
-                startup=send.get(r, 0.0),
-                transfer=recv.get(r, 0.0),
-            ),
-        )
-        for r in sorted(step)
+    return ComponentBreakdown(
+        per_rank=tuple((r, RankComponents(*parts)) for r, *parts in split),
+        source=source,
     )
-    return ComponentBreakdown(per_rank=per_rank, source="measured")
 
 
 def component_breakdown(trace=None, *, metrics=None) -> ComponentBreakdown:

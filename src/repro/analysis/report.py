@@ -39,6 +39,26 @@ def format_table(
     return "\n".join(lines)
 
 
+def render_components(bd, where: str) -> str:
+    """The paper's Figure-5 table of a
+    :class:`~repro.analysis.metrics.ComponentBreakdown`: computation,
+    message-startup and data-transfer seconds per rank and in the mean.
+    ``where`` heads the title (a file name, a platform)."""
+    rows = [
+        [label, *(f"{x:.4f}" for x in (c.computation, c.startup, c.transfer, c.total))]
+        for label, c in (*bd.per_rank, ("mean", bd))  # bd's own fields are the means
+    ]
+    fc, fs, ft = bd.fractions()
+    return format_table(
+        ["rank", "computation s", "startup s", "transfer s", "total s"],
+        rows,
+        title=(
+            f"{where}: {bd.source} components — computation {100 * fc:.1f}%, "
+            f"startup {100 * fs:.1f}%, transfer {100 * ft:.1f}% (paper Fig. 5)"
+        ),
+    )
+
+
 def _fmt(c: object) -> str:
     if isinstance(c, float):
         if c == 0:

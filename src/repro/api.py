@@ -51,7 +51,6 @@ from .obs import (
     append_ledger,
     build_perf_report,
     current,
-    trace_from_timelines,
     use,
     write_chrome_trace,
     write_flight_jsonl,
@@ -589,15 +588,9 @@ def _run_simulated(sc: Scenario, req: RunRequest, plan) -> RunResult:
         sim = SharedMemoryMachine(platform, ex.nprocs).run(
             app, version=ex.version, total_steps=req.steps
         )
-        if tracer is not None:
-            trace_from_timelines(
-                sim.timelines,
-                tracer=tracer,
-                meta={
-                    "platform": platform.name,
-                    "app": app.name,
-                    "nprocs": ex.nprocs,
-                },
+        if tracer is not None:  # no segments to put on a timeline: the meta
+            tracer.trace.meta.update(
+                platform=platform.name, app=app.name, nprocs=ex.nprocs
             )
     else:
         sim = SimulatedMachine(

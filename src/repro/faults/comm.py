@@ -118,7 +118,7 @@ class FaultStats:
         return out
 
 
-#: Recovery kind -> the :class:`FaultStats` field and tracer counter it bumps.
+#: Recovery kind -> the :class:`FaultStats` field it bumps.
 _RECOVERY_COUNTER = {
     "retransmission": "retransmissions",
     "recv_retry": "recv_retries",
@@ -177,24 +177,23 @@ class FaultyComm(Communicator):
     def _note(self, kind: str, **args) -> None:
         """Record one injected fault."""
         self.fault_stats.injected[kind] += 1
-        self._emit(kind, "faults_injected", args)
+        self._emit(kind, args)
 
     def _recover(self, kind: str, **ctx) -> None:
         """Record one recovery action; given peer/tag context it also
         lands on the fault timeline."""
         counter = _RECOVERY_COUNTER[kind]
         setattr(self.fault_stats, counter, getattr(self.fault_stats, counter) + 1)
-        self._emit(kind, counter, ctx or None)
+        self._emit(kind, ctx or None)
 
-    def _emit(self, kind: str, counter: str, args: dict | None) -> None:
+    def _emit(self, kind: str, args: dict | None) -> None:
         obs = current()
         if args is not None:
             obs.instant(
                 f"fault.{kind}", cat="fault", rank=self.rank,
                 step=self._step, **args,
             )
-        obs.count(counter, rank=self.rank)  # the trace's total
-        obs.count(f"fault.{kind}", rank=self.rank)  # the ledger's
+        obs.count(f"fault.{kind}", rank=self.rank)
 
     def _enter_op(self, tag: str) -> None:
         """Per-call prologue: track the step, slow down, maybe crash, and

@@ -415,7 +415,7 @@ class Communicator:
                 self.send(0, f"{wire}:up", buf)
                 acc = float(self.recv(0, f"{wire}:down")[0])
             obs.count(
-                "barrier_wait_seconds", _time.perf_counter() - t0, rank=self.rank
+                "comm.barrier_wait_seconds", _time.perf_counter() - t0, rank=self.rank
             )
             return acc
 

@@ -390,6 +390,11 @@ class ProcessCommunicator(Communicator):
             if item is not None:
                 return item
             if self._aborted is not None or self.cluster._abort.is_set():
+                # abort() raises the flag, then posts the notice naming the
+                # reason: whoever saw only the flag gives the notice one
+                # bounded poll to come through the pipe.
+                while self._aborted is None and self._rx.poll(_POLL):
+                    self._ingest(self._rx.recv())
                 if self._aborted is None:
                     self._aborted = "cluster abort flagged"
                 self._raise_aborted(source, tag)

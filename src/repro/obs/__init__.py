@@ -11,19 +11,20 @@ instrumentation for the reproduction itself:
   event to whichever of the four sinks :func:`use` installed; with none
   installed a verb is a slot test, keeping the unobserved path within
   noise (asserted by ``tests/test_obs.py``).
-* :class:`Tracer` — hierarchical spans with per-rank attribution, instant
-  events, and per-rank counters (messages, bytes, barrier/halo time).
-  Records are monotonically ordered by ``(t0, seq)`` where ``seq`` is a
-  global monotone sequence number, so exports from deterministic clocks
-  (the DES engine's) are byte-stable.
+* :class:`Tracer` — the timeline: hierarchical spans with per-rank
+  attribution and instant events, and no totals (a time total is the sum
+  of one name's spans, :meth:`Trace.total`).  Records are monotonically
+  ordered by ``(t0, seq)`` where ``seq`` is a global monotone sequence
+  number, so exports from deterministic clocks (the DES engine's) are
+  byte-stable.
 * :class:`MetricsRegistry`, the step streams and :class:`FlightRecorder` —
-  the other three sinks: fixed-size aggregates for the run ledger, one
-  live record per solver step, and a bounded ring of each rank's last
-  events for post-mortems.
-* Exporters — JSON-lines (:func:`to_jsonl` / :func:`load_trace`) and Chrome
-  ``trace_event`` format (:func:`chrome_trace_json`,
-  :func:`write_chrome_trace`) whose files open directly in Perfetto
-  (https://ui.perfetto.dev) or ``chrome://tracing``.
+  the other three sinks: fixed-size aggregates for the run ledger (the
+  one store of per-rank totals beside the communicators' own
+  ``CommStats``), one live record per solver step, and a bounded ring of
+  each rank's last events for post-mortems.
+* The trace file — Chrome ``trace_event`` JSON (:func:`chrome_trace_json`,
+  :func:`write_chrome_trace`, :func:`load_trace`), which opens directly in
+  Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
 Typical use through the facade::
 
@@ -37,7 +38,7 @@ Or standalone::
     tracer = obs.Tracer()
     with obs.use(tracer=tracer):
         solver.run(10)              # every instrumented seam reports to it
-    print(obs.to_jsonl(tracer.trace))
+    obs.write_chrome_trace(tracer.trace, "solver.trace.json")
 """
 
 from .spine import Sinks, current, use
@@ -62,7 +63,6 @@ from .export import (
     chrome_trace_events,
     chrome_trace_json,
     load_trace,
-    to_jsonl,
     trace_from_timelines,
     write_chrome_trace,
 )
@@ -108,7 +108,6 @@ __all__ = [
     "chrome_trace_events",
     "chrome_trace_json",
     "load_trace",
-    "to_jsonl",
     "trace_from_timelines",
     "write_chrome_trace",
     "Counter",

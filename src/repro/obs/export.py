@@ -1,18 +1,16 @@
-"""Trace exporters: JSON-lines and Chrome ``trace_event`` format.
+"""The trace file format: Chrome ``trace_event`` JSON, written and read.
 
-Both serializations are deterministic — keys sorted, compact separators,
+The serialization is deterministic — keys sorted, compact separators,
 records in monotone ``(t0, seq)`` order — so traces recorded against a
 deterministic clock (the DES engine's) export byte-identically across
-runs.  The Chrome format opens directly in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing``: one process, one thread
-row per rank, nested slices for hierarchical spans.
+runs.  The files open directly in Perfetto (https://ui.perfetto.dev) or
+``chrome://tracing``: one process, one thread row per rank, nested slices
+for hierarchical spans.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable
-
 from .tracer import EventRecord, SpanRecord, Trace
 
 #: Spans shorter than this many seconds are still exported with a non-zero
@@ -22,112 +20,6 @@ _MIN_DUR_US = 1e-3
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# ---------------------------------------------------------------------------
-# JSON-lines
-# ---------------------------------------------------------------------------
-
-
-def to_jsonl(trace: Trace, path: str | None = None) -> str:
-    """Serialize a trace as JSON-lines; optionally also write to ``path``.
-
-    Line order: one ``meta`` line, spans by ``(t0, seq)``, events by
-    ``(t, seq)``, counters by ``(rank, name)``.
-    """
-    lines = [_dumps({"type": "meta", **{str(k): v for k, v in trace.meta.items()}})]
-    for s in trace.ordered_spans():
-        lines.append(
-            _dumps(
-                {
-                    "type": "span",
-                    "name": s.name,
-                    "cat": s.cat,
-                    "rank": s.rank,
-                    "t0": s.t0,
-                    "t1": s.t1,
-                    "seq": s.seq,
-                    "parent": s.parent,
-                    "args": dict(s.args),
-                }
-            )
-        )
-    for e in trace.ordered_events():
-        lines.append(
-            _dumps(
-                {
-                    "type": "event",
-                    "name": e.name,
-                    "cat": e.cat,
-                    "rank": e.rank,
-                    "t": e.t,
-                    "seq": e.seq,
-                    "args": dict(e.args),
-                }
-            )
-        )
-    for (rank, name) in sorted(trace.counters):
-        lines.append(
-            _dumps(
-                {
-                    "type": "counter",
-                    "name": name,
-                    "rank": rank,
-                    "value": trace.counters[(rank, name)],
-                }
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def _trace_from_jsonl_lines(lines: Iterable[str]) -> Trace:
-    trace = Trace()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        kind = rec.pop("type", None)
-        if kind is None:
-            raise ValueError(
-                "not a trace file: record has no 'type' field (expected "
-                "JSON-lines from to_jsonl or Chrome trace JSON)"
-            )
-        if kind == "meta":
-            trace.meta.update(rec)
-        elif kind == "span":
-            trace.spans.append(
-                SpanRecord(
-                    name=rec["name"],
-                    cat=rec["cat"],
-                    rank=rec["rank"],
-                    t0=rec["t0"],
-                    t1=rec["t1"],
-                    seq=rec["seq"],
-                    parent=rec.get("parent"),
-                    args=tuple(sorted(rec.get("args", {}).items())),
-                )
-            )
-        elif kind == "event":
-            trace.events.append(
-                EventRecord(
-                    name=rec["name"],
-                    cat=rec["cat"],
-                    rank=rec["rank"],
-                    t=rec["t"],
-                    seq=rec["seq"],
-                    args=tuple(sorted(rec.get("args", {}).items())),
-                )
-            )
-        elif kind == "counter":
-            trace.counters[(rec["rank"], rec["name"])] = rec["value"]
-        else:
-            raise ValueError(f"unknown trace record type {kind!r}")
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +130,10 @@ def chrome_trace_json(trace: Trace) -> str:
     numbers), so the X/i prefix must stay byte-for-byte what it was
     before counter tracks existed.
     """
-    counters = {
-        f"rank{rank}.{name}": trace.counters[(rank, name)]
-        for (rank, name) in sorted(trace.counters)
-    }
     doc = {
         "traceEvents": chrome_trace_events(trace) + chrome_counter_events(trace),
         "displayTimeUnit": "ms",
-        "otherData": {**{str(k): v for k, v in trace.meta.items()}, **counters},
+        "otherData": {str(k): v for k, v in trace.meta.items()},
     }
     return _dumps(doc)
 
@@ -256,31 +144,15 @@ def write_chrome_trace(trace: Trace, path: str) -> None:
 
 
 def load_trace(path: str) -> Trace:
-    """Load a trace file written by either exporter (autodetected)."""
+    """Load a trace file written by :func:`write_chrome_trace`."""
     with open(path) as fh:
-        first = fh.readline()
-        rest = fh.read()
-    text = first + rest
-    stripped = first.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in text:
-        return _trace_from_chrome(json.loads(text))
-    return _trace_from_jsonl_lines(text.splitlines())
-
-
-def _trace_from_chrome(doc: dict) -> Trace:
-    trace = Trace()
-    other = doc.get("otherData", {})
-    for k, v in other.items():
-        if k.startswith("rank") and "." in k:
-            rank_part, name = k.split(".", 1)
-            try:
-                rank = int(rank_part[4:])
-            except ValueError:
-                trace.meta[k] = v
-                continue
-            trace.counters[(rank, name)] = v
-        else:
-            trace.meta[k] = v
+        try:
+            doc = json.load(fh)
+        except ValueError:
+            doc = None
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
+        raise ValueError("not a Chrome trace_event JSON file (no 'traceEvents')")
+    trace = Trace(meta=dict(doc.get("otherData", {})))
     seq = 0
     for ev in doc.get("traceEvents", []):
         ph = ev.get("ph")
@@ -333,8 +205,7 @@ def trace_from_timelines(timelines, tracer=None, meta: dict | None = None) -> Tr
     if meta:
         tracer.trace.meta.update(meta)
     for tl in timelines:
-        segments = tl.segments or []
-        for seg in segments:
+        for seg in tl.segments or []:
             tracer.add_span(
                 f"sim.{seg.kind}",
                 seg.start,
@@ -342,8 +213,4 @@ def trace_from_timelines(timelines, tracer=None, meta: dict | None = None) -> Tr
                 cat=seg.kind,
                 rank=tl.rank,
             )
-        tracer.count("busy_seconds", tl.busy, rank=tl.rank)
-        tracer.count("compute_seconds", tl.compute, rank=tl.rank)
-        tracer.count("library_seconds", tl.library, rank=tl.rank)
-        tracer.count("wait_seconds", tl.comm_wait, rank=tl.rank)
     return tracer.trace

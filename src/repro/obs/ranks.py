@@ -110,8 +110,6 @@ class ForkedRanks:
             dst = sinks.tracer.trace
             dst.spans.extend(trace.spans)
             dst.events.extend(trace.events)
-            for key, v in trace.counters.items():
-                dst.counters[key] = dst.counters.get(key, 0.0) + v
         if records is not None and sinks.stream is not None:
             for record in records:
                 sinks.stream.publish(record)

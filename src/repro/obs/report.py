@@ -24,7 +24,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .stream import imbalance_verdict
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "PerfReport",
     "append_ledger",
     "build_perf_report",
+    "rank_split",
     "read_ledger",
     "render_ledger",
     "render_report",
@@ -120,27 +121,27 @@ def config_fingerprint(**config) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-# -- registry readers ---------------------------------------------------------
+# -- snapshot readers ---------------------------------------------------------
 
-def _collect(metrics: MetricsRegistry):
-    """Split a registry into ``{name: {rank: ...}}`` maps by metric kind."""
-    hists: dict[str, dict[int, Histogram]] = {}
-    counters: dict[str, dict[int, float]] = {}
-    for (name, rank), m in metrics.items():
-        if isinstance(m, Histogram):
-            hists.setdefault(name, {})[rank] = m
-        elif isinstance(m, Counter):
-            counters.setdefault(name, {})[rank] = m.value
-        elif isinstance(m, Gauge):
-            pass  # gauges ride along only in the snapshot
-    return hists, counters
+def _values(snap: dict, name: str) -> dict[int, float]:
+    """``{rank: total}`` of one metric in a registry snapshot — a counter's
+    value, a histogram's sum; empty when the run did not record it."""
+    cells = snap.get("counters", {}).get(name)
+    if cells is not None:
+        return {int(r): c["value"] for r, c in cells.items()}
+    cells = snap.get("histograms", {}).get(name, {})
+    return {int(r): h["sum"] for r, h in cells.items()}
 
 
-def _mean_seconds(per_rank: dict[int, Histogram] | None) -> float | None:
-    """Mean per-rank total seconds — the concurrent-elapsed estimate."""
+def _mean(per_rank: dict[int, float]) -> float | None:
+    """Mean over ranks — the concurrent-elapsed estimate."""
     if not per_rank:
         return None
-    return math.fsum(h.sum for h in per_rank.values()) / len(per_rank)
+    return math.fsum(per_rank.values()) / len(per_rank)
+
+
+def _total(snap: dict, name: str) -> float:
+    return math.fsum(_values(snap, name).values())
 
 
 def _mflops(flops: float | None, seconds: float | None) -> float | None:
@@ -149,152 +150,143 @@ def _mflops(flops: float | None, seconds: float | None) -> float | None:
     return flops / seconds / 1e6
 
 
-def _solver_stages(hists, counters, ops) -> tuple[list[dict], float]:
+def _stage_rows(stages: list[tuple[str, float | None, float | None]]) -> list[dict]:
+    """``{name, seconds, share, mflops}`` rows from ``(name, seconds,
+    flops)``; a stage nobody timed is left out."""
+    rows = [
+        {"name": name, "seconds": seconds, "share": 0.0,
+         "mflops": _mflops(flops, seconds)}
+        for name, seconds, flops in stages
+        if seconds is not None
+    ]
+    total = math.fsum(r["seconds"] for r in rows)
+    for r in rows:
+        r["share"] = r["seconds"] / total if total > 0.0 else 0.0
+    return rows
+
+
+def _solver_stages(snap: dict, ops) -> list[dict]:
     """Stage rows for real (serial/parallel) runs.
 
     MFLOPS attribution follows :mod:`repro.numerics.opcount`: the sweep and
     filter stages have their own per-cell counts; ``dt`` + ``boundaries``
     together correspond to the amortized ``misc`` count.
     """
-    cell_steps = math.fsum(counters.get("solver.cell_steps", {}).values())
-    rows: list[dict] = []
+    cell_steps = _total(snap, "solver.cell_steps")
 
-    def add(name: str, seconds: float | None, per_cell: float | None) -> None:
-        if seconds is None:
-            return
-        flops = per_cell * cell_steps if per_cell is not None else None
-        rows.append(
-            {
-                "name": name,
-                "seconds": seconds,
-                "share": 0.0,
-                "mflops": _mflops(flops, seconds),
-            }
-        )
+    def stage(name: str) -> float | None:
+        return _mean(_values(snap, "stage." + name))
 
-    add("sweep_x", _mean_seconds(hists.get("stage.sweep_x")),
-        ops.x_sweep if ops else None)
-    add("sweep_r", _mean_seconds(hists.get("stage.sweep_r")),
-        ops.r_sweep if ops else None)
-    add("filter", _mean_seconds(hists.get("stage.filter")),
-        ops.filter if ops else None)
-    dt = _mean_seconds(hists.get("stage.dt")) or 0.0
-    bnd = _mean_seconds(hists.get("stage.boundaries")) or 0.0
-    if dt + bnd > 0.0:
-        add("misc (dt+boundaries)", dt + bnd, ops.misc if ops else None)
-    total = math.fsum(r["seconds"] for r in rows)
-    for r in rows:
-        r["share"] = r["seconds"] / total if total > 0.0 else 0.0
-    return rows, cell_steps
+    def flops(per_cell: str) -> float | None:
+        return getattr(ops, per_cell) * cell_steps if ops else None
+
+    misc = (stage("dt") or 0.0) + (stage("boundaries") or 0.0)
+    return _stage_rows([
+        ("sweep_x", stage("sweep_x"), flops("x_sweep")),
+        ("sweep_r", stage("sweep_r"), flops("r_sweep")),
+        ("filter", stage("filter"), flops("filter")),
+        ("misc (dt+boundaries)", misc if misc > 0.0 else None, flops("misc")),
+    ])
 
 
-def _real_per_rank(hists, counters) -> list[dict]:
-    """Per-rank step/communication split for serial and parallel runs."""
-    step = hists.get("solver.step_seconds", {})
-    send = counters.get("comm.send_seconds", {})
-    recv = counters.get("comm.recv_seconds", {})
-    ranks = sorted(set(step) | set(send) | set(recv))
+def _sim_stages(snap: dict) -> list[dict]:
+    """Compute/library/wait rows (the paper's two-component split, with
+    the busy side further divided) for simulated runs."""
+    return _stage_rows([
+        ("compute", _mean(_values(snap, "sim.compute_seconds")),
+         _total(snap, "sim.flops")),
+        ("library", _mean(_values(snap, "sim.library_seconds")), None),
+        ("comm wait", _mean(_values(snap, "sim.wait_seconds")), None),
+    ])
+
+
+def rank_split(snap: dict) -> tuple[str, list[tuple[int, float, float, float]]]:
+    """The paper's split of each rank's time, from a registry snapshot (live
+    or as a ledger line stores it): ``(source, [(rank, computation, startup,
+    transfer), ...])``.  A ``"simulated"`` run recorded the three as
+    ``sim.*`` counters; of a ``"measured"`` one, startup is the time inside
+    sends, transfer the time inside receives and computation what is left
+    of the rank's steps."""
+    comp = _values(snap, "sim.compute_seconds")
+    if comp:
+        source = "simulated"
+        startup = _values(snap, "sim.library_seconds")
+        transfer = _values(snap, "sim.wait_seconds")
+    else:
+        source = "measured"
+        startup = _values(snap, "comm.send_seconds")
+        transfer = _values(snap, "comm.recv_seconds")
+        comp = {
+            r: max(step - startup.get(r, 0.0) - transfer.get(r, 0.0), 0.0)
+            for r, step in _values(snap, "solver.step_seconds").items()
+        }
+    return source, [
+        (r, comp[r], startup.get(r, 0.0), transfer.get(r, 0.0))
+        for r in sorted(comp)
+    ]
+
+
+#: What a ``per_rank`` row carries beside the split: ``row key -> metric``.
+_RANK_COLUMNS = {
+    "measured": {
+        "step_seconds": "solver.step_seconds",
+        "wait_seconds": "comm.wait_seconds",
+        "bytes_sent": "comm.bytes_sent",
+        "halo_bytes": "halo.bytes",
+        "halo_seconds": "halo.seconds",
+    },
+    "simulated": {"flops": "sim.flops"},
+}
+
+
+def _per_rank(snap: dict) -> list[dict]:
+    """Per-rank computation/communication rows of the report."""
+    source, split = rank_split(snap)
+    columns = {
+        key: _values(snap, name) for key, name in _RANK_COLUMNS[source].items()
+    }
     rows = []
-    for r in ranks:
-        step_s = step[r].sum if r in step else 0.0
-        comm_s = send.get(r, 0.0) + recv.get(r, 0.0)
-        comp_s = max(step_s - comm_s, 0.0)
+    for r, comp_s, startup, transfer in split:
+        comm_s = startup + transfer
         rows.append(
             {
                 "rank": r,
-                "step_seconds": step_s,
-                "comm_seconds": comm_s,
                 "comp_seconds": comp_s,
+                "comm_seconds": comm_s,
                 "comp_comm": (comp_s / comm_s) if comm_s > 0.0 else None,
-                "wait_seconds": counters.get("comm.wait_seconds", {}).get(r, 0.0),
-                "bytes_sent": counters.get("comm.bytes_sent", {}).get(r, 0.0),
-                "halo_bytes": counters.get("halo.bytes", {}).get(r, 0.0),
-                "halo_seconds": counters.get("halo.seconds", {}).get(r, 0.0),
+                **{key: per.get(r, 0.0) for key, per in columns.items()},
             }
         )
     return rows
 
 
-def _exchange_rows(hists, counters) -> list[dict]:
+def _exchange_rows(snap: dict) -> list[dict]:
     """One row per halo exchange kind: how long the exchanges took and how
     much of that their receives spent blocked (means over ranks)."""
     rows = []
-    for name in sorted(hists):
+    for name, per_rank in sorted(snap["histograms"].items()):
         if not (name.startswith("halo.") and name.endswith("_seconds")):
             continue
         kind = name[len("halo."):-len("_seconds")]
-        per_rank = hists[name]
-        wait = counters.get(f"halo.{kind}_wait_seconds", {})
+        cells, n = per_rank.values(), len(per_rank)
         rows.append(
             {
                 "kind": kind,
-                "exchanges": sum(h.count for h in per_rank.values()) / len(per_rank),
-                "seconds": _mean_seconds(per_rank),
-                "wait_seconds": math.fsum(wait.values()) / len(per_rank),
+                "exchanges": sum(h["count"] for h in cells) / n,
+                "seconds": math.fsum(h["sum"] for h in cells) / n,
+                "wait_seconds": _total(snap, f"halo.{kind}_wait_seconds") / n,
             }
         )
     return rows
 
 
-def _sim_per_rank(counters) -> list[dict]:
-    """Per-rank timeline split for simulated (DES) runs."""
-    comp = counters.get("sim.compute_seconds", {})
-    lib = counters.get("sim.library_seconds", {})
-    wait = counters.get("sim.wait_seconds", {})
-    rows = []
-    for r in sorted(set(comp) | set(lib) | set(wait)):
-        comp_s = comp.get(r, 0.0)
-        comm_s = lib.get(r, 0.0) + wait.get(r, 0.0)
-        rows.append(
-            {
-                "rank": r,
-                "comp_seconds": comp_s,
-                "comm_seconds": comm_s,
-                "comp_comm": (comp_s / comm_s) if comm_s > 0.0 else None,
-                "flops": counters.get("sim.flops", {}).get(r, 0.0),
-            }
-        )
-    return rows
-
-
-def _sim_stages(counters) -> list[dict]:
-    """Compute/library/wait rows (the paper's two-component split, with
-    the busy side further divided) for simulated runs."""
-    rows = []
-    total = 0.0
-    for label, name in (
-        ("compute", "sim.compute_seconds"),
-        ("library", "sim.library_seconds"),
-        ("comm wait", "sim.wait_seconds"),
-    ):
-        per = counters.get(name, {})
-        if not per:
-            continue
-        seconds = math.fsum(per.values()) / len(per)
-        flops = None
-        if label == "compute":
-            flops = math.fsum(counters.get("sim.flops", {}).values())
-        rows.append(
-            {
-                "name": label,
-                "seconds": seconds,
-                "share": 0.0,
-                "mflops": _mflops(flops, seconds),
-            }
-        )
-        total += seconds
-    for r in rows:
-        r["share"] = r["seconds"] / total if total > 0.0 else 0.0
-    return rows
-
-
-def _fault_summary(counters, fault_stats) -> dict:
+def _fault_summary(snap: dict, fault_stats) -> dict:
     """``fault.*`` counters summed over ranks, falling back to (and merged
     with) the per-rank :class:`~repro.faults.FaultStats` when present."""
     out: dict[str, float] = {}
-    for name, per in counters.items():
+    for name in snap["counters"]:
         if name.startswith("fault."):
-            out[name[len("fault."):]] = math.fsum(per.values())
+            out[name[len("fault."):]] = _total(snap, name)
     if fault_stats:
         merged = None
         for fs in fault_stats:
@@ -322,25 +314,23 @@ def build_perf_report(
     result,
     metrics: MetricsRegistry,
     *,
+    fingerprint: str,
     backend: str | None = None,
     grid: tuple[int, int] | None = None,
     viscous: bool | None = None,
     profile_top: list[dict] | None = None,
-    fingerprint: str | None = None,
 ) -> PerfReport:
     """Derive a :class:`PerfReport` from a run outcome + metrics registry.
 
     ``result`` is a :class:`repro.api.RunResult`; its per-rank
-    communication totals are ingested into ``metrics`` here, once.  Works
-    for all three substrates: real runs get opcount-derived per-stage
+    communication totals are ingested into ``metrics`` here, once, and
+    every row of the report is then read from the one snapshot it stores.
+    Works for all three substrates: real runs get opcount-derived per-stage
     MFLOPS, simulated runs get the DES timeline split and the modelled
     flop count.
 
     ``fingerprint`` is the *request-derived* cache key
-    (:meth:`repro.request.RunRequest.fingerprint`) — the facade always
-    passes it.  When absent (standalone callers with only a result in
-    hand), a legacy hash over the run's observable configuration is used
-    instead.
+    (:meth:`repro.request.RunRequest.fingerprint`).
     """
     # Exact post-run totals from the communicators' own accounting: what
     # was recorded live only samples per-call distributions, and these hold
@@ -354,47 +344,30 @@ def build_perf_report(
         metrics.count("comm.recv_seconds", st.recv_seconds, rank=r)
         metrics.count("comm.wait_seconds", st.wait_seconds, rank=r)
         metrics.gauge("comm.max_message_bytes", float(st.max_message_bytes), rank=r)
-    hists, counters = _collect(metrics)
-    platform = result.sim.platform if result.sim is not None else None
-    substrate = getattr(result, "substrate", None)
-    if fingerprint is None:
-        fingerprint = config_fingerprint(
-            scenario=result.scenario,
-            mode=result.mode,
-            backend=backend,
-            platform=platform,
-            substrate=substrate,
-            nprocs=result.nprocs,
-            version=result.version,
-            steps=result.steps,
-            grid=list(grid) if grid is not None else None,
-            viscous=viscous,
-        )
+    snap = metrics.snapshot()
     wall = result.timings.wall_seconds
     ms_per_step = result.timings.ms_per_step
     exchanges: list[dict] = []
     if result.mode == "simulated":
-        stages = _sim_stages(counters)
-        per_rank = _sim_per_rank(counters)
+        stages = _sim_stages(snap)
         exec_s = result.sim.execution_time
         ms_per_step = 1e3 * exec_s / max(result.steps, 1)
-        mflops_total = _mflops(
-            math.fsum(counters.get("sim.flops", {}).values()), exec_s
-        )
+        mflops_total = _mflops(_total(snap, "sim.flops"), exec_s)
     else:
         ops = None
         if viscous is not None:
             from ..numerics.opcount import euler_ops, navier_stokes_ops
 
             ops = navier_stokes_ops() if viscous else euler_ops()
-        stages, cell_steps = _solver_stages(hists, counters, ops)
-        per_rank = _real_per_rank(hists, counters)
-        exchanges = _exchange_rows(hists, counters)
+        stages = _solver_stages(snap, ops)
+        exchanges = _exchange_rows(snap)
+        cell_steps = _total(snap, "solver.cell_steps")
         mflops_total = (
             _mflops(ops.per_cell_step * cell_steps, wall)
             if ops is not None and cell_steps > 0.0
             else None
         )
+    per_rank = _per_rank(snap)
     trace_summary = None
     if result.trace is not None:
         tr = result.trace
@@ -404,15 +377,14 @@ def build_perf_report(
         trace_summary = {
             "spans": len(tr.spans),
             "events": len(tr.events),
-            "counters": len(tr.counters),
             "span_cats": dict(sorted(cats.items())),
         }
     return PerfReport(
         scenario=result.scenario,
         mode=result.mode,
         backend=backend,
-        platform=platform,
-        substrate=substrate,
+        platform=result.sim.platform if result.sim is not None else None,
+        substrate=getattr(result, "substrate", None),
         nprocs=result.nprocs,
         version=result.version,
         steps=result.steps,
@@ -426,12 +398,12 @@ def build_perf_report(
         stages=stages,
         per_rank=per_rank,
         exchanges=exchanges,
-        faults=_fault_summary(counters, result.fault_stats),
+        faults=_fault_summary(snap, result.fault_stats),
         restarts=result.restarts,
         trace_summary=trace_summary,
         profile_top=profile_top,
         balance=imbalance_verdict(per_rank),
-        metrics=metrics.snapshot(),
+        metrics=snap,
     )
 
 

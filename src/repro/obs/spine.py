@@ -19,15 +19,13 @@ which name.  That routing is this table and nothing else:
     metrics: ``solver.step_seconds``, ``solver.steps``,
     ``solver.cell_steps``; stream: ``record()``, built only on demand.
 ``exchange(kind, comm, tag)``
-    tracer: the ``halo.<kind>`` span and the ``halo_seconds`` total;
-    metrics: the ``halo.<kind>_seconds`` histogram, ``halo.seconds``,
-    ``halo.exchanges``, and from the communicator's stats delta
-    ``halo.bytes`` and ``halo.<kind>_wait_seconds`` (the part of the
-    exchange its receives spent blocked).
+    tracer: the ``halo.<kind>`` span; metrics: the ``halo.<kind>_seconds``
+    histogram, ``halo.seconds``, ``halo.exchanges``, and from the
+    communicator's stats delta ``halo.bytes`` and
+    ``halo.<kind>_wait_seconds`` (the part of the exchange its receives
+    spent blocked).
 ``message(kind, rank, peer, tag, nbytes, seconds, wait)``
-    flight: a ``send`` / ``recv`` / ``recv_view`` event; tracer: the
-    ``messages`` and ``bytes_sent`` / ``bytes_received`` totals and, of a
-    receive, ``recv_wait_seconds``; metrics: the
+    flight: a ``send`` / ``recv`` / ``recv_view`` event; metrics: the
     ``comm.send_call_seconds`` / ``comm.recv_call_seconds`` histogram and,
     of a receive, ``comm.recv_wait_seconds`` (the blocked part of the call).
 ``mark(kind, rank, **fields)``
@@ -36,8 +34,15 @@ which name.  That routing is this table and nothing else:
 ``instant(name, cat, rank, **args)``
     tracer: the instant ``name``.
 ``count(name, value, rank)``
-    a dotted ``layer.name`` is a ledger counter: metrics; a bare name is a
-    per-rank total of the trace: tracer.
+    metrics: the counter ``name`` (``fault.<kind>``, ``sim.*``,
+    ``comm.barrier_wait_seconds``).
+
+No verb keeps a total twice.  A rank's messages, bytes and blocked time
+are the communicator's own :class:`~repro.msglib.api.CommStats`
+(``RunResult.per_rank_stats``; the report books them as ``comm.*``);
+every other total is a registry counter named above or the sum of the
+spans of one name (:meth:`Trace.total <repro.obs.tracer.Trace.total>`).
+The tracer holds the timeline and counts nothing.
 
 With nothing installed every verb is a slot test; the ones used as
 context managers return one shared do-nothing object.
@@ -157,22 +162,18 @@ class _Exchange:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.span.__exit__(exc_type, exc, tb)
-        if exc_type is not None:
+        mx = self.sinks.metrics
+        if mx is None or exc_type is not None:
             return
         seconds = perf_counter() - self.t0
         rank = self.comm.rank
-        self.sinks.count("halo_seconds", seconds, rank)
-        mx = self.sinks.metrics
-        if mx is not None:
-            mx.observe(f"halo.{self.kind}_seconds", seconds, rank=rank)
-            mx.count("halo.seconds", seconds, rank=rank)
-            mx.count("halo.exchanges", 1.0, rank=rank)
-            if self.s0 is not None:
-                nbytes, wait = self._stats()
-                mx.count("halo.bytes", float(nbytes - self.s0[0]), rank=rank)
-                mx.count(
-                    f"halo.{self.kind}_wait_seconds", wait - self.s0[1], rank=rank
-                )
+        mx.observe(f"halo.{self.kind}_seconds", seconds, rank=rank)
+        mx.count("halo.seconds", seconds, rank=rank)
+        mx.count("halo.exchanges", 1.0, rank=rank)
+        if self.s0 is not None:
+            nbytes, wait = self._stats()
+            mx.count("halo.bytes", float(nbytes - self.s0[0]), rank=rank)
+            mx.count(f"halo.{self.kind}_wait_seconds", wait - self.s0[1], rank=rank)
 
 
 @dataclass(slots=True, eq=False)
@@ -235,15 +236,8 @@ class Sinks:
         message had arrived."""
         if self.flight is not None:
             self.flight.record(kind, rank=rank, peer=peer, tag=tag, nbytes=nbytes)
-        sent = kind == "send"
-        if self.tracer is not None:
-            self.tracer.count("messages", 1, rank=rank)
-            self.tracer.count(
-                "bytes_sent" if sent else "bytes_received", nbytes, rank=rank
-            )
-            if not sent:
-                self.tracer.count("recv_wait_seconds", wait, rank=rank)
         if self.metrics is not None:
+            sent = kind == "send"
             self.metrics.observe(
                 "comm.send_call_seconds" if sent else "comm.recv_call_seconds",
                 seconds, rank=rank,
@@ -259,13 +253,9 @@ class Sinks:
 
     # -- totals --------------------------------------------------------------------
     def count(self, name: str, value: float = 1.0, rank: int | None = None) -> None:
-        """Add to a per-rank total.  A dotted ``layer.name`` is a ledger
-        metric and goes to the registry; a bare name is a total of the
-        trace (``retransmissions``, ``barrier_wait_seconds``) and goes to
-        the tracer."""
-        sink = self.metrics if "." in name else self.tracer
-        if sink is not None:
-            sink.count(name, value, rank=rank)
+        """Add to the per-rank ledger counter ``name``."""
+        if self.metrics is not None:
+            self.metrics.count(name, value, rank=rank)
 
     # -- reading back --------------------------------------------------------------
     def post_mortem(self) -> dict[int, list] | None:

@@ -1,4 +1,4 @@
-"""Core tracing primitives: spans, events, counters.
+"""Core tracing primitives: spans and instant events.
 
 A :class:`Tracer` is one of the four sinks of :mod:`repro.obs.spine`:
 install it with ``obs.use(tracer=...)`` and the instrumented seams reach
@@ -104,8 +104,6 @@ class Trace:
 
     spans: list[SpanRecord] = field(default_factory=list)
     events: list[EventRecord] = field(default_factory=list)
-    counters: dict[tuple[int, str], float] = field(default_factory=dict)
-    """``(rank, counter_name) -> accumulated value``."""
     meta: dict[str, object] = field(default_factory=dict)
 
     def ordered_spans(self) -> list[SpanRecord]:
@@ -118,11 +116,7 @@ class Trace:
     def ranks(self) -> list[int]:
         seen = {s.rank for s in self.spans}
         seen.update(e.rank for e in self.events)
-        seen.update(r for r, _ in self.counters)
         return sorted(seen)
-
-    def counter(self, rank: int, name: str) -> float:
-        return self.counters.get((rank, name), 0.0)
 
     def spans_named(self, name: str, rank: int | None = None) -> list[SpanRecord]:
         return [
@@ -192,7 +186,7 @@ class _Span:
 
 
 class Tracer:
-    """Collects spans/events/counters into a :class:`Trace`.
+    """Collects spans and instant events into a :class:`Trace`.
 
     Parameters
     ----------
@@ -219,7 +213,6 @@ class Tracer:
         self.trace = Trace(meta={"name": name} if name else {})
         self._seq = itertools.count()
         self._tls = threading.local()
-        self._counter_lock = threading.Lock()
         self.context = None
         if context is not None:
             self.adopt_context(context)
@@ -276,12 +269,6 @@ class Tracer:
                 args=tuple(sorted(args.items())),
             )
         )
-
-    def count(self, name: str, value: float, rank: int | None = None) -> None:
-        """Accumulate ``value`` into the per-rank counter ``name``."""
-        key = (self._rank(rank), name)
-        with self._counter_lock:
-            self.trace.counters[key] = self.trace.counters.get(key, 0.0) + value
 
     def add_span(
         self,

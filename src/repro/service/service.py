@@ -754,7 +754,6 @@ class RunService:
                 merged.events.append(
                     _dc_replace(e, t=e.t + shift, seq=next(seq))
                 )
-            merged.counters.update(inner.counters)
         return merged
 
     # -- internals -----------------------------------------------------------

@@ -199,7 +199,6 @@ class SimulatedMachine:
                     step=key[0],
                     seconds=round(extra, 9),
                 )
-                tracer.count("faults_injected", 1, rank=src)
 
         for r in range(p):
             factor = (

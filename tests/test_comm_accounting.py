@@ -1,9 +1,11 @@
 """One instrument for every transport.
 
-``Communicator`` is the only place a message is timed and accounted, so
-``CommStats``, the tracer counters, the per-call histograms and the flight
-ring must tell the same story per rank, and the virtual and process
-substrates must tell the same story as each other for the same run.
+``Communicator`` is the only place a message is timed and accounted, and
+``CommStats`` (``RunResult.per_rank_stats``) the one home of a rank's
+message, byte and blocked-time totals: what the other sinks keep per
+message (per-call histograms, flight events, ``comm.send`` spans) must add
+up to it per rank, and the virtual and process substrates must tell the
+same story as each other for the same run.
 """
 
 import ast
@@ -38,6 +40,7 @@ def _accounts(substrate: str, version: int) -> list[dict]:
     out = []
     for rank, stats in enumerate(res.per_rank_stats):
         kinds = [e["kind"] for e in res.flight[rank]]
+        flown = lambda *ks: sum(e["nbytes"] for e in res.flight[rank] if e["kind"] in ks)
         out.append({
             "sends": stats.sends,
             "recvs": stats.recvs,
@@ -45,9 +48,9 @@ def _accounts(substrate: str, version: int) -> list[dict]:
             "bytes_received": stats.bytes_received,
             "send_hist": res.metrics.get("comm.send_call_seconds", rank).count,
             "recv_hist": res.metrics.get("comm.recv_call_seconds", rank).count,
-            "messages": res.trace.counter(rank, "messages"),
-            "traced_sent": res.trace.counter(rank, "bytes_sent"),
-            "traced_received": res.trace.counter(rank, "bytes_received"),
+            "send_spans": len(res.trace.spans_named("comm.send", rank)),
+            "flown_sent": flown("send"),
+            "flown_received": flown("recv", "recv_view"),
             "flight_sends": kinds.count("send"),
             "flight_recvs": kinds.count("recv") + kinds.count("recv_view"),
             "flight_collectives": kinds.count("collective"),
@@ -56,7 +59,6 @@ def _accounts(substrate: str, version: int) -> list[dict]:
             "seconds": {
                 "recv": stats.recv_seconds,
                 "wait": stats.wait_seconds,
-                "wait_traced": res.trace.counter(rank, "recv_wait_seconds"),
                 "wait_hist": res.metrics.get("comm.recv_wait_seconds", rank),
                 "wait_reported": res.perf.per_rank[rank]["wait_seconds"],
                 "wait_in_exchanges": sum(
@@ -78,16 +80,15 @@ def test_every_sink_agrees_on_every_substrate(version):
             assert a["sends"] > 0 and a["recvs"] > 0, where
             assert a["send_hist"] == a["sends"], where
             assert a["recv_hist"] == a["recvs"], where
-            assert a["messages"] == a["sends"] + a["recvs"], where
-            assert a["traced_sent"] == a["bytes_sent"], where
-            assert a["traced_received"] == a["bytes_received"], where
+            assert a["send_spans"] == a["sends"], where
+            assert a["flown_sent"] == a["bytes_sent"], where
+            assert a["flown_received"] == a["bytes_received"], where
             assert a["flight_sends"] == a["sends"], where
             assert a["flight_recvs"] == a["recvs"], where
             # The blocked part of the receives: inside the receive time,
             # and one number whichever sink is asked for it.
             s = a.pop("seconds")
             assert 0.0 <= s["wait"] <= s["recv"], where
-            assert s["wait_traced"] == s["wait"], where
             assert s["wait_hist"].count == a["recvs"], where
             assert s["wait_hist"].sum == pytest.approx(s["wait"], rel=1e-12), where
             assert s["wait_reported"] == s["wait"], where
@@ -95,6 +96,29 @@ def test_every_sink_agrees_on_every_substrate(version):
             # collectives (dt, gather) waited.
             assert 0.0 < s["wait_in_exchanges"] <= s["wait"], where
     assert per_substrate["virtual"] == per_substrate["process"]
+
+
+def test_every_total_has_one_home():
+    """Where a caller of the tracer's former totals reads them now: messages,
+    bytes and blocked time are ``per_rank_stats`` (the test above); halo and
+    barrier time are span sums on the timeline, booked once more only as
+    ``halo.seconds`` / ``comm.barrier_wait_seconds``; fault totals are
+    ``fault.*`` and ``fault_stats``; a simulated rank's compute / library /
+    wait are its ``sim.*`` spans (``test_api``) and counters (the report)."""
+    res = run(
+        "jet", steps=4, nprocs=2, nx=32, nr=16, trace=True, metrics=True,
+        faults="lossy-ethernet", fault_seed=3,
+    )
+    value, total = res.metrics.value, res.trace.total
+    for rank, faults in enumerate(res.fault_stats):
+        halos = [s for s in res.trace.spans if s.cat == "halo" and s.rank == rank]
+        assert 0.0 < sum(s.duration for s in halos) <= value("halo.seconds", rank)
+        assert 0.0 < value("comm.barrier_wait_seconds", rank) <= total("comm.allreduce", rank)
+        assert faults.retransmissions == value("fault.retransmission", rank)
+        assert faults.total_injected == sum(
+            value(f"fault.{kind}", rank) for kind in faults.injected
+        )
+    assert sum(f.total_injected for f in res.fault_stats) > 0
 
 
 def _cluster(substrate: str):
@@ -137,11 +161,10 @@ def test_completion_by_test_is_accounted_like_a_blocking_receive(substrate, view
                 cluster.close()
     assert total == 120.0
     assert recvs == 1 and seconds > 0.0
-    assert tracer.trace.counter(1, "messages") == 1
-    assert tracer.trace.counter(1, "bytes_received") == 128
     assert reg.get("comm.recv_call_seconds", 1).count == 1
-    kinds = [e["kind"] for e in flight.events(1)]
-    assert kinds == ["recv_view" if view else "recv"]
+    events = flight.events(1)
+    assert [e["kind"] for e in events] == ["recv_view" if view else "recv"]
+    assert events[0]["nbytes"] == 128
     # The probe opened no span; only rank 0's send is on the timeline.
     assert [s.name for s in tracer.trace.spans] == ["comm.send"]
 

@@ -296,11 +296,7 @@ class TestTracing:
         events = tracer.trace.events_named("fault.")
         assert events
         assert all(e.cat == "fault" for e in events)
-        ranks_with_counts = [
-            r for r in range(4)
-            if tracer.trace.counter(r, "faults_injected") > 0
-        ]
-        assert ranks_with_counts
+        assert {e.rank for e in events} <= set(range(4))
 
     def test_restart_recorded(self, ns_case, chaos_seed):
         sc, config, _ = ns_case

@@ -49,15 +49,14 @@ class TestLinearAdvection:
         x = np.arange(n) / n
         return np.sin(2 * np.pi * x)[None, :, None] * np.ones((1, 1, 2)), x
 
-    def test_advects_at_correct_speed(self):
-        n, a = 64, 1.0
+    def _error(self, n, dt, steps, a=1.0):
+        """Max error of the wave advected ``steps`` steps on ``n`` points."""
         q0, x = self._wave(n)
-        h = 1.0 / n
-        dt = 0.4 * h / a
-        steps = 100
-        q = _advect(q0.copy(), a, h, dt, steps)
-        exact = np.sin(2 * np.pi * (x - a * dt * steps))
-        assert np.abs(q[0, :, 0] - exact).max() < 2e-3
+        q = _advect(q0.copy(), a, 1.0 / n, dt, steps)
+        return np.abs(q[0, :, 0] - np.sin(2 * np.pi * (x - a * dt * steps))).max()
+
+    def test_advects_at_correct_speed(self):
+        assert self._error(64, 0.4 / 64, 100) < 2e-3
 
     def test_conservation_on_periodic_domain(self):
         n = 32
@@ -67,19 +66,18 @@ class TestLinearAdvection:
         assert q[0, :, 0].sum() == pytest.approx(q0[0, :, 0].sum(), abs=1e-11)
 
     def test_spatial_order_of_accuracy(self):
-        """Alternated L1/L2 at fixed (small) dt: error ~ h^4."""
-        a = 1.0
-        errs = []
-        for n in (32, 64):
-            q0, x = self._wave(n)
-            h = 1.0 / n
-            dt = 1e-4  # time error negligible
-            steps = 200
-            q = _advect(q0.copy(), a, h, dt, steps)
-            exact = np.sin(2 * np.pi * (x - a * dt * steps))
-            errs.append(np.abs(q[0, :, 0] - exact).max())
+        """Alternated L1/L2 at fixed (small) dt, time error negligible:
+        error ~ h^4."""
+        errs = [self._error(n, 1e-4, 200) for n in (32, 64)]
         order = np.log2(errs[0] / errs[1])
         assert order > 3.5, f"measured spatial order {order:.2f}"
+
+    def test_temporal_order_of_accuracy(self):
+        """Fixed fine grid, space error negligible, T = 0.25 in 80 and 160
+        steps (CFL 0.8, 0.4; 40 steps is CFL 1.6 and blows up): error ~ dt^2."""
+        errs = [self._error(256, 0.25 / steps, steps) for steps in (80, 160)]
+        order = np.log2(errs[0] / errs[1])
+        assert 1.9 < order < 2.1, f"measured temporal order {order:.4f}"
 
     def test_l1_l2_symmetry(self):
         """L2 on the mirrored field equals the mirror of L1."""

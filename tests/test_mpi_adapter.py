@@ -110,7 +110,6 @@ class TestOverStubMPI:
         assert [(s.name, s.rank) for s in tracer.trace.ordered_spans()] == [
             ("comm.send", 0), ("comm.recv", 1)
         ]
-        assert tracer.trace.counter(0, "bytes_sent") == 96
 
     def test_rejects_an_invalid_destination(self, pair):
         for dest in (0, 2, -1):

@@ -2,8 +2,7 @@
 
 Seven small ``jet`` runs with all four sinks on, reduced to *shapes* —
 every span's ``(name, cat, rank, parent, argument keys)``, every instant,
-every tracer-counter key, every metric's ``(name, rank, type)`` with its
-update count, every flight event's kind and field names, every stream
+every metric's ``(name, rank, type)`` with its update count, every flight event's kind and field names, every stream
 record's keys — so a change to the instrumentation plumbing that moves,
 renames, drops or doubles an observation fails here, while timings stay
 free to vary.  Timing-dependent ``slot_wait`` flight events are left out.
@@ -11,20 +10,23 @@ free to vary.  Timing-dependent ``slot_wait`` flight events are left out.
 The expectations were recorded by running this file's own
 :func:`census` on a clone of the commit before ``repro.obs.spine``
 existed (``python tests/test_obs_census.py`` prints them); it imports
-nothing newer than ``run`` and ``BufferStepStream`` for that reason.  Two
-deliberate differences from that commit.  A process-substrate run now
-delivers its step records (there: none).  And every receive carries one
+nothing newer than ``run`` and ``BufferStepStream`` for that reason.
+Three deliberate differences from that commit.  A process-substrate run
+now delivers its step records (there: none).  Every receive carries one
 new field, the part of it spent blocked before the message had arrived:
-a ``recv_wait_seconds`` tracer counter per rank, a
-``comm.recv_wait_seconds`` histogram (one update per receive), a
+a ``comm.recv_wait_seconds`` histogram (one update per receive), a
 ``halo.<kind>_wait_seconds`` counter (one update per exchange), a
 ``comm.wait_seconds`` total per rank in the report, and ``wait_ms`` beside
-``comm_ms`` in a distributed step record — so the ``counters``,
-``metrics`` and ``stream`` sections of the message-passing runs were
-recorded again (``updates`` grew by receives + exchanges + ranks: 51 + 64
-+ 2 for the 2-rank V5 runs); their ``spans``, ``instants`` and ``flight``
-sections, and the serial and simulated runs entirely, still carry the
-digests of that commit.
+``comm_ms`` in a distributed step record — so the ``metrics`` and
+``stream`` sections of the message-passing runs were recorded again
+(``updates`` grew by receives + exchanges + ranks: 51 + 64 + 2 for the
+2-rank V5 runs).  And the tracer stopped keeping totals: the ``counters``
+section that pinned its keys is gone with them, and the one total without
+a ledger name got one, ``comm.barrier_wait_seconds`` — one counter per
+rank of the distributed runs, one update each, which is all their
+``metrics`` digests and ``updates`` totals moved by.  The ``spans``,
+``instants`` and ``flight`` sections of every run, and the serial and
+simulated runs entirely, still carry the digests of that commit.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ from repro.api import run
 from repro.numerics.kernels import get_backend
 from repro.obs import BufferStepStream
 
-SECTIONS = ("spans", "instants", "counters", "metrics", "flight", "stream")
+SECTIONS = ("spans", "instants", "metrics", "flight", "stream")
 TOTALS = ("spans", "instants", "updates", "flight", "stream")
 EMPTY = "4f53cda18c2b"
 
@@ -52,8 +54,7 @@ def expect(*totals: int, **digests: str) -> dict:
 
 
 P2_V5 = expect(
-    248, 0, 553, 106, 8,
-    spans="675132fa3212", counters="305ddc92a659", metrics="1f2153c8c826",
+    248, 0, 555, 106, 8, spans="675132fa3212", metrics="744834fed34b",
     flight="7c9c5328ecdf", stream="f51d88854fa7",
 )
 
@@ -70,8 +71,7 @@ RUNS = {
     "p2-radial-v7-compiled": (
         dict(nprocs=2, version=7, decomposition="radial", backend="compiled"),
         expect(
-            336, 0, 769, 170, 8,
-            spans="533c6ff6649a", counters="305ddc92a659", metrics="f172adc4f8eb",
+            336, 0, 771, 170, 8, spans="533c6ff6649a", metrics="8c4fa16a8b0f",
             flight="b4a155605e27", stream="f51d88854fa7",
         ),
     ),
@@ -79,23 +79,21 @@ RUNS = {
         dict(nprocs=4, version=7, decomposition="2d", px=2, pr=2,
              substrate="process"),
         expect(
-            958, 0, 2331, 522, 16,
-            spans="dbb259928e9c", counters="d38c32cac076", metrics="7831240c1aed",
+            958, 0, 2335, 522, 16, spans="dbb259928e9c", metrics="f491c43b433d",
             flight="3f6f8fa7bf27", stream="b6f560f6b524",
         ),
     ),
     "p2-v5-lossy3": (
         dict(nprocs=2, version=5, faults="lossy-ethernet", fault_seed=3),
         expect(
-            256, 28, 598, 114, 8,
-            spans="93d0323b84f2", instants="7c7089dcc4db", counters="2426164d7e0f",
-            metrics="1c88ba10c380", flight="4a8dc7df22a8", stream="20f2c39413b1",
+            256, 28, 600, 114, 8,
+            spans="93d0323b84f2", instants="7c7089dcc4db",
+            metrics="44427ce0d4aa", flight="4a8dc7df22a8", stream="20f2c39413b1",
         ),
     ),
     "t3d-p4": (dict(platform="Cray T3D", nprocs=4), expect(
         2700, 10808, 25, 0, 0,
-        spans="a2823479ea18", instants="9e8a59030693", counters="0434bd8ffa27",
-        metrics="2cab0dd76ee0",
+        spans="a2823479ea18", instants="9e8a59030693", metrics="2cab0dd76ee0",
     )),
 }
 
@@ -115,7 +113,6 @@ def census(options: dict) -> dict:
         "instants": Counter(
             (e.name, e.cat, e.rank, keys(e.args)) for e in res.trace.events
         ),
-        "counters": Counter(res.trace.counters.keys()),
         "metrics": {
             (name, rank, type(m).__name__): m.updates
             for (name, rank), m in res.metrics.items()

@@ -169,12 +169,12 @@ class TestRegistrySemantics:
             assert current().metrics is m
             current().count("layer.inside")
             current().count("layer.weighted", 2.5, rank=3)
-            current().count("bare_total", 4.0)  # a total of the trace
+            current().count("undotted", 4.0)  # no rule reads the spelling
         assert current().metrics is None
-        assert m.names() == ["layer.inside", "layer.weighted"]
+        assert m.names() == ["layer.inside", "layer.weighted", "undotted"]
         assert m.value("layer.inside", rank=0) == 1.0
         assert m.value("layer.weighted", rank=3) == 2.5
-        assert tr.trace.counters == {(0, "bare_total"): 4.0}
+        assert not hasattr(tr, "count") and not hasattr(tr.trace, "counters")
 
     def test_snapshot_shape_is_json_stable(self):
         m = MetricsRegistry()

@@ -345,32 +345,37 @@ class TestSpinThenSleep:
             waited = cluster.run(program)[1]
         assert limit <= waited < limit + _POLL, waited
 
-    def test_abort_wakes_a_receiver_that_is_still_spinning(self, monkeypatch):
-        """The abort test above, with the spin stretched over the whole
-        wait: the receiver never reaches a sleeping poll, so it is the
-        spin loop's own abort check that ends the receive (on the flag,
-        which is raised before the notice carrying the reason is written)."""
-        monkeypatch.setattr(process_module, "_SPIN", 60.0)  # forked with it
+    @pytest.mark.parametrize("spin", [0.0, 60.0], ids=["sleeping", "spinning"])
+    def test_abort_reason_outruns_the_flag(self, monkeypatch, spin):
+        """``abort`` raises the flag, then posts the notice naming the reason.
+        A receiver that sees the flag in between — asleep, or with the spin
+        stretched over the whole wait, so that it is the spin loop's own
+        abort check that ends the receive — reports the reason all the same,
+        and promptly: a spinner's only poll that may sleep is the bounded
+        one for the notice."""
+        monkeypatch.setattr(process_module, "_SPIN", spin)  # forked with it
 
         def program(comm):
             peer = 1 - comm.rank
             if comm.rank == 1:
                 comm.recv(peer, "blocking-next", timeout=20)
-                time.sleep(0.3)  # let rank 0 spin for a while
-                issued = time.monotonic()
-                comm.cluster.abort("test abort")
-                return issued
+                time.sleep(0.3)  # let rank 0 block for a while
+                flagged = time.monotonic()
+                comm.cluster._abort.set()
+                time.sleep(_POLL / 5)  # abort(), stretched at its seam
+                comm.cluster._post(peer, ("abort", "the late reason"))
+                return flagged
             spy = comm._rx = _PollSpy(comm._rx)
             comm.send(peer, "blocking-next", np.zeros(1))
-            with pytest.raises(ClusterAborted, match="waiting for message"):
+            with pytest.raises(ClusterAborted, match="waiting for message.*late reason"):
                 comm.recv(peer, "never")
             return time.monotonic(), spy.sleeping
 
         with ProcessCluster(2, timeout=10) as cluster:
-            (woke, slept), issued = cluster.run(program)
-        assert slept == 0
-        assert 0.0 <= woke - issued < 10 * _POLL, (
-            f"woke {woke - issued:.4f} s after the abort was issued "
+            (woke, slept), flagged = cluster.run(program)
+        assert slept <= 1 or not spin
+        assert 0.0 <= woke - flagged < 10 * _POLL, (
+            f"woke {woke - flagged:.4f} s after the abort was flagged "
             f"(limit {10 * _POLL:.4f} s)"
         )
 

@@ -390,11 +390,6 @@ def _trace_projection(trace) -> dict:
             (s.name, s.cat, s.rank, s.parent or "") for s in trace.spans
         ),
         "events": sorted((e.name, e.cat, e.rank) for e in trace.events),
-        "counters": {
-            f"{r}:{n}": v
-            for (r, n), v in trace.counters.items()
-            if not n.endswith("seconds")  # wall-clock totals
-        },
     }
 
 
