@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all trace-smoke bench perf-gate bless-baseline speedup loc
+.PHONY: check test test-all trace-smoke bench perf-gate gates bless-baseline speedup loc
 
 ## check: fast test suite + trace-determinism smoke (the pre-commit gate)
 check: trace-smoke
@@ -32,6 +32,15 @@ speedup:
 ## perf-gate: compare fresh bench results against the committed baseline
 perf-gate:
 	$(PY) scripts/perf_gate.py
+
+## gates: "two ranks beat one" — one traced harness run of the 2-rank
+## workload, then the ratio rows of scripts/perf_gate.py over its report
+## (ratios measured inside one process: no baseline, no host calibration)
+GATES_REPORT ?= benchmarks/output/GATES_p2_blocking.json
+gates:
+	$(PY) benchmarks/harness/run.py --workload jet250-p2-blocking \
+		--seconds 3 --trace 1 --out $(GATES_REPORT) > /dev/null
+	$(PY) scripts/perf_gate.py --harness-report $(GATES_REPORT)
 
 ## bless-baseline: accept the current bench results as the new baseline
 bless-baseline:

@@ -21,7 +21,7 @@ PROCS = [1, 2, 4, 6, 8, 10, 12, 16]
 
 
 def _measured_workload() -> Workload:
-    m = measured_characteristics(viscous=True, nx=40, probe_steps=3)
+    m = measured_characteristics(viscous=True, nx=40)
     app = Application(
         name="Navier-Stokes",
         total_flops=m.total_flops,

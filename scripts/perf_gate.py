@@ -19,6 +19,13 @@ Usage::
     python scripts/perf_gate.py                      # compare, exit 0/1
     python scripts/perf_gate.py --update-baseline    # bless current results
     python scripts/perf_gate.py --summary gate.md    # also write a markdown table
+    python scripts/perf_gate.py --harness-report R   # the harness rows (make gates)
+
+``--harness-report`` reads the ``--out`` report of one traced
+``benchmarks/harness/run.py --workload jet250-p2-blocking`` run and checks
+the rows of :data:`HARNESS_GATES` — ratios measured inside one process
+(interleaved serial / 2-rank runs, ping-pong probes), so the host's speed
+cancels and no baseline is involved.
 
 Exit codes: 0 = within tolerance, 1 = regression, 2 = missing/invalid input.
 """
@@ -53,8 +60,8 @@ SPEEDUP_REQUIRED = 2.0
 
 #: Cross-decomposition parity: a non-axial process-substrate case must
 #: stay within this factor of its axial reference at the same rank count.
-#: The unified exchange core gives radial and 2-D runs the same fused
-#: kernels and preallocated pack buffers as axial, so a larger gap means
+#: Every block grid steps the same serial kernels on its halo-extended
+#: block and ships the same one halo per neighbour, so a larger gap means
 #: a decomposition-specific slow path crept back in.  Keys map a case id
 #: to its axial reference; cases at rank counts with no axial
 #: process-substrate peer (e.g. the 4-rank 2-D case) are reported as
@@ -221,12 +228,13 @@ def check_speedup(current: dict) -> tuple[list[str], list[str]]:
 def check_overlap(current: dict) -> tuple[list[str], list[str]]:
     """Gate the blocking-vs-overlap comm comparison: (failures, notes).
 
-    The section must exist (bench_core.py always measures it).  On hosts
-    with real parallel hardware (``cpu_count >= SPEEDUP_MIN_CORES``) the
-    overlapped exchange must deliver: its non-overlapped communication
-    time per step strictly below blocking's, and its step time no worse.
-    On smaller hosts the ranks time-share one core, so both numbers are
-    reported as notes only.
+    The section must exist (bench_core.py always measures it).  Since the
+    one-halo-per-step exchange a posted receive can hide only the
+    rank-local ``dt`` estimate, one step in ten, so a strictly lower
+    communication time is no longer a promise: both modes' numbers are
+    notes, and on hosts with real parallel hardware
+    (``cpu_count >= SPEEDUP_MIN_CORES``) the overlapped step time must not
+    regress past blocking's.
     """
     ov = current.get("overlap")
     if not ov or "real" not in ov:
@@ -257,11 +265,6 @@ def check_overlap(current: dict) -> tuple[list[str], list[str]]:
         )
     failures: list[str] = []
     if cores >= SPEEDUP_MIN_CORES:
-        if not (o_comm < b_comm):
-            failures.append(
-                f"overlap: non-overlapped comm {o_comm:.2f} ms/step is not "
-                f"below blocking's {b_comm:.2f} on {cores} cores"
-            )
         if o_ms > b_ms * (1.0 + DEFAULT_TOLERANCE):
             failures.append(
                 f"overlap: step time {o_ms:.2f} ms regressed past blocking's "
@@ -273,6 +276,61 @@ def check_overlap(current: dict) -> tuple[list[str], list[str]]:
             f"{SPEEDUP_MIN_CORES} (ranks time-share the CPU)"
         )
     return failures, notes
+
+
+#: "Two ranks beat one" (ROADMAP item 2), as rows over a traced harness
+#: report's per-layer metrics: ``(what must hold, metric names read, test)``.
+#: Two process ranks must step the paper's grid faster than one, and a
+#: message between two processes must not cost more than one between two
+#: threads — the sign that blocked receives are sleeping their vCPU again.
+HARNESS_GATES = [
+    (
+        "parallel.speedup.v5 >= 1.0",
+        ("parallel.speedup.v5",),
+        lambda speedup: speedup >= 1.0,
+    ),
+    (
+        "msglib.process.oneway_us.6400B <= msglib.virtual.oneway_us.6400B",
+        ("msglib.process.oneway_us.6400B", "msglib.virtual.oneway_us.6400B"),
+        lambda process, virtual: process <= virtual,
+    ),
+]
+
+
+def check_harness_report(path: str) -> int:
+    """The :data:`HARNESS_GATES` rows over one harness ``--out`` report."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            result = json.load(fh)["result"]
+        values = {k: v["value"] for k, v in result["metrics"].items()}
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        print(f"perf_gate: {path}: not a harness --out report ({exc!r})",
+              file=sys.stderr)
+        return 2
+    failures = []
+    if result["failed"]:
+        failures.append(f"{result['failed']}/{result['attempted']} operations failed")
+    for what, names, holds in HARNESS_GATES:
+        missing = [n for n in names if n not in values]
+        if missing:
+            failures.append(f"{what}: not in the report (needs --trace 1): {missing}")
+            continue
+        args = [values[n] for n in names]
+        ok = holds(*args)
+        shown = ", ".join(f"{n}={v:.2f}" for n, v in zip(names, args))
+        print(f"  [{'ok  ' if ok else 'FAIL'}] {what}  ({shown})")
+        if not ok:
+            failures.append(f"{what}: {shown}")
+    if (os.cpu_count() or 1) < 2:
+        print("harness gates not enforced: one CPU — two ranks cannot beat one here")
+        return 0
+    if failures:
+        print("\nharness gates FAILED:", file=sys.stderr)
+        for f in failures:
+            print(f"  - {f}", file=sys.stderr)
+        return 1
+    print("harness gates passed.")
+    return 0
 
 
 def render_text(rows: list[dict], scale_note: str) -> str:
@@ -325,7 +383,14 @@ def main(argv=None) -> int:
         "--summary", default=None,
         help="also write a markdown summary table to this path",
     )
+    ap.add_argument(
+        "--harness-report", default=None, metavar="REPORT",
+        help="check the HARNESS_GATES rows over a traced harness --out "
+             "report instead of the core matrix",
+    )
     args = ap.parse_args(argv)
+    if args.harness_report:
+        return check_harness_report(args.harness_report)
     if not os.path.exists(args.current):
         print(
             f"perf_gate: no current results at {args.current}; run "

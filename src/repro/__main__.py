@@ -65,13 +65,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    from .analysis.tables import table1, table2
+    from .analysis.tables import table1, table2, table_deep_halo
 
     print(table1("paper"))
     print()
     print(table1("measured"))
     print()
     print(table2())
+    print()
+    print(table_deep_halo())
     return 0
 
 

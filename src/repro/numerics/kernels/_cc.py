@@ -159,35 +159,27 @@ static gcoef mk_gcoef(double h)
     return c;
 }
 
-/* ``lo``/``hi`` are this field's neighbour ghost lines along the
-   differenced axis (or NULL at a physical boundary).  A ghost turns that
-   side's one-sided edge formula into the serial interior central
-   difference — viscous.field_gradients on the halo-extended array,
-   without building it. */
+/* Second-order gradients at one element: central in the interior,
+   numpy's one-sided formulas on the first/last line. */
 static double grad_x(const double* f, long i, long j, long nx, long nr,
-                     const gcoef* c, const double* lo, const double* hi)
+                     const gcoef* c)
 {
-    if (i == 0 && !lo)
+    if (i == 0)
         return (c->a0 * f[j] + c->b0 * f[nr + j]) + c->c0 * f[2 * nr + j];
-    if (i == nx - 1 && !hi)
+    if (i == nx - 1)
         return (c->a1 * f[(nx - 3) * nr + j] + c->b1 * f[(nx - 2) * nr + j])
                + c->c1 * f[(nx - 1) * nr + j];
-    double fp = (i == nx - 1) ? hi[j] : f[(i + 1) * nr + j];
-    double fm = (i == 0) ? lo[j] : f[(i - 1) * nr + j];
-    return (fp - fm) / c->h2;
+    return (f[(i + 1) * nr + j] - f[(i - 1) * nr + j]) / c->h2;
 }
 
-static double grad_r(const double* f, long i, long j, long nr, const gcoef* c,
-                     const double* lo, const double* hi)
+static double grad_r(const double* f, long i, long j, long nr, const gcoef* c)
 {
     const double* fi = f + i * nr;
-    if (j == 0 && !lo)
+    if (j == 0)
         return (c->a0 * fi[0] + c->b0 * fi[1]) + c->c0 * fi[2];
-    if (j == nr - 1 && !hi)
+    if (j == nr - 1)
         return (c->a1 * fi[nr - 3] + c->b1 * fi[nr - 2]) + c->c1 * fi[nr - 1];
-    double fp = (j == nr - 1) ? hi[i] : fi[j + 1];
-    double fm = (j == 0) ? lo[i] : fi[j - 1];
-    return (fp - fm) / c->h2;
+    return (fi[j + 1] - fi[j - 1]) / c->h2;
 }
 
 /* One fused pass of velocity/temperature gradients + dilatation + stress
@@ -201,12 +193,9 @@ static double grad_r(const double* f, long i, long j, long nr, const gcoef* c,
    (2, 1, 3), takes dT/dr, and stores tau_theta_theta for the geometric
    source.  mu and k are each a field (pointer) or a scalar: the scalar
    heat path receives -k pre-negated (numpy computes g_t * (-k)); the
-   field path mirrors numpy's multiply-then-negate.
-   xlo/xhi/rlo/rhi are the neighbour ranks' packed (3, n_perp) (u, v, T)
-   ghost lines beyond each block edge (n_perp = nr for x, nx for r), NULL
-   at a physical boundary: with a ghost the edge line takes the central
-   difference the serial solver takes there, so every decomposition is
-   bitwise-equal to one block.  Needs nx, nr >= 3. */
+   field path mirrors numpy's multiply-then-negate.  A distributed rank
+   calls this on its halo-extended block, so its owned lines are interior
+   lines here too.  Needs nx, nr >= 3. */
 /* Stress assembly + subtraction from the five gradient values at one
    element (shared by the interior fast loops and the edge epilogues). */
 static void visc_store(double* F1, double* F2, double* F3,
@@ -261,8 +250,7 @@ static void visc_store(double* F1, double* F2, double* F3,
 void k_visc(double* F, double* tau_tt_out, const double* u, const double* v,
             const double* T, const double* r, const double* mu_a,
             double mu_s, const double* k_a, double negk_s, long nx, long nr,
-            double dx, double dr, int radial, const double* xlo,
-            const double* xhi, const double* rlo, const double* rhi)
+            double dx, double dr, int radial)
 {
     long n = nx * nr;
     double* F1 = F + n;
@@ -270,32 +258,20 @@ void k_visc(double* F, double* tau_tt_out, const double* u, const double* v,
     double* F3 = F + 3 * n;
     gcoef cx = mk_gcoef(dx);
     gcoef cr = mk_gcoef(dr);
-    /* The v and T lines of each packed ghost (the u line is the base). */
-    const double* xlo_v = xlo ? xlo + nr : NULL;
-    const double* xlo_t = xlo ? xlo + 2 * nr : NULL;
-    const double* xhi_v = xhi ? xhi + nr : NULL;
-    const double* xhi_t = xhi ? xhi + 2 * nr : NULL;
-    const double* rlo_v = rlo ? rlo + nx : NULL;
-    const double* rlo_t = rlo ? rlo + 2 * nx : NULL;
-    const double* rhi_v = rhi ? rhi + nx : NULL;
-    const double* rhi_t = rhi ? rhi + 2 * nx : NULL;
     for (long i = 0; i < nx; i++) {
         long base = i * nr;
-        /* The rows on either side of row i along x: a neighbour row of
-           this block, or — at the block edge — the neighbour rank's
-           ghost line (NULL at a physical boundary). */
-        const double* uM = i > 0 ? u + base - nr : xlo;
-        const double* uP = i < nx - 1 ? u + base + nr : xhi;
         const double* ui = u + base;
         const double* vi = v + base;
         const double* ti = T + base;
         /* Interior columns, with the row-invariant x-stencil kind hoisted
            so the inner loops stay branch-free (and vectorizable). */
-        if (uM && uP) {
-            const double* vM = i > 0 ? v + base - nr : xlo_v;
-            const double* vP = i < nx - 1 ? v + base + nr : xhi_v;
-            const double* tM = i > 0 ? T + base - nr : xlo_t;
-            const double* tP = i < nx - 1 ? T + base + nr : xhi_t;
+        if (i > 0 && i < nx - 1) {
+            const double* uM = u + base - nr;
+            const double* uP = u + base + nr;
+            const double* vM = v + base - nr;
+            const double* vP = v + base + nr;
+            const double* tM = T + base - nr;
+            const double* tP = T + base + nr;
             if (radial) {
                 for (long j = 1; j < nr - 1; j++) {
                     long idx = base + j;
@@ -322,9 +298,8 @@ void k_visc(double* F, double* tau_tt_out, const double* u, const double* v,
                 }
             }
         } else {
-            /* First/last row at a physical boundary: one-sided x
-               gradients, coefficients and row pointers hoisted; the inner
-               loop stays branch-free. */
+            /* First/last row: one-sided x gradients, coefficients and row
+               pointers hoisted; the inner loop stays branch-free. */
             double xa, xb, xc;
             const double* x0;
             const double* x1;
@@ -365,12 +340,12 @@ void k_visc(double* F, double* tau_tt_out, const double* u, const double* v,
         for (long jj = 0; jj < 2; jj++) {
             long j = jj ? nr - 1 : 0;
             long idx = base + j;
-            double g_ux = grad_x(u, i, j, nx, nr, &cx, xlo, xhi);
-            double g_ur = grad_r(u, i, j, nr, &cr, rlo, rhi);
-            double g_vx = grad_x(v, i, j, nx, nr, &cx, xlo_v, xhi_v);
-            double g_vr = grad_r(v, i, j, nr, &cr, rlo_v, rhi_v);
-            double g_t = radial ? grad_r(T, i, j, nr, &cr, rlo_t, rhi_t)
-                                : grad_x(T, i, j, nx, nr, &cx, xlo_t, xhi_t);
+            double g_ux = grad_x(u, i, j, nx, nr, &cx);
+            double g_ur = grad_r(u, i, j, nr, &cr);
+            double g_vx = grad_x(v, i, j, nx, nr, &cx);
+            double g_vr = grad_r(v, i, j, nr, &cr);
+            double g_t = radial ? grad_r(T, i, j, nr, &cr)
+                                : grad_x(T, i, j, nx, nr, &cx);
             visc_store(F1, F2, F3, tau_tt_out, u, v, r, mu_a, mu_s, k_a,
                        negk_s, radial, idx, j, g_ux, g_ur, g_vx, g_vr, g_t);
         }
@@ -789,7 +764,6 @@ _SIGNATURES = {
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
         ctypes.c_void_p, ctypes.c_double, ctypes.c_long, ctypes.c_long,
         ctypes.c_double, ctypes.c_double, ctypes.c_int,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     ],
     "k_rad_finish": [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,

@@ -39,9 +39,10 @@ class KernelBackend(ABC):
 
         Called from ``CompressibleSolver.__init__`` with the (local)
         state already constructed; distributed solvers therefore get
-        slab-shaped buffers automatically.  ``shape`` asks for the same
-        kernels over another ``(nvars, nx, nr)`` extent than the state's —
-        the solver's second workspace, for the 5-column outflow window.
+        buffers shaped like their halo-extended block automatically.
+        ``shape`` asks for the same kernels over another ``(nvars, nx, nr)``
+        extent than the state's — the solver's second workspace, for the
+        5-column outflow window.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -66,10 +67,6 @@ class StepWorkspace:
       characteristic outflow needs (replacing the full-state copy); the
       solver evaluates that window on a second workspace of this class,
       sized ``q_tail.shape`` (``KernelBackend.step_workspace(shape=)``).
-
-    Halo *pack* buffers live on the distributed solver's
-    :class:`~repro.parallel.halo.ExchangePlan`, which preallocates them per
-    decomposed axis.
 
     The workspace is also the backend dispatch point for the hot kernels:
     ``FluxModel`` routes its flux evaluation through :meth:`axial_flux` /
@@ -130,30 +127,17 @@ class StepWorkspace:
         # Boundary strip snapshot (trailing <=5 columns).
         self.q_tail = np.empty((nvars, min(5, nx), nr))
 
-    def primitives_into(self, fm, q: np.ndarray) -> None:
-        """Primitive fields of ``q`` into the workspace buffers."""
-        from ...physics.fluxes import primitives_into
-
-        primitives_into(
-            q, fm.gamma, self.inv_rho, self.u, self.v, self.p, self.t2a,
-            self.t2b, T=self.T,
-        )
-
-    def axial_flux(self, fm, q, uvT_halo=None, primitives_ready=False):
+    def axial_flux(self, fm, q):
         """Total axial flux into ``ws.F`` (fused numpy kernels)."""
         from .fused import fused_axial_flux
 
-        return fused_axial_flux(
-            fm, q, self, uvT_halo=uvT_halo, primitives_ready=primitives_ready
-        )
+        return fused_axial_flux(fm, q, self)
 
-    def radial_flux(self, fm, q, uvT_halo=None, primitives_ready=False):
+    def radial_flux(self, fm, q):
         """Weighted radial flux + source (fused numpy kernels)."""
         from .fused import fused_radial_flux
 
-        return fused_radial_flux(
-            fm, q, self, uvT_halo=uvT_halo, primitives_ready=primitives_ready
-        )
+        return fused_radial_flux(fm, q, self)
 
     def ext_for(self, axis: int) -> np.ndarray:
         """The ghost-extended buffer matching a sweep/filter axis."""

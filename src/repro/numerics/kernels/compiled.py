@@ -8,10 +8,8 @@ built once with the system compiler (``-ffp-contract=off``, no
 fast-math), called through ctypes (:class:`CcOps`) and dispatched through
 a :class:`CompiledWorkspace`, so every solver layer — serial, every
 decomposition, every substrate — inherits the speedup without touching
-the spatial or communication machinery.  That includes the viscous
-gradients at subdomain edges: ``k_visc`` takes the neighbours' ghost lines
-and differences across them centrally, exactly as the serial kernel does
-at the same grid points, so no decomposition leaves the C kernels.
+the spatial or communication machinery: a distributed rank steps its
+halo-extended block with these same kernels, no ghost argument anywhere.
 
 There is exactly one engine.  On a host with no usable C toolchain
 :func:`resolve_ops` raises :class:`BackendUnavailable` and
@@ -63,30 +61,10 @@ def _ghost_planes(gh):
     """A ghost-plane provider result as a kernel-ready array, or ``None``.
 
     Providers return ``(2, 4, plane)`` stacks (or ``None`` for cubic
-    extrapolation); received halos may be views, so this forces the
-    contiguous float64 layout the kernels index directly.
+    extrapolation); this forces the contiguous float64 layout the kernels
+    index directly.
     """
     return None if gh is None else _c_contig(np.asarray(gh))
-
-
-def _uvT_ghosts(halo, nx: int, nr: int) -> list:
-    """The ``(xlo, xhi, rlo, rhi)`` lines of a uvT halo in kernel layout
-    (``None`` at a physical boundary; a ``None`` halo is four of them).
-
-    Every line is checked against ``(3, n_perp)`` here, so the kernel
-    never reads out of bounds.
-    """
-    lines = []
-    for g, n_perp in zip(halo or (None,) * 4, (nr, nr, nx, nx)):
-        if g is not None:
-            g = _c_contig(np.asarray(g))
-            if g.shape != (3, n_perp):
-                raise ValueError(
-                    f"uvT ghost line has shape {g.shape}, expected "
-                    f"{(3, n_perp)} for a {(nx, nr)} block"
-                )
-        lines.append(g)
-    return lines
 
 
 def _iw_array(iw):
@@ -160,27 +138,20 @@ class CcOps:
             self._p(q), self._p(u), self._p(v), self._p(p), self._p(G), u.size
         )
 
-    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial, halo=None):
+    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial):
         """Subtract the viscous flux from ``F`` (and store ``tau_tt`` when
-        ``radial``).  ``halo`` is the distributed solver's uvT halo
-        ``(xlo, xhi, rlo, rhi)``, whose lines replace the one-sided edge
-        stencils with the serial central differences."""
+        ``radial``)."""
         nx, nr = ws.u.shape
         if nx < 3 or nr < 3:
             raise ValueError("viscous gradients need at least 3 points per axis")
         has_mu = isinstance(mu, np.ndarray)
         has_k = isinstance(k, np.ndarray)
-        # The ghost lines die with this call, so their pointers bypass the
-        # identity cache (no finalizer per line); the local list keeps any
-        # contiguous copy alive across the foreign call.
-        ghosts = _uvT_ghosts(halo, nx, nr)
         self._lib.k_visc(
             self._p(F), self._p(tau_tt) if tau_tt is not None else None,
             self._p(ws.u), self._p(ws.v), self._p(ws.T), self._p(r),
             self._p(mu) if has_mu else None, 0.0 if has_mu else float(mu),
             self._p(k) if has_k else None, 0.0 if has_k else -float(k),
             nx, nr, dx, dr, int(radial),
-            *(g.ctypes.data if g is not None else None for g in ghosts),
         )
 
     def rad_finish(self, G, S2, p, tau_tt, r, viscous):
@@ -293,14 +264,11 @@ def resolve_ops() -> CcOps:
 class CompiledWorkspace(StepWorkspace):
     """A fused workspace whose hot kernels dispatch to the C kernels.
 
-    Halo exchange and boundary treatment stay numpy-side, identical to
-    the fused backend, while the per-element heavy lifting (primitives,
-    flux assembly, gradients, stress application, 2-4 differences,
-    predictor/corrector combines, the fourth-difference filter) runs in
-    native loops, bitwise-identically — on a distributed block too: the
-    neighbours' ``(u, v, T)`` ghost lines go into the viscous kernel as
-    they arrive, so a rank's step costs what its share of the serial
-    step costs.
+    Boundary treatment stays numpy-side, identical to the fused backend,
+    while the per-element heavy lifting (primitives, flux assembly,
+    gradients, stress application, 2-4 differences, predictor/corrector
+    combines, the fourth-difference filter) runs in native loops,
+    bitwise-identically.
     """
 
     def __init__(self, shape, viscous, mu_field, ops: CcOps):
@@ -309,49 +277,37 @@ class CompiledWorkspace(StepWorkspace):
         self.sweep_x.ops = ops
         self.sweep_r.ops = ops
 
-    def primitives_into(self, fm, q: np.ndarray) -> None:
-        self.ops.prim(
-            _c_contig(q), fm.gamma, self.inv_rho, self.u, self.v, self.p,
-            self.T,
-        )
-
-    def axial_flux(self, fm, q, uvT_halo=None, primitives_ready=False):
+    def axial_flux(self, fm, q):
         ops = self.ops
         q = _c_contig(q)
         viscous = bool(fm.mu)
-        if not primitives_ready:
-            ops.prim(
-                q, fm.gamma, self.inv_rho, self.u, self.v, self.p,
-                self.T if viscous else None,
-            )
+        ops.prim(
+            q, fm.gamma, self.inv_rho, self.u, self.v, self.p,
+            self.T if viscous else None,
+        )
         ops.ax_inv(q, self.u, self.v, self.p, self.F)
         if not viscous:
             return self.F
         mu = _mu(fm, self)
         k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
-        ops.visc(
-            self.F, None, self, fm.r, mu, k, fm.dx, fm.dr, radial=False,
-            halo=uvT_halo,
-        )
+        ops.visc(self.F, None, self, fm.r, mu, k, fm.dx, fm.dr, radial=False)
         return self.F
 
-    def radial_flux(self, fm, q, uvT_halo=None, primitives_ready=False):
+    def radial_flux(self, fm, q):
         ops = self.ops
         q = _c_contig(q)
         viscous = bool(fm.mu)
-        if not primitives_ready:
-            ops.prim(
-                q, fm.gamma, self.inv_rho, self.u, self.v, self.p,
-                self.T if viscous else None,
-            )
+        ops.prim(
+            q, fm.gamma, self.inv_rho, self.u, self.v, self.p,
+            self.T if viscous else None,
+        )
         G = self.F
         ops.rad_inv(q, self.u, self.v, self.p, G)
         if viscous:
             mu = _mu(fm, self)
             k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
             ops.visc(
-                G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, radial=True,
-                halo=uvT_halo,
+                G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, radial=True
             )
         if not fm.config.axisymmetric:
             return G, self.S  # planar: unweighted flux, all-zero source

@@ -32,7 +32,7 @@ from ...physics.fluxes import (
     primitives_into,
     radial_inviscid_into,
 )
-from ...physics.viscous import gradient_axis, stress_tensor
+from ...physics.viscous import gradient_axis
 from .base import KernelBackend, StepWorkspace
 
 
@@ -84,20 +84,6 @@ def _heat_flux(g_t: np.ndarray, mu, gamma: float, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _halo_stress(fm, ws: StepWorkspace, mu, uvT_halo):
-    """Viscous stress terms across the neighbours' ghost lines.
-
-    The reference gradient machinery on the workspace primitives — the
-    identical expressions the baseline backend evaluates, so the result is
-    bitwise-equal.  This numpy path is the fused backend's and the oracle
-    the compiled backend's ghost-aware ``k_visc`` is tested against
-    (``tests/test_compiled.py``); the compiled backend never calls it.
-    """
-    return stress_tensor(
-        ws.u, ws.v, ws.T, fm.r, fm.dx, fm.dr, mu, fm.gamma, halo=uvT_halo
-    )
-
-
 def _subtract_viscous(
     flux: np.ndarray,
     tau_normal,
@@ -129,51 +115,38 @@ def _subtract_viscous(
     np.subtract(flux[3], ws.t2a, out=flux[3])
 
 
-def fused_axial_flux(
-    fm, q: np.ndarray, ws: StepWorkspace, uvT_halo=None, primitives_ready=False
-) -> np.ndarray:
+def fused_axial_flux(fm, q: np.ndarray, ws: StepWorkspace) -> np.ndarray:
     """Total axial flux into ``ws.F``, bitwise equal to ``FluxModel.axial_flux``."""
     viscous = bool(fm.mu)
-    if not primitives_ready:
-        primitives_into(
-            q, fm.gamma, ws.inv_rho, ws.u, ws.v, ws.p, ws.t2a, ws.t2b,
-            T=ws.T if viscous else None,
-        )
+    primitives_into(
+        q, fm.gamma, ws.inv_rho, ws.u, ws.v, ws.p, ws.t2a, ws.t2b,
+        T=ws.T if viscous else None,
+    )
     F = axial_inviscid_into(q, ws.u, ws.v, ws.p, ws.F, ws.t2a)
     if not viscous:
         return F
     mu = _mu(fm, ws)
-    if uvT_halo is not None:
-        # Subdomain-boundary gradients need halo-extended fields; reuse the
-        # (already computed) primitives but keep the reference gradient
-        # machinery, which is identical to the serial interior arithmetic.
-        terms = _halo_stress(fm, ws, mu, uvT_halo)
-        tau_xx, tau_xr, heat_x = terms.tau_xx, terms.tau_xr, terms.heat_x
-    else:
-        # The axial flux needs tau_xx, tau_xr and heat_x only, i.e. every
-        # gradient except dT/dr.
-        gradient_axis(ws.u, fm.dx, 0, out=ws.g_ux)
-        gradient_axis(ws.u, fm.dr, 1, out=ws.g_ur)
-        gradient_axis(ws.v, fm.dx, 0, out=ws.g_vx)
-        gradient_axis(ws.v, fm.dr, 1, out=ws.g_vr)
-        gradient_axis(ws.T, fm.dx, 0, out=ws.g_t)
-        _two_thirds_dilatation(ws, fm.r)
-        # tau_xx = mu (2 du/dx - (2/3) dilatation)
-        np.multiply(ws.g_ux, 2.0, out=ws.tau_n)
-        np.subtract(ws.tau_n, ws.dilat, out=ws.tau_n)
-        np.multiply(ws.tau_n, mu, out=ws.tau_n)
-        # tau_xr = mu (du/dr + dv/dx)
-        np.add(ws.g_ur, ws.g_vx, out=ws.tau_s)
-        np.multiply(ws.tau_s, mu, out=ws.tau_s)
-        tau_xx, tau_xr = ws.tau_n, ws.tau_s
-        heat_x = _heat_flux(ws.g_t, mu, fm.gamma, ws.heat)
-    _subtract_viscous(F, tau_xx, tau_xr, heat_x, ws.u, ws.v, 1, 2, ws)
+    # The axial flux needs tau_xx, tau_xr and heat_x only, i.e. every
+    # gradient except dT/dr.
+    gradient_axis(ws.u, fm.dx, 0, out=ws.g_ux)
+    gradient_axis(ws.u, fm.dr, 1, out=ws.g_ur)
+    gradient_axis(ws.v, fm.dx, 0, out=ws.g_vx)
+    gradient_axis(ws.v, fm.dr, 1, out=ws.g_vr)
+    gradient_axis(ws.T, fm.dx, 0, out=ws.g_t)
+    _two_thirds_dilatation(ws, fm.r)
+    # tau_xx = mu (2 du/dx - (2/3) dilatation)
+    np.multiply(ws.g_ux, 2.0, out=ws.tau_n)
+    np.subtract(ws.tau_n, ws.dilat, out=ws.tau_n)
+    np.multiply(ws.tau_n, mu, out=ws.tau_n)
+    # tau_xr = mu (du/dr + dv/dx)
+    np.add(ws.g_ur, ws.g_vx, out=ws.tau_s)
+    np.multiply(ws.tau_s, mu, out=ws.tau_s)
+    heat_x = _heat_flux(ws.g_t, mu, fm.gamma, ws.heat)
+    _subtract_viscous(F, ws.tau_n, ws.tau_s, heat_x, ws.u, ws.v, 1, 2, ws)
     return F
 
 
-def fused_radial_flux(
-    fm, q: np.ndarray, ws: StepWorkspace, uvT_halo=None, primitives_ready=False
-):
+def fused_radial_flux(fm, q: np.ndarray, ws: StepWorkspace):
     """Weighted radial flux into ``ws.F`` plus the source ``ws.S``.
 
     Bitwise equal to ``FluxModel.radial_flux``; the source array's rows 0,
@@ -181,48 +154,39 @@ def fused_radial_flux(
     row 2 (``p - tau_tt``) is rewritten per call.
     """
     viscous = bool(fm.mu)
-    if not primitives_ready:
-        primitives_into(
-            q, fm.gamma, ws.inv_rho, ws.u, ws.v, ws.p, ws.t2a, ws.t2b,
-            T=ws.T if viscous else None,
-        )
+    primitives_into(
+        q, fm.gamma, ws.inv_rho, ws.u, ws.v, ws.p, ws.t2a, ws.t2b,
+        T=ws.T if viscous else None,
+    )
     G = radial_inviscid_into(q, ws.u, ws.v, ws.p, ws.F, ws.t2a)
-    tau_tt: np.ndarray | float = 0.0
     if viscous:
         mu = _mu(fm, ws)
-        if uvT_halo is not None:
-            terms = _halo_stress(fm, ws, mu, uvT_halo)
-            tau_rr, tau_xr = terms.tau_rr, terms.tau_xr
-            heat_r, tau_tt = terms.heat_r, terms.tau_tt
-        else:
-            # The radial flux needs tau_rr, tau_xr, tau_tt and heat_r,
-            # i.e. every gradient except dT/dx.
-            gradient_axis(ws.u, fm.dx, 0, out=ws.g_ux)
-            gradient_axis(ws.u, fm.dr, 1, out=ws.g_ur)
-            gradient_axis(ws.v, fm.dx, 0, out=ws.g_vx)
-            gradient_axis(ws.v, fm.dr, 1, out=ws.g_vr)
-            gradient_axis(ws.T, fm.dr, 1, out=ws.g_t)
-            _two_thirds_dilatation(ws, fm.r)
-            # tau_rr = mu (2 dv/dr - (2/3) dilatation)
-            np.multiply(ws.g_vr, 2.0, out=ws.tau_n)
-            np.subtract(ws.tau_n, ws.dilat, out=ws.tau_n)
-            np.multiply(ws.tau_n, mu, out=ws.tau_n)
-            # tau_xr = mu (du/dr + dv/dx)
-            np.add(ws.g_ur, ws.g_vx, out=ws.tau_s)
-            np.multiply(ws.tau_s, mu, out=ws.tau_s)
-            # tau_tt = mu (2 v/r - (2/3) dilatation); ws.t2a still holds v/r.
-            np.multiply(ws.t2a, 2.0, out=ws.tau_tt)
-            np.subtract(ws.tau_tt, ws.dilat, out=ws.tau_tt)
-            np.multiply(ws.tau_tt, mu, out=ws.tau_tt)
-            tau_rr, tau_xr = ws.tau_n, ws.tau_s
-            heat_r = _heat_flux(ws.g_t, mu, fm.gamma, ws.heat)
-            tau_tt = ws.tau_tt
-        _subtract_viscous(G, tau_rr, tau_xr, heat_r, ws.u, ws.v, 2, 1, ws)
+        # The radial flux needs tau_rr, tau_xr, tau_tt and heat_r, i.e.
+        # every gradient except dT/dx.
+        gradient_axis(ws.u, fm.dx, 0, out=ws.g_ux)
+        gradient_axis(ws.u, fm.dr, 1, out=ws.g_ur)
+        gradient_axis(ws.v, fm.dx, 0, out=ws.g_vx)
+        gradient_axis(ws.v, fm.dr, 1, out=ws.g_vr)
+        gradient_axis(ws.T, fm.dr, 1, out=ws.g_t)
+        _two_thirds_dilatation(ws, fm.r)
+        # tau_rr = mu (2 dv/dr - (2/3) dilatation)
+        np.multiply(ws.g_vr, 2.0, out=ws.tau_n)
+        np.subtract(ws.tau_n, ws.dilat, out=ws.tau_n)
+        np.multiply(ws.tau_n, mu, out=ws.tau_n)
+        # tau_xr = mu (du/dr + dv/dx)
+        np.add(ws.g_ur, ws.g_vx, out=ws.tau_s)
+        np.multiply(ws.tau_s, mu, out=ws.tau_s)
+        # tau_tt = mu (2 v/r - (2/3) dilatation); ws.t2a still holds v/r.
+        np.multiply(ws.t2a, 2.0, out=ws.tau_tt)
+        np.subtract(ws.tau_tt, ws.dilat, out=ws.tau_tt)
+        np.multiply(ws.tau_tt, mu, out=ws.tau_tt)
+        heat_r = _heat_flux(ws.g_t, mu, fm.gamma, ws.heat)
+        _subtract_viscous(G, ws.tau_n, ws.tau_s, heat_r, ws.u, ws.v, 2, 1, ws)
     if not fm.config.axisymmetric:
         return G, ws.S  # planar: unweighted flux, all-zero source
     np.multiply(G, fm.weight, out=G)
     if viscous:
-        np.subtract(ws.p, tau_tt, out=ws.S[2])
+        np.subtract(ws.p, ws.tau_tt, out=ws.S[2])
     else:
         np.copyto(ws.S[2], ws.p)  # p - 0.0 is a bitwise identity
     return G, ws.S

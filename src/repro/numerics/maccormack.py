@@ -18,10 +18,9 @@ Turkel 1976).
 
 The operator is deliberately ignorant of physics and parallelism: a
 :class:`SweepWorkspace` supplies the flux/source evaluation and the ghost
-planes for the one-sided stencils.  The serial solver fills ghosts by cubic
-extrapolation (paper's artificial points); the distributed solver fills the
-interior-boundary ghosts with halo data received from neighbours, which is
-exactly why its arithmetic is bitwise-identical to the serial solver.
+planes for the one-sided stencils — cubic extrapolation (paper's
+artificial points), the axis mirror or a periodic wrap.  The distributed
+solver runs the same operators on its halo-extended block.
 """
 
 from __future__ import annotations
@@ -98,18 +97,6 @@ class SweepWorkspace:
         :meth:`SplitOperator.apply` (requires the caller to pass ``out``).
         When set, the ``flux`` callable must return arrays that do not alias
         the scratch buffers.  ``None`` keeps the allocating behaviour.
-    post_ghosts:
-        Optional split-phase ghost supply replacing ``low_ghosts`` /
-        ``high_ghosts`` (the overlapped V6 exchange).  Called as
-        ``post_ghosts(flux, phase) -> (lo, hi, pending)``: it deposits
-        the exchange's send legs, *posts* the receive, and returns the
-        provisional ghost planes for the full rate pass (``None`` for
-        cubic extrapolation) plus a pending handle — ``None``, or an
-        object with ``finish() -> ghosts | None`` (duck-typed
-        :class:`~repro.parallel.halo.PendingGhosts`).  When ``finish``
-        returns real ghosts, the two edge columns of the rate are
-        recomputed from them; when it returns ``None`` the provisional
-        ghosts were already final.  Requires ``scratch``.
     """
 
     flux: Callable[[np.ndarray, str], tuple[np.ndarray, Optional[np.ndarray]]]
@@ -122,7 +109,6 @@ class SweepWorkspace:
     inv_weight: np.ndarray | float = 1.0
     fix_state: Callable[[np.ndarray, str], np.ndarray] = lambda q, phase: q
     scratch: Optional[SweepScratch] = None
-    post_ghosts: Optional[Callable[[np.ndarray, str], tuple]] = None
 
 
 @dataclass
@@ -180,21 +166,12 @@ class SplitOperator:
         ws = self.workspace
         flux, source = ws.flux(q, phase)
         forward = (self.variant == 1) == (phase == PREDICTOR)
-        pending = None
-        if ws.post_ghosts is not None:
-            # Overlapped V6 exchange: send legs deposited + receive posted
-            # up front; the full rate pass below runs with provisional
-            # ghosts while the message is in flight, then the two in-flight
-            # edge columns are recomputed from the real ghosts.
-            lo, hi, pending = ws.post_ghosts(flux, phase)
-        else:
-            lo = ws.low_ghosts(flux, phase)
-            hi = ws.high_ghosts(flux, phase)
+        lo = ws.low_ghosts(flux, phase)
+        hi = ws.high_ghosts(flux, phase)
         if sc.ops is not None:
             # Compiled path: the ghost extension is folded into the rate
             # kernel, which consumes the one boundary the one-sided stencil
-            # reaches past.  Both providers still run (their send legs keep
-            # distributed neighbours in lockstep), matching extend_axis.
+            # reaches past.
             d = sc.ops.rate(
                 flux, lo, hi,
                 self.axis, self.h, forward, source, ws.inv_weight,
@@ -213,15 +190,6 @@ class SplitOperator:
             # carry the 1/r array and multiply in place.
             if not (isinstance(iw, float) and iw == 1.0):
                 np.multiply(d, iw, out=d)
-        if pending is not None:
-            ghosts = pending.finish()
-            if ghosts is not None:
-                from .kernels.overlap import rate_edges
-
-                rate_edges(
-                    flux, ghosts, self.axis, self.h, forward, source,
-                    ws.inv_weight, d,
-                )
         return d
 
     def apply(

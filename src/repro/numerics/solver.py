@@ -98,8 +98,9 @@ class FluxModel:
     """Evaluates the total (inviscid + viscous) split fluxes on any slab.
 
     Shared verbatim by the serial solver and every rank of the distributed
-    solver; the distributed solver calls it on halo-extended arrays so that
-    its gradients reproduce the serial interior arithmetic exactly.
+    solver, which calls it on its halo-extended block — the ghost lines
+    are in the array, so the gradients at the owned cells reproduce the
+    serial interior arithmetic exactly.
     """
 
     def __init__(self, r: np.ndarray, dx: float, dr: float, config: SolverConfig):
@@ -116,7 +117,7 @@ class FluxModel:
             self.weight = np.ones((1, 1, self.r.size))
 
     def primitives(self, q: np.ndarray):
-        """``(u, v, T)`` from the conservative array (for halo packing)."""
+        """``(u, v, T)`` from the conservative array."""
         rho = q[0]
         inv_rho = 1.0 / rho
         u = q[1] * inv_rho
@@ -132,56 +133,42 @@ class FluxModel:
             return self.mu
         return self.mu * T**exp
 
-    def _viscous(self, q: np.ndarray, uvT_halo=None):
+    def _viscous(self, q: np.ndarray):
         u, v, T = self.primitives(q)
         terms = stress_tensor(
-            u, v, T, self.r, self.dx, self.dr, self._mu_field(T), self.gamma,
-            halo=uvT_halo,
+            u, v, T, self.r, self.dx, self.dr, self._mu_field(T), self.gamma
         )
         return u, v, terms
 
-    def axial_flux(
-        self, q: np.ndarray, uvT_halo=None, ws=None, primitives_ready=False
-    ) -> np.ndarray:
+    def axial_flux(self, q: np.ndarray, ws=None) -> np.ndarray:
         """Total axial flux ``F`` (no radial weight: r is constant in x).
 
-        ``uvT_halo = (xlo, xhi, rlo, rhi)`` optionally supplies the
-        neighbours' ghost lines of ``(u, v, T)`` so viscous gradients at
-        subdomain edges match the serial interior arithmetic.  ``ws``
-        selects the workspace's zero-allocation kernels — fused numpy
+        ``ws`` selects the workspace's zero-allocation kernels — fused numpy
         in-place ufuncs, or native loops when the workspace came from the
         compiled backend (result lands in ``ws.F``, bitwise-identical
-        either way);
-        ``primitives_ready`` says the workspace primitive buffers already
-        hold this ``q``'s values (set by the distributed halo packing).
+        either way).
         """
         if ws is not None:
-            return ws.axial_flux(
-                self, q, uvT_halo=uvT_halo, primitives_ready=primitives_ready
-            )
+            return ws.axial_flux(self, q)
         F, _G, _p = inviscid_fluxes(q, self.gamma)
         if self.mu:
-            u, v, terms = self._viscous(q, uvT_halo)
+            u, v, terms = self._viscous(q)
             Fv, _Gv = viscous_fluxes(u, v, terms)
             F -= Fv
         return F
 
-    def radial_flux(
-        self, q: np.ndarray, uvT_halo=None, ws=None, primitives_ready=False
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def radial_flux(self, q: np.ndarray, ws=None) -> tuple[np.ndarray, np.ndarray]:
         """Weighted radial flux ``r G`` and source ``S = (0,0,p - tau_tt,0)``.
 
         In planar mode the weight is 1 and the geometric source is absent.
-        ``ws``/``primitives_ready`` as in :meth:`axial_flux`.
+        ``ws`` as in :meth:`axial_flux`.
         """
         if ws is not None:
-            return ws.radial_flux(
-                self, q, uvT_halo=uvT_halo, primitives_ready=primitives_ready
-            )
+            return ws.radial_flux(self, q)
         _F, G, p = inviscid_fluxes(q, self.gamma)
         tau_tt: np.ndarray | float = 0.0
         if self.mu:
-            u, v, terms = self._viscous(q, uvT_halo)
+            u, v, terms = self._viscous(q)
             _Fv, Gv = viscous_fluxes(u, v, terms)
             G -= Gv
             tau_tt = terms.tau_tt
@@ -216,6 +203,11 @@ class CompressibleSolver:
         excitation, outflow treatment and sponge.  ``config.backend``
         selects the kernel backend (see :mod:`repro.numerics.kernels`).
     """
+
+    #: Which physical boundaries this solver's block touches — all of them
+    #: serially; a distributed rank reads them off its neighbour map.  The
+    #: boundary treatments below run only on the sides that are owned.
+    _owns_inflow = _owns_outflow = _owns_far_field = True
 
     def __init__(self, state: FlowState, config: SolverConfig | None = None):
         self.state = state
@@ -284,13 +276,10 @@ class CompressibleSolver:
             )
         return SweepWorkspace(flux=flux, scratch=scratch)
 
-    def _r_workspace(self) -> SweepWorkspace:
-        return self._r_workspace_serial(self._ws)
-
-    def _r_workspace_serial(self, ws=None) -> SweepWorkspace:
-        """Halo-free radial workspace on the kernels of ``ws``: the state's
-        workspace for the step's own sweep, the window's for the outflow
-        helper, ``None`` for the allocating reference kernels."""
+    def _r_workspace(self, ws) -> SweepWorkspace:
+        """Radial workspace on the kernels of ``ws``: the state's workspace
+        for the step's own sweep, the window's for the outflow helper,
+        ``None`` for the allocating reference kernels."""
         cfg = self.config
         fm = self.fm
         if cfg.periodic_r:
@@ -312,18 +301,13 @@ class CompressibleSolver:
 
     def _operators(self, variant: int):
         ws_x = self._x_workspace()
-        ws_r = self._r_workspace()
+        ws_r = self._r_workspace(self._ws)
         Lx = SplitOperator(axis=1, h=self.grid.dx, variant=variant, workspace=ws_x)
         Lr = SplitOperator(axis=2, h=self.grid.dr, variant=variant, workspace=ws_r)
         return Lx, Lr
 
     def _cached_operators(self, variant: int):
-        """The per-variant operator pair, constructed once and reused.
-
-        Safe for every solver subclass because the sweep workspaces read
-        mutable state (``nstep``, halo tags) at call time, not construction
-        time.
-        """
+        """The per-variant operator pair, constructed once and reused."""
         ops = self._ops_cache.get(variant)
         if ops is None:
             ops = self._operators(variant)
@@ -331,14 +315,19 @@ class CompressibleSolver:
         return ops
 
     # -- time step ------------------------------------------------------------
+    def _dt_is_due(self) -> bool:
+        """Whether this step re-evaluates the adaptive time step."""
+        cfg = self.config
+        return cfg.dt is None and (
+            self._dt_cached is None
+            or self.nstep % max(cfg.dt_recompute_every, 1) == 0
+        )
+
     def current_dt(self) -> float:
         cfg = self.config
         if cfg.dt is not None:
             return cfg.dt
-        if (
-            self._dt_cached is None
-            or self.nstep % max(cfg.dt_recompute_every, 1) == 0
-        ):
+        if self._dt_is_due():
             self._dt_cached = stable_dt(
                 self.state.q,
                 self.grid.dx,
@@ -376,7 +365,7 @@ class CompressibleSolver:
         if Lr is None:
             Lr = self._ops_cache[key] = SplitOperator(
                 axis=2, h=self.grid.dr, variant=variant,
-                workspace=self._r_workspace_serial(ws),
+                workspace=self._r_workspace(ws),
             )
         if ws is None:
             rate = Lr._rate(np.ascontiguousarray(window), PREDICTOR)
@@ -394,7 +383,7 @@ class CompressibleSolver:
         step.  Returns ``None`` when no snapshot is needed.
         """
         bc = self.config.boundary
-        if bc is None or not bc.characteristic_outflow:
+        if bc is None or not (bc.characteristic_outflow and self._owns_outflow):
             return None
         q = self.state.q
         ws = self._ws
@@ -415,15 +404,19 @@ class CompressibleSolver:
         if bc is None:
             return
         q = self.state.q
-        if bc.characteristic_outflow:
+        if bc.characteristic_outflow and self._owns_outflow:
             q_t = self._outflow_rates(q_tail, variant)
             rates = characteristic_outflow_rates(
                 q_tail[:, -1, :], q_t, self.config.gamma
             )
             q[:, -1, :] = q_tail[:, -1, :] + dt * rates
-        if bc.inflow is not None:
+        if bc.inflow is not None and self._owns_inflow:
             q[:, 0, :] = bc.inflow_column(self.grid.r, self.t, self.config.gamma)
-        if bc.sponge is not None and self._sponge_col is not None:
+        if (
+            bc.sponge is not None
+            and self._sponge_col is not None
+            and self._owns_far_field
+        ):
             bc.sponge.apply(q, self._sponge_col)
 
     # -- fourth-difference filter -------------------------------------------------
@@ -431,8 +424,7 @@ class CompressibleSolver:
         """Ghost planes of the conservative state for the filter stencil.
 
         Same boundary logic as the flux sweeps: periodic wrap, axis mirror
-        (radial momentum odd), cubic extrapolation elsewhere.  The
-        distributed solver overrides this with halo exchange.
+        (radial momentum odd), cubic extrapolation elsewhere.
         """
         cfg = self.config
         periodic = cfg.periodic_x if axis == 1 else cfg.periodic_r
@@ -527,6 +519,7 @@ class CompressibleSolver:
         ws = self._ws
         t0 = _time.perf_counter()
         with obs.stages(rank, self.nstep) as stage:
+            self._begin_step(stage)
             with stage("dt"):
                 dt = self.current_dt()
             variant = 1 if self.nstep % 2 == 0 else 2
@@ -554,6 +547,10 @@ class CompressibleSolver:
             rank, wall, q.shape[1] * q.shape[2],
             lambda: self._step_stream_record(dt, wall),
         )
+
+    def _begin_step(self, stage) -> None:
+        """Before the step's first stage, inside its wall: nothing to do
+        serially; the distributed solver refreshes its halo here."""
 
     def _step_stream_record(self, dt: float, wall: float) -> dict:
         """One ``repro.stream/1`` progress record for the step just taken

@@ -170,7 +170,9 @@ def _solver_stages(snap: dict, ops) -> list[dict]:
 
     MFLOPS attribution follows :mod:`repro.numerics.opcount`: the sweep and
     filter stages have their own per-cell counts; ``dt`` + ``boundaries``
-    together correspond to the amortized ``misc`` count.
+    together correspond to the amortized ``misc`` count.  A distributed
+    rank's step opens with its ``halo`` stage (no flops of its own: what
+    it recomputes on ghost lines is inside the sweeps and the filter).
     """
     cell_steps = _total(snap, "solver.cell_steps")
 
@@ -182,6 +184,7 @@ def _solver_stages(snap: dict, ops) -> list[dict]:
 
     misc = (stage("dt") or 0.0) + (stage("boundaries") or 0.0)
     return _stage_rows([
+        ("halo", stage("halo"), None),
         ("sweep_x", stage("sweep_x"), flops("x_sweep")),
         ("sweep_r", stage("sweep_r"), flops("r_sweep")),
         ("filter", stage("filter"), flops("filter")),

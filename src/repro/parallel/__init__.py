@@ -7,14 +7,14 @@
 * :mod:`repro.parallel.versions` — the optimization-version registry
   (V1..V5 single-processor optimizations, V6 overlapped communication,
   V7 de-burstified communication).
-* :mod:`repro.parallel.halo` — the per-rank ``ExchangePlan`` implementing
-  the paper's communication structure through two entry points: ``uvT``
-  (velocity/temperature lines for the viscous stresses) and ``exchange``
-  (the predictor/corrector flux pairs for the one-sided stencils and the
-  filter's state halo, one table-driven operation).
-* :mod:`repro.parallel.spmd` — the one per-rank distributed solver, over
-  any block grid (bitwise identical to the serial solver for every
-  decomposition, processor count and version).
+* :mod:`repro.parallel.halo` — the halo depth ``H`` derived from the
+  scheme, and the per-rank ``ExchangePlan`` that refreshes a block's ``H``
+  ghost lines with one message per neighbour per step (the paper's
+  grouping taken to its end).
+* :mod:`repro.parallel.spmd` — the one per-rank distributed solver: the
+  serial solver stepping its halo-extended block, over any block grid
+  (bitwise identical to the serial solver for every decomposition,
+  processor count and version).
 * :mod:`repro.parallel.runner` — high-level facade over the virtual cluster.
 """
 

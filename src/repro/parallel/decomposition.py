@@ -14,8 +14,9 @@ split, which every rank reads off its own :class:`HaloTopology`.
 The :class:`~repro.parallel.spmd.BlockDistributedSolver` consumes:
 
 * ``topology(rank)`` — the rank's :class:`HaloTopology` (neighbour map);
-* ``local_block(rank)`` / ``local_grid(global_grid, rank)`` — the slices
-  and subgrid of the rank's block;
+* ``local_block(rank, depth)`` / ``local_grid(global_grid, rank, depth)`` —
+  the slices and subgrid of the rank's block, grown by ``depth`` ghost
+  lines on every side that has a neighbour;
 * ``assemble(parts)`` — reassemble gathered per-rank blocks into the
   global conservative array (the inverse of ``local_block`` over all
   ranks);
@@ -40,10 +41,8 @@ class HaloTopology:
 
     ``left``/``right`` are the axial (axis-1) neighbours and
     ``lower``/``upper`` the radial (axis-2) neighbours; ``None`` marks a
-    physical boundary.  Every rank of a split axis has a neighbour across
-    it, so ``exchanges_x``/``exchanges_r`` — which gate the sweep ghost
-    callbacks, filter halos and boundary collectives a rank installs — are
-    read off the map rather than stored beside it.
+    physical boundary.  A side with a neighbour carries ghost lines and
+    exchanges them; a side without one owns the boundary treatment there.
     """
 
     rank: int
@@ -58,19 +57,6 @@ class HaloTopology:
         if axis == 1:
             return self.left, self.right
         return self.lower, self.upper
-
-    def exchanges(self, axis: int) -> bool:
-        """Whether array axis ``axis`` is split (has a neighbour across it)."""
-        low, high = self.neighbours(axis)
-        return low is not None or high is not None
-
-    @property
-    def exchanges_x(self) -> bool:
-        return self.exchanges(1)
-
-    @property
-    def exchanges_r(self) -> bool:
-        return self.exchanges(2)
 
 
 @dataclass(frozen=True)
@@ -192,6 +178,27 @@ class CartesianDecomposition:
                     "(decomposition=), or run serially (nprocs=1)."
                 )
 
+    def reject_thin_blocks(self, depth: int, why: str) -> None:
+        """Refuse a split axis whose thinnest block is thinner than the
+        halo is deep: a neighbour ships ``depth`` of its *own* lines, so a
+        thinner block would have to forward lines it does not own.
+
+        ``why`` spells the depth out (``halo.describe_depth``).
+        :data:`MIN_BLOCK` stays the partition's own, scheme-independent
+        rule.
+        """
+        for axis, n, parts, part in (
+            ("x", self.nx, self.px, self.axial), ("r", self.nr, self.pr, self.radial)
+        ):
+            if parts > 1 and min(part.sizes()) < depth:
+                raise ValueError(
+                    f"cannot split {axis} ({n} points) into {parts} blocks: "
+                    f"the thinnest block has {min(part.sizes())} lines, but "
+                    f"each rank ships a halo of H = {depth} of its own lines "
+                    f"per step ({why}).  Use fewer blocks along {axis}, a "
+                    "finer grid, or split the other axis (decomposition=)."
+                )
+
     @property
     def nparts(self) -> int:
         return self.px * self.pr
@@ -213,10 +220,18 @@ class CartesianDecomposition:
     def rank_of(self, ix: int, jr: int) -> int:
         return ix * self.pr + jr
 
-    def block(self, rank: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """``((i_lo, i_hi), (j_lo, j_hi))`` global extents of a rank."""
+    def block(
+        self, rank: int, depth: int = 0
+    ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``((i_lo, i_hi), (j_lo, j_hi))`` global extents of a rank,
+        grown by ``depth`` ghost lines on every side that has a neighbour."""
         ix, jr = self.coords(rank)
-        return self.axial.bounds(ix), self.radial.bounds(jr)
+        (ilo, ihi), (jlo, jhi) = self.axial.bounds(ix), self.radial.bounds(jr)
+        left, right, lower, upper = self.neighbors(rank)
+        return (
+            (ilo - depth * (left is not None), ihi + depth * (right is not None)),
+            (jlo - depth * (lower is not None), jhi + depth * (upper is not None)),
+        )
 
     def neighbors(self, rank: int):
         """``(left, right, lower, upper)`` neighbouring ranks or ``None``."""
@@ -230,12 +245,12 @@ class CartesianDecomposition:
     def topology(self, rank: int) -> HaloTopology:
         return HaloTopology(rank, *self.neighbors(rank))
 
-    def local_block(self, rank: int) -> tuple[slice, slice]:
-        (ilo, ihi), (jlo, jhi) = self.block(rank)
+    def local_block(self, rank: int, depth: int = 0) -> tuple[slice, slice]:
+        (ilo, ihi), (jlo, jhi) = self.block(rank, depth)
         return slice(ilo, ihi), slice(jlo, jhi)
 
-    def local_grid(self, global_grid, rank: int):
-        (ilo, ihi), (jlo, jhi) = self.block(rank)
+    def local_grid(self, global_grid, rank: int, depth: int = 0):
+        (ilo, ihi), (jlo, jhi) = self.block(rank, depth)
         return global_grid.subgrid(ilo, ihi).radial_subgrid(jlo, jhi)
 
     def assemble(self, parts: list[np.ndarray]) -> np.ndarray:

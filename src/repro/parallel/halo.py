@@ -1,41 +1,73 @@
-"""Grouped halo-exchange operations (paper Section 5).
+"""The one halo a rank exchanges: ``H`` lines of conservative state per
+neighbour, once per step (paper Section 5, taken to its end).
 
 The paper reduces communication startups by *grouping*: "first, all the
 velocity and temperature values along a boundary are calculated and then
 packaged into a single send.  We use a similar scheme for the flux values."
-A rank's :class:`ExchangePlan` implements exactly those grouped messages
-for the distributed solver, through two entry points:
+Grouped to the limit, every quantity a neighbour would have shipped during
+a step — primitives for the stresses, flux lines for the one-sided
+stencils, state lines for the filter — is a function of the neighbour's
+*state* at the start of the step.  So a rank holds its block extended by
+:func:`halo_depth` ghost lines on every side that has a neighbour, and its
+:class:`ExchangePlan` refreshes those lines with one message per neighbour
+at the top of the step; everything else is recomputed locally.
 
-* :meth:`ExchangePlan.uvT` — one packed ``(u, v, T)`` edge line to each
-  neighbour, for the viscous stress gradients (Navier-Stokes only),
-  returned in the one ``(xlo, xhi, rlo, rhi)`` shape the kernels take;
-* :meth:`ExchangePlan.exchange` — the one send-two-lines /
-  receive-two-lines operation, in four kinds (:data:`_KINDS`):
-  ``flux_high`` / ``flux_low`` carry the two flux lines feeding the
-  one-sided predictor/corrector stencils, grouped into a single send
-  (Version 5/6) or sent one line at a time (Version 7), blocking or
-  split-phase (``post=True``, the overlapped V6 protocol);
-  ``state_low`` / ``state_high`` carry two conservative-state lines for
-  the fourth-difference filter.
+The code versions keep their meaning as *how that one halo travels*:
+Version 5 ships it as one grouped message, Version 7 one line per message
+(``H`` startups, the same bytes), Version 6 as Version 5 with the receive
+posted instead of blocked on (:class:`PendingHalo`).
 
 All sends are buffered (deposit-and-return), so the send-then-receive
-ordering used throughout is deadlock-free for any processor count.
-
-Every exchange returns ghost planes in the orientation
-:func:`repro.numerics.stencils.extend_axis` expects — ordered *outward*,
-nearest ghost first — or ``None`` at physical boundaries (which selects the
-serial cubic extrapolation, keeping parallel and serial arithmetic
-identical).
+ordering is deadlock-free for any processor count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..obs import current
 from .versions import Version
+
+
+def _stencil_reach(config) -> tuple[int, int]:
+    """``(filter, sweeps)`` lines one step reaches across a block edge."""
+    g = 1 if config.viscosity() else 0  # central gradients of (u, v, T)
+    # Along the split axis a sweep's predictor and corrector difference
+    # one-sidedly in opposite directions — one reach of 2 per side — and
+    # each phase evaluates stresses (g); the cross sweep's two phases
+    # evaluate them again.
+    return (2 if config.dissipation > 0.0 else 0), (2 + 2 * g) + 2 * g
+
+
+def halo_depth(config) -> int:
+    """Ghost lines ``H`` a split side needs so that one *serial* step on the
+    extended block leaves every owned cell bit-equal to the global step.
+
+    The extended block's outer edge is a fake boundary: its cubic /
+    one-sided closures are wrong, and the error travels inward by the
+    stencil reach of every stage.  ``H`` is the total reach of a step —
+    8 for Navier-Stokes, 4 for Euler, 2 fewer without the filter — so
+    the contamination stops exactly at the first owned line, and the
+    next refresh overwrites all of it.  Derived from the scheme, never
+    configured: one line fewer is a wrong answer
+    (``tests/test_lattice.py`` pins that it bites).
+    """
+    return sum(_stencil_reach(config))
+
+
+def describe_depth(config) -> str:
+    """``halo_depth`` spelled out, for the thin-block error."""
+    filt, sweeps = _stencil_reach(config)
+    parts = [
+        f"{sweeps} for the two sweeps "
+        + ("with viscous stresses" if config.viscosity() else "(inviscid)")
+    ]
+    if filt:
+        parts.append(f"{filt} for the filter")
+    return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -44,6 +76,7 @@ class ExchangePolicy:
 
     overlap: bool = False
     split_flux_columns: bool = False
+    """Version 7: one halo line per message."""
 
     @classmethod
     def from_version(cls, version: Version) -> "ExchangePolicy":
@@ -53,258 +86,155 @@ class ExchangePolicy:
         )
 
 
-#: The four pair exchanges as rows of constants: wire-tag suffix, whether
-#: the pair travels toward the higher rank (then it is the sender's *last*
-#: two lines, received from the lower neighbour and stacked nearest-first,
-#: i.e. reversed), and whether Version 7 splits it into single lines.
-_KINDS = {
-    "flux_high": ("fxh", False, True),
-    "flux_low": ("fxl", True, True),
-    "state_low": ("qlo", True, False),
-    "state_high": ("qhi", False, False),
-}
+class _Piece(NamedTuple):
+    """One message of a refresh and the message that answers it."""
+
+    peer: int
+    send_tag: str
+    ship: tuple
+    """Index of the owned lines shipped to ``peer``."""
+    recv_tag: str
+    ghost: tuple
+    """Index of the ghost lines ``peer``'s message fills."""
 
 
-def _pair(F: np.ndarray, axis: int, sl: slice, buf: np.ndarray | None = None) -> np.ndarray:
-    """Two edge lines of a ``(4, nx, nr)`` array along ``axis`` as a
-    ``(4, 2, n_perp)`` pair, optionally packed into ``buf``."""
+def _lines(axis: int, first: int, count: int, across: slice) -> tuple:
+    """Index of ``count`` lines normal to ``axis`` of a ``(4, nx, nr)`` array."""
+    lines = slice(first, first + count)
     if axis == 1:
-        src = F[:, sl, :]
-    else:
-        src = F[:, :, sl].transpose(0, 2, 1)
-    if buf is not None:
-        np.copyto(buf, src)
-        return buf
-    return np.ascontiguousarray(src)
+        return (slice(None), lines, across)
+    return (slice(None), across, lines)
 
 
-def _stack(c0: np.ndarray, c1: np.ndarray, reverse: bool) -> np.ndarray:
-    """Two received lines as a ``(2, 4, n_perp)`` outward-ordered stack."""
-    return np.stack([c1, c0]) if reverse else np.stack([c0, c1])
+def _fill(q: np.ndarray, pieces, views) -> None:
+    """Copy each received message straight into its ghost lines, one at a
+    time (``views`` is lazy, so at most one message is borrowed).
 
-
-def _unpack(lines, split: bool, reverse: bool) -> np.ndarray:
-    """The ghost stack from the received message(s).
-
-    ``lines`` holds the two single-line arrays of a split (Version 7)
-    exchange, or the one view of a grouped ``(4, 2, n_perp)`` pair.  The
-    ``recv_view`` / ``irecv_view`` handle is part of the
+    ``recv_view`` / ``irecv_view`` are part of the
     :class:`~repro.msglib.api.Communicator` contract: zero-copy on the
-    shared-memory substrate (the stack copies straight out of the ring
-    slot, released on leaving the ``with`` — one copy instead of two), an
-    owned read-only view everywhere else, so no substrate guard is needed.
+    shared-memory substrate (the lines are copied out of the ring slot,
+    released on leaving the ``with``), an owned read-only view everywhere
+    else, so no substrate guard is needed.
     """
-    if split:
-        return _stack(lines[0], lines[1], reverse)
-    with lines[0] as view:
-        cols = view.array
-        return _stack(cols[:, 0], cols[:, 1], reverse)
+    for piece, view in zip(pieces, views):
+        with view:
+            q[piece.ghost] = view.array
 
 
-class PendingGhosts:
-    """An in-flight flux-ghost exchange (the split-phase V6 protocol).
+class PendingHalo:
+    """A halo refresh whose receives are posted, not yet waited on (V6).
 
-    Created by :meth:`ExchangePlan.exchange` with ``post=True`` *after*
-    the send legs have been deposited and the receive has been posted;
-    the caller runs its interior compute while the message crosses, then
-    calls :meth:`finish` exactly once to wait, unpack and get back the
-    same outward-ordered ``(2, 4, n_perp)`` ghost stack the blocking
-    exchange returns.  ``finish`` returns ``None`` when nothing was in
-    flight (a physical boundary on the receive side) — the provisional
-    ghosts used during the overlap window were already final.
-
-    Borrow lifetime: on the process substrate the grouped (non-split)
-    receive borrows a ring slot zero-copy from ``test()``-completion
-    until ``finish`` unpacks it.  ``finish`` releases the slot before
-    returning, so a plan that posts at most one exchange per peer per
-    phase can never exhaust the ring; holding ``finish`` off across
-    *further* receives from the same peer risks the borrow deadlock
-    :class:`~repro.msglib.vchannel.DeadlockError` documents.
+    Created by :meth:`ExchangePlan.refresh` with ``post=True`` *after* the
+    sends were deposited and the receives posted; the caller runs whatever
+    does not read ghost lines — the rank-local ``stable_dt`` — and then
+    calls :meth:`finish` exactly once, which waits and fills the ghosts.
+    On the process substrate a posted grouped receive borrows its ring
+    slot zero-copy from ``test()``-completion until ``finish`` has copied
+    it out, so ``finish`` must run before the next refresh sends again.
     """
 
-    __slots__ = ("comm", "tag", "_reqs", "_split", "_reverse", "_done")
+    __slots__ = ("_comm", "_tag", "_q", "_pieces", "_reqs", "_done")
 
-    def __init__(self, comm, tag, reqs, split, reverse) -> None:
-        self.comm = comm
-        self.tag = tag
+    def __init__(self, comm, tag, q, pieces, reqs) -> None:
+        self._comm = comm
+        self._tag = tag
+        self._q = q
+        self._pieces = pieces
         self._reqs = reqs
-        self._split = split
-        self._reverse = reverse
         self._done = False
 
-    @property
-    def in_flight(self) -> bool:
-        return self._reqs is not None and not self._done
-
-    def finish(self):
-        """Wait for the posted receive; the ghost stack, or ``None``.
-
-        Observed as a ``finish`` exchange so halo metrics cover the
-        non-overlapped remainder of the exchange."""
+    def finish(self) -> None:
+        """Wait for the posted receives and fill the ghost lines; observed
+        as a ``halo.state`` exchange of its own, so the metrics cover the
+        part of the refresh that was not hidden."""
         if self._done:
-            raise RuntimeError("PendingGhosts.finish() called twice")
+            raise RuntimeError("PendingHalo.finish() called twice")
         self._done = True
-        if self._reqs is None:
-            return None
-        with current().exchange("finish", self.comm, self.tag):
-            return _unpack(
-                [r.wait() for r in self._reqs], self._split, self._reverse
-            )
+        with current().exchange("state", self._comm, self._tag):
+            _fill(self._q, self._pieces, (r.wait() for r in self._reqs))
 
 
 class ExchangePlan:
-    """Decomposition-agnostic exchange core for one rank.
+    """One rank's halo refresh, for any ``px x pr`` decomposition.
 
-    Owns the rank's :class:`~repro.parallel.decomposition.HaloTopology`,
-    the message-grouping :class:`ExchangePolicy`, and preallocated pack
-    buffers for every halo kind on every decomposed axis — so both the
-    baseline and the fused kernel paths exchange without per-call pack
-    allocations, for any decomposition.  The buffers are safe to reuse
-    across directions and steps because ``Communicator.send`` copies its
-    payload before returning.
-
-    ``axis`` is the ``(4, nx, nr)`` state-array axis the exchange crosses:
-    1 talks to the axial (``left``/``right``) neighbours, 2 to the radial
-    (``lower``/``upper``) ones.  Ghosts are ``None`` at physical
-    boundaries.  Exchanges on arrays whose perpendicular extent differs
-    from the state's — e.g. the 5-column characteristic-outflow window —
-    automatically fall back to allocating packs.
+    ``shape`` is the *extended* local state shape and ``depth`` the ghost
+    lines on every side that has a neighbour.  The axial neighbours are
+    served first, over the owned radial range; then the radial ones over
+    the full extended axial width — so the corner ghosts of a ``px x pr``
+    grid arrive with the second message, never a third.
     """
 
-    def __init__(self, comm, topology, policy: ExchangePolicy, shape) -> None:
-        nvars, nx, nr = shape
+    def __init__(self, comm, topology, policy: ExchangePolicy, shape, depth: int) -> None:
         self.comm = comm
-        self.topo = topology
-        self.policy = policy
-        split_x, split_r = topology.exchanges_x, topology.exchanges_r
-        self._uvT_x = np.empty((3, nr)) if split_x else None
-        self._pair_x = np.empty((nvars, 2, nr)) if split_x else None
-        self._uvT_r = np.empty((3, nx)) if split_r else None
-        self._pair_r = np.empty((nvars, 2, nx)) if split_r else None
-        # Wire-tag suffixes of the per-axis uvT exchanges: needed only to
-        # tell the two apart, i.e. when both axes are split.
-        self._uvT_axes = tuple(
-            (axis, suffix if split_x and split_r else "")
-            for axis, split, suffix in ((1, split_x, ":hx"), (2, split_r, ":hr"))
-            if split
+        H = depth
+        _nvars, nx, nr = shape
+        pad = [
+            H if nb is not None else 0
+            for nb in (topology.left, topology.right, topology.lower, topology.upper)
+        ]
+        #: Index of the owned cells within the extended block.
+        self.owned = (
+            slice(None), slice(pad[0], nx - pad[1]), slice(pad[2], nr - pad[3])
         )
+        # Version 7 ships the same lines one per message.
+        split = policy.split_flux_columns
+        offsets, width = (range(H), 1) if split else ((0,), H)
+        #: Per split axis, its wire name and its messages.
+        self._phases: list[tuple[str, list[_Piece]]] = []
+        for name, axis, across in (("x", 1, self.owned[2]), ("r", 2, slice(None))):
+            lo, hi = topology.neighbours(axis)
+            own, n = self.owned[axis], shape[axis]
+            pieces = [
+                _Piece(
+                    peer,
+                    f"{name}:{out}:{k}" if split else f"{name}:{out}",
+                    _lines(axis, ship + k, width, across),
+                    f"{name}:{back}:{k}" if split else f"{name}:{back}",
+                    _lines(axis, ghost + k, width, across),
+                )
+                # Lines shipped down arrive at the neighbour as the lines
+                # *its* upper neighbour shipped down, and vice versa.
+                for peer, ship, ghost, out, back in (
+                    (lo, own.start, 0, "dn", "up"),
+                    (hi, own.stop - H, n - H, "up", "dn"),
+                )
+                if peer is not None
+                for k in offsets
+            ]
+            if pieces:
+                self._phases.append((name, pieces))
 
-    def _route(self, axis: int, uvT: bool, n_perp: int):
-        """``(low neighbour, high neighbour, pack buffer or None)``."""
-        topo = self.topo
-        if axis == 1:
-            lo, hi = topo.left, topo.right
-            buf = self._uvT_x if uvT else self._pair_x
-        else:
-            lo, hi = topo.lower, topo.upper
-            buf = self._uvT_r if uvT else self._pair_r
-        if buf is not None and buf.shape[-1] != n_perp:
-            buf = None
-        return lo, hi, buf
+    def refresh(self, q: np.ndarray, step: int, post: bool = False):
+        """Overwrite every ghost line of ``q`` with the neighbours' owned
+        lines: one observed ``halo.state`` exchange per split axis.
 
-    def uvT(self, tag: str, u, v, T, include_x: bool = True):
-        """Exchange one packed ``(u, v, T)`` ghost line with each neighbour.
-
-        Edge *columns* go to the axial neighbours and edge *rows* to the
-        radial ones (``include_x=False`` skips the former: the outflow
-        window differences one-sidedly along ``x``, as the serial helper
-        does).  Returns ``(xlo, xhi, rlo, rhi)`` — each a ``(3, n_perp)``
-        array, or ``None`` at a physical boundary — the shape
-        :func:`repro.physics.viscous.field_gradients` and the ghost-aware C
-        kernel both take; ``None`` when no axis exchanged.  Each axis is
-        one observed exchange; its wire tag carries an ``:hx``/``:hr`` suffix
-        only when both axes are split.  The one pack buffer per axis
-        serves both directions because sends are buffered: the payload is
-        copied before ``send`` returns.
+        With ``post=True`` the *last* axis's receives are posted
+        (``irecv_view``) instead of waited on and a :class:`PendingHalo`
+        comes back — same messages, same tags, same order on the wire.
+        An earlier axis always completes: its ghosts ride in the last
+        axis's messages.
         """
-        lines = None
-        for axis, suffix in self._uvT_axes:
-            if axis == 1 and not include_x:
-                continue
-            if lines is None:
-                lines = [None] * 4
-            t = tag + suffix
-            with current().exchange("uvT", self.comm, t):
-                lines[2 * axis - 2 : 2 * axis] = self._uvT(axis, t, u, v, T)
-        return None if lines is None else tuple(lines)
-
-    def _uvT(self, axis, tag, u, v, T):
         comm = self.comm
-        lo, hi, buf = self._route(axis, True, u.shape[2 - axis])
-
-        def edge(f, k):
-            return f[k] if axis == 1 else f[:, k]
-
-        def pack(k):
-            if buf is None:
-                return np.stack([edge(u, k), edge(v, k), edge(T, k)])
-            # Strided edge rows copy straight into the pack buffer.
-            buf[0] = edge(u, k)
-            buf[1] = edge(v, k)
-            buf[2] = edge(T, k)
-            return buf
-
-        if lo is not None:
-            comm.send(lo, f"{tag}:uvT:toleft", pack(0))
-        if hi is not None:
-            comm.send(hi, f"{tag}:uvT:toright", pack(-1))
-        halo_lo = comm.recv(lo, f"{tag}:uvT:toright") if lo is not None else None
-        halo_hi = comm.recv(hi, f"{tag}:uvT:toleft") if hi is not None else None
-        return halo_lo, halo_hi
-
-    def exchange(self, kind: str, axis: int, tag: str, arr, *, post: bool = False):
-        """Ship two edge lines of ``arr`` one way, receive the neighbour's.
-
-        ``kind`` picks the row of :data:`_KINDS`.  ``flux_high`` feeds a
-        *forward* one-sided difference: every rank ships its two lowest
-        lines to the lower neighbour, so the ghosts beyond a rank's high
-        edge are its upper neighbour's first two lines.  ``flux_low``
-        (backward difference) is the mirror image: the two highest lines
-        travel up and the nearest low ghost is the lower neighbour's last
-        line.  ``state_low`` / ``state_high`` move conservative-state
-        lines the same two ways for the filter, always grouped.
-
-        Returns the ``(2, 4, n_perp)`` ghost stack ordered outward, or
-        ``None`` at a physical boundary on the receive side (the send leg
-        still runs).  With ``post=True`` the same send legs are deposited
-        (same wire tags, same message granularity, so the on-wire traffic
-        is indistinguishable from the blocking exchange) and the receive
-        is *posted* instead of blocked on — per-line messages via
-        ``irecv``, grouped pairs via ``irecv_view`` so the process
-        substrate borrows the ring slot zero-copy across the overlap
-        window — and a :class:`PendingGhosts` is returned.
-        """
-        with current().exchange("post" if post else kind, self.comm, tag):
-            return self._exchange(kind, axis, tag, arr, post)
-
-    def _exchange(self, kind, axis, tag, arr, post):
-        comm = self.comm
-        lo, hi, buf = self._route(axis, False, arr.shape[3 - axis])
-        suffix, upward, splittable = _KINDS[kind]
-        split = splittable and self.policy.split_flux_columns
-        send_to, recv_from = (hi, lo) if upward else (lo, hi)
-        t = f"{tag}:{suffix}"
-        tags = (f"{t}:c0", f"{t}:c1") if split else (t,)
-        if send_to is not None:
-            cols = _pair(arr, axis, slice(-2, None) if upward else slice(0, 2), buf)
-            if split:
-                for k, line_tag in enumerate(tags):
-                    comm.send(send_to, line_tag, np.ascontiguousarray(cols[:, k]))
-            else:
-                comm.send(send_to, t, cols)
-        if not post:
-            if recv_from is None:
-                return None
-            recv = comm.recv if split else comm.recv_view
-            return _unpack([recv(recv_from, x) for x in tags], split, upward)
-        if recv_from is None:
-            return PendingGhosts(comm, t, None, split, upward)
-        irecv = comm.irecv if split else comm.irecv_view
-        reqs = [irecv(recv_from, x) for x in tags]
-        # Opportunistic probe: when phase skew means the neighbour's message
-        # already landed, complete the receive now — on the process substrate
-        # the grouped pair's ring slot is then borrowed zero-copy across the
-        # whole interior compute and only unpacked at finish().
-        for r in reqs:
-            r.test()
-        return PendingGhosts(comm, t, reqs, split, upward)
+        tag = f"{step}:halo"
+        pending = None
+        for name, pieces in self._phases:
+            with current().exchange("state", comm, f"{tag}:{name}"):
+                for piece in pieces:
+                    comm.send(piece.peer, f"{tag}:{piece.send_tag}", q[piece.ship])
+                if post and pieces is self._phases[-1][1]:
+                    reqs = [
+                        comm.irecv_view(piece.peer, f"{tag}:{piece.recv_tag}")
+                        for piece in pieces
+                    ]
+                    # Opportunistic probe: a message that already landed is
+                    # completed now (on the process substrate its ring slot
+                    # is then borrowed until finish()).
+                    for r in reqs:
+                        r.test()
+                    pending = PendingHalo(comm, f"{tag}:{name}", q, pieces, reqs)
+                else:
+                    _fill(q, pieces, (
+                        comm.recv_view(piece.peer, f"{tag}:{piece.recv_tag}")
+                        for piece in pieces
+                    ))
+        return pending

@@ -32,6 +32,7 @@ from ..obs import Trace, Tracer, current, use
 from ..physics.state import FlowState
 from .checkpoint import CheckpointStore, Snapshot
 from .decomposition import CartesianDecomposition
+from .halo import describe_depth, halo_depth
 from .spmd import BlockDistributedSolver
 
 
@@ -149,13 +150,16 @@ class ParallelJetSolver:
         self.nranks = nranks
         self.version = version
         # Built (and checked) here, in the caller: a block too thin for the
-        # stencil or a split periodic axis is a plain ValueError before any
-        # rank thread or process starts.
+        # stencil or the halo, or a split periodic axis, is a plain
+        # ValueError before any rank thread or process starts.
         self.decomp = CartesianDecomposition.named(
             decomposition, state.grid.nx, state.grid.nr, nranks, px, pr
         )
         self.decomp.reject_split_periodic(
             self.config.periodic_x, self.config.periodic_r
+        )
+        self.decomp.reject_thin_blocks(
+            halo_depth(self.config), describe_depth(self.config)
         )
         self.timeout = timeout
         self.substrate = substrate
@@ -207,7 +211,6 @@ class ParallelJetSolver:
                 if plan is not None and plan.enabled
                 else comm
             )
-            solver = None
             try:
                 solver = self._make_solver(fcomm, start.q)
                 if start.step:
@@ -234,8 +237,6 @@ class ParallelJetSolver:
                     fcomm.fault_stats if fcomm is not comm else None,
                 )
             finally:
-                if solver is not None:
-                    solver.close()
                 if fcomm is not comm:
                     fcomm.drain()
 

@@ -82,64 +82,19 @@ def gradient_axis(
     return out
 
 
-def _ghosted_gradient(f: np.ndarray, h: float, axis: int, lo, hi) -> np.ndarray:
-    """Central gradient of ``f`` along ``axis`` across the optional ghost
-    lines ``lo``/``hi``, trimmed back to the extent of ``f``."""
-    if lo is None and hi is None:
-        return gradient_axis(f, h, axis)
-    parts = [f]
-    if lo is not None:
-        parts.insert(0, np.expand_dims(lo, axis))
-    if hi is not None:
-        parts.append(np.expand_dims(hi, axis))
-    first = 0 if lo is None else 1
-    sl = [slice(None), slice(None)]
-    sl[axis] = slice(first, first + f.shape[axis])
-    return gradient_axis(np.concatenate(parts, axis=axis), h, axis)[tuple(sl)]
-
-
 def field_gradients(
-    u: np.ndarray,
-    v: np.ndarray,
-    T: np.ndarray,
-    dx: float,
-    dr: float,
-    halo=None,
+    u: np.ndarray, v: np.ndarray, T: np.ndarray, dx: float, dr: float
 ):
-    """Central x/r gradients of (u, v, T), optionally halo-extended.
-
-    ``halo = (xlo, xhi, rlo, rhi)`` holds the single ghost lines the
-    distributed solver received from its neighbours — columns below and
-    above the block along ``x``, rows below and above it along ``r`` —
-    each of shape ``(3, n_perp)`` ordered ``(u, v, T)``, or ``None`` at a
-    physical boundary (the same four optional lines the C kernel
-    ``k_visc`` takes).  Each derivative is evaluated on the array extended
-    along its own axis and trimmed back to the local extent, so a line
-    adjacent to a subdomain boundary gets the same central-difference
-    arithmetic as in the serial solver — this is what makes the parallel
-    solver bitwise-identical — and no corner ghosts are needed: ``d/dx``
-    never reads radial neighbours and vice versa.
-
-    Returns the six local-extent arrays
+    """Central x/r gradients of (u, v, T), one-sided at the array edges:
     ``(du_dx, du_dr, dv_dx, dv_dr, dT_dx, dT_dr)``.
+
+    One two-axis ``np.gradient`` call per field: half the numpy call
+    overhead of six one-axis calls, which is what the allocating 5-column
+    outflow window (baseline backend) pays every step.
     """
-    if halo is None:
-        # One two-axis call per field: half the numpy call overhead, which
-        # is what the allocating 5-column outflow window (baseline backend,
-        # radially split blocks) pays every step.
-        return tuple(
-            g for f in (u, v, T) for g in np.gradient(f, dx, dr, edge_order=2)
-        )
-    xlo, xhi, rlo, rhi = halo
-
-    def line(g, k):
-        return None if g is None else g[k]
-
-    out = []
-    for k, f in enumerate((u, v, T)):
-        out.append(_ghosted_gradient(f, dx, 0, line(xlo, k), line(xhi, k)))
-        out.append(_ghosted_gradient(f, dr, 1, line(rlo, k), line(rhi, k)))
-    return tuple(out)
+    return tuple(
+        g for f in (u, v, T) for g in np.gradient(f, dx, dr, edge_order=2)
+    )
 
 
 def stress_tensor(
@@ -152,7 +107,6 @@ def stress_tensor(
     mu: np.ndarray | float,
     gamma: float = constants.GAMMA,
     prandtl: float = constants.PRANDTL,
-    halo=None,
 ) -> ViscousTerms:
     """Compute stresses and heat fluxes from primitive fields.
 
@@ -167,13 +121,8 @@ def stress_tensor(
         Grid spacings.
     mu:
         Dynamic viscosity, scalar or field.
-    halo:
-        Optional ``(xlo, xhi, rlo, rhi)`` ghost lines of ``(u, v, T)`` for
-        the distributed solver (see :func:`field_gradients`).
     """
-    du_dx, du_dr, dv_dx, dv_dr, dT_dx, dT_dr = field_gradients(
-        u, v, T, dx, dr, halo=halo
-    )
+    du_dx, du_dr, dv_dx, dv_dr, dT_dx, dT_dr = field_gradients(u, v, T, dx, dr)
     v_over_r = v / r[None, :]
     dilat = du_dx + dv_dr + v_over_r
     two_thirds_dilat = (2.0 / 3.0) * dilat

@@ -84,3 +84,19 @@ def random_physical_state(grid: Grid, rng: np.random.Generator) -> FlowState:
     v = rng.uniform(-1.0, 1.0, shape)
     p = 0.3 + rng.random(shape)
     return FlowState.from_primitive(grid, rho, u, v, p)
+
+
+def perturbed_jet(nx: int, nr: int, viscous: bool = True):
+    """A jet scenario in which every interior interface carries signal.
+
+    The plain jet's initial state is x-uniform and stays so for hundreds of
+    steps away from the inflow, so a decomposition wall on it never
+    exercises an axial interface.  Here all four conservative variables
+    carry a +-2 % ``sin * cos`` ripple in x and r, and ``reynolds=200``
+    lifts the viscous terms well above round-off.
+    """
+    sc = jet_scenario(nx=nx, nr=nr, viscous=viscous, reynolds=200.0)
+    x = np.linspace(0.0, 2.0 * np.pi, nx)[:, None]
+    r = np.linspace(0.0, 2.0 * np.pi, nr)[None, :]
+    sc.state.q *= 1.0 + 0.02 * np.sin(3.0 * x) * np.cos(2.0 * r)
+    return sc

@@ -34,9 +34,10 @@ from repro.numerics.kernels import (
 )
 from repro.numerics.kernels import compiled
 from repro.numerics.kernels.compiled import resolve_ops
-from repro.numerics.kernels.fused import _halo_stress, _subtract_viscous
+from repro.numerics.kernels.fused import _subtract_viscous
 from repro.numerics.solver import CompressibleSolver
 from repro.physics import eos
+from repro.physics.viscous import stress_tensor
 
 #: Maximum per-element ULP distance tolerated from a compiled engine that
 #: cannot honour ``bitwise = True`` on its platform.  Engines that do
@@ -202,7 +203,7 @@ class TestWorkspaceReuse:
         assert np.array_equal(solver.state.q, first)
 
 
-#: Which block edges carry a neighbour's ghost line (every other side is a
+#: Which block edges carry a neighbour's ghost lines (every other side is a
 #: physical boundary) — the sets the ``px x pr`` block grids make.
 GHOST_SETS = {
     "x-lo": {"xlo"},
@@ -216,38 +217,38 @@ GHOST_SETS = {
 }
 
 
-def _visc_case(nx, nr, mu_field, seed=0):
-    """A workspace with random primitives, a flux to subtract from, the
-    viscosity (scalar or field) and one random ghost line per edge."""
+def _visc_case(nx, nr, mu_field, ghosts, depth, seed=0):
+    """An ``nx x nr`` owned block cut from one random field together with
+    ``depth`` ghost lines on the sides in ``ghosts``: a workspace holding
+    its primitives, a flux to subtract from, the viscosity (scalar or
+    field), the flux model and the index of the owned cells."""
     rng = np.random.default_rng(seed)
-    ws = StepWorkspace((4, nx, nr), viscous=True, mu_field=True)
-    ws.u[:] = rng.standard_normal((nx, nr))
-    ws.v[:] = rng.standard_normal((nx, nr))
-    ws.T[:] = 1.0 + rng.random((nx, nr))
+    full = (nx + 4, nr + 4)  # room for two ghost lines on every side
+    u, v = rng.standard_normal(full), rng.standard_normal(full)
+    T = 1.0 + rng.random(full)
+    flux = rng.standard_normal((4,) + full)
+    pad = {side: depth if side in ghosts else 0 for side in GHOST_SETS["2d-all"]}
+    xs = slice(2 - pad["xlo"], 2 + nx + pad["xhi"])
+    rs = slice(2 - pad["rlo"], 2 + nr + pad["rhi"])
+    owned = (
+        slice(None), slice(pad["xlo"], pad["xlo"] + nx), slice(pad["rlo"], pad["rlo"] + nr)
+    )
+    ws = StepWorkspace((4,) + u[xs, rs].shape, viscous=True, mu_field=True)
+    ws.u[:], ws.v[:], ws.T[:] = u[xs, rs], v[xs, rs], T[xs, rs]
     mu = 0.01
     if mu_field:
         np.multiply(ws.T**0.7, 0.01, out=ws.mu)
         mu = ws.mu
     fm = types.SimpleNamespace(
-        r=np.linspace(0.5, 2.0, nr), dx=0.1, dr=0.07, gamma=1.4
+        r=np.ascontiguousarray(np.linspace(0.5, 2.0, nr + 4)[rs]),
+        dx=0.1, dr=0.07, gamma=1.4,
     )
-    lines = {
-        "xlo": rng.standard_normal((3, nr)), "xhi": rng.standard_normal((3, nr)),
-        "rlo": rng.standard_normal((3, nx)), "rhi": rng.standard_normal((3, nx)),
-    }
-    return ws, fm, mu, rng.standard_normal((4, nx, nr)), lines
+    return ws, fm, mu, np.ascontiguousarray(flux[:, xs, rs]), owned
 
 
-def _halo(present, lines):
-    """The ``(xlo, xhi, rlo, rhi)`` halo, ``None`` where absent."""
-    return tuple(
-        lines[k] if k in present else None for k in ("xlo", "xhi", "rlo", "rhi")
-    )
-
-
-def _reference_visc(fm, ws, mu, flux, halo, radial):
-    """The numpy oracle the fused backend runs: flux rows and tau_tt."""
-    terms = _halo_stress(fm, ws, mu, halo)
+def _reference_visc(fm, ws, mu, flux, radial):
+    """The numpy oracle: flux rows and tau_tt."""
+    terms = stress_tensor(ws.u, ws.v, ws.T, fm.r, fm.dx, fm.dr, mu, fm.gamma)
     out = flux.copy()
     if radial:
         _subtract_viscous(
@@ -260,57 +261,35 @@ def _reference_visc(fm, ws, mu, flux, halo, radial):
     return out, terms.tau_tt
 
 
-def _compiled_visc(ops, fm, ws, mu, flux, halo, radial):
+def _compiled_visc(ops, fm, ws, mu, flux, radial):
     out = flux.copy()
     k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
     ops.visc(
-        out, ws.tau_tt if radial else None, ws, fm.r, mu, k, fm.dx, fm.dr,
-        radial, halo=halo,
+        out, ws.tau_tt if radial else None, ws, fm.r, mu, k, fm.dx, fm.dr, radial
     )
     return out
 
 
 class TestGhostAwareViscousKernel:
-    """``ops.visc(halo=...)`` == the numpy halo path, bit for bit: every
-    flux row and ``tau_tt``, for every ghost set the decompositions make."""
+    """The halo path of the viscous kernel: a block carrying its
+    neighbours' ghost lines *in the array*.  ``ops.visc`` on it equals the
+    numpy path bit for bit — every flux row and ``tau_tt`` — and one ghost
+    line is all the owned cells see: a second line changes none of them
+    (the ``g = 1`` of ``halo_depth``), for every ghost set the
+    decompositions make."""
 
     @pytest.mark.parametrize("shape", [(7, 5), (125, 100)], ids=["7x5", "125x100"])
     @pytest.mark.parametrize("ghosts", list(GHOST_SETS))
     @pytest.mark.parametrize("mu_field", [False, True], ids=["mu-scalar", "mu-field"])
     @pytest.mark.parametrize("radial", [False, True], ids=["axial", "radial"])
     def test_matches_numpy_halo_path(self, ops, shape, ghosts, mu_field, radial):
-        ws, fm, mu, flux, lines = _visc_case(*shape, mu_field)
-        halo = _halo(GHOST_SETS[ghosts], lines)
-        want, want_tt = _reference_visc(fm, ws, mu, flux, halo, radial)
-        got = _compiled_visc(ops, fm, ws, mu, flux, halo, radial)
+        sides = GHOST_SETS[ghosts]
+        ws, fm, mu, flux, owned = _visc_case(*shape, mu_field, sides, depth=1)
+        want, want_tt = _reference_visc(fm, ws, mu, flux, radial)
+        got = _compiled_visc(ops, fm, ws, mu, flux, radial)
         assert np.array_equal(got, want)
         if radial:
             assert np.array_equal(ws.tau_tt, want_tt)
-
-    def test_ghost_lines_are_copied_to_kernel_layout(self, ops):
-        """Strided or float32 lines give the result of their float64
-        contiguous copies — the kernel never reads the foreign layout."""
-        ws, fm, mu, flux, lines = _visc_case(7, 5, mu_field=False)
-        f32 = {k: v.astype(np.float32) for k, v in lines.items()}
-        strided = {k: np.repeat(v, 2, axis=1)[:, ::2] for k, v in f32.items()}
-        assert not strided["xlo"].flags.c_contiguous
-        plain = {k: v.astype(np.float64) for k, v in f32.items()}
-        all_four = GHOST_SETS["2d-all"]
-        want = _compiled_visc(ops, fm, ws, mu, flux, _halo(all_four, plain), False)
-        for odd in (f32, strided):
-            got = _compiled_visc(ops, fm, ws, mu, flux, _halo(all_four, odd), False)
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "short,bad,good",
-        [("xlo", (3, 4), (3, 5)), ("rhi", (3, 6), (3, 7))],
-        ids=["x-line", "r-line"],
-    )
-    def test_wrong_shape_ghost_is_rejected(self, ops, short, bad, good):
-        """A line of the wrong length is a ValueError naming both shapes,
-        raised before the kernel could read past its end."""
-        ws, fm, mu, flux, lines = _visc_case(7, 5, mu_field=False)
-        lines[short] = lines[short][:, :-1]
-        with pytest.raises(ValueError) as exc:
-            _compiled_visc(ops, fm, ws, mu, flux, _halo(set(lines), lines), False)
-        assert str(bad) in str(exc.value) and str(good) in str(exc.value)
+        ws2, fm2, mu2, flux2, owned2 = _visc_case(*shape, mu_field, sides, depth=2)
+        deeper, _ = _reference_visc(fm2, ws2, mu2, flux2, radial)
+        assert np.array_equal(got[owned], deeper[owned2])

@@ -160,9 +160,15 @@ class TestNamedGrids:
             assert (topo.left, topo.right, topo.lower, topo.upper) == want
             assert topo.neighbours(1) == want[:2]
             assert topo.neighbours(2) == want[2:]
-            # An axis exchanges exactly when it is split, on every rank.
-            assert topo.exchanges_x == (px > 1)
-            assert topo.exchanges_r == (pr > 1)
+            # Every rank of a split axis has a neighbour across it, and the
+            # block it holds grows by the halo depth on exactly those sides.
+            assert any(n is not None for n in want[:2]) == (px > 1) and any(n is not None for n in want[2:]) == (pr > 1)
+            (ilo, ihi), (jlo, jhi) = d.block(rank)
+            grown = d.block(rank, depth=3)
+            assert grown == (
+                (ilo - 3 * (want[0] is not None), ihi + 3 * (want[1] is not None)),
+                (jlo - 3 * (want[2] is not None), jhi + 3 * (want[3] is not None)),
+            )
 
     def test_assemble_inverts_local_block(self, rng):
         d = CartesianDecomposition(23, 17, 3, 2)
@@ -187,14 +193,16 @@ class TestNamedGrids:
 
 
 def test_one_topology_one_halo_shape_one_boundary_rule():
-    """Structure: the per-decomposition classes, the halo-orientation flag
-    and the second gradient routine are gone from the source tree, no code
-    dispatches on a halo being a dict, and ``parallel/`` does not name the
-    serial solver's boundary rule (axis mirror) — it asks the serial
-    workspace instead."""
+    """Structure: the per-decomposition classes, the halo-orientation flag,
+    the second gradient routine and every ghost-line argument are gone from
+    the source tree, no code dispatches on a halo being a dict, and
+    ``parallel/`` does not name the serial solver's boundary rule (axis
+    mirror) — it runs the serial solver instead."""
     gone = re.compile(
         r"halo_axis|AxialDecomposition|RadialDecomposition|field_gradients_2d"
         r"|_radial_ghost_callbacks|_radial_post_ghosts"
+        # PR 22: ghost lines live in the rank's array, nothing passes them.
+        r"|uvT_halo|primitives_ready|post_ghosts|rate_edges|_ghosted_gradient"
         r"|isinstance\([^)]*halo[^)]*dict\)"
     )
     serial_rule = re.compile(r"apply_axis_ghosts|AXIS_STATE_SIGNS")

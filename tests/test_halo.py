@@ -38,12 +38,13 @@ class LoopbackComm:
 
 GROUPED = ExchangePolicy(split_flux_columns=False)
 SPLIT = ExchangePolicy(split_flux_columns=True)
+H = 3
 
 
 def plan(comm, shape, left, right, policy=GROUPED):
-    """A rank's plan over an axial neighbour pair (axis 1)."""
+    """A rank's plan over an axial neighbour pair (axis 1), ``H`` deep."""
     topo = HaloTopology(5, left, right, None, None)
-    return ExchangePlan(comm, topo, policy, shape)
+    return ExchangePlan(comm, topo, policy, shape, H)
 
 
 class TestPolicy:
@@ -53,115 +54,88 @@ class TestPolicy:
         assert ExchangePolicy.from_version(version_by_number(7)).split_flux_columns
 
 
-class TestUvT:
-    def test_interior_rank_sends_both_edges(self, rng):
-        nr = 6
-        u, v, T = (rng.random((5, nr)) for _ in range(3))
-        lo_ghost = rng.random((3, nr))
-        hi_ghost = rng.random((3, nr))
-        comm = LoopbackComm(
-            {(1, "t:uvT:toright"): lo_ghost, (3, "t:uvT:toleft"): hi_ghost}
-        )
-        halo_lo, halo_hi, *radial = plan(comm, (4, 5, nr), 1, 3).uvT("t", u, v, T)
-        assert np.array_equal(halo_lo, lo_ghost)
-        assert np.array_equal(halo_hi, hi_ghost)
-        assert radial == [None, None]
-        # Sent the packed edge columns the right way.
-        (d1, t1, a1), (d2, t2, a2) = comm.sent
-        assert (d1, t1) == (1, "t:uvT:toleft")
-        assert np.array_equal(a1, np.stack([u[0], v[0], T[0]]))
-        assert (d2, t2) == (3, "t:uvT:toright")
-        assert np.array_equal(a2, np.stack([u[-1], v[-1], T[-1]]))
-
-    def test_edge_rank_one_sided(self, rng):
-        u, v, T = (rng.random((5, 4)) for _ in range(3))
-        ghost = rng.random((3, 4))
-        comm = LoopbackComm({(1, "t:uvT:toleft"): ghost})
-        halo_lo, halo_hi, *radial = plan(comm, (4, 5, 4), None, 1).uvT("t", u, v, T)
-        assert halo_lo is None
-        assert np.array_equal(halo_hi, ghost)
-        assert radial == [None, None]
-        assert len(comm.sent) == 1
-
-
-class TestFluxExchanges:
-    def test_high_ghost_orientation(self, rng):
-        """High ghosts = right neighbour's first two columns, nearest first."""
-        F = rng.random((4, 7, 5))
-        neighbour_cols = rng.random((4, 2, 5))
-        comm = LoopbackComm({(9, "t:fxh"): neighbour_cols})
-        ghosts = plan(comm, F.shape, 3, 9).exchange("flux_high", 1, "t", F)
-        assert ghosts.shape == (2, 4, 5)
-        assert np.array_equal(ghosts[0], neighbour_cols[:, 0])
-        assert np.array_equal(ghosts[1], neighbour_cols[:, 1])
-        # And it shipped MY first two columns leftward.
-        dest, tag, sent = comm.sent[0]
-        assert dest == 3
-        assert np.array_equal(sent, F[:, :2])
-
-    def test_low_ghost_orientation(self, rng):
-        """Low ghosts = left neighbour's last two columns, nearest first."""
-        F = rng.random((4, 7, 5))
-        neighbour_cols = rng.random((4, 2, 5))  # their [:, -2:]
-        comm = LoopbackComm({(3, "t:fxl"): neighbour_cols})
-        ghosts = plan(comm, F.shape, 3, 9).exchange("flux_low", 1, "t", F)
-        # Nearest ghost = their LAST column = index 1 of the sent pair.
-        assert np.array_equal(ghosts[0], neighbour_cols[:, 1])
-        assert np.array_equal(ghosts[1], neighbour_cols[:, 0])
-        dest, tag, sent = comm.sent[0]
-        assert dest == 9
-        assert np.array_equal(sent, F[:, -2:])
-
-    def test_boundary_rank_returns_none(self, rng):
-        F = rng.random((4, 7, 5))
-        comm = LoopbackComm()
-        assert plan(comm, F.shape, 0, None).exchange("flux_high", 1, "t", F) is None
-        # Still sent to the left neighbour.
-        assert len(comm.sent) == 1
-
-    def test_v7_splits_into_single_columns(self, rng):
-        F = rng.random((4, 7, 5))
-        c0, c1 = rng.random((4, 5)), rng.random((4, 5))
-        comm = LoopbackComm({(9, "t:fxh:c0"): c0, (9, "t:fxh:c1"): c1})
-        ghosts = plan(comm, F.shape, 3, 9, SPLIT).exchange("flux_high", 1, "t", F)
-        assert np.array_equal(ghosts[0], c0)
-        assert np.array_equal(ghosts[1], c1)
-        # Two separate sends, same total data.
-        assert len(comm.sent) == 2
-        total = sum(a.size for _, _, a in comm.sent)
-        assert total == F[:, :2].size
-
-
 class TestStateHalo:
+    """Orientation of the one halo: ``H`` owned lines out, ``H`` ghost
+    lines in, per neighbour."""
+
     def test_low_flows_rightward(self, rng):
-        q = rng.random((4, 6, 3))
-        left_cols = rng.random((4, 2, 3))
-        comm = LoopbackComm({(0, "t:qlo"): left_cols})
-        ghosts = plan(comm, q.shape, 0, 2).exchange("state_low", 1, "t", q)
-        assert np.array_equal(ghosts[0], left_cols[:, 1])  # nearest first
-        assert np.array_equal(ghosts[1], left_cols[:, 0])
-        dest, _, sent = comm.sent[0]
-        assert dest == 2
-        assert np.array_equal(sent, q[:, -2:])
+        """My low ghosts are the left neighbour's last owned lines, in
+        place and in order; my own last owned lines go right."""
+        q = rng.random((4, H + 6 + H, 3))
+        theirs = rng.random((4, H, 3))
+        mine = q[:, -2 * H : -H].copy()
+        comm = LoopbackComm(
+            {(0, "7:halo:x:up"): theirs, (2, "7:halo:x:dn"): rng.random((4, H, 3))}
+        )
+        plan(comm, q.shape, 0, 2).refresh(q, 7)
+        assert np.array_equal(q[:, :H], theirs)
+        (dest, tag, sent), = [m for m in comm.sent if m[0] == 2]
+        assert tag == "7:halo:x:up"
+        assert np.array_equal(sent, mine)
 
     def test_high_flows_leftward(self, rng):
-        q = rng.random((4, 6, 3))
-        right_cols = rng.random((4, 2, 3))
-        comm = LoopbackComm({(2, "t:qhi"): right_cols})
-        ghosts = plan(comm, q.shape, 0, 2).exchange("state_high", 1, "t", q)
-        assert np.array_equal(ghosts[0], right_cols[:, 0])
-        assert np.array_equal(ghosts[1], right_cols[:, 1])
-        dest, _, sent = comm.sent[0]
-        assert dest == 0
-        assert np.array_equal(sent, q[:, :2])
+        q = rng.random((4, H + 6 + H, 3))
+        theirs = rng.random((4, H, 3))
+        mine = q[:, H : 2 * H].copy()
+        comm = LoopbackComm(
+            {(0, "7:halo:x:up"): rng.random((4, H, 3)), (2, "7:halo:x:dn"): theirs}
+        )
+        plan(comm, q.shape, 0, 2).refresh(q, 7)
+        assert np.array_equal(q[:, -H:], theirs)
+        (dest, tag, sent), = [m for m in comm.sent if m[0] == 0]
+        assert tag == "7:halo:x:dn"
+        assert np.array_equal(sent, mine)
 
     def test_global_edges(self, rng):
+        """A side on a physical boundary has no ghost lines: nothing is
+        sent, nothing received, every cell is owned."""
         q = rng.random((4, 6, 3))
+        before = q.copy()
         comm = LoopbackComm()
         edge = plan(comm, q.shape, None, None)
-        for kind in ("state_low", "state_high", "flux_low", "flux_high"):
-            assert edge.exchange(kind, 1, "t", q) is None
-        assert comm.sent == []
+        assert edge.refresh(q, 0) is None
+        assert comm.sent == [] and np.array_equal(q, before)
+        assert q[edge.owned].shape == q.shape
+
+    def test_edge_rank_is_one_sided(self, rng):
+        q = rng.random((4, 6 + H, 3))
+        theirs = rng.random((4, H, 3))
+        comm = LoopbackComm({(1, "0:halo:x:dn"): theirs})
+        right_only = plan(comm, q.shape, None, 1)
+        right_only.refresh(q, 0)
+        assert q[right_only.owned].shape == (4, 6, 3)
+        assert np.array_equal(q[:, -H:], theirs)
+        assert [m[0] for m in comm.sent] == [1]
+
+    def test_v7_ships_one_line_per_message(self, rng):
+        """Same lines, same bytes, ``H`` startups."""
+        q = rng.random((4, 6 + H, 3))
+        mine = q[:, -2 * H : -H].copy()
+        lines = [rng.random((4, 1, 3)) for _ in range(H)]
+        comm = LoopbackComm(
+            {(9, f"0:halo:x:dn:{k}"): line for k, line in enumerate(lines)}
+        )
+        plan(comm, q.shape, None, 9, SPLIT).refresh(q, 0)
+        assert np.array_equal(q[:, -H:], np.concatenate(lines, axis=1))
+        assert [m[1] for m in comm.sent] == [f"0:halo:x:up:{k}" for k in range(H)]
+        assert np.array_equal(np.concatenate([m[2] for m in comm.sent], axis=1), mine)
+
+    def test_corners_ride_in_the_radial_message(self, rng):
+        """On a ``px x pr`` grid the radial message spans the *extended*
+        axial width, so it carries the corner ghosts the axial exchange
+        just delivered to the sender."""
+        q = rng.random((4, 6 + H, 5 + H))
+        comm = LoopbackComm({
+            (1, "0:halo:x:dn"): rng.random((4, H, 5)),
+            (2, "0:halo:r:dn"): rng.random((4, 6 + H, H)),
+        })
+        topo = HaloTopology(0, None, 1, None, 2)
+        ExchangePlan(comm, topo, GROUPED, q.shape, H).refresh(q, 0)
+        (_, _, axial), (_, _, radial) = comm.sent
+        assert axial.shape == (4, H, 5)  # owned rows only
+        assert radial.shape == (4, 6 + H, H)  # ghost columns included
+        # ... and they are the ghosts received a moment ago.
+        assert np.array_equal(radial[:, -H:], q[:, -H:, -2 * H : -H])
 
 
 class TestWireLog:
@@ -169,26 +143,25 @@ class TestWireLog:
     the dedupe cache and the per-step message counts all key on each
     rank's ordered ``(peer, tag, nbytes)`` send sequence."""
 
-    #: sha256 prefixes of the per-rank send logs: the 2x2 ones recorded at
-    #: PR 12 (the last commit with one exchange function per kind), the
-    #: axial and radial ones at PR 16 (the last commit with a class per
-    #: decomposition).  Version 6 posts its receives instead of blocking
-    #: on them but must put the same messages on the wire as Version 5;
-    #: Version 7 splits the flux pairs.
+    #: sha256 prefixes of the per-rank send logs of three steps, recorded
+    #: at PR 22 (the first commit with one halo message per neighbour per
+    #: step).  Version 6 posts its receives instead of blocking on them but
+    #: must put the same messages on the wire as Version 5; Version 7
+    #: ships the halo one line per message.
     DIGESTS = {
-        ("2d", 5): "727d687ac99cfe4c",
-        ("2d", 6): "727d687ac99cfe4c",
-        ("2d", 7): "a0d1a0767a67f316",
-        ("axial", 5): "86ccc11512154cf7",
-        ("axial", 6): "86ccc11512154cf7",
-        ("axial", 7): "3694bca0f05cfc96",
-        ("radial", 5): "8e3419a50e909baf",
-        ("radial", 6): "8e3419a50e909baf",
-        ("radial", 7): "5fe011df82f70c01",
+        ("2d", 5): "1b41480c8528a599",
+        ("2d", 6): "1b41480c8528a599",
+        ("2d", 7): "4291805221a9e544",
+        ("axial", 5): "f9eef561b7c53ceb",
+        ("axial", 6): "f9eef561b7c53ceb",
+        ("axial", 7): "cca5a23b2ae83685",
+        ("radial", 5): "0ff00ff8929d1bd6",
+        ("radial", 6): "0ff00ff8929d1bd6",
+        ("radial", 7): "6a57e8acba375569",
     }
 
     def _check(self, decomposition, version):
-        sc = jet_scenario(nx=24, nr=20, viscous=True)
+        sc = jet_scenario(nx=32, nr=32, viscous=True)
         config = dataclasses.replace(sc.solver.config, backend="fused")
         runner = ParallelJetSolver(
             sc.state, config, nranks=4, version=version,

@@ -224,21 +224,14 @@ class TestWorkspaceMechanics:
 
 
 class TestCompiledHaloEngagement:
-    """Distributed compiled runs take their edge gradients in the C kernel
-    — the numpy halo path cannot silently come back — and so does the
-    characteristic-outflow window, on its own window-shaped workspace.
-
-    ``field_gradients`` and ``np.gradient`` are made to raise.  The
-    outflow treatment is on wherever the radial axis is whole (serial and
-    axial splits): nothing in such a compiled step may reach numpy
-    gradients.  It is switched off only where the radial axis is split:
-    there the window is a collective over radial neighbours and stays on
-    the allocating numpy kernels by design
-    (``BlockDistributedSolver._outflow_rates``).
+    """A compiled run — serial or on any decomposition, the characteristic
+    outflow window included — never leaves the C kernels: the ghost lines
+    are in the rank's array, so there is no numpy edge path to fall back
+    to.  ``field_gradients`` and ``np.gradient`` are made to raise.
     """
 
-    @staticmethod
-    def _guarded(monkeypatch, outflow: bool):
+    @pytest.fixture
+    def case(self, monkeypatch):
         """``(scenario, config, reference)`` with numpy gradients forbidden
         from here on (the reference is computed first, on ``baseline``)."""
         from repro.numerics.kernels import BackendUnavailable
@@ -253,11 +246,6 @@ class TestCompiledHaloEngagement:
         sc = jet_scenario(nx=36, nr=24)
         config = sc.solver.config
         assert config.boundary.characteristic_outflow
-        if not outflow:
-            bc = dataclasses.replace(
-                config.boundary, characteristic_outflow=False
-            )
-            config = dataclasses.replace(config, boundary=bc)
         ref = serial_reference(sc.state, config, steps=4)
 
         def numpy_gradients_forbidden(*args, **kwargs):
@@ -271,14 +259,6 @@ class TestCompiledHaloEngagement:
         )
         monkeypatch.setattr(np, "gradient", numpy_gradient_forbidden)
         return sc, config, ref
-
-    @pytest.fixture
-    def case(self, monkeypatch):
-        return self._guarded(monkeypatch, outflow=False)
-
-    @pytest.fixture
-    def outflow_case(self, monkeypatch):
-        return self._guarded(monkeypatch, outflow=True)
 
     def _run(self, case, backend, nranks, kw):
         from repro.parallel.runner import ParallelJetSolver
@@ -303,32 +283,32 @@ class TestCompiledHaloEngagement:
         res = self._run(case, "compiled", nranks, kw)
         assert np.array_equal(res.state.q, case[2].q)
 
-    def test_guard_bites_on_the_fused_backend(self, case):
+    def test_guard_bites_on_the_baseline_backend(self, case):
         from repro.msglib import RankFailure
 
         with pytest.raises(RankFailure, match="field_gradients reached"):
-            self._run(case, "fused", 2, dict(decomposition="axial"))
+            self._run(case, "baseline", 2, dict(decomposition="axial"))
 
     @pytest.mark.parametrize("nranks", [1, 2, 4])
     def test_outflow_window_never_reaches_numpy_gradients(
-        self, outflow_case, nranks
+        self, case, nranks
     ):
         from repro.parallel.runner import serial_reference
 
-        sc, config, ref = outflow_case
+        sc, config, ref = case
         if nranks == 1:
             compiled = dataclasses.replace(config, backend="compiled")
             q = serial_reference(sc.state, compiled, steps=4).q
         else:
             q = self._run(
-                outflow_case, "compiled", nranks, dict(decomposition="axial")
+                case, "compiled", nranks, dict(decomposition="axial")
             ).state.q
         assert np.array_equal(q, ref.q)
 
-    def test_outflow_guard_bites_on_the_allocating_window(self, outflow_case):
+    def test_outflow_guard_bites_on_the_allocating_window(self, case):
         """What every step of the runs above hit before the window had a
         workspace — reached here through a strip it is not sized for."""
-        sc, config, _ref = outflow_case
+        sc, config, _ref = case
         compiled = dataclasses.replace(config, backend="compiled")
         solver = type(sc.solver)(sc.state.copy(), compiled)
         q = solver.state.q

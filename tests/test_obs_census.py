@@ -24,9 +24,25 @@ a ``comm.recv_wait_seconds`` histogram (one update per receive), a
 section that pinned its keys is gone with them, and the one total without
 a ledger name got one, ``comm.barrier_wait_seconds`` — one counter per
 rank of the distributed runs, one update each, which is all their
-``metrics`` digests and ``updates`` totals moved by.  The ``spans``,
-``instants`` and ``flight`` sections of every run, and the serial and
-simulated runs entirely, still carry the digests of that commit.
+``metrics`` digests and ``updates`` totals moved by.
+
+PR 22 replaced the per-phase exchanges by one halo per neighbour per
+step, and every section of the five message-passing runs except their
+``stream`` keys was recorded again; the serial and simulated rows still
+carry the digests of the commit above.  Diffing the parent's census with
+this one (2-rank V5, 4 steps), the names that moved: spans
+``halo.uvT`` (32), ``halo.flux_high`` / ``halo.flux_low`` /
+``halo.state_high`` / ``halo.state_low`` (8 each) are gone for
+``halo.state`` (8: one per rank and step) under a new ``solver.halo``
+stage span (8); histograms ``halo.<those five>_seconds`` and counters
+``halo.<those five>_wait_seconds`` are gone for ``halo.state_seconds`` /
+``halo.state_wait_seconds`` and the ``stage.halo`` histogram;
+``halo.exchanges`` / ``halo.bytes`` / ``halo.seconds`` fall from 64
+updates to 8, ``comm.send`` spans and ``send`` flight events from 51 to
+11, receives from 51 to 11 (8 of them ``recv_view``).  No name appears
+that is not listed here.  A Version 7 run receives its ``H`` one-line
+messages as views too (``recv_view`` 8 -> 64 on two radial ranks); the
+lossy run draws fewer faults because there are fewer messages to draw on.
 """
 
 import hashlib
@@ -54,8 +70,8 @@ def expect(*totals: int, **digests: str) -> dict:
 
 
 P2_V5 = expect(
-    248, 0, 555, 106, 8, spans="675132fa3212", metrics="744834fed34b",
-    flight="7c9c5328ecdf", stream="f51d88854fa7",
+    120, 0, 163, 26, 8, spans="a3bc4a578b27", metrics="5fe0f387ef1f",
+    flight="54e16a9f2858", stream="f51d88854fa7",
 )
 
 #: run -> (options, totals and per-section digests; see the module
@@ -71,24 +87,24 @@ RUNS = {
     "p2-radial-v7-compiled": (
         dict(nprocs=2, version=7, decomposition="radial", backend="compiled"),
         expect(
-            336, 0, 771, 170, 8, spans="533c6ff6649a", metrics="8c4fa16a8b0f",
-            flight="b4a155605e27", stream="f51d88854fa7",
+            232, 0, 331, 138, 8, spans="226e53a88dce", metrics="c01ddbcfdf27",
+            flight="02755e2de0e9", stream="f51d88854fa7",
         ),
     ),
     "2x2-v7-process": (
         dict(nprocs=4, version=7, decomposition="2d", px=2, pr=2,
              substrate="process"),
         expect(
-            958, 0, 2335, 522, 16, spans="dbb259928e9c", metrics="f491c43b433d",
-            flight="3f6f8fa7bf27", stream="b6f560f6b524",
+            742, 0, 1135, 538, 16, spans="82d7276e9c73", metrics="4200956d119f",
+            flight="a88d820afc12", stream="b6f560f6b524",
         ),
     ),
     "p2-v5-lossy3": (
         dict(nprocs=2, version=5, faults="lossy-ethernet", fault_seed=3),
         expect(
-            256, 28, 600, 114, 8,
-            spans="93d0323b84f2", instants="7c7089dcc4db",
-            metrics="44427ce0d4aa", flight="4a8dc7df22a8", stream="20f2c39413b1",
+            125, 9, 183, 31, 8,
+            spans="8969083bc48b", instants="880ce1eb6c77",
+            metrics="3f3d23aabee0", flight="970fd816eb66", stream="20f2c39413b1",
         ),
     ),
     "t3d-p4": (dict(platform="Cray T3D", nprocs=4), expect(

@@ -1,19 +1,21 @@
-"""Overlapped (split-phase) halo exchange: the bitwise wall + protocol units.
+"""The overlapped (Version 6) halo refresh: the bitwise wall + protocol units.
 
-The tentpole invariant: a distributed run with ``overlap=True`` is
-**bitwise-identical** to the blocking exchange — across scenarios
+The invariant: a distributed run with ``overlap=True`` is
+**bitwise-identical** to the blocking refresh — across scenarios
 (Euler / Navier-Stokes), decompositions (axial / radial / 2-D),
-substrates (virtual / process) and kernel backends (fused / compiled).
-The wall compares every overlapped run against the serial reference *of
-the same backend*; the existing differential suites pin blocking
-distributed == serial, so equality here pins overlap == blocking too.
+substrates (virtual / process) and kernel backends (fused / compiled) —
+because it is the *same* refresh: the same messages with the same tags in
+the same order, whose receive is posted before the rank-local ``dt``
+estimate and finished after it.  The wall compares every overlapped run
+against the serial reference *of the same backend*; ``test_lattice.py``
+pins blocking == serial, so equality here pins overlap == blocking too.
 
-The protocol units cover the split-phase machinery directly: the
-provisional-pass edge recompute (``rate_edges``), the
-:class:`~repro.parallel.halo.PendingGhosts` lifetime rules, the
-:class:`~repro.msglib.api.MessageView` owned (copy-semantics) case every
-non-lending transport hands out, and the fingerprint normalization (overlapped and
-blocking requests share one cache identity).
+The protocol units cover the post/finish-once rule of
+:class:`~repro.parallel.halo.PendingHalo`, the reach of the one-sided
+stencil it relies on, the :class:`~repro.msglib.api.MessageView` owned
+(copy-semantics) case every non-lending transport hands out, and the
+fingerprint normalization (overlapped and blocking requests share one
+cache identity).
 
 The chaos half lives at the bottom: the self-healing transport and
 checkpoint/restart must compose with in-flight posted receives.
@@ -27,18 +29,17 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro import jet_scenario
+from conftest import perturbed_jet
 from repro.faults import FaultPlan, fault_plan_by_name
 from repro.msglib import VirtualCluster
 from repro.msglib.api import MessageView
-from repro.numerics.kernels.overlap import rate_edges
 from repro.numerics.stencils import (
     backward_difference,
     extend_axis,
     forward_difference,
 )
-from repro.obs import Tracer
-from repro.parallel.halo import PendingGhosts
+from repro.obs import FlightRecorder, Tracer, use
+from repro.parallel.halo import PendingHalo
 from repro.parallel.runner import ParallelJetSolver, serial_reference
 from repro.request import RunRequest
 
@@ -48,7 +49,7 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _case(viscous: bool, backend: str):
-    sc = jet_scenario(nx=48, nr=16, viscous=viscous)
+    sc = perturbed_jet(48, 16, viscous)
     config = dataclasses.replace(
         sc.solver.config, dt_recompute_every=1, backend=backend
     )
@@ -73,8 +74,22 @@ def cases():
 # -- the differential wall ----------------------------------------------------
 
 
+def _halo_spans(tracer, rank=0):
+    return [s for s in tracer.trace.spans if s.name == "halo.state" and s.rank == rank]
+
+
+def _send_log(sc, config, **kw):
+    flight = FlightRecorder(1 << 12)
+    with use(flight=flight):
+        ParallelJetSolver(sc.state, config, nranks=2, timeout=60, **kw).run(2)
+    return [
+        [(e["peer"], e["tag"], e["nbytes"]) for e in flight.events(r) if e["kind"] == "send"]
+        for r in range(2)
+    ]
+
+
 class TestOverlapBitwiseWall:
-    """overlap == blocking, everywhere the blocking exchange runs."""
+    """overlap == blocking, everywhere the blocking refresh runs."""
 
     @pytest.mark.parametrize("backend", ["fused", "compiled"])
     @pytest.mark.parametrize(
@@ -108,48 +123,60 @@ class TestOverlapBitwiseWall:
         assert np.array_equal(res.state.q, ref.q)
 
     def test_overlap_actually_engages(self, cases):
-        """Guard against a silent degrade: the overlapped run must emit
-        split-phase halo spans (post + finish), and fewer blocking flux
-        exchanges than the blocking run."""
+        """Guard against a silent degrade: per step the overlapped run
+        observes the refresh twice — the post, then the finish inside the
+        ``dt`` stage — where the blocking run observes it once."""
         sc, config, _ = cases(True, "fused")
-        tracer = Tracer(name="overlap")
+        counts = {}
+        for overlap in (False, True):
+            tracer = Tracer(name="overlap")
+            ParallelJetSolver(
+                sc.state, config, nranks=2, timeout=60, overlap=overlap
+            ).run(2, tracer=tracer)
+            counts[overlap] = len(_halo_spans(tracer))
+        assert counts == {False: 2, True: 4}
+        # ... and only on a step that has a dt estimate to hide it behind.
+        tracer = Tracer(name="every-third")
         ParallelJetSolver(
-            sc.state, config, nranks=2, timeout=60, overlap=True
-        ).run(2, tracer=tracer)
-        names = {s.name for s in tracer.trace.spans}
-        assert "halo.post" in names
-        assert "halo.finish" in names
-        assert "halo.flux_high" not in names
-        assert "halo.flux_low" not in names
+            sc.state, dataclasses.replace(config, dt_recompute_every=3),
+            nranks=2, timeout=60, overlap=True,
+        ).run(6, tracer=tracer)
+        assert len(_halo_spans(tracer)) == 6 + 2
+
+    def test_wire_identity(self, cases):
+        """Posting is invisible on the wire: same peers, tags, bytes and
+        order as the blocking refresh."""
+        sc, config, _ = cases(True, "fused")
+        assert _send_log(sc, config, overlap=True) == _send_log(sc, config)
 
     def test_version_6_overlaps_by_default(self, cases):
-        """True V6: the version's ExchangePolicy turns the split-phase
-        exchange on without an explicit ``overlap=`` request."""
+        """True V6: the version's ExchangePolicy turns the posted refresh
+        on without an explicit ``overlap=`` request."""
         sc, config, ref = cases(True, "fused")
         tracer = Tracer(name="v6")
         res = ParallelJetSolver(
             sc.state, config, nranks=2, timeout=60, version=6
         ).run(STEPS, tracer=tracer)
         assert np.array_equal(res.state.q, ref.q)
-        assert "halo.post" in {s.name for s in tracer.trace.spans}
+        assert len(_halo_spans(tracer)) == 2 * STEPS
 
-    def test_baseline_backend_degrades_to_blocking(self, cases):
-        """Without a kernel workspace there is no scratch-backed rate
-        path to overlap into; the request is honoured as blocking —
-        still bitwise-correct, never an error."""
+    def test_baseline_backend_overlaps_too(self, cases):
+        """The posted refresh touches no kernel, so it needs no workspace:
+        the allocating backend overlaps like the others."""
         sc, _, _ = cases(True, "fused")
         config = dataclasses.replace(
             sc.solver.config, dt_recompute_every=1, backend="baseline"
         )
         ref = serial_reference(sc.state, config, steps=STEPS)
+        tracer = Tracer(name="baseline")
         res = ParallelJetSolver(
             sc.state, config, nranks=2, timeout=60, overlap=True
-        ).run(STEPS)
+        ).run(STEPS, tracer=tracer)
         assert np.array_equal(res.state.q, ref.q)
+        assert len(_halo_spans(tracer)) == 2 * STEPS
 
     def test_four_ranks_interior_and_edge(self, cases):
-        """Interior ranks post on both sides per step; edge ranks mix a
-        posted receive with a serial boundary."""
+        """Interior ranks post on both sides per step; edge ranks on one."""
         sc, config, ref = cases(True, "fused")
         res = ParallelJetSolver(
             sc.state, config, nranks=4, timeout=60, overlap=True
@@ -157,11 +184,11 @@ class TestOverlapBitwiseWall:
         assert np.array_equal(res.state.q, ref.q)
 
 
-# -- the provisional-pass edge recompute --------------------------------------
+# -- the reach of the one-sided stencil -----------------------------------------
 
 
 def _full_rate(flux, lo, hi, axis, h, forward, source, iw):
-    """The reference rate: real ghosts through the fused ufunc chain."""
+    """The reference rate: ghost planes through the fused ufunc chain."""
     ext = extend_axis(flux, axis, low=lo, high=hi)
     diff = forward_difference if forward else backward_difference
     d = diff(ext, axis, h)
@@ -172,8 +199,10 @@ def _full_rate(flux, lo, hi, axis, h, forward, source, iw):
 
 
 class TestRateEdges:
-    """rate_edges must land bit-for-bit on the full-ghost rate's edge
-    columns — that equality is the whole overlap correctness argument."""
+    """The rate's edge columns see exactly two lines past the edge — the
+    ``2`` per sweep in ``halo_depth``: with those two lines *in the array*
+    the owned columns equal the rate taken with them as ghost planes, no
+    matter how the array's own (fake) edge is closed."""
 
     @pytest.mark.parametrize("axis", [1, 2])
     @pytest.mark.parametrize("forward", [True, False])
@@ -181,33 +210,37 @@ class TestRateEdges:
     @pytest.mark.parametrize("with_iw", [False, True])
     def test_matches_full_ghost_rate(self, axis, forward, with_source, with_iw):
         rng = np.random.default_rng(42 + axis + 2 * forward)
-        shape = (4, 9, 7)
-        flux = rng.random(shape)
-        ghost_shape = (2,) + shape[:axis] + shape[axis + 1:]
-        ghosts = rng.random(ghost_shape)
-        source = rng.random(shape) if with_source else None
-        if with_iw:
-            iw = 1.0 / np.linspace(1.0, 2.0, shape[2])
-        else:
-            iw = 1.0
+        # The block with two ghost lines on the side the difference reaches
+        # toward; its far (fake) edge is closed by cubic extrapolation.
+        ext_shape = [4, 9, 7]
+        ext_shape[axis] += 2
+        flux = rng.random(ext_shape)
+        source = rng.random(ext_shape) if with_source else None
+        iw = 1.0 / np.linspace(1.0, 2.0, ext_shape[2]) if with_iw else 1.0
         h = 0.013
-        lo, hi = (None, ghosts) if forward else (ghosts, None)
-        want = _full_rate(flux, lo, hi, axis, h, forward, source, iw)
-        # Provisional pass: the in-flight side is None (cubic), then the
-        # two edge columns are recomputed from the real ghosts.
-        got = _full_rate(flux, None, None, axis, h, forward, source, iw)
-        rate_edges(flux, ghosts, axis, h, forward, source, iw, got)
+        own = slice(None, -2) if forward else slice(2, None)
+        owned = tuple(own if ax == axis else slice(None) for ax in range(3))
+        got = _full_rate(flux, None, None, axis, h, forward, source, iw)[owned]
+        # The same two lines handed over as ghost planes (ordered outward,
+        # nearest first) beside the owned block.
+        lines = np.moveaxis(flux, axis, 0)
+        lo, hi = (None, lines[-2:]) if forward else (lines[1::-1], None)
+        want = _full_rate(
+            flux[owned], lo, hi, axis, h, forward,
+            source[owned] if with_source else None,
+            iw[own] if with_iw and axis == 2 else iw,
+        )
         assert np.array_equal(got, want)
 
     def test_only_two_edge_columns_touched(self):
         rng = np.random.default_rng(7)
         flux = rng.random((4, 9, 7))
-        ghosts = rng.random((2, 7))
-        provisional = _full_rate(flux, None, None, 1, 0.1, True, None, 1.0)
-        out = provisional.copy()
-        rate_edges(flux, ghosts, 1, 0.1, True, None, 1.0, out)
-        # Forward differencing: only the two high-side columns change.
-        assert np.array_equal(out[:, :-2, :], provisional[:, :-2, :])
+        ghosts = rng.random((2, 4, 7))
+        cubic = _full_rate(flux, None, None, 1, 0.1, True, None, 1.0)
+        real = _full_rate(flux, None, ghosts, 1, 0.1, True, None, 1.0)
+        # Forward differencing: only the two high-side columns differ.
+        assert np.array_equal(real[:, :-2, :], cubic[:, :-2, :])
+        assert not np.array_equal(real[:, -2:, :], cubic[:, -2:, :])
 
 
 # -- split-phase protocol objects ---------------------------------------------
@@ -215,11 +248,26 @@ class TestRateEdges:
 
 class TestPendingGhosts:
     def test_finish_twice_raises(self):
-        pending = PendingGhosts(None, "t", None, False, False)
-        assert not pending.in_flight
-        assert pending.finish() is None
+        pending = PendingHalo(None, "t", None, [], [])
+        pending.finish()
         with pytest.raises(RuntimeError, match="called twice"):
             pending.finish()
+
+    def test_a_step_finishes_what_it_posted(self, cases):
+        """Post and finish pair up inside one step: nothing is pending
+        between steps, on any rank."""
+        sc, config, _ = cases(True, "fused")
+        runner = ParallelJetSolver(sc.state, config, nranks=2, overlap=True)
+
+        def program(comm):
+            solver = runner._make_solver(comm, sc.state.q)
+            seen = []
+            for _ in range(3):
+                solver.step()
+                seen.append(solver._pending)
+            return seen
+
+        assert VirtualCluster(2, timeout=60).run(program) == [[None] * 3] * 2
 
 
 class TestOwnedView:

@@ -167,75 +167,58 @@ class TestWorkspaceReuse:
 # ---------------------------------------------------------------------------
 # halo pack/unpack round-trips over a real 2-rank cluster
 # ---------------------------------------------------------------------------
-def _halo_roundtrip(widths: tuple[int, int], nr: int, wrap_in_faults: bool):
-    """Run a 2-rank exchange and return each rank's (ghosts, q_local)."""
+def _halo_roundtrip(widths, nr: int, depth: int, wrap_in_faults: bool):
+    """Refresh a 2-rank halo ``depth`` deep over owned blocks of the given
+    widths; returns each rank's extended array after the refresh."""
     rng = np.random.default_rng(hash(widths) % 2**31)
-    blocks = [rng.random((4, w, nr)) for w in widths]
+    owned = [rng.random((4, w, nr)) for w in widths]
     policy = ExchangePolicy(split_flux_columns=False)
 
     def program(comm):
         if wrap_in_faults:
             comm = FaultyComm(comm, FaultPlan(always_wrap=True))
-        q = blocks[comm.rank]
         topo = CartesianDecomposition(5 * comm.size, 5, comm.size, 1).topology(
             comm.rank
         )
-        plan = ExchangePlan(comm, topo, policy, q.shape)
-        return tuple(
-            plan.exchange(kind, 1, tag, q)
-            for kind, tag in (
-                ("state_low", "0:filter"),
-                ("state_high", "0:filter"),
-                ("flux_high", "0:x:p"),
-                ("flux_low", "0:x:p"),
-            )
-        )
+        ghosts = np.full((4, depth, nr), np.nan)
+        parts = (owned[0], ghosts) if comm.rank == 0 else (ghosts, owned[1])
+        q = np.concatenate(parts, axis=1)
+        ExchangePlan(comm, topo, policy, q.shape, depth).refresh(q, 0)
+        return q
 
-    return VirtualCluster(2, timeout=30).run(program)
+    return owned, VirtualCluster(2, timeout=30).run(program)
 
 
 @st.composite
 def block_widths(draw):
-    return (
-        draw(st.integers(STENCIL_RADIUS, 9)),
-        draw(st.integers(STENCIL_RADIUS, 9)),
-    )
+    """Two owned widths and a halo depth no deeper than the thinner one."""
+    a = draw(st.integers(STENCIL_RADIUS, 9))
+    b = draw(st.integers(STENCIL_RADIUS, 9))
+    return (a, b), draw(st.integers(1, min(a, b)))
 
 
 class TestHaloRoundTrip:
     @pytest.mark.parametrize("wrapped", [False, True],
                              ids=["plain", "fault-transport"])
-    @given(widths=block_widths(), nr=st.integers(3, 8))
+    @given(case=block_widths(), nr=st.integers(3, 8))
     @settings(max_examples=12, deadline=None)
-    def test_ghosts_are_neighbour_edges(self, wrapped, widths, nr):
-        rng = np.random.default_rng(hash(widths) % 2**31)
-        blocks = [rng.random((4, w, nr)) for w in widths]
-        (lo0, hi0, fh0, fl0), (lo1, hi1, fh1, fl1) = _halo_roundtrip(
-            widths, nr, wrapped
-        )
-        # rank 0 is the low edge: no low/left ghosts, its high ghosts are
-        # rank 1's first lines (ordered outward).
-        assert lo0 is None and fl0 is None
-        assert np.array_equal(hi0[0], blocks[1][:, 0, :])
-        assert np.array_equal(hi0[1], blocks[1][:, 1, :])
-        assert np.array_equal(fh0[0], blocks[1][:, 0, :])
-        assert np.array_equal(fh0[1], blocks[1][:, 1, :])
+    def test_ghosts_are_neighbour_edges(self, wrapped, case, nr):
+        widths, depth = case
+        owned, (q0, q1) = _halo_roundtrip(widths, nr, depth, wrapped)
+        # rank 0 is the low edge: its high ghosts are rank 1's first owned
+        # lines, in order; its own lines are untouched.
+        assert np.array_equal(q0[:, : widths[0]], owned[0])
+        assert np.array_equal(q0[:, widths[0] :], owned[1][:, :depth])
         # rank 1 is the high edge: its low ghosts are rank 0's last lines.
-        assert hi1 is None and fh1 is None
-        assert np.array_equal(lo1[0], blocks[0][:, -1, :])
-        assert np.array_equal(lo1[1], blocks[0][:, -2, :])
-        assert np.array_equal(fl1[0], blocks[0][:, -1, :])
-        assert np.array_equal(fl1[1], blocks[0][:, -2, :])
+        assert np.array_equal(q1[:, depth:], owned[1])
+        assert np.array_equal(q1[:, :depth], owned[0][:, -depth:])
 
-    @given(widths=block_widths(), nr=st.integers(3, 8))
+    @given(case=block_widths(), nr=st.integers(3, 8))
     @settings(max_examples=8, deadline=None)
-    def test_fault_transport_is_bitwise_transparent(self, widths, nr):
+    def test_fault_transport_is_bitwise_transparent(self, case, nr):
         """Framing + sequence numbering changes no ghost bit."""
-        plain = _halo_roundtrip(widths, nr, wrap_in_faults=False)
-        framed = _halo_roundtrip(widths, nr, wrap_in_faults=True)
-        for (pl, fr) in zip(plain, framed):
-            for a, b in zip(pl, fr):
-                if a is None:
-                    assert b is None
-                else:
-                    assert np.array_equal(a, b)
+        widths, depth = case
+        _, plain = _halo_roundtrip(widths, nr, depth, wrap_in_faults=False)
+        _, framed = _halo_roundtrip(widths, nr, depth, wrap_in_faults=True)
+        for a, b in zip(plain, framed):
+            assert np.array_equal(a, b)

@@ -71,64 +71,39 @@ class TestStressTensor:
         assert np.allclose(terms.heat_r, 0.0, atol=1e-14)
 
 
-def _line(u, v, T, index):
-    """The packed ``(u, v, T)`` ghost line at ``index`` (a row or a column)."""
-    return np.stack([u[index], v[index], T[index]])
-
-
 class TestHaloGradients:
-    def test_halo_reproduces_interior_arithmetic(self, grid, rng):
-        """Gradients of a slab with ghost columns == global gradients."""
-        u = rng.random(grid.shape)
-        v = rng.random(grid.shape)
-        T = rng.random(grid.shape)
-        full = field_gradients(u, v, T, grid.dx, grid.dr)
+    """Why one ghost line per viscous evaluation is enough (the ``g = 1``
+    of ``parallel.halo.halo_depth``): gradients of a block that carries a
+    neighbour's line *in the array*, trimmed back to the block, are the
+    global gradients there — bit for bit."""
 
-        lo, hi = 5, 11
-        halo = (_line(u, v, T, lo - 1), _line(u, v, T, hi), None, None)
-        slab = field_gradients(
-            u[lo:hi], v[lo:hi], T[lo:hi], grid.dx, grid.dr, halo=halo
-        )
-        for g_full, g_slab in zip(full, slab):
-            assert np.array_equal(g_full[lo:hi], g_slab)
-
-    def test_one_sided_halo(self, grid, rng):
-        """A slab at the domain edge extends only inward."""
-        u = rng.random(grid.shape)
-        v = rng.random(grid.shape)
-        T = rng.random(grid.shape)
-        full = field_gradients(u, v, T, grid.dx, grid.dr)
-        hi = 6
-        slab = field_gradients(
-            u[:hi], v[:hi], T[:hi], grid.dx, grid.dr,
-            halo=(None, _line(u, v, T, hi), None, None),
-        )
-        for g_full, g_slab in zip(full, slab):
-            assert np.array_equal(g_full[:hi], g_slab)
-
-    @pytest.mark.parametrize("present", [f"{n:04b}" for n in range(16)])
-    def test_every_subset_of_the_four_lines(self, grid, rng, present):
-        """A block with ghost lines ``(xlo, xhi, rlo, rhi)`` == the slice
-        of the global gradients, for every subset: a side without a line
-        is a physical boundary, so the block reaches the domain edge
-        there (the two tests above are ``1100`` and ``0100`` on a slab)."""
+    @staticmethod
+    def _check(grid, rng, present):
         u, v, T = (rng.random(grid.shape) for _ in range(3))
         full = field_gradients(u, v, T, grid.dx, grid.dr)
         xlo, xhi, rlo, rhi = (c == "1" for c in present)
+        # A side without a ghost line is a physical boundary, so the block
+        # reaches the domain edge there.
         i0, i1 = (5 if xlo else 0), (11 if xhi else grid.nx)
         j0, j1 = (3 if rlo else 0), (9 if rhi else grid.nr)
-        block = np.s_[i0:i1, j0:j1]
-        halo = (
-            _line(u, v, T, np.s_[i0 - 1, j0:j1]) if xlo else None,
-            _line(u, v, T, np.s_[i1, j0:j1]) if xhi else None,
-            _line(u, v, T, np.s_[i0:i1, j0 - 1]) if rlo else None,
-            _line(u, v, T, np.s_[i0:i1, j1]) if rhi else None,
-        )
-        slab = field_gradients(
-            u[block], v[block], T[block], grid.dx, grid.dr, halo=halo
-        )
-        for g_full, g_slab in zip(full, slab):
-            assert np.array_equal(g_full[block], g_slab)
+        ext = np.s_[i0 - xlo : i1 + xhi, j0 - rlo : j1 + rhi]
+        own = np.s_[int(xlo) : int(xlo) + i1 - i0, int(rlo) : int(rlo) + j1 - j0]
+        extended = field_gradients(u[ext], v[ext], T[ext], grid.dx, grid.dr)
+        for g_full, g_ext in zip(full, extended):
+            assert np.array_equal(g_full[i0:i1, j0:j1], g_ext[own])
+
+    def test_halo_reproduces_interior_arithmetic(self, grid, rng):
+        """A slab with a ghost column on both sides."""
+        self._check(grid, rng, "1100")
+
+    def test_one_sided_halo(self, grid, rng):
+        """A slab at the domain edge extends only inward."""
+        self._check(grid, rng, "0100")
+
+    @pytest.mark.parametrize("present", [f"{n:04b}" for n in range(16)])
+    def test_every_subset_of_the_four_lines(self, grid, rng, present):
+        """Ghost lines on any subset of ``(xlo, xhi, rlo, rhi)``."""
+        self._check(grid, rng, present)
 
 
 class TestViscousFluxes:
