@@ -33,9 +33,10 @@ speedup:
 perf-gate:
 	$(PY) scripts/perf_gate.py
 
-## gates: "two ranks beat one" — one traced harness run of the 2-rank
-## workload, then the ratio rows of scripts/perf_gate.py over its report
-## (ratios measured inside one process: no baseline, no host calibration)
+## gates: "two ranks beat one" and "the compiled step is under 0.30 of
+## the fused one" — one traced harness run of the 2-rank workload, then the
+## ratio rows of scripts/perf_gate.py over its report (ratios measured
+## inside one process: no baseline, no host calibration)
 GATES_REPORT ?= benchmarks/output/GATES_p2_blocking.json
 gates:
 	$(PY) benchmarks/harness/run.py --workload jet250-p2-blocking \

@@ -37,15 +37,22 @@ AXIS_FLUX_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 AXIS_STATE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 
 
-def apply_axis_ghosts(rG: np.ndarray) -> np.ndarray:
-    """Low-side (axis) ghost planes for the r-weighted radial flux.
+def apply_axis_ghosts(
+    rG: np.ndarray, out: np.ndarray | None = None, signs: np.ndarray = AXIS_FLUX_SIGNS
+) -> np.ndarray:
+    """Low-side (axis) ghost planes for the r-weighted radial flux (or,
+    with ``AXIS_STATE_SIGNS``, the conservative state).
 
     On the half-offset radial grid the mirror of ghost ``j = -1`` is
     ``j = 0`` and of ``j = -2`` is ``j = 1``.  Returns shape
-    ``(2, 4, nx)`` ordered outward (nearest ghost first).
+    ``(2, 4, nx)`` ordered outward (nearest ghost first), written into
+    ``out`` when given.
     """
-    signs = AXIS_FLUX_SIGNS[:, None]
-    return np.stack([signs * rG[:, :, 0], signs * rG[:, :, 1]])
+    if out is None:
+        out = np.empty((2,) + rG.shape[:2])
+    np.multiply(signs[:, None], rG[:, :, 0], out=out[0])
+    np.multiply(signs[:, None], rG[:, :, 1], out=out[1])
+    return out
 
 
 def primitive_rates(q: np.ndarray, q_t: np.ndarray, gamma: float = constants.GAMMA):

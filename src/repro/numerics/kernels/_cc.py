@@ -35,77 +35,112 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 SOURCE = r"""
 #include <stddef.h>
+#include <string.h>
 
-/* Primitives: 1/rho, u, v, p (and T when requested), transcribing
-   physics.fluxes.primitives_into per element. */
-void k_prim(const double* q, double gamma, double* inv_rho, double* u,
-            double* v, double* p, double* T, long n)
+/* Primitives + inviscid flux of one split direction at one element
+   (primitives_into, then axial_inviscid_into or radial_inviscid_into).
+   With m the momentum along the sweep and a, b the velocities along and
+   across it, both directions are (m, m*a + p, m*b, a*(E + p)), the
+   second and third landing in rows (1, 2) axially and (2, 1) radially —
+   fn and fs. */
+typedef struct {
+    double ir, u, v, p, f0, fn, fs, f3;
+} point_flux;
+
+static inline point_flux prim_flux_point(double q0, double q1, double q2,
+                                         double q3, double gm1, int radial)
 {
-    const double* q0 = q;
-    const double* q1 = q + n;
-    const double* q2 = q + 2 * n;
-    const double* q3 = q + 3 * n;
+    point_flux s;
+    s.ir = 1.0 / q0;
+    s.u = q1 * s.ir;
+    s.v = q2 * s.ir;
+    double ta = q1 * s.u;
+    double tb = q2 * s.v;
+    ta = ta + tb;
+    ta = ta * 0.5;
+    ta = q3 - ta;
+    s.p = ta * gm1;
+    double a = radial ? s.v : s.u;
+    double b = radial ? s.u : s.v;
+    double ep = q3 + s.p;
+    s.f0 = radial ? q2 : q1;
+    double fn = s.f0 * a;
+    s.fn = fn + s.p;
+    s.fs = s.f0 * b;
+    s.f3 = a * ep;
+    return s;
+}
+
+/* The Navier-Stokes form keeps u, v, p, T for the stress kernel and
+   leaves the r weight to it. */
+static void prim_flux_ns(const double* restrict q0, const double* restrict q1,
+                         const double* restrict q2, const double* restrict q3,
+                         double gamma, double* restrict u, double* restrict v,
+                         double* restrict p, double* restrict T,
+                         double* restrict F0, double* restrict Fn,
+                         double* restrict Fs, double* restrict F3, long n,
+                         int radial)
+{
     double gm1 = gamma - 1.0;
-    for (long i = 0; i < n; i++) {
-        double ir = 1.0 / q0[i];
-        double ui = q1[i] * ir;
-        double vi = q2[i] * ir;
-        double ta = q1[i] * ui;
-        double tb = q2[i] * vi;
-        ta = ta + tb;
-        ta = ta * 0.5;
-        ta = q3[i] - ta;
-        double pi = ta * gm1;
-        inv_rho[i] = ir;
-        u[i] = ui;
-        v[i] = vi;
-        p[i] = pi;
-        if (T) {
-            double tt = pi * gamma;
-            T[i] = tt * ir;
-        }
+    for (long i = 0; i < n; i++) { /* vec */
+        point_flux s = prim_flux_point(q0[i], q1[i], q2[i], q3[i], gm1,
+                                       radial);
+        double tt = s.p * gamma;
+        u[i] = s.u;
+        v[i] = s.v;
+        p[i] = s.p;
+        T[i] = tt * s.ir;
+        F0[i] = s.f0;
+        Fn[i] = s.fn;
+        Fs[i] = s.fs;
+        F3[i] = s.f3;
     }
 }
 
-/* Axial inviscid flux rows (fluxes.axial_inviscid_into). */
-void k_ax_inv(const double* q, const double* u, const double* v,
-              const double* p, double* F, long n)
+/* The Euler form: nothing reads the primitives afterwards, so only the
+   flux (times the per-j weight w: r on the axisymmetric radial sweep, a
+   row of ones otherwise) and the pressure (the geometric source's row on
+   that sweep) are stored. */
+static void prim_flux_euler(const double* restrict q0,
+                            const double* restrict q1,
+                            const double* restrict q2,
+                            const double* restrict q3, double gamma,
+                            double* restrict p, const double* restrict w,
+                            double* restrict F0, double* restrict Fn,
+                            double* restrict Fs, double* restrict F3,
+                            long n, int radial)
 {
-    const double* q1 = q + n;
-    const double* q3 = q + 3 * n;
-    double* F0 = F;
-    double* F1 = F + n;
-    double* F2 = F + 2 * n;
-    double* F3 = F + 3 * n;
-    for (long i = 0; i < n; i++) {
-        F0[i] = q1[i];
-        double f1 = q1[i] * u[i];
-        f1 = f1 + p[i];
-        F1[i] = f1;
-        F2[i] = q1[i] * v[i];
-        double ep = q3[i] + p[i];
-        F3[i] = u[i] * ep;
+    double gm1 = gamma - 1.0;
+    for (long j = 0; j < n; j++) { /* vec */
+        point_flux s = prim_flux_point(q0[j], q1[j], q2[j], q3[j], gm1,
+                                       radial);
+        p[j] = s.p;
+        F0[j] = s.f0 * w[j];
+        Fn[j] = s.fn * w[j];
+        Fs[j] = s.fs * w[j];
+        F3[j] = s.f3 * w[j];
     }
 }
 
-/* Radial inviscid flux rows (fluxes.radial_inviscid_into). */
-void k_rad_inv(const double* q, const double* u, const double* v,
-               const double* p, double* G, long n)
+/* T == NULL selects the Euler form (u, v unused, w required); otherwise
+   w is unused. */
+void k_prim_flux(const double* q, double gamma, double* u, double* v,
+                 double* p, double* T, double* F, const double* w, long nx,
+                 long nr, int radial)
 {
-    const double* q2 = q + 2 * n;
-    const double* q3 = q + 3 * n;
-    double* G0 = G;
-    double* G1 = G + n;
-    double* G2 = G + 2 * n;
-    double* G3 = G + 3 * n;
-    for (long i = 0; i < n; i++) {
-        G0[i] = q2[i];
-        G1[i] = q2[i] * u[i];
-        double g2 = q2[i] * v[i];
-        g2 = g2 + p[i];
-        G2[i] = g2;
-        double ep = q3[i] + p[i];
-        G3[i] = v[i] * ep;
+    long n = nx * nr;
+    double* Fn = F + (radial ? 2 : 1) * n;
+    double* Fs = F + (radial ? 1 : 2) * n;
+    if (T) {
+        prim_flux_ns(q, q + n, q + 2 * n, q + 3 * n, gamma, u, v, p, T, F,
+                     Fn, Fs, F + 3 * n, n, radial);
+        return;
+    }
+    for (long i = 0; i < nx; i++) {
+        long b = i * nr;
+        prim_flux_euler(q + b, q + n + b, q + 2 * n + b, q + 3 * n + b, gamma,
+                        p + b, w, F + b, Fn + b, Fs + b, F + 3 * n + b, nr,
+                        radial);
     }
 }
 
@@ -113,7 +148,7 @@ void k_rad_inv(const double* q, const double* u, const double* v,
    stencils.cubic_ghosts per element: Python's sum() starts from int 0,
    so the chain is ((((0 + w0*p0) + w1*p1) + w2*p2) + w3*p3) — the
    leading 0.0 + t is kept for signed-zero fidelity. */
-static double cubic_g1(double p0, double p1, double p2, double p3)
+static inline double cubic_g1(double p0, double p1, double p2, double p3)
 {
     double t = 4.0 * p0;
     double g = 0.0 + t;
@@ -126,7 +161,7 @@ static double cubic_g1(double p0, double p1, double p2, double p3)
     return g;
 }
 
-static double cubic_g2(double p0, double p1, double p2, double p3)
+static inline double cubic_g2(double p0, double p1, double p2, double p3)
 {
     double t = 10.0 * p0;
     double g = 0.0 + t;
@@ -182,236 +217,255 @@ static double grad_r(const double* f, long i, long j, long nr, const gcoef* c)
     return (fi[j + 1] - fi[j - 1]) / c->h2;
 }
 
-/* One fused pass of velocity/temperature gradients + dilatation + stress
-   assembly + viscous subtraction (viscous.field_gradients,
-   fused._two_thirds_dilatation, the stress rows, and _subtract_viscous).
-   The five gradients are evaluated per element with the formulas above —
-   the same values the fused backend materializes into its g_* buffers,
-   without the five intermediate array passes.
-   radial=0 subtracts (tau_xx, tau_xr, heat_x) from F rows (1, 2, 3) and
-   takes dT/dx; radial=1 subtracts (tau_rr, tau_xr, heat_r) from G rows
-   (2, 1, 3), takes dT/dr, and stores tau_theta_theta for the geometric
-   source.  mu and k are each a field (pointer) or a scalar: the scalar
-   heat path receives -k pre-negated (numpy computes g_t * (-k)); the
-   field path mirrors numpy's multiply-then-negate.  A distributed rank
-   calls this on its halo-extended block, so its owned lines are interior
-   lines here too.  Needs nx, nr >= 3. */
-/* Stress assembly + subtraction from the five gradient values at one
-   element (shared by the interior fast loops and the edge epilogues). */
-static void visc_store(double* F1, double* F2, double* F3,
-                       double* tau_tt_out, const double* u, const double* v,
-                       const double* r, const double* mu_a, double mu_s,
-                       const double* k_a, double negk_s, int radial,
-                       long idx, long j, double g_ux, double g_ur,
-                       double g_vx, double g_vr, double g_t)
+/* Stress assembly from the five gradient values at one element
+   (fused._two_thirds_dilatation, the stress rows, _heat_flux and the
+   energy row of _subtract_viscous): tn is tau_xx (axial) / tau_rr
+   (radial), ts tau_xr, en the energy row's u*tau + v*tau - heat, tt
+   tau_theta_theta.  The heat flux is -(g_t * k): numpy's scalar path
+   multiplies by -k and its field path negates the product, and IEEE
+   multiplication is sign-symmetric, so one form serves both. */
+typedef struct {
+    double tn, ts, en, tt;
+} stress;
+
+static inline __attribute__((always_inline)) stress visc_stress(
+    double g_ux, double g_ur, double g_vx, double g_vr, double g_t, double u,
+    double v, double r, double mu, double k, const int radial)
 {
-    double two_thirds = 2.0 / 3.0;
-    double mu = mu_a ? mu_a[idx] : mu_s;
-    double vr = v[idx] / r[j];
+    stress s;
+    double vr = v / r;
     double dil = g_ux + g_vr;
     dil = dil + vr;
-    dil = dil * two_thirds;
+    dil = dil * (2.0 / 3.0);
     double tn = (radial ? g_vr : g_ux) * 2.0;
     tn = tn - dil;
-    tn = tn * mu;
+    s.tn = tn * mu;
     double ts = g_ur + g_vx;
-    ts = ts * mu;
-    double heat;
-    if (k_a) {
-        heat = g_t * k_a[idx];
-        heat = -heat;
-    } else {
-        heat = g_t * negk_s;
-    }
-    double ta, tb;
-    if (radial) {
-        ta = u[idx] * ts;
-        tb = v[idx] * tn;
-    } else {
-        ta = u[idx] * tn;
-        tb = v[idx] * ts;
-    }
+    s.ts = ts * mu;
+    double heat = g_t * k;
+    heat = -heat;
+    double ta = u * (radial ? s.ts : s.tn);
+    double tb = v * (radial ? s.tn : s.ts);
     ta = ta + tb;
-    ta = ta - heat;
-    if (radial) {
-        double ttt = vr * 2.0;
-        ttt = ttt - dil;
-        ttt = ttt * mu;
-        tau_tt_out[idx] = ttt;
-        F2[idx] = F2[idx] - tn;
-        F1[idx] = F1[idx] - ts;
-    } else {
-        F1[idx] = F1[idx] - tn;
-        F2[idx] = F2[idx] - ts;
-    }
-    F3[idx] = F3[idx] - ta;
+    s.en = ta - heat;
+    double tt = vr * 2.0;
+    tt = tt - dil;
+    s.tt = tt * mu;
+    return s;
 }
 
-void k_visc(double* F, double* tau_tt_out, const double* u, const double* v,
-            const double* T, const double* r, const double* mu_a,
-            double mu_s, const double* k_a, double negk_s, long nx, long nr,
+/* Everything one k_visc call works on.  mu and k are rows: row i of a
+   field (stride nr) or one constant row (stride 0), so the inner loop
+   never asks which. */
+typedef struct {
+    double *F0, *Fn, *Fs, *F3, *tau_tt, *S2;
+    const double *u, *v, *T, *p, *r, *w, *mu, *k;
+    long nx, nr, mu_stride, k_stride;
+    gcoef cx, cr;
+    int radial;
+} visc_args;
+
+/* Subtract one element's stresses from its flux rows.  The three
+   forms, by what else they store:
+     axial            F rows (1, 2, 3) -= (tn, ts, en);
+     radial           the same on rows (2, 1, 3), and tt = tau_theta_theta;
+     radial + finish  the axisymmetric finish folded in — the whole flux
+                      times w (= r) and S2 = p - tau_theta_theta. */
+static inline __attribute__((always_inline)) void visc_store(
+    double* F0, double* Fn, double* Fs, double* F3, double* tt, double* S2,
+    const double* p, long idx, double w, stress s, const int radial,
+    const int finish)
+{
+    double fn = Fn[idx] - s.tn;
+    double fs = Fs[idx] - s.ts;
+    double f3 = F3[idx] - s.en;
+    if (finish) {
+        F0[idx] = F0[idx] * w;
+        fn = fn * w;
+        fs = fs * w;
+        f3 = f3 * w;
+        S2[idx] = p[idx] - s.tt;
+    } else if (radial) {
+        tt[idx] = s.tt;
+    }
+    Fn[idx] = fn;
+    Fs[idx] = fs;
+    F3[idx] = f3;
+}
+
+/* The interior columns of an interior row: central differences only, so
+   the loop is branch-free.  Pointers are to column 0 of the row.  radial
+   and finish are literal at each call site, so each expansion keeps only
+   its own form of visc_store. */
+static inline __attribute__((always_inline)) void visc_row(
+    double* restrict F0, double* restrict Fn, double* restrict Fs,
+    double* restrict F3, double* restrict tt, double* restrict S2,
+    const double* restrict u, const double* restrict v,
+    const double* restrict T, const double* restrict p,
+    const double* restrict r, const double* restrict w,
+    const double* restrict mu, const double* restrict k, long nr, double hx2,
+    double hr2, const int radial, const int finish)
+{
+    const double* tP = radial ? T + 1 : T + nr;
+    const double* tM = radial ? T - 1 : T - nr;
+    double ht2 = radial ? hr2 : hx2;
+    for (long j = 1; j < nr - 1; j++) { /* vec */
+        stress s = visc_stress(
+            (u[j + nr] - u[j - nr]) / hx2, (u[j + 1] - u[j - 1]) / hr2,
+            (v[j + nr] - v[j - nr]) / hx2, (v[j + 1] - v[j - 1]) / hr2,
+            (tP[j] - tM[j]) / ht2, u[j], v[j], r[j], mu[j], k[j], radial);
+        visc_store(F0, Fn, Fs, F3, tt, S2, p, j, finish ? w[j] : 0.0, s,
+                   radial, finish);
+    }
+}
+
+/* One element anywhere, edges included: numpy's one-sided gradients on
+   the first/last line of either axis. */
+static void visc_point(const visc_args* a, long i, long j)
+{
+    long nx = a->nx, nr = a->nr, idx = i * nr + j;
+    int radial = a->radial, finish = a->w != NULL;
+    stress s = visc_stress(
+        grad_x(a->u, i, j, nx, nr, &a->cx), grad_r(a->u, i, j, nr, &a->cr),
+        grad_x(a->v, i, j, nx, nr, &a->cx), grad_r(a->v, i, j, nr, &a->cr),
+        radial ? grad_r(a->T, i, j, nr, &a->cr)
+               : grad_x(a->T, i, j, nx, nr, &a->cx),
+        a->u[idx], a->v[idx], a->r[j], a->mu[i * a->mu_stride + j],
+        a->k[i * a->k_stride + j], radial);
+    visc_store(a->F0, a->Fn, a->Fs, a->F3, a->tau_tt, a->S2, a->p, idx,
+               finish ? a->w[j] : 0.0, s, radial, finish);
+}
+
+/* One fused pass of velocity/temperature gradients + dilatation + stress
+   assembly + viscous subtraction (viscous.field_gradients and the
+   fused.py chains named at visc_stress).  The five gradients are
+   evaluated per element — the same values the fused backend materializes
+   into its g_* buffers, without the five intermediate array passes.
+   radial=0 subtracts (tau_xx, tau_xr, heat_x) from F rows (1, 2, 3) and
+   takes dT/dx; radial=1 subtracts (tau_rr, tau_xr, heat_r) from G rows
+   (2, 1, 3), takes dT/dr, and either stores tau_theta_theta (w == NULL)
+   or finishes the axisymmetric flux (w, p, S2 given; see visc_store).  A
+   distributed rank calls this on its halo-extended block, so its owned
+   lines are interior lines here too.  Needs nx, nr >= 3. */
+void k_visc(double* F, double* tau_tt, double* S2, const double* u,
+            const double* v, const double* T, const double* p,
+            const double* r, const double* w, const double* mu,
+            long mu_stride, const double* k, long k_stride, long nx, long nr,
             double dx, double dr, int radial)
 {
     long n = nx * nr;
-    double* F1 = F + n;
-    double* F2 = F + 2 * n;
-    double* F3 = F + 3 * n;
-    gcoef cx = mk_gcoef(dx);
-    gcoef cr = mk_gcoef(dr);
+    visc_args a = {F, F + (radial ? 2 : 1) * n, F + (radial ? 1 : 2) * n,
+                   F + 3 * n, tau_tt, S2, u, v, T, p, r, w, mu, k, nx, nr,
+                   mu_stride, k_stride, mk_gcoef(dx), mk_gcoef(dr), radial};
     for (long i = 0; i < nx; i++) {
-        long base = i * nr;
-        const double* ui = u + base;
-        const double* vi = v + base;
-        const double* ti = T + base;
-        /* Interior columns, with the row-invariant x-stencil kind hoisted
-           so the inner loops stay branch-free (and vectorizable). */
-        if (i > 0 && i < nx - 1) {
-            const double* uM = u + base - nr;
-            const double* uP = u + base + nr;
-            const double* vM = v + base - nr;
-            const double* vP = v + base + nr;
-            const double* tM = T + base - nr;
-            const double* tP = T + base + nr;
-            if (radial) {
-                for (long j = 1; j < nr - 1; j++) {
-                    long idx = base + j;
-                    double g_ux = (uP[j] - uM[j]) / cx.h2;
-                    double g_ur = (ui[j + 1] - ui[j - 1]) / cr.h2;
-                    double g_vx = (vP[j] - vM[j]) / cx.h2;
-                    double g_vr = (vi[j + 1] - vi[j - 1]) / cr.h2;
-                    double g_t = (ti[j + 1] - ti[j - 1]) / cr.h2;
-                    visc_store(F1, F2, F3, tau_tt_out, u, v, r, mu_a, mu_s,
-                               k_a, negk_s, radial, idx, j, g_ux, g_ur,
-                               g_vx, g_vr, g_t);
-                }
-            } else {
-                for (long j = 1; j < nr - 1; j++) {
-                    long idx = base + j;
-                    double g_ux = (uP[j] - uM[j]) / cx.h2;
-                    double g_ur = (ui[j + 1] - ui[j - 1]) / cr.h2;
-                    double g_vx = (vP[j] - vM[j]) / cx.h2;
-                    double g_vr = (vi[j + 1] - vi[j - 1]) / cr.h2;
-                    double g_t = (tP[j] - tM[j]) / cx.h2;
-                    visc_store(F1, F2, F3, tau_tt_out, u, v, r, mu_a, mu_s,
-                               k_a, negk_s, radial, idx, j, g_ux, g_ur,
-                               g_vx, g_vr, g_t);
-                }
-            }
-        } else {
-            /* First/last row: one-sided x gradients, coefficients and row
-               pointers hoisted; the inner loop stays branch-free. */
-            double xa, xb, xc;
-            const double* x0;
-            const double* x1;
-            const double* x2;
-            if (i == 0) {
-                xa = cx.a0;
-                xb = cx.b0;
-                xc = cx.c0;
-                x0 = u;
-                x1 = u + nr;
-                x2 = u + 2 * nr;
-            } else {
-                xa = cx.a1;
-                xb = cx.b1;
-                xc = cx.c1;
-                x0 = u + (nx - 3) * nr;
-                x1 = u + (nx - 2) * nr;
-                x2 = u + (nx - 1) * nr;
-            }
-            long off = x0 - u; /* same row offsets apply to v and T */
-            for (long j = 1; j < nr - 1; j++) {
-                long idx = base + j;
-                double g_ux = (xa * x0[j] + xb * x1[j]) + xc * x2[j];
-                double g_ur = (ui[j + 1] - ui[j - 1]) / cr.h2;
-                double g_vx = (xa * v[off + j] + xb * v[off + nr + j])
-                              + xc * v[off + 2 * nr + j];
-                double g_vr = (vi[j + 1] - vi[j - 1]) / cr.h2;
-                double g_t = radial
-                                 ? (ti[j + 1] - ti[j - 1]) / cr.h2
-                                 : (xa * T[off + j] + xb * T[off + nr + j])
-                                       + xc * T[off + 2 * nr + j];
-                visc_store(F1, F2, F3, tau_tt_out, u, v, r, mu_a, mu_s,
-                           k_a, negk_s, radial, idx, j, g_ux, g_ur, g_vx,
-                           g_vr, g_t);
-            }
-        }
-        /* First/last column: fully general per-element epilogue. */
-        for (long jj = 0; jj < 2; jj++) {
-            long j = jj ? nr - 1 : 0;
-            long idx = base + j;
-            double g_ux = grad_x(u, i, j, nx, nr, &cx);
-            double g_ur = grad_r(u, i, j, nr, &cr);
-            double g_vx = grad_x(v, i, j, nx, nr, &cx);
-            double g_vr = grad_r(v, i, j, nr, &cr);
-            double g_t = radial ? grad_r(T, i, j, nr, &cr)
-                                : grad_x(T, i, j, nx, nr, &cx);
-            visc_store(F1, F2, F3, tau_tt_out, u, v, r, mu_a, mu_s, k_a,
-                       negk_s, radial, idx, j, g_ux, g_ur, g_vx, g_vr, g_t);
-        }
-    }
-}
-
-/* Axisymmetric radial finish: G *= r weight; S2 = p - tau_tt (viscous)
-   or S2 = p (Euler; p - 0.0 is a bitwise identity). */
-void k_rad_finish(double* G, double* S2, const double* p,
-                  const double* tau_tt, const double* r, long nx, long nr,
-                  int viscous)
-{
-    long n = nx * nr;
-    for (int vv = 0; vv < 4; vv++) {
-        double* Gv = G + (long)vv * n;
-        for (long i = 0; i < nx; i++) {
-            double* Gi = Gv + i * nr;
+        if (i == 0 || i == nx - 1) {
             for (long j = 0; j < nr; j++)
-                Gi[j] = Gi[j] * r[j];
+                visc_point(&a, i, j);
+            continue;
         }
-    }
-    if (viscous) {
-        for (long idx = 0; idx < n; idx++)
-            S2[idx] = p[idx] - tau_tt[idx];
-    } else {
-        for (long idx = 0; idx < n; idx++)
-            S2[idx] = p[idx];
+        long b = i * nr;
+        const double* mi = mu + i * mu_stride;
+        const double* ki = k + i * k_stride;
+        if (!radial)
+            visc_row(a.F0 + b, a.Fn + b, a.Fs + b, a.F3 + b, NULL, NULL,
+                     u + b, v + b, T + b, NULL, r, NULL, mi, ki, nr, a.cx.h2,
+                     a.cr.h2, 0, 0);
+        else if (!w)
+            visc_row(a.F0 + b, a.Fn + b, a.Fs + b, a.F3 + b, tau_tt + b,
+                     NULL, u + b, v + b, T + b, NULL, r, NULL, mi, ki, nr,
+                     a.cx.h2, a.cr.h2, 1, 0);
+        else
+            visc_row(a.F0 + b, a.Fn + b, a.Fs + b, a.F3 + b, NULL, S2 + b,
+                     u + b, v + b, T + b, p + b, r, w, mi, ki, nr, a.cx.h2,
+                     a.cr.h2, 1, 1);
+        visc_point(&a, i, 0);
+        visc_point(&a, i, nr - 1);
     }
 }
 
-/* Fused ghost extension + one-sided 2-4 difference + source/negate + 1/r
-   weight (stencils.extend_axis + forward/backward_difference +
-   SplitOperator._rate_into in one pass over the unextended flux):
-   d = (7*(f1-f0) - (f2-f1)) / (6h) forward, the mirrored backward form
-   otherwise; rate = S - d when a source exists else -d; then *= iw[j]
-   when the radial 1/r weight applies.  The one-sided stencil only ever
-   reaches past one boundary (high for forward, low for backward); ``gh``
-   supplies that side's two ghost planes — layout (2, 4, plane) ordered
-   outward, exactly what the sweep's ghost provider returns — or NULL for
-   the serial cubic extrapolation, computed inline at the edge rows. */
-/* One-sided 2-4 difference from three stencil values, matching the
-   fused forward/backward_difference ufunc chains op for op. */
-static double rate_tail(double f0, double f1, double f2, int forward,
-                        double h6)
+/* One-sided 2-4 difference from its two stencil pairs, matching the
+   fused forward/backward_difference ufunc chains op for op:
+   forward  (7*(f[+1]-f[0]) - (f[+2]-f[+1])) / 6h,
+   backward (7*(f[0]-f[-1]) - (f[-1]-f[-2])) / 6h
+   — both are (7*(x1-x0) - (y2-y1)) / 6h. */
+static inline double diff24(double x1, double x0, double y2, double y1,
+                            double h6)
 {
-    double t, t2;
-    if (forward) {
-        t = f1 - f0;
-        t = t * 7.0;
-        t2 = f2 - f1;
-    } else {
-        t = f0 - f1;
-        t = t * 7.0;
-        t2 = f1 - f2;
-    }
+    double t = x1 - x0;
+    t = t * 7.0;
+    double t2 = y2 - y1;
     double d = t - t2;
     return d / h6;
 }
 
+/* rate = (S - d) * iw, or (-d) * iw without a source, over n contiguous
+   elements whose stencil values are the four streams.  iw is always a
+   row (ones for the identity weight: x * 1.0 is a bitwise identity). */
+static void rate_row(double* restrict out, const double* restrict x1,
+                     const double* restrict x0, const double* restrict y2,
+                     const double* restrict y1, const double* restrict S,
+                     const double* restrict iw, double h6, long n)
+{
+    if (S) {
+        for (long j = 0; j < n; j++) { /* vec */
+            double d = diff24(x1[j], x0[j], y2[j], y1[j], h6);
+            double rr = S[j] - d;
+            out[j] = rr * iw[j];
+        }
+    } else {
+        for (long j = 0; j < n; j++) { /* vec */
+            double d = diff24(x1[j], x0[j], y2[j], y1[j], h6);
+            out[j] = (-d) * iw[j];
+        }
+    }
+}
+
+/* The MacCormack combines, in place on a row that holds the rate:
+   mode 1 (predictor)  out = q + rate*dt;
+   mode 2 (corrector)  out = ((q + q_star) + rate*dt) * 0.5. */
+static void combine_row(double* restrict out, const double* restrict q,
+                        const double* restrict qs, double dt, int mode,
+                        long n)
+{
+    if (mode == 1) {
+        for (long j = 0; j < n; j++) { /* vec */
+            double rr = out[j] * dt;
+            out[j] = q[j] + rr;
+        }
+    } else {
+        for (long j = 0; j < n; j++) { /* vec */
+            double o = q[j] + qs[j];
+            double rr = out[j] * dt;
+            o = o + rr;
+            out[j] = o * 0.5;
+        }
+    }
+}
+
+/* Fused ghost extension + one-sided 2-4 difference + source/negate + 1/r
+   weight + predictor/corrector combine (stencils.extend_axis +
+   forward/backward_difference + SplitOperator._rate_into + the combines
+   of SplitOperator.apply in one pass over the unextended flux): each row
+   of the rate is differenced into the output row and, unless mode is 0
+   (the plain rate), combined there with q / q_star while it is still in
+   cache — the rate array is never materialised.  The one-sided stencil
+   only ever reaches past one boundary (high for forward, low for
+   backward); ``gh`` supplies that side's two ghost planes — layout
+   (2, 4, plane) ordered outward, exactly what the sweep's ghost provider
+   returns — or NULL for the serial cubic extrapolation, computed inline
+   at the edge rows.  out must not overlap f, q or q_star. */
 void k_rate(const double* f, const double* gh, const double* S,
             const double* iw, double* out, long nx, long nr, int axis,
-            double h, int forward)
+            double h, int forward, int mode, const double* q,
+            const double* qs, double dt)
 {
     double h6 = 6.0 * h;
     long n = nx * nr;
     long gplane = (axis == 1) ? nr : nx;
+    long s1 = (axis == 1) ? nr : 1; /* stride along the sweep axis */
+    /* Offsets of the stencil pairs (x1, x0) and (y2, y1) from the point. */
+    long ox1 = forward ? s1 : 0, ox0 = forward ? 0 : -s1;
+    long oy2 = forward ? 2 * s1 : -s1, oy1 = forward ? s1 : -2 * s1;
     for (int vv = 0; vv < 4; vv++) {
         const double* fv = f + (long)vv * n;
         const double* Sv = S ? S + (long)vv * n : NULL;
@@ -422,74 +476,43 @@ void k_rate(const double* f, const double* gh, const double* S,
             const double* r0 = fv + i * nr;
             const double* Svr = Sv ? Sv + i * nr : NULL;
             double* ovr = ov + i * nr;
-            if (axis == 1) {
-                int interior = forward ? (i + 2 < nx) : (i >= 2);
-                if (interior) {
-                    /* Whole row away from the reached-past boundary: the
-                       stencil rows are fixed, the inner loop is
-                       branch-free and contiguous. */
-                    const double* rA = forward ? r0 + nr : r0 - nr;
-                    const double* rB = forward ? r0 + 2 * nr : r0 - 2 * nr;
-                    for (long j = 0; j < nr; j++) {
-                        double d = rate_tail(r0[j], rA[j], rB[j], forward,
-                                             h6);
-                        double rr = Svr ? (Svr[j] - d) : (-d);
-                        if (iw)
-                            rr = rr * iw[j];
-                        ovr[j] = rr;
+            if (axis == 1 && (forward ? (i + 2 < nx) : (i >= 2))) {
+                /* Whole row away from the reached-past boundary. */
+                rate_row(ovr, r0 + ox1, r0 + ox0, r0 + oy2, r0 + oy1, Svr,
+                         iw, h6, nr);
+            } else if (axis == 1) {
+                /* Last (forward) / first (backward) two rows reach into
+                   the ghost planes (or cubic extrapolation). */
+                long e0 = forward ? (nx - 1) * nr : 0;
+                long estep = forward ? -nr : nr;
+                int outermost = forward ? (i == nx - 1) : (i == 0);
+                for (long j = 0; j < nr; j++) {
+                    const double* e = fv + e0 + j;
+                    double g1 = G1 ? G1[j]
+                                   : cubic_g1(e[0], e[estep], e[2 * estep],
+                                              e[3 * estep]);
+                    double f1 = g1, f2;
+                    if (outermost) {
+                        f2 = G2 ? G2[j]
+                                : cubic_g2(e[0], e[estep], e[2 * estep],
+                                           e[3 * estep]);
+                    } else {
+                        f1 = r0[j - estep];
+                        f2 = g1;
                     }
-                } else {
-                    /* Last (forward) / first (backward) two rows reach
-                       into the ghost planes (or cubic extrapolation). */
-                    long e0 = forward ? (nx - 1) * nr : 0;
-                    long estep = forward ? -nr : nr;
-                    int outermost = forward ? (i == nx - 1) : (i == 0);
-                    for (long j = 0; j < nr; j++) {
-                        double g1 =
-                            G1 ? G1[j]
-                               : cubic_g1(fv[e0 + j], fv[e0 + estep + j],
-                                          fv[e0 + 2 * estep + j],
-                                          fv[e0 + 3 * estep + j]);
-                        double f1, f2;
-                        if (outermost) {
-                            f1 = g1;
-                            f2 = G2 ? G2[j]
-                                    : cubic_g2(fv[e0 + j],
-                                               fv[e0 + estep + j],
-                                               fv[e0 + 2 * estep + j],
-                                               fv[e0 + 3 * estep + j]);
-                        } else {
-                            f1 = forward ? r0[nr + j] : r0[j - nr];
-                            f2 = g1;
-                        }
-                        double d = rate_tail(r0[j], f1, f2, forward, h6);
-                        double rr = Svr ? (Svr[j] - d) : (-d);
-                        if (iw)
-                            rr = rr * iw[j];
-                        ovr[j] = rr;
-                    }
+                    double d = forward ? diff24(f1, r0[j], f2, f1, h6)
+                                       : diff24(r0[j], f1, f1, f2, h6);
+                    double rr = Svr ? (Svr[j] - d) : (-d);
+                    ovr[j] = rr * iw[j];
                 }
             } else {
-                /* Radial sweep: branch-free interior columns, then the
-                   two columns that reach past the boundary (their ghost
-                   values depend only on the row, so hoist them). */
-                long jlo, jhi; /* [jlo, jhi) interior range */
-                if (forward) {
-                    jlo = 0;
-                    jhi = nr - 2;
-                } else {
-                    jlo = 2;
-                    jhi = nr;
-                }
-                long d1 = forward ? 1 : -1;
-                for (long j = jlo; j < jhi; j++) {
-                    double d = rate_tail(r0[j], r0[j + d1], r0[j + 2 * d1],
-                                         forward, h6);
-                    double rr = Svr ? (Svr[j] - d) : (-d);
-                    if (iw)
-                        rr = rr * iw[j];
-                    ovr[j] = rr;
-                }
+                /* Radial sweep: the columns whose stencil stays inside
+                   the row, then the two that reach past the boundary
+                   (their ghost values depend only on the row). */
+                long jlo = forward ? 0 : 2;
+                const double* c = r0 + jlo;
+                rate_row(ovr + jlo, c + ox1, c + ox0, c + oy2, c + oy1,
+                         Svr ? Svr + jlo : NULL, iw + jlo, h6, nr - 2);
                 long e0 = forward ? nr - 1 : 0;
                 long estep = forward ? -1 : 1;
                 double g1 = G1 ? G1[i]
@@ -500,104 +523,27 @@ void k_rate(const double* f, const double* gh, const double* S,
                                : cubic_g2(r0[e0], r0[e0 + estep],
                                           r0[e0 + 2 * estep],
                                           r0[e0 + 3 * estep]);
-                long jn = forward ? nr - 2 : 1; /* next-to-edge column */
-                double d = rate_tail(r0[jn], r0[e0], g1, forward, h6);
-                double rr = Svr ? (Svr[jn] - d) : (-d);
-                if (iw)
-                    rr = rr * iw[jn];
-                ovr[jn] = rr;
-                d = rate_tail(r0[e0], g1, g2, forward, h6);
-                rr = Svr ? (Svr[e0] - d) : (-d);
-                if (iw)
-                    rr = rr * iw[e0];
-                ovr[e0] = rr;
+                long jn = e0 + estep; /* next-to-edge column */
+                double dn = forward ? diff24(r0[e0], r0[jn], g1, r0[e0], h6)
+                                    : diff24(r0[jn], r0[e0], r0[e0], g1, h6);
+                double de = forward ? diff24(g1, r0[e0], g2, g1, h6)
+                                    : diff24(r0[e0], g1, g1, g2, h6);
+                ovr[jn] = (Svr ? (Svr[jn] - dn) : (-dn)) * iw[jn];
+                ovr[e0] = (Svr ? (Svr[e0] - de) : (-de)) * iw[e0];
             }
+            if (mode)
+                combine_row(ovr, q + (long)vv * n + i * nr,
+                            qs ? qs + (long)vv * n + i * nr : NULL, dt, mode,
+                            nr);
         }
     }
 }
 
-/* MacCormack predictor combine: rate *= dt (the numpy path mutates the
-   rate buffer in place); q_star = q + rate. */
-void k_predict(const double* q, double* rate, double dt, double* qs, long n)
-{
-    for (long i = 0; i < n; i++) {
-        double rr = rate[i] * dt;
-        rate[i] = rr;
-        qs[i] = q[i] + rr;
-    }
-}
-
-/* MacCormack corrector combine: out = 0.5 * ((q + q_star) + dt*rate). */
-void k_correct(const double* q, const double* qs, double* rate, double dt,
-               double* out, long n)
-{
-    for (long i = 0; i < n; i++) {
-        double o = q[i] + qs[i];
-        double rr = rate[i] * dt;
-        rate[i] = rr;
-        o = o + rr;
-        out[i] = o * 0.5;
-    }
-}
-
-/* One stencil value q(center + off) along the filter axis, reading this
-   variable's ghost planes (g1/g2 per side, each of length plane, possibly
-   NULL -> cubic from the unmutated variable plane) past the boundaries. */
-static double filter_pt2(const double* qv, long i, long j, long off, long nx,
-                         long nr, int axis, const double* lo1,
-                         const double* lo2, const double* hi1,
-                         const double* hi2)
-{
-    long m = (axis == 1) ? nx : nr;
-    long c = (axis == 1) ? i : j;
-    long k = c + off;
-    if (k >= 0 && k < m)
-        return (axis == 1) ? qv[k * nr + j] : qv[i * nr + k];
-    long p = (axis == 1) ? j : i;
-    long g = (k < 0) ? (-k - 1) : (k - m); /* 0 = nearest ghost, 1 = next */
-    const double* gh = (k < 0) ? (g == 0 ? lo1 : lo2) : (g == 0 ? hi1 : hi2);
-    if (gh)
-        return gh[p];
-    double p0, p1, p2, p3;
-    if (axis == 1) {
-        if (k < 0) {
-            p0 = qv[j];
-            p1 = qv[nr + j];
-            p2 = qv[2 * nr + j];
-            p3 = qv[3 * nr + j];
-        } else {
-            p0 = qv[(nx - 1) * nr + j];
-            p1 = qv[(nx - 2) * nr + j];
-            p2 = qv[(nx - 3) * nr + j];
-            p3 = qv[(nx - 4) * nr + j];
-        }
-    } else {
-        const double* r0 = qv + i * nr;
-        if (k < 0) {
-            p0 = r0[0];
-            p1 = r0[1];
-            p2 = r0[2];
-            p3 = r0[3];
-        } else {
-            p0 = r0[nr - 1];
-            p1 = r0[nr - 2];
-            p2 = r0[nr - 3];
-            p3 = r0[nr - 4];
-        }
-    }
-    return (g == 0) ? cubic_g1(p0, p1, p2, p3) : cubic_g2(p0, p1, p2, p3);
-}
-
-/* Conservative fourth-difference filter applied in place to q, mirroring
-   the in-place ufunc chain in CompressibleSolver.apply_filter, with the
-   ghost extension folded in (lo/hi planes or NULL -> cubic).  Each
-   variable runs two passes over a caller-supplied scratch plane — the
-   fourth difference is fully evaluated from the unmutated plane before
-   any element of it is updated, exactly as the extended-copy path did. */
 /* The scaled fourth difference from the five stencil values, matching
-   the in-place ufunc chain in apply_filter op for op. */
-static double filter_d4(double qm2, double qm1, double q0, double qp1,
-                        double qp2, double eps)
+   the in-place ufunc chain in CompressibleSolver.apply_filter op for
+   op. */
+static inline double filter_d4(double qm2, double qm1, double q0, double qp1,
+                               double qp2, double eps)
 {
     double d4 = qm1 * 4.0;
     d4 = qm2 - d4;
@@ -609,75 +555,108 @@ static double filter_d4(double qm2, double qm1, double q0, double qp1,
     return d4 * eps;
 }
 
-void k_filter(double* q, const double* lo, const double* hi, double* d4s,
+/* Axial filter, one row of the fourth difference from its five rows. */
+static void d4_row(double* restrict d, const double* restrict m2,
+                   const double* restrict m1, const double* restrict c,
+                   const double* restrict p1, const double* restrict p2,
+                   double eps, long n)
+{
+    for (long j = 0; j < n; j++) /* vec */
+        d[j] = filter_d4(m2[j], m1[j], c[j], p1[j], p2[j], eps);
+}
+
+static void sub_row(double* restrict q, const double* restrict d, long n)
+{
+    for (long j = 0; j < n; j++) /* vec */
+        q[j] = q[j] - d[j];
+}
+
+/* Radial filter, one row in place from its ghost-extended copy. */
+static void filter_row(double* restrict q, const double* restrict ext,
+                       double eps, long n)
+{
+    for (long j = 0; j < n; j++) /* vec */
+        q[j] = q[j] - filter_d4(ext[j], ext[j + 1], ext[j + 2], ext[j + 3],
+                                ext[j + 4], eps);
+}
+
+/* Two ghost rows by cubic extrapolation from the four rows nearest the
+   boundary (p0 the boundary row). */
+static void cubic_rows(double* restrict g1, double* restrict g2,
+                       const double* restrict p0, const double* restrict p1,
+                       const double* restrict p2, const double* restrict p3,
+                       long n)
+{
+    for (long j = 0; j < n; j++) {
+        g1[j] = cubic_g1(p0[j], p1[j], p2[j], p3[j]);
+        g2[j] = cubic_g2(p0[j], p1[j], p2[j], p3[j]);
+    }
+}
+
+/* Conservative fourth-difference filter applied in place to q, mirroring
+   the in-place ufunc chain in CompressibleSolver.apply_filter, with the
+   ghost extension folded in (lo/hi planes, layout (2, 4, plane) ordered
+   outward, or NULL -> cubic) and no trailing q -= d4 pass over the array:
+   a fourth difference is still only ever evaluated from unmutated values.
+   Radially the stencil stays inside a row, so each row is updated at once
+   from a ghost-extended copy of itself (scratch: nr + 4).  Axially row i
+   needs rows i-2 .. i+2, so the subtraction runs two rows behind the
+   difference, out of a three-row ring; cubic ghost rows are materialised
+   first, from rows nothing has touched yet (scratch: 7 * nr). */
+void k_filter(double* q, const double* lo, const double* hi, double* scratch,
               double eps, long nx, long nr, int axis)
 {
     long n = nx * nr;
     for (int vv = 0; vv < 4; vv++) {
         double* qv = q + (long)vv * n;
         long gplane = (axis == 1) ? nr : nx;
-        const double* lov = lo ? lo + (long)vv * gplane : NULL;
-        const double* lov2 = lo ? lo + (4 + (long)vv) * gplane : NULL;
-        const double* hiv = hi ? hi + (long)vv * gplane : NULL;
-        const double* hiv2 = hi ? hi + (4 + (long)vv) * gplane : NULL;
-        for (long i = 0; i < nx; i++) {
-            const double* c0 = qv + i * nr;
-            double* dr = d4s + i * nr;
-            if (axis == 1 && i >= 2 && i + 2 < nx) {
-                /* Interior row, axial stencil: fixed neighbour rows,
-                   branch-free contiguous inner loop. */
-                const double* cm2 = c0 - 2 * nr;
-                const double* cm1 = c0 - nr;
-                const double* cp1 = c0 + nr;
-                const double* cp2 = c0 + 2 * nr;
-                for (long j = 0; j < nr; j++)
-                    dr[j] = filter_d4(cm2[j], cm1[j], c0[j], cp1[j],
-                                      cp2[j], eps);
-                continue;
+        const double* lo1 = lo ? lo + (long)vv * gplane : NULL;
+        const double* lo2 = lo ? lo + (4 + (long)vv) * gplane : NULL;
+        const double* hi1 = hi ? hi + (long)vv * gplane : NULL;
+        const double* hi2 = hi ? hi + (4 + (long)vv) * gplane : NULL;
+        if (axis == 2) {
+            double* ext = scratch;
+            for (long i = 0; i < nx; i++) {
+                double* c = qv + i * nr;
+                const double* e = c + nr - 1;
+                ext[1] = lo ? lo1[i] : cubic_g1(c[0], c[1], c[2], c[3]);
+                ext[0] = lo ? lo2[i] : cubic_g2(c[0], c[1], c[2], c[3]);
+                ext[nr + 2] = hi ? hi1[i]
+                                 : cubic_g1(e[0], e[-1], e[-2], e[-3]);
+                ext[nr + 3] = hi ? hi2[i]
+                                 : cubic_g2(e[0], e[-1], e[-2], e[-3]);
+                memcpy(ext + 2, c, nr * sizeof(double));
+                filter_row(c, ext, eps, nr);
             }
-            if (axis == 2) {
-                /* Radial stencil: branch-free interior columns, then the
-                   (up to) four edge columns via the general helper.
-                   Duplicate j's on tiny grids just recompute the same
-                   value into d4s. */
-                for (long j = 2; j + 2 < nr; j++)
-                    dr[j] = filter_d4(c0[j - 2], c0[j - 1], c0[j],
-                                      c0[j + 1], c0[j + 2], eps);
-                long edges[4] = {0, 1, nr - 2, nr - 1};
-                for (int e = 0; e < 4; e++) {
-                    long j = edges[e];
-                    if (j < 0 || j >= nr)
-                        continue;
-                    dr[j] = filter_d4(
-                        filter_pt2(qv, i, j, -2, nx, nr, axis, lov, lov2,
-                                   hiv, hiv2),
-                        filter_pt2(qv, i, j, -1, nx, nr, axis, lov, lov2,
-                                   hiv, hiv2),
-                        c0[j],
-                        filter_pt2(qv, i, j, 1, nx, nr, axis, lov, lov2,
-                                   hiv, hiv2),
-                        filter_pt2(qv, i, j, 2, nx, nr, axis, lov, lov2,
-                                   hiv, hiv2),
-                        eps);
-                }
-                continue;
-            }
-            /* Axial stencil, edge row: per-element general helper. */
-            for (long j = 0; j < nr; j++)
-                dr[j] = filter_d4(
-                    filter_pt2(qv, i, j, -2, nx, nr, axis, lov, lov2, hiv,
-                               hiv2),
-                    filter_pt2(qv, i, j, -1, nx, nr, axis, lov, lov2, hiv,
-                               hiv2),
-                    c0[j],
-                    filter_pt2(qv, i, j, 1, nx, nr, axis, lov, lov2, hiv,
-                               hiv2),
-                    filter_pt2(qv, i, j, 2, nx, nr, axis, lov, lov2, hiv,
-                               hiv2),
-                    eps);
+            continue;
         }
-        for (long idx = 0; idx < n; idx++)
-            qv[idx] = qv[idx] - d4s[idx];
+        double* ring = scratch;
+        if (!lo) {
+            double* g = scratch + 3 * nr;
+            cubic_rows(g, g + nr, qv, qv + nr, qv + 2 * nr, qv + 3 * nr, nr);
+            lo1 = g;
+            lo2 = g + nr;
+        }
+        if (!hi) {
+            double* g = scratch + 5 * nr;
+            const double* e = qv + (nx - 1) * nr;
+            cubic_rows(g, g + nr, e, e - nr, e - 2 * nr, e - 3 * nr, nr);
+            hi1 = g;
+            hi2 = g + nr;
+        }
+        for (long i = 0; i < nx + 2; i++) {
+            if (i < nx) {
+                const double* row[5]; /* rows i-2 .. i+2, ghosts included */
+                for (long k = i - 2; k <= i + 2; k++)
+                    row[k - i + 2] = k < 0 ? (k == -1 ? lo1 : lo2)
+                                     : k >= nx ? (k == nx ? hi1 : hi2)
+                                               : qv + k * nr;
+                d4_row(ring + (i % 3) * nr, row[0], row[1], row[2], row[3],
+                       row[4], eps, nr);
+            }
+            if (i >= 2)
+                sub_row(qv + (i - 2) * nr, ring + ((i - 2) % 3) * nr, nr);
+        }
     }
 }
 """
@@ -746,46 +725,15 @@ def build_library(cc: str | None = None) -> str:
     return lib_path
 
 
+_P, _D, _L, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_long, ctypes.c_int
+
 _SIGNATURES = {
-    "k_prim": [
-        ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-    ],
-    "k_ax_inv": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_long,
-    ],
-    "k_rad_inv": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_long,
-    ],
+    "k_prim_flux": [_P, _D, _P, _P, _P, _P, _P, _P, _L, _L, _I],
     "k_visc": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
-        ctypes.c_void_p, ctypes.c_double, ctypes.c_long, ctypes.c_long,
-        ctypes.c_double, ctypes.c_double, ctypes.c_int,
+        _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _L, _P, _L, _L, _L, _D, _D, _I,
     ],
-    "k_rad_finish": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_int,
-    ],
-    "k_rate": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_int,
-        ctypes.c_double, ctypes.c_int,
-    ],
-    "k_predict": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
-        ctypes.c_long,
-    ],
-    "k_correct": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double,
-        ctypes.c_void_p, ctypes.c_long,
-    ],
-    "k_filter": [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_double, ctypes.c_long, ctypes.c_long, ctypes.c_int,
-    ],
+    "k_rate": [_P, _P, _P, _P, _P, _L, _L, _I, _D, _I, _I, _P, _P, _D],
+    "k_filter": [_P, _P, _P, _P, _D, _L, _L, _I],
 }
 
 

@@ -63,6 +63,8 @@ class StepWorkspace:
       and differ only in the ghost-extended ``ext`` buffer;
     * **flux evaluation** — ``F``/``S`` plus the 2-D primitive and stress
       buffers consumed by the fused flux kernels;
+    * **ghost planes** — ``ghosts[axis]`` receives what a boundary closure
+      (axis mirror, periodic wrap) supplies to a sweep or the filter;
     * **boundary strips** — ``q_tail`` holds the trailing five columns the
       characteristic outflow needs (replacing the full-state copy); the
       solver evaluates that window on a second workspace of this class,
@@ -93,11 +95,6 @@ class StepWorkspace:
         self.state_b = np.empty(shape)
         self.q_star = np.empty(shape)
         self.rate = np.empty(shape)
-        self.tmp3 = np.empty(shape)
-        self.ext_x = np.empty((nvars, nx + 4, nr))
-        self.ext_r = np.empty((nvars, nx, nr + 4))
-        self.sweep_x = SweepScratch(self.ext_x, self.q_star, self.rate, self.tmp3)
-        self.sweep_r = SweepScratch(self.ext_r, self.q_star, self.rate, self.tmp3)
         # Flux evaluation: one shared directional flux vector and the
         # axisymmetric source (rows 0, 1, 3 stay zero forever; only row 2 is
         # rewritten per call).
@@ -105,13 +102,39 @@ class StepWorkspace:
         self.S = np.zeros(shape)
         # Primitives (shared by inviscid assembly and viscous gradients).
         plane = (nx, nr)
-        self.inv_rho = np.empty(plane)
         self.u = np.empty(plane)
         self.v = np.empty(plane)
         self.p = np.empty(plane)
+        self.T = np.empty(plane) if viscous else None
+        self.tau_tt = np.empty(plane) if viscous else None
+        self.mu = np.empty(plane) if (viscous and mu_field) else None
+        # Boundary strip snapshot (trailing <=5 columns).
+        self.q_tail = np.empty((nvars, min(5, nx), nr))
+        # Ghost planes a boundary closure supplies (axis mirror, periodic
+        # wrap) for a stencil along axis 1 / 2: a (low, high) pair of
+        # (2, nvars, plane) buffers, planes ordered outward.  Sweeps and
+        # filter run one after the other, so they share them.
+        self.ghosts = {
+            axis: (np.empty((2, nvars, m)), np.empty((2, nvars, m)))
+            for axis, m in ((1, nr), (2, nx))
+        }
+        self._alloc_kernel_scratch(viscous)
+
+    def _alloc_kernel_scratch(self, viscous: bool) -> None:
+        """The temporaries only the numpy ufunc chains need: a materialised
+        ghost-extended flux per axis, a second difference buffer, every
+        gradient and stress as its own plane.  The compiled workspace keeps
+        those in registers and allocates none of them."""
+        nvars, nx, nr = self.shape
+        self.tmp3 = np.empty(self.shape)
+        self.ext_x = np.empty((nvars, nx + 4, nr))
+        self.ext_r = np.empty((nvars, nx, nr + 4))
+        self.sweep_x = SweepScratch(self.ext_x, self.q_star, self.rate, self.tmp3)
+        self.sweep_r = SweepScratch(self.ext_r, self.q_star, self.rate, self.tmp3)
+        plane = (nx, nr)
+        self.inv_rho = np.empty(plane)
         self.t2a = np.empty(plane)
         self.t2b = np.empty(plane)
-        self.T = np.empty(plane) if viscous else None
         if viscous:
             self.g_ux = np.empty(plane)  # du/dx
             self.g_ur = np.empty(plane)  # du/dr
@@ -121,11 +144,7 @@ class StepWorkspace:
             self.dilat = np.empty(plane)
             self.tau_n = np.empty(plane)  # tau_xx (axial) / tau_rr (radial)
             self.tau_s = np.empty(plane)  # tau_xr
-            self.tau_tt = np.empty(plane)
             self.heat = np.empty(plane)
-        self.mu = np.empty(plane) if (viscous and mu_field) else None
-        # Boundary strip snapshot (trailing <=5 columns).
-        self.q_tail = np.empty((nvars, min(5, nx), nr))
 
     def axial_flux(self, fm, q):
         """Total axial flux into ``ws.F`` (fused numpy kernels)."""

@@ -38,6 +38,7 @@ import numpy as np
 from ... import constants
 from ...physics import eos
 from . import _cc
+from ..maccormack import SweepScratch
 from .base import KernelBackend, StepWorkspace
 from .fused import _mu
 
@@ -55,33 +56,6 @@ def _c_contig(a: np.ndarray) -> np.ndarray:
     if a.dtype == np.float64 and a.flags.c_contiguous:
         return a
     return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def _ghost_planes(gh):
-    """A ghost-plane provider result as a kernel-ready array, or ``None``.
-
-    Providers return ``(2, 4, plane)`` stacks (or ``None`` for cubic
-    extrapolation); this forces the contiguous float64 layout the kernels
-    index directly.
-    """
-    return None if gh is None else _c_contig(np.asarray(gh))
-
-
-def _iw_array(iw):
-    """The per-``j`` 1/r weight as a 1-D array, or ``None`` for identity.
-
-    ``inv_weight`` is either the identity (axial sweeps, planar mode) or
-    the broadcastable ``(1, 1, nr)`` 1/r array of a radial sweep; any
-    other scalar would be silently mis-broadcast by the per-``j`` kernels
-    and is rejected.
-    """
-    if iw is None:
-        return None
-    if isinstance(iw, float):
-        if iw != 1.0:
-            raise ValueError("compiled kernels require inv_weight 1.0 or 1/r")
-        return None
-    return np.ascontiguousarray(iw).reshape(-1)
 
 
 class CcOps:
@@ -103,6 +77,7 @@ class CcOps:
         except (RuntimeError, OSError) as exc:
             raise BackendUnavailable(str(exc)) from exc
         self._ptr_cache: dict[int, int] = {}
+        self._rows: dict[tuple[int, float], np.ndarray] = {}
 
     def _p(self, a):
         # ctypes reads raw memory: only C-contiguous float64 is legal.
@@ -111,6 +86,11 @@ class CcOps:
         # a finalizer evicts the entry when the array dies, before its id
         # (and address) can be reused.  Data pointers are immutable for a
         # live ndarray, so a cache hit is always the current pointer.
+        # Every array a steady-state step hands over is a persistent
+        # buffer (tests/test_compiled.py pins that): a per-step view or
+        # stack would register a finalizer per call.
+        if a is None:
+            return None
         key = id(a)
         ptr = self._ptr_cache.get(key)
         if ptr is not None:
@@ -121,87 +101,109 @@ class CcOps:
         weakref.finalize(a, self._ptr_cache.pop, key, None)
         return ptr
 
-    def prim(self, q, gamma, inv_rho, u, v, p, T):
-        n = q[0].size
-        self._lib.k_prim(
-            self._p(q), gamma, self._p(inv_rho), self._p(u), self._p(v),
-            self._p(p), self._p(T) if T is not None else None, n,
-        )
+    def _row(self, x, n):
+        """``(pointer, row stride)`` of a per-``j`` operand that is a
+        ``(nx, n)`` field or a scalar.  A scalar rides as one constant row
+        of length ``n`` (stride 0), so no inner loop carries a
+        scalar-or-field branch."""
+        if isinstance(x, np.ndarray):
+            return self._p(x), n
+        key = (n, float(x))
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = np.full(n, key[1])
+        return self._p(row), 0
 
-    def ax_inv(self, q, u, v, p, F):
-        self._lib.k_ax_inv(
-            self._p(q), self._p(u), self._p(v), self._p(p), self._p(F), u.size
-        )
+    def prim_flux(self, q, gamma, F, radial, p, prims=None, w=None):
+        """Primitives + the inviscid flux of one split direction into ``F``.
 
-    def rad_inv(self, q, u, v, p, G):
-        self._lib.k_rad_inv(
-            self._p(q), self._p(u), self._p(v), self._p(p), self._p(G), u.size
+        With ``prims = (u, v, T)`` (Navier-Stokes) those and ``p`` are
+        stored for :meth:`visc`, which also applies any ``r`` weight.
+        Without (Euler) only ``p`` and the flux are, the flux times the
+        per-``j`` weight ``w`` when given.
+        """
+        _nv, nx, nr = F.shape
+        q = _c_contig(q)
+        if np.may_share_memory(F, q):
+            raise ValueError("prim_flux: F must not alias q")
+        if prims is not None and w is not None:
+            raise ValueError("the Navier-Stokes flux takes its weight in visc")
+        u, v, T = prims or (None, None, None)
+        self._lib.k_prim_flux(
+            self._p(q), gamma, self._p(u), self._p(v), self._p(p), self._p(T),
+            self._p(F), self._row(1.0 if w is None else w, nr)[0], nx, nr,
+            int(radial),
         )
+        return F
 
-    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial):
-        """Subtract the viscous flux from ``F`` (and store ``tau_tt`` when
-        ``radial``)."""
+    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial, finish=None):
+        """Subtract the viscous flux from ``F``.  A radial call stores
+        ``tau_tt``, or with ``finish = (w, S2)`` finishes the axisymmetric
+        flux instead: ``F *= w`` and ``S2 = ws.p - tau_tt``."""
         nx, nr = ws.u.shape
         if nx < 3 or nr < 3:
             raise ValueError("viscous gradients need at least 3 points per axis")
-        has_mu = isinstance(mu, np.ndarray)
-        has_k = isinstance(k, np.ndarray)
+        w, S2 = finish if finish is not None else (None, None)
+        mu_p, mu_stride = self._row(mu, nr)
+        k_p, k_stride = self._row(k, nr)
         self._lib.k_visc(
-            self._p(F), self._p(tau_tt) if tau_tt is not None else None,
-            self._p(ws.u), self._p(ws.v), self._p(ws.T), self._p(r),
-            self._p(mu) if has_mu else None, 0.0 if has_mu else float(mu),
-            self._p(k) if has_k else None, 0.0 if has_k else -float(k),
-            nx, nr, dx, dr, int(radial),
+            self._p(F), self._p(tau_tt), self._p(S2), self._p(ws.u),
+            self._p(ws.v), self._p(ws.T), self._p(ws.p), self._p(r),
+            self._p(w), mu_p, mu_stride, k_p, k_stride, nx, nr, dx, dr,
+            int(radial),
         )
 
-    def rad_finish(self, G, S2, p, tau_tt, r, viscous):
-        nx, nr = p.shape
-        self._lib.k_rad_finish(
-            self._p(G), self._p(S2), self._p(p),
-            self._p(tau_tt) if tau_tt is not None else None,
-            self._p(r), nx, nr, int(viscous),
-        )
+    def rate(
+        self, f, gh, axis, h, forward, source, iw, out,
+        mode=0, q=None, q_star=None, dt=0.0,
+    ):
+        """``(source - D f) * iw`` along ``axis`` into ``out`` (``mode`` 0),
+        or combined on the way — the rate itself is never stored — into
+        the predictor's ``q + dt*rate`` (``mode`` 1) or the corrector's
+        ``0.5*((q + q_star) + dt*rate)`` (``mode`` 2).
 
-    def rate(self, f, lo, hi, axis, h, forward, source, iw, out):
+        ``gh`` holds the ghost planes of the side the one-sided stencil
+        reaches past (high when ``forward``), ``None`` for cubic
+        extrapolation; ``iw`` is the identity ``1.0`` or the per-``j``
+        ``1/r`` array.
+        """
         _nv, nx, nr = out.shape
         f = _c_contig(f)
         # The local binding keeps any contiguous ghost copy alive for the
         # duration of the foreign call (only its raw pointer is passed).
-        gh = _ghost_planes(hi if forward else lo)
+        gh = None if gh is None else _c_contig(np.asarray(gh))
         if gh is None and f.shape[axis] < 4:
             raise ValueError("cubic extrapolation needs at least 4 points")
-        iw1 = _iw_array(iw)
+        if f.shape[axis] < 2:
+            raise ValueError("the one-sided stencil needs at least 2 points")
+        if isinstance(iw, float):
+            # Any other scalar would be mis-broadcast by the per-j kernels.
+            if iw != 1.0:
+                raise ValueError("compiled kernels require inv_weight 1.0 or 1/r")
+        elif iw.size != nr:
+            raise ValueError(f"inv_weight must hold {nr} values, got {iw.shape}")
+        reads = (f, q, q_star) if mode == 2 else (f, q) if mode else (f,)
+        if any(np.may_share_memory(out, a) for a in reads):
+            # The combine reads q / q_star rows while it writes out's.
+            raise ValueError("rate: out must not alias the flux, q or q_star")
         self._lib.k_rate(
-            self._p(f),
-            self._p(gh) if gh is not None else None,
-            self._p(source) if source is not None else None,
-            self._p(iw1) if iw1 is not None else None,
-            self._p(out), nx, nr, axis, h, int(forward),
+            self._p(f), self._p(gh), self._p(source), self._row(iw, nr)[0],
+            self._p(out), nx, nr, axis, h, int(forward), mode, self._p(q),
+            self._p(q_star), dt,
         )
         return out
 
-    def predictor(self, q, rate, dt, q_star):
-        self._lib.k_predict(
-            self._p(q), self._p(rate), dt, self._p(q_star), q_star.size
-        )
-
-    def corrector(self, q, q_star, rate, dt, out):
-        self._lib.k_correct(
-            self._p(q), self._p(q_star), self._p(rate), dt, self._p(out),
-            out.size,
-        )
-
     def filter_apply(self, q, lo, hi, axis, eps, scratch):
         _nv, nx, nr = q.shape
-        lo_a = _ghost_planes(lo)
-        hi_a = _ghost_planes(hi)
-        if (lo_a is None or hi_a is None) and q.shape[axis] < 4:
+        lo = None if lo is None else _c_contig(np.asarray(lo))
+        hi = None if hi is None else _c_contig(np.asarray(hi))
+        if (lo is None or hi is None) and q.shape[axis] < 4:
             raise ValueError("cubic extrapolation needs at least 4 points")
+        if scratch.size < max(7 * nr, nr + 4):
+            raise ValueError("filter scratch must hold 7 rows")
         self._lib.k_filter(
-            self._p(q),
-            self._p(lo_a) if lo_a is not None else None,
-            self._p(hi_a) if hi_a is not None else None,
-            self._p(scratch), eps, nx, nr, axis,
+            self._p(q), self._p(lo), self._p(hi), self._p(scratch), eps,
+            nx, nr, axis,
         )
 
     def warmup(self) -> None:
@@ -214,33 +216,25 @@ class CcOps:
         ).reshape(4, nx, nr)
         ws = StepWorkspace((4, nx, nr), viscous=True, mu_field=True)
         r = np.linspace(0.5, 2.0, nr)
-        self.prim(q, 1.4, ws.inv_rho, ws.u, ws.v, ws.p, ws.T)
-        self.prim(q, 1.4, ws.inv_rho, ws.u, ws.v, ws.p, None)
-        self.ax_inv(q, ws.u, ws.v, ws.p, ws.F)
-        self.rad_inv(q, ws.u, ws.v, ws.p, ws.F)
+        iw = 1.0 / r
         for radial in (False, True):
+            self.prim_flux(q, 1.4, ws.F, radial, ws.p, w=r)
+            self.prim_flux(q, 1.4, ws.F, radial, ws.p, (ws.u, ws.v, ws.T))
             for mu in (0.01, ws.mu):
                 k = eos.conductivity(mu, 1.4, constants.PRANDTL)
                 self.visc(ws.F, ws.tau_tt, ws, r, mu, k, 0.1, 0.1, radial)
-        for viscous in (True, False):
-            self.rad_finish(ws.F, ws.S[2], ws.p, ws.tau_tt, r, viscous)
-        iw = 1.0 / r
+        self.visc(ws.F, None, ws, r, 0.01, 0.02, 0.1, 0.1, True, (r, ws.S[2]))
         for axis in (1, 2):
             gh = np.ones((2, 4, nx if axis == 2 else nr))
             for forward in (True, False):
                 for ghost in (None, gh):
+                    self.rate(ws.F, ghost, axis, 0.1, forward, None, 1.0, ws.rate)
                     self.rate(
-                        q, ghost, ghost, axis, 0.1, forward, None, 1.0,
-                        ws.rate,
+                        ws.F, ghost, axis, 0.1, forward, ws.S, iw, ws.q_star,
+                        2, q, ws.state_a, 0.01,
                     )
-                    self.rate(
-                        q, ghost, ghost, axis, 0.1, forward, ws.S,
-                        iw[None, None, :], ws.rate,
-                    )
-            self.filter_apply(ws.q_star, None, None, axis, 0.01, ws.rate[0])
-            self.filter_apply(ws.q_star, gh, gh, axis, 0.01, ws.rate[0])
-        self.predictor(q, ws.rate, 0.01, ws.q_star)
-        self.corrector(q, ws.q_star, ws.rate, 0.01, ws.tmp3)
+            self.filter_apply(ws.q_star, None, None, axis, 0.01, ws.rate)
+            self.filter_apply(ws.q_star, gh, gh, axis, 0.01, ws.rate)
 
 
 #: The warm ops (the library is built/loaded once per process).
@@ -265,29 +259,34 @@ class CompiledWorkspace(StepWorkspace):
     """A fused workspace whose hot kernels dispatch to the C kernels.
 
     Boundary treatment stays numpy-side, identical to the fused backend,
-    while the per-element heavy lifting (primitives, flux assembly,
-    gradients, stress application, 2-4 differences, predictor/corrector
-    combines, the fourth-difference filter) runs in native loops,
-    bitwise-identically.
+    while the per-element heavy lifting runs in native loops,
+    bitwise-identically, in three passes over the grid per MacCormack
+    phase: primitives + inviscid flux (:meth:`CcOps.prim_flux`), gradients
+    + stress + the axisymmetric finish (:meth:`CcOps.visc`, Navier-Stokes
+    only), one-sided difference + predictor/corrector combine
+    (:meth:`CcOps.rate`) — and the fourth-difference filter in one more
+    per axis.
     """
 
     def __init__(self, shape, viscous, mu_field, ops: CcOps):
-        super().__init__(shape, viscous, mu_field=mu_field)
         self.ops = ops
-        self.sweep_x.ops = ops
-        self.sweep_r.ops = ops
+        super().__init__(shape, viscous, mu_field=mu_field)
+        #: The source's one live row, bound once: ``self.S[2]`` would be a
+        #: fresh view (and a pointer-cache entry) per call.
+        self.S2 = self.S[2]
+        self.prims = (self.u, self.v, self.T) if viscous else None
+
+    def _alloc_kernel_scratch(self, viscous: bool) -> None:
+        # The C loops keep every numpy temporary in registers.
+        self.sweep_x = self.sweep_r = SweepScratch(
+            None, self.q_star, self.rate, None, self.ops
+        )
 
     def axial_flux(self, fm, q):
         ops = self.ops
-        q = _c_contig(q)
-        viscous = bool(fm.mu)
-        ops.prim(
-            q, fm.gamma, self.inv_rho, self.u, self.v, self.p,
-            self.T if viscous else None,
-        )
-        ops.ax_inv(q, self.u, self.v, self.p, self.F)
-        if not viscous:
-            return self.F
+        if not fm.mu:
+            return ops.prim_flux(q, fm.gamma, self.F, False, self.p)
+        ops.prim_flux(q, fm.gamma, self.F, False, self.p, self.prims)
         mu = _mu(fm, self)
         k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
         ops.visc(self.F, None, self, fm.r, mu, k, fm.dx, fm.dr, radial=False)
@@ -295,26 +294,25 @@ class CompiledWorkspace(StepWorkspace):
 
     def radial_flux(self, fm, q):
         ops = self.ops
-        q = _c_contig(q)
-        viscous = bool(fm.mu)
-        ops.prim(
-            q, fm.gamma, self.inv_rho, self.u, self.v, self.p,
-            self.T if viscous else None,
-        )
         G = self.F
-        ops.rad_inv(q, self.u, self.v, self.p, G)
-        if viscous:
-            mu = _mu(fm, self)
-            k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
-            ops.visc(
-                G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, radial=True
-            )
-        if not fm.config.axisymmetric:
-            return G, self.S  # planar: unweighted flux, all-zero source
-        ops.rad_finish(
-            G, self.S[2], self.p, self.tau_tt if viscous else None,
-            fm.r, viscous,
-        )
+        axisymmetric = fm.config.axisymmetric
+        if not fm.mu:
+            # Euler: the source row is p - 0.0, a bitwise identity, so the
+            # pressure is stored straight into it (planar: no source, no
+            # weight).
+            if axisymmetric:
+                ops.prim_flux(q, fm.gamma, G, True, self.S2, w=fm.r)
+            else:
+                ops.prim_flux(q, fm.gamma, G, True, self.p)
+            return G, self.S
+        ops.prim_flux(q, fm.gamma, G, True, self.p, self.prims)
+        mu = _mu(fm, self)
+        k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
+        if axisymmetric:
+            finish = (fm.r, self.S2)  # G *= r and S2 = p - tau_tt, in the rows
+            ops.visc(G, None, self, fm.r, mu, k, fm.dx, fm.dr, True, finish)
+        else:
+            ops.visc(G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, True)
         return G, self.S
 
 

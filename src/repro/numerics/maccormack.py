@@ -51,24 +51,26 @@ class SweepScratch:
     ----------
     ext:
         Ghost-extended flux buffer — state shape with the sweep axis grown
-        by 4 (two ghost planes each side).
+        by 4 (two ghost planes each side).  ``None`` with ``ops``.
     q_star:
         Predicted state, state-shaped.
     rate:
         ``dq/dt`` accumulator, state-shaped.
     tmp:
-        State-shaped scratch for the one-sided difference.
+        State-shaped scratch for the one-sided difference.  ``None`` with
+        ``ops``.
     ops:
         Compiled kernel ops (``None`` for the fused numpy path).  When
         set, the one-sided difference + source/weight chain and the
-        predictor/corrector combines run as single native passes —
-        bitwise-identical to the ufunc chains they replace.
+        predictor/corrector combine that follows run as one native pass
+        that never stores the rate — bitwise-identical to the ufunc chains
+        it replaces.
     """
 
-    ext: np.ndarray
+    ext: np.ndarray | None
     q_star: np.ndarray
     rate: np.ndarray
-    tmp: np.ndarray
+    tmp: np.ndarray | None
     ops: object | None = None
 
 
@@ -161,23 +163,39 @@ class SplitOperator:
             rate = source - d
         return rate * ws.inv_weight
 
-    def _rate_into(self, q: np.ndarray, phase: str, sc: SweepScratch) -> np.ndarray:
-        """Zero-allocation ``_rate``: bitwise-identical, into ``sc.rate``."""
+    def _rate_into(
+        self,
+        q: np.ndarray,
+        phase: str,
+        sc: SweepScratch,
+        mode: int = 0,
+        q0: np.ndarray | None = None,
+        dt: float = 0.0,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Zero-allocation ``_rate``: bitwise-identical, into ``sc.rate``.
+
+        With compiled ops the kernel can also fold the combine that
+        follows, so the rate is never stored: ``mode`` 1 returns the
+        predicted state ``q0 + dt*rate`` (``q`` is ``q0``), ``mode`` 2 the
+        corrected one ``0.5*((q0 + q) + dt*rate)`` (``q`` is the predicted
+        state), each in ``out``.
+        """
         ws = self.workspace
         flux, source = ws.flux(q, phase)
         forward = (self.variant == 1) == (phase == PREDICTOR)
-        lo = ws.low_ghosts(flux, phase)
-        hi = ws.high_ghosts(flux, phase)
         if sc.ops is not None:
             # Compiled path: the ghost extension is folded into the rate
             # kernel, which consumes the one boundary the one-sided stencil
             # reaches past.
+            ghosts = ws.high_ghosts if forward else ws.low_ghosts
             d = sc.ops.rate(
-                flux, lo, hi,
-                self.axis, self.h, forward, source, ws.inv_weight,
-                sc.rate,
+                flux, ghosts(flux, phase), self.axis, self.h, forward, source,
+                ws.inv_weight, sc.rate if out is None else out, mode, q0, q, dt,
             )
         else:
+            lo = ws.low_ghosts(flux, phase)
+            hi = ws.high_ghosts(flux, phase)
             ext = extend_axis(flux, self.axis, low=lo, high=hi, out=sc.ext)
             diff = forward_difference if forward else backward_difference
             d = diff(ext, self.axis, self.h, out=sc.rate, tmp=sc.tmp)
@@ -215,18 +233,20 @@ class SplitOperator:
         if out is q:
             raise ValueError("apply(out=...) must not alias the input state")
         with obs.span("maccormack.predictor", axis=self.axis):
-            rate = self._rate_into(q, PREDICTOR, sc)
             if sc.ops is not None:
-                sc.ops.predictor(q, rate, dt, sc.q_star)
+                self._rate_into(
+                    q, PREDICTOR, sc, mode=1, q0=q, dt=dt, out=sc.q_star
+                )
             else:
+                rate = self._rate_into(q, PREDICTOR, sc)
                 np.multiply(rate, dt, out=rate)
                 np.add(q, rate, out=sc.q_star)
             q_star = ws.fix_state(sc.q_star, PREDICTOR)
         with obs.span("maccormack.corrector", axis=self.axis):
-            rate = self._rate_into(q_star, CORRECTOR, sc)
             if sc.ops is not None:
-                sc.ops.corrector(q, q_star, rate, dt, out)
+                self._rate_into(q_star, CORRECTOR, sc, mode=2, q0=q, dt=dt, out=out)
             else:
+                rate = self._rate_into(q_star, CORRECTOR, sc)
                 np.add(q, q_star, out=out)
                 np.multiply(rate, dt, out=rate)
                 np.add(out, rate, out=out)

@@ -35,6 +35,7 @@ from ..physics.fluxes import axisymmetric_source, inviscid_fluxes
 from ..physics.state import FlowState
 from ..physics.viscous import stress_tensor, viscous_fluxes
 from .boundary import (
+    AXIS_STATE_SIGNS,
     BoundaryConditions,
     apply_axis_ghosts,
     characteristic_outflow_rates,
@@ -177,8 +178,11 @@ class FluxModel:
         return self.weight * G, axisymmetric_source(q, p, tau_tt)
 
 
-def _wrap_ghosts(flux: np.ndarray, axis: int, side: str) -> np.ndarray:
-    """Periodic ghost planes (ordered outward, nearest first)."""
+def _wrap_ghosts(
+    flux: np.ndarray, axis: int, side: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Periodic ghost planes (ordered outward, nearest first), into ``out``
+    when a workspace supplies the ``(2, nvars, plane)`` buffer."""
     if side == "low":
         idx = [-1, -2]
     else:
@@ -188,7 +192,7 @@ def _wrap_ghosts(flux: np.ndarray, axis: int, side: str) -> np.ndarray:
     for k in idx:
         sl[axis] = k
         planes.append(flux[tuple(sl)])
-    return np.stack(planes)
+    return np.stack(planes, out=out)
 
 
 class CompressibleSolver:
@@ -268,10 +272,11 @@ class CompressibleSolver:
         flux = lambda q, ph: (fm.axial_flux(q, ws=ws), None)
         scratch = ws.sweep_x if ws is not None else None
         if self.config.periodic_x:
+            lo, hi = ws.ghosts[1] if ws is not None else (None, None)
             return SweepWorkspace(
                 flux=flux,
-                low_ghosts=lambda f, ph: _wrap_ghosts(f, 1, "low"),
-                high_ghosts=lambda f, ph: _wrap_ghosts(f, 1, "high"),
+                low_ghosts=lambda f, ph: _wrap_ghosts(f, 1, "low", lo),
+                high_ghosts=lambda f, ph: _wrap_ghosts(f, 1, "high", hi),
                 scratch=scratch,
             )
         return SweepWorkspace(flux=flux, scratch=scratch)
@@ -282,11 +287,12 @@ class CompressibleSolver:
         ``None`` for the allocating reference kernels."""
         cfg = self.config
         fm = self.fm
+        lo, hi = ws.ghosts[2] if ws is not None else (None, None)
         if cfg.periodic_r:
-            low = lambda f, ph: _wrap_ghosts(f, 2, "low")
-            high = lambda f, ph: _wrap_ghosts(f, 2, "high")
+            low = lambda f, ph: _wrap_ghosts(f, 2, "low", lo)
+            high = lambda f, ph: _wrap_ghosts(f, 2, "high", hi)
         elif cfg.axisymmetric:
-            low = lambda f, ph: apply_axis_ghosts(f)
+            low = lambda f, ph: apply_axis_ghosts(f, lo)
             high = lambda f, ph: None
         else:
             low = lambda f, ph: None
@@ -351,7 +357,9 @@ class CompressibleSolver:
         shape the window workspace was sized for, which is never handed to
         kernels that index raw buffers.
         """
-        window = q[:, -5:, :]
+        # The snapshot strip is the window already; slicing it again would
+        # hand the kernels a fresh view object every step.
+        window = q if q.shape[1] <= 5 else q[:, -5:, :]
         ws = self._ws_window
         if ws is not None and window.shape != ws.shape:
             ws = None
@@ -420,21 +428,20 @@ class CompressibleSolver:
             bc.sponge.apply(q, self._sponge_col)
 
     # -- fourth-difference filter -------------------------------------------------
-    def _state_ghosts(self, q: np.ndarray, axis: int, side: str):
+    def _state_ghosts(self, q: np.ndarray, axis: int, side: str, ws=None):
         """Ghost planes of the conservative state for the filter stencil.
 
         Same boundary logic as the flux sweeps: periodic wrap, axis mirror
-        (radial momentum odd), cubic extrapolation elsewhere.
+        (radial momentum odd), cubic extrapolation elsewhere — written into
+        the workspace's ghost buffer when there is one.
         """
         cfg = self.config
+        out = ws.ghosts[axis][side == "high"] if ws is not None else None
         periodic = cfg.periodic_x if axis == 1 else cfg.periodic_r
         if periodic:
-            return _wrap_ghosts(q, axis, side)
+            return _wrap_ghosts(q, axis, side, out)
         if axis == 2 and side == "low" and cfg.axisymmetric:
-            from .boundary import AXIS_STATE_SIGNS
-
-            signs = AXIS_STATE_SIGNS[:, None]
-            return np.stack([signs * q[:, :, 0], signs * q[:, :, 1]])
+            return apply_axis_ghosts(q, out, AXIS_STATE_SIGNS)
         return None  # cubic extrapolation
 
     def _filter_indices(self, axis: int, n: int) -> list[tuple]:
@@ -471,12 +478,12 @@ class CompressibleSolver:
         if eps <= 0.0:
             return q
         for axis in (1, 2):
-            low = self._state_ghosts(q, axis, "low")
-            high = self._state_ghosts(q, axis, "high")
+            low = self._state_ghosts(q, axis, "low", ws)
+            high = self._state_ghosts(q, axis, "high", ws)
             if ws is not None and ws.ops is not None:
                 # Compiled path: ghost extension folded into the filter
                 # kernel; ws.rate is free scratch after the sweeps.
-                ws.ops.filter_apply(q, low, high, axis, eps, ws.rate[0])
+                ws.ops.filter_apply(q, low, high, axis, eps, ws.rate)
                 continue
             ix = self._filter_indices(axis, q.shape[axis])
             if ws is None:

@@ -17,10 +17,16 @@ Like the fused backend, it must change performance only, never results:
 """
 
 import copy
+import os
+import re
+import subprocess
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import constants, jet_scenario
 from repro.api import run
@@ -32,10 +38,19 @@ from repro.numerics.kernels import (
     available_backends,
     get_backend,
 )
-from repro.numerics.kernels import compiled
+from repro.numerics.kernels import _cc, compiled
 from repro.numerics.kernels.compiled import resolve_ops
-from repro.numerics.kernels.fused import _subtract_viscous
-from repro.numerics.solver import CompressibleSolver
+from repro.numerics.kernels.fused import (
+    _subtract_viscous,
+    fused_axial_flux,
+    fused_radial_flux,
+)
+from repro.numerics.solver import CompressibleSolver, FluxModel, SolverConfig
+from repro.numerics.stencils import (
+    backward_difference,
+    extend_axis,
+    forward_difference,
+)
 from repro.physics import eos
 from repro.physics.viscous import stress_tensor
 
@@ -293,3 +308,204 @@ class TestGhostAwareViscousKernel:
         ws2, fm2, mu2, flux2, owned2 = _visc_case(*shape, mu_field, sides, depth=2)
         deeper, _ = _reference_visc(fm2, ws2, mu2, flux2, radial)
         assert np.array_equal(got[owned], deeper[owned2])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The array's bit patterns: ``array_equal`` on these also tells
+    ``-0.0`` from ``0.0``, which ``-d`` versus ``0.0 - d`` differ by."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _rate_case(nx, nr, axis, seed=0):
+    """A flux with an exactly constant patch (so some differences are
+    exactly zero), the operands of both combines, ghost planes, a source
+    whose rows 0, 1, 3 are zero like the solver's, and ``1/r``."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((4, nx, nr))
+    f[:, : nx // 2 + 1, : nr // 2 + 1] = 0.25
+    q, qs = rng.standard_normal((2, 4, nx, nr))
+    gh = rng.standard_normal((2, 4, nr if axis == 1 else nx))
+    source = np.zeros((4, nx, nr))
+    source[2] = rng.standard_normal((nx, nr))
+    iw = 1.0 / np.linspace(0.5, 2.0, nr)[None, None, :]
+    return f, q, qs, gh, source, iw
+
+
+def _reference_rate(f, gh, axis, h, forward, source, iw, mode, q, qs, dt):
+    """The ufunc chains of ``stencils.py`` / ``SplitOperator`` the kernel
+    transcribes, in their in-place order."""
+    lo, hi = (None, gh) if forward else (gh, None)
+    ext = extend_axis(f, axis, low=lo, high=hi)
+    d, tmp = np.empty_like(f), np.empty_like(f)
+    diff = forward_difference if forward else backward_difference
+    diff(ext, axis, h, out=d, tmp=tmp)
+    if source is None:
+        np.negative(d, out=d)
+    else:
+        np.subtract(source, d, out=d)
+    if not isinstance(iw, float):
+        np.multiply(d, iw, out=d)
+    if mode == 0:
+        return d
+    np.multiply(d, dt, out=d)
+    if mode == 1:
+        return np.add(q, d)
+    out = np.add(q, qs)
+    np.add(out, d, out=out)
+    return np.multiply(out, 0.5, out=out)
+
+
+def _check_rate(ops, shape, mode, axis, forward, ghosts, sourced, weighted):
+    f, q, qs, gh, source, iw = _rate_case(*shape, axis)
+    gh = gh if ghosts else None
+    source = source if sourced else None
+    iw = iw if weighted else 1.0
+    args = (f, gh, axis, 0.07, forward, source, iw)
+    want = _reference_rate(*args, mode, q, qs, 0.013)
+    got = ops.rate(*args, np.empty_like(f), mode, q, qs, 0.013)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _flux_case(nx, nr, viscous, axisymmetric, mu_exp, seed=0):
+    """A flux model over an ``nx x nr`` slab and a random physical state."""
+    rng = np.random.default_rng(seed)
+    cfg = SolverConfig(
+        viscous=viscous, mu=0.01, axisymmetric=axisymmetric, mu_exponent=mu_exp
+    )
+    fm = FluxModel((np.arange(nr) + 0.5) * 0.07, 0.1, 0.07, cfg)
+    rho = 1.0 + 0.2 * rng.random((nx, nr))
+    u, v = 0.3 * rng.standard_normal((2, nx, nr))
+    p = 1.0 + 0.2 * rng.random((nx, nr))
+    q = np.stack([rho, rho * u, rho * v, eos.total_energy(rho, u, v, p, 1.4)])
+    return fm, q
+
+
+def _check_flux(ops, shape, viscous, radial, axisymmetric, mu_exp=0.0):
+    fm, q = _flux_case(*shape, viscous, axisymmetric, mu_exp)
+    mu_field = viscous and mu_exp != 0.0
+    ref = StepWorkspace(q.shape, viscous, mu_field)
+    cws = CompiledWorkspace(q.shape, viscous, mu_field, ops)
+    if radial:
+        want, want_S = fused_radial_flux(fm, q, ref)
+        got, got_S = cws.radial_flux(fm, q)
+        assert np.array_equal(_bits(got_S), _bits(want_S))
+    else:
+        want, got = fused_axial_flux(fm, q, ref), cws.axial_flux(fm, q)
+    assert np.array_equal(_bits(got), _bits(want))
+    if viscous:  # the primitives the stress kernel read
+        for name in ("u", "v", "p", "T"):
+            assert np.array_equal(
+                _bits(getattr(cws, name)), _bits(getattr(ref, name))
+            ), name
+
+
+#: Shapes that reach the edge code: the smallest a cubic extrapolation and
+#: a viscous gradient take, and the outflow helper's 5-column window.
+RATE_SHAPES = [(4, 4), (5, 4), (5, 9)]
+FLUX_SHAPES = RATE_SHAPES + [(3, 7)]
+
+
+class TestFusedEntryPoints:
+    """The kernels that fuse several numpy chains into one pass — the rate
+    with its combine, primitives with the inviscid flux, the stress kernel
+    with the axisymmetric finish — against those chains, bit for bit
+    (signed zeros included)."""
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["1/r", "identity"])
+    @pytest.mark.parametrize("sourced", [True, False], ids=["source", "no-source"])
+    @pytest.mark.parametrize("ghosts", [True, False], ids=["ghosts", "cubic"])
+    @pytest.mark.parametrize("forward", [True, False], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("mode", [0, 1, 2], ids=["rate", "predict", "correct"])
+    def test_rate_matches_ufunc_chains(
+        self, ops, mode, axis, forward, ghosts, sourced, weighted
+    ):
+        for shape in RATE_SHAPES:
+            _check_rate(ops, shape, mode, axis, forward, ghosts, sourced, weighted)
+
+    @given(
+        shape=st.tuples(st.integers(4, 13), st.integers(4, 13)),
+        mode=st.integers(0, 2),
+        axis=st.sampled_from([1, 2]),
+        flags=st.tuples(*[st.booleans()] * 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rate_on_drawn_shapes(self, ops, shape, mode, axis, flags):
+        _check_rate(ops, shape, mode, axis, *flags)
+
+    @pytest.mark.parametrize("axisymmetric", [True, False], ids=["axisym", "planar"])
+    @pytest.mark.parametrize("radial", [False, True], ids=["axial", "radial"])
+    @pytest.mark.parametrize("viscous", [True, False], ids=["viscous", "euler"])
+    def test_flux_matches_fused(self, ops, viscous, radial, axisymmetric):
+        for shape in FLUX_SHAPES:
+            _check_flux(ops, shape, viscous, radial, axisymmetric)
+        if viscous:
+            _check_flux(ops, (5, 9), viscous, radial, axisymmetric, mu_exp=0.7)
+
+    @given(
+        shape=st.tuples(st.integers(3, 13), st.integers(3, 13)),
+        flags=st.tuples(*[st.booleans()] * 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_flux_on_drawn_shapes(self, ops, shape, flags):
+        _check_flux(ops, shape, *flags)
+
+    @pytest.mark.parametrize("alias", ["flux", "q", "q_star"])
+    def test_rate_refuses_an_aliased_output(self, ops, alias):
+        """The combine reads rows of q / q_star while it writes out's."""
+        f, q, qs, _gh, _source, _iw = _rate_case(5, 4, 1)
+        out = {"flux": f, "q": q, "q_star": qs}[alias]
+        with pytest.raises(ValueError, match="must not alias"):
+            ops.rate(f, None, 1, 0.1, True, None, 1.0, out, 2, q, qs, 0.01)
+
+
+def test_steady_state_step_caches_no_new_pointer(ops, monkeypatch):
+    """Every array a steady-state step hands the kernels is a persistent
+    buffer: a per-step view or stack would cost ``CcOps._p`` a cache entry
+    and a ``weakref.finalize`` per call."""
+    for viscous in (True, False):
+        sc = jet_scenario(nx=24, nr=12, viscous=viscous)
+        cfg = copy.deepcopy(sc.solver.config)
+        cfg.backend = "compiled"
+        solver = CompressibleSolver(copy.deepcopy(sc.state), cfg)
+        for _ in range(4):  # both variants, both state buffers
+            solver.step()
+        registered = []
+        monkeypatch.setattr(
+            compiled.weakref, "finalize", lambda *a: registered.append(a[0])
+        )
+        for _ in range(4):
+            solver.step()
+        monkeypatch.undo()
+        assert not registered, [a.shape for a in registered]
+
+
+def test_marked_loops_vectorize():
+    """Every ``/* vec */`` loop of the C source — primitives + flux, the
+    stress row, the rate and combine rows, the filter rows — is reported
+    vectorized by gcc under the pinned flags: an edit that puts a branch
+    or a may-alias pointer back into one fails here, not in a benchmark."""
+    cc = _cc.find_compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    version = subprocess.run([cc, "--version"], capture_output=True, text=True)
+    if "Free Software Foundation" not in version.stdout:
+        pytest.skip(f"{cc} is not gcc: no -fopt-info-vec")
+    lines = _cc.SOURCE.split("\n")
+    marked = {n for n, line in enumerate(lines, 1) if "/* vec */" in line}
+    assert len(marked) >= 10
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "k.c")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(_cc.SOURCE)
+        proc = subprocess.run(
+            [cc, *_cc.CFLAGS, "-fopt-info-vec-optimized", src,
+             "-o", os.path.join(tmp, "k.so")],
+            capture_output=True, text=True, check=True,
+        )
+    vectorized = {
+        int(m.group(1))
+        for m in re.finditer(r"k\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)
+    }
+    missed = sorted(marked - vectorized)
+    assert not missed, [(n, lines[n - 1].strip()) for n in missed]

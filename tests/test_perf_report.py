@@ -239,3 +239,31 @@ def test_committed_baseline_matches_schema():
     assert [r["nprocs"] for r in sp["rows"]] == [1, 2, 4]
     assert sp["rows"][0]["speedup"] == 1.0
     assert all(r["ms_per_step"] > 0 for r in sp["rows"])
+
+
+def _harness_report(tmp_path, compiled_ms):
+    """A traced harness ``--out`` report holding what HARNESS_GATES reads."""
+    values = {
+        "parallel.speedup.v5": 1.4,
+        "msglib.process.oneway_us.6400B": 35.0,
+        "msglib.virtual.oneway_us.6400B": 60.0,
+        "numerics.step_ms.compiled": compiled_ms,
+        "numerics.step_ms.fused": 10.0,
+    }
+    doc = {"result": {
+        "failed": 0, "attempted": 12,
+        "metrics": {k: {"value": v} for k, v in values.items()},
+    }}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_harness_gate_holds_the_compiled_rung_under_030_of_fused(
+    tmp_path, monkeypatch, capsys
+):
+    gate = _load_perf_gate()
+    monkeypatch.setattr(gate.os, "cpu_count", lambda: 2)
+    assert gate.check_harness_report(_harness_report(tmp_path, 2.9)) == 0
+    assert gate.check_harness_report(_harness_report(tmp_path, 3.1)) == 1
+    assert "numerics.step_ms.compiled <= 0.30" in capsys.readouterr().err
