@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all trace-smoke bench perf-gate gates bless-baseline speedup loc
+.PHONY: check test test-all trace-smoke stress bench perf-gate gates bless-baseline speedup loc
 
 ## check: fast test suite + trace-determinism smoke (the pre-commit gate)
 check: trace-smoke
@@ -17,6 +17,13 @@ test-all: test
 ## trace-smoke: two identical simulated runs must export identical bytes
 trace-smoke:
 	$(PY) scripts/trace_report.py --selftest
+
+## stress: race hunt over the process transport — its own tests and the
+## process rows of the bitwise walls, STRESS_N (default 10) times each on one
+## CPU beside a CPU hog, with _POLL / _SPIN / ring depth redrawn per run from
+## a printed seed (STRESS_SEED replays; flight rings of a failure in .stress/)
+stress:
+	$(PY) tests/stress_transport.py
 
 ## bench: run the pinned core benchmark matrix + multi-core speedup curve
 ## (writes BENCH_core.json and appends PerfReport lines to

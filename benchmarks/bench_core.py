@@ -136,11 +136,10 @@ MATRIX = (
         "tolerance": 0.35,
     },
     {
-        # The overlapped twin of ns-p2-process-fused: identical physics
-        # (overlap never enters the request fingerprint — results are
-        # bitwise-equal), posted halo receive forced on.  The "overlap"
-        # section of the output compares the two modes' communication
-        # time head to head.
+        # ns-p2-process-fused on paper Version 6: identical physics
+        # (results are bitwise-equal), one grouped halo message whose
+        # receive is posted.  The "overlap" section of the output compares
+        # Versions 5 and 6's communication time head to head.
         "id": "ns-p2-overlap-fused",
         "scenario": "jet",
         "kw": {"nx": 64, "nr": 32},
@@ -148,7 +147,7 @@ MATRIX = (
         "nprocs": 2,
         "backend": "fused",
         "substrate": "process",
-        "overlap": True,
+        "version": 6,
         "tolerance": 0.35,
     },
     {
@@ -220,7 +219,7 @@ def run_case(case: dict, repeats: int, ledger_path: str | None):
             decomposition=case.get("decomposition", "axial"),
             px=case.get("px"),
             pr=case.get("pr"),
-            overlap=case.get("overlap", False),
+            version=case.get("version", 7),
             metrics=True,
             **case["kw"],
         )
@@ -285,10 +284,11 @@ def run_speedup(repeats: int = 1, quick: bool = False) -> dict:
 
 
 #: The blocking-vs-overlap communication measurement: the same 2-rank
-#: process-substrate run executed with the halo receive blocked on and
-#: with it posted (post / rank-local dt estimate / finish).  Results are
-#: bitwise-identical; the point of the section is the *communication
-#: time* — under overlap only the residual ``finish()`` wait counts, so
+#: process-substrate run executed with the halo receive blocked on
+#: (Version 5) and with it posted (Version 6: post / rank-local dt
+#: estimate / finish).  Results are bitwise-identical; the point of the
+#: section is the *communication time* — under overlap only the residual
+#: ``finish()`` wait counts, so
 #: ``comm_ms_per_step`` is the paper's non-overlapped communication
 #: component.  ``scripts/perf_gate.py`` reports both and, on hosts with
 #: real parallel hardware, requires overlap's step time not to regress.
@@ -314,8 +314,8 @@ def _comm_ms_per_step(perf) -> float:
 def run_overlap_comparison(repeats: int = 3, quick: bool = False) -> dict:
     """Blocking vs overlapped exchange, measured and DES-predicted.
 
-    The real half runs the :data:`OVERLAP` configuration twice (same
-    fingerprint, bitwise-equal results) and reports each mode's step time
+    The real half runs the :data:`OVERLAP` configuration as Version 5 and
+    as Version 6 (bitwise-equal results) and reports each mode's step time
     and non-overlapped communication time.  The DES half simulates the
     same Version 5 -> Version 6 transition on the paper's LACE/560 —
     the model this measurement validates — so the JSON carries the
@@ -327,7 +327,7 @@ def run_overlap_comparison(repeats: int = 3, quick: bool = False) -> dict:
 
     steps = max(OVERLAP["steps"] // 4, 4) if quick else OVERLAP["steps"]
     modes = {}
-    for label, overlap in (("blocking", False), ("overlap", True)):
+    for label, version in (("blocking", 5), ("overlap", 6)):
         best = None
         for _ in range(repeats):
             res = run(
@@ -336,7 +336,7 @@ def run_overlap_comparison(repeats: int = 3, quick: bool = False) -> dict:
                 nprocs=OVERLAP["nprocs"],
                 backend=OVERLAP["backend"],
                 substrate=OVERLAP["substrate"],
-                overlap=overlap,
+                version=version,
                 metrics=True,
                 **OVERLAP["kw"],
             )

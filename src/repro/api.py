@@ -297,13 +297,6 @@ def run(scenario, **options) -> RunResult:
     steps_window:
         Simulated steps actually executed by the DES before scaling
         (simulated route only).
-    overlap:
-        ``True`` forces the overlapped (split-phase) halo exchange on the
-        distributed route regardless of ``version``; the default
-        ``False`` keeps the version's behaviour (V6+ overlaps, V5
-        blocks).  Overlapped runs are bitwise-identical to blocking ones
-        and share their cache fingerprint — this switch only changes
-        *when* the per-step flux halos travel, not the numbers.
     faults:
         ``None`` (default), a preset name (``"lossy-ethernet"``,
         ``"jittery-now"``, ``"drop-storm"``, ``"crash-rank1"``,
@@ -538,10 +531,6 @@ def _run_parallel(sc: Scenario, req: RunRequest, plan) -> RunResult:
         faults=plan,
         checkpoint_every=rz.checkpoint_every,
         max_restarts=rz.max_restarts,
-        # False means "the version's default", not "force blocking":
-        # request-level overlap is an opt-in override on top of the
-        # version policy (V6+ already overlaps).
-        overlap=True if ex.overlap else None,
     )
     t0 = _time.perf_counter()
     res = solver.run(steps)

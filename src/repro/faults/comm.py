@@ -320,16 +320,6 @@ class FaultyComm(Communicator):
             return payload
 
     def recv_view(self, source: int, tag: str, timeout: float | None = None):
-        """Borrow-style receive through the fault layer.
-
-        With injection disabled this passes straight through to the
-        inner communicator's ``recv_view`` (zero-copy on the process
-        substrate, an owned view everywhere else).
-        With injection enabled the payload necessarily crosses the
-        framed retransmission path (a raw slot holds a *frame*, not the
-        payload), so the view is an owned copy — but the release
-        discipline stays uniform for callers either way.
-        """
-        if not self._enabled:
-            return self.inner.recv_view(source, tag, timeout=timeout)
+        """:meth:`recv` — framed and healed when injection is on — behind
+        the :class:`MessageView` scope."""
         return MessageView(self.recv(source, tag, timeout=timeout))

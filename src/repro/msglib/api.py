@@ -38,9 +38,10 @@ class CommStats:
     wall time spent inside the communication calls — the measured
     counterpart of the paper's communication-startup (send side, buffered
     deposit) and data-transfer/wait (receive side, blocking) components.
-    ``wait_seconds`` is the part of ``recv_seconds`` spent *blocked* until
-    the message had arrived (partner skew, scheduler); the rest of a
-    receive is transfer and unpack.
+    ``wait_seconds`` is the part of ``recv_seconds`` spent until the
+    message was in this rank's hands: partner skew, the scheduler, and —
+    since a transport hands over an owned array — its copy out of
+    transport memory.
     """
 
     sends: int = 0
@@ -146,30 +147,20 @@ class PostedRecv(Request):
 
 
 class MessageView:
-    """A received payload behind the borrow protocol: read-only ``array``,
-    mandatory ``release()`` exactly once, context manager to scope it.
+    """A received payload behind a scope: read-only ``array``, ``release()``
+    exactly once, context manager to do so.
 
-    Every communicator's ``recv_view`` / ``irecv_view`` hands out this one
-    type, so exchange code can hold a view across an interior compute
-    without substrate branches.  With a ``release_cb`` the array *aliases
-    transport memory* (the process substrate's shared-memory ring slot,
-    which stays **borrowed** — the sender blocks rather than overwrite it
-    — until :meth:`release` runs the callback); without one the payload is
-    owned by the view and releasing frees nothing.  The access protocol
-    (no reads after release, a second release raises ``RuntimeError``) is
-    enforced identically in both cases so lifetime bugs surface on every
-    substrate, not just the zero-copy one.  Releasing a borrowed slot
-    after the cluster aborted raises a structured
-    :class:`~repro.msglib.vchannel.ClusterAborted` from the callback (the
-    slot ring is gone; the data must be treated as lost).
+    ``recv_view`` / ``irecv_view`` hand out this type on every transport.
+    The payload is owned by the view — no transport lends its memory — so
+    releasing frees nothing; what the class keeps is the access discipline
+    (no reads after release, a second release raises ``RuntimeError``).
     """
 
-    __slots__ = ("_array", "_release_cb", "_released")
+    __slots__ = ("_array", "_released")
 
-    def __init__(self, array: np.ndarray, release_cb=None) -> None:
+    def __init__(self, array: np.ndarray) -> None:
         array.setflags(write=False)
         self._array = array
-        self._release_cb = release_cb
         self._released = False
 
     @property
@@ -182,22 +173,13 @@ class MessageView:
     def released(self) -> bool:
         return self._released
 
-    @property
-    def zero_copy(self) -> bool:
-        """True when ``array`` aliases transport memory (a ring slot)."""
-        return self._release_cb is not None
-
     def release(self) -> None:
-        """End the borrow: return the slot to the sender's ring, if any."""
         if self._released:
             raise RuntimeError(
                 "MessageView.release() called twice (view already returned)"
             )
         self._released = True
-        cb, self._release_cb = self._release_cb, None
         self._array = None
-        if cb is not None:
-            cb()
 
     def __enter__(self) -> "MessageView":
         return self
@@ -215,14 +197,11 @@ class Communicator:
     call and report it once — to :class:`CommStats` and, as one
     ``message`` event, to whatever :mod:`repro.obs` sinks are installed —
     the same way on every transport.  A transport only moves bytes,
-    through five primitives:
+    through three primitives:
 
     * :meth:`_deposit` — buffered send of a copy, returns its byte count;
-    * :meth:`_take` / :meth:`_probe` — the ``(source, tag)`` item,
-      blocking or only if it has already arrived.  An item is opaque
-      apart from ``.nbytes``;
-    * :meth:`_as_array` / :meth:`_as_view` — turn an item into an owned
-      array or a :class:`MessageView`.
+    * :meth:`_take` / :meth:`_probe` — the ``(source, tag)`` payload as an
+      array the caller owns, blocking or only if it has already arrived.
 
     A decorator (:class:`~repro.faults.FaultyComm`) overrides the public
     calls instead and shares the wrapped endpoint's ``stats``.
@@ -243,12 +222,6 @@ class Communicator:
         """Default for transports without a probing mailbox: never ready,
         so a posted receive completes at ``wait()``."""
         return None
-
-    def _as_array(self, item) -> np.ndarray:
-        return item
-
-    def _as_view(self, item) -> MessageView:
-        return MessageView(item)
 
     # -- the one accounting point ----------------------------------------------
     def _mark(self, kind: str, **fields) -> None:
@@ -275,9 +248,9 @@ class Communicator:
         """Every receive completes here.  ``probe`` only asks whether the
         message has landed (``None`` if not) and opens no span — a polling
         loop would flood the trace — but a completion is accounted with
-        the time the probe took.  The clock is read once more between the
-        transport's two halves, so a receive is accounted as *blocked until
-        the item was in hand* plus *transfer and unpack*."""
+        the time the probe took.  The clock is read once more when the
+        transport returns, so a receive is accounted as *until the item
+        was in hand* (``wait``) plus what this class does with it."""
         span = _NO_SPAN if probe else current().span(
             f"comm.{kind}", cat="comm", rank=self.rank, peer=source, tag=tag
         )
@@ -290,10 +263,7 @@ class Communicator:
             else:
                 item = self._take(source, tag, timeout)
             arrived = _time.perf_counter()
-            value = (
-                self._as_view(item) if kind == "recv_view"
-                else self._as_array(item)
-            )
+            value = MessageView(item) if kind == "recv_view" else item
             seconds = _time.perf_counter() - t0
         self._account(kind, source, tag, item.nbytes, seconds, arrived - t0)
         return value
@@ -347,34 +317,15 @@ class Communicator:
     def recv_view(
         self, source: int, tag: str, timeout: float | None = None
     ) -> MessageView:
-        """Blocking receive returning a :class:`MessageView`.
-
-        Where the transport can lend message memory (the process
-        substrate's shared-memory slots) the view *borrows* the payload in
-        place: it aliases the ring slot directly (zero-copy) and the
-        sender cannot overwrite that slot until :meth:`MessageView.release`
-        runs — it blocks on the slot's semaphore, and times out into a
-        ``DeadlockError`` if the borrow is held too long.  Payloads that
-        arrived inline (oversized), were already copied out under ring
-        pressure, or crossed any other transport come back as owned
-        read-only views (``zero_copy`` is False); release is still
-        required, so exchange code never needs a substrate branch or
-        ``hasattr`` guard.  Semantics otherwise match :meth:`recv` (same
-        tag matching, timeouts, abort behaviour, accounting).
-        """
+        """:meth:`recv` with the payload behind a :class:`MessageView`
+        (read-only, released once) — same copy, tag matching, timeouts,
+        abort behaviour and accounting, recorded as a ``recv_view``."""
         return self._receive("recv_view", source, tag, timeout)
 
     def irecv_view(
         self, source: int, tag: str, timeout: float | None = None
     ) -> Request:
-        """Non-blocking :meth:`recv_view`: ``wait()`` yields the view.
-
-        The split-phase exchange posts these before the interior compute.
-        On the process substrate ``test()`` probes the control pipe and
-        borrows the slot the moment the envelope lands, so the borrow can
-        be posted before the compute and the slot aliased zero-copy at
-        ``wait()``.
-        """
+        """Non-blocking :meth:`recv_view`: ``wait()`` yields the view."""
         return PostedRecv(self, "recv_view", source, tag, timeout)
 
     # -- collectives (generic implementations over send/recv) -----------------

@@ -11,14 +11,14 @@ contract over
   (:class:`multiprocessing.shared_memory.SharedMemory`) carved into a
   fixed ring of slots per directed ``src -> dst`` channel.  A send packs
   the payload straight into its channel's next slot with one vectorized
-  ``np.copyto`` (no pickling on the hot halo path); the receiver either
-  copies out of the slot and releases it (``recv``) or *borrows* the slot
-  zero-copy until an explicit release (``recv_view`` ->
-  :class:`~repro.msglib.api.MessageView`).  Each slot has its own
-  free/occupied semaphore, so senders keep PVM's buffered
-  deposit-and-return semantics up to the ring depth and block on exactly
-  the slot they would overwrite beyond it — a borrowed slot is therefore
-  never overwritten before release;
+  ``np.copyto`` (no pickling on the hot halo path).  One rule frees it:
+  *the receive that reads a slot's descriptor copies the payload out and
+  frees the slot*, whatever tag that receive is waiting for — so no
+  transport memory is held between two calls, and slots come free in the
+  order they were filled.  Each channel counts its free slots in one
+  semaphore, so senders keep PVM's buffered deposit-and-return semantics
+  up to the ring depth and block beyond it until the receiver next
+  enters a receive;
 * a **pipe control plane** — one ``Pipe(duplex=False)`` per rank carrying
   the small records a blocked receive waits for: ``("shm", ...)`` slot
   descriptors, ``("abort", reason)`` notices and ``("cold", source)`` wake
@@ -76,7 +76,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..obs import ForkedRanks
-from .api import Communicator, CommStats, MessageView
+from .api import Communicator, CommStats
 from .vchannel import ClusterAborted, DeadlockError, TagStash
 from .virtual import RankFailure, VirtualCluster
 
@@ -87,8 +87,11 @@ __all__ = [
     "RemoteRankError",
 ]
 
-#: Bytes per shared-memory slot.  Sized for halo traffic (a V7 flux pair
-#: at nr=1000 is 64 KB); anything larger rides the oversize queue inline.
+#: Bytes per shared-memory slot.  Sized for one grouped halo message,
+#: ``H * line * 32`` B (``halo_depth`` lines of 4 float64 variables): for
+#: Navier-Stokes on the paper's 250x100 grid 25 600 B axial and 64 000 B
+#: radial — the radial one fits by 1 536 B (``tests/test_process.py`` pins
+#: both).  Anything larger rides the oversize queue, pickled.
 DEFAULT_SLOT_BYTES = 1 << 16
 
 #: Slots per directed channel — the buffered-send ring depth.
@@ -109,16 +112,6 @@ _POLL = 0.05
 #: peer — is worth sleeping through.  The yield is not optional: without
 #: it 4 ranks on 2 vCPUs take 16.5 ms/step (DESIGN section 11).
 _SPIN = 0.002
-
-#: How long a receive may observe "ring head borrowed by us + nothing
-#: arriving" before it is declared a borrow deadlock.  Slot descriptors
-#: are in the pipe before their ``send`` returns, so the grace only has
-#: to cover a sender still copying into a slot it already owns and an
-#: oversize payload, which bypasses the ring and may be what this receive
-#: waits for; short enough that the failure is prompt next to the
-#: cluster-level timeout.
-_BORROW_GRACE = 1.0
-
 
 class RemoteRankError(RuntimeError):
     """A worker failure whose original exception could not cross the
@@ -147,42 +140,6 @@ def _portable_exception(exc: BaseException) -> BaseException:
     return wrapped
 
 
-class _SlotRef:
-    """A stashed-but-unconsumed shared-memory envelope.
-
-    The payload stays in the sender's ring slot until someone asks for
-    it: ``materialize`` copies it out and frees the slot (the eager
-    ``recv`` path), while ``recv_view`` borrows the slot in place.
-    ``claimed`` marks refs popped from the stash so the ingest-side
-    pressure relief never frees a slot that a live view borrows.
-    """
-
-    __slots__ = ("comm", "src", "slot", "shape", "dtype", "nbytes",
-                 "array", "claimed")
-
-    def __init__(self, comm, src, slot, shape, dtype, nbytes) -> None:
-        self.comm = comm
-        self.src = src
-        self.slot = slot
-        self.shape = shape
-        self.dtype = dtype
-        self.nbytes = nbytes
-        self.array: np.ndarray | None = None
-        self.claimed = False
-
-    @property
-    def lazy(self) -> bool:
-        return self.array is None
-
-    def materialize(self) -> np.ndarray:
-        """Copy the payload out of the ring slot and free the slot."""
-        if self.array is None:
-            self.array = self.comm._unpack(
-                self.src, self.slot, self.shape, self.dtype
-            )
-        return self.array
-
-
 class ProcessCommunicator(Communicator):
     """Communicator endpoint for one rank of a :class:`ProcessCluster`.
 
@@ -206,36 +163,22 @@ class ProcessCommunicator(Communicator):
         # send order, until that token is read from the pipe.
         self._cold_early: dict[int, deque] = defaultdict(deque)
         self._stash = TagStash()
-        self._lazy: dict[int, deque] = defaultdict(deque)
         self._tx_seq = [0] * cluster.size
-        # Borrow-deadlock bookkeeping: per-source count of shared-memory
-        # envelopes ingested (mirrors the sender's _tx_seq once the pipe
-        # drains) and the set of ring slots currently borrowed out via
-        # recv_view.  Together they tell a blocked receive whether the
-        # sender's *next* slot is one we ourselves are holding.
-        self._rx_ingested: dict[int, int] = defaultdict(int)
-        self._borrowed: dict[int, set] = defaultdict(set)
         self._aborted: str | None = None
 
     # -- shared-memory ring helpers --------------------------------------------
-    def _slot_index(self, src: int, dst: int, slot: int) -> int:
-        """Position of a slot of channel ``src -> dst`` in the segment."""
-        return (src * self.size + dst) * self.cluster.slots_per_channel + slot
-
-    def _slot_sem(self, src: int, dst: int, slot: int):
-        """The per-slot free/occupied semaphore (1 = free)."""
-        return self.cluster._slot_sems[self._slot_index(src, dst, slot)]
+    def _free_slots(self, src: int, dst: int):
+        """The semaphore counting the free slots of channel ``src -> dst``."""
+        return self.cluster._ring_sems[src * self.size + dst]
 
     def _pack(self, dest: int, payload: np.ndarray) -> int:
         """Copy ``payload`` into the next ring slot of ``self -> dest``;
-        returns the slot index.  Slots are written in strict sequence and
-        each has its own semaphore, so the send blocks (abort-aware) on
-        exactly the slot it is about to overwrite — whether the receiver
-        is merely behind or is holding that slot borrowed via
-        :meth:`recv_view` — the bounded counterpart of PVM's buffered
-        deposit."""
+        returns the slot index.  Slots are written and freed in the same
+        strict sequence, so a free slot is always the next one; with none
+        free the send blocks (abort-aware) until the receiver reads a
+        descriptor — the bounded counterpart of PVM's buffered deposit."""
         slot = self._tx_seq[dest] % self.cluster.slots_per_channel
-        sem = self._slot_sem(self.rank, dest, slot)
+        sem = self._free_slots(self.rank, dest)
         deadline = _time.monotonic() + self.cluster.timeout
         waited = False
         while not sem.acquire(timeout=_POLL):
@@ -252,7 +195,7 @@ class ProcessCommunicator(Communicator):
                     f"rank {self.rank}: slot {slot} to {dest} stayed "
                     f"occupied for {self.cluster.timeout}s "
                     f"({self.cluster.slots_per_channel}-slot ring; receiver "
-                    "stuck, dead, or holding an unreleased recv_view)"
+                    "stuck, dead, or never entering a receive)"
                 )
         self._tx_seq[dest] += 1
         np.copyto(
@@ -263,16 +206,11 @@ class ProcessCommunicator(Communicator):
 
     def _slot_array(self, src: int, dst: int, slot: int, shape, dtype) -> np.ndarray:
         """An array aliasing a ring slot of ``src -> dst`` (no copy)."""
+        index = (src * self.size + dst) * self.cluster.slots_per_channel + slot
         return np.frombuffer(
             self.cluster._shm.buf, dtype=np.dtype(dtype), count=math.prod(shape),
-            offset=self._slot_index(src, dst, slot) * self.cluster.slot_bytes,
+            offset=index * self.cluster.slot_bytes,
         ).reshape(shape)
-
-    def _unpack(self, src: int, slot: int, shape, dtype: str) -> np.ndarray:
-        """Copy a payload out of ``src``'s slot and free it."""
-        arr = self._slot_array(src, self.rank, slot, shape, dtype).copy()
-        self._slot_sem(src, self.rank, slot).release()
-        return arr
 
     # -- point to point --------------------------------------------------------
     def _deposit(self, dest: int, tag: str, array: np.ndarray) -> int:
@@ -282,8 +220,7 @@ class ProcessCommunicator(Communicator):
             slot = self._pack(dest, payload)
             self._post(
                 dest,
-                ("shm", self.rank, tag, slot, payload.shape,
-                 payload.dtype.str, nbytes),
+                ("shm", self.rank, tag, slot, payload.shape, payload.dtype.str),
             )
         else:
             # Copy before queueing: the queue's feeder thread pickles
@@ -313,28 +250,15 @@ class ProcessCommunicator(Communicator):
     def _ingest(self, record: tuple) -> None:
         """Stash one control record's payload under its (source, tag).
 
-        Shared-memory envelopes are stashed *lazily* — the payload stays
-        in the ring slot so a later :meth:`recv_view` can borrow it
-        without a copy.  To keep the old liveness (a sender never blocks
-        just because the receiver is waiting on a different tag), refs
-        that pile up unconsumed beyond half the ring depth are copied out
-        oldest-first, freeing their slots.  Refs already claimed by
-        ``recv``/``recv_view`` are never touched here."""
+        A slot descriptor's payload is copied out and its slot freed here,
+        by whichever receive read it: a sender never blocks just because
+        the receiver is waiting on a different tag."""
         kind = record[0]
         if kind == "shm":
-            _, src, tag, slot, shape, dtype, nbytes = record
-            self._rx_ingested[src] += 1
-            ref = _SlotRef(self, src, slot, shape, dtype, nbytes)
-            self._stash[(src, tag)].append(ref)
-            lz = self._lazy[src]
-            lz.append(ref)
-            while lz and (lz[0].claimed or not lz[0].lazy):
-                lz.popleft()
-            relief = max(1, self.cluster.slots_per_channel // 2)
-            while len(lz) > relief:
-                old = lz.popleft()
-                if not old.claimed and old.lazy:
-                    old.materialize()
+            _, src, tag, slot, shape, dtype = record
+            payload = self._slot_array(src, self.rank, slot, shape, dtype).copy()
+            self._free_slots(src, self.rank).release()
+            self._stash[(src, tag)].append(payload)
         elif kind == "cold":
             # ``source`` put an oversize payload on our queue before
             # writing this token.  Queue order across senders is arbitrary,
@@ -378,13 +302,12 @@ class ProcessCommunicator(Communicator):
         :data:`_SPIN` it polls the pipe without sleeping and yields the
         CPU between polls, so a descriptor written meanwhile is picked up
         by a receiver that never left its core.  Only then does it sleep
-        in ``poll(_POLL)``.  Abort, the deadline and the borrow check sit
-        where they always did; the spin merely postpones the first sleep."""
+        in ``poll(_POLL)``.  Abort and the deadline sit where they always
+        did; the spin merely postpones the first sleep."""
         limit = self.cluster.timeout if timeout is None else timeout
         key = (source, tag)
         deadline = _time.monotonic() + limit
         spin_until = min(deadline, _time.monotonic() + _SPIN)
-        borrow_deadline: float | None = None
         while True:
             item = self._stash.take(key)
             if item is not None:
@@ -411,93 +334,13 @@ class ProcessCommunicator(Communicator):
                     os.sched_yield()
                     continue
             elif not self._rx.poll(min(remaining, _POLL)):
-                borrow_deadline = self._borrow_deadlock_check(
-                    source, tag, borrow_deadline
-                )
                 continue
             self._ingest(self._rx.recv())
-            borrow_deadline = None  # progress from this drain re-arms
-
-    def _borrow_deadlock_check(
-        self, source: int, tag: str, armed: float | None
-    ) -> float | None:
-        """Detect a receive wedged behind our own ``recv_view`` borrow.
-
-        Senders write ring slots in strict sequence, so if the *next* slot
-        ``source`` will write is one this rank currently holds borrowed,
-        the sender's next shared-memory send blocks on our own semaphore
-        and the message this receive waits for can never arrive: a true
-        deadlock, not a slow peer.  The condition must persist for
-        :data:`_BORROW_GRACE` (a descriptor whose slot the sender is still
-        filling, and oversize payloads, which bypass the ring entirely and
-        cross the queue's feeder thread, both land within it) before the
-        structured
-        :class:`DeadlockError` — carrying ``rank`` / ``source`` / ``slot``
-        attributes — replaces what would otherwise be a full cluster-
-        timeout hang.
-        """
-        held = self._borrowed.get(source)
-        if not held:
-            return None
-        nxt = self._rx_ingested[source] % self.cluster.slots_per_channel
-        if nxt not in held:
-            return None
-        now = _time.monotonic()
-        if armed is None:
-            return now + _BORROW_GRACE
-        if now < armed:
-            return armed
-        exc = DeadlockError(
-            f"rank {self.rank}: waiting for a message from {source} tag "
-            f"{tag!r} while holding slot {nxt} of the "
-            f"{self.cluster.slots_per_channel}-slot ring borrowed via "
-            "recv_view — the sender blocks on exactly that slot, so this "
-            "receive can never complete; release the view (or deepen the "
-            "ring) before receiving more"
-        )
-        exc.rank = self.rank
-        exc.source = source
-        exc.slot = nxt
-        raise exc
 
     def _probe(self, source: int, tag: str):
         while self._rx.poll():
             self._ingest(self._rx.recv())
         return self._stash.take((source, tag))
-
-    def _as_array(self, item) -> np.ndarray:
-        if isinstance(item, _SlotRef):
-            item.claimed = True
-            return item.materialize()
-        return item
-
-    def _as_view(self, item) -> MessageView:
-        """Borrow a lazy slot ref in place (zero-copy, the slot stays
-        occupied until the view's release); anything already copied out
-        or delivered inline becomes an owned view."""
-        if not isinstance(item, _SlotRef):
-            return MessageView(item)
-        item.claimed = True
-        if not item.lazy:
-            return MessageView(item.array)
-        src, slot = item.src, item.slot
-        sem = self._slot_sem(src, self.rank, slot)
-        self._borrowed[src].add(slot)
-
-        def _release() -> None:
-            self._borrowed[src].discard(slot)
-            if self._aborted is not None or self.cluster._abort.is_set():
-                raise ClusterAborted(
-                    f"rank {self.rank}: released a borrowed slot from "
-                    f"{src} after cluster abort — the slot ring is gone "
-                    "and the borrowed data must be treated as lost"
-                )
-            sem.release()
-
-        return MessageView(
-            self._slot_array(src, self.rank, slot, item.shape, item.dtype),
-            _release,
-        )
 
     def pending(self) -> int:
         """Stashed (unconsumed) envelopes — should be 0 at a clean exit."""
@@ -590,13 +433,11 @@ class ProcessCluster:
         self._queues = [self._ctx.Queue() for _ in range(size)]
         self._to_parent = self._ctx.Queue()
         self._abort = self._ctx.Event()
-        # One binary semaphore per ring slot (1 = free).  Per-slot rather
-        # than per-channel counting so receives may release out of order
-        # (recv_view borrows) while the sender still blocks on exactly
-        # the sequential slot it is about to overwrite.
-        self._slot_sems = [
-            self._ctx.Semaphore(1)
-            for _ in range(size * size * self.slots_per_channel)
+        # One semaphore per directed channel, counting its free slots: a
+        # ring's slots are filled and freed in the same order.
+        self._ring_sems = [
+            self._ctx.Semaphore(self.slots_per_channel)
+            for _ in range(size * size)
         ]
         self._procs: list = []
         self._closed = False

@@ -3,11 +3,9 @@
 * ``"baseline"`` — the allocating numpy kernels (paper Version 1).  The
   **reference**: every other backend is pinned bitwise against it.  Still
   live outside the tests: it is what a request that names no backend
-  runs, the fused backend's distributed edge stress goes through its
-  gradient machinery, and the radially split outflow window — a
-  collective among radial neighbours — runs it on every backend.  (The
-  serial and axially split outflow window no longer does: it has a
-  workspace of the solver's own backend.)
+  runs (so building a :class:`~repro.scenarios.Scenario` never triggers a
+  C build), and it is the allocating branch ``_outflow_rates`` takes, on
+  every backend, for a strip its window workspace was not sized for.
 * ``"fused"`` — in-place kernels over a preallocated
   :class:`~.base.StepWorkspace`, bitwise-identical to the baseline (paper
   Versions 2-4 transplanted to numpy).  The supported **no-toolchain

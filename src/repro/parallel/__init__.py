@@ -20,7 +20,6 @@
 
 from .decomposition import CartesianDecomposition
 from .versions import VERSIONS, Version, version_by_number
-from .halo import ExchangePolicy
 from .runner import ParallelJetSolver, ParallelRunResult
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "Version",
     "VERSIONS",
     "version_by_number",
-    "ExchangePolicy",
     "ParallelJetSolver",
     "ParallelRunResult",
 ]

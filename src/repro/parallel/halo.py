@@ -23,7 +23,6 @@ ordering is deadlock-free for any processor count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,22 +69,6 @@ def describe_depth(config) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class ExchangePolicy:
-    """Message-grouping policy derived from a code version."""
-
-    overlap: bool = False
-    split_flux_columns: bool = False
-    """Version 7: one halo line per message."""
-
-    @classmethod
-    def from_version(cls, version: Version) -> "ExchangePolicy":
-        return cls(
-            overlap=version.overlap_communication,
-            split_flux_columns=version.split_flux_columns,
-        )
-
-
 class _Piece(NamedTuple):
     """One message of a refresh and the message that answers it."""
 
@@ -106,21 +89,6 @@ def _lines(axis: int, first: int, count: int, across: slice) -> tuple:
     return (slice(None), across, lines)
 
 
-def _fill(q: np.ndarray, pieces, views) -> None:
-    """Copy each received message straight into its ghost lines, one at a
-    time (``views`` is lazy, so at most one message is borrowed).
-
-    ``recv_view`` / ``irecv_view`` are part of the
-    :class:`~repro.msglib.api.Communicator` contract: zero-copy on the
-    shared-memory substrate (the lines are copied out of the ring slot,
-    released on leaving the ``with``), an owned read-only view everywhere
-    else, so no substrate guard is needed.
-    """
-    for piece, view in zip(pieces, views):
-        with view:
-            q[piece.ghost] = view.array
-
-
 class PendingHalo:
     """A halo refresh whose receives are posted, not yet waited on (V6).
 
@@ -128,9 +96,6 @@ class PendingHalo:
     sends were deposited and the receives posted; the caller runs whatever
     does not read ghost lines — the rank-local ``stable_dt`` — and then
     calls :meth:`finish` exactly once, which waits and fills the ghosts.
-    On the process substrate a posted grouped receive borrows its ring
-    slot zero-copy from ``test()``-completion until ``finish`` has copied
-    it out, so ``finish`` must run before the next refresh sends again.
     """
 
     __slots__ = ("_comm", "_tag", "_q", "_pieces", "_reqs", "_done")
@@ -151,7 +116,8 @@ class PendingHalo:
             raise RuntimeError("PendingHalo.finish() called twice")
         self._done = True
         with current().exchange("state", self._comm, self._tag):
-            _fill(self._q, self._pieces, (r.wait() for r in self._reqs))
+            for piece, req in zip(self._pieces, self._reqs):
+                self._q[piece.ghost] = req.wait()
 
 
 class ExchangePlan:
@@ -164,7 +130,7 @@ class ExchangePlan:
     grid arrive with the second message, never a third.
     """
 
-    def __init__(self, comm, topology, policy: ExchangePolicy, shape, depth: int) -> None:
+    def __init__(self, comm, topology, version: Version, shape, depth: int) -> None:
         self.comm = comm
         H = depth
         _nvars, nx, nr = shape
@@ -177,7 +143,7 @@ class ExchangePlan:
             slice(None), slice(pad[0], nx - pad[1]), slice(pad[2], nr - pad[3])
         )
         # Version 7 ships the same lines one per message.
-        split = policy.split_flux_columns
+        split = version.split_flux_columns
         offsets, width = (range(H), 1) if split else ((0,), H)
         #: Per split axis, its wire name and its messages.
         self._phases: list[tuple[str, list[_Piece]]] = []
@@ -209,7 +175,7 @@ class ExchangePlan:
         lines: one observed ``halo.state`` exchange per split axis.
 
         With ``post=True`` the *last* axis's receives are posted
-        (``irecv_view``) instead of waited on and a :class:`PendingHalo`
+        (``irecv``) instead of waited on and a :class:`PendingHalo`
         comes back — same messages, same tags, same order on the wire.
         An earlier axis always completes: its ghosts ride in the last
         axis's messages.
@@ -223,18 +189,17 @@ class ExchangePlan:
                     comm.send(piece.peer, f"{tag}:{piece.send_tag}", q[piece.ship])
                 if post and pieces is self._phases[-1][1]:
                     reqs = [
-                        comm.irecv_view(piece.peer, f"{tag}:{piece.recv_tag}")
+                        comm.irecv(piece.peer, f"{tag}:{piece.recv_tag}")
                         for piece in pieces
                     ]
                     # Opportunistic probe: a message that already landed is
-                    # completed now (on the process substrate its ring slot
-                    # is then borrowed until finish()).
+                    # completed now.
                     for r in reqs:
                         r.test()
                     pending = PendingHalo(comm, f"{tag}:{name}", q, pieces, reqs)
                 else:
-                    _fill(q, pieces, (
-                        comm.recv_view(piece.peer, f"{tag}:{piece.recv_tag}")
-                        for piece in pieces
-                    ))
+                    for piece in pieces:
+                        q[piece.ghost] = comm.recv(
+                            piece.peer, f"{tag}:{piece.recv_tag}"
+                        )
         return pending

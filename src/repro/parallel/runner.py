@@ -121,10 +121,6 @@ class ParallelJetSolver:
     max_restarts:
         Checkpoint restarts allowed after a
         :class:`~repro.msglib.virtual.RankFailure` before it propagates.
-    overlap:
-        ``True`` forces the overlapped (split-phase) halo exchange,
-        ``False`` forces blocking, ``None`` follows the version (6
-        overlaps).  Bitwise-identical results either way.
     """
 
     def __init__(
@@ -141,7 +137,6 @@ class ParallelJetSolver:
         faults=None,
         checkpoint_every: int = 0,
         max_restarts: int = 2,
-        overlap: bool | None = None,
     ) -> None:
         from ..faults import resolve_fault_plan
         self.global_grid: Grid = state.grid
@@ -166,13 +161,12 @@ class ParallelJetSolver:
         self.faults = resolve_fault_plan(faults)
         self.checkpoint_every = checkpoint_every
         self.max_restarts = max_restarts
-        self.overlap = overlap
 
     def _make_solver(self, comm, q_global: np.ndarray):
         """Build the per-rank solver from a (possibly restored) global q."""
         return BlockDistributedSolver(
             comm, self.global_grid, q_global, self.config, self.decomp,
-            version=self.version, overlap=self.overlap,
+            version=self.version,
         )
 
     def _attempt(

@@ -42,7 +42,7 @@ from ..numerics.solver import CompressibleSolver, SolverConfig
 from ..numerics.timestep import stable_dt
 from ..obs import bind_rank
 from ..physics.state import FlowState
-from .halo import ExchangePlan, ExchangePolicy, describe_depth, halo_depth
+from .halo import ExchangePlan, describe_depth, halo_depth
 from .versions import Version, version_by_number
 
 
@@ -68,13 +68,9 @@ class BlockDistributedSolver(CompressibleSolver):
         periodic axis, and no block of a split axis may be thinner than
         the halo is deep.
     version:
-        Paper code version (5, 6 or 7): how the halo travels.
-    overlap:
-        Post the halo receive instead of blocking on it, and finish it
-        after the rank-local ``dt`` estimate: ``True``/``False`` forces it
-        on/off; ``None`` (default) follows the version's
-        :class:`~repro.parallel.halo.ExchangePolicy` — i.e. Version 6
-        overlaps, the others block.  Bitwise-identical either way.
+        Paper code version (5, 6 or 7): how the halo travels.  Version 6
+        posts the halo receive instead of blocking on it and finishes it
+        after the rank-local ``dt`` estimate; bitwise-identical either way.
     """
 
     def __init__(
@@ -85,7 +81,6 @@ class BlockDistributedSolver(CompressibleSolver):
         config: SolverConfig,
         decomp,
         version: int | Version = 5,
-        overlap: bool | None = None,
     ) -> None:
         if decomp.nparts != comm.size:
             raise ValueError(
@@ -107,8 +102,6 @@ class BlockDistributedSolver(CompressibleSolver):
         if isinstance(version, int):
             version = version_by_number(version)
         self.version = version
-        self.policy = ExchangePolicy.from_version(version)
-        self.overlap = bool(self.policy.overlap if overlap is None else overlap)
         self.global_grid = global_grid
         xsl, rsl = decomp.local_block(comm.rank, depth)
         local_state = FlowState(
@@ -127,7 +120,7 @@ class BlockDistributedSolver(CompressibleSolver):
             raise ValueError("sponge width exceeds the top radial slab")
         super().__init__(local_state, config)
         self.plan = ExchangePlan(
-            comm, self.topo, self.policy, self.state.q.shape, depth
+            comm, self.topo, version, self.state.q.shape, depth
         )
         self._pending = None  # a posted refresh, between post and finish
         # Attribute this solver's spans to its rank (also bound as the
@@ -172,7 +165,7 @@ class BlockDistributedSolver(CompressibleSolver):
             # to run meanwhile: the rank-local dt estimate.
             self._pending = self.plan.refresh(
                 self.state.q, self.nstep,
-                post=self.overlap and self._dt_is_due(),
+                post=self.version.overlap_communication and self._dt_is_due(),
             )
 
     def current_dt(self) -> float:  # type: ignore[override]

@@ -77,13 +77,6 @@ class ExecutionConfig:
     timeout: float = 120.0
     """Wall-clock guard for distributed runs — never part of the
     fingerprint (a slower timeout is the same workload)."""
-    overlap: bool = False
-    """Force the overlapped (split-phase) halo exchange on distributed
-    runs regardless of code version; ``False`` keeps the version's
-    default (V6+ overlaps, V5 blocks).  Never part of the fingerprint:
-    overlapped runs are bitwise-identical to blocking ones (enforced by
-    the tier-1 differential suite), so the result cache soundly dedupes
-    across the two modes."""
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,13 @@ from collections import defaultdict, deque
 import numpy as np
 import pytest
 
+from repro import jet_scenario
 from repro.msglib import DeadlockError
+from repro.msglib.api import CommStats, Communicator
 from repro.msglib.mpi import _TAG_SPACE, MPIComm, tag_to_int
 from repro.obs import Tracer, use
+from repro.parallel.decomposition import CartesianDecomposition
+from repro.parallel.spmd import BlockDistributedSolver
 
 try:
     import mpi4py  # noqa: F401
@@ -32,20 +36,49 @@ class TestTagHashing:
 
     def test_solver_tags_collision_free_within_a_step(self):
         """All tags a rank can use within one step must hash distinctly
-        (cross-step reuse is safe: exchanges are matched in order)."""
+        (cross-step reuse is safe: exchanges are matched in order).  The
+        list is what the solver itself puts on a recording communicator:
+        a halo refresh (grouped and one line per message), the ``dt``
+        all-reduce, a gather and a checkpoint, on a rank of a 3 x 2 grid
+        with both axial neighbours."""
+        sc = jet_scenario(nx=26, nr=24, viscous=True)
+        decomp = CartesianDecomposition(26, 24, 3, 2)
+        rank = next(
+            r for r in range(6)
+            if None not in (decomp.topology(r).left, decomp.topology(r).right)
+        )
         tags = []
-        step = 7
-        for op in ("x", "r", "ofw", "ofwr"):
-            for phase in ("predictor", "corrector"):
-                base = f"{step}:{op}:{phase}"
-                tags += [f"{base}:uvT:toleft", f"{base}:uvT:toright"]
-                tags += [f"{base}:fxh", f"{base}:fxl"]
-                tags += [f"{base}:fxh:c0", f"{base}:fxh:c1"]
-                tags += [f"{base}:fxl:c0", f"{base}:fxl:c1"]
-        tags += [f"{step}:filter::qlo", f"{step}:filter::qhi",
-                 f"{step}:dt::up", f"{step}:dt::down"]
-        hashes = [tag_to_int(t) for t in tags]
-        assert len(set(hashes)) == len(hashes)
+        for version in (5, 7):
+            comm = _RecordingComm(rank, 6)
+            solver = BlockDistributedSolver(
+                comm, sc.grid, sc.state.q, sc.solver.config, decomp, version
+            )
+            solver.nstep = 7
+            solver.plan.refresh(solver.state.q, solver.nstep)
+            solver.current_dt()
+            solver.gather_state()
+            solver.checkpoint()
+            tags += comm.tags
+        assert len(tags) == 2 * 3 * (1 + 8) + 2 * 4  # 3 neighbours, H = 8
+        assert all(t.startswith("7:") for t in tags)
+        hashes = {tag_to_int(t) for t in set(tags)}
+        assert len(hashes) == len(set(tags))
+
+
+class _RecordingComm(Communicator):
+    """Records every tag its rank sends with or waits for; a receive is
+    answered with a zero."""
+
+    def __init__(self, rank, size):
+        self.rank, self.size, self.stats, self.tags = rank, size, CommStats(), []
+
+    def _deposit(self, dest, tag, array):
+        self.tags.append(tag)
+        return array.nbytes
+
+    def _take(self, source, tag, timeout):
+        self.tags.append(tag)
+        return np.zeros(1)
 
 
 class TestWithoutMPI:
@@ -127,7 +160,6 @@ class TestOverStubMPI:
         a.send(1, "v", np.full(4, 2.0))
         assert not req.test()  # no probing primitive under MPI
         with req.wait() as view:
-            assert not view.zero_copy
             assert np.array_equal(view.array, np.full(4, 2.0))
         assert b.stats.recvs == 1
 

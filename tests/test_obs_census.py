@@ -43,6 +43,16 @@ updates to 8, ``comm.send`` spans and ``send`` flight events from 51 to
 that is not listed here.  A Version 7 run receives its ``H`` one-line
 messages as views too (``recv_view`` 8 -> 64 on two radial ranks); the
 lossy run draws fewer faults because there are fewer messages to draw on.
+
+PR 24 deleted the slot-borrow protocol and the halo is filled from ``recv``
+/ ``irecv``: the ``spans`` and ``flight`` sections of four runs were
+recorded again, every total unchanged.  Diffing the parent's census with
+this one, nothing moved but a name: ``comm.recv_view`` spans under
+``halo.state`` became ``comm.recv`` and ``recv_view`` flight events
+``recv`` — 8 in each 2-rank V5 run (of its 11 receives), 64 on the two
+radial V7 ranks, 256 on the 2 x 2 V7 grid.  The lossy run always received
+through the framed ``recv`` and did not move; neither did any ``metrics``
+or ``stream`` digest, nor the serial and simulated rows.
 """
 
 import hashlib
@@ -70,8 +80,8 @@ def expect(*totals: int, **digests: str) -> dict:
 
 
 P2_V5 = expect(
-    120, 0, 163, 26, 8, spans="a3bc4a578b27", metrics="5fe0f387ef1f",
-    flight="54e16a9f2858", stream="f51d88854fa7",
+    120, 0, 163, 26, 8, spans="e1795222f3e8", metrics="5fe0f387ef1f",
+    flight="56b098efcfc2", stream="f51d88854fa7",
 )
 
 #: run -> (options, totals and per-section digests; see the module
@@ -87,16 +97,16 @@ RUNS = {
     "p2-radial-v7-compiled": (
         dict(nprocs=2, version=7, decomposition="radial", backend="compiled"),
         expect(
-            232, 0, 331, 138, 8, spans="226e53a88dce", metrics="c01ddbcfdf27",
-            flight="02755e2de0e9", stream="f51d88854fa7",
+            232, 0, 331, 138, 8, spans="b875202139ac", metrics="c01ddbcfdf27",
+            flight="3a2e4c3a0b72", stream="f51d88854fa7",
         ),
     ),
     "2x2-v7-process": (
         dict(nprocs=4, version=7, decomposition="2d", px=2, pr=2,
              substrate="process"),
         expect(
-            742, 0, 1135, 538, 16, spans="82d7276e9c73", metrics="4200956d119f",
-            flight="a88d820afc12", stream="b6f560f6b524",
+            742, 0, 1135, 538, 16, spans="5384b8848561", metrics="4200956d119f",
+            flight="ae1b7f7a2402", stream="b6f560f6b524",
         ),
     ),
     "p2-v5-lossy3": (

@@ -1,6 +1,6 @@
 """The overlapped (Version 6) halo refresh: the bitwise wall + protocol units.
 
-The invariant: a distributed run with ``overlap=True`` is
+The invariant: a distributed ``version=6`` run is
 **bitwise-identical** to the blocking refresh — across scenarios
 (Euler / Navier-Stokes), decompositions (axial / radial / 2-D),
 substrates (virtual / process) and kernel backends (fused / compiled) —
@@ -12,10 +12,10 @@ pins blocking == serial, so equality here pins overlap == blocking too.
 
 The protocol units cover the post/finish-once rule of
 :class:`~repro.parallel.halo.PendingHalo`, the reach of the one-sided
-stencil it relies on, the :class:`~repro.msglib.api.MessageView` owned
-(copy-semantics) case every non-lending transport hands out, and the
-fingerprint normalization (overlapped and blocking requests share one
-cache identity).
+stencil it relies on, the :class:`~repro.msglib.api.MessageView` release
+discipline, and the request surface (Version 6 is selected by
+``version=6`` and nothing else; dropping the ``overlap`` field moved no
+fingerprint).
 
 The chaos half lives at the bottom: the self-healing transport and
 checkpoint/restart must compose with in-flight posted receives.
@@ -41,7 +41,7 @@ from repro.numerics.stencils import (
 from repro.obs import FlightRecorder, Tracer, use
 from repro.parallel.halo import PendingHalo
 from repro.parallel.runner import ParallelJetSolver, serial_reference
-from repro.request import RunRequest
+from repro.request import ExecutionConfig, RunRequest
 
 STEPS = 6
 
@@ -118,7 +118,7 @@ class TestOverlapBitwiseWall:
         sc, config, ref = cases(viscous, backend)
         res = ParallelJetSolver(
             sc.state, config, nranks=2, timeout=60, substrate=substrate,
-            overlap=True, **decomp_kw,
+            version=6, **decomp_kw,
         ).run(STEPS)
         assert np.array_equal(res.state.q, ref.q)
 
@@ -128,18 +128,18 @@ class TestOverlapBitwiseWall:
         ``dt`` stage — where the blocking run observes it once."""
         sc, config, _ = cases(True, "fused")
         counts = {}
-        for overlap in (False, True):
+        for version in (5, 6):
             tracer = Tracer(name="overlap")
             ParallelJetSolver(
-                sc.state, config, nranks=2, timeout=60, overlap=overlap
+                sc.state, config, nranks=2, timeout=60, version=version
             ).run(2, tracer=tracer)
-            counts[overlap] = len(_halo_spans(tracer))
-        assert counts == {False: 2, True: 4}
+            counts[version] = len(_halo_spans(tracer))
+        assert counts == {5: 2, 6: 4}
         # ... and only on a step that has a dt estimate to hide it behind.
         tracer = Tracer(name="every-third")
         ParallelJetSolver(
             sc.state, dataclasses.replace(config, dt_recompute_every=3),
-            nranks=2, timeout=60, overlap=True,
+            nranks=2, timeout=60, version=6,
         ).run(6, tracer=tracer)
         assert len(_halo_spans(tracer)) == 6 + 2
 
@@ -147,11 +147,11 @@ class TestOverlapBitwiseWall:
         """Posting is invisible on the wire: same peers, tags, bytes and
         order as the blocking refresh."""
         sc, config, _ = cases(True, "fused")
-        assert _send_log(sc, config, overlap=True) == _send_log(sc, config)
+        assert _send_log(sc, config, version=6) == _send_log(sc, config, version=5)
 
     def test_version_6_overlaps_by_default(self, cases):
-        """True V6: the version's ExchangePolicy turns the posted refresh
-        on without an explicit ``overlap=`` request."""
+        """``version=6`` alone turns the posted refresh on: there is no
+        other switch."""
         sc, config, ref = cases(True, "fused")
         tracer = Tracer(name="v6")
         res = ParallelJetSolver(
@@ -170,7 +170,7 @@ class TestOverlapBitwiseWall:
         ref = serial_reference(sc.state, config, steps=STEPS)
         tracer = Tracer(name="baseline")
         res = ParallelJetSolver(
-            sc.state, config, nranks=2, timeout=60, overlap=True
+            sc.state, config, nranks=2, timeout=60, version=6
         ).run(STEPS, tracer=tracer)
         assert np.array_equal(res.state.q, ref.q)
         assert len(_halo_spans(tracer)) == 2 * STEPS
@@ -179,7 +179,7 @@ class TestOverlapBitwiseWall:
         """Interior ranks post on both sides per step; edge ranks on one."""
         sc, config, ref = cases(True, "fused")
         res = ParallelJetSolver(
-            sc.state, config, nranks=4, timeout=60, overlap=True
+            sc.state, config, nranks=4, timeout=60, version=6
         ).run(STEPS)
         assert np.array_equal(res.state.q, ref.q)
 
@@ -257,7 +257,7 @@ class TestPendingGhosts:
         """Post and finish pair up inside one step: nothing is pending
         between steps, on any rank."""
         sc, config, _ = cases(True, "fused")
-        runner = ParallelJetSolver(sc.state, config, nranks=2, overlap=True)
+        runner = ParallelJetSolver(sc.state, config, nranks=2, version=6)
 
         def program(comm):
             solver = runner._make_solver(comm, sc.state.q)
@@ -271,12 +271,12 @@ class TestPendingGhosts:
 
 
 class TestOwnedView:
-    """The one view class without a release callback: an owned payload
-    (the zero-copy side is ``test_process.py::TestRecvView``)."""
+    """``MessageView``: an owned payload behind the release discipline the
+    harness probes rely on (the process substrate's side is
+    ``test_process.py::TestRecvView``)."""
 
     def test_protocol(self):
         view = MessageView(np.arange(5.0))
-        assert not view.zero_copy
         assert not view.array.flags.writeable
         assert np.array_equal(view.array, np.arange(5.0))
         view.release()
@@ -292,16 +292,13 @@ class TestOwnedView:
         assert view.released
 
     def test_virtual_comm_recv_view_default(self):
-        """VirtualComm lends no memory — the base ``_as_view`` supplies
-        owned views with the uniform release discipline, so no call site
-        needs a hasattr guard."""
+        """``recv_view`` is ``recv`` behind a view, on every transport."""
 
         def program(comm):
             if comm.rank == 0:
                 comm.send(1, "v", np.arange(6.0))
                 return True
             with comm.recv_view(0, "v", timeout=20) as view:
-                assert not view.zero_copy
                 return bool(np.array_equal(view.array, np.arange(6.0)))
 
         assert VirtualCluster(2, timeout=20).run(program)[1] is True
@@ -318,40 +315,60 @@ class TestOwnedView:
         assert VirtualCluster(2, timeout=20).run(program)[1] is True
 
 
-# -- fingerprint normalization ------------------------------------------------
+# -- the request surface ------------------------------------------------------
+
+_SMALL = dict(steps=6, nx=48, nr=24)
+
+#: Fingerprints recorded at the parent of the PR that removed
+#: ``ExecutionConfig.overlap`` (never part of the identity): the service
+#: store's cached results stay valid only while these — and the simulated
+#: one in ``test_run_request.py::TestPinnedBytes`` — do not move.
+PINNED_FINGERPRINTS = [
+    (dict(**_SMALL), "b8fbe1cd39b4"),
+    (dict(nprocs=2, version=5, **_SMALL), "e2fbaf9cfe9c"),
+    (dict(nprocs=2, version=6, **_SMALL), "3c87363f17f2"),
+    (dict(nprocs=2, version=7, **_SMALL), "c2d69fee0f52"),
+    (dict(nprocs=2, version=5, decomposition="radial", substrate="process",
+          **_SMALL), "b107c392c38e"),
+    (dict(nprocs=2, version=6, backend="compiled", faults="crash-rank1",
+          checkpoint_every=2, **_SMALL), "fa7bd8e7284e"),
+]
 
 
 class TestOverlapIdentity:
     def test_overlap_does_not_change_fingerprint(self):
-        kw = dict(steps=6, nx=48, nr=24, nprocs=2)
-        blocking = RunRequest.from_run_args("jet", **kw)
-        overlapped = RunRequest.from_run_args("jet", overlap=True, **kw)
-        assert overlapped.fingerprint() == blocking.fingerprint()
+        """Removing the field moved no cache key."""
+        got = [
+            RunRequest.from_run_args("jet", **kw).fingerprint()
+            for kw, _ in PINNED_FINGERPRINTS
+        ]
+        assert got == [fp for _, fp in PINNED_FINGERPRINTS]
 
     def test_overlap_round_trips_on_the_wire(self):
-        req = RunRequest.from_run_args(
-            "jet", steps=6, nprocs=2, overlap=True
-        )
+        """Version 6 is what crosses the wire."""
+        req = RunRequest.from_run_args("jet", steps=6, nprocs=2, version=6)
         wire = req.to_dict()
-        assert wire["execution"]["overlap"] is True
+        assert wire["execution"]["version"] == 6
+        assert "overlap" not in wire["execution"]
         back = RunRequest.from_dict(wire)
-        assert back.execution.overlap is True
+        assert back.execution.version == 6
         assert back.fingerprint() == req.fingerprint()
 
     def test_old_wire_form_still_parses(self):
-        """Requests serialized before the overlap field default to the
-        blocking exchange."""
+        """A wire dict from before the field existed parses; one that
+        carries ``overlap`` is refused like any unknown field."""
         wire = RunRequest.from_run_args("jet", steps=6, nprocs=2).to_dict()
-        del wire["execution"]["overlap"]
-        back = RunRequest.from_dict(wire)
-        assert back.execution.overlap is False
+        assert RunRequest.from_dict(wire).execution.version == 7
+        wire["execution"]["overlap"] = True
+        with pytest.raises(ValueError, match="unknown execution field.*overlap"):
+            RunRequest.from_dict(wire)
+        assert "overlap" not in {f.name for f in dataclasses.fields(ExecutionConfig)}
 
 
 # -- chaos over the overlapped path -------------------------------------------
 
 #: One plan per fault mechanism (mirrors test_faults.FAULT_KINDS): each
-#: recovery path must also hold while receives are posted early and slot
-#: borrows span the interior compute.
+#: recovery path must also hold while receives are posted early.
 OVERLAP_FAULT_KINDS = {
     "drop": dict(drop=0.15, max_transmits=4),
     "duplicate": dict(duplicate=0.25),
@@ -371,7 +388,7 @@ class TestOverlapChaos:
         )
         res = ParallelJetSolver(
             sc.state, config, nranks=2, timeout=30, faults=plan,
-            overlap=True,
+            version=6,
         ).run(STEPS)
         assert np.array_equal(res.state.q, ref.q)
 
@@ -384,7 +401,7 @@ class TestOverlapChaos:
                          recv_timeout=0.2, recv_retries=2)
         res = ParallelJetSolver(
             sc.state, config, nranks=2, timeout=30, faults=plan,
-            checkpoint_every=2, overlap=True,
+            checkpoint_every=2, version=6,
         ).run(STEPS)
         assert res.restarts == 1
         assert np.array_equal(res.state.q, ref.q)
@@ -394,7 +411,7 @@ class TestOverlapChaos:
         plan = fault_plan_by_name("lossy-crash", seed=chaos_seed)
         res = ParallelJetSolver(
             sc.state, config, nranks=2, timeout=30, faults=plan,
-            checkpoint_every=2, max_restarts=3, overlap=True,
+            checkpoint_every=2, max_restarts=3, version=6,
         ).run(STEPS)
         assert res.restarts >= 1
         assert np.array_equal(res.state.q, ref.q)

@@ -47,12 +47,12 @@ from repro.msglib import (
 )
 from repro.msglib import process as process_module
 from repro.msglib.process import (
-    _BORROW_GRACE,
     _POLL,
     _SPIN,
     DEFAULT_SLOT_BYTES,
     _portable_exception,
 )
+from repro.parallel.halo import halo_depth
 from repro.parallel.runner import ParallelJetSolver, serial_reference
 
 STEPS = 6
@@ -275,6 +275,17 @@ class TestProcessCluster:
             assert cluster.run(program) == [True, True]
 
 
+def test_a_grouped_halo_fits_one_slot():
+    """What ``DEFAULT_SLOT_BYTES`` is sized for: one grouped halo message
+    of the paper's 250x100 Navier-Stokes grid, ``H`` lines of four float64
+    variables.  Either one past the slot size would ride the pickled
+    oversize queue on every step."""
+    H = halo_depth(jet_scenario(nx=250, nr=100, viscous=True).solver.config)
+    axial, radial = (4 * H * line * 8 for line in (100, 250))
+    assert (axial, radial) == (25_600, 64_000)
+    assert max(axial, radial) <= DEFAULT_SLOT_BYTES  # by 1 536 B
+
+
 class _PollSpy:
     """Stands in for a rank's end of its pipe and counts the polls that
     may sleep (a non-zero timeout); spinning polls pass ``0``."""
@@ -398,36 +409,14 @@ class TestSpinThenSleep:
 
 
 class TestRecvView:
-    """Zero-copy borrow receives on the shared-memory slot ring.
+    """One receive path on the shared-memory slot ring.
 
-    The contract under test: a slot handed out by ``recv_view`` stays
-    borrowed — the sender blocks rather than overwrite it — until the
-    exact moment ``release()`` runs; release is mandatory exactly once;
-    and payloads that never lived in a slot (inline/oversized) come back
-    as owned views with the identical release discipline.
+    The contract under test: the receive that reads a slot's descriptor
+    copies the payload out and frees the slot, whatever tag it waits for —
+    so a receiver inside a receive never wedges its sender, at any ring
+    depth — and ``recv_view`` is that same copy behind the
+    :class:`~repro.msglib.api.MessageView` release discipline.
     """
-
-    def test_zero_copy_borrow_and_release(self):
-        payload = np.arange(32.0)
-
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(1, "zc", payload)
-                return True
-            view = comm.recv_view(0, "zc", timeout=20)
-            assert view.zero_copy
-            assert not view.array.flags.writeable
-            ok = bool(np.array_equal(view.array, payload))
-            view.release()
-            assert view.released
-            with pytest.raises(RuntimeError, match="after release"):
-                view.array
-            with pytest.raises(RuntimeError, match="called twice"):
-                view.release()
-            return ok
-
-        with ProcessCluster(2, timeout=20) as cluster:
-            assert cluster.run(program)[1] is True
 
     def test_context_manager_scopes_the_borrow(self):
         def program(comm):
@@ -443,8 +432,8 @@ class TestRecvView:
             assert cluster.run(program)[1] is True
 
     def test_oversized_payload_gives_owned_view(self):
-        """Payloads that rode the queue inline still honour the view API
-        — just as owned copies, not borrows."""
+        """Payloads that rode the queue inline honour the view API like
+        the ones that crossed a slot."""
         big = np.arange(DEFAULT_SLOT_BYTES // 8 + 50, dtype=np.float64)
 
         def program(comm):
@@ -452,9 +441,12 @@ class TestRecvView:
                 comm.send(1, "big", big)
                 return True
             view = comm.recv_view(0, "big", timeout=20)
-            assert not view.zero_copy
+            assert not view.array.flags.writeable
             ok = bool(np.array_equal(view.array, big))
             view.release()
+            assert view.released
+            with pytest.raises(RuntimeError, match="after release"):
+                view.array
             with pytest.raises(RuntimeError, match="called twice"):
                 view.release()
             return ok
@@ -463,66 +455,44 @@ class TestRecvView:
             assert cluster.run(program)[1] is True
 
     def test_borrowed_slot_survives_sender_flood(self):
-        """The chaos regression at the heart of the borrow contract: with
-        a 2-slot ring, a sender that wraps around to the borrowed slot
-        must park on it — not overwrite it — until release, and the
-        borrowed bytes stay intact the whole time."""
+        """A receiver parked on another tag never wedges its sender: seven
+        messages cross a 2-slot ring while rank 1 waits for the last one,
+        each descriptor it reads meanwhile freeing its slot, and all six
+        stashed payloads are intact afterwards."""
         msgs = [np.full(16, float(i)) for i in range(6)]
 
         def program(comm):
             if comm.rank == 0:
-                comm.send(1, "m:0", msgs[0])
-                comm.recv(1, "go", timeout=30)  # rank 1 holds the borrow
-                for i in range(1, 6):
-                    # m:2 reuses the borrowed slot -> blocks until release.
-                    comm.send(1, f"m:{i}", msgs[i])
+                for i, m in enumerate(msgs):
+                    comm.send(1, f"m:{i}", m)
+                comm.send(1, "go", np.zeros(1))
                 return True
-            view = comm.recv_view(0, "m:0", timeout=30)
-            assert view.zero_copy
-            comm.send(0, "go", np.zeros(1))
-            got1 = comm.recv(0, "m:1", timeout=30)
-            # The sender is now parked on the borrowed slot: m:2 can't land.
-            with pytest.raises(DeadlockError):
-                comm.recv(0, "m:2", timeout=0.4)
-            assert np.array_equal(view.array, msgs[0])
-            view.release()
-            rest = [comm.recv(0, f"m:{i}", timeout=30) for i in range(2, 6)]
-            return bool(
-                np.array_equal(got1, msgs[1])
-                and all(
-                    np.array_equal(r, msgs[i + 2]) for i, r in enumerate(rest)
-                )
+            comm.recv(0, "go", timeout=30)
+            return all(
+                np.array_equal(comm.recv(0, f"m:{i}", timeout=30), msgs[i])
+                for i in reversed(range(6))
             )
 
         with ProcessCluster(2, timeout=30, slots_per_channel=2) as cluster:
             assert cluster.run(program)[1] is True
 
     def test_borrow_exhausting_the_ring_raises_structured(self):
-        """The overlap-window regression: a receive that can only be
-        satisfied by the slot the receiver itself is borrowing is a
-        self-inflicted deadlock — the receiver must get a structured
-        DeadlockError naming the held slot (not a generic timeout), and
-        releasing the borrow must unwedge the parked sender."""
+        """The program that used to dead-lock a rank behind its own
+        borrow — hold the view of ``a``, receive ``b``, on a 1-slot ring —
+        completes: the slot was free the moment ``a``'s descriptor was
+        read.  Promptly, too: well inside the second the deleted protocol
+        waited before declaring the deadlock."""
 
         def program(comm):
             if comm.rank == 0:
                 comm.send(1, "a", np.arange(4.0))
-                # Parks on the 1-slot ring until rank 1 releases "a".
-                comm.send(1, "b", np.ones(4))
+                comm.send(1, "b", np.ones(4))  # needs the slot "a" filled
                 return True
-            view = comm.recv_view(0, "a", timeout=20)
-            began = time.monotonic()
-            with pytest.raises(DeadlockError, match="recv_view") as exc:
-                comm.recv(0, "b", timeout=10)
-            # Spinning first postpones the verdict by the spin, no more:
-            # the grace, the polls that arm and fire it, and slack.
-            assert time.monotonic() - began < _BORROW_GRACE + _SPIN + 10 * _POLL
-            assert exc.value.rank == 1
-            assert exc.value.source == 0
-            assert exc.value.slot == 0
-            ok = bool(np.array_equal(view.array, np.arange(4.0)))
-            view.release()
-            got = comm.recv(0, "b", timeout=20)
+            with comm.recv_view(0, "a", timeout=20) as view:
+                began = time.monotonic()
+                got = comm.recv(0, "b", timeout=10)
+                assert time.monotonic() - began < 1.0
+                ok = bool(np.array_equal(view.array, np.arange(4.0)))
             return ok and bool(np.array_equal(got, np.ones(4)))
 
         with ProcessCluster(
@@ -530,28 +500,9 @@ class TestRecvView:
         ) as cluster:
             assert cluster.run(program)[1] is True
 
-    def test_release_after_abort_is_structured(self):
-        """Releasing a borrow after the cluster died raises ClusterAborted
-        — the ring is gone and the borrowed bytes must be treated as lost."""
-
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(1, "zc", np.ones(8))
-                time.sleep(1.0)  # no comm ops while rank 1 flags the abort
-                return True
-            view = comm.recv_view(0, "zc", timeout=20)
-            comm.cluster._abort.set()
-            with pytest.raises(ClusterAborted, match="after cluster abort"):
-                view.release()
-            assert view.released  # the view is dead either way
-            return True
-
-        with ProcessCluster(2, timeout=20) as cluster:
-            assert cluster.run(program)[1] is True
-
     def test_eager_recv_unaffected_by_view_api(self):
-        """Plain recv still owns its payload outright — mutating it never
-        touches the ring (the slot was freed at materialization)."""
+        """Plain recv owns its payload outright — mutating it never
+        touches the ring (the slot was freed when its descriptor was read)."""
 
         def program(comm):
             if comm.rank == 0:

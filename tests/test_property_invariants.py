@@ -30,7 +30,8 @@ from repro.faults import FaultPlan, FaultyComm
 from repro.grid import Grid
 from repro.msglib.virtual import VirtualCluster
 from repro.parallel.decomposition import CartesianDecomposition
-from repro.parallel.halo import ExchangePlan, ExchangePolicy
+from repro.parallel.halo import ExchangePlan
+from repro.parallel.versions import version_by_number
 from repro.physics.state import FlowState
 
 from test_solver_properties import _planar_config, _smooth_periodic_state
@@ -172,7 +173,7 @@ def _halo_roundtrip(widths, nr: int, depth: int, wrap_in_faults: bool):
     widths; returns each rank's extended array after the refresh."""
     rng = np.random.default_rng(hash(widths) % 2**31)
     owned = [rng.random((4, w, nr)) for w in widths]
-    policy = ExchangePolicy(split_flux_columns=False)
+    grouped = version_by_number(5)
 
     def program(comm):
         if wrap_in_faults:
@@ -183,7 +184,7 @@ def _halo_roundtrip(widths, nr: int, depth: int, wrap_in_faults: bool):
         ghosts = np.full((4, depth, nr), np.nan)
         parts = (owned[0], ghosts) if comm.rank == 0 else (ghosts, owned[1])
         q = np.concatenate(parts, axis=1)
-        ExchangePlan(comm, topo, policy, q.shape, depth).refresh(q, 0)
+        ExchangePlan(comm, topo, grouped, q.shape, depth).refresh(q, 0)
         return q
 
     return owned, VirtualCluster(2, timeout=30).run(program)

@@ -163,8 +163,8 @@ class TestPinnedBytes:
             '"scenario_kw": {"nx": 48, "nr": 24}, "execution": {"nprocs": 2, '
             '"platform": null, "substrate": "process", "decomposition": '
             '"axial", "px": null, "pr": null, "version": 7, "backend": '
-            '"compiled", "steps_window": 30, "timeout": 120.0, "overlap": '
-            'false}, "resilience": {"faults": {"seed": 3, "name": "", "drop": '
+            '"compiled", "steps_window": 30, "timeout": 120.0}, '
+            '"resilience": {"faults": {"seed": 3, "name": "", "drop": '
             '0.05, "duplicate": 0.0, "reorder": 0.0, "truncate": 0.0, "delay": '
             '0.0, "max_delay": 0.002, "max_transmits": 3, "slow_ranks": [], '
             '"op_seconds": 0.0002, "crashes": [[1, 4]], "crash_attempts": 1, '
@@ -254,7 +254,7 @@ class TestRunShim:
         assert dataclasses.asdict(RunRequest("sod").execution) == dict(
             nprocs=1, platform=None, substrate="virtual",
             decomposition="axial", px=None, pr=None, version=7, backend=None,
-            steps_window=30, timeout=120.0, overlap=False)
+            steps_window=30, timeout=120.0)
         assert dataclasses.asdict(ResilienceConfig()) == dict(
             faults=None, fault_seed=None, checkpoint_every=0, max_restarts=2)
         assert dataclasses.asdict(ObservabilityConfig()) == dict(
