@@ -45,10 +45,11 @@ speedup:
 perf-gate:
 	$(PY) scripts/perf_gate.py
 
-## gates: "two ranks beat one" and "the compiled step is under 0.30 of
-## the fused one" — one traced harness run of the 2-rank workload, then the
-## ratio rows of scripts/perf_gate.py over its report (ratios measured
-## inside one process: no baseline, no host calibration)
+## gates: "two ranks beat one", "the compiled step is under 0.30 of the
+## fused one" and "the half-width block is under 0.56 of the step" — one
+## traced harness run of the 2-rank workload, then the ratio rows of
+## scripts/perf_gate.py over its report (ratios measured inside one
+## process: no baseline, no host calibration)
 GATES_REPORT ?= benchmarks/output/GATES_p2_blocking.json
 gates:
 	$(PY) benchmarks/harness/run.py --workload jet250-p2-blocking \

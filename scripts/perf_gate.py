@@ -286,6 +286,9 @@ def check_overlap(current: dict) -> tuple[list[str], list[str]]:
 #: And the compiled rung must stay a rung: the C kernels step the grid in
 #: under 0.30 of the fused numpy step of the same process (0.33–0.35 while
 #: four of their hot loops did not vectorize, ≈ 0.23 since they all do).
+#: And no per-step cost may ignore the block width (Amdahl's serial
+#: fraction): the half-width block steps in under 0.56 of the full step
+#: (0.60 while Python sequenced the kernels between 19 foreign calls).
 HARNESS_GATES = [
     (
         "parallel.speedup.v5 >= 1.0",
@@ -301,6 +304,11 @@ HARNESS_GATES = [
         "numerics.step_ms.compiled <= 0.30 * numerics.step_ms.fused",
         ("numerics.step_ms.compiled", "numerics.step_ms.fused"),
         lambda compiled, fused: compiled <= 0.30 * fused,
+    ),
+    (
+        "numerics.block_step_ms.compiled <= 0.56 * numerics.step_ms.compiled",
+        ("numerics.block_step_ms.compiled", "numerics.step_ms.compiled"),
+        lambda block, full: block <= 0.56 * full,
     ),
 ]
 

@@ -36,6 +36,21 @@ AXIS_FLUX_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 #: the axis (radial momentum is odd).
 AXIS_STATE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 
+#: Ghost rules: how the two planes beyond one side of a stencil (flux
+#: sweep or filter) are supplied — the paper's cubic extrapolation, the
+#: axis mirror, a periodic wrap.  The values are the C plans' enum.
+CUBIC, MIRROR, WRAP = 0, 1, 2
+
+
+def ghost_rules(config, axis: int) -> tuple[int, int]:
+    """The ``(low, high)`` ghost rules of axis 1 (x) or 2 (r) under a
+    ``SolverConfig``."""
+    if config.periodic_x if axis == 1 else config.periodic_r:
+        return WRAP, WRAP
+    if axis == 2 and config.axisymmetric:
+        return MIRROR, CUBIC
+    return CUBIC, CUBIC
+
 
 def apply_axis_ghosts(
     rG: np.ndarray, out: np.ndarray | None = None, signs: np.ndarray = AXIS_FLUX_SIGNS
@@ -164,10 +179,15 @@ class Sponge:
         if self.width <= 0:
             return
         nr = q.shape[2]
-        w = min(self.width, nr)
-        ramp = (np.arange(1, w + 1) / w) ** 2 * self.strength
+        ramp = self.ramp(nr)
+        w = ramp.size
         target = q_ambient_col[:, None, nr - w :]
         q[:, :, nr - w :] += ramp[None, None, :] * (target - q[:, :, nr - w :])
+
+    def ramp(self, nr: int) -> np.ndarray:
+        """``sigma`` on the outermost ``min(width, nr)`` of ``nr`` lines."""
+        w = min(self.width, nr)
+        return (np.arange(1, w + 1) / w) ** 2 * self.strength
 
 
 @dataclass

@@ -72,17 +72,17 @@ class StepWorkspace:
 
     The workspace is also the backend dispatch point for the hot kernels:
     ``FluxModel`` routes its flux evaluation through :meth:`axial_flux` /
-    :meth:`radial_flux`, and the MacCormack/filter layers consult
-    :attr:`ops`.  The base class delegates to the fused numpy kernels;
-    the compiled backend subclasses it
-    (:class:`~.compiled.CompiledWorkspace`) and overrides with native
-    loops — so baseline and fused stay untouched and every decomposition
-    and substrate inherits whichever backend the solver resolved.
+    :meth:`radial_flux`, which delegate to the fused numpy kernels.  The
+    compiled backend subclasses it (:class:`~.compiled.CompiledWorkspace`)
+    with plans the solver hands its whole sweeps, filter and boundaries
+    to — so baseline and fused stay untouched and every
+    decomposition and substrate inherits whichever backend the solver
+    resolved.
     """
 
     #: Compiled kernel ops, or ``None`` for the fused numpy kernels.  When
-    #: set, ``SplitOperator``/``apply_filter`` route their per-element
-    #: chains through it (see :mod:`repro.numerics.kernels.compiled`).
+    #: set, the solver runs its step from the workspace's plans (see
+    #: :mod:`repro.numerics.kernels.compiled`).
     ops = None
 
     def __init__(

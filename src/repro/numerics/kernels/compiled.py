@@ -5,11 +5,17 @@ algorithm fixed while recompiling the hot loops harder; this backend is
 the same move one rung further.  The fused backend's numpy ufunc chains
 are transcribed per element into the C translation unit in :mod:`_cc`,
 built once with the system compiler (``-ffp-contract=off``, no
-fast-math), called through ctypes (:class:`CcOps`) and dispatched through
-a :class:`CompiledWorkspace`, so every solver layer — serial, every
-decomposition, every substrate — inherits the speedup without touching
-the spatial or communication machinery: a distributed rank steps its
-halo-extended block with these same kernels, no ghost argument anywhere.
+fast-math) and called through ctypes (:class:`CcOps`).  A
+:class:`CompiledWorkspace` fills the step's *plans* from the solver — the
+ghost rules, weights, viscosity and ownership that the Python step
+sequenced between kernels, as C structs — so a step is four foreign
+calls (two sweeps, the filter, the boundaries), and every solver layer —
+serial, every decomposition, every substrate — inherits them without
+touching the spatial or communication machinery: a distributed rank steps
+its halo-extended block with these same plans, no ghost argument
+anywhere.  Two things stay numpy because numpy's ``power`` and ``tanh``
+are not libm's bit for bit: a power-law viscosity (one callback per flux)
+and the inflow column.
 
 There is exactly one engine.  On a host with no usable C toolchain
 :func:`resolve_ops` raises :class:`BackendUnavailable` and
@@ -30,6 +36,7 @@ fingerprint keeps ``"compiled"`` results in a separate cache identity
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 import weakref
 
@@ -37,10 +44,9 @@ import numpy as np
 
 from ... import constants
 from ...physics import eos
+from ..boundary import AXIS_FLUX_SIGNS, AXIS_STATE_SIGNS, ghost_rules
 from . import _cc
-from ..maccormack import SweepScratch
 from .base import KernelBackend, StepWorkspace
-from .fused import _mu
 
 
 class BackendUnavailable(RuntimeError):
@@ -61,9 +67,10 @@ def _c_contig(a: np.ndarray) -> np.ndarray:
 class CcOps:
     """The C translation unit in ``_cc.py`` via the system compiler.
 
-    The workspace, the MacCormack operators and the filter dispatch their
-    per-element chains through these methods; shapes, optional-operand
-    conventions and op orders mirror the fused numpy kernels one for one.
+    A step runs from the plans of a :class:`CompiledWorkspace`; the
+    methods below are the kernels one at a time, whose shapes,
+    optional-operand conventions and op orders mirror the fused numpy
+    kernels one for one (``tests/test_compiled.py`` holds each to them).
     """
 
     engine = "cc"
@@ -108,11 +115,30 @@ class CcOps:
         scalar-or-field branch."""
         if isinstance(x, np.ndarray):
             return self._p(x), n
+        return self._p(self._const_row(x, n)), 0
+
+    def plan(self, cls, **fields):
+        """A ``cls`` plan with ``fields`` filled in: an array or plan field
+        holds its address (``None`` is NULL), and the plan keeps the
+        fields — what it points to — alive."""
+
+        def address(v):
+            if isinstance(v, tuple):
+                return tuple(map(address, v))
+            if isinstance(v, np.ndarray):
+                return self._p(v)
+            return ctypes.addressof(v) if isinstance(v, ctypes.Structure) else v
+
+        plan = cls(**{k: address(v) for k, v in fields.items() if v is not None})
+        plan.keep = fields
+        return plan
+
+    def _const_row(self, x, n):
         key = (n, float(x))
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = np.full(n, key[1])
-        return self._p(row), 0
+        return row
 
     def prim_flux(self, q, gamma, F, radial, p, prims=None, w=None):
         """Primitives + the inviscid flux of one split direction into ``F``.
@@ -201,51 +227,7 @@ class CcOps:
         )
         return out
 
-    def filter_apply(self, q, lo, hi, axis, eps, scratch):
-        _nv, nx, nr = q.shape
-        lo = None if lo is None else _c_contig(np.asarray(lo))
-        hi = None if hi is None else _c_contig(np.asarray(hi))
-        if (lo is None or hi is None) and q.shape[axis] < 4:
-            raise ValueError("cubic extrapolation needs at least 4 points")
-        if scratch.size < max(7 * nr, nr + 4):
-            raise ValueError("filter scratch must hold 7 rows")
-        self._lib.k_filter(
-            self._p(q), self._p(lo), self._p(hi), self._p(scratch), eps,
-            nx, nr, axis,
-        )
-
-    def warmup(self) -> None:
-        """Run every kernel once on a tiny grid: a smoke test of the
-        freshly loaded library at backend resolution, never inside a
-        benchmarked or traced step."""
-        nx, nr = 5, 4
-        q = np.ascontiguousarray(
-            1.0 + 0.01 * np.arange(4 * nx * nr, dtype=np.float64)
-        ).reshape(4, nx, nr)
-        ws = StepWorkspace((4, nx, nr), viscous=True, mu_field=True)
-        r = np.linspace(0.5, 2.0, nr)
-        iw = 1.0 / r
-        for radial in (False, True):
-            self.prim_flux(q, 1.4, ws.F, radial, ws.p, w=r)
-            self.prim_flux(q, 1.4, ws.F, radial, ws.p, (ws.u, ws.v, ws.T))
-            for mu in (0.01, ws.mu):
-                k = eos.conductivity(mu, 1.4, constants.PRANDTL)
-                self.visc(ws.F, ws.tau_tt, ws, r, mu, k, 0.1, 0.1, radial)
-        self.visc(ws.F, None, ws, r, 0.01, 0.02, 0.1, 0.1, True, (r, ws.S[2]))
-        for axis in (1, 2):
-            gh = np.ones((2, 4, nx if axis == 2 else nr))
-            for forward in (True, False):
-                for ghost in (None, gh):
-                    self.rate(ws.F, ghost, axis, 0.1, forward, None, 1.0, ws.rate)
-                    self.rate(
-                        ws.F, ghost, axis, 0.1, forward, ws.S, iw, ws.q_star,
-                        2, q, ws.state_a, 0.01,
-                    )
-            self.filter_apply(ws.q_star, None, None, axis, 0.01, ws.rate)
-            self.filter_apply(ws.q_star, gh, gh, axis, 0.01, ws.rate)
-
-
-#: The warm ops (the library is built/loaded once per process).
+#: The loaded ops (the library is built/loaded once per process).
 _OPS: CcOps | None = None
 
 
@@ -257,71 +239,163 @@ def resolve_ops() -> CcOps:
     """
     global _OPS
     if _OPS is None:
-        ops = CcOps()
-        ops.warmup()
-        _OPS = ops
+        _OPS = CcOps()
     return _OPS
 
 
-class CompiledWorkspace(StepWorkspace):
-    """A fused workspace whose hot kernels dispatch to the C kernels.
 
-    Boundary treatment stays numpy-side, identical to the fused backend,
-    while the per-element heavy lifting runs in native loops,
-    bitwise-identically, in three passes over the grid per MacCormack
-    phase: primitives + inviscid flux (:meth:`CcOps.prim_flux`), gradients
-    + stress + the axisymmetric finish (:meth:`CcOps.visc`, Navier-Stokes
-    only), one-sided difference + predictor/corrector combine
-    (:meth:`CcOps.rate`) — and the fourth-difference filter in one more
-    per axis.
+
+def _power_law(fm, T, mu, k):
+    """The callback a power-law viscosity plan runs between primitives and
+    stresses: ``mu = mu_ref * T**exp`` and ``k = mu / ((gamma - 1) Pr)``,
+    numpy's ``power`` as in the fused backend's ``_mu``."""
+    exp, mu_ref = fm.config.mu_exponent, fm.mu
+    k_div = (fm.gamma - 1.0) * constants.PRANDTL
+
+    def fill():
+        np.power(T, exp, out=mu)
+        np.multiply(mu, mu_ref, out=mu)
+        np.divide(mu, k_div, out=k)
+
+    return _cc.MuFn(fill)
+
+
+class PlannedSweep:
+    """``SplitOperator.apply`` as one foreign call: ``k_sweep`` on a plan.
+
+    Holds the plan (which holds the buffers it points to), never the
+    workspace, so a solver's workspace and operators form no cycle."""
+
+    def __init__(self, ops: CcOps, plan):
+        self._ops, self._plan = ops, plan
+        self._addr = ctypes.addressof(plan)
+        self.shape = (4, plan.nx, plan.nr)
+
+    def apply(self, q: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+        if q.shape != self.shape or out.shape != self.shape or out is q:
+            raise ValueError(f"sweep: q {q.shape} -> out {out.shape}, plan {self.shape}")
+        ops, q = self._ops, _c_contig(q)  # the binding outlives the call
+        ops._lib.k_sweep(self._addr, ops._p(q), ops._p(out), dt)
+        return out
+
+
+class CompiledWorkspace(StepWorkspace):
+    """A workspace whose step runs from plans over its buffers.
+
+    :meth:`plan` fills them from the solver: a :class:`PlannedSweep` per
+    (sweep axis, variant), the filter's, and one boundary plan per variant
+    over the solver's outflow window (a second workspace of this class,
+    which only lends its buffers).  The step's four foreign calls are the
+    two sweeps, :meth:`filter` and :meth:`boundaries`.
     """
 
     def __init__(self, shape, viscous, mu_field, ops: CcOps):
         self.ops = ops
         super().__init__(shape, viscous, mu_field=mu_field)
-        #: The source's one live row, bound once: ``self.S[2]`` would be a
-        #: fresh view (and a pointer-cache entry) per call.
+        #: The source's one live row.
         self.S2 = self.S[2]
-        self.prims = (self.u, self.v, self.T) if viscous else None
+        #: The conductivity beside a power-law viscosity.
+        self.k = np.empty(shape[1:]) if mu_field else None
 
     def _alloc_kernel_scratch(self, viscous: bool) -> None:
-        # The C loops keep every numpy temporary in registers.
-        self.sweep_x = self.sweep_r = SweepScratch(
-            None, self.q_star, self.rate, None, self.ops
+        """Nothing: the C loops keep every numpy temporary in registers."""
+
+    def plan(self, solver) -> None:
+        """Fill the step's plans from ``solver``: its flux model and
+        configuration, its ownership of the physical sides and its
+        outflow window, whose buffers the boundary plans borrow."""
+        if not isinstance(solver._ws_window, CompiledWorkspace):
+            raise ValueError(
+                "a compiled workspace plans only a solver built with the "
+                f"compiled backend, not {solver.backend.name!r}"
+            )
+        fm, bc = solver.fm, solver.config.boundary
+        _nv, nx, nr = self.shape
+        self.sweeps = {
+            v: tuple(
+                PlannedSweep(self.ops, self._sweep_plan(solver, axis, v))
+                for axis in (1, 2)
+            )
+            for v in (1, 2)
+        }
+        self._filter = self.ops.plan(
+            _cc.FilterPlan, scratch=self.rate, g=self.ghosts[1] + self.ghosts[2],
+            signs=AXIS_STATE_SIGNS, nx=nx, nr=nr,
+            rule=ghost_rules(fm.config, 1) + ghost_rules(fm.config, 2),
+        )
+        if bc is None:
+            return
+        win, sponge = solver._ws_window, bc.sponge
+        owns_sponge = (
+            sponge is not None and sponge.width > 0 and solver._owns_far_field
+            and solver._sponge_col is not None
+        )
+        ramp = sponge.ramp(nr) if owns_sponge else np.empty(0)
+        dF = np.empty((4, nr))
+        self._bounds = {
+            v: self.ops.plan(
+                _cc.BoundPlan, ax=win._sweep_plan(solver, 1, v),
+                rad=win._sweep_plan(solver, 2, v), dF=dF, rate=win.rate,
+                ramp=ramp, amb=solver._sponge_col, nx=nx, nr=nr,
+                nw=win.shape[1], width=ramp.size, h=fm.dx, gamma=fm.gamma,
+                outflow=int(bc.characteristic_outflow and solver._owns_outflow),
+            )
+            for v in (1, 2)
+        }
+
+    def _sweep_plan(self, solver, axis: int, variant: int):
+        """One split operator on this workspace's buffers: the flux of
+        ``fused_axial_flux`` / ``fused_radial_flux``, and the ghost rules
+        and weights of the solver's sweep workspaces."""
+        fm = solver.fm
+        _nv, nx, nr = self.shape
+        radial, viscous = axis == 2, self.T is not None
+        finish = radial and fm.config.axisymmetric  # F *= r, S2 = p - tau_tt
+        ones = self.ops._const_row(1.0, nr)
+        mu = k = fill = None
+        if self.mu is not None:
+            mu, k, fill = self.mu, self.k, _power_law(fm, self.T, self.mu, self.k)
+        elif viscous:
+            mu = self.ops._const_row(fm.mu, nr)
+            k = self.ops._const_row(
+                eos.conductivity(fm.mu, fm.gamma, constants.PRANDTL), nr
+            )
+        field = nr if self.mu is not None else 0
+        iw = solver._inv_weight  # 1/r, or 1.0 on a planar domain
+        return self.ops.plan(
+            _cc.SweepPlan, F=self.F, p=self.S2 if finish and not viscous else self.p,
+            u=self.u, v=self.v, T=self.T,
+            tt=self.tau_tt if radial and viscous and not finish else None,
+            S2=self.S2 if finish and viscous else None, q_star=self.q_star,
+            g=self.ghosts[axis][0], src=self.S if radial else None,
+            w=fm.r if finish else ones, fw=fm.r if finish and viscous else None,
+            r=fm.r, iw=iw if radial and isinstance(iw, np.ndarray) else ones, mu=mu, k=k,
+            signs=AXIS_FLUX_SIGNS, nx=nx, nr=nr, mu_stride=field, k_stride=field,
+            h=fm.dr if radial else fm.dx, dx=fm.dx, dr=fm.dr, gamma=fm.gamma,
+            axis=axis, fwd=int(variant == 1), rule=ghost_rules(fm.config, axis),
+            fill_mu=fill,
         )
 
-    def axial_flux(self, fm, q):
-        ops = self.ops
-        if not fm.mu:
-            return ops.prim_flux(q, fm.gamma, self.F, False, self.p)
-        ops.prim_flux(q, fm.gamma, self.F, False, self.p, self.prims)
-        mu = _mu(fm, self)
-        k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
-        ops.visc(self.F, None, self, fm.r, mu, k, fm.dx, fm.dr, radial=False)
-        return self.F
+    def filter(self, q: np.ndarray, eps: float) -> np.ndarray:
+        """``CompressibleSolver.apply_filter``, in place: ``k_filter_step``."""
+        if q.shape != self.shape:
+            raise ValueError(f"filter: q has shape {q.shape}, plan {self.shape}")
+        self.ops._lib.k_filter_step(ctypes.addressof(self._filter), self.ops._p(q), eps)
+        return q
 
-    def radial_flux(self, fm, q):
-        ops = self.ops
-        G = self.F
-        axisymmetric = fm.config.axisymmetric
-        if not fm.mu:
-            # Euler: the source row is p - 0.0, a bitwise identity, so the
-            # pressure is stored straight into it (planar: no source, no
-            # weight).
-            if axisymmetric:
-                ops.prim_flux(q, fm.gamma, G, True, self.S2, w=fm.r)
-            else:
-                ops.prim_flux(q, fm.gamma, G, True, self.p)
-            return G, self.S
-        ops.prim_flux(q, fm.gamma, G, True, self.p, self.prims)
-        mu = _mu(fm, self)
-        k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
-        if axisymmetric:
-            finish = (fm.r, self.S2)  # G *= r and S2 = p - tau_tt, in the rows
-            ops.visc(G, None, self, fm.r, mu, k, fm.dx, fm.dr, True, finish)
-        else:
-            ops.visc(G, self.tau_tt, self, fm.r, mu, k, fm.dx, fm.dr, True)
-        return G, self.S
+    def boundaries(self, q, q_tail, inflow, dt: float, variant: int) -> None:
+        """``CompressibleSolver._apply_boundaries``: ``k_boundaries`` on
+        the state ``q``, the pre-step strip ``q_tail`` and the inflow
+        column (``None`` where the block does not own the inflow)."""
+        plan = self._bounds[variant]
+        strip = (4, plan.nw, plan.nr) if plan.outflow else None
+        if q.shape != self.shape or getattr(q_tail, "shape", None) != strip:
+            raise ValueError(f"boundaries: q {q.shape} and strip need {self.shape}, {strip}")
+        ops, inflow = self.ops, None if inflow is None else _c_contig(inflow)
+        ops._lib.k_boundaries(
+            ctypes.addressof(plan), ops._p(q), ops._p(q_tail),
+            None if inflow is None else inflow.ctypes.data, dt,
+        )
 
 
 class CompiledBackend(KernelBackend):
@@ -344,7 +418,6 @@ class CompiledBackend(KernelBackend):
     def step_workspace(self, solver, shape=None) -> StepWorkspace:
         viscous = bool(solver.fm.mu)
         mu_field = viscous and solver.config.mu_exponent != 0.0
-        shape = shape or solver.state.q.shape
         try:
             ops = resolve_ops()
         except BackendUnavailable as exc:
@@ -355,5 +428,10 @@ class CompiledBackend(KernelBackend):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return StepWorkspace(shape, viscous, mu_field=mu_field)
-        return CompiledWorkspace(shape, viscous, mu_field, ops)
+            return StepWorkspace(
+                shape or solver.state.q.shape, viscous, mu_field=mu_field
+            )
+        ws = CompiledWorkspace(shape or solver.state.q.shape, viscous, mu_field, ops)
+        if shape is None:  # the state's workspace, not the outflow window's
+            ws.plan(solver)
+        return ws

@@ -20,7 +20,10 @@ The operator is deliberately ignorant of physics and parallelism: a
 :class:`SweepWorkspace` supplies the flux/source evaluation and the ghost
 planes for the one-sided stencils — cubic extrapolation (paper's
 artificial points), the axis mirror or a periodic wrap.  The distributed
-solver runs the same operators on its halo-extended block.
+solver runs the same operators on its halo-extended block.  These are the
+baseline and fused backends' operators; the compiled backend runs the same
+sequence as one C call per sweep (``k_sweep``) and is held to them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -51,27 +54,19 @@ class SweepScratch:
     ----------
     ext:
         Ghost-extended flux buffer — state shape with the sweep axis grown
-        by 4 (two ghost planes each side).  ``None`` with ``ops``.
+        by 4 (two ghost planes each side).
     q_star:
         Predicted state, state-shaped.
     rate:
         ``dq/dt`` accumulator, state-shaped.
     tmp:
-        State-shaped scratch for the one-sided difference.  ``None`` with
-        ``ops``.
-    ops:
-        Compiled kernel ops (``None`` for the fused numpy path).  When
-        set, the one-sided difference + source/weight chain and the
-        predictor/corrector combine that follows run as one native pass
-        that never stores the rate — bitwise-identical to the ufunc chains
-        it replaces.
+        State-shaped scratch for the one-sided difference.
     """
 
-    ext: np.ndarray | None
+    ext: np.ndarray
     q_star: np.ndarray
     rate: np.ndarray
-    tmp: np.ndarray | None
-    ops: object | None = None
+    tmp: np.ndarray
 
 
 @dataclass
@@ -159,51 +154,25 @@ class SplitOperator:
             rate = source - d
         return rate * ws.inv_weight
 
-    def _rate_into(
-        self,
-        q: np.ndarray,
-        phase: str,
-        sc: SweepScratch,
-        mode: int = 0,
-        q0: np.ndarray | None = None,
-        dt: float = 0.0,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Zero-allocation ``_rate``: bitwise-identical, into ``sc.rate``.
-
-        With compiled ops the kernel can also fold the combine that
-        follows, so the rate is never stored: ``mode`` 1 returns the
-        predicted state ``q0 + dt*rate`` (``q`` is ``q0``), ``mode`` 2 the
-        corrected one ``0.5*((q0 + q) + dt*rate)`` (``q`` is the predicted
-        state), each in ``out``.
-        """
+    def _rate_into(self, q: np.ndarray, phase: str, sc: SweepScratch) -> np.ndarray:
+        """Zero-allocation ``_rate``: bitwise-identical, into ``sc.rate``."""
         ws = self.workspace
         flux, source = ws.flux(q, phase)
         forward = (self.variant == 1) == (phase == PREDICTOR)
-        if sc.ops is not None:
-            # Compiled path: the ghost extension is folded into the rate
-            # kernel, which consumes the one boundary the one-sided stencil
-            # reaches past.
-            ghosts = ws.high_ghosts if forward else ws.low_ghosts
-            d = sc.ops.rate(
-                flux, ghosts(flux, phase), self.axis, self.h, forward, source,
-                ws.inv_weight, sc.rate if out is None else out, mode, q0, q, dt,
-            )
+        lo = ws.low_ghosts(flux, phase)
+        hi = ws.high_ghosts(flux, phase)
+        ext = extend_axis(flux, self.axis, low=lo, high=hi, out=sc.ext)
+        diff = forward_difference if forward else backward_difference
+        d = diff(ext, self.axis, self.h, out=sc.rate, tmp=sc.tmp)
+        if source is None:
+            np.negative(d, out=d)
         else:
-            lo = ws.low_ghosts(flux, phase)
-            hi = ws.high_ghosts(flux, phase)
-            ext = extend_axis(flux, self.axis, low=lo, high=hi, out=sc.ext)
-            diff = forward_difference if forward else backward_difference
-            d = diff(ext, self.axis, self.h, out=sc.rate, tmp=sc.tmp)
-            if source is None:
-                np.negative(d, out=d)
-            else:
-                np.subtract(source, d, out=d)
-            iw = ws.inv_weight
-            # Skip the identity weight (x * 1.0 == x bitwise); radial sweeps
-            # carry the 1/r array and multiply in place.
-            if not (isinstance(iw, float) and iw == 1.0):
-                np.multiply(d, iw, out=d)
+            np.subtract(source, d, out=d)
+        iw = ws.inv_weight
+        # Skip the identity weight (x * 1.0 == x bitwise); radial sweeps
+        # carry the 1/r array and multiply in place.
+        if not (isinstance(iw, float) and iw == 1.0):
+            np.multiply(d, iw, out=d)
         return d
 
     def apply(
@@ -226,23 +195,13 @@ class SplitOperator:
         if out is q:
             raise ValueError("apply(out=...) must not alias the input state")
         with obs.span("maccormack.predictor", axis=self.axis):
-            if sc.ops is not None:
-                self._rate_into(
-                    q, PREDICTOR, sc, mode=1, q0=q, dt=dt, out=sc.q_star
-                )
-            else:
-                rate = self._rate_into(q, PREDICTOR, sc)
-                np.multiply(rate, dt, out=rate)
-                np.add(q, rate, out=sc.q_star)
+            rate = self._rate_into(q, PREDICTOR, sc)
+            np.multiply(rate, dt, out=rate)
+            np.add(q, rate, out=sc.q_star)
         with obs.span("maccormack.corrector", axis=self.axis):
-            if sc.ops is not None:
-                self._rate_into(
-                    sc.q_star, CORRECTOR, sc, mode=2, q0=q, dt=dt, out=out
-                )
-            else:
-                rate = self._rate_into(sc.q_star, CORRECTOR, sc)
-                np.add(q, sc.q_star, out=out)
-                np.multiply(rate, dt, out=rate)
-                np.add(out, rate, out=out)
-                np.multiply(out, 0.5, out=out)
+            rate = self._rate_into(sc.q_star, CORRECTOR, sc)
+            np.add(q, sc.q_star, out=out)
+            np.multiply(rate, dt, out=rate)
+            np.add(out, rate, out=out)
+            np.multiply(out, 0.5, out=out)
             return out

@@ -35,10 +35,14 @@ from ..physics.fluxes import axisymmetric_source, inviscid_fluxes
 from ..physics.state import FlowState
 from ..physics.viscous import stress_tensor, viscous_fluxes
 from .boundary import (
+    AXIS_FLUX_SIGNS,
     AXIS_STATE_SIGNS,
+    MIRROR,
+    WRAP,
     BoundaryConditions,
     apply_axis_ghosts,
     characteristic_outflow_rates,
+    ghost_rules,
 )
 from .kernels import resolve_backend
 from .maccormack import PREDICTOR, SplitOperator, SweepWorkspace
@@ -225,14 +229,6 @@ class CompressibleSolver:
         #: Rank attributed to this solver's trace spans (the distributed
         #: solver overrides it with the communicator rank).
         self._trace_rank = 0
-        self.backend = resolve_backend(self.config.backend)
-        self._ws = self.backend.step_workspace(self)
-        #: The same backend's kernels over the outflow helper's 5-column
-        #: window (the shape of the ``q_tail`` strip it is handed).
-        self._ws_window = (
-            self.backend.step_workspace(self, shape=self._ws.q_tail.shape)
-            if self._ws is not None else None
-        )
         #: Split operators cached per variant (their workspaces read mutable
         #: state lazily, so reuse is safe).  Also holds the outflow helper's
         #: radial operator under ("ofw", variant).
@@ -261,56 +257,61 @@ class CompressibleSolver:
             self._sponge_col = amb
         else:
             self._sponge_col = None
+        self.backend = resolve_backend(cfg.backend)
+        nvars, nx, nr = state.q.shape
+        #: The same backend's kernels over the outflow helper's 5-column
+        #: window (the shape of the ``q_tail`` strip it is handed).
+        self._ws_window = self.backend.step_workspace(
+            self, shape=(nvars, min(5, nx), nr)
+        )
+        self._ws = self.backend.step_workspace(self)
+        #: A compiled workspace runs the step's sweeps, filter and
+        #: boundaries from its plans, one foreign call each.
+        self._native = self._ws if getattr(self._ws, "ops", None) else None
 
     # -- sweep plumbing ------------------------------------------------------
     # The sweep closures below capture the flux model and the workspace,
     # never ``self``: the operators they end up in are cached on the solver
     # (``_ops_cache``), so a closure over ``self`` would be a reference
     # cycle that keeps the whole workspace alive until a gen-2 collection.
-    def _x_workspace(self) -> SweepWorkspace:
-        fm, ws = self.fm, self._ws
-        flux = lambda q, ph: (fm.axial_flux(q, ws=ws), None)
-        scratch = ws.sweep_x if ws is not None else None
-        if self.config.periodic_x:
-            lo, hi = ws.ghosts[1] if ws is not None else (None, None)
-            return SweepWorkspace(
-                flux=flux,
-                low_ghosts=lambda f, ph: _wrap_ghosts(f, 1, "low", lo),
-                high_ghosts=lambda f, ph: _wrap_ghosts(f, 1, "high", hi),
-                scratch=scratch,
-            )
-        return SweepWorkspace(flux=flux, scratch=scratch)
+    def _ghosts(self, axis: int, ws, signs=AXIS_FLUX_SIGNS):
+        """The ``(low, high)`` ghost suppliers of ``boundary.ghost_rules``
+        along ``axis`` — ``(f, phase) -> planes``, ``None`` for cubic
+        extrapolation — writing into ``ws``'s ghost buffers when given."""
+        bufs = ws.ghosts[axis] if ws is not None else (None, None)
 
-    def _r_workspace(self, ws) -> SweepWorkspace:
-        """Radial workspace on the kernels of ``ws``: the state's workspace
-        for the step's own sweep, the window's for the outflow helper,
-        ``None`` for the allocating reference kernels."""
-        cfg = self.config
+        def supplier(rule, side, out):
+            if rule == WRAP:
+                return lambda f, ph=None: _wrap_ghosts(f, axis, side, out)
+            if rule == MIRROR:
+                return lambda f, ph=None: apply_axis_ghosts(f, out, signs)
+            return lambda f, ph=None: None
+
+        rules = ghost_rules(self.config, axis)
+        return tuple(map(supplier, rules, ("low", "high"), bufs))
+
+    def _sweep_workspace(self, axis: int, ws) -> SweepWorkspace:
+        """The sweep along ``axis`` on the kernels of ``ws``: the state's
+        workspace for the step's own sweeps, the window's for the outflow
+        helper, ``None`` for the allocating reference kernels."""
         fm = self.fm
-        lo, hi = ws.ghosts[2] if ws is not None else (None, None)
-        if cfg.periodic_r:
-            low = lambda f, ph: _wrap_ghosts(f, 2, "low", lo)
-            high = lambda f, ph: _wrap_ghosts(f, 2, "high", hi)
-        elif cfg.axisymmetric:
-            low = lambda f, ph: apply_axis_ghosts(f, lo)
-            high = lambda f, ph: None
+        low, high = self._ghosts(axis, ws)
+        if axis == 1:
+            flux, iw = (lambda q, ph: (fm.axial_flux(q, ws=ws), None)), 1.0
         else:
-            low = lambda f, ph: None
-            high = lambda f, ph: None
+            flux, iw = (lambda q, ph: fm.radial_flux(q, ws=ws)), self._inv_weight
         return SweepWorkspace(
-            flux=lambda q, ph: fm.radial_flux(q, ws=ws),
-            low_ghosts=low,
-            high_ghosts=high,
-            inv_weight=self._inv_weight,
-            scratch=ws.sweep_r if ws is not None else None,
+            flux=flux, low_ghosts=low, high_ghosts=high, inv_weight=iw,
+            scratch=None if ws is None else (ws.sweep_x, ws.sweep_r)[axis - 1],
         )
 
     def _operators(self, variant: int):
-        ws_x = self._x_workspace()
-        ws_r = self._r_workspace(self._ws)
-        Lx = SplitOperator(axis=1, h=self.grid.dx, variant=variant, workspace=ws_x)
-        Lr = SplitOperator(axis=2, h=self.grid.dr, variant=variant, workspace=ws_r)
-        return Lx, Lr
+        if self._native is not None:
+            return self._native.sweeps[variant]
+        return tuple(
+            SplitOperator(axis, h, variant, self._sweep_workspace(axis, self._ws))
+            for axis, h in ((1, self.grid.dx), (2, self.grid.dr))
+        )
 
     def _cached_operators(self, variant: int):
         """The per-variant operator pair, constructed once and reused."""
@@ -351,8 +352,9 @@ class CompressibleSolver:
         Evaluated on the trailing 5-column window (which keeps the viscous
         x-gradients well-posed) by the step's own kernels: the window has
         its own workspace from the solver's backend, so a fused step stays
-        in place and a compiled step stays in C; the baseline backend has
-        no workspace and runs the allocating kernels.  ``q`` is the
+        in place; the baseline backend has no workspace and runs the
+        allocating kernels (a compiled step runs this in ``k_boundaries``,
+        on the window's buffers).  ``q`` is the
         :meth:`_boundary_snapshot` strip, the window workspace's own shape:
         a strip of another shape is a ``ValueError`` of the kernels.
         """
@@ -370,7 +372,7 @@ class CompressibleSolver:
         if Lr is None:
             Lr = self._ops_cache[key] = SplitOperator(
                 axis=2, h=self.grid.dr, variant=variant,
-                workspace=self._r_workspace(ws),
+                workspace=self._sweep_workspace(2, ws),
             )
         if ws is None:
             rate = Lr._rate(np.ascontiguousarray(window), PREDICTOR)
@@ -409,14 +411,20 @@ class CompressibleSolver:
         if bc is None:
             return
         q = self.state.q
+        inflow = None
+        if bc.inflow is not None and self._owns_inflow:
+            inflow = bc.inflow_column(self.grid.r, self.t, self.config.gamma)
+        if self._native is not None:
+            self._native.boundaries(q, q_tail, inflow, dt, variant)
+            return
         if bc.characteristic_outflow and self._owns_outflow:
             q_t = self._outflow_rates(q_tail, variant)
             rates = characteristic_outflow_rates(
                 q_tail[:, -1, :], q_t, self.config.gamma
             )
             q[:, -1, :] = q_tail[:, -1, :] + dt * rates
-        if bc.inflow is not None and self._owns_inflow:
-            q[:, 0, :] = bc.inflow_column(self.grid.r, self.t, self.config.gamma)
+        if inflow is not None:
+            q[:, 0, :] = inflow
         if (
             bc.sponge is not None
             and self._sponge_col is not None
@@ -425,22 +433,6 @@ class CompressibleSolver:
             bc.sponge.apply(q, self._sponge_col)
 
     # -- fourth-difference filter -------------------------------------------------
-    def _state_ghosts(self, q: np.ndarray, axis: int, side: str, ws=None):
-        """Ghost planes of the conservative state for the filter stencil.
-
-        Same boundary logic as the flux sweeps: periodic wrap, axis mirror
-        (radial momentum odd), cubic extrapolation elsewhere — written into
-        the workspace's ghost buffer when there is one.
-        """
-        cfg = self.config
-        out = ws.ghosts[axis][side == "high"] if ws is not None else None
-        periodic = cfg.periodic_x if axis == 1 else cfg.periodic_r
-        if periodic:
-            return _wrap_ghosts(q, axis, side, out)
-        if axis == 2 and side == "low" and cfg.axisymmetric:
-            return apply_axis_ghosts(q, out, AXIS_STATE_SIGNS)
-        return None  # cubic extrapolation
-
     def _filter_indices(self, axis: int, n: int) -> list[tuple]:
         """The five stencil index tuples into the extended array, cached.
 
@@ -469,19 +461,16 @@ class CompressibleSolver:
         With a :class:`~repro.numerics.kernels.StepWorkspace` ``ws`` the
         filter runs in place on ``q`` using the workspace's extended and
         scratch buffers (which are free after the sweeps), bitwise-identical
-        to the allocating form.
+        to the allocating form; a compiled ``ws`` runs it from its plan.
+        The ghost planes are the state's (radial momentum odd at the axis).
         """
         eps = self.config.dissipation
         if eps <= 0.0:
             return q
+        if getattr(ws, "ops", None):
+            return ws.filter(q, eps)
         for axis in (1, 2):
-            low = self._state_ghosts(q, axis, "low", ws)
-            high = self._state_ghosts(q, axis, "high", ws)
-            if ws is not None and ws.ops is not None:
-                # Compiled path: ghost extension folded into the filter
-                # kernel; ws.rate is free scratch after the sweeps.
-                ws.ops.filter_apply(q, low, high, axis, eps, ws.rate)
-                continue
+            low, high = (g(q) for g in self._ghosts(axis, ws, AXIS_STATE_SIGNS))
             ix = self._filter_indices(axis, q.shape[axis])
             if ws is None:
                 ext = extend_axis(q, axis, low=low, high=high)

@@ -133,21 +133,24 @@ class InflowExcitation:
         """
         return np.pi * self.strouhal * self.profile.mach
 
-    def _mode_on(self, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _on(self, r: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The mean profile and the eigenmode on ``r``: both depend on
+        ``r`` alone, so a step pays only the excitation's time factor."""
         key = (r.shape, float(r[0]), float(r[-1]))
         if key not in self._cache:
             mode = self.mode
             if mode is None:
                 mode = GaussianEigenmode(theta=self.profile.theta)
-            self._cache[key] = mode.evaluate(r)
+            self._cache[key] = (self.profile.primitives(r), mode.evaluate(r))
         return self._cache[key]
 
     def primitives(self, r: np.ndarray, t: float):
         """Instantaneous inflow primitives ``(rho, u, v, p)`` at time ``t``."""
-        rho0, u0, v0, p0 = self.profile.primitives(r)
         if self.epsilon == 0.0:
-            return rho0, u0, v0, p0
-        rho_hat, u_hat, v_hat, p_hat = self._mode_on(np.asarray(r))
+            return self.profile.primitives(r)
+        (rho0, u0, v0, p0), (rho_hat, u_hat, v_hat, p_hat) = self._on(
+            np.asarray(r)
+        )
         phase = np.exp(-1j * self.omega * t)
         eps = self.epsilon
         return (

@@ -5,10 +5,13 @@ same physics, rebuilt as native loops in one cached C shared object.
 Like the fused backend, it must change performance only, never results:
 
 * each fused C entry point equals the numpy chains it transcribes, bit for
-  bit, and refuses operands it would read past or write over; whole runs
-  — serial, every decomposition and substrate — are the ``compiled`` rows
-  of ``test_lattice.py``, under the engine's tolerance policy
-  (``CcOps.bitwise``, ``test_lattice.ULP_BOUND``);
+  bit, and refuses operands it would read past or write over; the plan
+  entry points that sequence them (``k_sweep``, ``k_filter_step``) equal the
+  fused operators they replace under every ghost rule, and a step makes
+  at most four foreign calls; whole runs — serial, every decomposition
+  and substrate — are the ``compiled`` rows of ``test_lattice.py``, under
+  the engine's tolerance policy (``CcOps.bitwise``,
+  ``test_lattice.ULP_BOUND``);
 * selection mirrors the other backends: ``SolverConfig.backend`` (or
   ``run(..., backend=)``), and a clean ``BackendUnavailable`` fallback to
   the fused workspace (with a ``RuntimeWarning``, never a crash).
@@ -19,14 +22,19 @@ import os
 import re
 import subprocess
 import tempfile
+import threading
 import types
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perturbed_jet
 from repro import constants, jet_scenario
+from repro.grid import Grid
+from repro.msglib import VirtualCluster
 from repro.numerics.kernels import (
     BackendUnavailable,
     CompiledBackend,
@@ -38,6 +46,7 @@ from repro.numerics.kernels import (
 from repro.numerics.kernels import _cc, compiled
 from repro.numerics.kernels.compiled import resolve_ops
 from repro.numerics.kernels.fused import (
+    _mu,
     _subtract_viscous,
     fused_axial_flux,
     fused_radial_flux,
@@ -48,7 +57,10 @@ from repro.numerics.stencils import (
     extend_axis,
     forward_difference,
 )
+from repro.parallel.decomposition import CartesianDecomposition
+from repro.parallel.spmd import BlockDistributedSolver
 from repro.physics import eos
+from repro.physics.state import FlowState
 from repro.physics.viscous import stress_tensor
 from test_lattice import assert_row, assert_serial
 
@@ -327,17 +339,35 @@ def _flux_case(nx, nr, viscous, axisymmetric, mu_exp, seed=0):
     return fm, q
 
 
+def _compiled_flux(ops, fm, q, ws, radial):
+    """The workspace flux the sweep plans compose in C (``plan_flux``),
+    from the kernel entry points one at a time: an axisymmetric radial
+    flux folds its ``r`` weight and source row into the kernels."""
+    finish = radial and fm.config.axisymmetric
+    if not fm.mu:  # the Euler source row is p - 0.0: p is stored into it
+        p, w = (ws.S2, fm.r) if finish else (ws.p, None)
+        ops.prim_flux(q, fm.gamma, ws.F, radial, p, w=w)
+        return ws.F, ws.S
+    ops.prim_flux(q, fm.gamma, ws.F, radial, ws.p, (ws.u, ws.v, ws.T))
+    mu = _mu(fm, ws)
+    k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
+    tt = ws.tau_tt if radial and not finish else None
+    finish = (fm.r, ws.S2) if finish else None
+    ops.visc(ws.F, tt, ws, fm.r, mu, k, fm.dx, fm.dr, radial, finish)
+    return ws.F, ws.S
+
+
 def _check_flux(ops, shape, viscous, radial, axisymmetric, mu_exp=0.0):
     fm, q = _flux_case(*shape, viscous, axisymmetric, mu_exp)
     mu_field = viscous and mu_exp != 0.0
     ref = StepWorkspace(q.shape, viscous, mu_field)
     cws = CompiledWorkspace(q.shape, viscous, mu_field, ops)
+    got, got_S = _compiled_flux(ops, fm, q, cws, radial)
     if radial:
         want, want_S = fused_radial_flux(fm, q, ref)
-        got, got_S = cws.radial_flux(fm, q)
         assert np.array_equal(_bits(got_S), _bits(want_S))
     else:
-        want, got = fused_axial_flux(fm, q, ref), cws.axial_flux(fm, q)
+        want = fused_axial_flux(fm, q, ref)
     assert np.array_equal(_bits(got), _bits(want))
     if viscous:  # the primitives the stress kernel read
         for name in ("u", "v", "p", "T"):
@@ -425,6 +455,133 @@ class TestFusedEntryPoints:
                 args["f"], None, 1, 0.1, True, args["source"], 1.0,
                 np.empty((4, 5, 6)), 2, args["q"], args["q_star"], 0.01,
             )
+
+
+#: One configuration per ghost rule the plans carry: the jet's axis mirror
+#: (cubic elsewhere), a planar box (cubic everywhere), a periodic wrap.
+RULES = {
+    "axis-mirror": dict(axisymmetric=True),
+    "cubic": dict(axisymmetric=False),
+    "periodic-x": dict(axisymmetric=False, periodic_x=True),
+    "periodic-r": dict(axisymmetric=False, periodic_r=True),
+}
+
+
+def _fused_and_compiled(rules, viscous, mu_exp, shape, seed=0):
+    """A fused and a compiled solver over one random physical state."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(nx=shape[0], nr=shape[1], length_x=1.0, length_r=1.0)
+    rho, p = 1.0 + 0.2 * rng.random((2,) + shape)
+    u, v = 0.3 * rng.standard_normal((2,) + shape)
+    q = FlowState.from_primitive(grid, rho, u, v, p).q
+    pair = []
+    for backend in ("fused", "compiled"):
+        cfg = SolverConfig(
+            viscous=viscous, mu=0.01, mu_exponent=mu_exp, boundary=None,
+            backend=backend, **RULES[rules],
+        )
+        pair.append(CompressibleSolver(FlowState(grid, q.copy()), cfg))
+    return pair, q
+
+
+class TestPlanEntryPoints:
+    """``k_sweep`` and ``k_filter_step`` — the step's sequences run from a
+    plan — against the fused ``SplitOperator.apply`` and ``apply_filter``
+    they replace, as bit patterns: every ghost rule, Euler and
+    Navier-Stokes, constant and power-law viscosity, on shapes small enough
+    that every line is an edge line."""
+
+    @pytest.mark.parametrize(
+        "physics", [(False, 0.0), (True, 0.0), (True, 0.7)],
+        ids=["euler", "ns", "ns-power-law-mu"],
+    )
+    @pytest.mark.parametrize("rules", list(RULES))
+    def test_plan_matches_fused(self, ops, rules, physics):
+        for shape in ((5, 5), (7, 6)):
+            (fused, comp), q = _fused_and_compiled(rules, *physics, shape)
+            for variant in (1, 2):
+                for want_op, got_op in zip(
+                    fused._cached_operators(variant), comp._cached_operators(variant)
+                ):
+                    want = want_op.apply(q, 0.003, out=np.empty_like(q))
+                    got = got_op.apply(q, 0.003, out=np.empty_like(q))
+                    assert np.array_equal(_bits(got), _bits(want)), (variant, shape)
+            want = fused.apply_filter(q.copy(), fused._ws)
+            got = comp.apply_filter(q.copy(), comp._ws)
+            assert np.array_equal(_bits(got), _bits(want)), shape
+
+    def test_filter_takes_a_fresh_workspace(self, ops):
+        """The harness's filter probe hands ``apply_filter`` a workspace of
+        its own, not the solver's."""
+        (fused, comp), q = _fused_and_compiled("axis-mirror", True, 0.0, (7, 5))
+        fresh = get_backend("compiled").step_workspace(comp)
+        want = fused.apply_filter(q.copy(), fused._ws)
+        assert np.array_equal(_bits(comp.apply_filter(q.copy(), fresh)), _bits(want))
+
+    @pytest.mark.parametrize("backend", ["fused", "baseline"])
+    def test_another_backends_solver_is_refused(self, ops, backend):
+        """The boundary plans borrow the solver's compiled outflow window:
+        a compiled workspace for a fused or baseline jet solver is a
+        ``ValueError`` that names the backend, not an ``AttributeError``
+        mid-plan."""
+        sc = jet_scenario(nx=16, nr=12)
+        cfg = copy.deepcopy(sc.solver.config)
+        cfg.backend = backend
+        solver = CompressibleSolver(copy.deepcopy(sc.state), cfg)
+        with pytest.raises(ValueError, match=f"compiled backend, not '{backend}'"):
+            get_backend("compiled").step_workspace(solver)
+
+
+class _Counted:
+    """The kernel library with its entry-point calls counted per thread
+    (a virtual cluster runs one rank per thread)."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = defaultdict(Counter)
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+
+        def counted(*args):
+            self.calls[threading.get_ident()][name] += 1
+            return fn(*args)
+
+        return counted
+
+
+def _calls_per_step(solver, counted, steps=10):
+    """The foreign calls of each of ``steps`` steps, after a warm-up."""
+    mine = counted.calls[threading.get_ident()]
+    for _ in range(3):
+        solver.step()
+    per_step = []
+    for _ in range(steps):
+        mine.clear()
+        solver.step()
+        per_step.append(sum(mine.values()))
+    return per_step
+
+
+def test_a_step_is_four_foreign_calls(ops, monkeypatch):
+    """Two sweeps, the filter and the boundaries: four calls of the
+    library's entry points per step — serially and on each rank of a
+    2-rank block split of the Navier-Stokes jet — the steps that
+    re-evaluate ``dt`` (one in ten here) included."""
+    counted = _Counted(ops._lib)
+    monkeypatch.setattr(ops, "_lib", counted)
+    sc = perturbed_jet(40, 16)
+    config = copy.deepcopy(sc.solver.config)
+    config.backend = "compiled"
+    serial = CompressibleSolver(copy.deepcopy(sc.state), config)
+    decomp = CartesianDecomposition(40, 16, 2, 1)
+    ranks = VirtualCluster(2, timeout=60).run(
+        lambda comm: _calls_per_step(
+            BlockDistributedSolver(comm, sc.grid, sc.state.q, config, decomp), counted
+        )
+    )
+    for per_step in (_calls_per_step(serial, counted), *ranks):
+        assert per_step == [4] * 10
 
 
 def test_steady_state_step_caches_no_new_pointer(ops, monkeypatch):

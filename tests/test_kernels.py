@@ -29,6 +29,7 @@ from repro.numerics.stencils import (
     forward_difference,
 )
 from repro.physics.viscous import gradient_axis
+from test_compiled import _bits
 from test_lattice import assert_row, assert_serial
 
 
@@ -299,12 +300,13 @@ class TestCompiledHaloEngagement:
 
         with pytest.raises(AssertionError, match="field_gradients reached"):
             solver("baseline")._outflow_rates(strip, 1)
-        solver("compiled")._outflow_rates(strip, 1)  # the window stays in C
+        solver("compiled")._apply_boundaries(strip, 0.01, 1)  # stays in C
 
 
 class TestOutflowWindowWorkspace:
-    """``_outflow_rates`` on the window workspace of the solver's backend
-    is the allocating evaluation, bit for bit."""
+    """The boundary update on the window workspace of the solver's backend
+    — fused ``_outflow_rates``, compiled ``k_boundaries`` — is the
+    allocating evaluation, bit for bit."""
 
     @staticmethod
     def _solver(physics, nx, backend, q=None):
@@ -340,11 +342,22 @@ class TestOutflowWindowWorkspace:
         assert reference._ws_window is None
         assert solver._ws_window.shape == (4, 5, 20)
         strip = solver.state.q[:, -5:, :].copy()
-        expected = reference._outflow_rates(strip, variant)
-        assert np.array_equal(solver._outflow_rates(strip, variant), expected)
-        assert ("ofw", variant) in solver._ops_cache
-        # A second evaluation reuses every buffer and still agrees.
-        assert np.array_equal(solver._outflow_rates(strip, variant), expected)
+        if backend == "fused":
+            expected = _bits(reference._outflow_rates(strip, variant))
+            assert np.array_equal(_bits(solver._outflow_rates(strip, variant)), expected)
+            assert ("ofw", variant) in solver._ops_cache
+            # A second evaluation reuses every buffer and still agrees.
+            assert np.array_equal(_bits(solver._outflow_rates(strip, variant)), expected)
+        # Compiled has no rates outside k_boundaries: they reach q as
+        # q_tail + dt*rates, and dt = 2**30 lifts their last bits above
+        # q_tail's, so an ulp off in a rate is an ulp off in q.
+        q0 = solver.state.q.copy()
+        for dt in (1.0, 2.0**30, 2.0**30):  # a repeat reuses every buffer
+            reference.state.q[:] = q0
+            solver.state.q[:] = q0
+            reference._apply_boundaries(strip, dt, variant)
+            solver._apply_boundaries(strip, dt, variant)
+            assert np.array_equal(_bits(solver.state.q), _bits(reference.state.q))
 
     @pytest.mark.parametrize("backend", ["fused", "compiled"])
     def test_strip_narrower_than_the_window_is_refused(self, backend):
@@ -354,4 +367,4 @@ class TestOutflowWindowWorkspace:
             pytest.skip("no compiled kernel engine on this host")
         solver = self._solver((True, 0.0), 12, backend)
         with pytest.raises(ValueError):
-            solver._outflow_rates(solver.state.q[:, -4:, :].copy(), 1)
+            solver._apply_boundaries(solver.state.q[:, -4:, :].copy(), 0.01, 1)

@@ -241,13 +241,15 @@ def test_committed_baseline_matches_schema():
     assert all(r["ms_per_step"] > 0 for r in sp["rows"])
 
 
-def _harness_report(tmp_path, compiled_ms):
-    """A traced harness ``--out`` report holding what HARNESS_GATES reads."""
+def _harness_report(tmp_path, compiled_ms, block_ms=None):
+    """A traced harness ``--out`` report holding what HARNESS_GATES reads
+    (the half-width block at half the step unless ``block_ms`` says)."""
     values = {
         "parallel.speedup.v5": 1.4,
         "msglib.process.oneway_us.6400B": 35.0,
         "msglib.virtual.oneway_us.6400B": 60.0,
         "numerics.step_ms.compiled": compiled_ms,
+        "numerics.block_step_ms.compiled": block_ms or compiled_ms / 2,
         "numerics.step_ms.fused": 10.0,
     }
     doc = {"result": {
@@ -267,3 +269,15 @@ def test_harness_gate_holds_the_compiled_rung_under_030_of_fused(
     assert gate.check_harness_report(_harness_report(tmp_path, 2.9)) == 0
     assert gate.check_harness_report(_harness_report(tmp_path, 3.1)) == 1
     assert "numerics.step_ms.compiled <= 0.30" in capsys.readouterr().err
+
+
+def test_harness_gate_holds_the_half_block_under_056_of_the_step(
+    tmp_path, monkeypatch, capsys
+):
+    """Amdahl's fixed cost: with no per-step cost that ignores the block
+    width, the half-width block costs half the step."""
+    gate = _load_perf_gate()
+    monkeypatch.setattr(gate.os, "cpu_count", lambda: 2)
+    assert gate.check_harness_report(_harness_report(tmp_path, 2.5, 1.39)) == 0
+    assert gate.check_harness_report(_harness_report(tmp_path, 2.5, 1.41)) == 1
+    assert "numerics.block_step_ms.compiled <= 0.56" in capsys.readouterr().err
