@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all lattice trace-smoke stress bench perf-gate gates bless-baseline speedup loc
+.PHONY: check test test-all lattice trace-smoke artifacts stress bench perf-gate gates bless-baseline speedup loc
 
 ## check: tier-1 test suite + trace-determinism smoke (the pre-commit gate)
 check: trace-smoke
@@ -22,6 +22,12 @@ test-all: test
 ## trace-smoke: two identical simulated runs must export identical bytes
 trace-smoke:
 	$(PY) scripts/trace_report.py --selftest
+
+## artifacts: regenerate every executable paper artifact (the DES-derived
+## tables and figures) into a throwaway store and byte-compare it with
+## benchmarks/output — the determinism gate CI runs, ≈ 10 s
+artifacts:
+	$(PY) scripts/run_missing.py --check --workers 2
 
 ## stress: race hunt over the process transport — its own tests and the
 ## process rows of the equivalence lattice, STRESS_N (default 10) times each on one

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Hashable
 
 
 class Event:
@@ -29,7 +28,9 @@ class Event:
 
     __slots__ = ("triggered", "trigger_time", "_waiters", "name")
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: Hashable = "") -> None:
+        """``name`` is any hashable label — the simulated machine passes
+        the message key tuple itself; it is only formatted by ``repr``."""
         self.triggered = False
         self.trigger_time: float | None = None
         self._waiters: list["_Proc"] = []
@@ -51,49 +52,55 @@ class Resource:
         self.in_use = 0
         self._queue: deque["_Proc"] = deque()
         self.name = name
-        # Utilization accounting (any-unit-busy time).
+        # Utilization accounting (any-unit-busy time), kept by the engine:
+        # ``_busy_since`` is set exactly while ``in_use > 0``.
         self.busy_time = 0.0
         self._busy_since: float | None = None
-
-    def _note_busy(self, now: float) -> None:
-        if self.in_use > 0 and self._busy_since is None:
-            self._busy_since = now
-        elif self.in_use == 0 and self._busy_since is not None:
-            self.busy_time += now - self._busy_since
-            self._busy_since = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Resource({self.name!r}, {self.in_use}/{self.capacity})"
 
 
-@dataclass(frozen=True)
 class Delay:
-    dt: float
+    __slots__ = ("dt",)
+
+    def __init__(self, dt: float) -> None:
+        self.dt = dt
 
 
-@dataclass(frozen=True)
 class Acquire:
-    resource: Resource
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: Resource) -> None:
+        self.resource = resource
 
 
-@dataclass(frozen=True)
 class Release:
-    resource: Resource
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: Resource) -> None:
+        self.resource = resource
 
 
-@dataclass(frozen=True)
 class Wait:
-    event: Event
+    __slots__ = ("event",)
+
+    def __init__(self, event: Event) -> None:
+        self.event = event
 
 
-@dataclass(frozen=True)
 class Trigger:
-    event: Event
+    __slots__ = ("event",)
+
+    def __init__(self, event: Event) -> None:
+        self.event = event
 
 
-@dataclass(frozen=True)
 class Spawn:
-    generator: Generator
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: Generator) -> None:
+        self.generator = generator
 
 
 class _Proc:
@@ -111,7 +118,7 @@ class Engine:
     ``tracer`` optionally records every process schedule/resume as an
     instant event keyed on the engine's deterministic clock (``self.now``),
     so traced simulations export byte-identically across runs.  The default
-    ``None`` keeps the hot loop untouched.
+    ``None`` costs the loop one test per resume.
     """
 
     def __init__(self, tracer=None) -> None:
@@ -127,21 +134,93 @@ class Engine:
         """Register a process to start at time 0 (or at spawn time)."""
         proc = _Proc(gen, name)
         self.processes.append(proc)
-        self._schedule(0.0, proc)
+        self._seq += 1
+        push = heapq.heappush if self.tracer is None else self._traced_push
+        push(self._heap, (self.now, self._seq, proc))
 
-    def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
-        """Run until all processes finish (or ``until``); returns end time."""
-        while self._heap:
-            t, _, proc = heapq.heappop(self._heap)
-            if until is not None and t > until:
-                self.now = until
-                return self.now
-            self.now = t
-            self._step(proc)
-            self.steps += 1
-            if self.steps > max_events:
+    def run(self, max_events: int = 50_000_000) -> float:
+        """Run until all processes finish; returns the end time.
+
+        One loop resumes a process and executes its commands until it
+        blocks, dispatching on the command's class.  Every schedule is a
+        heap push of ``(now + dt, seq, proc)`` with ``seq`` the monotone
+        tie-break, so the event order — and with it every result — is a
+        pure function of the processes."""
+        heap, pop, tracer = self._heap, heapq.heappop, self.tracer
+        push = heapq.heappush if tracer is None else self._traced_push
+        seq, steps, processes = self._seq, self.steps, self.processes
+        while heap:
+            now, _, proc = pop(heap)
+            self.now = now
+            if tracer is not None:
+                tracer.instant("proc.resume", cat="engine", ts=now, proc=proc.name)
+            gen = proc.gen
+            while True:
+                try:
+                    cmd = next(gen)
+                except StopIteration:
+                    proc.done = True
+                    break
+                cls = cmd.__class__
+                if cls is Delay:
+                    dt = cmd.dt
+                    if dt < 0:
+                        raise ValueError(f"negative delay {dt} in {proc.name}")
+                    seq += 1
+                    push(heap, (now + dt, seq, proc))
+                    break
+                if cls is Acquire:
+                    res = cmd.resource
+                    if res.in_use < res.capacity and not res._queue:
+                        res.in_use += 1
+                        if res._busy_since is None:
+                            res._busy_since = now
+                        continue
+                    res._queue.append(proc)
+                    break
+                if cls is Release:
+                    res = cmd.resource
+                    if res.in_use <= 0:
+                        raise RuntimeError(f"release of idle resource {res.name!r}")
+                    res.in_use -= 1
+                    if res.in_use == 0:
+                        res.busy_time += now - res._busy_since
+                        res._busy_since = None
+                    if res._queue and res.in_use < res.capacity:
+                        res.in_use += 1
+                        if res._busy_since is None:
+                            res._busy_since = now
+                        seq += 1
+                        push(heap, (now, seq, res._queue.popleft()))
+                    continue
+                if cls is Wait:
+                    ev = cmd.event
+                    if ev.triggered:
+                        continue
+                    ev._waiters.append(proc)
+                    break
+                if cls is Trigger:
+                    ev = cmd.event
+                    if not ev.triggered:
+                        ev.triggered = True
+                        ev.trigger_time = now
+                        for waiter in ev._waiters:
+                            seq += 1
+                            push(heap, (now, seq, waiter))
+                        ev._waiters.clear()
+                    continue
+                if cls is Spawn:
+                    child = _Proc(cmd.generator, f"{proc.name}.child")
+                    processes.append(child)
+                    seq += 1
+                    push(heap, (now, seq, child))
+                    continue
+                raise TypeError(f"unknown simulation command {cmd!r} from {proc.name}")
+            steps += 1
+            if steps > max_events:
                 raise RuntimeError("event budget exceeded (runaway simulation?)")
-        unfinished = [p.name for p in self.processes if not p.done]
+        self._seq, self.steps = seq, steps
+        unfinished = [p.name for p in processes if not p.done]
         if unfinished:
             raise RuntimeError(
                 f"simulation stalled with blocked processes: {unfinished[:8]} "
@@ -150,73 +229,9 @@ class Engine:
         return self.now
 
     # -- internals ---------------------------------------------------------------
-    def _schedule(self, delay: float, proc: _Proc) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, proc))
-        if self.tracer is not None:
-            self.tracer.instant(
-                "proc.schedule",
-                cat="engine",
-                ts=self.now,
-                proc=proc.name,
-                at=self.now + delay,
-            )
-
-    def _step(self, proc: _Proc) -> None:
-        """Advance one process until it blocks or finishes."""
-        if self.tracer is not None:
-            self.tracer.instant(
-                "proc.resume", cat="engine", ts=self.now, proc=proc.name
-            )
-        while True:
-            try:
-                cmd = next(proc.gen)
-            except StopIteration:
-                proc.done = True
-                return
-            if isinstance(cmd, Delay):
-                if cmd.dt < 0:
-                    raise ValueError(f"negative delay {cmd.dt} in {proc.name}")
-                self._schedule(cmd.dt, proc)
-                return
-            if isinstance(cmd, Acquire):
-                res = cmd.resource
-                if res.in_use < res.capacity and not res._queue:
-                    res.in_use += 1
-                    res._note_busy(self.now)
-                    continue
-                res._queue.append(proc)
-                return
-            if isinstance(cmd, Release):
-                res = cmd.resource
-                if res.in_use <= 0:
-                    raise RuntimeError(f"release of idle resource {res.name!r}")
-                res.in_use -= 1
-                res._note_busy(self.now)
-                if res._queue and res.in_use < res.capacity:
-                    waiter = res._queue.popleft()
-                    res.in_use += 1
-                    res._note_busy(self.now)
-                    self._schedule(0.0, waiter)
-                continue
-            if isinstance(cmd, Wait):
-                ev = cmd.event
-                if ev.triggered:
-                    continue
-                ev._waiters.append(proc)
-                return
-            if isinstance(cmd, Trigger):
-                ev = cmd.event
-                if not ev.triggered:
-                    ev.triggered = True
-                    ev.trigger_time = self.now
-                    for waiter in ev._waiters:
-                        self._schedule(0.0, waiter)
-                    ev._waiters.clear()
-                continue
-            if isinstance(cmd, Spawn):
-                child = _Proc(cmd.generator, f"{proc.name}.child")
-                self.processes.append(child)
-                self._schedule(0.0, child)
-                continue
-            raise TypeError(f"unknown simulation command {cmd!r} from {proc.name}")
+    def _traced_push(self, heap: list, item: tuple[float, int, _Proc]) -> None:
+        heapq.heappush(heap, item)
+        self.tracer.instant(
+            "proc.schedule", cat="engine", ts=self.now, proc=item[2].name,
+            at=item[0],
+        )

@@ -182,8 +182,7 @@ class SimulatedMachine:
         def event_for(key: tuple) -> Event:
             ev = events.get(key)
             if ev is None:
-                ev = Event(name=str(key))
-                events[key] = ev
+                ev = events[key] = Event(key)
             return ev
 
         contexts = [RankContext(engine, r, trace=trace) for r in range(p)]

@@ -25,7 +25,7 @@ from typing import Callable, Generator
 from ..machines.network.base import Network
 from ..msglib.libmodel import LibraryModel
 from ..parallel.versions import Version
-from .engine import Acquire, Delay, Event, Release, Resource, Spawn, Trigger
+from .engine import Acquire, Delay, Event, Release, Resource, Spawn, Trigger, Wait
 from .timeline import RankContext
 from .workload import Message, Workload
 
@@ -59,15 +59,26 @@ def transfer_process(
     (retransmissions of dropped/truncated frames plus delay jitter) — it is
     charged while the route is held, so lost messages congest the shared
     wire exactly as real retransmissions would."""
+    route = [resources[k] for k in network.link_ids(src, dst)]
+    occupancy = network.latency + network.transfer_time(nbytes) + extra_delay
+    return _transfer(route, occupancy, arrival, wire_startup)
+
+
+def _transfer(
+    route: list[Resource], occupancy: float, arrival: Event, wire_startup: float
+) -> Generator:
+    """:func:`transfer_process` over a route of resolved resources."""
     if wire_startup > 0.0:
         yield Delay(wire_startup)
-    keys = network.link_ids(src, dst)
-    for k in keys:
-        yield Acquire(resources[k])
-    yield Delay(network.latency + network.transfer_time(nbytes) + extra_delay)
-    for k in reversed(keys):
-        yield Release(resources[k])
+    for res in route:
+        yield Acquire(res)
+    yield Delay(occupancy)
+    for res in reversed(route):
+        yield Release(res)
     yield Trigger(arrival)
+
+
+_COMPUTE, _SEND, _RECV = range(3)
 
 
 def build_rank_program(
@@ -87,6 +98,12 @@ def build_rank_program(
 ) -> Generator:
     """The SPMD program of one rank as an event-engine generator.
 
+    The rank's step is planned once, before the first event: a flat list
+    of time charges — compute, a message piece's send (library time, then
+    the wire transfer over the pre-resolved route) or its receive (the
+    wait, then library time) — with every per-message figure computed up
+    front.  Each step replays that plan.
+
     ``faults`` (a :class:`~repro.faults.plan.FaultPlan`) maps the plan's
     wire-level faults onto deterministic extra occupancy of each transfer
     (see :meth:`~repro.faults.plan.FaultPlan.sim_extra_delay`);
@@ -94,89 +111,80 @@ def build_rank_program(
     record the injection through the tracer."""
     left = rank - 1 if rank > 0 else None
     right = rank + 1 if rank < nprocs - 1 else None
+    routes = {
+        dst: [resources[k] for k in network.link_ids(rank, dst)]
+        for dst in (left, right)
+        if dst is not None
+    }
 
-    def dest_of(msg: Message) -> int | None:
-        return left if msg.direction == "L" else right
+    def messages(ph: int, phase, op: int) -> list[tuple]:
+        """Plan entries ``(op, peer, (ph, mi, part), cpu_seconds, wire)``
+        of one phase's sends or receives, split for the version."""
+        out = []
+        cpu_time = library.send_cpu_time if op == _SEND else library.recv_cpu_time
+        for mi, msg in enumerate(phase.messages):
+            # Symmetric SPMD: my neighbour's mirror-direction send targets me.
+            peer = left if (msg.direction == "L") == (op == _SEND) else right
+            if peer is None:
+                continue
+            for part, nbytes in _split_for_version(msg, version):
+                wire = network.latency + network.transfer_time(nbytes)
+                out.append((op, peer, (ph, mi, part), cpu_time(nbytes), wire))
+        return out
 
-    def source_of(msg: Message) -> int | None:
-        # Symmetric SPMD: my neighbour's mirror-direction send targets me.
-        return right if msg.direction == "L" else left
-
-    wire_faulty = faults is not None and faults.wire_faulty
-
-    def send_msg(step: int, ph: int, mi: int, msg: Message) -> Generator:
-        dst = dest_of(msg)
-        if dst is None:
-            return
-        for part, nbytes in _split_for_version(msg, version):
-            yield from ctx.busy_library(library.send_cpu_time(nbytes))
-            arrival = event_for((rank, dst, step, ph, mi, part))
-            extra = 0.0
-            if wire_faulty:
-                base = network.latency + network.transfer_time(nbytes)
-                extra = faults.sim_extra_delay(
-                    rank, dst, (step, ph, mi, part), base
-                )
-                if extra > 0.0 and fault_note is not None:
-                    fault_note(rank, dst, (step, ph, mi, part), extra)
-            if library.blocking_send:
-                t0 = ctx.engine.now
-                yield from transfer_process(
-                    network,
-                    resources,
-                    rank,
-                    dst,
-                    nbytes,
-                    arrival,
-                    wire_startup=library.wire_startup,
-                    extra_delay=extra,
-                )
-                ctx.timeline.comm_wait += ctx.engine.now - t0
-            else:
-                yield Spawn(
-                    transfer_process(
-                        network,
-                        resources,
-                        rank,
-                        dst,
-                        nbytes,
-                        arrival,
-                        wire_startup=library.wire_startup,
-                        extra_delay=extra,
-                    )
-                )
-
-    def recv_msg(step: int, ph: int, mi: int, msg: Message) -> Generator:
-        src = source_of(msg)
-        if src is None:
-            return
-        for part, nbytes in _split_for_version(msg, version):
-            arrival = event_for((src, rank, step, ph, mi, part))
-            yield from ctx.wait_comm(arrival)
-            yield from ctx.busy_library(library.recv_cpu_time(nbytes))
+    def compute(seconds: float) -> tuple:
+        return (_COMPUTE, None, None, seconds, None)
 
     phases = workload.phases
-    overlapped = version.overlap_communication
+    plan: list[tuple] = []
+    if version.overlap_communication:
+        # Produce boundary data, post everything, then compute interior.
+        plan.append(compute(EDGE_COMPUTE_FRACTION * step_compute_seconds))
+        for ph, phase in enumerate(phases):
+            plan += messages(ph, phase, _SEND)
+        remaining = (1.0 - EDGE_COMPUTE_FRACTION) * step_compute_seconds
+        for ph, phase in enumerate(phases):
+            plan.append(compute(phase.compute_fraction * remaining))
+            plan += messages(ph, phase, _RECV)
+    else:
+        for ph, phase in enumerate(phases):
+            plan.append(compute(phase.compute_fraction * step_compute_seconds))
+            plan += messages(ph, phase, _SEND) + messages(ph, phase, _RECV)
 
+    engine, tl = ctx.engine, ctx.timeline
+    traced = tl.segments is not None
+    wire_faulty = faults is not None and faults.wire_faulty
+    blocking, wire_startup = library.blocking_send, library.wire_startup
     for step in range(steps):
-        if overlapped:
-            # Produce boundary data, post everything, then compute interior.
-            yield from ctx.busy_compute(EDGE_COMPUTE_FRACTION * step_compute_seconds)
-            for ph, phase in enumerate(phases):
-                for mi, msg in enumerate(phase.messages):
-                    yield from send_msg(step, ph, mi, msg)
-            remaining = (1.0 - EDGE_COMPUTE_FRACTION) * step_compute_seconds
-            for ph, phase in enumerate(phases):
-                yield from ctx.busy_compute(phase.compute_fraction * remaining)
-                for mi, msg in enumerate(phase.messages):
-                    yield from recv_msg(step, ph, mi, msg)
-        else:
-            for ph, phase in enumerate(phases):
-                yield from ctx.busy_compute(
-                    phase.compute_fraction * step_compute_seconds
-                )
-                for mi, msg in enumerate(phase.messages):
-                    yield from send_msg(step, ph, mi, msg)
-                for mi, msg in enumerate(phase.messages):
-                    yield from recv_msg(step, ph, mi, msg)
+        for op, peer, key, seconds, wire in plan:
+            if op == _RECV:  # wait for the arrival, then pay the receive
+                t0 = engine.now
+                yield Wait(event_for((peer, rank, step) + key))
+                tl.comm_wait += engine.now - t0
+                if traced:
+                    ctx._record("wait", t0)
+            t0 = engine.now
+            tl.busy += seconds
+            if op == _COMPUTE:
+                tl.compute += seconds
+            else:
+                tl.library += seconds
+            yield Delay(seconds)
+            if traced:
+                ctx._record("compute" if op == _COMPUTE else "library", t0)
+            if op != _SEND:
+                continue
+            arrival = event_for((rank, peer, step) + key)
+            extra = 0.0
+            if wire_faulty:
+                extra = faults.sim_extra_delay(rank, peer, (step,) + key, wire)
+                if extra > 0.0 and fault_note is not None:
+                    fault_note(rank, peer, (step,) + key, extra)
+            transfer = _transfer(routes[peer], wire + extra, arrival, wire_startup)
+            if blocking:
+                t0 = engine.now
+                yield from transfer
+                tl.comm_wait += engine.now - t0
+            else:
+                yield Spawn(transfer)
     ctx.finish()

@@ -13,9 +13,7 @@ time blocked waiting on the network or on late messages accumulates into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
-
-from .engine import Delay, Engine, Event, Wait
+from .engine import Engine
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,9 @@ class RankTimeline:
 
 
 class RankContext:
-    """Generator helpers that advance time while keeping the books."""
+    """One rank's books: the rank program charges its compute, library and
+    wait time to ``timeline`` inline and, when tracing, records each
+    interval through ``_record``."""
 
     def __init__(self, engine: Engine, rank: int, trace: bool = False) -> None:
         self.engine = engine
@@ -66,33 +66,6 @@ class RankContext:
         segs = self.timeline.segments
         if segs is not None and self.engine.now > t0:
             segs.append(Segment(kind, t0, self.engine.now))
-
-    def busy_compute(self, seconds: float) -> Generator:
-        t0 = self.engine.now
-        self.timeline.busy += seconds
-        self.timeline.compute += seconds
-        yield Delay(seconds)
-        self._record("compute", t0)
-
-    def busy_library(self, seconds: float) -> Generator:
-        t0 = self.engine.now
-        self.timeline.busy += seconds
-        self.timeline.library += seconds
-        yield Delay(seconds)
-        self._record("library", t0)
-
-    def wait_comm(self, event: Event) -> Generator:
-        t0 = self.engine.now
-        yield Wait(event)
-        self.timeline.comm_wait += self.engine.now - t0
-        self._record("wait", t0)
-
-    def delay_comm(self, seconds: float) -> Generator:
-        """Non-overlapped wire time spent inline (blocking sends)."""
-        t0 = self.engine.now
-        self.timeline.comm_wait += seconds
-        yield Delay(seconds)
-        self._record("wait", t0)
 
     def finish(self) -> None:
         self.timeline.finished_at = self.engine.now

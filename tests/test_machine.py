@@ -1,5 +1,7 @@
 """The simulated distributed machine: limits, scaling, contention."""
 
+import hashlib
+
 import pytest
 
 from repro.machines.platforms import (
@@ -9,8 +11,12 @@ from repro.machines.platforms import (
     IBM_SP_PVME,
     LACE_560,
     LACE_560_ETHERNET,
+    LACE_560_FDDI,
+    LACE_590,
+    LACE_590_ATM,
 )
 from repro.msglib.libmodel import MPL, PVM
+from repro.obs import MetricsRegistry, chrome_trace_json, use
 from repro.simulate.costmodel import CostModel
 from repro.simulate.machine import SimulatedMachine
 from repro.simulate.sharedmem import IO_TIME, SharedMemoryMachine
@@ -225,3 +231,64 @@ class TestHeterogeneousNodes:
         slow_wait = sum(t.comm_wait for t in r.timelines[:4])
         fast_wait = sum(t.comm_wait for t in r.timelines[4:])
         assert fast_wait > 2 * slow_wait
+
+
+class TestGoldenDigest:
+    """Every simulated figure is a DES output, so the simulator's results
+    are part of the contract bit for bit: an engine or rank-program change
+    must replay the identical event sequence (same heap pushes in the same
+    order, same float operands in the same association), not merely a
+    close one.  The digests below were recorded before the engine's
+    single-loop rewrite and must never need re-blessing for a speed-up."""
+
+    #: sha256 over ``repr`` of the scaled totals, the per-rank busy/wait
+    #: vectors and the engine's event count of every configuration below.
+    RESULTS = (
+        "0f6e30a54ef4402a8afe2bf428cb23e8116ed76f06440ee2cc48033fe2144a49"
+    )
+    #: sha256 of the exported Chrome trace of one traced, faulty run.
+    TRACE = (
+        "3f7a70f18d580cda1549054fb97b413fdb3982ef73f468fed6362d88e99a0639"
+    )
+
+    PLATFORMS = (
+        LACE_560, LACE_590, LACE_560_ETHERNET, LACE_560_FDDI, LACE_590_ATM,
+        IBM_SP, IBM_SP_PVME, CRAY_T3D,
+    )
+    FAULTS = ("lossy-ethernet", "jittery-now", "drop-storm")
+
+    @staticmethod
+    def _line(machine, app):
+        metrics = MetricsRegistry()
+        with use(metrics=metrics):
+            r = machine.run(app, steps_window=2)
+        return repr((
+            r.execution_time, r.comm_time, r.busy_time, r.per_rank_busy,
+            r.per_rank_wait, metrics.value("sim.engine_events"),
+        ))
+
+    def test_results_digest(self):
+        lines = [
+            self._line(SimulatedMachine(plat, p, version=v), app)
+            for app in (NAVIER_STOKES, EULER)
+            for plat in self.PLATFORMS
+            for p in (2, 5, 16)
+            for v in (5, 6, 7)
+        ]
+        lines += [
+            self._line(SimulatedMachine(LACE_560_ETHERNET, p, faults=f), NAVIER_STOKES)
+            for f in self.FAULTS
+            for p in (2, 8)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.RESULTS
+
+    def test_trace_digest(self):
+        from repro import run
+
+        res = run(
+            "jet", platform="LACE/560+Ethernet", nprocs=4, version=6,
+            steps_window=3, faults="lossy-ethernet", trace=True, ledger=False,
+        )
+        digest = hashlib.sha256(chrome_trace_json(res.trace).encode()).hexdigest()
+        assert digest == self.TRACE
