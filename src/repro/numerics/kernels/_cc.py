@@ -6,8 +6,9 @@ association order of the ``np.<ufunc>(..., out=...)`` chains in
 ``fused.py``/``fluxes.py``/``viscous.py``/``stencils.py``, divisions stay
 divisions, and the build disables floating-point contraction
 (``-ffp-contract=off``, no ``-ffast-math``), so each kernel produces
-bitwise-identical IEEE-754 doubles: ``tests/test_compiled.py`` holds each
-kernel to its numpy chain, ``tests/test_lattice.py`` each run to serial.
+bitwise-identical IEEE-754 doubles: ``tests/test_compiled.py`` holds the
+plans and entry points to their numpy chains, ``tests/test_lattice.py``
+each run to serial.
 
 The kernels are composed into a step by *plans* (the last part of the
 unit): C structs the compiled workspace fills once from the solver's
@@ -968,7 +969,6 @@ def build_library(cc: str | None = None) -> str:
 _P, _D, _L, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_long, ctypes.c_int
 
 _SIGNATURES = {
-    "k_prim_flux": [_P, _D, _P, _P, _P, _P, _P, _P, _L, _L, _I],
     "k_visc": [
         _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _L, _P, _L, _L, _L, _D, _D, _I,
     ],

@@ -70,20 +70,12 @@ class StepWorkspace:
       solver evaluates that window on a second workspace of this class,
       sized ``q_tail.shape`` (``KernelBackend.step_workspace(shape=)``).
 
-    The workspace is also the backend dispatch point for the hot kernels:
-    ``FluxModel`` routes its flux evaluation through :meth:`axial_flux` /
-    :meth:`radial_flux`, which delegate to the fused numpy kernels.  The
-    compiled backend subclasses it (:class:`~.compiled.CompiledWorkspace`)
-    with plans the solver hands its whole sweeps, filter and boundaries
-    to — so baseline and fused stay untouched and every
-    decomposition and substrate inherits whichever backend the solver
-    resolved.
+    ``FluxModel`` hands it to the fused numpy flux kernels.  The compiled
+    backend subclasses it (:class:`~.compiled.CompiledWorkspace`) with
+    plans the solver hands its whole sweeps, filter and boundaries to — so
+    baseline and fused stay untouched and every decomposition and
+    substrate inherits whichever backend the solver resolved.
     """
-
-    #: Compiled kernel ops, or ``None`` for the fused numpy kernels.  When
-    #: set, the solver runs its step from the workspace's plans (see
-    #: :mod:`repro.numerics.kernels.compiled`).
-    ops = None
 
     def __init__(
         self, shape: tuple[int, int, int], viscous: bool, mu_field: bool = False
@@ -145,26 +137,6 @@ class StepWorkspace:
             self.tau_n = np.empty(plane)  # tau_xx (axial) / tau_rr (radial)
             self.tau_s = np.empty(plane)  # tau_xr
             self.heat = np.empty(plane)
-
-    def axial_flux(self, fm, q):
-        """Total axial flux into ``ws.F`` (fused numpy kernels)."""
-        from .fused import fused_axial_flux
-
-        return fused_axial_flux(fm, q, self)
-
-    def radial_flux(self, fm, q):
-        """Weighted radial flux + source (fused numpy kernels)."""
-        from .fused import fused_radial_flux
-
-        return fused_radial_flux(fm, q, self)
-
-    def ext_for(self, axis: int) -> np.ndarray:
-        """The ghost-extended buffer matching a sweep/filter axis."""
-        if axis == 1:
-            return self.ext_x
-        if axis == 2:
-            return self.ext_r
-        raise ValueError(f"no extended buffer for axis {axis}")
 
     def rotate_states(self, q_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Output buffers for the step's two sweeps given the input state.

@@ -22,16 +22,6 @@ There is exactly one engine.  On a host with no usable C toolchain
 ``step_workspace`` falls back to the fused workspace with a warning, so a
 solver asked for ``"compiled"`` always runs (and, because the C kernels
 are bitwise-equal to fused, always computes the same flow field).
-
-**Tolerance policy.**  :class:`CcOps` declares ``bitwise = True`` because
-every kernel replicates the fused op order with strict IEEE-754 double
-arithmetic (no fast-math, no FMA, divisions stay divisions).  On a
-platform where the toolchain cannot honour that (e.g. one that ignores
-``-ffp-contract=off``), flip the flag to ``False``: the equivalence
-lattice then asserts the pinned ULP bound
-(``tests/test_lattice.py::ULP_BOUND``) instead of equality, and the run
-fingerprint keeps ``"compiled"`` results in a separate cache identity
-(see ``RunRequest.fingerprint``).
 """
 
 from __future__ import annotations
@@ -56,8 +46,9 @@ class BackendUnavailable(RuntimeError):
 def _c_contig(a: np.ndarray) -> np.ndarray:
     """The array itself when kernel-ready, else a C-contiguous copy.
 
-    Inputs are only ever read, so a copy preserves bitwise identity; all
-    output buffers are workspace-owned and already contiguous float64.
+    Inputs are only ever read, so a copy preserves bitwise identity; an
+    output is written in place, so :meth:`CcOps._p` refuses one that is
+    not kernel-ready.
     """
     if a.dtype == np.float64 and a.flags.c_contiguous:
         return a
@@ -67,16 +58,12 @@ def _c_contig(a: np.ndarray) -> np.ndarray:
 class CcOps:
     """The C translation unit in ``_cc.py`` via the system compiler.
 
-    A step runs from the plans of a :class:`CompiledWorkspace`; the
-    methods below are the kernels one at a time, whose shapes,
-    optional-operand conventions and op orders mirror the fused numpy
-    kernels one for one (``tests/test_compiled.py`` holds each to them).
+    A step runs from the plans of a :class:`CompiledWorkspace`; this
+    class loads the library and turns arrays into the addresses the
+    plans and entry points take.
     """
 
     engine = "cc"
-    #: The kernels produce bitwise-identical doubles to the fused backend.
-    #: See the module docstring for the policy when a platform cannot.
-    bitwise = True
 
     def __init__(self):
         try:
@@ -102,20 +89,13 @@ class CcOps:
         ptr = self._ptr_cache.get(key)
         if ptr is not None:
             return ptr
-        assert a.dtype == np.float64 and a.flags.c_contiguous
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            layout = "" if a.flags.c_contiguous else ", non-contiguous"
+            raise ValueError(f"the C kernels take C-contiguous float64, got {a.dtype}{layout}")
         ptr = a.ctypes.data
         self._ptr_cache[key] = ptr
         weakref.finalize(a, self._ptr_cache.pop, key, None)
         return ptr
-
-    def _row(self, x, n):
-        """``(pointer, row stride)`` of a per-``j`` operand that is a
-        ``(nx, n)`` field or a scalar.  A scalar rides as one constant row
-        of length ``n`` (stride 0), so no inner loop carries a
-        scalar-or-field branch."""
-        if isinstance(x, np.ndarray):
-            return self._p(x), n
-        return self._p(self._const_row(x, n)), 0
 
     def plan(self, cls, **fields):
         """A ``cls`` plan with ``fields`` filled in: an array or plan field
@@ -140,92 +120,6 @@ class CcOps:
             row = self._rows[key] = np.full(n, key[1])
         return row
 
-    def prim_flux(self, q, gamma, F, radial, p, prims=None, w=None):
-        """Primitives + the inviscid flux of one split direction into ``F``.
-
-        With ``prims = (u, v, T)`` (Navier-Stokes) those and ``p`` are
-        stored for :meth:`visc`, which also applies any ``r`` weight.
-        Without (Euler) only ``p`` and the flux are, the flux times the
-        per-``j`` weight ``w`` when given.
-        """
-        _nv, nx, nr = F.shape
-        if q.shape != F.shape:
-            raise ValueError(f"prim_flux: q has shape {q.shape}, F {F.shape}")
-        q = _c_contig(q)
-        if np.may_share_memory(F, q):
-            raise ValueError("prim_flux: F must not alias q")
-        if prims is not None and w is not None:
-            raise ValueError("the Navier-Stokes flux takes its weight in visc")
-        u, v, T = prims or (None, None, None)
-        self._lib.k_prim_flux(
-            self._p(q), gamma, self._p(u), self._p(v), self._p(p), self._p(T),
-            self._p(F), self._row(1.0 if w is None else w, nr)[0], nx, nr,
-            int(radial),
-        )
-        return F
-
-    def visc(self, F, tau_tt, ws, r, mu, k, dx, dr, radial, finish=None):
-        """Subtract the viscous flux from ``F``.  A radial call stores
-        ``tau_tt``, or with ``finish = (w, S2)`` finishes the axisymmetric
-        flux instead: ``F *= w`` and ``S2 = ws.p - tau_tt``."""
-        nx, nr = ws.u.shape
-        if nx < 3 or nr < 3:
-            raise ValueError("viscous gradients need at least 3 points per axis")
-        w, S2 = finish if finish is not None else (None, None)
-        mu_p, mu_stride = self._row(mu, nr)
-        k_p, k_stride = self._row(k, nr)
-        self._lib.k_visc(
-            self._p(F), self._p(tau_tt), self._p(S2), self._p(ws.u),
-            self._p(ws.v), self._p(ws.T), self._p(ws.p), self._p(r),
-            self._p(w), mu_p, mu_stride, k_p, k_stride, nx, nr, dx, dr,
-            int(radial),
-        )
-
-    def rate(
-        self, f, gh, axis, h, forward, source, iw, out,
-        mode=0, q=None, q_star=None, dt=0.0,
-    ):
-        """``(source - D f) * iw`` along ``axis`` into ``out`` (``mode`` 0),
-        or combined on the way — the rate itself is never stored — into
-        the predictor's ``q + dt*rate`` (``mode`` 1) or the corrector's
-        ``0.5*((q + q_star) + dt*rate)`` (``mode`` 2).
-
-        ``gh`` holds the ghost planes of the side the one-sided stencil
-        reaches past (high when ``forward``), ``None`` for cubic
-        extrapolation; ``iw`` is the identity ``1.0`` or the per-``j``
-        ``1/r`` array.
-        """
-        _nv, nx, nr = out.shape
-        # The kernel walks every operand it reads with out's dimensions.
-        reads = (("f", f), ("source", source), ("q", q), ("q_star", q_star))
-        for name, a in reads[: 2 + mode]:
-            if a is not None and a.shape != out.shape:
-                raise ValueError(
-                    f"rate: {name} has shape {a.shape}, out {out.shape}"
-                )
-        f = _c_contig(f)
-        # The local binding keeps any contiguous ghost copy alive for the
-        # duration of the foreign call (only its raw pointer is passed).
-        gh = None if gh is None else _c_contig(np.asarray(gh))
-        if gh is None and f.shape[axis] < 4:
-            raise ValueError("cubic extrapolation needs at least 4 points")
-        if f.shape[axis] < 2:
-            raise ValueError("the one-sided stencil needs at least 2 points")
-        if isinstance(iw, float):
-            # Any other scalar would be mis-broadcast by the per-j kernels.
-            if iw != 1.0:
-                raise ValueError("compiled kernels require inv_weight 1.0 or 1/r")
-        elif iw.size != nr:
-            raise ValueError(f"inv_weight must hold {nr} values, got {iw.shape}")
-        if any(np.may_share_memory(out, a) for a in (f, q, q_star)[: mode + 1]):
-            # The combine reads q / q_star rows while it writes out's.
-            raise ValueError("rate: out must not alias the flux, q or q_star")
-        self._lib.k_rate(
-            self._p(f), self._p(gh), self._p(source), self._row(iw, nr)[0],
-            self._p(out), nx, nr, axis, h, int(forward), mode, self._p(q),
-            self._p(q_star), dt,
-        )
-        return out
 
 #: The loaded ops (the library is built/loaded once per process).
 _OPS: CcOps | None = None
@@ -241,8 +135,6 @@ def resolve_ops() -> CcOps:
     if _OPS is None:
         _OPS = CcOps()
     return _OPS
-
-
 
 
 def _power_law(fm, T, mu, k):
@@ -270,10 +162,18 @@ class PlannedSweep:
         self._ops, self._plan = ops, plan
         self._addr = ctypes.addressof(plan)
         self.shape = (4, plan.nx, plan.nr)
+        #: The plan's state-shaped buffers (q_star, F, the source): the
+        #: corrector reads them while it writes ``out``.
+        self._held = [
+            a for a in plan.keep.values()
+            if isinstance(a, np.ndarray) and a.shape == self.shape
+        ]
 
     def apply(self, q: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
-        if q.shape != self.shape or out.shape != self.shape or out is q:
+        if q.shape != self.shape or out.shape != self.shape:
             raise ValueError(f"sweep: q {q.shape} -> out {out.shape}, plan {self.shape}")
+        if any(np.may_share_memory(out, a) for a in (q, *self._held)):
+            raise ValueError("sweep: out must not alias q or a buffer of the plan")
         ops, q = self._ops, _c_contig(q)  # the binding outlives the call
         ops._lib.k_sweep(self._addr, ops._p(q), ops._p(out), dt)
         return out

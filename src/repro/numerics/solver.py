@@ -44,7 +44,12 @@ from .boundary import (
     characteristic_outflow_rates,
     ghost_rules,
 )
-from .kernels import resolve_backend
+from .kernels import (
+    CompiledWorkspace,
+    fused_axial_flux,
+    fused_radial_flux,
+    resolve_backend,
+)
 from .maccormack import PREDICTOR, SplitOperator, SweepWorkspace
 from .stencils import extend_axis
 from .timestep import stable_dt
@@ -148,13 +153,12 @@ class FluxModel:
     def axial_flux(self, q: np.ndarray, ws=None) -> np.ndarray:
         """Total axial flux ``F`` (no radial weight: r is constant in x).
 
-        ``ws`` selects the workspace's zero-allocation kernels — fused numpy
-        in-place ufuncs, or native loops when the workspace came from the
-        compiled backend (result lands in ``ws.F``, bitwise-identical
-        either way).
+        ``ws`` selects the workspace's zero-allocation fused numpy kernels
+        (result in ``ws.F``, bitwise-identical); a compiled step evaluates
+        its fluxes inside its sweep plans and never calls this.
         """
         if ws is not None:
-            return ws.axial_flux(self, q)
+            return fused_axial_flux(self, q, ws)
         F, _G, _p = inviscid_fluxes(q, self.gamma)
         if self.mu:
             u, v, terms = self._viscous(q)
@@ -169,7 +173,7 @@ class FluxModel:
         ``ws`` as in :meth:`axial_flux`.
         """
         if ws is not None:
-            return ws.radial_flux(self, q)
+            return fused_radial_flux(self, q, ws)
         _F, G, p = inviscid_fluxes(q, self.gamma)
         tau_tt: np.ndarray | float = 0.0
         if self.mu:
@@ -267,7 +271,7 @@ class CompressibleSolver:
         self._ws = self.backend.step_workspace(self)
         #: A compiled workspace runs the step's sweeps, filter and
         #: boundaries from its plans, one foreign call each.
-        self._native = self._ws if getattr(self._ws, "ops", None) else None
+        self._native = self._ws if isinstance(self._ws, CompiledWorkspace) else None
 
     # -- sweep plumbing ------------------------------------------------------
     # The sweep closures below capture the flux model and the workspace,
@@ -467,7 +471,7 @@ class CompressibleSolver:
         eps = self.config.dissipation
         if eps <= 0.0:
             return q
-        if getattr(ws, "ops", None):
+        if isinstance(ws, CompiledWorkspace):
             return ws.filter(q, eps)
         for axis in (1, 2):
             low, high = (g(q) for g in self._ghosts(axis, ws, AXIS_STATE_SIGNS))
@@ -483,7 +487,8 @@ class CompressibleSolver:
                 )
                 q = q - eps * d4
                 continue
-            ext = extend_axis(q, axis, low=low, high=high, out=ws.ext_for(axis))
+            ext = (ws.ext_x, ws.ext_r)[axis - 1]
+            ext = extend_axis(q, axis, low=low, high=high, out=ext)
             d4, tmp = ws.rate, ws.tmp3
             np.multiply(ext[ix[1]], 4.0, out=d4)
             np.subtract(ext[ix[0]], d4, out=d4)

@@ -318,9 +318,9 @@ class RunRequest:
         ``backend`` is normalized the same way: ``None``/``"baseline"``/
         ``"fused"`` collapse to one identity (bitwise-equal by the same
         lattice), while ``"compiled"`` stays distinct — its
-        bitwise guarantee is per-platform (engines may pin a ULP bound
-        instead) and it may fall back to ``"fused"`` where no engine is
-        available, so its results are not universally interchangeable.
+        bitwise guarantee is per-platform and it may fall back to
+        ``"fused"`` where no engine is available, so its results are not
+        universally interchangeable.
         """
         ex, rz = self.execution, self.resilience
         mode = self.mode

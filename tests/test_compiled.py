@@ -4,14 +4,14 @@ The compiled backend replays the paper's Version 5-6 compiler rung — the
 same physics, rebuilt as native loops in one cached C shared object.
 Like the fused backend, it must change performance only, never results:
 
-* each fused C entry point equals the numpy chains it transcribes, bit for
-  bit, and refuses operands it would read past or write over; the plan
-  entry points that sequence them (``k_sweep``, ``k_filter_step``) equal the
-  fused operators they replace under every ghost rule, and a step makes
-  at most four foreign calls; whole runs — serial, every decomposition
-  and substrate — are the ``compiled`` rows of ``test_lattice.py``, under
-  the engine's tolerance policy (``CcOps.bitwise``,
-  ``test_lattice.ULP_BOUND``);
+* each fused C kernel equals the numpy chains it transcribes, bit for
+  bit — the rate and stress kernels called through the C ABI, the flux
+  read back from a sweep plan's buffers; the plan entry points
+  (``k_sweep``, ``k_filter_step``) equal the fused operators they replace
+  under every ghost rule and refuse operands they would read past or
+  write over, and a step makes at most four foreign calls; whole runs —
+  serial, every decomposition and substrate — are the ``compiled`` rows of
+  ``test_lattice.py``, held to exact equality;
 * selection mirrors the other backends: ``SolverConfig.backend`` (or
   ``run(..., backend=)``), and a clean ``BackendUnavailable`` fallback to
   the fused workspace (with a ``RuntimeWarning``, never a crash).
@@ -46,12 +46,11 @@ from repro.numerics.kernels import (
 from repro.numerics.kernels import _cc, compiled
 from repro.numerics.kernels.compiled import resolve_ops
 from repro.numerics.kernels.fused import (
-    _mu,
     _subtract_viscous,
     fused_axial_flux,
     fused_radial_flux,
 )
-from repro.numerics.solver import CompressibleSolver, FluxModel, SolverConfig
+from repro.numerics.solver import CompressibleSolver, SolverConfig
 from repro.numerics.stencils import (
     backward_difference,
     extend_axis,
@@ -110,7 +109,6 @@ class TestSelection:
         with pytest.warns(RuntimeWarning, match="falling back"):
             ws = get_backend("compiled").step_workspace(sc.solver)
         assert type(ws) is StepWorkspace  # the fused workspace, not compiled
-        assert ws.ops is None
 
     def test_fallback_run_is_bitwise_fused(self, no_toolchain):
         """A fallback run produces the fused numbers, not an error."""
@@ -132,7 +130,7 @@ class TestSelection:
 
 
 class TestDifferentialSerial:
-    """compiled == the serial baseline (== fused), under the policy."""
+    """compiled == the serial baseline (== fused), exactly."""
 
     @pytest.mark.parametrize("model", ["ns", "euler"], ids=["navier-stokes", "euler"])
     def test_matches_fused(self, ops, model):
@@ -235,18 +233,32 @@ def _reference_visc(fm, ws, mu, flux, radial):
     return out, terms.tau_tt
 
 
+def _call(ops, kernel, *args):
+    """The library's ``kernel`` on raw operands: an array goes as its
+    address (``CcOps._p``), ``None`` as NULL, a number as itself."""
+    getattr(ops._lib, kernel)(
+        *(ops._p(a) if isinstance(a, np.ndarray) else a for a in args)
+    )
+
+
 def _compiled_visc(ops, fm, ws, mu, flux, radial):
-    out = flux.copy()
+    """``k_visc`` on a copy of ``flux``; a scalar viscosity and its
+    conductivity ride as constant rows (stride 0)."""
+    out, (nx, nr) = flux.copy(), ws.u.shape
     k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
-    ops.visc(
-        out, ws.tau_tt if radial else None, ws, fm.r, mu, k, fm.dx, fm.dr, radial
+    stride = nr if isinstance(mu, np.ndarray) else 0
+    mu, k = (mu, k) if stride else (np.full(nr, mu), np.full(nr, k))
+    _call(
+        ops, "k_visc", out, ws.tau_tt if radial else None, None, ws.u, ws.v,
+        ws.T, ws.p, fm.r, None, mu, stride, k, stride, nx, nr, fm.dx, fm.dr,
+        int(radial),
     )
     return out
 
 
 class TestGhostAwareViscousKernel:
     """The halo path of the viscous kernel: a block carrying its
-    neighbours' ghost lines *in the array*.  ``ops.visc`` on it equals the
+    neighbours' ghost lines *in the array*.  ``k_visc`` on it equals the
     numpy path bit for bit — every flux row and ``tau_tt`` — and one ghost
     line is all the owned cells see: a second line changes none of them
     (the ``g = 1`` of ``halo_depth``), for every ghost set the
@@ -319,74 +331,71 @@ def _check_rate(ops, shape, mode, axis, forward, ghosts, sourced, weighted):
     gh = gh if ghosts else None
     source = source if sourced else None
     iw = iw if weighted else 1.0
-    args = (f, gh, axis, 0.07, forward, source, iw)
-    want = _reference_rate(*args, mode, q, qs, 0.013)
-    got = ops.rate(*args, np.empty_like(f), mode, q, qs, 0.013)
+    want = _reference_rate(f, gh, axis, 0.07, forward, source, iw, mode, q, qs, 0.013)
+    got, row = np.empty_like(f), iw[0, 0] if weighted else np.ones(shape[1])
+    _call(
+        ops, "k_rate", f, gh, source, row, got, *shape, axis, 0.07,
+        int(forward), mode, q, qs, 0.013,
+    )
     assert np.array_equal(_bits(got), _bits(want))
 
 
-def _flux_case(nx, nr, viscous, axisymmetric, mu_exp, seed=0):
-    """A flux model over an ``nx x nr`` slab and a random physical state."""
+#: One configuration per ghost rule the plans carry: the jet's axis mirror
+#: (cubic elsewhere), a planar box (cubic everywhere), a periodic wrap.
+RULES = {
+    "axis-mirror": dict(axisymmetric=True),
+    "cubic": dict(axisymmetric=False),
+    "periodic-x": dict(axisymmetric=False, periodic_x=True),
+    "periodic-r": dict(axisymmetric=False, periodic_r=True),
+}
+
+
+def _fused_and_compiled(rules, viscous, mu_exp, shape, seed=0):
+    """A fused and a compiled solver over one random physical state."""
     rng = np.random.default_rng(seed)
-    cfg = SolverConfig(
-        viscous=viscous, mu=0.01, axisymmetric=axisymmetric, mu_exponent=mu_exp
-    )
-    fm = FluxModel((np.arange(nr) + 0.5) * 0.07, 0.1, 0.07, cfg)
-    rho = 1.0 + 0.2 * rng.random((nx, nr))
-    u, v = 0.3 * rng.standard_normal((2, nx, nr))
-    p = 1.0 + 0.2 * rng.random((nx, nr))
-    q = np.stack([rho, rho * u, rho * v, eos.total_energy(rho, u, v, p, 1.4)])
-    return fm, q
-
-
-def _compiled_flux(ops, fm, q, ws, radial):
-    """The workspace flux the sweep plans compose in C (``plan_flux``),
-    from the kernel entry points one at a time: an axisymmetric radial
-    flux folds its ``r`` weight and source row into the kernels."""
-    finish = radial and fm.config.axisymmetric
-    if not fm.mu:  # the Euler source row is p - 0.0: p is stored into it
-        p, w = (ws.S2, fm.r) if finish else (ws.p, None)
-        ops.prim_flux(q, fm.gamma, ws.F, radial, p, w=w)
-        return ws.F, ws.S
-    ops.prim_flux(q, fm.gamma, ws.F, radial, ws.p, (ws.u, ws.v, ws.T))
-    mu = _mu(fm, ws)
-    k = eos.conductivity(mu, fm.gamma, constants.PRANDTL)
-    tt = ws.tau_tt if radial and not finish else None
-    finish = (fm.r, ws.S2) if finish else None
-    ops.visc(ws.F, tt, ws, fm.r, mu, k, fm.dx, fm.dr, radial, finish)
-    return ws.F, ws.S
+    grid = Grid(nx=shape[0], nr=shape[1], length_x=1.0, length_r=1.0)
+    rho, p = 1.0 + 0.2 * rng.random((2,) + shape)
+    u, v = 0.3 * rng.standard_normal((2,) + shape)
+    q = FlowState.from_primitive(grid, rho, u, v, p).q
+    pair = []
+    for backend in ("fused", "compiled"):
+        cfg = SolverConfig(
+            viscous=viscous, mu=0.01, mu_exponent=mu_exp, boundary=None,
+            backend=backend, **RULES[rules],
+        )
+        pair.append(CompressibleSolver(FlowState(grid, q.copy()), cfg))
+    return pair, q
 
 
 def _check_flux(ops, shape, viscous, radial, axisymmetric, mu_exp=0.0):
-    fm, q = _flux_case(*shape, viscous, axisymmetric, mu_exp)
-    mu_field = viscous and mu_exp != 0.0
-    ref = StepWorkspace(q.shape, viscous, mu_field)
-    cws = CompiledWorkspace(q.shape, viscous, mu_field, ops)
-    got, got_S = _compiled_flux(ops, fm, q, cws, radial)
-    if radial:
-        want, want_S = fused_radial_flux(fm, q, ref)
-        assert np.array_equal(_bits(got_S), _bits(want_S))
-    else:
-        want = fused_axial_flux(fm, q, ref)
-    assert np.array_equal(_bits(got), _bits(want))
-    if viscous:  # the primitives the stress kernel read
-        for name in ("u", "v", "p", "T"):
-            assert np.array_equal(
-                _bits(getattr(cws, name)), _bits(getattr(ref, name))
-            ), name
+    """One sweep plan per variant: the flux it evaluated last — of its
+    ``q_star`` — read back from its buffers against the fused kernel on
+    that ``q_star``, with the primitives the stresses read."""
+    rules = "axis-mirror" if axisymmetric else "cubic"
+    (fused, comp), q = _fused_and_compiled(rules, viscous, mu_exp, shape)
+    flux, ref = (fused_radial_flux if radial else fused_axial_flux), fused._ws
+    for variant in (1, 2):
+        sweep = comp._cached_operators(variant)[radial]
+        sweep.apply(q, 0.003, out=np.empty_like(q))
+        plan = sweep._plan.keep  # an Euler flux stores no u, v, T
+        flux(fused.fm, plan["q_star"], ref)
+        for name in ("F", "p", "u", "v", "T")[: 5 if viscous else 2]:
+            assert np.array_equal(_bits(plan[name]), _bits(getattr(ref, name))), name
+        assert np.array_equal(_bits(comp._ws.S), _bits(ref.S))
 
 
 #: Shapes that reach the edge code: the smallest a cubic extrapolation and
-#: a viscous gradient take, and the outflow helper's 5-column window.
+#: a viscous gradient take, and the outflow helper's 5-column window; a
+#: plan's grid takes no fewer than 5 points per axis.
 RATE_SHAPES = [(4, 4), (5, 4), (5, 9)]
-FLUX_SHAPES = RATE_SHAPES + [(3, 7)]
+FLUX_SHAPES = [(5, 5), (5, 9), (9, 5), (6, 7), (13, 11)]
 
 
 class TestFusedEntryPoints:
-    """The kernels that fuse several numpy chains into one pass — the rate
-    with its combine, primitives with the inviscid flux, the stress kernel
-    with the axisymmetric finish — against those chains, bit for bit
-    (signed zeros included)."""
+    """The kernels that fuse several numpy chains into one pass against
+    those chains, bit for bit (signed zeros included): the rate with its
+    combine through the C ABI, primitives, inviscid flux and stresses as a
+    sweep plan composes them."""
 
     @pytest.mark.parametrize("weighted", [True, False], ids=["1/r", "identity"])
     @pytest.mark.parametrize("sourced", [True, False], ids=["source", "no-source"])
@@ -415,12 +424,11 @@ class TestFusedEntryPoints:
     @pytest.mark.parametrize("viscous", [True, False], ids=["viscous", "euler"])
     def test_flux_matches_fused(self, ops, viscous, radial, axisymmetric):
         for shape in FLUX_SHAPES:
-            _check_flux(ops, shape, viscous, radial, axisymmetric)
-        if viscous:
-            _check_flux(ops, (5, 9), viscous, radial, axisymmetric, mu_exp=0.7)
+            for mu_exp in (0.0, 0.7)[: 1 + viscous]:
+                _check_flux(ops, shape, viscous, radial, axisymmetric, mu_exp)
 
     @given(
-        shape=st.tuples(st.integers(3, 13), st.integers(3, 13)),
+        shape=st.tuples(st.integers(5, 13), st.integers(5, 13)),
         flags=st.tuples(*[st.booleans()] * 3),
     )
     @settings(max_examples=40, deadline=None)
@@ -429,59 +437,12 @@ class TestFusedEntryPoints:
 
     @pytest.mark.parametrize("alias", ["flux", "q", "q_star"])
     def test_rate_refuses_an_aliased_output(self, ops, alias):
-        """The combine reads rows of q / q_star while it writes out's."""
-        f, q, qs, _gh, _source, _iw = _rate_case(5, 4, 1)
-        out = {"flux": f, "q": q, "q_star": qs}[alias]
+        """A sweep's corrector reads q, q_star and the flux while it writes
+        ``out``: an ``out`` sharing memory with any of them is refused."""
+        (_fused, comp), q = _fused_and_compiled("axis-mirror", True, 0.0, (7, 5))
+        out = {"flux": comp._ws.F, "q": q[...], "q_star": comp._ws.q_star}[alias]
         with pytest.raises(ValueError, match="must not alias"):
-            ops.rate(f, None, 1, 0.1, True, None, 1.0, out, 2, q, qs, 0.01)
-
-    @pytest.mark.parametrize(
-        "operand", ["prim_flux:q", "rate:f", "rate:source", "rate:q", "rate:q_star"]
-    )
-    def test_a_narrower_operand_is_refused(self, ops, operand):
-        """Each kernel walks its operands with the dimensions of its
-        output: a narrower operand is a ``ValueError`` naming both shapes,
-        not a read past the operand's buffer."""
-        kernel, name = operand.split(":")
-        f, q, qs, _gh, source, _iw = _rate_case(5, 6, 1)
-        if kernel == "prim_flux":
-            with pytest.raises(ValueError, match=r"q has shape \(4, 5, 3\), F \(4, 5, 6\)"):
-                ops.prim_flux(q[:, :, :3].copy(), 1.4, f, False, np.empty((5, 6)))
-            return
-        args = dict(f=f, source=source, q=q, q_star=qs)
-        args[name] = args[name][:, :, :4].copy()
-        with pytest.raises(ValueError, match=rf"{name} has shape \(4, 5, 4\), out \(4, 5, 6\)"):
-            ops.rate(
-                args["f"], None, 1, 0.1, True, args["source"], 1.0,
-                np.empty((4, 5, 6)), 2, args["q"], args["q_star"], 0.01,
-            )
-
-
-#: One configuration per ghost rule the plans carry: the jet's axis mirror
-#: (cubic elsewhere), a planar box (cubic everywhere), a periodic wrap.
-RULES = {
-    "axis-mirror": dict(axisymmetric=True),
-    "cubic": dict(axisymmetric=False),
-    "periodic-x": dict(axisymmetric=False, periodic_x=True),
-    "periodic-r": dict(axisymmetric=False, periodic_r=True),
-}
-
-
-def _fused_and_compiled(rules, viscous, mu_exp, shape, seed=0):
-    """A fused and a compiled solver over one random physical state."""
-    rng = np.random.default_rng(seed)
-    grid = Grid(nx=shape[0], nr=shape[1], length_x=1.0, length_r=1.0)
-    rho, p = 1.0 + 0.2 * rng.random((2,) + shape)
-    u, v = 0.3 * rng.standard_normal((2,) + shape)
-    q = FlowState.from_primitive(grid, rho, u, v, p).q
-    pair = []
-    for backend in ("fused", "compiled"):
-        cfg = SolverConfig(
-            viscous=viscous, mu=0.01, mu_exponent=mu_exp, boundary=None,
-            backend=backend, **RULES[rules],
-        )
-        pair.append(CompressibleSolver(FlowState(grid, q.copy()), cfg))
-    return pair, q
+            comp._cached_operators(1)[0].apply(q, 1e-3, out=out)
 
 
 class TestPlanEntryPoints:
@@ -517,6 +478,30 @@ class TestPlanEntryPoints:
         fresh = get_backend("compiled").step_workspace(comp)
         want = fused.apply_filter(q.copy(), fused._ws)
         assert np.array_equal(_bits(comp.apply_filter(q.copy(), fresh)), _bits(want))
+
+    @pytest.mark.parametrize(
+        "operand",
+        ["sweep:q", "sweep:out", "sweep:out-dtype", "sweep:out-layout", "filter:q"],
+    )
+    def test_a_mismatched_operand_is_refused(self, ops, operand):
+        """A plan walks its operands with the dimensions it was filled for
+        and writes through raw pointers: a narrower operand, a float32 or a
+        non-contiguous ``out`` is a ``ValueError``, not a read or write past
+        a buffer."""
+        (_fused, comp), q = _fused_and_compiled("axis-mirror", True, 0.0, (7, 5))
+        narrow, out = q[:, :, :4].copy(), np.empty_like(q)
+        if operand == "filter:q":
+            with pytest.raises(ValueError, match=r"q has shape \(4, 7, 4\), plan \(4, 7, 5\)"):
+                comp.apply_filter(narrow, comp._ws)
+            return
+        q, out, match = {
+            "sweep:q": (narrow, out, r"q \(4, 7, 4\) -> out \(4, 7, 5\)"),
+            "sweep:out": (q, narrow, r"q \(4, 7, 5\) -> out \(4, 7, 4\)"),
+            "sweep:out-dtype": (q, np.empty_like(q, np.float32), "got float32$"),
+            "sweep:out-layout": (q, np.empty_like(q, order="F"), "float64, non-contiguous"),
+        }[operand]
+        with pytest.raises(ValueError, match=match):
+            comp._cached_operators(1)[0].apply(q, 1e-3, out=out)
 
     @pytest.mark.parametrize("backend", ["fused", "baseline"])
     def test_another_backends_solver_is_refused(self, ops, backend):

@@ -52,7 +52,6 @@ from hypothesis import strategies as st
 from conftest import FAULT_KINDS, perturbed_jet, ripple, wire_plan
 from repro.faults import FaultPlan, MessageTimeout, RankCrashed, fault_plan_by_name
 from repro.msglib import RankFailure
-from repro.numerics.kernels import get_backend
 from repro.parallel import runner as runner_mod
 from repro.parallel import spmd as spmd_mod
 from repro.parallel.decomposition import MIN_BLOCK
@@ -198,13 +197,8 @@ def fault_options(kind: str, seed: int) -> dict:
     return dict(faults=plan, max_restarts=0)
 
 
-#: The largest per-element ULP distance from its oracle tolerated of a
-#: compiled engine that declares it cannot be bitwise (``CcOps.bitwise``);
-#: every other row is held to exactly 0.
-ULP_BOUND = 4
-
-
 def assert_bitwise(got: np.ndarray, want: np.ndarray, backend: str) -> None:
+    """Exact equality, every backend: no row has a tolerance."""
     if np.array_equal(got, want):
         return
     # Map the sign-magnitude float ordering onto a monotonic integer line.
@@ -213,11 +207,7 @@ def assert_bitwise(got: np.ndarray, want: np.ndarray, backend: str) -> None:
         for a in (got.view(np.int64), want.view(np.int64))
     )
     ulps = int(np.abs(gi - wi).max())
-    engine = get_backend("compiled")
-    assert (
-        backend == "compiled" and engine.available() and not engine.ops().bitwise
-    ), f"differs from the serial baseline by up to {ulps} ulp"
-    assert ulps <= ULP_BOUND
+    raise AssertionError(f"{backend} differs from the serial baseline by up to {ulps} ulp")
 
 
 def _run(initial, config, px, pr, **kw):

@@ -1,7 +1,11 @@
 """The mpi4py backend adapter (the real library only runs on an MPI
-cluster; a dict-mailbox stub drives the adapter's own code here)."""
+cluster; here a stub ``mpi4py`` whose ranks are threads sharing one set of
+mailboxes drives the adapter and ``scripts/mpi_runner.py``)."""
 
+import importlib.util
+import pathlib
 import sys
+import threading
 import types
 from collections import defaultdict, deque
 
@@ -22,6 +26,8 @@ try:
     HAVE_MPI = True
 except ImportError:
     HAVE_MPI = False
+
+RUNNER = pathlib.Path(__file__).parents[1] / "scripts" / "mpi_runner.py"
 
 
 class TestTagHashing:
@@ -90,10 +96,18 @@ class TestWithoutMPI:
 
 class _StubWorld:
     """The slice of ``mpi4py.MPI.Comm`` the adapter calls, for one rank of
-    a world whose mailboxes are one shared dict of deques."""
+    a world whose ranks share one ``hub`` of mailboxes: a receive blocks
+    until its message is in, a collective until every rank has called it."""
 
-    def __init__(self, rank, size, boxes):
-        self._rank, self._size, self._boxes = rank, size, boxes
+    def __init__(self, rank, size, hub):
+        self._rank, self._size, self._hub = rank, size, hub
+
+    @staticmethod
+    def hub(size):
+        return types.SimpleNamespace(
+            boxes=defaultdict(deque), cv=threading.Condition(), slots={},
+            barrier=threading.Barrier(size, timeout=60),
+        )
 
     def Get_rank(self):
         return self._rank
@@ -102,19 +116,60 @@ class _StubWorld:
         return self._size
 
     def send(self, obj, dest, tag):
-        self._boxes[dest, self._rank, tag].append(obj)
+        with self._hub.cv:
+            self._hub.boxes[dest, self._rank, tag].append(obj)
+            self._hub.cv.notify_all()
 
     def Send(self, buf, dest, tag):
-        self._boxes[dest, self._rank, tag].append(np.array(buf))
+        self.send(np.array(buf), dest, tag)
 
     def recv(self, source, tag):
-        return self._boxes[self._rank, source, tag].popleft()
+        with self._hub.cv:
+            box = self._hub.boxes[self._rank, source, tag]
+            assert self._hub.cv.wait_for(lambda: box, timeout=60), "no message"
+            return box.popleft()
 
     def Recv(self, buf, source, tag):
-        buf[...] = self._boxes[self._rank, source, tag].popleft()
+        buf[...] = self.recv(source, tag)
 
     def iprobe(self, source, tag):
-        return bool(self._boxes[self._rank, source, tag])
+        with self._hub.cv:
+            return bool(self._hub.boxes[self._rank, source, tag])
+
+    def _all(self, value):
+        """Every rank's ``value``, in rank order, once each has given one."""
+        self._hub.slots[self._rank] = value
+        self._hub.barrier.wait()
+        values = [self._hub.slots[r] for r in range(self._size)]
+        self._hub.barrier.wait()  # all have read before a next round writes
+        return values
+
+    def allreduce(self, value, op):
+        assert op == "min"
+        return min(self._all(value))
+
+    def Barrier(self):
+        self._hub.barrier.wait()
+
+    def gather(self, obj, root):
+        values = self._all(np.array(obj))  # MPI hands the root copies
+        return values if self._rank == root else None
+
+
+class _ThreadedMPI:
+    """``mpi4py.MPI`` for ranks that are threads of this process:
+    ``COMM_WORLD`` is the world of the calling thread's rank."""
+
+    MIN = "min"
+
+    def __init__(self, size):
+        hub = _StubWorld.hub(size)
+        self.worlds = [_StubWorld(r, size, hub) for r in range(size)]
+        self.me = threading.local()
+
+    @property
+    def COMM_WORLD(self):
+        return self.worlds[self.me.rank]
 
 
 class TestOverStubMPI:
@@ -123,12 +178,9 @@ class TestOverStubMPI:
 
     @pytest.fixture
     def pair(self, monkeypatch):
-        boxes = defaultdict(deque)
-        worlds = [_StubWorld(r, 2, boxes) for r in range(2)]
-        stub = types.ModuleType("mpi4py")
-        stub.MPI = types.SimpleNamespace(COMM_WORLD=worlds[0], MIN="min")
-        monkeypatch.setitem(sys.modules, "mpi4py", stub)
-        return [MPIComm(w) for w in worlds]
+        mpi = _ThreadedMPI(2)
+        monkeypatch.setitem(sys.modules, "mpi4py", types.SimpleNamespace(MPI=mpi))
+        return [MPIComm(w) for w in mpi.worlds]
 
     def test_send_and_recv_are_timed_and_traced(self, pair):
         a, b = pair
@@ -164,10 +216,47 @@ class TestOverStubMPI:
         assert b.stats.recvs == 1
 
 
+@pytest.mark.parametrize(
+    "size, layout",
+    [(2, ["--decomposition", "axial"]),
+     (4, ["--decomposition", "2d", "--px", "2", "--pr", "2"])],
+    ids=["axial-p2", "2d-2x2"],
+)
+def test_mpi_runner_end_to_end(monkeypatch, capsys, size, layout):
+    """``scripts/mpi_runner.py`` run as an MPI job of ``size`` ranks, one
+    thread each, over the stub: rank 0 reports the gathered field bit-equal
+    to the serial run."""
+    mpi = _ThreadedMPI(size)
+    monkeypatch.setitem(sys.modules, "mpi4py", types.SimpleNamespace(MPI=mpi))
+    argv = ["--nx", "48", "--nr", "24", "--steps", "4", "--verify", *layout]
+    monkeypatch.setattr(sys, "argv", ["mpi_runner.py", *argv])
+    spec = importlib.util.spec_from_file_location("mpi_runner", RUNNER)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    failures = []
+
+    def rank(r):
+        mpi.me.rank = r
+        try:
+            runner.main()
+        except (Exception, SystemExit) as exc:  # rank 0 exits 1 on a mismatch
+            failures.append((r, exc))
+
+    threads = [threading.Thread(target=rank, args=(r,)) for r in range(size)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert not failures and not any(t.is_alive() for t in threads)
+    out = capsys.readouterr().out
+    assert f"ranks={size} steps=4" in out
+    assert "bitwise identical to serial: True" in out
+
+
 @pytest.mark.skipif(not HAVE_MPI, reason="mpi4py not installed")
 class TestSingletonMPI:
-    """Single-process MPI checks (mpiexec multi-rank runs are exercised by
-    scripts/mpi_runner.py --verify on a real cluster)."""
+    """Single-process MPI checks (multi-rank runs: the threaded stub above,
+    or ``mpiexec ... scripts/mpi_runner.py --verify`` on a real cluster)."""
 
     def test_world_singleton(self):
         comm = MPIComm()

@@ -29,6 +29,7 @@ from repro import EulerSolver, SolverConfig
 from repro.faults import FaultPlan, FaultyComm
 from repro.grid import Grid
 from repro.msglib.virtual import VirtualCluster
+from repro.numerics.kernels import get_backend
 from repro.parallel.decomposition import CartesianDecomposition
 from repro.parallel.halo import ExchangePlan
 from repro.parallel.versions import version_by_number
@@ -39,15 +40,6 @@ from test_solver_properties import _planar_config, _smooth_periodic_state
 #: The widest one-sided stencil the exchanges feed (two lines each way).
 STENCIL_RADIUS = 2
 
-
-def _compiled_bitwise() -> bool:
-    """True when a compiled engine exists *and* promises bitwise equality
-    (no engine means the backend falls back to fused — still correct, but
-    there is nothing distinct to compare)."""
-    from repro.numerics.kernels import get_backend
-
-    be = get_backend("compiled")
-    return be.available() and be.ops().bitwise
 
 BACKENDS = ["baseline", "fused", "compiled"]
 
@@ -83,7 +75,7 @@ class TestConservation:
 
         base = evolve("baseline")
         assert np.array_equal(base, evolve("fused"))
-        if _compiled_bitwise():
+        if get_backend("compiled").available():  # else it is the fused run
             assert np.array_equal(base, evolve("compiled"))
 
     @given(seed=st.integers(0, 10_000), eps=st.floats(0.001, 0.1))
