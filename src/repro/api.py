@@ -42,7 +42,7 @@ from .config import default_ledger_path
 from .msglib.api import CommStats
 from .obs import (
     BufferStepStream,
-    FlightRecorder,
+    FlightRing,
     MetricsRegistry,
     PerfReport,
     Trace,
@@ -215,18 +215,19 @@ def _coerce_stream(stream):
     return stream
 
 
-def _coerce_flight(flight):
-    """``flight`` may be falsy, True, a capacity, a recorder, or a path
-    to flush the post-mortem JSON lines to."""
+def _coerce_flight(flight, nranks: int):
+    """``flight`` may be falsy, True, a capacity, a live ring, or a path
+    to flush the post-mortem JSON lines to.  Anything but a live ring gets
+    a temp ring of ``nranks`` regions, which the run closes (and so
+    deletes) whether it returns or raises."""
     if not flight:
         return None, None
-    if flight is True:
-        return FlightRecorder(), None
-    if isinstance(flight, int):
-        return FlightRecorder(capacity=flight), None
     if hasattr(flight, "record"):
         return flight, None
-    return FlightRecorder(), os.fspath(flight)
+    if isinstance(flight, int) and flight is not True:
+        return FlightRing.create(nranks=nranks, capacity=flight), None
+    path = None if flight is True else os.fspath(flight)
+    return FlightRing.create(nranks=nranks), path
 
 
 def _profile_top(stats: dict, n: int) -> list[dict]:
@@ -338,10 +339,12 @@ def run(scenario, **options) -> RunResult:
         per solver step per rank (step, t, dt, ms, comm split) — see
         :mod:`repro.obs.stream`.
     flight:
-        ``True`` (or a capacity / recorder / flush path) keeps a bounded
-        flight-recorder ring of each rank's last events (sends, recvs,
-        collectives, checkpoint marks) in ``RunResult.flight`` — see
-        :mod:`repro.obs.flight`.
+        ``True`` (or a capacity / flush path / live
+        :class:`~repro.obs.FlightRing`) keeps a bounded flight-recorder
+        ring of each rank's last events (sends, recvs, collectives,
+        checkpoint marks) in ``RunResult.flight`` — see
+        :mod:`repro.obs.flight`.  A ring the run makes itself is a temp
+        file, gone when the run returns or raises.
 
     Notes
     -----
@@ -392,7 +395,6 @@ def run_request(
         tracer.adopt_context(context)
     reg = _coerce_metrics(ob.metrics, ob.profile or ob.ledger)
     publisher = _coerce_stream(ob.stream)
-    flight, flight_path = _coerce_flight(ob.flight)
     from .faults import resolve_fault_plan
 
     plan = resolve_fault_plan(rz.faults, seed=rz.fault_seed)
@@ -401,26 +403,33 @@ def run_request(
         import cProfile
 
         profiler = cProfile.Profile()
+    flight, flight_path = _coerce_flight(ob.flight, ex.nprocs)
     named = {"tracer": tracer, "metrics": reg, "stream": publisher, "flight": flight}
-    # Only what the request named: the rest is inherited from the caller.
-    with use(**{slot: sink for slot, sink in named.items() if sink is not None}):
-        if profiler is not None:
-            profiler.enable()
-        try:
-            if ex.platform is not None:
-                result = _run_simulated(sc, req, plan)
-            elif ex.nprocs == 1:
-                if plan is not None:
-                    raise ValueError(
-                        "faults= requires a network to break: use nprocs > 1 "
-                        "(virtual cluster) or platform=... (simulated machine)"
-                    )
-                result = _run_serial(sc, req)
-            else:
-                result = _run_parallel(sc, req, plan)
-        finally:
+    try:
+        # Only what the request named: the rest is inherited from the caller.
+        with use(**{slot: sink for slot, sink in named.items() if sink is not None}):
             if profiler is not None:
-                profiler.disable()
+                profiler.enable()
+            try:
+                if ex.platform is not None:
+                    result = _run_simulated(sc, req, plan)
+                elif ex.nprocs == 1:
+                    if plan is not None:
+                        raise ValueError(
+                            "faults= requires a network to break: use nprocs > 1 "
+                            "(virtual cluster) or platform=... (simulated machine)"
+                        )
+                    result = _run_serial(sc, req)
+                else:
+                    result = _run_parallel(sc, req, plan)
+            finally:
+                if profiler is not None:
+                    profiler.disable()
+        if flight is not None:
+            result.flight = flight.events_by_rank()
+    finally:
+        if flight is not None and flight is not ob.flight:
+            flight.close()
     result.request = req
     if tracer is not None:
         result.trace = tracer.trace
@@ -429,10 +438,8 @@ def run_request(
             result.trace_path = trace_path
     if isinstance(publisher, BufferStepStream):
         result.stream = publisher.records()
-    if flight is not None and hasattr(flight, "events_by_rank"):
-        result.flight = flight.events_by_rank()
-        if flight_path is not None:
-            write_flight_jsonl(result.flight, flight_path)
+    if flight_path is not None:
+        write_flight_jsonl(result.flight, flight_path)
     if reg is not None:
         top = None
         if profiler is not None:

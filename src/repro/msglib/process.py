@@ -442,9 +442,7 @@ class ProcessCluster:
         self._procs: list = []
         self._closed = False
         self._owner_pid = os.getpid()
-        # Created now, while the caller's recorder is installed: the
-        # ranks' flight events go to a file that survives a SIGKILL.
-        self._sinks = ForkedRanks(size)
+        self._sinks = ForkedRanks()
         self.last_stats: list[CommStats] = [CommStats() for _ in range(size)]
         #: Parent-side checkpoint hook: ``snapshot_sink(step, t, q)`` is
         #: called for every snapshot a worker submits (see
@@ -561,12 +559,8 @@ class ProcessCluster:
             if p.is_alive():  # pragma: no cover - stuck worker backstop
                 p.terminate()
                 p.join(timeout=5.0)
-        flight_events = self._sinks.flight_events()
         if errors:
-            failure = VirtualCluster._failure(errors)
-            if flight_events is not None:
-                failure.flight = flight_events
-            raise failure
+            raise VirtualCluster._failure(errors)
         return results
 
     def total_stats(self) -> CommStats:
@@ -595,7 +589,6 @@ class ProcessCluster:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
-        self._sinks.close()
 
     def __enter__(self) -> "ProcessCluster":
         return self

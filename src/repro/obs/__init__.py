@@ -17,11 +17,11 @@ instrumentation for the reproduction itself:
   ordered by ``(t0, seq)`` where ``seq`` is a global monotone sequence
   number, so exports from deterministic clocks (the DES engine's) are
   byte-stable.
-* :class:`MetricsRegistry`, the step streams and :class:`FlightRecorder` —
+* :class:`MetricsRegistry`, the step streams and :class:`FlightRing` —
   the other three sinks: fixed-size aggregates for the run ledger (the
   one store of per-rank totals beside the communicators' own
-  ``CommStats``), one live record per solver step, and a bounded ring of
-  each rank's last events for post-mortems.
+  ``CommStats``), one live record per solver step, and a crash-survivable
+  file ring of each rank's last events for post-mortems.
 * The trace file — Chrome ``trace_event`` JSON (:func:`chrome_trace_json`,
   :func:`write_chrome_trace`, :func:`load_trace`), which opens directly in
   Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
@@ -45,7 +45,6 @@ from .spine import Sinks, current, use
 from .tracer import EventRecord, SpanRecord, Trace, TraceContext, Tracer
 from .flight import (
     FLIGHT_SCHEMA,
-    FlightRecorder,
     FlightRing,
     read_flight_jsonl,
     write_flight_jsonl,
@@ -94,7 +93,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "FLIGHT_SCHEMA",
-    "FlightRecorder",
     "FlightRing",
     "read_flight_jsonl",
     "write_flight_jsonl",

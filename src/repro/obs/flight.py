@@ -6,19 +6,17 @@ keeps only the *last* ``capacity`` structured events per rank (sends and
 recvs with tags, slot-semaphore waits, collective entries, checkpoint
 marks) in a fixed-size ring, cheap enough to leave on for whole runs, and
 written so a *parent* process can recover the ring after the writer is
-killed:
+killed.
 
-* :class:`FlightRecorder` — in-memory per-rank rings, installed with
-  ``obs.use(flight=...)`` and fed by the ``message`` and ``mark`` verbs
-  of :mod:`repro.obs.spine`.  Virtual-cluster ranks are threads sharing
-  one recorder.
-* :class:`FlightRing` — a file-backed mmap ring with one single-writer
-  region per rank.  The process substrate gives each forked rank a
-  :class:`FlightRingWriter` over the shared file; because the file lives
-  on disk (page cache, ``MAP_SHARED``), any process that knows the path
-  can :meth:`FlightRing.open` it and read the last events of every rank —
-  including after the writers were SIGKILLed mid-write (torn slots are
-  detected and skipped, never propagated).
+There is one recorder, :class:`FlightRing`: a file-backed mmap ring with
+one single-writer region per rank, installed with ``obs.use(flight=...)``
+and fed by the ``message`` and ``mark`` verbs of :mod:`repro.obs.spine`.
+Serial and thread ranks write it in this process; forked ranks inherit
+the ``MAP_SHARED`` mapping and write the same file.  Because the file
+lives on disk (page cache), any process that knows the path can
+:meth:`FlightRing.open` it and read the last events of every rank —
+including after the writers were SIGKILLed mid-write (torn slots are
+detected and skipped, never propagated).
 
 Post-mortems are flushed as JSON lines (``results/<fp>.flight.jsonl`` in
 the service store) via :func:`write_flight_jsonl` /
@@ -31,9 +29,8 @@ import json
 import mmap
 import os
 import struct
-import threading
+import tempfile
 import time
-from collections import deque
 
 #: Version tag on flushed flight files.
 FLIGHT_SCHEMA = "repro.flight/1"
@@ -43,86 +40,10 @@ DEFAULT_CAPACITY = 64
 #: Default byte budget per ring slot (one JSON-encoded event).
 DEFAULT_SLOT_BYTES = 256
 
-
-class FlightRecorder:
-    """In-memory per-rank rings of the last ``capacity`` events.
-
-    ``ring_path`` does not change this recorder's own behaviour — it names
-    the file :class:`~repro.obs.ranks.ForkedRanks` should back a process
-    cluster's rank writers with, so the events survive a SIGKILL
-    (``None`` means a throwaway temp file).
-    """
-
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, ring_path: str | None = None
-    ) -> None:
-        self.capacity = capacity
-        self.ring_path = ring_path
-        self._events: dict[int, deque] = {}
-        self._lock = threading.Lock()
-        self._clock = time.time
-
-    def record(self, kind: str, rank: int = 0, **fields) -> None:
-        event = {"kind": kind, "rank": rank, "t": self._clock()}
-        if fields:
-            event.update(fields)
-        with self._lock:
-            ring = self._events.get(rank)
-            if ring is None:
-                ring = self._events[rank] = deque(maxlen=self.capacity)
-            ring.append(event)
-
-    def ingest(self, rank: int, events: list[dict]) -> None:
-        """Fold events recovered from another process's ring into ours."""
-        with self._lock:
-            ring = self._events.get(rank)
-            if ring is None:
-                ring = self._events[rank] = deque(maxlen=self.capacity)
-            ring.extend(events)
-
-    def events(self, rank: int) -> list[dict]:
-        with self._lock:
-            return list(self._events.get(rank, ()))
-
-    def events_by_rank(self) -> dict[int, list[dict]]:
-        with self._lock:
-            return {r: list(d) for r, d in sorted(self._events.items())}
-
-
-# -- crash-survivable file ring ----------------------------------------------
-
 _MAGIC = b"RFR1"
 _HEADER = struct.Struct("<4sIII")  # magic, nranks, capacity, slot_bytes
 _COUNTER = struct.Struct("<Q")  # per-rank monotone write count
 _SLOT_LEN = struct.Struct("<I")  # payload length prefix per slot
-
-
-class FlightRingWriter:
-    """Single-writer view of one rank's region of a :class:`FlightRing`.
-
-    Satisfies the recorder protocol (``record``), so a forked rank
-    process installs one as its flight sink and every hot-path hook
-    writes straight into the shared file.  A slot is written payload
-    first, length second, counter last — a reader that races (or outlives)
-    the writer sees either the previous complete event or a torn slot that
-    fails to parse, never a half-event accepted as truth.
-    """
-
-    __slots__ = ("_ring", "_rank", "_count", "_clock")
-
-    def __init__(self, ring: "FlightRing", rank: int) -> None:
-        self._ring = ring
-        self._rank = rank
-        self._count = ring._read_counter(rank)
-        self._clock = time.time
-
-    def record(self, kind: str, rank: int | None = None, **fields) -> None:
-        event = {"kind": kind, "rank": self._rank, "t": self._clock()}
-        if fields:
-            event.update(fields)
-        payload = json.dumps(event, separators=(",", ":")).encode()
-        self._ring._write_slot(self._rank, self._count, payload)
-        self._count += 1
 
 
 class FlightRing:
@@ -134,29 +55,38 @@ class FlightRing:
         rank 0: [Q write_count][capacity x (I length + payload)]
         rank 1: ...
 
-    One writer per rank region (no cross-rank locking); readers in any
-    process open the same file and tolerate torn slots.
+    One writer per rank region (no cross-rank locking) — a rank records
+    only its own events, from its own thread or process; readers in any
+    process open the same file and tolerate torn slots.  The write count
+    lives in the file, so a rank forked afresh after a restart continues
+    where its predecessor stopped.
     """
 
     def __init__(self, path: str, fileobj, mm: mmap.mmap, nranks: int,
-                 capacity: int, slot_bytes: int) -> None:
+                 capacity: int, slot_bytes: int, owned: bool = False) -> None:
         self.path = path
         self._file = fileobj
         self._mm = mm
         self.nranks = nranks
         self.capacity = capacity
         self.slot_bytes = slot_bytes
+        self._owned = owned
 
     # -- construction ---------------------------------------------------------
     @classmethod
     def create(
         cls,
-        path: str,
-        nranks: int,
+        path: str | None = None,
+        nranks: int = 1,
         capacity: int = DEFAULT_CAPACITY,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
     ) -> "FlightRing":
-        """Create (or truncate) the ring file for ``nranks`` writers."""
+        """Create (or truncate) the ring file for ``nranks`` writers; with
+        no ``path``, a temp file that :meth:`close` removes."""
+        owned = path is None
+        if owned:
+            fd, path = tempfile.mkstemp(prefix="repro-flight-", suffix=".ring")
+            os.close(fd)
         size = _HEADER.size + nranks * cls._rank_region(capacity, slot_bytes)
         fh = open(path, "w+b")
         try:
@@ -166,8 +96,10 @@ class FlightRing:
             mm = mmap.mmap(fh.fileno(), size)
         except BaseException:
             fh.close()
+            if owned:
+                os.unlink(path)
             raise
-        return cls(path, fh, mm, nranks, capacity, slot_bytes)
+        return cls(path, fh, mm, nranks, capacity, slot_bytes, owned)
 
     @classmethod
     def open(cls, path: str) -> "FlightRing":
@@ -204,15 +136,23 @@ class FlightRing:
             + (index % self.capacity) * (_SLOT_LEN.size + self.slot_bytes)
         )
 
-    # -- writer side ----------------------------------------------------------
-    def writer(self, rank: int) -> FlightRingWriter:
-        return FlightRingWriter(self, rank)
-
     def _read_counter(self, rank: int) -> int:
-        off = self._rank_offset(rank)
-        return _COUNTER.unpack_from(self._mm, off)[0]
+        return _COUNTER.unpack_from(self._mm, self._rank_offset(rank))[0]
+
+    # -- writer side ----------------------------------------------------------
+    def record(self, kind: str, rank: int = 0, **fields) -> None:
+        """Append one event to ``rank``'s region (the recorder protocol)."""
+        event = {"kind": kind, "rank": rank, "t": time.time()}
+        if fields:
+            event.update(fields)
+        payload = json.dumps(event, separators=(",", ":")).encode()
+        self._write_slot(rank, self._read_counter(rank), payload)
 
     def _write_slot(self, rank: int, index: int, payload: bytes) -> None:
+        """Payload first, length second, counter last: a reader that races
+        (or outlives) the writer sees either the previous complete event or
+        a torn slot that fails to parse, never a half-event accepted as
+        truth."""
         payload = payload[: self.slot_bytes]
         off = self._slot_offset(rank, index)
         self._mm[off + _SLOT_LEN.size : off + _SLOT_LEN.size + len(payload)] = (
@@ -225,8 +165,6 @@ class FlightRing:
     def read(self, rank: int) -> list[dict]:
         """The rank's surviving events, oldest first; torn slots skipped."""
         count = self._read_counter(rank)
-        if count == 0:
-            return []
         events = []
         for index in range(max(0, count - self.capacity), count):
             off = self._slot_offset(rank, index)
@@ -242,20 +180,24 @@ class FlightRing:
                 events.append(event)
         return events
 
-    def read_all(self) -> dict[int, list[dict]]:
-        return {rank: self.read(rank) for rank in range(self.nranks)}
+    def events_by_rank(self) -> dict[int, list[dict]]:
+        """``rank -> events`` of every rank that recorded something."""
+        return {
+            rank: events
+            for rank in range(self.nranks)
+            if (events := self.read(rank))
+        }
 
     def close(self) -> None:
+        """Unmap the file; a temp ring (:meth:`create` with no path) is
+        also deleted."""
         try:
             self._mm.close()
         finally:
             self._file.close()
-
-    def unlink(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+            if self._owned:
+                self._owned = False
+                os.unlink(self.path)
 
 
 # -- post-mortem files --------------------------------------------------------

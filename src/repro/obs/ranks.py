@@ -7,10 +7,6 @@ forked process; what that means for each sink of
 
 from __future__ import annotations
 
-import os
-import tempfile
-
-from .flight import DEFAULT_CAPACITY, FlightRing
 from .metrics import MetricsRegistry
 from .spine import Sinks, _install, current
 from .stream import BufferStepStream
@@ -39,30 +35,13 @@ class ForkedRanks:
     bitwise-independent of rank completion order; buffered step records by
     republishing them.  A stream publisher that is not an in-process
     buffer (the service's queue) is inherited through the fork and keeps
-    publishing live.  Flight events go straight into a file-backed
-    :class:`FlightRing` created while a recorder is installed, so they
-    survive even a SIGKILLed worker; an explicit recorder ``ring_path``
-    (the service points it into the result store) is reused, otherwise a
-    throwaway temp file.
+    publishing live.  The flight recorder needs no crossing: the installed
+    :class:`~repro.obs.flight.FlightRing` is a ``MAP_SHARED`` file mapping
+    the fork inherits, so each rank writes its own region of the parent's
+    ring, and its events survive even a SIGKILLed worker.
     """
 
-    def __init__(self, nranks: int) -> None:
-        self._local: Sinks | None = None
-        self._ring: FlightRing | None = None
-        self._ring_owned = False
-        recorder = current().flight
-        if recorder is not None:
-            path = getattr(recorder, "ring_path", None)
-            if path is None:
-                fd, path = tempfile.mkstemp(
-                    prefix="repro-flight-", suffix=".ring"
-                )
-                os.close(fd)
-                self._ring_owned = True
-            self._ring = FlightRing.create(
-                str(path), nranks,
-                capacity=getattr(recorder, "capacity", DEFAULT_CAPACITY),
-            )
+    _local: Sinks | None = None
 
     # -- worker side -----------------------------------------------------------
     def enter(self, rank: int) -> None:
@@ -79,9 +58,7 @@ class ForkedRanks:
             ),
             metrics=None if parent.metrics is None else MetricsRegistry(),
             stream=stream,
-            # The parent (or the service, after a SIGKILL) reads the
-            # shared file back by path.
-            flight=None if self._ring is None else self._ring.writer(rank),
+            flight=parent.flight,
         ))
         bind_rank(rank)
 
@@ -113,24 +90,3 @@ class ForkedRanks:
         if records is not None and sinks.stream is not None:
             for record in records:
                 sinks.stream.publish(record)
-
-    def flight_events(self) -> dict[int, list] | None:
-        """Every rank's surviving ring events, also folded into the
-        installed recorder; ``None`` when no recorder was installed."""
-        if self._ring is None:
-            return None
-        events = self._ring.read_all()
-        ingest = getattr(current().flight, "ingest", None)
-        if ingest is not None:
-            for rank, evs in events.items():
-                if evs:
-                    ingest(rank, evs)
-        return events
-
-    def close(self) -> None:
-        """Unmap the ring file (and delete it when it was a temp file)."""
-        if self._ring is not None:
-            self._ring.close()
-            if self._ring_owned:
-                self._ring.unlink()
-            self._ring = None

@@ -9,9 +9,9 @@ per-rank computation-to-communication split, fault/recovery counters and
 the full metrics snapshot — and can append it as one JSON line to the run
 ledger (``benchmarks/output/BENCH_runs.jsonl`` by convention).
 
-The ledger is what ``scripts/perf_gate.py`` compares against its committed
-baseline and what ``repro report`` renders as the paper's Figure-5-style
-component tables.
+The ledger is what ``repro report`` renders as the paper's Figure-5-style
+component tables; ``scripts/perf_gate.py`` compares ``BENCH_core.json``,
+not the ledger, against its committed baseline.
 """
 
 from __future__ import annotations

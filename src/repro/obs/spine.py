@@ -53,7 +53,9 @@ is the whole rule for who observes a run — ``repro.api.run`` names what
 the request asked for and inherits the rest from its caller, on every
 route.  Ranks on threads share the installed sinks; ranks in forked
 processes get local ones that are merged back
-(:class:`~repro.obs.ranks.ForkedRanks`).
+(:class:`~repro.obs.ranks.ForkedRanks`), except the flight recorder: a
+:class:`~repro.obs.flight.FlightRing` is one file every rank writes, on
+every route, so :meth:`Sinks.post_mortem` reads every rank from it.
 
 One hand-off bypasses the verbs: the discrete-event simulator stamps its
 records with the *engine's* clock, not the wall clock, so
@@ -259,10 +261,9 @@ class Sinks:
 
     # -- reading back --------------------------------------------------------------
     def post_mortem(self) -> dict[int, list] | None:
-        """The last events of every rank, when a recorder holding them in
-        this process is installed (a forked rank's ring writer is not)."""
-        read = getattr(self.flight, "events_by_rank", None)
-        return read() if read is not None else None
+        """The last events of every rank that recorded any, when a flight
+        recorder is installed."""
+        return None if self.flight is None else self.flight.events_by_rank()
 
 
 _current = Sinks()

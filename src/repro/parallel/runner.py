@@ -271,13 +271,11 @@ class ParallelJetSolver:
                     failure.last_good_step = (
                         latest.step if latest is not None else 0
                     )
-                    # Post-mortem: the last recorded events of every rank.
-                    # Process clusters attach their ring contents before
-                    # raising; virtual ranks share the parent's recorder.
-                    if not hasattr(failure, "flight"):
-                        events = current().post_mortem()
-                        if events is not None:
-                            failure.flight = events
+                    # Post-mortem: the last recorded events of every rank,
+                    # forked or not — all of them write the one ring.
+                    events = current().post_mortem()
+                    if events is not None:
+                        failure.flight = events
                     if self.faults is None or attempt >= self.max_restarts:
                         raise
                     attempt += 1

@@ -112,7 +112,8 @@ class ObservabilityConfig:
     """Falsy, ``True`` (buffered), or a live step-stream publisher."""
     flight: Any = None
     """Falsy, ``True``, a capacity int, a flush path, or a live
-    :class:`~repro.obs.FlightRecorder`."""
+    :class:`~repro.obs.FlightRing` (the caller's to close; any other value
+    gets a temp ring sized ``execution.nprocs`` that the run deletes)."""
 
     def to_dict(self) -> dict:
         return {

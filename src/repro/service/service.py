@@ -44,14 +44,14 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..obs import (
-    FlightRecorder,
+    FlightRing,
     QueueStepStream,
     SpanRecord,
     StragglerDetector,
     Trace,
     TraceContext,
 )
-from ..obs.flight import FlightRing, write_flight_jsonl
+from ..obs.flight import write_flight_jsonl
 from ..request import RunRequest
 from .experiments import EXPERIMENT_SCHEMA, ExperimentRequest
 from .store import ResultStore, write_payload
@@ -105,9 +105,10 @@ class Job:
     """``rank -> last flight-recorder events`` recovered from a failed
     execution (the post-mortem half of the failure report)."""
     flight_path: str | None = None
-    """The worker's shared flight-ring file, announced before execution so
-    the parent can read the last events of every rank even after the
-    worker is SIGKILLed."""
+    """The flight-ring file of an executed run job,
+    ``results/<fp>.flight.ring``: set at submit from the fingerprint, on
+    every substrate, so the parent reads the last events of every rank
+    from it even after the worker is SIGKILLed."""
 
     @property
     def terminal(self) -> bool:
@@ -160,10 +161,9 @@ def _flight_ring_path(store_root: str, fingerprint: str) -> str:
     return str(Path(store_root) / "results" / f"{fingerprint}.flight.ring")
 
 
-def _flight_jsonl_path(ring_path: str) -> str:
+def _flight_jsonl_path(path: str) -> str:
     """The flushed post-mortem file beside a ring (``.ring`` -> ``.jsonl``)."""
-    base = ring_path[: -len(".ring")] if ring_path.endswith(".ring") else ring_path
-    return base + ".jsonl"
+    return path.removesuffix(".ring") + ".jsonl"
 
 
 def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> None:
@@ -179,9 +179,10 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
       shared by all workers, tagged with the job id) — the rank processes
       a process-substrate run forks inherit the queue and publish
       directly;
-    * a flight ring file is announced to the parent *before* execution
-      (``("flight", ...)``) so the last events of every rank survive this
-      worker being SIGKILLed;
+    * every rank records into the job's flight ring at
+      ``results/<fp>.flight.ring``, a file the parent knows from the
+      fingerprint, so the last events of every rank survive this worker
+      being SIGKILLed;
     * the submit-time :class:`~repro.obs.TraceContext` is adopted one
       tier down, so every rank's spans join the client's trace tree.
     """
@@ -196,7 +197,6 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
             return
         job_id, kind, req_dict, ctx_dict = item
         results.put(("started", job_id, os.getpid(), None))
-        ring_path = None
         try:
             if kind == "experiment":
                 req = ExperimentRequest.from_dict(req_dict)
@@ -208,9 +208,9 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
 
                 req = RunRequest.from_dict(req_dict)
                 fp = req.fingerprint()
-                ring_path = _flight_ring_path(store_root, fp)
-                os.makedirs(os.path.dirname(ring_path), exist_ok=True)
-                results.put(("flight", job_id, os.getpid(), ring_path))
+                flight_path = _flight_ring_path(store_root, fp)
+                os.makedirs(os.path.dirname(flight_path), exist_ok=True)
+                ring = FlightRing.create(flight_path, req.execution.nprocs)
                 obs = _dc_replace(
                     req.observability,
                     metrics=req.observability.metrics
@@ -222,7 +222,7 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
                         if stream_q is not None
                         else req.observability.stream
                     ),
-                    flight=FlightRecorder(ring_path=ring_path),
+                    flight=ring,
                 )
                 req = req.replace(observability=obs)
                 context = (
@@ -232,15 +232,18 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
                     if ctx_dict
                     else None
                 )
-                result = run_request(req, context=context)
+                try:  # a failure leaves the ring file for the parent
+                    result = run_request(req, context=context)
+                finally:
+                    ring.close()
                 result.request = None  # live objects stay out of the pickle
                 write_payload(store_root, fp, result)
                 if result.flight:
                     write_flight_jsonl(
-                        result.flight, _flight_jsonl_path(ring_path)
+                        result.flight, _flight_jsonl_path(flight_path)
                     )
                 try:  # clean exit: the jsonl flush supersedes the ring
-                    os.unlink(ring_path)
+                    os.unlink(flight_path)
                 except OSError:
                     pass
                 report = result.perf.to_dict() if result.perf else {}
@@ -250,13 +253,7 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
                 f"{type(exc).__name__}: {exc}\n"
                 + "".join(traceback.format_exception(exc)[-3:])
             )
-            detail: dict = {"message": err, "flight_path": ring_path}
-            flight = getattr(exc, "flight", None)
-            if flight:
-                detail["flight"] = {
-                    int(r): list(evs) for r, evs in flight.items()
-                }
-            results.put(("failed", job_id, os.getpid(), detail))
+            results.put(("failed", job_id, os.getpid(), err))
 
 
 class _JobStream:
@@ -464,10 +461,13 @@ class RunService:
                 job.status = primary.status
                 job.started = primary.started
                 job.worker_pid = primary.worker_pid
+                job.flight_path = primary.flight_path
                 self._followers.setdefault(primary_id, []).append(job.id)
                 self._bump(job)
                 return _snapshot(job)
             self._inflight[fp] = job.id
+            if kind == "run":
+                job.flight_path = _flight_ring_path(str(self.store.root), fp)
             self._tasks.put((job.id, kind, wire, job.context))
             self._bump(job)
             return _snapshot(job)
@@ -759,31 +759,27 @@ class RunService:
     # -- internals -----------------------------------------------------------
 
     @staticmethod
-    def _read_flight_ring(ring_path: str | None) -> dict | None:
-        """Recover ``rank -> events`` from a (possibly torn) ring file."""
-        if not ring_path or not os.path.exists(ring_path):
+    def _post_mortem(job: Job) -> dict | None:
+        """``rank -> events`` recovered from a failed or dead job's
+        (possibly torn) flight ring, flushed beside it as JSON lines;
+        ``None`` when the job has no ring or the ring holds nothing."""
+        path = job.flight_path
+        if not path:
             return None
         try:
-            ring = FlightRing.open(ring_path)
+            ring = FlightRing.open(path)
         except (OSError, ValueError, struct_error):
             return None
         try:
-            events = ring.read_all()
-        except (OSError, ValueError):
-            return None
+            events = ring.events_by_rank()
         finally:
             ring.close()
-        return events if any(events.values()) else None
-
-    @staticmethod
-    def _flush_flight(ring_path: str | None, flight: dict) -> None:
-        """Best-effort post-mortem flush beside the ring file."""
-        if not ring_path:
-            return
-        try:
-            write_flight_jsonl(flight, _flight_jsonl_path(ring_path))
-        except OSError:
-            pass
+        if events:
+            try:
+                write_flight_jsonl(events, _flight_jsonl_path(path))
+            except OSError:
+                pass
+        return events or None
 
     def _require(self, job_id: str) -> Job:
         try:
@@ -852,13 +848,6 @@ class RunService:
                     j.worker_pid = pid
                     self._bump(j)
                 return
-            if event == "flight":
-                # The worker names its shared flight-ring file up front, so
-                # a SIGKILL later still leaves the parent a ring to read.
-                for j in self._group(job):
-                    j.flight_path = detail
-                    self._bump(j)
-                return
             self._pid_job.pop(pid, None)
             self._inflight.pop(job.fingerprint, None)
             if event == "done":
@@ -877,22 +866,11 @@ class RunService:
                     j.worker_pid = None
                     self._bump(j)
             else:  # failed
-                if isinstance(detail, dict):
-                    message = detail.get("message", "unknown failure")
-                    flight = detail.get("flight")
-                    flight_path = detail.get("flight_path") or job.flight_path
-                else:  # plain-string detail (older workers)
-                    message, flight, flight_path = detail, None, job.flight_path
-                if flight is None and flight_path:
-                    flight = self._read_flight_ring(flight_path)
-                if flight:
-                    self._flush_flight(flight_path, flight)
+                flight = self._post_mortem(job)
                 for j in self._group(job):
                     j.status = "failed"
-                    j.error = message
+                    j.error = detail
                     j.flight = flight
-                    if flight_path:
-                        j.flight_path = flight_path
                     j.finished = time.time()
                     j.worker_pid = None
                     self._bump(j)
@@ -912,11 +890,8 @@ class RunService:
                     job = self._jobs.get(job_id)
                     if job is not None and not job.terminal:
                         self._inflight.pop(job.fingerprint, None)
-                        # Post-mortem: the dead worker's flight ring is a
-                        # plain file — read the last events of every rank.
-                        flight = self._read_flight_ring(job.flight_path)
-                        if flight:
-                            self._flush_flight(job.flight_path, flight)
+                        # The dead worker's flight ring is a plain file.
+                        flight = self._post_mortem(job)
                         err = (
                             f"worker process died (pid={p.pid}, "
                             f"exitcode={p.exitcode}) while running {job_id}"

@@ -46,7 +46,7 @@ import pytest
 
 from repro.msglib import ProcessCluster
 from repro.msglib import process as transport
-from repro.obs import FlightRecorder, use
+from repro.obs import FlightRing, use
 from repro.obs.flight import write_flight_jsonl
 
 ROUNDS = int(os.environ.get("STRESS_N", "10"))
@@ -121,20 +121,28 @@ def _stress_knobs(request, monkeypatch):
     monkeypatch.setattr(
         ProcessCluster.__init__, "__defaults__", (timeout, slot_bytes, slots)
     )
-    node._stress = (f"_POLL={poll} _SPIN={spin} ring={slots}", FlightRecorder(256))
-    with use(flight=node._stress[1]):
+    # One ring per repetition, a region for each rank of the widest lattice
+    # row (the session collected that module before any fixture runs).
+    from test_lattice import AXES
+
+    ring = FlightRing.create(
+        nranks=max(px * pr for px, pr in AXES["grid"]), capacity=256
+    )
+    node._stress = (f"_POLL={poll} _SPIN={spin} ring={slots}", ring)
+    with use(flight=ring):
         yield
+    ring.close()
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     report = (yield).get_result()
     if report.when == "call" and report.failed and hasattr(item, "_stress"):
-        knobs, flight = item._stress
+        knobs, ring = item._stress
         os.makedirs(OUT, exist_ok=True)
         path = os.path.join(OUT, re.sub(r"\W+", "_", item.nodeid)[-120:] + ".jsonl")
-        # A cluster folds its ranks' rings into the installed recorder.
-        write_flight_jsonl(flight.events_by_rank(), path)
+        # Every forked rank wrote the ring its test installed.
+        write_flight_jsonl(ring.events_by_rank(), path)
         report.sections.append(("stress", f"{knobs}; flight rings: {path}"))
 
 

@@ -21,7 +21,7 @@ from repro.api import run
 from repro.faults import FaultPlan
 from repro.msglib import ProcessCluster, RankFailure, VirtualCluster
 from repro.obs import (
-    FlightRecorder,
+    FlightRing,
     MetricsRegistry,
     Tracer,
     use,
@@ -151,7 +151,8 @@ def test_completion_by_test_is_accounted_like_a_blocking_receive(substrate, view
             total = float(got.sum())
         return total, comm.stats.recvs, comm.stats.recv_seconds
 
-    tracer, reg, flight = Tracer(), MetricsRegistry(), FlightRecorder(256)
+    tracer, reg = Tracer(), MetricsRegistry()
+    flight = FlightRing.create(nranks=2, capacity=256)
     with use(tracer=tracer, metrics=reg, flight=flight):
         cluster = _cluster(substrate)
         try:
@@ -162,7 +163,8 @@ def test_completion_by_test_is_accounted_like_a_blocking_receive(substrate, view
     assert total == 120.0
     assert recvs == 1 and seconds > 0.0
     assert reg.get("comm.recv_call_seconds", 1).count == 1
-    events = flight.events(1)
+    events = flight.read(1)
+    flight.close()
     assert [e["kind"] for e in events] == ["recv_view" if view else "recv"]
     assert events[0]["nbytes"] == 128
     # The probe opened no span; only rank 0's send is on the timeline.
@@ -211,12 +213,14 @@ def test_virtual_post_mortem_holds_sends_and_recvs():
     traffic that led up to it, as the process substrate's always did."""
     sc = jet_scenario(nx=32, nr=16)
     plan = FaultPlan(seed=1, crashes=((1, 3),), recv_timeout=0.2, recv_retries=2)
-    with use(flight=FlightRecorder(512)):
+    flight = FlightRing.create(nranks=2, capacity=512)
+    with use(flight=flight):
         with pytest.raises(RankFailure) as exc:
             ParallelJetSolver(
                 sc.state, sc.solver.config, nranks=2, timeout=20,
                 faults=plan, max_restarts=0,
             ).run(6)
+    flight.close()
     kinds = {e["kind"] for evs in exc.value.flight.values() for e in evs}
     assert {"send", "recv", "collective"} <= kinds
 
@@ -226,10 +230,12 @@ def test_virtual_post_mortem_holds_sends_and_recvs():
 SRC = pathlib.Path(repro.__file__).parent
 _SLOTS = ("tracer", "metrics", "stream", "flight")
 #: Deleted for good: a get_/set_/use_ triple and a null object per sink,
-#: and the fifth message log that lived in ``CommStats``.
+#: the fifth message log that lived in ``CommStats``, and the in-memory
+#: flight recorder with its writer bridge to the file ring (the ring is the
+#: one recorder).
 _DELETED = {f"{verb}_{slot}" for verb in ("get", "set", "use") for slot in _SLOTS} | {
     "NullTracer", "NullMetrics", "NullStepStream", "NullFlightRecorder",
-    "MessageRecord",
+    "MessageRecord", "FlightRecorder", "FlightRingWriter",
 }
 #: The sinks' own recording methods: outside ``obs/`` only a verb of
 #: ``repro.obs.spine`` leads to one.

@@ -8,7 +8,7 @@ import pytest
 
 from repro import jet_scenario
 from repro.msglib import VirtualCluster
-from repro.obs import FlightRecorder, use
+from repro.obs import FlightRing, use
 from repro.parallel.decomposition import HaloTopology
 from repro.parallel.halo import ExchangePlan
 from repro.parallel.runner import ParallelJetSolver
@@ -171,16 +171,17 @@ class TestWireLog:
             for _ in range(3):
                 solver.step()
 
-        flight = FlightRecorder(1 << 14)
+        flight = FlightRing.create(nranks=4, capacity=1 << 14)
         with use(flight=flight):
             cluster.run(program)
         log = [
             [
                 (e["peer"], e["tag"], e["nbytes"])
-                for e in flight.events(rank) if e["kind"] == "send"
+                for e in flight.read(rank) if e["kind"] == "send"
             ]
             for rank in range(4)
         ]
+        flight.close()
         digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
         assert digest == self.DIGESTS[decomposition, version]
 

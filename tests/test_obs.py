@@ -15,7 +15,7 @@ from repro import jet_scenario, run
 from repro.numerics.kernels import get_backend
 from repro.obs import (
     BufferStepStream,
-    FlightRecorder,
+    FlightRing,
     MetricsRegistry,
     Tracer,
     chrome_trace_events,
@@ -96,7 +96,7 @@ def _installed() -> tuple:
 
 def test_nothing_is_installed_by_default_and_use_scopes_what_it_names():
     assert _installed() == (None, None, None, None)
-    tr, reg, fl = Tracer(), MetricsRegistry(), FlightRecorder()
+    tr, reg, fl = Tracer(), MetricsRegistry(), FlightRing.create()
     with use(tracer=tr, flight=fl) as outer:
         assert outer is current()
         assert _installed() == (tr, None, None, fl)
@@ -107,6 +107,7 @@ def test_nothing_is_installed_by_default_and_use_scopes_what_it_names():
             raise RuntimeError("the scope ends on the way out all the same")
         assert current() is outer
     assert _installed() == (None, None, None, None)
+    fl.close()
 
 
 def _calls_into_obs(fn) -> int:

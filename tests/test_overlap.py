@@ -30,7 +30,7 @@ from repro.numerics.stencils import (
     extend_axis,
     forward_difference,
 )
-from repro.obs import FlightRecorder, Tracer, use
+from repro.obs import FlightRing, Tracer, use
 from repro.parallel.halo import PendingHalo
 from repro.parallel.runner import ParallelJetSolver
 from repro.request import ExecutionConfig, RunRequest
@@ -54,13 +54,15 @@ def _halo_spans(tracer, rank=0):
 
 
 def _send_log(sc, config, **kw):
-    flight = FlightRecorder(1 << 12)
+    flight = FlightRing.create(nranks=2, capacity=1 << 12)
     with use(flight=flight):
         ParallelJetSolver(sc.state, config, nranks=2, timeout=60, **kw).run(2)
-    return [
-        [(e["peer"], e["tag"], e["nbytes"]) for e in flight.events(r) if e["kind"] == "send"]
+    log = [
+        [(e["peer"], e["tag"], e["nbytes"]) for e in flight.read(r) if e["kind"] == "send"]
         for r in range(2)
     ]
+    flight.close()
+    return log
 
 
 class TestOverlapBitwiseWall:

@@ -25,11 +25,13 @@ physics, metrics, or the trace shape).
 
 from __future__ import annotations
 
+import glob
 import json
 import multiprocessing
 import os
 import queue
 import signal
+import tempfile
 import threading
 import time
 
@@ -40,7 +42,7 @@ from repro import api
 from repro.msglib import ProcessCluster, RankFailure
 from repro.obs import (
     BufferStepStream,
-    FlightRecorder,
+    FlightRing,
     QueueStepStream,
     StragglerDetector,
     TraceContext,
@@ -52,7 +54,7 @@ from repro.obs import (
     use,
     write_flight_jsonl,
 )
-from repro.obs.flight import FLIGHT_SCHEMA, FlightRing
+from repro.obs.flight import FLIGHT_SCHEMA
 from repro.obs.report import read_ledger
 from repro.obs.stream import STREAM_SCHEMA
 from repro.request import RunRequest
@@ -183,24 +185,29 @@ class TestStepStream:
 
 class TestFlightRecorder:
     def test_ring_keeps_only_last_events(self):
-        fl = FlightRecorder(capacity=3)
+        ring = FlightRing.create(nranks=3, capacity=3)
         for i in range(7):
-            fl.record("send", rank=0, step=i)
-        fl.record("recv", rank=1)
-        by_rank = fl.events_by_rank()
+            ring.record("send", rank=0, step=i)
+        ring.record("recv", rank=1)
+        by_rank = ring.events_by_rank()
         assert [e["step"] for e in by_rank[0]] == [4, 5, 6]
         assert by_rank[1][0]["kind"] == "recv"
+        assert 2 not in by_rank  # a rank that recorded nothing is left out
+        with pytest.raises(IndexError, match="outside ring"):
+            ring.record("send", rank=3)
+        ring.close()
 
     def test_jsonl_roundtrip_and_schema_guard(self, tmp_path):
-        fl = FlightRecorder(capacity=4)
-        fl.record("send", rank=0, dest=1, tag="halo")
-        fl.record("recv", rank=1, source=0)
+        ring = FlightRing.create(nranks=2, capacity=4)
+        ring.record("send", rank=0, dest=1, tag="halo")
+        ring.record("recv", rank=1, source=0)
         path = tmp_path / "post.flight.jsonl"
-        write_flight_jsonl(fl.events_by_rank(), path)
+        write_flight_jsonl(ring.events_by_rank(), path)
         header = json.loads(path.read_text().splitlines()[0])
         assert header["schema"] == FLIGHT_SCHEMA
         back = read_flight_jsonl(path)
-        assert back == fl.events_by_rank()
+        assert back == ring.events_by_rank()
+        ring.close()
         bogus = tmp_path / "bogus.jsonl"
         bogus.write_text(json.dumps({"schema": "nope/0"}) + "\n")
         with pytest.raises(ValueError, match="unknown flight schema"):
@@ -213,36 +220,50 @@ class TestFlightRecorder:
         kinds = {e["kind"] for evs in res.flight.values() for e in evs}
         assert kinds, "ranks recorded no structured events"
 
+    @pytest.mark.parametrize(
+        "substrate", ["virtual", pytest.param("process", marks=needs_fork)]
+    )
+    def test_temp_rings_never_outlive_a_run(self, substrate):
+        rings = lambda: set(
+            glob.glob(os.path.join(tempfile.gettempdir(), "repro-flight-*"))
+        )
+        before = rings()
+        kw = dict(steps=6, nprocs=2, substrate=substrate, flight=True, **SOD_SMALL)
+        assert api.run("sod", **kw).flight
+        assert rings() <= before
+        with pytest.raises(RankFailure) as exc:
+            api.run("sod", faults="crash-rank1", max_restarts=0, **kw)
+        assert exc.value.flight, "the failure carried no post-mortem"
+        assert rings() <= before
+
 
 class TestFlightRing:
     def test_write_read_reopen(self, tmp_path):
         path = str(tmp_path / "f.ring")
         ring = FlightRing.create(path, nranks=2, capacity=8)
-        w0, w1 = ring.writer(0), ring.writer(1)
         for i in range(3):
-            w0.record("send", step=i)
-        w1.record("recv", source=0)
+            ring.record("send", rank=0, step=i)
+        ring.record("recv", rank=1, source=0)
         assert [e["step"] for e in ring.read(0)] == [0, 1, 2]
         # A different handle (post-mortem reader) sees the same events.
         other = FlightRing.open(path)
-        assert other.read_all() == ring.read_all()
+        assert other.events_by_rank() == ring.events_by_rank()
         other.close()
         ring.close()
+        assert os.path.exists(path)  # a named ring outlives its handles
 
     def test_capacity_wraps_to_last_events(self, tmp_path):
         ring = FlightRing.create(str(tmp_path / "f.ring"), 1, capacity=4)
-        w = ring.writer(0)
         for i in range(10):
-            w.record("send", step=i)
+            ring.record("send", step=i)
         assert [e["step"] for e in ring.read(0)] == [6, 7, 8, 9]
         ring.close()
 
     def test_torn_slots_are_skipped_not_propagated(self, tmp_path):
         """A SIGKILL mid-write leaves garbage payloads; readers skip them."""
         ring = FlightRing.create(str(tmp_path / "f.ring"), 1, capacity=8)
-        w = ring.writer(0)
         for i in range(3):
-            w.record("send", step=i)
+            ring.record("send", step=i)
         ring._write_slot(0, 3, b"\xfe\xffhalf-written junk")  # torn payload
         ring._write_slot(0, 4, b"")  # zero-length slot
         events = ring.read(0)
@@ -253,14 +274,15 @@ class TestFlightRing:
         ring = FlightRing.create(
             str(tmp_path / "f.ring"), 1, capacity=4, slot_bytes=48
         )
-        ring.writer(0).record("send", blob="x" * 500)  # truncated to slot
+        ring.record("send", blob="x" * 500)  # truncated to slot
         assert ring.read(0) == []  # unparseable, skipped
         ring.close()
 
     @needs_fork
     def test_sigkilled_rank_leaves_recoverable_flight(self):
-        """ProcessCluster attaches the killed rank's last events to the
-        RankFailure it raises — the acceptance path for post-mortems."""
+        """A forked rank writes the ring its parent installed, so the
+        killed rank's last events are there to read — the acceptance path
+        for post-mortems."""
 
         def program(comm):
             right = (comm.rank + 1) % comm.size
@@ -271,12 +293,13 @@ class TestFlightRing:
                 os.kill(os.getpid(), signal.SIGKILL)
             comm.recv(1, "never", timeout=60)  # survivor gets aborted
 
-        with use(flight=FlightRecorder()):
+        ring = FlightRing.create(nranks=2)
+        with use(flight=ring):
             with ProcessCluster(2, timeout=60) as cluster:
-                with pytest.raises(RankFailure) as exc:
+                with pytest.raises(RankFailure):
                     cluster.run(program)
-        flight = getattr(exc.value, "flight", None)
-        assert flight, "failure carried no flight events"
+        flight = ring.events_by_rank()
+        ring.close()
         assert flight.get(1), "the killed rank's ring was not recovered"
         kinds = {e["kind"] for e in flight[1]}
         assert kinds & {"send", "recv", "recv_view", "slot_wait"}
@@ -484,11 +507,13 @@ class TestServiceTelemetry:
             assert top["stream_records"] == 2 * 400
             assert top["running"] == []
 
-    def test_sigkilled_worker_yields_recovered_flight(self, tmp_path):
+    @pytest.mark.parametrize("substrate", ["virtual", "process"])
+    def test_sigkilled_worker_yields_recovered_flight(self, tmp_path, substrate):
         """Acceptance: SIGKILL a worker mid-run; the service recovers the
-        flight ring into the job's failure report."""
+        flight ring into the job's failure report, whether the ranks were
+        threads of the worker or processes it forked."""
         req = RunRequest.from_run_args(
-            "sod", steps=400, nx=96, nr=8, nprocs=2, substrate="process"
+            "sod", steps=400, nx=96, nr=8, nprocs=2, substrate=substrate
         )
         with make_service(tmp_path) as svc:
             job = svc.submit(req)
