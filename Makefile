@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all lattice trace-smoke artifacts stress bench perf-gate gates bless-baseline speedup loc
+.PHONY: check test test-all lattice trace-smoke artifacts stress bench gates speedup loc
 
 ## check: tier-1 test suite + trace-determinism smoke (the pre-commit gate)
 check: trace-smoke
@@ -36,9 +36,9 @@ artifacts:
 stress:
 	$(PY) tests/stress_transport.py
 
-## bench: run the pinned core benchmark matrix + multi-core speedup curve
-## (writes BENCH_core.json and appends PerfReport lines to
-## benchmarks/output/BENCH_runs.jsonl)
+## bench: what the five harness workloads do not measure — the 1/2/4-rank
+## speedup curve, V5 vs V6, the three process decompositions — written in
+## the harness --out shape to benchmarks/output/BENCH_core.json
 bench:
 	$(PY) benchmarks/bench_core.py
 
@@ -47,24 +47,17 @@ bench:
 speedup:
 	$(PY) -c "import benchmarks.bench_core as b; b.run_speedup()"
 
-## perf-gate: compare fresh bench results against the committed baseline
-perf-gate:
-	$(PY) scripts/perf_gate.py
-
-## gates: "two ranks beat one", "the compiled step is under 0.30 of the
-## fused one" and "the half-width block is under 0.56 of the step" — one
-## traced harness run of the 2-rank workload, then the ratio rows of
-## scripts/perf_gate.py over its report (ratios measured inside one
-## process: no baseline, no host calibration)
+## gates: every row of scripts/perf_gate.py — "two ranks beat one", "the
+## compiled step is under 0.30 of the fused one", "the half-width block is
+## under 0.56 of the step", the 4-rank speedup, radial vs axial, V6 vs V5 —
+## over one traced harness run of the 2-rank workload and one bench_core.py
+## run (ratios measured inside one run: no baseline, no host calibration)
 GATES_REPORT ?= benchmarks/output/GATES_p2_blocking.json
 gates:
 	$(PY) benchmarks/harness/run.py --workload jet250-p2-blocking \
 		--seconds 3 --trace 1 --out $(GATES_REPORT) > /dev/null
-	$(PY) scripts/perf_gate.py --harness-report $(GATES_REPORT)
-
-## bless-baseline: accept the current bench results as the new baseline
-bless-baseline:
-	$(PY) scripts/perf_gate.py --update-baseline
+	$(PY) benchmarks/bench_core.py
+	$(PY) scripts/perf_gate.py $(GATES_REPORT) benchmarks/output/BENCH_core.json
 
 ## loc: tracked python line counts, the figure ROADMAP item 6 asks every PR
 ## to report (per directory, and src/repro/obs/ alone)

@@ -22,17 +22,15 @@ default
     (cache hits allowed) and report presence-only gaps.
 ``--check``
     Regenerate *all* executable artifacts into a throwaway store
-    (bypassing the cache) and byte-compare against the committed files;
-    also verify the ``BENCH_core.json`` baseline exists with the expected
-    schema.  Exit 1 on any drift or missing artifact — CI's determinism
-    gate for the committed outputs.
+    (bypassing the cache) and byte-compare against the committed files.
+    Exit 1 on any drift or missing artifact — CI's determinism gate for
+    the committed outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
 import re
 import sys
@@ -43,8 +41,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO / "benchmarks"
 OUTPUT_DIR = BENCH_DIR / "output"
-BASELINE = BENCH_DIR / "baseline" / "BENCH_core.json"
-BASELINE_SCHEMA = "repro.bench-core/1"
 
 sys.path.insert(0, str(REPO / "src"))
 
@@ -159,24 +155,6 @@ def regenerate(targets: list[Target], workers: int, store_root=None) -> dict:
     return rendered
 
 
-def check_baseline() -> list[str]:
-    problems = []
-    if not BASELINE.exists():
-        return [f"missing baseline {BASELINE.relative_to(REPO)}"]
-    try:
-        data = json.loads(BASELINE.read_text())
-    except ValueError as exc:
-        return [f"{BASELINE.relative_to(REPO)}: invalid JSON ({exc})"]
-    if data.get("schema") != BASELINE_SCHEMA:
-        problems.append(
-            f"{BASELINE.relative_to(REPO)}: schema "
-            f"{data.get('schema')!r} != {BASELINE_SCHEMA!r}"
-        )
-    if not data.get("cases"):
-        problems.append(f"{BASELINE.relative_to(REPO)}: no cases recorded")
-    return problems
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
@@ -223,7 +201,6 @@ def main(argv=None) -> int:
                 failures.append(f"missing artifact {t.path.name} "
                                 f"(regenerate with: pytest benchmarks/"
                                 f"{t.source} --benchmark-only -s)")
-        failures.extend(check_baseline())
         if failures:
             print(f"\n{len(failures)} problem(s):", file=sys.stderr)
             for f in failures:
