@@ -12,7 +12,8 @@ the telemetry plane knows into ``--out`` (default ``ci-debug/``) for the
    process substrate with the flight recorder and step streaming enabled;
    its flight post-mortem (``chaos_repro.flight.jsonl``) shows what every
    rank was doing when the injected crash hit, and the last ``--last``
-   streamed step records land in ``stream_tail.jsonl``.
+   step records of its step ring land in ``stream_tail.jsonl`` (the ring
+   is a file every rank writes, so the records survive the crash).
 
 Everything is best-effort: a triage helper must never turn a red job into
 a hang or mask the original failure, so each stage reports and continues.
@@ -27,7 +28,6 @@ import argparse
 import glob
 import json
 import os
-import queue as _queue
 import shutil
 import sys
 
@@ -49,14 +49,14 @@ def _copy_existing(out: str, scan_dirs: list[str]) -> list[str]:
 
 def _chaos_repro(out: str, steps: int, last: int) -> None:
     """One deterministic crash run with flight + streaming captured."""
-    import multiprocessing as mp
-
     from repro.api import run
     from repro.msglib.virtual import RankFailure
-    from repro.obs import QueueStepStream, write_flight_jsonl
+    from repro.obs import FlightRing, read_steps, write_flight_jsonl
+    from repro.obs.stream import STEP_DEPTH, STEP_SLOT_BYTES
 
-    channel = mp.get_context("fork").Queue(4096)
-    stream = QueueStepStream(channel)
+    stream = FlightRing.create(
+        nranks=2, capacity=STEP_DEPTH, slot_bytes=STEP_SLOT_BYTES
+    )
     flight = None
     outcome = "completed cleanly (crash preset did not fire in window)"
     try:
@@ -80,6 +80,9 @@ def _chaos_repro(out: str, steps: int, last: int) -> None:
         flight = getattr(failure, "flight", None)
     except Exception as exc:  # triage helper: report, never crash
         outcome = f"unexpected {type(exc).__name__}: {exc}"
+    finally:  # the ranks wrote the ring up to the crash
+        records = read_steps(stream)
+        stream.close()
     print(f"  chaos repro: {outcome}")
     if flight:
         path = os.path.join(out, "chaos_repro.flight.jsonl")
@@ -87,12 +90,6 @@ def _chaos_repro(out: str, steps: int, last: int) -> None:
         total = sum(len(v) for v in flight.values())
         print(f"  flight post-mortem: {path} "
               f"({len(flight)} rank(s), {total} events)")
-    records = []
-    while True:
-        try:
-            records.append(channel.get_nowait())
-        except (_queue.Empty, OSError):
-            break
     tail = records[-last:]
     path = os.path.join(out, "stream_tail.jsonl")
     with open(path, "w") as fh:

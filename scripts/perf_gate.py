@@ -33,7 +33,7 @@ import json
 import os
 import sys
 
-#: "Two ranks beat one" (ROADMAP item 2), as rows over a traced harness
+#: "Two ranks beat one", as rows over a traced harness
 #: report's per-layer metrics: ``(what must hold, metric names read, test,
 #: min_cores)``.  Two process ranks must step the paper's grid faster than
 #: one, and a message between two processes must not cost more than one
@@ -104,8 +104,9 @@ CORE_GATES = [
 GATES = HARNESS_GATES + CORE_GATES
 
 #: Printed beside the rows, never failing: ``(label, metric names, format)``.
-#: The DES line is ROADMAP item 1(e)'s "first known miss" — the model
-#: predicts V6 hides all of V5's communication; nothing else computes it.
+#: The DES line is the cost model's first known miss on this program — the
+#: model predicts V6 hides all of V5's communication; nothing else
+#: computes it.
 NOTES = [
     (
         "2-D 2x2 vs axial p=2 step time (different rank counts)",

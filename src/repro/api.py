@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace as _dc_replace
 from .config import default_ledger_path
 from .msglib.api import CommStats
 from .obs import (
-    BufferStepStream,
     FlightRing,
     MetricsRegistry,
     PerfReport,
@@ -55,6 +54,8 @@ from .obs import (
     write_chrome_trace,
     write_flight_jsonl,
 )
+from .obs.flight import DEFAULT_CAPACITY, DEFAULT_SLOT_BYTES
+from .obs.stream import STEP_DEPTH, STEP_SLOT_BYTES, read_steps
 from .physics.state import FlowState
 from .request import (
     ExecutionConfig,
@@ -144,9 +145,9 @@ class RunResult:
     flight: dict | None = None
     """``rank -> last flight-recorder events`` when ``flight=`` was on."""
     stream: list | None = None
-    """The buffered ``repro.stream/1`` records, oldest first, when
-    ``stream=`` was ``True`` or an in-process buffer (a live publisher
-    such as the service's queue keeps nothing to return)."""
+    """The ``repro.stream/1`` records ordered by ``(step, rank)``, when
+    the run made its own step ring (``stream=True`` or a depth); a
+    caller's ring keeps them for the caller."""
 
     @property
     def interior_rank_stats(self) -> CommStats:
@@ -206,28 +207,22 @@ def _coerce_metrics(metrics, profile) -> MetricsRegistry | None:
     return None
 
 
-def _coerce_stream(stream):
-    """``stream`` may be falsy, True (buffered), or a live publisher."""
-    if not stream:
+def _coerce_ring(
+    value, nranks: int, capacity: int = DEFAULT_CAPACITY,
+    slot_bytes: int = DEFAULT_SLOT_BYTES,
+):
+    """``value`` may be falsy, True, a depth, or a live ring.  Anything but
+    a live ring gets a temp ring of ``nranks`` regions, which the run
+    closes (and so deletes) whether it returns or raises."""
+    if not value:
         return None
-    if stream is True:
-        return BufferStepStream()
-    return stream
-
-
-def _coerce_flight(flight, nranks: int):
-    """``flight`` may be falsy, True, a capacity, a live ring, or a path
-    to flush the post-mortem JSON lines to.  Anything but a live ring gets
-    a temp ring of ``nranks`` regions, which the run closes (and so
-    deletes) whether it returns or raises."""
-    if not flight:
-        return None, None
-    if hasattr(flight, "record"):
-        return flight, None
-    if isinstance(flight, int) and flight is not True:
-        return FlightRing.create(nranks=nranks, capacity=flight), None
-    path = None if flight is True else os.fspath(flight)
-    return FlightRing.create(nranks=nranks), path
+    if hasattr(value, "record"):
+        return value
+    if not isinstance(value, int):
+        raise TypeError(f"expected True, a depth or a FlightRing, got {value!r}")
+    if value is not True:
+        capacity = value
+    return FlightRing.create(nranks=nranks, capacity=capacity, slot_bytes=slot_bytes)
 
 
 def _profile_top(stats: dict, n: int) -> list[dict]:
@@ -334,10 +329,14 @@ def run(scenario, **options) -> RunResult:
         :class:`~repro.obs.PerfReport` to as one JSON line.  Implies
         ``metrics``.
     stream:
-        ``True`` (buffered, returned in ``RunResult.stream``) or a live
-        publisher to stream one compact ``repro.stream/1`` progress record
-        per solver step per rank (step, t, dt, ms, comm split) — see
-        :mod:`repro.obs.stream`.
+        ``True`` (or a depth per rank, or a live
+        :class:`~repro.obs.FlightRing`) writes one compact
+        ``repro.stream/1`` progress record per solver step per rank (step,
+        t, dt, ms, comm split) into a step ring — see
+        :mod:`repro.obs.stream`.  A ring the run makes itself keeps the
+        last :data:`~repro.obs.stream.STEP_DEPTH` records of each rank,
+        returns them in ``RunResult.stream`` and is gone when the run
+        returns or raises.
     flight:
         ``True`` (or a capacity / flush path / live
         :class:`~repro.obs.FlightRing`) keeps a bounded flight-recorder
@@ -394,7 +393,6 @@ def run_request(
     if context is not None and tracer is not None:
         tracer.adopt_context(context)
     reg = _coerce_metrics(ob.metrics, ob.profile or ob.ledger)
-    publisher = _coerce_stream(ob.stream)
     from .faults import resolve_fault_plan
 
     plan = resolve_fault_plan(rz.faults, seed=rz.fault_seed)
@@ -403,9 +401,14 @@ def run_request(
         import cProfile
 
         profiler = cProfile.Profile()
-    flight, flight_path = _coerce_flight(ob.flight, ex.nprocs)
-    named = {"tracer": tracer, "metrics": reg, "stream": publisher, "flight": flight}
+    # A path asks for the post-mortem to be flushed there.
+    path_given = not isinstance(ob.flight, int) and not hasattr(ob.flight, "record")
+    flight_path = os.fspath(ob.flight) if ob.flight and path_given else None
+    flight = steps = None
     try:
+        flight = _coerce_ring(True if flight_path else ob.flight, ex.nprocs)
+        steps = _coerce_ring(ob.stream, ex.nprocs, STEP_DEPTH, STEP_SLOT_BYTES)
+        named = {"tracer": tracer, "metrics": reg, "stream": steps, "flight": flight}
         # Only what the request named: the rest is inherited from the caller.
         with use(**{slot: sink for slot, sink in named.items() if sink is not None}):
             if profiler is not None:
@@ -427,17 +430,18 @@ def run_request(
                     profiler.disable()
         if flight is not None:
             result.flight = flight.events_by_rank()
+        if steps is not None and steps is not ob.stream:
+            result.stream = read_steps(steps)
     finally:
-        if flight is not None and flight is not ob.flight:
-            flight.close()
+        for ring, given in ((flight, ob.flight), (steps, ob.stream)):
+            if ring is not None and ring is not given:
+                ring.close()
     result.request = req
     if tracer is not None:
         result.trace = tracer.trace
         if trace_path is not None:
             write_chrome_trace(tracer.trace, trace_path)
             result.trace_path = trace_path
-    if isinstance(publisher, BufferStepStream):
-        result.stream = publisher.records()
     if flight_path is not None:
         write_flight_jsonl(result.flight, flight_path)
     if reg is not None:

@@ -17,11 +17,11 @@ instrumentation for the reproduction itself:
   ordered by ``(t0, seq)`` where ``seq`` is a global monotone sequence
   number, so exports from deterministic clocks (the DES engine's) are
   byte-stable.
-* :class:`MetricsRegistry`, the step streams and :class:`FlightRing` —
-  the other three sinks: fixed-size aggregates for the run ledger (the
-  one store of per-rank totals beside the communicators' own
-  ``CommStats``), one live record per solver step, and a crash-survivable
-  file ring of each rank's last events for post-mortems.
+* :class:`MetricsRegistry` and two :class:`FlightRing` files — the other
+  three sinks: fixed-size aggregates for the run ledger (the one store of
+  per-rank totals beside the communicators' own ``CommStats``), and two
+  crash-survivable file rings, one of each rank's live per-step records
+  (:mod:`~repro.obs.stream`) and one of its last events for post-mortems.
 * The trace file — Chrome ``trace_event`` JSON (:func:`chrome_trace_json`,
   :func:`write_chrome_trace`, :func:`load_trace`), which opens directly in
   Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
@@ -49,14 +49,7 @@ from .flight import (
     read_flight_jsonl,
     write_flight_jsonl,
 )
-from .stream import (
-    STREAM_SCHEMA,
-    BufferStepStream,
-    QueueStepStream,
-    StragglerDetector,
-    imbalance_verdict,
-    step_record,
-)
+from .stream import STREAM_SCHEMA, imbalance_verdict, read_steps, step_record
 from .export import (
     chrome_counter_events,
     chrome_trace_events,
@@ -97,10 +90,8 @@ __all__ = [
     "read_flight_jsonl",
     "write_flight_jsonl",
     "STREAM_SCHEMA",
-    "BufferStepStream",
-    "QueueStepStream",
-    "StragglerDetector",
     "imbalance_verdict",
+    "read_steps",
     "step_record",
     "chrome_counter_events",
     "chrome_trace_events",

@@ -10,7 +10,9 @@ killed.
 
 There is one recorder, :class:`FlightRing`: a file-backed mmap ring with
 one single-writer region per rank, installed with ``obs.use(flight=...)``
-and fed by the ``message`` and ``mark`` verbs of :mod:`repro.obs.spine`.
+and fed by the ``message`` and ``mark`` verbs of :mod:`repro.obs.spine`
+(the step ring of ``obs.use(stream=...)`` is one more, fed by the ``step``
+verb; :mod:`repro.obs.stream`).
 Serial and thread ranks write it in this process; forked ranks inherit
 the ``MAP_SHARED`` mapping and write the same file.  Because the file
 lives on disk (page cache), any process that knows the path can
@@ -136,7 +138,9 @@ class FlightRing:
             + (index % self.capacity) * (_SLOT_LEN.size + self.slot_bytes)
         )
 
-    def _read_counter(self, rank: int) -> int:
+    def written(self, rank: int) -> int:
+        """How many events ``rank`` has recorded (the ring keeps the last
+        ``capacity`` of them)."""
         return _COUNTER.unpack_from(self._mm, self._rank_offset(rank))[0]
 
     # -- writer side ----------------------------------------------------------
@@ -146,14 +150,19 @@ class FlightRing:
         if fields:
             event.update(fields)
         payload = json.dumps(event, separators=(",", ":")).encode()
-        self._write_slot(rank, self._read_counter(rank), payload)
+        self._write_slot(rank, self.written(rank), payload)
 
     def _write_slot(self, rank: int, index: int, payload: bytes) -> None:
         """Payload first, length second, counter last: a reader that races
         (or outlives) the writer sees either the previous complete event or
         a torn slot that fails to parse, never a half-event accepted as
-        truth."""
-        payload = payload[: self.slot_bytes]
+        truth.  A payload the slot cannot hold is refused before anything
+        is written."""
+        if len(payload) > self.slot_bytes:
+            raise ValueError(
+                f"a {len(payload)}-byte event does not fit a "
+                f"{self.slot_bytes}-byte flight-ring slot"
+            )
         off = self._slot_offset(rank, index)
         self._mm[off + _SLOT_LEN.size : off + _SLOT_LEN.size + len(payload)] = (
             payload
@@ -162,11 +171,14 @@ class FlightRing:
         _COUNTER.pack_into(self._mm, self._rank_offset(rank), index + 1)
 
     # -- reader side ----------------------------------------------------------
-    def read(self, rank: int) -> list[dict]:
-        """The rank's surviving events, oldest first; torn slots skipped."""
-        count = self._read_counter(rank)
+    def read(self, rank: int, start: int = 0, stop: int | None = None) -> list[dict]:
+        """The rank's surviving events, oldest first; torn slots skipped.
+        ``start`` / ``stop`` bound the write indices read (default: all
+        of them)."""
+        if stop is None:
+            stop = self.written(rank)
         events = []
-        for index in range(max(0, count - self.capacity), count):
+        for index in range(max(start, stop - self.capacity), stop):
             off = self._slot_offset(rank, index)
             (length,) = _SLOT_LEN.unpack_from(self._mm, off)
             if not 0 < length <= self.slot_bytes:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .metrics import MetricsRegistry
 from .spine import Sinks, _install, current
-from .stream import BufferStepStream
 from .tracer import Tracer
 
 
@@ -26,19 +25,17 @@ def bind_rank(rank: int) -> None:
 class ForkedRanks:
     """The sinks of one run whose ranks are forked processes.
 
-    Composes by *local record, exact merge*: each worker records into
-    fresh per-process instances mirroring what the parent has installed
-    (the parent's tracer, registry and stream buffer hold thread locks a
-    child must not share), ships them back with its result, and the parent
-    folds them in — metrics with the order-independent exact merge
+    Composes by *local record, exact merge*: each worker records spans and
+    metrics into fresh per-process instances mirroring what the parent has
+    installed (the parent's tracer and registry hold thread locks a child
+    must not share), ships them back with its result, and the parent folds
+    them in — metrics with the order-independent exact merge
     (:meth:`~repro.obs.metrics.MetricsRegistry.ingest`), so they are
-    bitwise-independent of rank completion order; buffered step records by
-    republishing them.  A stream publisher that is not an in-process
-    buffer (the service's queue) is inherited through the fork and keeps
-    publishing live.  The flight recorder needs no crossing: the installed
+    bitwise-independent of rank completion order.  The step ring and the
+    flight recorder need no crossing: each installed
     :class:`~repro.obs.flight.FlightRing` is a ``MAP_SHARED`` file mapping
     the fork inherits, so each rank writes its own region of the parent's
-    ring, and its events survive even a SIGKILLed worker.
+    ring, and its records survive even a SIGKILLed worker.
     """
 
     _local: Sinks | None = None
@@ -47,9 +44,6 @@ class ForkedRanks:
     def enter(self, rank: int) -> None:
         """First thing in the forked worker: install this rank's sinks."""
         parent = current()
-        stream = parent.stream
-        if isinstance(stream, BufferStepStream):
-            stream = BufferStepStream(stream.capacity)
         self._local = _install(Sinks(
             # The distributed trace context (if any) crosses the fork so
             # the rank's spans share the submit-time trace id.
@@ -57,7 +51,7 @@ class ForkedRanks:
                 context=parent.tracer.context
             ),
             metrics=None if parent.metrics is None else MetricsRegistry(),
-            stream=stream,
+            stream=parent.stream,
             flight=parent.flight,
         ))
         bind_rank(rank)
@@ -65,21 +59,13 @@ class ForkedRanks:
     def shipment(self) -> tuple:
         """What the worker sends home with its result (picklable)."""
         local = self._local
-        # A buffer in the child is the one enter() made: a parent's buffer
-        # never crosses, any other publisher crosses as it is.
-        buffered = isinstance(local.stream, BufferStepStream)
-        return (
-            local.metrics,
-            None if local.tracer is None else local.tracer.trace,
-            local.stream.records() if buffered else None,
-        )
+        return local.metrics, None if local.tracer is None else local.tracer.trace
 
     # -- parent side -----------------------------------------------------------
     @staticmethod
     def absorb(shipment: tuple) -> None:
-        """Fold one worker's registry, trace and step records into the
-        installed sinks."""
-        reg, trace, records = shipment
+        """Fold one worker's registry and trace into the installed sinks."""
+        reg, trace = shipment
         sinks = current()
         if reg is not None and sinks.metrics is not None:
             sinks.metrics.ingest(reg)
@@ -87,6 +73,3 @@ class ForkedRanks:
             dst = sinks.tracer.trace
             dst.spans.extend(trace.spans)
             dst.events.extend(trace.events)
-        if records is not None and sinks.stream is not None:
-            for record in records:
-                sinks.stream.publish(record)

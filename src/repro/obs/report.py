@@ -10,8 +10,8 @@ the full metrics snapshot — and can append it as one JSON line to the run
 ledger (``benchmarks/output/BENCH_runs.jsonl`` by convention).
 
 The ledger is what ``repro report`` renders as the paper's Figure-5-style
-component tables; ``scripts/perf_gate.py`` compares ``BENCH_core.json``,
-not the ledger, against its committed baseline.
+component tables; ``scripts/perf_gate.py`` reads harness reports, not
+the ledger, and gates only ratios measured inside one run.
 """
 
 from __future__ import annotations

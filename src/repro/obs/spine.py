@@ -2,8 +2,9 @@
 
 Four sinks can watch a run — the :class:`~repro.obs.tracer.Tracer`
 (timeline), the :class:`~repro.obs.metrics.MetricsRegistry` (ledger
-aggregates), a step stream publisher (live progress) and a flight
-recorder (last events, for post-mortems).  They sit in the four slots of
+aggregates), a step ring (live progress) and a flight recorder (last
+events, for post-mortems); the last two are both
+:class:`~repro.obs.flight.FlightRing` files.  They sit in the four slots of
 one :class:`Sinks` record (``None`` = off) behind :func:`current`, and
 instrumented code never addresses one of them: it calls a *verb* on
 ``current()`` and the verb decides which sinks keep the event, and under
@@ -17,7 +18,8 @@ which name.  That routing is this table and nothing else:
     they tile the step.
 ``step(rank, wall, cells, record)``
     metrics: ``solver.step_seconds``, ``solver.steps``,
-    ``solver.cell_steps``; stream: ``record()``, built only on demand.
+    ``solver.cell_steps``; stream: the ``step`` event ``record()``, built
+    only on demand, stamped with its simulated time ``t``.
 ``exchange(kind, comm, tag)``
     tracer: the ``halo.<kind>`` span; metrics: the ``halo.<kind>_seconds``
     histogram, ``halo.seconds``, ``halo.exchanges``, and from the
@@ -52,8 +54,8 @@ context managers return one shared do-nothing object.
 is the whole rule for who observes a run — ``repro.api.run`` names what
 the request asked for and inherits the rest from its caller, on every
 route.  Ranks on threads share the installed sinks; ranks in forked
-processes get local ones that are merged back
-(:class:`~repro.obs.ranks.ForkedRanks`), except the flight recorder: a
+processes get a local tracer and registry that are merged back
+(:class:`~repro.obs.ranks.ForkedRanks`), but not the two rings: a
 :class:`~repro.obs.flight.FlightRing` is one file every rank writes, on
 every route, so :meth:`Sinks.post_mortem` reads every rank from it.
 
@@ -220,7 +222,7 @@ class Sinks:
             mx.count("solver.steps", 1.0, rank=rank)
             mx.count("solver.cell_steps", float(cells), rank=rank)
         if self.stream is not None:
-            self.stream.publish(record())
+            self.stream.record("step", **record())
 
     # -- communication -------------------------------------------------------------
     def exchange(self, kind: str, comm, tag: str):

@@ -109,7 +109,10 @@ class ObservabilityConfig:
     ledger: Any = None
     """Falsy, ``True`` (anchored default ledger) or an explicit path."""
     stream: Any = None
-    """Falsy, ``True`` (buffered), or a live step-stream publisher."""
+    """Falsy, ``True``, a depth int, or a live
+    :class:`~repro.obs.FlightRing` to write step records into (the caller's
+    to read and close; any other value gets a temp ring that the run reads
+    into ``RunResult.stream`` and deletes)."""
     flight: Any = None
     """Falsy, ``True``, a capacity int, a flush path, or a live
     :class:`~repro.obs.FlightRing` (the caller's to close; any other value

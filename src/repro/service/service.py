@@ -18,6 +18,12 @@ server (``repro serve``) and direct library use.  Design points:
 * **Status streaming.**  Every job transition bumps a version counter
   and wakes waiters; :meth:`RunService.watch` yields each transition as
   it happens (the socket server forwards these lines to clients).
+* **Live telemetry from files.**  Every rank of a run job writes its
+  per-step records into the job's step ring, ``results/<fp>.steps.ring``
+  (a :class:`~repro.obs.FlightRing`); :meth:`RunService.tail` and
+  :meth:`RunService.top` read it while the job runs, and the parent reads
+  it once more when the job ends, keeps the last records for ``tail``
+  and deletes the file.
 * **Persistent results.**  Workers write the pickled payload into the
   store's content-addressed ``results/`` directory; the parent (single
   writer) appends the index line.  A restarted service sees every prior
@@ -37,33 +43,34 @@ import queue as _queue
 import threading
 import time
 import traceback
-from collections import deque
 from struct import error as struct_error
 from dataclasses import dataclass, field, replace as _dc_replace
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..obs import (
+    STREAM_SCHEMA,
     FlightRing,
-    QueueStepStream,
     SpanRecord,
-    StragglerDetector,
     Trace,
     TraceContext,
+    imbalance_verdict,
+    read_steps,
 )
 from ..obs.flight import write_flight_jsonl
+from ..obs.stream import STEP_SLOT_BYTES
 from ..request import RunRequest
 from .experiments import EXPERIMENT_SCHEMA, ExperimentRequest
 from .store import ResultStore, write_payload
 
 __all__ = ["Job", "JobFailed", "RunService"]
 
-#: Liveness/queue poll interval for the pump thread (seconds).
+#: Liveness/queue poll interval for the pump thread, and how often
+#: ``tail`` reads a running job's step ring (seconds).
 _POLL = 0.1
-#: After a job goes terminal, ``tail`` keeps draining the fan-in queue
-#: until no new record has arrived for this long (in-flight records can
-#: trail the worker's completion message through the queue feeders).
-_TAIL_GRACE = 0.5
+#: Step records a job's ring keeps per rank, and the most ``tail`` serves
+#: of a job that has ended.
+_TAIL_DEPTH = 256
 
 #: Job states.  ``cached`` is terminal-on-arrival: served from the store
 #: without execution.  ``attached`` jobs mirror their primary's state.
@@ -109,6 +116,10 @@ class Job:
     ``results/<fp>.flight.ring``: set at submit from the fingerprint, on
     every substrate, so the parent reads the last events of every rank
     from it even after the worker is SIGKILLed."""
+    steps_path: str | None = None
+    """The step ring of an executed run job, ``results/<fp>.steps.ring``:
+    set at submit like ``flight_path``; the ranks write their per-step
+    records into it, and the parent deletes it once the job has ended."""
 
     @property
     def terminal(self) -> bool:
@@ -136,6 +147,7 @@ class Job:
                 else None
             ),
             "flight_path": self.flight_path,
+            "steps_path": self.steps_path,
         }
 
 
@@ -156,9 +168,23 @@ def _encode_request(request) -> tuple[str, dict, str]:
     )
 
 
-def _flight_ring_path(store_root: str, fingerprint: str) -> str:
-    """Where a run's crash-survivable flight ring lives in the store."""
-    return str(Path(store_root) / "results" / f"{fingerprint}.flight.ring")
+def _ring_path(store_root: str, fingerprint: str, sink: str) -> str:
+    """Where a run's crash-survivable ``flight`` or ``steps`` ring lives
+    in the store."""
+    return str(Path(store_root) / "results" / f"{fingerprint}.{sink}.ring")
+
+
+def _read_step_ring(path: str, since: dict[int, int]) -> list[dict]:
+    """The records of the step ring at ``path`` not yet in ``since``
+    (advanced past them); none while the worker has yet to make it."""
+    try:
+        ring = FlightRing.open(path)
+    except (OSError, ValueError, struct_error):
+        return []
+    try:
+        return read_steps(ring, since)
+    finally:
+        ring.close()
 
 
 def _flight_jsonl_path(path: str) -> str:
@@ -166,7 +192,7 @@ def _flight_jsonl_path(path: str) -> str:
     return path.removesuffix(".ring") + ".jsonl"
 
 
-def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> None:
+def _worker_main(tasks, results, store_root: str, policy: dict) -> None:
     """Worker process loop: execute queued requests, ship results back.
 
     Payloads are written straight into the store's content-addressed
@@ -175,14 +201,11 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
 
     Telemetry plumbing per run job:
 
-    * per-step records flow through ``stream_q`` (a bounded fan-in queue
-      shared by all workers, tagged with the job id) — the rank processes
-      a process-substrate run forks inherit the queue and publish
-      directly;
-    * every rank records into the job's flight ring at
-      ``results/<fp>.flight.ring``, a file the parent knows from the
-      fingerprint, so the last events of every rank survive this worker
-      being SIGKILLed;
+    * every rank writes its per-step records into the job's step ring at
+      ``results/<fp>.steps.ring`` and its last events into the flight ring
+      at ``results/<fp>.flight.ring`` — files the parent knows from the
+      fingerprint, so both survive this worker being SIGKILLed (the
+      parent deletes the step ring once it has read it);
     * the submit-time :class:`~repro.obs.TraceContext` is adopted one
       tier down, so every rank's spans join the client's trace tree.
     """
@@ -208,20 +231,21 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
 
                 req = RunRequest.from_dict(req_dict)
                 fp = req.fingerprint()
-                flight_path = _flight_ring_path(store_root, fp)
+                nprocs = req.execution.nprocs
+                flight_path = _ring_path(store_root, fp, "flight")
                 os.makedirs(os.path.dirname(flight_path), exist_ok=True)
-                ring = FlightRing.create(flight_path, req.execution.nprocs)
+                ring = FlightRing.create(flight_path, nprocs)
+                steps = FlightRing.create(
+                    _ring_path(store_root, fp, "steps"), nprocs,
+                    capacity=_TAIL_DEPTH, slot_bytes=STEP_SLOT_BYTES,
+                )
                 obs = _dc_replace(
                     req.observability,
                     metrics=req.observability.metrics
                     or policy.get("force_metrics", True),
                     ledger=req.observability.ledger
                     or policy.get("ledger", False),
-                    stream=(
-                        QueueStepStream(stream_q, job=job_id)
-                        if stream_q is not None
-                        else req.observability.stream
-                    ),
+                    stream=steps,
                     flight=ring,
                 )
                 req = req.replace(observability=obs)
@@ -232,10 +256,11 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
                     if ctx_dict
                     else None
                 )
-                try:  # a failure leaves the ring file for the parent
+                try:  # the parent reads both ring files after a failure
                     result = run_request(req, context=context)
                 finally:
                     ring.close()
+                    steps.close()
                 result.request = None  # live objects stay out of the pickle
                 write_payload(store_root, fp, result)
                 if result.flight:
@@ -254,41 +279,6 @@ def _worker_main(tasks, results, store_root: str, policy: dict, stream_q) -> Non
                 + "".join(traceback.format_exception(exc)[-3:])
             )
             results.put(("failed", job_id, os.getpid(), err))
-
-
-class _JobStream:
-    """Parent-side view of one job's streamed step records.
-
-    A bounded ring of the most recent records (``tail`` serves from it),
-    a monotone ``_seq`` stamped on arrival (so tailers can resume), and a
-    live :class:`~repro.obs.StragglerDetector` fed every record (``top``
-    reports its verdict while the job runs).
-    """
-
-    def __init__(self, maxlen: int = 256) -> None:
-        self.records: deque = deque(maxlen=maxlen)
-        self.total = 0
-        self.first: float | None = None
-        self.last: float | None = None
-        self.detector = StragglerDetector()
-
-    def add(self, record: dict) -> None:
-        self.total += 1
-        record = dict(record)
-        record["_seq"] = self.total
-        now = time.monotonic()
-        if self.first is None:
-            self.first = now
-        self.last = now
-        self.records.append(record)
-        self.detector.observe(record)
-
-    @property
-    def record_rate(self) -> float | None:
-        """Streamed records per second (all ranks pooled), or ``None``."""
-        if self.first is None or self.total < 2 or self.last <= self.first:
-            return None
-        return (self.total - 1) / (self.last - self.first)
 
 
 class RunService:
@@ -337,10 +327,10 @@ class RunService:
             ) from None
         self._tasks = self._ctx.Queue()
         self._results = self._ctx.Queue()
-        # Bounded fan-in for per-step telemetry (publishers drop on full —
-        # a slow parent never stalls a solver step).
-        self._stream_q = self._ctx.Queue(4096)
-        self._streams: dict[str, _JobStream] = {}
+        # job id -> (records per rank, the last records) of its step ring,
+        # read once when the job ended.
+        self._tails: dict[str, tuple[dict[int, int], list[dict]]] = {}
+        self._stream_records = 0  # step records of the jobs that ended
         self._procs: list[Any] = []
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
@@ -391,7 +381,6 @@ class RunService:
             self._pump.join(timeout=2.0)
         self._tasks.close()
         self._results.close()
-        self._stream_q.close()
 
     def __enter__(self) -> "RunService":
         return self.start()
@@ -407,7 +396,7 @@ class RunService:
         p = self._ctx.Process(
             target=_worker_main,
             args=(self._tasks, self._results, str(self.store.root),
-                  dict(self._policy), self._stream_q),
+                  dict(self._policy)),
             daemon=False,
             name=f"repro-service-worker-{len(self._procs)}",
         )
@@ -462,12 +451,14 @@ class RunService:
                 job.started = primary.started
                 job.worker_pid = primary.worker_pid
                 job.flight_path = primary.flight_path
+                job.steps_path = primary.steps_path
                 self._followers.setdefault(primary_id, []).append(job.id)
                 self._bump(job)
                 return _snapshot(job)
             self._inflight[fp] = job.id
             if kind == "run":
-                job.flight_path = _flight_ring_path(str(self.store.root), fp)
+                job.flight_path = _ring_path(str(self.store.root), fp, "flight")
+                job.steps_path = _ring_path(str(self.store.root), fp, "steps")
             self._tasks.put((job.id, kind, wire, job.context))
             self._bump(job)
             return _snapshot(job)
@@ -560,23 +551,19 @@ class RunService:
     ) -> Iterator[dict]:
         """Yield the job's per-step stream records as they arrive.
 
-        Serves from the parent-side ring (records already buffered come
-        first), then follows the live stream; returns once the job is
-        terminal and the ring is drained (or on timeout).  Each yielded
-        record is a ``repro.stream/1`` dict plus ``_seq`` (arrival order)
-        and ``job`` tags.
+        Reads the job's step ring every :data:`_POLL` seconds while it
+        runs, then what the parent kept of it when the job ended (its last
+        :data:`_TAIL_DEPTH` records), and returns (or on timeout).  Each
+        yielded record is a ``repro.stream/1`` dict plus ``_seq`` (the
+        order served) and ``job`` (the job that executed it) tags.
 
         A ``cached`` job (store dedupe hit at submit) never forked a
         worker, so no stream records exist or will ever arrive; tailing
-        one yields a single served-from-cache marker record and returns
-        immediately instead of waiting out the post-terminal grace
-        window.
+        one yields a single served-from-cache marker record and returns.
         """
         with self._lock:
             job = self._require(job_id)
             if job.cached:
-                from ..obs.stream import STREAM_SCHEMA
-
                 yield {
                     "schema": STREAM_SCHEMA,
                     "kind": "cached",
@@ -586,53 +573,39 @@ class RunService:
                 }
                 return
         deadline = None if timeout is None else time.monotonic() + timeout
-        last_seq = 0
-        grace = None
+        seen: dict[int, int] = {}  # rank -> records of it served
+        seq = 0
         while True:
             with self._lock:
                 job = self._require(job_id)
-                ring = self._streams.get(job_id)
-                fresh = (
-                    [r for r in ring.records if r["_seq"] > last_seq]
-                    if ring is not None
-                    else []
-                )
-                if fresh:
-                    last_seq = fresh[-1]["_seq"]
-                    grace = None
+                owner = job.attached_to or job.id
+                kept = self._tails.get(owner)
+                if kept is not None:
+                    fresh = _unseen(*kept, seen)
+                elif job.status == "running" and job.steps_path:
+                    fresh = _read_step_ring(job.steps_path, seen)
                 else:
-                    if self._closing:
-                        return
-                    if job.terminal:
-                        # Records the ranks published just before finishing
-                        # may still be in flight through the fan-in queue's
-                        # feeder threads; keep draining through a short
-                        # grace window that fresh arrivals re-arm.
-                        if grace is None:
-                            grace = time.monotonic() + _TAIL_GRACE
-                        elif time.monotonic() >= grace:
-                            return
-                        self._drain_stream()
-                        self._changed.wait(timeout=0.02)
-                        continue
-                    remaining = _POLL
-                    if deadline is not None:
-                        remaining = min(
-                            _POLL, deadline - time.monotonic()
-                        )
-                        if remaining <= 0:
-                            return
-                    self._changed.wait(timeout=remaining)
-                    continue
+                    fresh = []
+                over = kept is not None or job.terminal or self._closing
             for record in fresh:
-                yield dict(record)
+                seq += 1
+                yield {**record, "job": owner, "_seq": seq}
+            if over:
+                return
+            remaining = _POLL
+            if deadline is not None:
+                remaining = min(_POLL, deadline - time.monotonic())
+                if remaining <= 0:
+                    return
+            with self._lock:
+                self._changed.wait(timeout=remaining)
 
     def top(self) -> dict:
         """A live utilization snapshot (the ``repro top`` payload).
 
         Queue depth, busy workers, dedupe hit rate, and one row per
-        running job: latest step per rank pool, streamed-record rate, and
-        the online straggler verdict.
+        running job from its step ring: latest step, record rate, and the
+        balance verdict over the records in the ring's window.
         """
         with self._lock:
             jobs = [self._jobs[i] for i in self._order]
@@ -650,26 +623,27 @@ class RunService:
                 1 for j in jobs if j.cached or j.attached_to is not None
             )
             rows = []
+            live = 0  # step records written so far by the running jobs
             for j in running:
-                ring = self._streams.get(j.id)
-                row = {
+                writes: dict[int, int] = {}
+                records = (
+                    _read_step_ring(j.steps_path, writes) if j.steps_path else []
+                )
+                total = sum(writes.values())
+                live += total
+                elapsed = time.time() - (j.started or time.time())
+                rows.append({
                     "id": j.id,
                     "scenario": j.request.get("scenario"),
                     "worker_pid": j.worker_pid,
-                    "step": None,
-                    "records_per_s": None,
-                    "balance": None,
-                }
-                if ring is not None and ring.records:
-                    row["step"] = max(
-                        r.get("step", 0) for r in ring.records
-                    )
-                    rate = ring.record_rate
-                    row["records_per_s"] = (
-                        round(rate, 2) if rate is not None else None
-                    )
-                    row["balance"] = ring.detector.verdict()
-                rows.append(row)
+                    "step": records[-1]["step"] if records else None,
+                    "records_per_s": (
+                        round(total / elapsed, 2)
+                        if total > 1 and elapsed > 0
+                        else None
+                    ),
+                    "balance": imbalance_verdict(records),
+                })
             return {
                 "workers": self.workers,
                 "busy": len(self._pid_job),
@@ -680,9 +654,7 @@ class RunService:
                 "dedupe_rate": (
                     round(dedupe_hits / len(jobs), 4) if jobs else 0.0
                 ),
-                "stream_records": sum(
-                    s.total for s in self._streams.values()
-                ),
+                "stream_records": self._stream_records + live,
                 "running": rows,
             }
 
@@ -781,6 +753,20 @@ class RunService:
                 pass
         return events or None
 
+    def _keep_steps(self, job: Job) -> None:
+        """Read an ended job's step ring once: keep its last records for
+        ``tail``, count them all, and delete the file."""
+        if not job.steps_path:
+            return
+        ends: dict[int, int] = {}
+        records = _read_step_ring(job.steps_path, ends)
+        self._tails[job.id] = (ends, records[-_TAIL_DEPTH:])
+        self._stream_records += sum(ends.values())
+        try:
+            os.unlink(job.steps_path)
+        except OSError:
+            pass
+
     def _require(self, job_id: str) -> Job:
         try:
             return self._jobs[job_id]
@@ -810,29 +796,7 @@ class RunService:
                 return
             if msg is not None:
                 self._handle(msg)
-            self._drain_stream()
             self._check_liveness()
-
-    def _drain_stream(self) -> None:
-        """Fold queued per-step records into their jobs' stream rings."""
-        while True:
-            try:
-                record = self._stream_q.get_nowait()
-            except _queue.Empty:
-                return
-            except (EOFError, OSError):
-                return
-            if not isinstance(record, dict):
-                continue
-            job_id = record.get("job")
-            if job_id is None:
-                continue
-            with self._lock:
-                ring = self._streams.get(job_id)
-                if ring is None:
-                    ring = self._streams[job_id] = _JobStream()
-                ring.add(record)
-                self._changed.notify_all()
 
     def _handle(self, msg) -> None:
         event, job_id, pid, detail = msg
@@ -850,6 +814,7 @@ class RunService:
                 return
             self._pid_job.pop(pid, None)
             self._inflight.pop(job.fingerprint, None)
+            self._keep_steps(job)
             if event == "done":
                 # Single-writer index append happens here, in the parent.
                 self.store.commit(
@@ -890,7 +855,8 @@ class RunService:
                     job = self._jobs.get(job_id)
                     if job is not None and not job.terminal:
                         self._inflight.pop(job.fingerprint, None)
-                        # The dead worker's flight ring is a plain file.
+                        # The dead worker's rings are plain files.
+                        self._keep_steps(job)
                         flight = self._post_mortem(job)
                         err = (
                             f"worker process died (pid={p.pid}, "
@@ -905,6 +871,18 @@ class RunService:
                             self._bump(j)
             while len(self._procs) < self.workers:
                 self._spawn_worker()
+
+
+def _unseen(ends: dict[int, int], records: list[dict], seen: dict[int, int]):
+    """The kept ``records`` of an ended job that a tailer which has read
+    ``seen[rank]`` of each rank's ``ends[rank]`` has not served yet."""
+    left = {rank: n - seen.get(rank, 0) for rank, n in ends.items()}
+    fresh = []
+    for record in reversed(records):
+        if left.get(record["rank"], 0) > 0:
+            left[record["rank"]] -= 1
+            fresh.append(record)
+    return fresh[::-1]
 
 
 def _snapshot(job: Job) -> Job:

@@ -232,17 +232,19 @@ _SLOTS = ("tracer", "metrics", "stream", "flight")
 #: Deleted for good: a get_/set_/use_ triple and a null object per sink,
 #: the fifth message log that lived in ``CommStats``, and the in-memory
 #: flight recorder with its writer bridge to the file ring (the ring is the
-#: one recorder).
+#: one recorder), and the step-record publishers, the service's per-job
+#: stream and the online straggler detector (step records go into a ring
+#: too).
 _DELETED = {f"{verb}_{slot}" for verb in ("get", "set", "use") for slot in _SLOTS} | {
     "NullTracer", "NullMetrics", "NullStepStream", "NullFlightRecorder",
     "MessageRecord", "FlightRecorder", "FlightRingWriter",
+    "BufferStepStream", "QueueStepStream", "StragglerDetector", "_JobStream",
 }
 #: The sinks' own recording methods: outside ``obs/`` only a verb of
 #: ``repro.obs.spine`` leads to one.
 _SINK_METHODS = {"observe", "gauge", "publish", "add_span", "record"}
 #: Same method names on objects that are not sinks.
 _NOT_A_SINK = {
-    ("service/service.py", "self.detector.observe"),  # a StragglerDetector
     ("analysis/jetdiag.py", "self.record"),  # the diagnostics' own sampler
 }
 #: The one documented hand-off: the DES (``simulate/engine.py`` and

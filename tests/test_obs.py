@@ -14,7 +14,6 @@ import repro.obs
 from repro import jet_scenario, run
 from repro.numerics.kernels import get_backend
 from repro.obs import (
-    BufferStepStream,
     FlightRing,
     MetricsRegistry,
     Tracer,
@@ -103,7 +102,7 @@ def test_nothing_is_installed_by_default_and_use_scopes_what_it_names():
         with use(tracer=None, metrics=reg):  # off, added, the rest inherited
             assert _installed() == (None, reg, None, fl)
         assert current() is outer
-        with pytest.raises(RuntimeError), use(stream=BufferStepStream()):
+        with pytest.raises(RuntimeError), use(stream=fl):
             raise RuntimeError("the scope ends on the way out all the same")
         assert current() is outer
     assert _installed() == (None, None, None, None)

@@ -10,7 +10,9 @@ free to vary.  Timing-dependent ``slot_wait`` flight events are left out.
 The expectations were recorded by running this file's own
 :func:`census` on a clone of the commit before ``repro.obs.spine``
 existed (``python tests/test_obs_census.py`` prints them); it imports
-nothing newer than ``run`` and ``BufferStepStream`` for that reason.
+nothing newer than ``run`` for that reason, and reads the step records
+from ``RunResult.stream`` (the commit above collected them with an
+in-process buffer publisher, which is gone; the records are unchanged).
 Three deliberate differences from that commit.  A process-substrate run
 now delivers its step records (there: none).  Every receive carries one
 new field, the part of it spent blocked before the message had arrived:
@@ -72,7 +74,6 @@ import pytest
 
 from repro.api import run
 from repro.numerics.kernels import get_backend
-from repro.obs import BufferStepStream
 
 SECTIONS = ("spans", "instants", "metrics", "flight", "stream")
 TOTALS = ("spans", "instants", "updates", "flight", "stream")
@@ -134,8 +135,7 @@ RUNS = {
 
 def census(options: dict) -> dict:
     """One run with every sink on, reduced to sorted shape -> count maps."""
-    buf = BufferStepStream(1 << 14)
-    opts = dict(nx=32, nr=16, trace=True, metrics=True, flight=1 << 14, stream=buf)
+    opts = dict(nx=32, nr=16, trace=True, metrics=True, flight=1 << 14, stream=1 << 14)
     if "platform" not in options:
         opts["steps"] = 4
     res = run("jet", **opts, **options)
@@ -156,7 +156,7 @@ def census(options: dict) -> dict:
             for rank, events in (res.flight or {}).items()
             for e in events if e["kind"] != "slot_wait"
         ),
-        "stream": Counter((r["rank"], tuple(sorted(r))) for r in buf.records()),
+        "stream": Counter((r["rank"], tuple(sorted(r))) for r in res.stream),
     }
     out = {
         section: sorted((repr(shape), n) for shape, n in shapes[section].items())
@@ -167,7 +167,7 @@ def census(options: dict) -> dict:
         "instants": len(res.trace.events),
         "updates": res.metrics.total_updates,
         "flight": sum(shapes["flight"].values()),
-        "stream": len(buf.records()),
+        "stream": len(res.stream),
     }
     return out
 

@@ -121,11 +121,11 @@ class TestPersistentStore:
         assert np.array_equal(first.state.rho, again.state.rho)
 
     def test_tail_of_cached_job_returns_immediately(self, tmp_path):
-        """``tail`` on a cache-resolved job must not wait the grace window.
+        """``tail`` on a cache-resolved job returns at once.
 
-        Cached jobs never executed in this service, so no step stream will
+        Cached jobs never executed in this service, so no step ring will
         ever appear; tail yields a single served-from-cache marker at once
-        instead of blocking until the tail grace deadline expires."""
+        instead of polling for one."""
         req = sod_request()
         with make_service(tmp_path) as svc:
             job = svc.submit(req)
@@ -136,7 +136,7 @@ class TestPersistentStore:
             t0 = time.monotonic()
             records = list(svc2.tail(job.id, timeout=30))
             elapsed = time.monotonic() - t0
-        assert elapsed < 0.25  # well under the 0.5 s tail grace
+        assert elapsed < 0.25  # no polling
         assert len(records) == 1
         marker = records[0]
         assert marker["kind"] == "cached"

@@ -8,15 +8,16 @@ run service:
   fork-worker job queue into every rank's tracer, so
   ``RunService.job_trace`` assembles client, service, worker and rank
   spans into one Perfetto-openable tree under a single trace id.
-* **Streaming step telemetry** — each rank publishes one compact
-  ``repro.stream/1`` record per solver step; the service fans them into
-  a parent-side ring served live by ``tail()`` / summarized by ``top()``.
+* **Streaming step telemetry** — each rank writes one compact
+  ``repro.stream/1`` record per solver step into a step ring (a
+  :class:`~repro.obs.FlightRing`); the service hands each job one in its
+  store, which ``tail()`` serves live and ``top()`` summarizes.
 * **Flight recorder** — a bounded ring of each rank's last structured
-  events, file-backed on the process substrate so the parent (or the
-  service) recovers it even after the writer is SIGKILLed mid-write.
-* **Straggler / imbalance detection** — online
-  :class:`~repro.obs.StragglerDetector` verdicts plus the post-run
-  :func:`~repro.obs.imbalance_verdict` recorded into ``PerfReport``.
+  events, a file every rank writes so the parent (or the service)
+  recovers it even after the writer is SIGKILLed mid-write.
+* **Straggler / imbalance detection** — :func:`~repro.obs.imbalance_verdict`
+  over the records in a running job's step ring (``top()``) and over a
+  finished run's per-rank rows (recorded into ``PerfReport``).
 
 Also here: the regression test for torn run-ledger lines and the
 service-vs-direct observability identity (telemetry must never perturb
@@ -29,7 +30,6 @@ import glob
 import json
 import multiprocessing
 import os
-import queue
 import signal
 import tempfile
 import threading
@@ -41,22 +41,20 @@ import pytest
 from repro import api
 from repro.msglib import ProcessCluster, RankFailure
 from repro.obs import (
-    BufferStepStream,
     FlightRing,
-    QueueStepStream,
-    StragglerDetector,
     TraceContext,
     Tracer,
     chrome_trace_json,
     imbalance_verdict,
     read_flight_jsonl,
+    read_steps,
     step_record,
     use,
     write_flight_jsonl,
 )
 from repro.obs.flight import FLIGHT_SCHEMA
 from repro.obs.report import read_ledger
-from repro.obs.stream import STREAM_SCHEMA
+from repro.obs.stream import STEP_SLOT_BYTES, STREAM_SCHEMA
 from repro.request import RunRequest
 from repro.service import ResultStore, RunService, ServiceClient, serve
 
@@ -117,67 +115,73 @@ class TestStepStream:
         assert rec["rank"] == 1 and rec["step"] == 3
         assert rec["comm_ms"] == 0.4
 
-    def test_buffer_stream_bounds_and_counts(self):
-        buf = BufferStepStream(capacity=4)
-        for i in range(6):
-            buf.publish(step_record(rank=0, step=i, t=0.0, dt=1.0, ms=1.0))
-        assert buf.published == 6 and buf.dropped == 2
-        assert [r["step"] for r in buf.records()] == [2, 3, 4, 5]
-
-    def test_queue_stream_drops_instead_of_blocking(self):
-        channel = queue.Queue(maxsize=2)
-        qs = QueueStepStream(channel, job="j-1")
-        for i in range(5):
-            qs.publish(step_record(rank=0, step=i, t=0.0, dt=1.0, ms=1.0))
-        assert qs.published == 2 and qs.dropped == 3
-        rec = channel.get_nowait()
-        assert rec["job"] == "j-1"  # tags merged for demultiplexing
-
     def test_serial_run_publishes_one_record_per_step(self):
-        buf = BufferStepStream()
-        api.run("sod", steps=5, stream=buf, **SOD_SMALL)
-        recs = buf.records()
+        ring = FlightRing.create(capacity=16, slot_bytes=STEP_SLOT_BYTES)
+        api.run("sod", steps=5, stream=ring, **SOD_SMALL)
+        recs = read_steps(ring)
+        ring.close()
         assert len(recs) == 5
         assert all(r["schema"] == STREAM_SCHEMA for r in recs)
-        assert [r["step"] for r in recs] == sorted(r["step"] for r in recs)
+        assert [r["step"] for r in recs] == [1, 2, 3, 4, 5]
         assert {r["rank"] for r in recs} == {0}
 
     def test_distributed_records_carry_comm_split(self):
-        buf = BufferStepStream()
-        api.run("sod", steps=4, nprocs=2, stream=buf, **SOD_SMALL)
-        recs = buf.records()
+        recs = api.run("sod", steps=4, nprocs=2, stream=True, **SOD_SMALL).stream
         assert len(recs) == 8  # one per step per rank
-        assert {r["rank"] for r in recs} == {0, 1}
+        assert [(r["step"], r["rank"]) for r in recs] == [
+            (n, r) for n in (1, 2, 3, 4) for r in (0, 1)
+        ]
         assert all("comm_ms" in r and "sent_bytes" in r for r in recs)
 
     @needs_fork
     def test_a_step_stream_survives_the_fork(self):
-        """A forked rank buffers its own records and the parent
-        republishes them: both substrates deliver the same set."""
+        """A forked rank writes the step ring its parent installed: both
+        substrates deliver the same records."""
         seen = {}
         for substrate in ("virtual", "process"):
-            buf = BufferStepStream()
+            ring = FlightRing.create(nranks=2, slot_bytes=STEP_SLOT_BYTES)
             api.run(
-                "sod", steps=4, nprocs=2, stream=buf, substrate=substrate,
+                "sod", steps=4, nprocs=2, stream=ring, substrate=substrate,
                 **SOD_SMALL,
             )
-            recs = buf.records()
+            recs = read_steps(ring)
+            ring.close()
             assert len(recs) == 8, substrate
             assert all("comm_ms" in r and "sent_bytes" in r for r in recs)
-            seen[substrate] = {(r["rank"], r["step"]) for r in recs}
+            seen[substrate] = [(r["rank"], r["step"]) for r in recs]
         assert seen["process"] == seen["virtual"]
-        assert seen["virtual"] == {(r, n) for r in (0, 1) for n in (1, 2, 3, 4)}
+        assert set(seen["virtual"]) == {(r, n) for r in (0, 1) for n in (1, 2, 3, 4)}
 
     def test_stream_true_returns_what_it_buffered(self):
         res = api.run("sod", steps=5, stream=True, **SOD_SMALL)
         assert [r["step"] for r in res.stream] == [1, 2, 3, 4, 5]
         assert all(r["schema"] == STREAM_SCHEMA for r in res.stream)
-        buf = BufferStepStream()
-        assert api.run("sod", steps=2, stream=buf, **SOD_SMALL).stream == buf.records()
-        # Nothing buffered in-process, nothing to return.
-        live = QueueStepStream(queue.Queue())
-        assert api.run("sod", steps=2, stream=live, **SOD_SMALL).stream is None
+        # A depth keeps the last records of each rank.
+        res = api.run("sod", steps=5, stream=3, **SOD_SMALL)
+        assert [r["step"] for r in res.stream] == [3, 4, 5]
+        # A caller's ring keeps its records for the caller.
+        ring = FlightRing.create(slot_bytes=STEP_SLOT_BYTES)
+        assert api.run("sod", steps=2, stream=ring, **SOD_SMALL).stream is None
+        assert [r["step"] for r in read_steps(ring)] == [1, 2]
+        ring.close()
         assert api.run("sod", steps=2, **SOD_SMALL).stream is None
+
+    def test_read_steps_since_reads_each_record_once(self):
+        ring = FlightRing.create(nranks=2, capacity=4)
+        since: dict[int, int] = {}
+        for step in (1, 2):
+            for rank in (1, 0):
+                ring.record("step", **step_record(rank=rank, step=step, t=0.1,
+                                                  dt=0.1, ms=1.0))
+        ring.record("send", rank=0, peer=1)  # not a step record
+        first = read_steps(ring, since)
+        assert [(r["step"], r["rank"]) for r in first] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        assert "kind" not in first[0] and first[0]["t"] == 0.1
+        assert since == {0: 3, 1: 2}
+        ring.record("step", **step_record(rank=1, step=3, t=0.3, dt=0.1, ms=1.0))
+        assert [(r["step"], r["rank"]) for r in read_steps(ring, since)] == [(3, 1)]
+        assert read_steps(ring, since) == []
+        ring.close()
 
 
 # -- flight recorder ----------------------------------------------------------
@@ -271,11 +275,16 @@ class TestFlightRing:
         ring.close()
 
     def test_oversized_payload_never_crashes_reader(self, tmp_path):
+        """An event the slot cannot hold is refused before anything is
+        written, so the ring never counts an event no reader can parse."""
         ring = FlightRing.create(
-            str(tmp_path / "f.ring"), 1, capacity=4, slot_bytes=48
+            str(tmp_path / "f.ring"), 1, capacity=4, slot_bytes=64
         )
-        ring.record("send", blob="x" * 500)  # truncated to slot
-        assert ring.read(0) == []  # unparseable, skipped
+        with pytest.raises(ValueError, match="does not fit a 64-byte"):
+            ring.record("send", blob="x" * 500)
+        assert ring.written(0) == 0 and ring.read(0) == []
+        ring.record("send", step=1)
+        assert [e["step"] for e in ring.read(0)] == [1]
         ring.close()
 
     @needs_fork
@@ -309,34 +318,36 @@ class TestFlightRing:
 
 
 class TestStragglerDetection:
-    def _rec(self, rank, step, ms, comm_ms):
-        return step_record(
-            rank=rank, step=step, t=0.0, dt=1e-3, ms=ms, comm_ms=comm_ms
-        )
+    """``top()``'s verdict: :func:`imbalance_verdict` over the records in
+    a step ring's window."""
+
+    def _window_verdict(self, *per_rank):
+        """Write ``(rank, ms, comm_ms)`` per step into a ring, as ``top()``
+        reads a running job's, and judge its window."""
+        ring = FlightRing.create(nranks=2, capacity=8, slot_bytes=STEP_SLOT_BYTES)
+        for step, rows in enumerate(zip(*per_rank)):
+            for rank, ms, comm_ms in rows:
+                ring.record("step", **step_record(
+                    rank=rank, step=step, t=0.0, dt=1e-3, ms=ms, comm_ms=comm_ms
+                ))
+        records = read_steps(ring)
+        ring.close()
+        return imbalance_verdict(records)
 
     def test_detector_needs_two_ranks(self):
-        d = StragglerDetector()
-        assert d.verdict() is None
-        d.observe(self._rec(0, 0, 10.0, 1.0))
-        assert d.verdict() is None
+        assert self._window_verdict() is None
+        assert self._window_verdict([(0, 10.0, 1.0)]) is None
 
     def test_detector_flags_slow_comm_bound_rank(self):
-        d = StragglerDetector(window=8)
-        for step in range(8):
-            d.observe(self._rec(0, step, 10.0, 1.0))
-            d.observe(self._rec(1, step, 40.0, 30.0))
-        v = d.verdict()
+        v = self._window_verdict([(0, 10.0, 1.0)] * 8, [(1, 40.0, 30.0)] * 8)
         assert v["verdict"] == "imbalanced+comm-bound"
         assert v["slowest_rank"] == 1
         assert v["comm_bound_ranks"] == [1]
         assert v["max_mean_step_ratio"] == pytest.approx(1.6)
 
     def test_detector_balanced(self):
-        d = StragglerDetector(window=8)
-        for step in range(8):
-            d.observe(self._rec(0, step, 10.0, 1.0))
-            d.observe(self._rec(1, step, 11.0, 1.0))
-        assert d.verdict()["verdict"] == "balanced"
+        v = self._window_verdict([(0, 10.0, 1.0)] * 8, [(1, 11.0, 1.0)] * 8)
+        assert v["verdict"] == "balanced"
 
     def test_post_run_verdict_from_perf_rows(self):
         rows = [
@@ -551,6 +562,32 @@ class TestServiceTelemetry:
             assert read_flight_jsonl(jsonl) == {
                 int(r): evs for r, evs in done.flight.items()
             }
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+    def test_ended_jobs_leave_no_step_ring_and_no_descriptor(self, tmp_path):
+        """The parent reads a job's step ring once when the job ends, keeps
+        its records for ``tail`` and deletes the file: after done jobs and
+        a failed one, no ring is left and no descriptor is held."""
+        fds = lambda: len(os.listdir("/proc/self/fd"))
+        kw = dict(nx=32, nr=8)
+        with make_service(tmp_path) as svc:
+            before = fds()
+            jobs = [
+                svc.submit(RunRequest.from_run_args("sod", steps=n, **kw))
+                for n in (3, 4, 5)
+            ]
+            jobs.append(svc.submit(RunRequest.from_run_args(
+                "sod", steps=6, nprocs=2, faults="crash-rank1", max_restarts=0,
+                **kw,
+            )))
+            ended = [svc.wait(job.id, timeout=120) for job in jobs]
+            assert [job.status for job in ended] == ["done"] * 3 + ["failed"]
+            rings = glob.glob(str(tmp_path / "store" / "results" / "*.steps.ring"))
+            assert rings == []
+            assert fds() == before
+            tails = [list(svc.tail(job.id, timeout=10)) for job in jobs]
+            assert [len(t) for t in tails[:3]] == [3, 4, 5]
+            assert svc.top()["stream_records"] == 12 + len(tails[3])
 
     @pytest.mark.parametrize("substrate", ["virtual", "process"])
     def test_service_obs_identical_to_direct_run(self, tmp_path, substrate):
