@@ -2,10 +2,10 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all lattice trace-smoke artifacts stress bench gates speedup loc
+.PHONY: check test test-all lattice artifacts stress bench gates speedup loc
 
-## check: tier-1 test suite + trace-determinism smoke (the pre-commit gate)
-check: trace-smoke
+## check: tier-1 test suite (the pre-commit gate)
+check:
 	$(PY) -m pytest -q
 
 ## test: full test suite (`-m ""` lifts pyproject's `not slow`)
@@ -18,10 +18,6 @@ lattice:
 	$(PY) -m pytest -q tests/test_lattice.py -m slow
 
 test-all: test
-
-## trace-smoke: two identical simulated runs must export identical bytes
-trace-smoke:
-	$(PY) scripts/trace_report.py --selftest
 
 ## artifacts: regenerate every executable paper artifact (the DES-derived
 ## tables and figures) into a throwaway store and byte-compare it with

@@ -21,7 +21,7 @@ a hang or mask the original failure, so each stage reports and continues.
 Usage::
 
     PYTHONPATH=src python scripts/dump_telemetry.py --out ci-debug
-    python scripts/trace_report.py ci-debug/chaos_repro.flight.jsonl
+    PYTHONPATH=src python -m repro report ci-debug/chaos_repro.flight.jsonl
 """
 
 import argparse

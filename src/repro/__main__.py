@@ -22,10 +22,10 @@ Commands
 ``jet [--nx N --nr N --steps S --euler]``
     Run the real solver and print diagnostics plus a momentum contour.
 ``report [paths ...] [--last N]``
-    Render performance ledgers (``BENCH_runs.jsonl`` lines from
-    ``run(..., metrics=True)``) or recorded trace files — autodetected
-    per path.  Defaults to the standard ledger under
-    ``benchmarks/output/``.
+    Render a run's artifacts, each told by its first JSON line: ledgers
+    (``run(..., metrics=True)``), Chrome traces (the paper's component
+    split and any fault timeline) and flight post-mortems.  Defaults to
+    the ledger :func:`repro.config.default_ledger_path` names.
 ``serve [--workers N --socket PATH --store DIR]``
     Start the run service: a worker-pool job queue behind a Unix socket,
     deduplicating identical requests against a persistent result store.
@@ -215,55 +215,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _looks_like_ledger(path: str) -> bool:
-    """A perf ledger starts with a JSON object carrying our schema tag;
-    a trace file is one Chrome JSON document."""
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    return json.loads(line).get("schema", "").startswith(
-                        "repro.perf/"
-                    )
-    except (OSError, ValueError):
-        pass
-    return False
-
-
 def _cmd_report(args) -> int:
-    from .obs import read_ledger, render_ledger, render_report
+    from .config import default_ledger_path
+    from .obs.report import render_artifact
 
-    paths = args.paths or ["benchmarks/output/BENCH_runs.jsonl"]
     status = 0
-    for path in paths:
-        if _looks_like_ledger(path):
-            try:
-                reports = read_ledger(path)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                status = 2
-                continue
-            print(render_ledger(reports, title=path))
-            for rp in reports[-args.last:] if args.last else []:
-                print()
-                print(render_report(rp))
-        else:
-            # Fall back to the trace component-split report.
-            try:
-                from .analysis.metrics import component_breakdown
-                from .analysis.report import render_components
-                from .obs import load_trace
-
-                bd = component_breakdown(load_trace(path))
-            except (OSError, ValueError) as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                status = 2
-                continue
-            print(render_components(bd, path))
-        print()
+    for path in args.paths or [str(default_ledger_path())]:
+        try:
+            print(render_artifact(path, last=args.last), end="\n\n")
+        except (OSError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            status = 2
     return status
 
 
@@ -518,16 +480,17 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--ledger", metavar="PATH", default=None,
                    help="append the performance report to this JSON-lines "
                         "ledger (implies --metrics semantics for output "
-                        "location; default with --metrics: "
-                        "benchmarks/output/BENCH_runs.jsonl)")
+                        "location; default with --metrics: BENCH_runs.jsonl "
+                        "under $REPRO_DATA_DIR, else the checkout's "
+                        "benchmarks/output)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
-        "report", help="render performance ledgers / trace breakdowns"
+        "report", help="render ledgers, traces and flight post-mortems"
     )
     p.add_argument("paths", nargs="*",
-                   help="ledger (.jsonl) or trace files; default: "
-                        "benchmarks/output/BENCH_runs.jsonl")
+                   help="ledger, trace or flight post-mortem files; "
+                        "default: the ledger --metrics appends to")
     p.add_argument("--last", type=int, default=1, metavar="N",
                    help="also print the full per-stage report of the last "
                         "N ledger entries (0 disables)")

@@ -39,21 +39,23 @@ def format_table(
     return "\n".join(lines)
 
 
-def render_components(bd, where: str) -> str:
-    """The paper's Figure-5 table of a
-    :class:`~repro.analysis.metrics.ComponentBreakdown`: computation,
-    message-startup and data-transfer seconds per rank and in the mean.
-    ``where`` heads the title (a file name, a platform)."""
+def render_components(split, where: str) -> str:
+    """The paper's Figure-5 table of a :func:`repro.obs.report.rank_split`:
+    computation, message-startup and data-transfer seconds per rank and in
+    the mean.  ``where`` heads the title (a file name, a platform)."""
+    kind, per_rank = split
+    mean = [sum(row[k] for row in per_rank) / len(per_rank) for k in (1, 2, 3)]
     rows = [
-        [label, *(f"{x:.4f}" for x in (c.computation, c.startup, c.transfer, c.total))]
-        for label, c in (*bd.per_rank, ("mean", bd))  # bd's own fields are the means
+        [label, *(f"{x:.4f}" for x in (*parts, sum(parts)))]
+        for label, *parts in (*per_rank, ("mean", *mean))
     ]
-    fc, fs, ft = bd.fractions()
+    total = sum(mean)
+    fc, fs, ft = (x / total if total > 0 else 0.0 for x in mean)
     return format_table(
         ["rank", "computation s", "startup s", "transfer s", "total s"],
         rows,
         title=(
-            f"{where}: {bd.source} components — computation {100 * fc:.1f}%, "
+            f"{where}: {kind} components — computation {100 * fc:.1f}%, "
             f"startup {100 * fs:.1f}%, transfer {100 * ft:.1f}% (paper Fig. 5)"
         ),
     )

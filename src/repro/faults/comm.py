@@ -19,7 +19,7 @@ The decorator has two personalities, selected by the plan:
 
 Every injected fault and every recovery action is recorded through the
 active :mod:`repro.obs` tracer (``cat="fault"`` instants plus per-rank
-counters), so ``scripts/trace_report.py`` can print a fault timeline.
+counters), so ``python -m repro report`` can print a fault timeline.
 """
 
 from __future__ import annotations

@@ -317,7 +317,7 @@ class MetricsRegistry:
 
         Deterministic: keys sorted, histogram buckets sparse.  This is
         the shape the run ledger stores and
-        :func:`repro.analysis.metrics.component_breakdown` accepts.
+        :func:`repro.obs.report.rank_split` accepts.
         """
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         for (name, rank), m in self.items():

@@ -22,8 +22,11 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
+from .export import load_trace
+from .flight import FLIGHT_SCHEMA, read_flight_jsonl
 from .metrics import MetricsRegistry
 from .stream import imbalance_verdict
 
@@ -34,6 +37,7 @@ __all__ = [
     "build_perf_report",
     "rank_split",
     "read_ledger",
+    "render_artifact",
     "render_ledger",
     "render_report",
 ]
@@ -203,27 +207,50 @@ def _sim_stages(snap: dict) -> list[dict]:
     ])
 
 
-def rank_split(snap: dict) -> tuple[str, list[tuple[int, float, float, float]]]:
-    """The paper's split of each rank's time, from a registry snapshot (live
-    or as a ledger line stores it): ``(source, [(rank, computation, startup,
-    transfer), ...])``.  A ``"simulated"`` run recorded the three as
-    ``sim.*`` counters; of a ``"measured"`` one, startup is the time inside
-    sends, transfer the time inside receives and computation what is left
-    of the rank's steps."""
-    comp = _values(snap, "sim.compute_seconds")
+def _rank_seconds(source, metric: str) -> dict[int, float]:
+    """``{rank: seconds}`` of one quantity of the split: a snapshot's
+    ``metric``, or a trace's spans of the same name (``sim.wait`` for
+    ``sim.wait_seconds``).  Of a trace, ``comm.recv_seconds`` is every
+    ``cat="comm"`` span but the sends: receives and waits.  Collectives
+    (``cat="collective"``) nest those leaf spans and are left out."""
+    if isinstance(source, dict):
+        return _values(source, metric)
+    name, out = metric[: -len("_seconds")], {}
+    recv = name == "comm.recv"
+    for s in source.spans:
+        if s.name == name or (recv and s.cat == "comm" and s.name != "comm.send"):
+            out[s.rank] = out.get(s.rank, 0.0) + s.duration
+    return out
+
+
+def rank_split(source) -> tuple[str, list[tuple[int, float, float, float]]]:
+    """The paper's split of each rank's time (Figures 5-6): ``(kind,
+    [(rank, computation, startup, transfer), ...])``, from a registry
+    snapshot (live or as a ledger line stores it) or a
+    :class:`~repro.obs.Trace`.  A ``"simulated"`` run recorded the three on
+    the DES clock; of a ``"measured"`` one, startup is the time inside
+    sends, transfer the time inside receives and waits, and computation
+    what is left of the rank's steps.  Raises ``ValueError`` when the
+    source records neither."""
+    comp = _rank_seconds(source, "sim.compute_seconds")
     if comp:
-        source = "simulated"
-        startup = _values(snap, "sim.library_seconds")
-        transfer = _values(snap, "sim.wait_seconds")
+        kind = "simulated"
+        startup = _rank_seconds(source, "sim.library_seconds")
+        transfer = _rank_seconds(source, "sim.wait_seconds")
     else:
-        source = "measured"
-        startup = _values(snap, "comm.send_seconds")
-        transfer = _values(snap, "comm.recv_seconds")
+        kind = "measured"
+        startup = _rank_seconds(source, "comm.send_seconds")
+        transfer = _rank_seconds(source, "comm.recv_seconds")
         comp = {
             r: max(step - startup.get(r, 0.0) - transfer.get(r, 0.0), 0.0)
-            for r, step in _values(snap, "solver.step_seconds").items()
+            for r, step in _rank_seconds(source, "solver.step_seconds").items()
         }
-    return source, [
+    if not comp:
+        raise ValueError(
+            "no sim.* or solver.step seconds recorded; run with "
+            "repro.api.run(..., trace=True) or run(..., metrics=True)"
+        )
+    return kind, [
         (r, comp[r], startup.get(r, 0.0), transfer.get(r, 0.0))
         for r in sorted(comp)
     ]
@@ -243,8 +270,12 @@ _RANK_COLUMNS = {
 
 
 def _per_rank(snap: dict) -> list[dict]:
-    """Per-rank computation/communication rows of the report."""
-    source, split = rank_split(snap)
+    """Per-rank computation/communication rows of the report (none for a
+    run that took no step)."""
+    try:
+        source, split = rank_split(snap)
+    except ValueError:
+        return []
     columns = {
         key: _values(snap, name) for key, name in _RANK_COLUMNS[source].items()
     }
@@ -476,39 +507,18 @@ def _fmt(x, pattern: str = "{:.2f}", none: str = "-") -> str:
     return none if x is None else pattern.format(x)
 
 
-def _table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
-
-
 def render_ledger(reports: list[PerfReport], title: str = "run ledger") -> str:
     """One-line-per-run summary table of ledger entries."""
-    rows = []
-    for rp in reports:
-        rows.append(
-            [
-                rp.scenario,
-                rp.mode,
-                rp.backend or (rp.platform or "-"),
-                str(rp.nprocs),
-                str(rp.steps),
-                _fmt(rp.ms_per_step, "{:.2f}"),
-                _fmt(rp.mflops_total, "{:.1f}"),
-                _fmt(rp.comp_comm_ratio, "{:.1f}"),
-                rp.fingerprint,
-            ]
-        )
-    return _table(
+    from ..analysis.report import format_table
+
+    rows = [
+        [rp.scenario, rp.mode, rp.backend or (rp.platform or "-"),
+         str(rp.nprocs), str(rp.steps), _fmt(rp.ms_per_step, "{:.2f}"),
+         _fmt(rp.mflops_total, "{:.1f}"), _fmt(rp.comp_comm_ratio, "{:.1f}"),
+         rp.fingerprint]
+        for rp in reports
+    ]
+    return format_table(
         ["scenario", "mode", "backend", "p", "steps", "ms/step",
          "MFLOPS", "comp:comm", "fingerprint"],
         rows,
@@ -518,6 +528,8 @@ def render_ledger(reports: list[PerfReport], title: str = "run ledger") -> str:
 
 def render_report(report: PerfReport) -> str:
     """Full Figure-5-style breakdown of one run."""
+    from ..analysis.report import format_table
+
     head = (
         f"{report.scenario} [{report.mode}]"
         f" backend={report.backend or report.platform or '-'}"
@@ -533,56 +545,43 @@ def render_report(report: PerfReport) -> str:
         f"  MFLOPS={_fmt(report.mflops_total, '{:.1f}')}"
         f"  comp:comm={_fmt(report.comp_comm_ratio, '{:.1f}')}",
     ]
-    if report.stages:
-        rows = [
-            [
-                s["name"],
-                _fmt(s["seconds"], "{:.4f}"),
-                _fmt(100.0 * s["share"], "{:.1f}%"),
-                _fmt(s.get("mflops"), "{:.1f}"),
-            ]
+
+    def section(headers: list[str], rows: list[list[str]], title: str) -> None:
+        if rows:
+            lines.extend(["", format_table(headers, rows, title=title)])
+
+    section(
+        ["stage", "seconds", "share", "MFLOPS"],
+        [
+            [s["name"], _fmt(s["seconds"], "{:.4f}"),
+             _fmt(100.0 * s["share"], "{:.1f}%"), _fmt(s.get("mflops"), "{:.1f}")]
             for s in report.stages
-        ]
-        lines.append("")
-        lines.append(
-            _table(["stage", "seconds", "share", "MFLOPS"], rows,
-                   title="per-stage breakdown (mean over ranks)")
-        )
-    if report.per_rank:
-        rows = [
-            [
-                str(r["rank"]),
-                _fmt(r.get("comp_seconds"), "{:.4f}"),
-                _fmt(r.get("comm_seconds"), "{:.4f}"),
-                _fmt(r.get("wait_seconds"), "{:.4f}"),
-                _fmt(r.get("comp_comm"), "{:.1f}"),
-                _fmt(r.get("bytes_sent"), "{:.0f}"),
-            ]
+        ],
+        "per-stage breakdown (mean over ranks)",
+    )
+    section(
+        ["rank", "comp s", "comm s", "blocked s", "comp:comm", "bytes sent"],
+        [
+            [str(r["rank"]), _fmt(r.get("comp_seconds"), "{:.4f}"),
+             _fmt(r.get("comm_seconds"), "{:.4f}"),
+             _fmt(r.get("wait_seconds"), "{:.4f}"),
+             _fmt(r.get("comp_comm"), "{:.1f}"),
+             _fmt(r.get("bytes_sent"), "{:.0f}")]
             for r in report.per_rank
-        ]
-        lines.append("")
-        lines.append(
-            _table(["rank", "comp s", "comm s", "blocked s", "comp:comm",
-                    "bytes sent"],
-                   rows, title="per-rank split (blocked: the part of comm "
-                               "spent waiting for a message to arrive)")
-        )
-    if report.exchanges:
-        rows = [
-            [
-                "halo." + x["kind"],
-                _fmt(x["exchanges"], "{:.0f}"),
-                _fmt(x["seconds"], "{:.4f}"),
-                _fmt(x["wait_seconds"], "{:.4f}"),
-                _fmt(x["seconds"] - x["wait_seconds"], "{:.4f}"),
-            ]
+        ],
+        "per-rank split (blocked: the part of comm spent waiting for a "
+        "message to arrive)",
+    )
+    section(
+        ["exchange", "n", "seconds", "blocked s", "transfer s"],
+        [
+            ["halo." + x["kind"], _fmt(x["exchanges"], "{:.0f}"),
+             _fmt(x["seconds"], "{:.4f}"), _fmt(x["wait_seconds"], "{:.4f}"),
+             _fmt(x["seconds"] - x["wait_seconds"], "{:.4f}")]
             for x in report.exchanges
-        ]
-        lines.append("")
-        lines.append(
-            _table(["exchange", "n", "seconds", "blocked s", "transfer s"],
-                   rows, title="per-exchange split (mean over ranks)")
-        )
+        ],
+        "per-exchange split (mean over ranks)",
+    )
     if report.balance:
         b = report.balance
         lines.append("")
@@ -596,21 +595,104 @@ def render_report(report: PerfReport) -> str:
                 else ""
             )
         )
-    if report.faults:
-        rows = [[k, f"{v:.0f}"] for k, v in report.faults.items()]
-        lines.append("")
-        lines.append(_table(["fault/recovery", "count"], rows,
-                            title=f"faults (restarts={report.restarts})"))
-    if report.profile_top:
-        rows = [
-            [
-                str(p.get("ncalls", "")),
-                _fmt(p.get("cumtime"), "{:.4f}"),
-                str(p.get("func", "")),
-            ]
-            for p in report.profile_top
-        ]
-        lines.append("")
-        lines.append(_table(["ncalls", "cumtime", "function"], rows,
-                            title="cProfile top functions (cumulative)"))
+    section(
+        ["fault/recovery", "count"],
+        [[k, f"{v:.0f}"] for k, v in report.faults.items()],
+        f"faults (restarts={report.restarts})",
+    )
+    section(
+        ["ncalls", "cumtime", "function"],
+        [
+            [str(p.get("ncalls", "")), _fmt(p.get("cumtime"), "{:.4f}"),
+             str(p.get("func", ""))]
+            for p in report.profile_top or []
+        ],
+        "cProfile top functions (cumulative)",
+    )
     return "\n".join(lines)
+
+
+# -- reading a run's artifacts --------------------------------------------------
+
+def fault_timeline(trace, limit: int = 40) -> str:
+    """Chronological table of a trace's ``cat="fault"`` instants: injected
+    faults and recovery actions on the thread substrate, ``fault.sim_delay``
+    on the DES.  Empty when the run had no fault layer."""
+    from ..analysis.report import format_table
+
+    events = [e for e in trace.ordered_events() if e.cat == "fault"]
+    if not events:
+        return ""
+    rows = []
+    for e in events[:limit]:
+        args = dict(e.args)
+        detail = ", ".join(f"{k}={v}" for k, v in sorted(args.items()) if k != "step")
+        rows.append([f"{e.t:.6f}", e.rank, args.get("step", ""), e.name, detail])
+    counts = Counter(e.name for e in events)
+    summary = ", ".join(f"{n} x{c}" for n, c in sorted(counts.items()))
+    table = format_table(["t (s)", "rank", "step", "event", "detail"], rows,
+                         title=f"fault timeline ({len(events)} events: {summary})")
+    if len(events) > limit:
+        table += f"\n... and {len(events) - limit} more fault events"
+    return table
+
+
+def flight_report(path, last: int = 10) -> str:
+    """Per-rank table of a flight post-mortem's last events — what every
+    rank was doing when it died."""
+    from ..analysis.report import format_table
+
+    events_by_rank = read_flight_jsonl(path)
+    rows = [
+        [rank, f"{e.get('t', 0.0):.6f}", e.get("kind"),
+         ", ".join(f"{k}={v}" for k, v in sorted(e.items())
+                   if k not in ("kind", "rank", "t"))]
+        for rank in sorted(events_by_rank)
+        for e in events_by_rank[rank][-last:]
+    ]
+    total = sum(len(v) for v in events_by_rank.values())
+    return format_table(
+        ["rank", "t (epoch s)", "event", "detail"], rows,
+        title=f"{path}: flight recorder, {len(events_by_rank)} rank(s), "
+              f"{total} surviving events (last {last} per rank shown)",
+    )
+
+
+def _schema(path):
+    """The ``schema`` of the first line of ``path`` that parses as a JSON
+    object — a torn line before it is passed over, as :func:`read_ledger`
+    passes over it — or ``None``."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                head = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(head, dict):
+                return head.get("schema")
+    return None
+
+
+def render_artifact(path, last: int = 1) -> str:
+    """Render one run artifact, told by its first JSON-object line: a
+    ``repro.flight/1`` post-mortem prints each rank's last events; another
+    ``schema`` marks a ledger, which prints its run table and the full
+    report of its last ``last`` runs; anything else is a Chrome trace and
+    prints the paper's component split, then its fault timeline.  Raises
+    ``OSError`` / ``ValueError`` for a file it cannot read."""
+    from ..analysis.report import render_components
+
+    schema = _schema(path)
+    if schema == FLIGHT_SCHEMA:
+        return flight_report(path)
+    if schema is not None:  # read_ledger names a schema it does not know
+        reports = read_ledger(path)
+        parts = [render_ledger(reports, title=str(path))]
+        parts += [render_report(rp) for rp in reports[-last:] if last]
+    else:
+        trace = load_trace(path)
+        split = rank_split(trace)
+        where = trace.meta.get("platform", f"{len(split[1])} rank(s)")
+        parts = [render_components(split, f"{path} ({where})"),
+                 fault_timeline(trace)]
+    return "\n\n".join(part for part in parts if part)

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import perturbed_jet
 from repro import RunResult, jet_scenario, run, scenario_by_name
-from repro.analysis.metrics import component_breakdown
 from repro.obs import Trace, Tracer, load_trace
+from repro.obs.report import rank_split
 from repro.parallel.runner import serial_reference
 
 SMALL = dict(nx=48, nr=24)
@@ -153,8 +153,14 @@ def test_trace_path_writes_chrome_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# component_breakdown cross-checks
+# The paper's component split read off a trace (obs.report.rank_split)
 # ---------------------------------------------------------------------------
+
+
+def _means(split):
+    """Mean per-rank ``(computation, startup, transfer)`` of a split."""
+    rows = split[1]
+    return [sum(row[k] for row in rows) / len(rows) for k in (1, 2, 3)]
 
 
 def test_component_breakdown_matches_des_cost_model():
@@ -164,18 +170,19 @@ def test_component_breakdown_matches_des_cost_model():
         "jet", platform="LACE/560+ALLNODE-S", nprocs=4, version=5,
         steps_window=4, trace=True,
     )
-    bd = component_breakdown(res.trace)
-    assert bd.source == "simulated"
+    split = rank_split(res.trace)
+    assert split[0] == "simulated"
+    computation, startup, transfer = _means(split)
     tls = res.sim.timelines
     n = len(tls)
-    assert bd.computation == pytest.approx(sum(t.compute for t in tls) / n)
-    assert bd.startup == pytest.approx(sum(t.library for t in tls) / n)
-    assert bd.transfer == pytest.approx(sum(t.comm_wait for t in tls) / n)
+    assert computation == pytest.approx(sum(t.compute for t in tls) / n)
+    assert startup == pytest.approx(sum(t.library for t in tls) / n)
+    assert transfer == pytest.approx(sum(t.comm_wait for t in tls) / n)
 
 
 def test_component_breakdown_rejects_empty_trace():
     with pytest.raises(ValueError, match="no sim"):
-        component_breakdown(Trace())
+        rank_split(Trace())
 
 
 def test_acceptance_traced_4rank_paper_grid(tmp_path):
@@ -190,22 +197,24 @@ def test_acceptance_traced_4rank_paper_grid(tmp_path):
     assert {"M", "X"} <= phases
     assert len(doc["traceEvents"]) > 100
 
-    bd = component_breakdown(res.trace)
-    assert bd.source == "measured"
-    assert len(bd.per_rank) == 4
+    split = rank_split(res.trace)
+    assert split[0] == "measured"
+    assert len(split[1]) == 4
+    computation, startup, transfer = _means(split)
+    total, communication = computation + startup + transfer, startup + transfer
 
     # total (compute + comm) vs the independently accumulated per-rank wall
     wall = sum(res.timings.per_rank_wall) / 4
-    assert bd.total == pytest.approx(wall, rel=0.15)
+    assert total == pytest.approx(wall, rel=0.15)
     # communication vs the CommStats time dimension (measured separately
     # inside the message library)
     comm = sum(st.comm_seconds for st in res.per_rank_stats) / 4
-    assert bd.communication == pytest.approx(comm, rel=0.15)
+    assert communication == pytest.approx(comm, rel=0.15)
 
     # the exported file reproduces the in-memory breakdown
-    bd2 = component_breakdown(load_trace(str(p)))
-    assert bd2.total == pytest.approx(bd.total, rel=1e-3)
-    assert bd2.communication == pytest.approx(bd.communication, rel=1e-3)
+    c2, s2, t2 = _means(rank_split(load_trace(str(p))))
+    assert c2 + s2 + t2 == pytest.approx(total, rel=1e-3)
+    assert s2 + t2 == pytest.approx(communication, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

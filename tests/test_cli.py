@@ -104,3 +104,70 @@ class TestSweeps:
         assert t3d[-1].speedup > 14
         out = sweep_table(recs)
         assert "Cray T3D" in out and "Cray Y-MP" in out
+
+
+class TestReport:
+    """``repro report`` reads every artifact a run leaves: a ledger, a
+    Chrome trace and a flight post-mortem, each told by its first line."""
+
+    def test_ledger(self, tmp_path, capsys):
+        from repro import run
+
+        path = tmp_path / "runs.jsonl"
+        run("sod", steps=3, ledger=path)
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "ms/step" in out and "per-stage breakdown" in out
+
+    def test_default_is_the_anchored_ledger(self, tmp_path, monkeypatch,
+                                            capsys):
+        from repro import run
+
+        monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path / "data"))
+        monkeypatch.chdir(tmp_path)
+        run("sod", steps=3, metrics=True, ledger=True)
+        assert (tmp_path / "data" / "BENCH_runs.jsonl").exists()
+        assert main(["report"]) == 0
+        assert "BENCH_runs.jsonl" in capsys.readouterr().out
+
+    def test_torn_first_ledger_line_skips_only_that_line(self, tmp_path,
+                                                         capsys):
+        import json
+
+        from repro import run
+
+        good = json.dumps(run("sod", steps=3, metrics=True).perf.to_dict())
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"schema": "repro.perf/1", "scen\n' + good + "\n")
+        with pytest.warns(UserWarning, match=r"torn\.jsonl:1:"):
+            assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("fingerprint=") == 1
+
+    def test_faulted_trace_prints_split_and_fault_timeline(self, tmp_path,
+                                                           capsys):
+        from repro import run
+
+        path = tmp_path / "lace.json"
+        run("jet", platform="LACE/560+Ethernet", nprocs=4, version=5,
+            steps_window=4, faults="lossy-ethernet", trace=str(path))
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "simulated components" in out and "(paper Fig. 5)" in out
+        assert "mean" in out
+        assert "fault timeline" in out and "fault.sim_delay" in out
+
+    def test_flight_post_mortem(self, tmp_path, capsys):
+        from repro import run
+
+        path = tmp_path / "run.flight.jsonl"
+        run("jet", nx=48, nr=24, steps=2, nprocs=2, flight=str(path))
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "flight recorder, 2 rank(s)" in out
+        assert "send" in out and "peer=1" in out and "peer=0" in out
+
+    def test_missing_file_names_the_path(self, tmp_path, capsys):
+        path = tmp_path / "absent.jsonl"
+        assert main(["report", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err

@@ -21,7 +21,7 @@ from repro.obs import (
     render_ledger,
     render_report,
 )
-from repro.obs.report import LEDGER_SCHEMA, config_fingerprint
+from repro.obs.report import LEDGER_SCHEMA, config_fingerprint, rank_split
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,15 @@ def test_ledger_roundtrip(tmp_path):
     assert "jet-ns" in text and "ms/step" in text
     full = render_report(back[0])
     assert "sweep_x" in full and "MFLOPS" in full
+
+
+def test_a_run_of_no_steps_reports_no_rank_rows():
+    """``rank_split`` refuses a snapshot without a split; the report of a
+    run that took no step still builds, with no per-rank rows."""
+    res = run("sod", steps=0, metrics=True)
+    assert res.perf.per_rank == [] and res.perf.comp_comm_ratio is None
+    with pytest.raises(ValueError, match="no sim"):
+        rank_split(res.perf.metrics)
 
 
 def test_run_ledger_kwarg_appends(tmp_path):
