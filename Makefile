@@ -55,8 +55,8 @@ gates:
 	$(PY) benchmarks/bench_core.py
 	$(PY) scripts/perf_gate.py $(GATES_REPORT) benchmarks/output/BENCH_core.json
 
-## loc: tracked python line counts, the figure ROADMAP item 6 asks every PR
-## to report (per directory, and src/repro/obs/ alone)
+## loc: tracked python line counts — the code size every change reports
+## in CHANGES.md (per directory, and src/repro/obs/ alone)
 loc:
 	@for d in src tests "benchmarks scripts" src/repro/obs; do \
 		printf '%-20s %6d\n' "$$d" $$(git ls-files -- $$d | grep '\.py$$' | xargs cat | wc -l); \

@@ -1,6 +1,6 @@
 """C kernel source and the gcc/ctypes JIT engine for the compiled backend.
 
-The C translation unit below transcribes the fused backend's numpy kernels
+The C source below transcribes the fused backend's numpy kernels
 *operation for operation*: every per-element expression keeps the exact
 association order of the ``np.<ufunc>(..., out=...)`` chains in
 ``fused.py``/``fluxes.py``/``viscous.py``/``stencils.py``, divisions stay
@@ -10,14 +10,23 @@ bitwise-identical IEEE-754 doubles: ``tests/test_compiled.py`` holds the
 plans and entry points to their numpy chains, ``tests/test_lattice.py``
 each run to serial.
 
-The kernels are composed into a step by *plans* (the last part of the
-unit): C structs the compiled workspace fills once from the solver's
+The source is three translation units (:data:`UNITS`), cut along kernel
+boundaries and balanced by compile time: primitives + inviscid flux +
+rate, the viscous stresses, and the filter + plans.  Each starts with one
+:data:`PRELUDE` (includes, the shared inline helpers, the plan typedefs,
+the entry-point prototypes).  :func:`build_library` starts one compiler
+process per unit, all at once, and links the objects into one shared
+object: on a host with more than one core the units' compile times
+overlap.
+
+The kernels are composed into a step by *plans* (the last unit): C
+structs the compiled workspace fills once from the solver's
 configuration, so a step is four foreign calls — ``k_sweep`` twice,
 ``k_filter_step`` and ``k_boundaries``.  Each struct is declared once, in
 :data:`PLANS`; the C typedef and its ctypes mirror are both generated from
 that text, so the two layouts cannot drift.
 
-The shared object is cached on disk keyed by a hash of the source and the
+The shared object is cached on disk keyed by a hash of the units and the
 compiler command (``$REPRO_CC_CACHE`` or ``~/.cache/repro-cc``), so only
 the first process on a machine ever pays the compile; later processes —
 including forked process-substrate ranks — just ``dlopen`` the cached
@@ -39,14 +48,55 @@ CC_ENV_VAR = "REPRO_CC"
 CACHE_ENV_VAR = "REPRO_CC_CACHE"
 
 #: Flags pinned for bitwise reproducibility: optimization without value
-#: changes (no fast-math, no FMA contraction of a*b+c).
-CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: changes (no fast-math, no FMA contraction of a*b+c).  A call to an
+#: undeclared function is an error: a unit that lost a definition fails
+#: its build instead of producing a library that cannot be loaded.
+CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-Werror=implicit-function-declaration")
+#: The units' objects are linked into one shared object.
+LDFLAGS = ("-shared",)
 
-_KERNELS = r"""
+_HEAD = r"""
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
 
+/* Cubic (4-point Lagrange) ghost extrapolation, transcribing
+   stencils.cubic_ghosts per element: Python's sum() starts from int 0,
+   so the chain is ((((0 + w0*p0) + w1*p1) + w2*p2) + w3*p3) — the
+   leading 0.0 + t is kept for signed-zero fidelity. */
+static inline double cubic_g1(double p0, double p1, double p2, double p3)
+{
+    double t = 4.0 * p0;
+    double g = 0.0 + t;
+    t = -6.0 * p1;
+    g = g + t;
+    t = 4.0 * p2;
+    g = g + t;
+    t = -1.0 * p3;
+    g = g + t;
+    return g;
+}
+
+static inline double cubic_g2(double p0, double p1, double p2, double p3)
+{
+    double t = 10.0 * p0;
+    double g = 0.0 + t;
+    t = -20.0 * p1;
+    g = g + t;
+    t = 15.0 * p2;
+    g = g + t;
+    t = -4.0 * p3;
+    g = g + t;
+    return g;
+}
+
+/* The power-law viscosity callback of a sweep plan: it fills the
+   viscosity and its conductivity from T in Python (numpy's power is not
+   libm's pow bit for bit); NULL for a constant viscosity. */
+typedef void (*mu_fn)(void);
+"""
+
+_PRIM_FLUX = r"""
 /* Primitives + inviscid flux of one split direction at one element
    (primitives_into, then axial_inviscid_into or radial_inviscid_into).
    With m the momentum along the sweep and a, b the velocities along and
@@ -153,37 +203,9 @@ void k_prim_flux(const double* q, double gamma, double* u, double* v,
                         radial);
     }
 }
+"""
 
-/* Cubic (4-point Lagrange) ghost extrapolation, transcribing
-   stencils.cubic_ghosts per element: Python's sum() starts from int 0,
-   so the chain is ((((0 + w0*p0) + w1*p1) + w2*p2) + w3*p3) — the
-   leading 0.0 + t is kept for signed-zero fidelity. */
-static inline double cubic_g1(double p0, double p1, double p2, double p3)
-{
-    double t = 4.0 * p0;
-    double g = 0.0 + t;
-    t = -6.0 * p1;
-    g = g + t;
-    t = 4.0 * p2;
-    g = g + t;
-    t = -1.0 * p3;
-    g = g + t;
-    return g;
-}
-
-static inline double cubic_g2(double p0, double p1, double p2, double p3)
-{
-    double t = 10.0 * p0;
-    double g = 0.0 + t;
-    t = -20.0 * p1;
-    g = g + t;
-    t = 15.0 * p2;
-    g = g + t;
-    t = -4.0 * p3;
-    g = g + t;
-    return g;
-}
-
+_VISC = r"""
 /* Coefficients of numpy.gradient's interior/edge formulas for spacing h
    (viscous.gradient_axis): interior (f[i+1]-f[i-1])/(2h), edges
    (a*f0 + b*f1) + c*f2 with the same left-associated order. */
@@ -392,7 +414,9 @@ void k_visc(double* F, double* tau_tt, double* S2, const double* u,
         visc_point(&a, i, nr - 1);
     }
 }
+"""
 
+_RATE = r"""
 /* One-sided 2-4 difference from its two stencil pairs, matching the
    fused forward/backward_difference ufunc chains op for op:
    forward  (7*(f[+1]-f[0]) - (f[+2]-f[+1])) / 6h,
@@ -548,7 +572,9 @@ void k_rate(const double* f, const double* gh, const double* S,
         }
     }
 }
+"""
 
+_FILTER = r"""
 /* The scaled fourth difference from the five stencil values, matching
    the in-place ufunc chain in CompressibleSolver.apply_filter op for
    op. */
@@ -669,18 +695,6 @@ static void k_filter(double* q, const double* lo, const double* hi,
         }
     }
 }
-
-/* ---- The step as plans ----------------------------------------------------
-
-   What the Python step sequenced between the kernels above, as data.  How
-   the two planes beyond one side of a stencil are supplied
-   (boundary.ghost_rules): cubic extrapolation, inline in the kernels; the
-   axis mirror, line k of this side times its variable's sign; or the
-   periodic wrap, line k of the far side.  fill_mu fills a power-law
-   viscosity and its conductivity from T in Python (numpy's power is not
-   libm's pow bit for bit); it is NULL for a constant viscosity. */
-enum { GHOST_CUBIC, GHOST_MIRROR, GHOST_WRAP };
-typedef void (*mu_fn)(void);
 """
 
 #: The plan structs, as C declarations.  A sweep plan is one split
@@ -714,7 +728,36 @@ PLANS = {
     int outflow;""",
 }
 
+_ENTRY_POINTS = r"""
+/* The entry points: the kernels the plan code calls from another unit,
+   and the plan entry points ctypes calls. */
+void k_prim_flux(const double* q, double gamma, double* u, double* v,
+                 double* p, double* T, double* F, const double* w, long nx,
+                 long nr, int radial);
+void k_visc(double* F, double* tau_tt, double* S2, const double* u,
+            const double* v, const double* T, const double* p,
+            const double* r, const double* w, const double* mu,
+            long mu_stride, const double* k, long k_stride, long nx, long nr,
+            double dx, double dr, int radial);
+void k_rate(const double* f, const double* gh, const double* S,
+            const double* iw, double* out, long nx, long nr, int axis,
+            double h, int forward, int mode, const double* q,
+            const double* qs, double dt);
+void k_sweep(const sweep_plan* P, const double* q, double* out, double dt);
+void k_filter_step(const filter_plan* P, double* q, double eps);
+void k_boundaries(const bound_plan* P, double* q, const double* qt,
+                  const double* inflow, double dt);
+"""
+
 _PLAN_CODE = r"""
+/* ---- The step as plans ----------------------------------------------------
+
+   What the Python step sequenced between the kernels, as data.  How the
+   two planes beyond one side of a stencil are supplied
+   (boundary.ghost_rules): cubic extrapolation, inline in the kernels; the
+   axis mirror, line k of this side times its variable's sign; or the
+   periodic wrap, line k of the far side. */
+enum { GHOST_CUBIC, GHOST_MIRROR, GHOST_WRAP };
 /* The plan code below runs once per call, not once per point: compiled at
    -O1 (the kernels they call keep -O3), they take 0.07 s off a 0.67 s
    build and nothing off a step. */
@@ -876,11 +919,23 @@ void k_boundaries(const bound_plan* P, double* q, const double* qt,
 #pragma GCC pop_options
 """
 
-SOURCE = (
-    _KERNELS
+#: What every unit starts with: the includes, the helpers more than one
+#: unit inlines, the plan typedefs and the entry-point prototypes.
+PRELUDE = (
+    _HEAD
     + "".join(f"\ntypedef struct {{{body}\n}} {name};\n" for name, body in PLANS.items())
-    + _PLAN_CODE
+    + _ENTRY_POINTS
 )
+
+#: The translation units, each the prelude plus whole kernels, balanced
+#: by compile time: the viscous stresses alone cost about as much as
+#: either other unit, so the rate goes with the flux (together, the whole
+#: Euler phase) and the filter with the plans that call it.
+UNITS = {
+    "inviscid": PRELUDE + _PRIM_FLUX + _RATE,
+    "viscous": PRELUDE + _VISC,
+    "filter_plans": PRELUDE + _FILTER + _PLAN_CODE,
+}
 
 MuFn = ctypes.CFUNCTYPE(None)
 _SCALARS = {"double": ctypes.c_double, "long": ctypes.c_long, "int": ctypes.c_int,
@@ -923,6 +978,40 @@ def _cache_dir() -> str:
     return root
 
 
+def compile_units(cc: str, out_dir: str, extra: tuple[str, ...] = ()) -> dict[str, str]:
+    """Compile every unit of :data:`UNITS` to ``out_dir/<unit>.o``, one
+    compiler process per unit, all started together; returns each unit's
+    diagnostics.
+
+    Every process has exited when this returns or raises.  Raises
+    ``RuntimeError`` with the diagnostics of the first unit that failed.
+    """
+    procs = {}
+    try:
+        for name, text in UNITS.items():
+            src = os.path.join(out_dir, f"{name}.c")
+            with open(src, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            obj = os.path.join(out_dir, f"{name}.o")
+            procs[name] = subprocess.Popen(
+                [cc, *CFLAGS, *extra, "-c", src, "-o", obj],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+        diagnostics = {name: proc.communicate()[1] for name, proc in procs.items()}
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    for name, proc in procs.items():
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"{cc} failed on unit {name!r} ({proc.returncode}): "
+                f"{diagnostics[name].strip()}"
+            )
+    return diagnostics
+
+
 def build_library(cc: str | None = None) -> str:
     """Compile (or reuse) the kernel shared object; returns its path.
 
@@ -939,7 +1028,7 @@ def build_library(cc: str | None = None) -> str:
             )
         raise RuntimeError("no C compiler found (cc/gcc/clang; set $REPRO_CC)")
     key = hashlib.sha256(
-        ("\x00".join((cc, *CFLAGS)) + SOURCE).encode()
+        "\x00".join((cc, *CFLAGS, *LDFLAGS, *UNITS, *UNITS.values())).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = os.path.join(cache, f"repro_kernels_{key}.so")
@@ -947,18 +1036,15 @@ def build_library(cc: str | None = None) -> str:
         return lib_path
     os.makedirs(cache, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        src = os.path.join(tmp, "repro_kernels.c")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(SOURCE)
+        compile_units(cc, tmp)
         out = os.path.join(tmp, "repro_kernels.so")
+        objects = [os.path.join(tmp, f"{name}.o") for name in UNITS]
         proc = subprocess.run(
-            [cc, *CFLAGS, src, "-o", out],
-            capture_output=True,
-            text=True,
+            [cc, *LDFLAGS, *objects, "-o", out], capture_output=True, text=True
         )
         if proc.returncode != 0:
             raise RuntimeError(
-                f"{cc} failed ({proc.returncode}): {proc.stderr.strip()}"
+                f"{cc} failed to link ({proc.returncode}): {proc.stderr.strip()}"
             )
         # Atomic publish: concurrent builders (forked ranks racing on a
         # cold cache) each rename their own file onto the same key.

@@ -56,7 +56,8 @@ def _c_contig(a: np.ndarray) -> np.ndarray:
 
 
 class CcOps:
-    """The C translation unit in ``_cc.py`` via the system compiler.
+    """The C kernels of ``_cc.py``, one shared object built from its
+    translation units by the system compiler.
 
     A step runs from the plans of a :class:`CompiledWorkspace`; this
     class loads the library and turns arrays into the addresses the

@@ -21,6 +21,7 @@ import copy
 import os
 import re
 import subprocess
+import sys
 import tempfile
 import threading
 import types
@@ -590,32 +591,108 @@ def test_steady_state_step_caches_no_new_pointer(ops, monkeypatch):
         assert not registered, [a.shape for a in registered]
 
 
-def test_marked_loops_vectorize():
-    """Every ``/* vec */`` loop of the C source — primitives + flux, the
-    stress row, the rate and combine rows, the filter rows — is reported
-    vectorized by gcc under the pinned flags: an edit that puts a branch
-    or a may-alias pointer back into one fails here, not in a benchmark."""
+def _compiler_or_skip():
     cc = _cc.find_compiler()
     if cc is None:
         pytest.skip("no C compiler")
+    return cc
+
+
+def test_marked_loops_vectorize():
+    """Every ``/* vec */`` loop of the C units — primitives + flux, the
+    stress row, the rate and combine rows, the filter rows — is reported
+    vectorized by gcc under the pinned flags, in the unit that holds it:
+    an edit that puts a branch or a may-alias pointer back into one fails
+    here, not in a benchmark."""
+    cc = _compiler_or_skip()
     version = subprocess.run([cc, "--version"], capture_output=True, text=True)
     if "Free Software Foundation" not in version.stdout:
         pytest.skip(f"{cc} is not gcc: no -fopt-info-vec")
-    lines = _cc.SOURCE.split("\n")
-    marked = {n for n, line in enumerate(lines, 1) if "/* vec */" in line}
-    assert len(marked) >= 10
     with tempfile.TemporaryDirectory() as tmp:
-        src = os.path.join(tmp, "k.c")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_cc.SOURCE)
-        proc = subprocess.run(
-            [cc, *_cc.CFLAGS, "-fopt-info-vec-optimized", src,
-             "-o", os.path.join(tmp, "k.so")],
-            capture_output=True, text=True, check=True,
+        reports = _cc.compile_units(cc, tmp, ("-fopt-info-vec-optimized",))
+    n_marked, missed = 0, []
+    for unit, text in _cc.UNITS.items():
+        lines = text.split("\n")
+        marked = {n for n, line in enumerate(lines, 1) if "/* vec */" in line}
+        vectorized = {
+            int(m.group(1))
+            for m in re.finditer(
+                rf"{unit}\.c:(\d+):\d+: optimized: loop vectorized", reports[unit]
+            )
+        }
+        n_marked += len(marked)
+        missed += [(unit, n, lines[n - 1].strip()) for n in sorted(marked - vectorized)]
+    assert n_marked >= 10
+    assert not missed, missed
+
+
+def test_compiler_host_resolves_the_cc_engine():
+    """Where a compiler exists, the compiled backend runs the C kernels: a
+    broken unit fails here instead of skipping the ``ops`` tests and
+    leaving the compiled rows to run fused, bit-equal."""
+    _compiler_or_skip()
+    assert resolve_ops().engine == "cc"
+
+
+def test_cold_cache_race_publishes_one_library(tmp_path):
+    """Two processes that build into one empty cache at once get the same
+    path, and leave one library and no build directory behind."""
+    _compiler_or_skip()
+    cache, ready = tmp_path / "cache", tmp_path / "ready"
+    ready.mkdir()
+    # Each builder waits until both have started, so both find the cache
+    # empty and compile.
+    code = (
+        "import os, sys, time\n"
+        "from repro.numerics.kernels import _cc\n"
+        "open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+        "while len(os.listdir(sys.argv[1])) < 2:\n"
+        "    time.sleep(0.001)\n"
+        "print(_cc.build_library())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), REPRO_CC_CACHE=str(cache))
+    builders = [
+        subprocess.Popen(
+            [sys.executable, "-c", code, str(ready)], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-    vectorized = {
-        int(m.group(1))
-        for m in re.finditer(r"k\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)
-    }
-    missed = sorted(marked - vectorized)
-    assert not missed, [(n, lines[n - 1].strip()) for n in missed]
+        for _ in range(2)
+    ]
+    try:
+        outs = [b.communicate(timeout=120) for b in builders]
+    finally:
+        for b in builders:
+            b.kill()
+            b.wait()
+    assert [b.returncode for b in builders] == [0, 0], [err for _, err in outs]
+    paths = {out.strip() for out, _ in outs}
+    assert len(paths) == 1
+    (path,) = paths
+    assert os.listdir(cache) == [os.path.basename(path)]
+    assert re.fullmatch(r"repro_kernels_[0-9a-f]{16}\.so", os.listdir(cache)[0])
+
+
+def test_failed_unit_raises_its_diagnostics_and_leaves_nothing(tmp_path, monkeypatch):
+    """A unit that lost a definition (here ``diff24``, which the rate rows
+    call) fails the build — an implicit declaration is an error — with
+    that unit's diagnostics; every compiler process has exited, and no
+    library or build directory is left in the cache."""
+    _compiler_or_skip()
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+    broken = _cc.UNITS["inviscid"].replace("double diff24(", "double diff24_gone(")
+    monkeypatch.setitem(_cc.UNITS, "inviscid", broken)
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(_cc.subprocess, "Popen", recording_popen)
+    with pytest.raises(RuntimeError, match=r"(?s)unit 'inviscid'.*diff24") as exc:
+        _cc.build_library()
+    assert "unit 'viscous'" not in str(exc.value)
+    assert "unit 'filter_plans'" not in str(exc.value)
+    assert len(started) == len(_cc.UNITS)
+    assert all(proc.returncode is not None for proc in started)
+    assert os.listdir(tmp_path) == []
