@@ -24,7 +24,7 @@ from .boundary import (
     apply_axis_ghosts,
     characteristic_outflow_rates,
 )
-from .timestep import stable_dt
+from .timestep import SolutionDiverged, stable_dt
 from .solver import EulerSolver, NavierStokesSolver, SolverConfig
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "apply_axis_ghosts",
     "characteristic_outflow_rates",
     "stable_dt",
+    "SolutionDiverged",
     "EulerSolver",
     "NavierStokesSolver",
     "SolverConfig",

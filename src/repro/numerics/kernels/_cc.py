@@ -26,11 +26,18 @@ configuration, so a step is four foreign calls — ``k_sweep`` twice,
 :data:`PLANS`; the C typedef and its ctypes mirror are both generated from
 that text, so the two layouts cannot drift.
 
-The shared object is cached on disk keyed by a hash of the units and the
-compiler command (``$REPRO_CC_CACHE`` or ``~/.cache/repro-cc``), so only
-the first process on a machine ever pays the compile; later processes —
-including forked process-substrate ranks — just ``dlopen`` the cached
-library.
+The units are built for the CPU they run on (:data:`HOST_CFLAGS`:
+``-march=native`` at 256-bit vectors) and the bits do not depend on it —
+``tests/test_compiled.py`` holds whole runs of the host build to a build
+with the generic flags.  Where the CPU's identity cannot be read, or the
+compiler refuses the host flags, the generic flags build the library.
+
+The shared object is cached on disk keyed by a hash of the units, the
+compiler command and the CPU's instruction-set identity
+(``$REPRO_CC_CACHE`` or ``~/.cache/repro-cc``), so only the first process
+on a machine ever pays the compile; later processes — including forked
+process-substrate ranks — just ``dlopen`` the cached library, and a cache
+shared between CPUs keeps one library per instruction set.
 """
 
 from __future__ import annotations
@@ -47,11 +54,23 @@ import tempfile
 CC_ENV_VAR = "REPRO_CC"
 CACHE_ENV_VAR = "REPRO_CC_CACHE"
 
-#: Flags pinned for bitwise reproducibility: optimization without value
-#: changes (no fast-math, no FMA contraction of a*b+c).  A call to an
-#: undeclared function is an error: a unit that lost a definition fails
-#: its build instead of producing a library that cannot be loaded.
-CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off", "-Werror=implicit-function-declaration")
+#: Flags of every build, pinned for bitwise reproducibility: optimization
+#: without value changes (no fast-math, no FMA contraction of a*b+c), at
+#: any vector width.  A call to an undeclared function is an error: a unit
+#: that lost a definition fails its build instead of producing a library
+#: that cannot be loaded.  Loop splitting is off: it made the objects and
+#: the compile time about a tenth larger and the step no faster (DESIGN.md
+#: section 7).  Alone, these flags are the generic build.
+CFLAGS = (
+    "-O3", "-fPIC", "-ffp-contract=off", "-fno-split-loops",
+    "-Werror=implicit-function-declaration",
+)
+#: The host build adds the CPU's own instruction set at 256-bit vectors:
+#: 512-bit ones ran no faster on an AVX-512 Xeon and compile slower
+#: (DESIGN.md section 7).  The values do not move: without contraction and
+#: fast-math, add, multiply, divide and sqrt round exactly at any width,
+#: and no libm call is vectorized.
+HOST_CFLAGS = ("-march=native", "-mprefer-vector-width=256")
 #: The units' objects are linked into one shared object.
 LDFLAGS = ("-shared",)
 
@@ -978,13 +997,36 @@ def _cache_dir() -> str:
     return root
 
 
+def isa_identity() -> str | None:
+    """The instruction-set extensions of this host's CPU — the ``flags``
+    line of ``/proc/cpuinfo`` — or ``None`` where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return None
+
+
+class CompileError(RuntimeError):
+    """A unit of :data:`UNITS` failed to compile.  ``every_unit`` when all
+    of them did: the command line or the prelude, not one kernel."""
+
+    def __init__(self, message: str, every_unit: bool) -> None:
+        super().__init__(message)
+        self.every_unit = every_unit
+
+
 def compile_units(cc: str, out_dir: str, extra: tuple[str, ...] = ()) -> dict[str, str]:
     """Compile every unit of :data:`UNITS` to ``out_dir/<unit>.o``, one
     compiler process per unit, all started together; returns each unit's
     diagnostics.
 
     Every process has exited when this returns or raises.  Raises
-    ``RuntimeError`` with the diagnostics of the first unit that failed.
+    :class:`CompileError` with the diagnostics of the first unit that
+    failed.
     """
     procs = {}
     try:
@@ -1003,17 +1045,25 @@ def compile_units(cc: str, out_dir: str, extra: tuple[str, ...] = ()) -> dict[st
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-    for name, proc in procs.items():
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{cc} failed on unit {name!r} ({proc.returncode}): "
-                f"{diagnostics[name].strip()}"
-            )
+    failed = [name for name, proc in procs.items() if proc.returncode != 0]
+    if failed:
+        name = failed[0]
+        raise CompileError(
+            f"{cc} failed on unit {name!r} ({procs[name].returncode}): "
+            f"{diagnostics[name].strip()}",
+            every_unit=len(failed) == len(procs),
+        )
     return diagnostics
 
 
 def build_library(cc: str | None = None) -> str:
     """Compile (or reuse) the kernel shared object; returns its path.
+
+    The units are built for this host's CPU (:data:`HOST_CFLAGS`), keyed
+    by its :func:`isa_identity` so a shared cache never hands one CPU's
+    instructions to another.  Where that identity cannot be read, or every
+    unit fails under the host flags (a compiler that rejects them), the
+    build uses :data:`CFLAGS` alone.
 
     Raises ``RuntimeError`` with the compiler diagnostics on failure; the
     caller (``compiled.CcOps``) converts that into
@@ -1027,8 +1077,21 @@ def build_library(cc: str | None = None) -> str:
                 f"C compiler ${CC_ENV_VAR}={forced!r} not found on PATH"
             )
         raise RuntimeError("no C compiler found (cc/gcc/clang; set $REPRO_CC)")
+    isa = isa_identity()
+    if isa is not None:
+        try:
+            return _build(cc, HOST_CFLAGS, isa)
+        except CompileError as exc:
+            if not exc.every_unit:
+                raise
+    return _build(cc, (), "")
+
+
+def _build(cc: str, flags: tuple[str, ...], isa: str) -> str:
+    """The library of the units built with ``CFLAGS + flags``, cached
+    under a key of the compiler, every flag, ``isa`` and every unit."""
     key = hashlib.sha256(
-        "\x00".join((cc, *CFLAGS, *LDFLAGS, *UNITS, *UNITS.values())).encode()
+        "\x00".join((cc, *CFLAGS, *flags, isa, *LDFLAGS, *UNITS, *UNITS.values())).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = os.path.join(cache, f"repro_kernels_{key}.so")
@@ -1036,7 +1099,7 @@ def build_library(cc: str | None = None) -> str:
         return lib_path
     os.makedirs(cache, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        compile_units(cc, tmp)
+        compile_units(cc, tmp, flags)
         out = os.path.join(tmp, "repro_kernels.so")
         objects = [os.path.join(tmp, f"{name}.o") for name in UNITS]
         proc = subprocess.run(

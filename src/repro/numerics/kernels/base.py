@@ -20,11 +20,27 @@ computed flow field.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from ..maccormack import SweepScratch
+
+#: Byte alignment of every workspace buffer: one cache line, and one
+#: 512-bit vector.  numpy's own allocations start on 16 bytes, so a
+#: 64-byte vector load or store of the kernels would straddle two lines.
+ALIGN = 64
+
+
+def aligned(shape: tuple[int, ...], zero: bool = False) -> np.ndarray:
+    """A C-contiguous float64 array of ``shape`` whose data starts on an
+    :data:`ALIGN`-byte boundary: uninitialised, or zeroed with ``zero``.
+    A view into a slightly longer buffer, which it keeps alive."""
+    n = math.prod(shape)
+    raw = (np.zeros if zero else np.empty)(n + ALIGN // 8)
+    start = -raw.ctypes.data % ALIGN // 8
+    return raw[start : start + n].reshape(shape)
 
 
 class KernelBackend(ABC):
@@ -83,31 +99,31 @@ class StepWorkspace:
         nvars, nx, nr = shape
         self.shape = shape
         # State rotation + shared sweep scratch.
-        self.state_a = np.empty(shape)
-        self.state_b = np.empty(shape)
-        self.q_star = np.empty(shape)
-        self.rate = np.empty(shape)
+        self.state_a = aligned(shape)
+        self.state_b = aligned(shape)
+        self.q_star = aligned(shape)
+        self.rate = aligned(shape)
         # Flux evaluation: one shared directional flux vector and the
         # axisymmetric source (rows 0, 1, 3 stay zero forever; only row 2 is
         # rewritten per call).
-        self.F = np.empty(shape)
-        self.S = np.zeros(shape)
+        self.F = aligned(shape)
+        self.S = aligned(shape, zero=True)
         # Primitives (shared by inviscid assembly and viscous gradients).
         plane = (nx, nr)
-        self.u = np.empty(plane)
-        self.v = np.empty(plane)
-        self.p = np.empty(plane)
-        self.T = np.empty(plane) if viscous else None
-        self.tau_tt = np.empty(plane) if viscous else None
-        self.mu = np.empty(plane) if (viscous and mu_field) else None
+        self.u = aligned(plane)
+        self.v = aligned(plane)
+        self.p = aligned(plane)
+        self.T = aligned(plane) if viscous else None
+        self.tau_tt = aligned(plane) if viscous else None
+        self.mu = aligned(plane) if (viscous and mu_field) else None
         # Boundary strip snapshot (trailing <=5 columns).
-        self.q_tail = np.empty((nvars, min(5, nx), nr))
+        self.q_tail = aligned((nvars, min(5, nx), nr))
         # Ghost planes a boundary closure supplies (axis mirror, periodic
         # wrap) for a stencil along axis 1 / 2: a (low, high) pair of
         # (2, nvars, plane) buffers, planes ordered outward.  Sweeps and
         # filter run one after the other, so they share them.
         self.ghosts = {
-            axis: (np.empty((2, nvars, m)), np.empty((2, nvars, m)))
+            axis: (aligned((2, nvars, m)), aligned((2, nvars, m)))
             for axis, m in ((1, nr), (2, nx))
         }
         self._alloc_kernel_scratch(viscous)
@@ -118,25 +134,25 @@ class StepWorkspace:
         gradient and stress as its own plane.  The compiled workspace keeps
         those in registers and allocates none of them."""
         nvars, nx, nr = self.shape
-        self.tmp3 = np.empty(self.shape)
-        self.ext_x = np.empty((nvars, nx + 4, nr))
-        self.ext_r = np.empty((nvars, nx, nr + 4))
+        self.tmp3 = aligned(self.shape)
+        self.ext_x = aligned((nvars, nx + 4, nr))
+        self.ext_r = aligned((nvars, nx, nr + 4))
         self.sweep_x = SweepScratch(self.ext_x, self.q_star, self.rate, self.tmp3)
         self.sweep_r = SweepScratch(self.ext_r, self.q_star, self.rate, self.tmp3)
         plane = (nx, nr)
-        self.inv_rho = np.empty(plane)
-        self.t2a = np.empty(plane)
-        self.t2b = np.empty(plane)
+        self.inv_rho = aligned(plane)
+        self.t2a = aligned(plane)
+        self.t2b = aligned(plane)
         if viscous:
-            self.g_ux = np.empty(plane)  # du/dx
-            self.g_ur = np.empty(plane)  # du/dr
-            self.g_vx = np.empty(plane)  # dv/dx
-            self.g_vr = np.empty(plane)  # dv/dr
-            self.g_t = np.empty(plane)  # dT/dx or dT/dr (per direction)
-            self.dilat = np.empty(plane)
-            self.tau_n = np.empty(plane)  # tau_xx (axial) / tau_rr (radial)
-            self.tau_s = np.empty(plane)  # tau_xr
-            self.heat = np.empty(plane)
+            self.g_ux = aligned(plane)  # du/dx
+            self.g_ur = aligned(plane)  # du/dr
+            self.g_vx = aligned(plane)  # dv/dx
+            self.g_vr = aligned(plane)  # dv/dr
+            self.g_t = aligned(plane)  # dT/dx or dT/dr (per direction)
+            self.dilat = aligned(plane)
+            self.tau_n = aligned(plane)  # tau_xx (axial) / tau_rr (radial)
+            self.tau_s = aligned(plane)  # tau_xr
+            self.heat = aligned(plane)
 
     def rotate_states(self, q_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Output buffers for the step's two sweeps given the input state.

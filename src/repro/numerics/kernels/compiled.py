@@ -36,7 +36,7 @@ from ... import constants
 from ...physics import eos
 from ..boundary import AXIS_FLUX_SIGNS, AXIS_STATE_SIGNS, ghost_rules
 from . import _cc
-from .base import KernelBackend, StepWorkspace
+from .base import KernelBackend, StepWorkspace, aligned
 
 
 class BackendUnavailable(RuntimeError):
@@ -118,7 +118,8 @@ class CcOps:
         key = (n, float(x))
         row = self._rows.get(key)
         if row is None:
-            row = self._rows[key] = np.full(n, key[1])
+            row = self._rows[key] = aligned((n,))
+            row.fill(key[1])
         return row
 
 
@@ -196,7 +197,7 @@ class CompiledWorkspace(StepWorkspace):
         #: The source's one live row.
         self.S2 = self.S[2]
         #: The conductivity beside a power-law viscosity.
-        self.k = np.empty(shape[1:]) if mu_field else None
+        self.k = aligned(shape[1:]) if mu_field else None
 
     def _alloc_kernel_scratch(self, viscous: bool) -> None:
         """Nothing: the C loops keep every numpy temporary in registers."""
@@ -232,7 +233,7 @@ class CompiledWorkspace(StepWorkspace):
             and solver._sponge_col is not None
         )
         ramp = sponge.ramp(nr) if owns_sponge else np.empty(0)
-        dF = np.empty((4, nr))
+        dF = aligned((4, nr))
         self._bounds = {
             v: self.ops.plan(
                 _cc.BoundPlan, ax=win._sweep_plan(solver, 1, v),

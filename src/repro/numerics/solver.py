@@ -52,7 +52,7 @@ from .kernels import (
 )
 from .maccormack import PREDICTOR, SplitOperator, SweepWorkspace
 from .stencils import extend_axis
-from .timestep import stable_dt
+from .timestep import SolutionDiverged, stable_dt
 
 
 @dataclass
@@ -339,15 +339,20 @@ class CompressibleSolver:
         if cfg.dt is not None:
             return cfg.dt
         if self._dt_is_due():
-            self._dt_cached = stable_dt(
-                self.state.q,
-                self.grid.dx,
-                self.grid.dr,
-                cfl=cfg.cfl,
-                mu=self.fm.mu,
-                gamma=cfg.gamma,
-            )
+            self._dt_cached = self._stable_dt(self.state.q)
         return self._dt_cached
+
+    def _stable_dt(self, q: np.ndarray) -> float:
+        """``stable_dt`` of ``q`` under this solver's configuration; raises
+        :class:`~repro.numerics.timestep.SolutionDiverged` naming the step
+        when the estimate is not finite and positive."""
+        cfg = self.config
+        dt = stable_dt(
+            q, self.grid.dx, self.grid.dr, cfl=cfg.cfl, mu=self.fm.mu, gamma=cfg.gamma
+        )
+        if not 0.0 < dt < np.inf:
+            raise SolutionDiverged(self.nstep, dt)
+        return dt
 
     # -- boundary updates -------------------------------------------------------
     def _outflow_rates(self, q: np.ndarray, variant: int) -> np.ndarray:

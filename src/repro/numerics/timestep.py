@@ -8,6 +8,21 @@ from .. import constants
 from ..physics import eos
 
 
+class SolutionDiverged(FloatingPointError):
+    """The adaptive time step estimated at ``step`` is not finite and
+    positive: the state holds a NaN, an infinity or a negative pressure or
+    density, and no later step can mean anything."""
+
+    def __init__(self, step: int, dt: float) -> None:
+        self.step = step
+        self.dt = dt
+        super().__init__(f"solution diverged at step {step}: stable dt = {dt!r}")
+
+    def __reduce__(self):
+        # Rebuilt from its fields, so it survives a process boundary.
+        return (type(self), (self.step, self.dt))
+
+
 def stable_dt(
     q: np.ndarray,
     dx: float,

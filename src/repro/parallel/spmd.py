@@ -39,7 +39,6 @@ import numpy as np
 from ..grid import Grid
 from ..msglib.api import Communicator
 from ..numerics.solver import CompressibleSolver, SolverConfig
-from ..numerics.timestep import stable_dt
 from ..obs import bind_rank
 from ..physics.state import FlowState
 from .halo import ExchangePlan, describe_depth, halo_depth
@@ -175,14 +174,7 @@ class BlockDistributedSolver(CompressibleSolver):
         cfg = self.config
         due = self._dt_is_due()
         if due:
-            local = stable_dt(
-                self.owned,
-                self.grid.dx,
-                self.grid.dr,
-                cfl=cfg.cfl,
-                mu=self.fm.mu,
-                gamma=cfg.gamma,
-            )
+            local = self._stable_dt(self.owned)
         pending, self._pending = self._pending, None
         if pending is not None:
             pending.finish()

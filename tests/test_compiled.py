@@ -12,6 +12,10 @@ Like the fused backend, it must change performance only, never results:
   write over, and a step makes at most four foreign calls; whole runs —
   serial, every decomposition and substrate — are the ``compiled`` rows of
   ``test_lattice.py``, held to exact equality;
+* the library built for the host's own vector unit steps every physics
+  and a rank block exactly like one built with the generic flags, a
+  shared cache keeps one library per instruction set, and a compiler
+  that refuses the host flags still yields the ``cc`` engine;
 * selection mirrors the other backends: ``SolverConfig.backend`` (or
   ``run(..., backend=)``), and a clean ``BackendUnavailable`` fallback to
   the fused workspace (with a ``RuntimeWarning``, never a crash).
@@ -20,11 +24,13 @@ Like the fused backend, it must change performance only, never results:
 import copy
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 import threading
 import types
+import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -33,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perturbed_jet
-from repro import constants, jet_scenario
+from repro import constants, jet_scenario, periodic_advection_scenario, run
 from repro.grid import Grid
 from repro.msglib import VirtualCluster
 from repro.numerics.kernels import (
@@ -601,28 +607,31 @@ def _compiler_or_skip():
 def test_marked_loops_vectorize():
     """Every ``/* vec */`` loop of the C units — primitives + flux, the
     stress row, the rate and combine rows, the filter rows — is reported
-    vectorized by gcc under the pinned flags, in the unit that holds it:
-    an edit that puts a branch or a may-alias pointer back into one fails
-    here, not in a benchmark."""
+    vectorized by gcc in the unit that holds it, under the generic flags
+    and under this host's: an edit that puts a branch or a may-alias
+    pointer back into one fails here, not in a benchmark."""
     cc = _compiler_or_skip()
     version = subprocess.run([cc, "--version"], capture_output=True, text=True)
     if "Free Software Foundation" not in version.stdout:
         pytest.skip(f"{cc} is not gcc: no -fopt-info-vec")
-    with tempfile.TemporaryDirectory() as tmp:
-        reports = _cc.compile_units(cc, tmp, ("-fopt-info-vec-optimized",))
     n_marked, missed = 0, []
-    for unit, text in _cc.UNITS.items():
-        lines = text.split("\n")
-        marked = {n for n, line in enumerate(lines, 1) if "/* vec */" in line}
-        vectorized = {
-            int(m.group(1))
-            for m in re.finditer(
-                rf"{unit}\.c:(\d+):\d+: optimized: loop vectorized", reports[unit]
-            )
-        }
-        n_marked += len(marked)
-        missed += [(unit, n, lines[n - 1].strip()) for n in sorted(marked - vectorized)]
-    assert n_marked >= 10
+    for flags in ((), _cc.HOST_CFLAGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            reports = _cc.compile_units(cc, tmp, (*flags, "-fopt-info-vec-optimized"))
+        for unit, text in _cc.UNITS.items():
+            lines = text.split("\n")
+            marked = {n for n, line in enumerate(lines, 1) if "/* vec */" in line}
+            vectorized = {
+                int(m.group(1))
+                for m in re.finditer(
+                    rf"{unit}\.c:(\d+):\d+: optimized: loop vectorized", reports[unit]
+                )
+            }
+            n_marked += len(marked)
+            missed += [
+                (flags, unit, n, lines[n - 1].strip()) for n in sorted(marked - vectorized)
+            ]
+    assert n_marked >= 20
     assert not missed, missed
 
 
@@ -696,3 +705,98 @@ def test_failed_unit_raises_its_diagnostics_and_leaves_nothing(tmp_path, monkeyp
     assert len(started) == len(_cc.UNITS)
     assert all(proc.returncode is not None for proc in started)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def generic_ops(tmp_path_factory):
+    """The kernels built a second time, with the generic flags alone (as
+    on a host whose ISA identity cannot be read), into a temporary cache."""
+    _compiler_or_skip()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CC_CACHE", str(tmp_path_factory.mktemp("generic-cc")))
+        mp.setattr(_cc, "isa_identity", lambda: None)
+        return compiled.CcOps()
+
+
+def _advance(sc, steps=20, **config):
+    """``steps`` compiled steps of ``sc`` with ``config`` overrides."""
+    cfg = copy.deepcopy(sc.solver.config)
+    cfg.backend = "compiled"
+    for name, value in config.items():
+        setattr(cfg, name, value)
+    return CompressibleSolver(copy.deepcopy(sc.state), cfg).run(steps).q
+
+
+#: 20-step runs that take every plan variant the physics selects — the
+#: stress kernel with a constant and a field viscosity, Euler, the planar
+#: wrap ghosts — and a rank block, whose ghost lines are halo lines.
+ISA_CASES = {
+    "navier-stokes": lambda: _advance(perturbed_jet(40, 16)),
+    "navier-stokes-power-law": lambda: _advance(perturbed_jet(40, 16), mu_exponent=0.7),
+    "euler": lambda: _advance(perturbed_jet(40, 16, viscous=False)),
+    "planar-periodic": lambda: _advance(periodic_advection_scenario(n=24)),
+    "block-2x1": lambda: run(
+        perturbed_jet(40, 16), steps=20, nprocs=2, backend="compiled", ledger=False
+    ).state.q,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISA_CASES))
+def test_host_isa_build_equals_the_generic_build(ops, generic_ops, monkeypatch, case):
+    """The library built for this CPU's own vector unit and the one built
+    with the generic flags step bit for bit alike: without contraction
+    and fast-math every add, multiply, divide and sqrt rounds the same at
+    any vector width."""
+    assert generic_ops._lib._name != ops._lib._name
+    monkeypatch.setattr(compiled, "_OPS", ops)
+    host = ISA_CASES[case]()
+    monkeypatch.setattr(compiled, "_OPS", generic_ops)
+    generic = ISA_CASES[case]()
+    assert np.isfinite(host).all()
+    assert np.array_equal(_bits(host), _bits(generic))
+
+
+def test_each_isa_identity_builds_its_own_library(tmp_path, monkeypatch):
+    """A cache shared by two CPUs keeps one object per instruction set, so
+    one CPU's vector instructions are never loaded on the other."""
+    cc = _compiler_or_skip()
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+    monkeypatch.setattr(_cc, "UNITS", {"tiny": "int tiny(void) { return 1; }\n"})
+    paths = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for isa in ("fpu sse2 avx2", "fpu sse2 avx2 avx512f"):
+            monkeypatch.setattr(_cc, "isa_identity", lambda isa=isa: isa)
+            paths.append(_cc.build_library(cc))
+            assert _cc.build_library(cc) == paths[-1]  # cached
+    assert len(set(paths)) == 2
+    assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the wrapper is a shell script")
+def test_a_compiler_rejecting_the_host_flags_builds_generic(tmp_path, monkeypatch):
+    """Where ``$REPRO_CC`` refuses ``-march=native``, the units are built
+    again with the generic flags: the engine is still ``cc``, and nothing
+    warns."""
+    cc = shutil.which(_compiler_or_skip())
+    log, wrapper = tmp_path / "calls.log", tmp_path / "cc-generic-only"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'echo "$*" >> "{log}"\n'
+        'for a in "$@"; do\n'
+        '  if [ "$a" = -march=native ]; then echo "unsupported: $a" >&2; exit 1; fi\n'
+        "done\n"
+        f'exec "{cc}" "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(wrapper))
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(_cc, "isa_identity", lambda: "fpu sse2 avx2 avx512f")
+    monkeypatch.setattr(compiled, "_OPS", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_ops().engine == "cc"
+    compiles = [call for call in log.read_text().splitlines() if " -c " in call]
+    host = [call for call in compiles if "-march=native" in call]
+    assert len(host) == len(_cc.UNITS)
+    assert len(compiles) == 2 * len(_cc.UNITS)

@@ -205,6 +205,55 @@ class TestWorkspaceMechanics:
                 has_workspace(CartesianDecomposition(grid.nx, grid.nr, px, pr))
             )
 
+    #: What a workspace hands the kernels: the state ping-pong, the sweep
+    #: scratch, the flux, source and primitive planes, the viscosity and
+    #: conductivity of a power-law run, and the outflow strip.
+    KERNEL_BUFFERS = (
+        "state_a", "state_b", "q_star", "rate", "F", "S", "u", "v", "p",
+        "T", "tau_tt", "mu", "k", "q_tail",
+    )
+
+    @classmethod
+    def misaligned(cls, solver) -> list[str]:
+        """The kernel buffers of ``solver``'s two workspaces (the state's and
+        the outflow window's) that do not start on a 64-byte boundary."""
+        bad = []
+        for where, ws in (("state", solver._ws), ("window", solver._ws_window)):
+            named = [(n, getattr(ws, n, None)) for n in cls.KERNEL_BUFFERS]
+            named += [
+                (f"ghosts[{axis}][{side}]", ws.ghosts[axis][side])
+                for axis in (1, 2) for side in (0, 1)
+            ]
+            bad += [
+                f"{where}.{n}" for n, a in named
+                if a is not None and a.ctypes.data % 64
+            ]
+        return bad
+
+    @pytest.mark.parametrize("backend", ["fused", "compiled"])
+    def test_kernel_buffers_start_on_a_cache_line(self, backend):
+        """Every buffer a workspace hands the kernels starts on a 64-byte
+        boundary — a cache line, one 512-bit vector — serially, in the
+        outflow window and on both ranks of a 2-rank block: numpy's own
+        allocations start on 16 bytes, and a wide store then splits a
+        line."""
+        from repro.msglib.virtual import VirtualCluster
+        from repro.parallel.decomposition import CartesianDecomposition
+        from repro.parallel.spmd import BlockDistributedSolver
+
+        sc = jet_scenario(nx=40, nr=18)
+        config = dataclasses.replace(sc.solver.config, backend=backend, mu_exponent=0.7)
+        serial = type(sc.solver)(sc.state, config)
+        assert serial._ws.mu is not None and serial._ws.q_tail is not None
+        decomp = CartesianDecomposition(40, 18, 2, 1)
+        blocks = VirtualCluster(2, timeout=60).run(
+            lambda comm: self.misaligned(
+                BlockDistributedSolver(comm, sc.grid, sc.state.q, config, decomp)
+            )
+        )
+        assert self.misaligned(serial) == []
+        assert blocks == [[], []]
+
 
 class TestCompiledHaloEngagement:
     """A compiled run — serial or on any decomposition, the characteristic

@@ -206,6 +206,23 @@ class TestFailures:
             with pytest.raises(JobFailed):
                 svc.result(job.id)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_fails_and_is_not_stored(self, tmp_path):
+        """A run that goes non-finite fails with the step it diverged at,
+        and its NaN state is never served from the store."""
+        req = RunRequest.from_run_args(
+            "jet", nx=24, nr=12, steps=2000, backend="baseline"
+        )
+        with make_service(tmp_path, workers=1) as svc:
+            done = svc.wait(svc.submit(req).id, timeout=120)
+            assert done.status == "failed"
+            assert "SolutionDiverged" in done.error
+            assert "diverged at step" in done.error
+            again = svc.submit(req)
+            assert again.status != "cached"
+            assert svc.wait(again.id, timeout=120).status == "failed"
+            assert svc.executed == 0
+
     def test_worker_crash_fails_job_and_pool_recovers(self, tmp_path):
         with make_service(tmp_path, workers=1) as svc:
             job = svc.submit(sod_request(steps=100000))

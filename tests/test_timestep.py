@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import run
 from repro.grid import Grid
-from repro.numerics.timestep import stable_dt
+from repro.msglib import RankFailure
+from repro.numerics.timestep import SolutionDiverged, stable_dt
 from repro.physics.state import FlowState
 
 from conftest import random_physical_state
@@ -65,3 +67,26 @@ class TestDecompositionProperty:
             stable_dt(st.q[:, lo:hi, :], g.dx, g.dr) for lo, hi in slabs
         ]
         assert min(local) == global_dt  # exact equality
+
+
+#: A jet too coarse to stay stable: it goes non-finite within ~100 steps.
+DIVERGING = dict(nx=24, nr=12, steps=2000, backend="baseline", ledger=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    """A run whose state goes non-finite stops with a structured error
+    naming the step, instead of returning ``t = nan``."""
+
+    def test_serial_run_raises_naming_the_step(self):
+        with pytest.raises(SolutionDiverged, match=r"diverged at step \d+") as exc:
+            run("jet", **DIVERGING)
+        assert 0 < exc.value.step < DIVERGING["steps"]
+        assert not 0.0 < exc.value.dt < np.inf
+
+    @pytest.mark.parametrize("substrate", ["virtual", "process"])
+    def test_distributed_run_raises_a_rank_failure(self, substrate):
+        with pytest.raises(RankFailure) as exc:
+            run("jet", nprocs=2, substrate=substrate, **DIVERGING)
+        assert isinstance(exc.value.__cause__, SolutionDiverged)
+        assert exc.value.step == exc.value.__cause__.step > 0
