@@ -5,37 +5,34 @@ daemon *thread* — real message passing, but serialized by the GIL, so
 ``nprocs=8`` is slower than serial.  This module is the third execution
 substrate: :class:`ProcessCluster` forks one worker process per rank and
 :class:`ProcessCommunicator` implements the same :class:`Communicator`
-contract over
+contract over two planes:
 
 * a **shared-memory data plane** — one POSIX shared-memory segment
   (:class:`multiprocessing.shared_memory.SharedMemory`) carved into a
   fixed ring of slots per directed ``src -> dst`` channel.  A send packs
   the payload straight into its channel's next slot with one vectorized
-  ``np.copyto`` (no pickling on the hot halo path).  One rule frees it:
+  ``np.copyto`` (no pickling, whatever the size).  A payload larger than
+  a slot crosses as consecutive slot-sized byte pieces of the same ring,
+  reassembled per source by the receiver.  One rule frees a slot:
   *the receive that reads a slot's descriptor copies the payload out and
   frees the slot*, whatever tag that receive is waiting for — so no
   transport memory is held between two calls, and slots come free in the
   order they were filled.  Each channel counts its free slots in one
   semaphore, so senders keep PVM's buffered deposit-and-return semantics
-  up to the ring depth and block beyond it until the receiver next
-  enters a receive;
+  up to the ring depth.  A sender that finds its ring full reads its own
+  pending descriptors before each wait, which frees its peers' slots: two
+  ranks flooding each other head to head both finish, and only a peer
+  that enters no send or receive at all can wedge its sender;
 * a **pipe control plane** — one ``Pipe(duplex=False)`` per rank carrying
-  the small records a blocked receive waits for: ``("shm", ...)`` slot
-  descriptors, ``("abort", reason)`` notices and ``("cold", source)`` wake
-  tokens.  Any process may write a rank's pipe, *synchronously*, under
-  that rank's lock: the record is readable the moment ``send`` returns.
-  (A :class:`multiprocessing.Queue` hands the write to a feeder thread
-  that must first win the GIL from a sender which has gone back to
-  computing — that wait, not the copy, was most of a message's latency.)
-  The write never blocks: a descriptor is ~150 bytes and at most ring
-  depth x peers of them are ever unread, far below the pipe's capacity;
-* a **queue for oversize payloads only** — one
-  :class:`multiprocessing.Queue` per rank for arrays too big for a slot
-  (state gathers, checkpoints), pickled inline.  Here the feeder thread's
-  unbounded buffering is the point: two ranks that each ``send`` 2 MB
-  before either receives would block forever on a synchronous pipe.  The
-  sender follows the ``put`` with a ``"cold"`` token on the pipe, so the
-  pipe stays the receiver's single wait point.
+  the small records a blocked receive waits for: ``("shm", ...)`` and
+  ``("piece", ...)`` slot descriptors and ``("abort", reason)`` notices.
+  Any process may write a rank's pipe, *synchronously*, under that rank's
+  lock: the record is readable the moment ``send`` returns.  (A
+  :class:`multiprocessing.Queue` hands the write to a feeder thread that
+  must first win the GIL from a sender which has gone back to computing —
+  that wait, not the copy, was most of a message's latency.)  The write
+  never blocks: a descriptor is ~150 bytes and at most ring depth x peers
+  of them are ever unread, far below the pipe's capacity.
 
 Tag matching, ``(source, tag)`` selectivity with a stash, per-call
 ``recv(timeout=)`` and the mailbox failure contract
@@ -69,7 +66,6 @@ import os
 import pickle
 import queue as _queue
 import time as _time
-from collections import defaultdict, deque
 from multiprocessing import shared_memory as _shm
 from typing import Any, Callable, Sequence
 
@@ -91,7 +87,8 @@ __all__ = [
 #: ``H * line * 32`` B (``halo_depth`` lines of 4 float64 variables): for
 #: Navier-Stokes on the paper's 250x100 grid 25 600 B axial and 64 000 B
 #: radial — the radial one fits by 1 536 B (``tests/test_process.py`` pins
-#: both).  Anything larger rides the oversize queue, pickled.
+#: both).  A larger payload crosses as several slot-sized pieces of the same
+#: ring (a halo one byte over would be two); nothing is pickled.
 DEFAULT_SLOT_BYTES = 1 << 16
 
 #: Slots per directed channel — the buffered-send ring depth.
@@ -144,9 +141,9 @@ class ProcessCommunicator(Communicator):
     """Communicator endpoint for one rank of a :class:`ProcessCluster`.
 
     Constructed inside the worker process (the cluster object arrives by
-    fork inheritance, never pickled).  Point-to-point traffic small
-    enough for a slot crosses through shared memory, announced by a
-    descriptor on the destination's pipe; larger payloads cross its queue.
+    fork inheritance, never pickled).  Point-to-point traffic crosses
+    through shared memory, one slot (or, if larger, one slot-sized piece)
+    per descriptor on the destination's pipe.
     Only the transport primitives live here; validation, timing and
     accounting are :class:`~repro.msglib.api.Communicator`'s.
     """
@@ -157,11 +154,9 @@ class ProcessCommunicator(Communicator):
         self.size = cluster.size
         self.stats = CommStats()
         self._rx = cluster._ctl_rx[rank]
-        self._q = cluster._queues[rank]
-        # Per-source oversize payloads taken off the queue ahead of their
-        # token (another source's token was being served): held here, in
-        # send order, until that token is read from the pipe.
-        self._cold_early: dict[int, deque] = defaultdict(deque)
+        # Per source, the message whose pieces are still arriving and the
+        # count of its bytes already in: a source's pieces arrive in order.
+        self._partial: dict[int, tuple[np.ndarray, int]] = {}
         self._stash = TagStash()
         self._tx_seq = [0] * cluster.size
         self._aborted: str | None = None
@@ -174,14 +169,19 @@ class ProcessCommunicator(Communicator):
     def _pack(self, dest: int, payload: np.ndarray) -> int:
         """Copy ``payload`` into the next ring slot of ``self -> dest``;
         returns the slot index.  Slots are written and freed in the same
-        strict sequence, so a free slot is always the next one; with none
-        free the send blocks (abort-aware) until the receiver reads a
-        descriptor — the bounded counterpart of PVM's buffered deposit."""
+        strict sequence, so a free slot is always the next one.  With none
+        free the send ingests its own pending descriptors before each wait
+        — freeing the slots of a peer that may be blocked sending to this
+        rank — and blocks (abort-aware) until the receiver reads one: the
+        bounded counterpart of PVM's buffered deposit."""
         slot = self._tx_seq[dest] % self.cluster.slots_per_channel
         sem = self._free_slots(self.rank, dest)
         deadline = _time.monotonic() + self.cluster.timeout
         waited = False
-        while not sem.acquire(timeout=_POLL):
+        while not sem.acquire(False):
+            self._drain()
+            if sem.acquire(timeout=_POLL):
+                break
             if not waited:
                 waited = True
                 self._mark("slot_wait", peer=dest, slot=slot)
@@ -195,7 +195,7 @@ class ProcessCommunicator(Communicator):
                     f"rank {self.rank}: slot {slot} to {dest} stayed "
                     f"occupied for {self.cluster.timeout}s "
                     f"({self.cluster.slots_per_channel}-slot ring; receiver "
-                    "stuck, dead, or never entering a receive)"
+                    "stuck, dead, or never entering a send or receive)"
                 )
         self._tx_seq[dest] += 1
         np.copyto(
@@ -215,21 +215,17 @@ class ProcessCommunicator(Communicator):
     # -- point to point --------------------------------------------------------
     def _deposit(self, dest: int, tag: str, array: np.ndarray) -> int:
         payload = np.ascontiguousarray(array)
-        nbytes = payload.nbytes
-        if nbytes <= self.cluster.slot_bytes:
+        shape, dtype = payload.shape, payload.dtype.str
+        step = self.cluster.slot_bytes
+        if payload.nbytes <= step:
             slot = self._pack(dest, payload)
-            self._post(
-                dest,
-                ("shm", self.rank, tag, slot, payload.shape, payload.dtype.str),
-            )
-        else:
-            # Copy before queueing: the queue's feeder thread pickles
-            # asynchronously and the caller may reuse its buffer.
-            if payload is array or payload.base is not None:
-                payload = payload.copy()
-            self.cluster._queues[dest].put(("inline", self.rank, tag, payload))
-            self._post(dest, ("cold", self.rank))
-        return nbytes
+            self._post(dest, ("shm", self.rank, tag, slot, shape, dtype))
+            return payload.nbytes
+        data = payload.reshape(-1).view(np.uint8)
+        for start in range(0, data.size, step):
+            slot = self._pack(dest, data[start:start + step])
+            self._post(dest, ("piece", self.rank, tag, slot, shape, dtype))
+        return payload.nbytes
 
     def _post(self, dest: int, record: tuple) -> None:
         """Write one control record into ``dest``'s pipe; abort-aware,
@@ -251,49 +247,36 @@ class ProcessCommunicator(Communicator):
         """Stash one control record's payload under its (source, tag).
 
         A slot descriptor's payload is copied out and its slot freed here,
-        by whichever receive read it: a sender never blocks just because
-        the receiver is waiting on a different tag."""
+        by whichever receive (or blocked send) read it: a sender never
+        blocks just because the receiver is waiting on a different tag.
+        A piece is copied into its message's buffer, which is stashed
+        once its last piece is in."""
         kind = record[0]
         if kind == "shm":
             _, src, tag, slot, shape, dtype = record
             payload = self._slot_array(src, self.rank, slot, shape, dtype).copy()
             self._free_slots(src, self.rank).release()
             self._stash[(src, tag)].append(payload)
-        elif kind == "cold":
-            # ``source`` put an oversize payload on our queue before
-            # writing this token.  Queue order across senders is arbitrary,
-            # so take payloads until source's is there; another sender's is
-            # held back until its own token is read — stashing it now would
-            # let it overtake that sender's slot descriptors still in the pipe.
-            source = record[1]
-            early = self._cold_early[source]
-            while not early:
-                _, src, tag, payload = self._cold_get()
-                self._cold_early[src].append((tag, payload))
-            tag, payload = early.popleft()
-            self._stash[(source, tag)].append(payload)
+        elif kind == "piece":
+            _, src, tag, slot, shape, dtype = record
+            whole, done = self._partial.pop(src, None) or (np.empty(shape, dtype), 0)
+            data = whole.reshape(-1).view(np.uint8)
+            n = min(self.cluster.slot_bytes, data.size - done)
+            data[done:done + n] = self._slot_array(
+                src, self.rank, slot, (n,), np.uint8
+            )
+            self._free_slots(src, self.rank).release()
+            if done + n < data.size:
+                self._partial[src] = (whole, done + n)
+            else:
+                self._stash[(src, tag)].append(whole)
         elif kind == "abort":
             self._aborted = record[1]
 
-    def _cold_get(self) -> tuple:
-        """The next oversize payload off the queue.  Its token has been
-        read, so it is at worst still crossing the sender's feeder thread;
-        only a sender that died in between can make this wait long."""
-        deadline = _time.monotonic() + self.cluster.timeout
-        while True:
-            try:
-                return self._q.get(timeout=_POLL)
-            except _queue.Empty:
-                if self.cluster._abort.is_set():
-                    raise ClusterAborted(
-                        f"rank {self.rank}: cluster aborted while an "
-                        "oversize payload was in flight"
-                    ) from None
-                if _time.monotonic() > deadline:
-                    raise DeadlockError(
-                        f"rank {self.rank}: an announced oversize payload "
-                        f"did not arrive within {self.cluster.timeout}s"
-                    ) from None
+    def _drain(self) -> None:
+        """Ingest every record already in the pipe, without waiting."""
+        while self._rx.poll():
+            self._ingest(self._rx.recv())
 
     def _take(self, source: int, tag: str, timeout: float | None):
         """Blocking tag-matched fetch with Mailbox-identical semantics.
@@ -338,8 +321,7 @@ class ProcessCommunicator(Communicator):
             self._ingest(self._rx.recv())
 
     def _probe(self, source: int, tag: str):
-        while self._rx.poll():
-            self._ingest(self._rx.recv())
+        self._drain()
         return self._stash.take((source, tag))
 
     def pending(self) -> int:
@@ -422,15 +404,12 @@ class ProcessCluster:
         self.slots_per_channel = int(slots_per_channel)
         nbytes = size * size * self.slots_per_channel * self.slot_bytes
         self._shm = _shm.SharedMemory(create=True, size=max(nbytes, 1))
-        # Control plane: one synchronous pipe per rank (slot descriptors,
-        # abort notices, oversize wake tokens; any process may write, under
-        # the rank's lock) and one queue per rank for the oversize payloads
-        # themselves, whose unbounded buffering a pipe cannot give.
+        # Control plane: one synchronous pipe per rank (slot descriptors and
+        # abort notices; any process may write, under the rank's lock).
         pipes = [self._ctx.Pipe(duplex=False) for _ in range(size)]
         self._ctl_rx = [rx for rx, _ in pipes]
         self._ctl_tx = [tx for _, tx in pipes]
         self._ctl_locks = [self._ctx.Lock() for _ in range(size)]
-        self._queues = [self._ctx.Queue() for _ in range(size)]
         self._to_parent = self._ctx.Queue()
         self._abort = self._ctx.Event()
         # One semaphore per directed channel, counting its free slots: a
@@ -571,7 +550,7 @@ class ProcessCluster:
         return agg
 
     def close(self) -> None:
-        """Release processes, queues, pipes and the shared-memory segment."""
+        """Release processes, the result queue, pipes and the shared memory."""
         if self._closed:
             return
         self._closed = True
@@ -579,9 +558,8 @@ class ProcessCluster:
             if p.is_alive():  # pragma: no cover - only after a failed run
                 p.terminate()
                 p.join(timeout=5.0)
-        for q in [*self._queues, self._to_parent]:
-            q.close()
-            q.cancel_join_thread()
+        self._to_parent.close()
+        self._to_parent.cancel_join_thread()
         for conn in [*self._ctl_rx, *self._ctl_tx]:
             conn.close()
         try:

@@ -13,12 +13,9 @@ prints (``STRESS_SEED`` replays it):
   {0, 0.002} — the module attributes the forked ranks inherit; the tests'
   own bounds keep the nominal values they imported;
 * ``ProcessCluster``'s default ring depth from {1, 2, 8}, for every cluster
-  a test or the solver builds without naming one.  A Version 7 row and a
-  fault row keep the default: the one deposits ``H`` messages per
-  neighbour before it receives, the other may put two frames on the wire
-  for one message, and a head-to-head flood deeper than the ring is the
-  bounded buffer's contract (``test_backpressure_fills_then_times_out``),
-  not a race.
+  a test or the solver builds without naming one — Version 7 and fault
+  rows included: a head-to-head flood deeper than the ring finishes,
+  because a blocked sender ingests its own inbox.
 
 ``TestSpinThenSleep`` keeps the nominal ``_POLL`` and ``_SPIN``: its tests
 stretch the seams between exactly those two and set their own.
@@ -113,8 +110,6 @@ def _stress_knobs(request, monkeypatch):
     row = node.callspec.params.get("row") if hasattr(node, "callspec") else None
     if row is not None:
         request.module.verdict.cache_clear()  # each repetition reruns its row
-    if row is not None and (row.version == 7 or row.faults != "none"):
-        slots = transport.DEFAULT_SLOTS_PER_CHANNEL
     monkeypatch.setattr(transport, "_POLL", poll)
     monkeypatch.setattr(transport, "_SPIN", spin)
     timeout, slot_bytes, _ = ProcessCluster.__init__.__defaults__

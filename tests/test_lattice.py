@@ -17,11 +17,12 @@ off (no axis to mirror across, cubic ghosts on all four sides),
 :func:`conftest.ripple`-d the same way.
 
 Tier-1 runs :data:`COVER`, a greedy all-pairs covering array of the
-product under the constraints :func:`admissible` declares, and the named
-rows: each equality test of another file is one :func:`assert_row` (or,
-for the serial solver, one :func:`assert_serial`) held to the same oracle
-by :func:`check`, so a row runs once however many names hold it.  ``make
-lattice`` runs the whole product (``-m slow``).  Fault rows keep the chaos
+product under the constraints :func:`admissible` declares plus the
+:data:`HEAD_TO_HEAD` rows, and the named rows: each equality test of
+another file is one :func:`assert_row` (or, for the serial solver, one
+:func:`assert_serial`) held to the same oracle by :func:`check`, so a row
+runs once however many names hold it.  ``make lattice`` runs the whole
+product (``-m slow``).  Fault rows keep the chaos
 oracle — bit-equal, or a structured ``RankFailure``; never a hang, never a
 wrong answer — and a crash must resume from its checkpoint.  Every fault
 decision is a pure hash of the seed the ``chaos_seed`` fixture prints
@@ -51,7 +52,7 @@ from hypothesis import strategies as st
 
 from conftest import FAULT_KINDS, perturbed_jet, ripple, wire_plan
 from repro.faults import FaultPlan, MessageTimeout, RankCrashed, fault_plan_by_name
-from repro.msglib import RankFailure
+from repro.msglib import DeadlockError, RankFailure
 from repro.parallel import runner as runner_mod
 from repro.parallel import spmd as spmd_mod
 from repro.parallel.decomposition import MIN_BLOCK
@@ -87,25 +88,13 @@ CRASHES = {"crash", "lossy-crash"}
 def admissible(row: Row) -> bool:
     """The declared constraints: a fault needs a peer to fault, process
     ranks are forked, and no block is thinner than ``H`` (nor than the
-    partition's ``MIN_BLOCK``).
-
-    And one the lattice found: Version 7 sends a neighbour its ``H`` lines
-    before it receives, a burst as deep as the process ring (8 slots), so
-    on processes a fault that adds frames fills both rings head to head
-    and the run ends only at the cluster timeout, in a structured
-    ``DeadlockError`` — the bounded ring's contract
-    (``test_process.py::test_backpressure_fills_then_times_out``), not a
-    row that can finish."""
+    partition's ``MIN_BLOCK``)."""
     nx, nr = SHAPE[row.state]
     px, pr = row.grid
     return (
         (row.faults == "none" or px * pr > 1)
         and (row.substrate == "virtual" or HAS_FORK)
         and min(nx // px, nr // pr) >= max(DEPTH[row.model], MIN_BLOCK)
-        and not (
-            row.substrate == "process" and row.version == 7
-            and row.faults in EXTRA_FRAMES
-        )
     )
 
 
@@ -140,10 +129,26 @@ PRODUCT = [
     row for row in itertools.starmap(Row, itertools.product(*AXES.values()))
     if admissible(row)
 ]
-#: Drawn from the product in a fixed shuffled order: once a row's pairs are
-#: chosen, its other values spread over every axis instead of piling up on
-#: each axis's first value.
-COVER = covering_array(random.Random(0).sample(PRODUCT, len(PRODUCT)))
+
+#: Version 7 on processes under a fault that adds frames: each rank sends
+#: its ``H`` lines, and an extra frame, before it receives — deeper than
+#: the 8-slot ring, so both ranks finish only because a blocked sender
+#: ingests its own inbox.  Two of these rows join the cover by name.
+HEAD_TO_HEAD = [
+    Row("jet", "ns", "compiled", (2, 1), 7, "process", faults)
+    for faults in ("duplicate", "mixed")
+]
+_DRAWN = [
+    row for row in PRODUCT
+    if not (row.version == 7 and row.substrate == "process"
+            and row.faults in EXTRA_FRAMES)
+]
+#: Drawn in a fixed shuffled order from the product less the head-to-head
+#: rows — it holds every pair without them, and its rows (tier-1's test
+#: ids) do not move when they are admitted — then the two named ones added.
+#: The shuffle: once a row's pairs are chosen, its other values spread over
+#: every axis instead of piling up on each axis's first value.
+COVER = covering_array(random.Random(0).sample(_DRAWN, len(_DRAWN))) + HEAD_TO_HEAD
 
 
 def row_id(row: Row) -> str:
@@ -240,6 +245,8 @@ def verdict(row: Row, seed: int) -> tuple | None:
         assert isinstance(
             failure.__cause__, (MessageTimeout, RankCrashed, RuntimeError)
         )
+        # Never a send wedged on a full ring until the cluster timeout.
+        assert not isinstance(failure.__cause__, DeadlockError), failure
         return None
     assert_bitwise(res.state.q, want, row.backend)
     assert res.nsteps == STEPS and res.t > 0

@@ -5,7 +5,7 @@ Three layers of coverage:
 * **msglib unit tests** — :class:`~repro.msglib.ProcessCluster` and
   :class:`~repro.msglib.ProcessCommunicator` honour the same
   :class:`~repro.msglib.Communicator` contract as the virtual cluster:
-  tag-matched point-to-point (shared-memory and oversized-inline paths),
+  tag-matched point-to-point (one-slot and slot-sized-piece messages),
   ``(source, tag)`` selectivity, collectives, timeouts
   (:class:`~repro.msglib.DeadlockError`) and the structured failure
   contract (:class:`~repro.msglib.RankFailure` + survivor abort).
@@ -104,7 +104,8 @@ class TestProcessCluster:
         assert results[1] == (1.0, 2.0)
 
     def test_oversized_payload_rides_inline(self):
-        """Payloads beyond slot_bytes cross the queue, bit-exact."""
+        """Payloads beyond slot_bytes cross the ring in slot-sized pieces
+        and are reassembled bit-exact."""
         big = np.arange(DEFAULT_SLOT_BYTES // 8 + 100, dtype=np.float64)
 
         def program(comm):
@@ -119,10 +120,9 @@ class TestProcessCluster:
         assert results[1] is True
 
     def test_symmetric_oversize_exchange(self):
-        """Both ranks send 2 MB before either receives.  Oversize payloads
-        must keep the queue's unbounded buffering: on the synchronous
-        descriptor pipe each send would block on a full pipe nobody is
-        reading, and the pair would hang."""
+        """Both ranks send 2 MB before either receives: 32 pieces each
+        through an 8-slot ring.  Each blocked send ingests the pieces its
+        peer has sent so far, freeing the peer's slots, so neither hangs."""
         big = np.arange(1 << 18, dtype=np.float64)  # 2 MB
 
         def program(comm):
@@ -162,8 +162,8 @@ class TestProcessCluster:
 
     def test_oversize_and_slot_messages_keep_send_order(self):
         """A source's messages are matched in send order even when they
-        alternate between the queue (oversize) and the slot ring, with a
-        second source's oversize payloads interleaved on the same queue."""
+        alternate between two pieces and one slot, with a second source's
+        pieces interleaved on the same pipe."""
         big = np.zeros(DEFAULT_SLOT_BYTES // 8 + 1)
 
         def program(comm):
@@ -257,12 +257,34 @@ class TestProcessCluster:
         ) as cluster:
             assert cluster.run(program) == [True, True]
 
+    def test_head_to_head_flood_drains_while_sending(self):
+        """Two ranks each send four small messages to the other before
+        either receives, on a 2-slot ring.  Each blocked send ingests its
+        peer's descriptors, freeing the peer's slots, so both finish at
+        once; a sender that only waited for its own ring would hold both
+        full until the cluster timeout."""
+
+        def program(comm):
+            peer = 1 - comm.rank
+            began = time.monotonic()
+            for k in range(4):
+                comm.send(peer, f"m:{k}", np.full(8, 10.0 * comm.rank + k))
+            got = [float(comm.recv(peer, f"m:{k}")[0]) for k in range(4)]
+            return got, time.monotonic() - began
+
+        with ProcessCluster(2, timeout=5, slots_per_channel=2) as cluster:
+            results = cluster.run(program)
+        assert [got for got, _ in results] == [
+            [10.0, 11.0, 12.0, 13.0], [0.0, 1.0, 2.0, 3.0]
+        ]
+        assert max(took for _, took in results) < 1.0
+
 
 def test_a_grouped_halo_fits_one_slot():
     """What ``DEFAULT_SLOT_BYTES`` is sized for: one grouped halo message
     of the paper's 250x100 Navier-Stokes grid, ``H`` lines of four float64
-    variables.  Either one past the slot size would ride the pickled
-    oversize queue on every step."""
+    variables.  Either one past the slot size would cross as two pieces,
+    two descriptors and two copies out, on every step."""
     H = halo_depth(jet_scenario(nx=250, nr=100, viscous=True).solver.config)
     axial, radial = (4 * H * line * 8 for line in (100, 250))
     assert (axial, radial) == (25_600, 64_000)
@@ -415,8 +437,8 @@ class TestRecvView:
             assert cluster.run(program)[1] is True
 
     def test_oversized_payload_gives_owned_view(self):
-        """Payloads that rode the queue inline honour the view API like
-        the ones that crossed a slot."""
+        """Payloads reassembled from pieces honour the view API like the
+        ones that crossed one slot."""
         big = np.arange(DEFAULT_SLOT_BYTES // 8 + 50, dtype=np.float64)
 
         def program(comm):
