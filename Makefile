@@ -19,9 +19,10 @@ lattice:
 
 test-all: test
 
-## artifacts: regenerate every executable paper artifact (the DES-derived
-## tables and figures) into a throwaway store and byte-compare it with
-## benchmarks/output — the determinism gate CI runs, ≈ 10 s
+## artifacts: regenerate all 21 committed paper artifacts (Tables 1-2,
+## Figures 1-13, the ablations, the workload cross-check; two of them run
+## the real solver) into a throwaway store and byte-compare them with
+## benchmarks/output — the determinism gate CI runs, ≈ 13 s
 artifacts:
 	$(PY) scripts/run_missing.py --check --workers 2
 

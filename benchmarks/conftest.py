@@ -1,36 +1,11 @@
-"""Benchmark harness configuration.
+"""Benchmark configuration: where benchmark reports are written.
 
-Each ``bench_*`` file regenerates one table or figure of the paper: the
-benchmark body *is* the experiment, so ``pytest benchmarks/
---benchmark-only`` both times the reproduction pipeline and prints the
-rows/series the paper reports (pass ``-s`` to stream them live).  Every
-rendered artifact is also written to ``benchmarks/output/<name>.txt`` so
-the regenerated tables and figures survive pytest's output capture.
+The paper's tables, figures and ablations are not pytest benchmarks:
+each is an entry of ``repro.experiments.ARTIFACTS``, regenerated and
+byte-checked by ``scripts/run_missing.py``.  ``bench_solver_kernels.py``
+writes its report next to them, in ``OUTPUT_DIR``.
 """
 
 import os
-import re
-
-import pytest
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
-
-
-def run_and_print(benchmark, fn, header: str):
-    """Benchmark ``fn`` once, print and persist its rendered output."""
-    result = benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-    text = f"{'=' * 78}\n{header}\n{'=' * 78}\n{result}\n"
-    print("\n" + text)
-    os.makedirs(OUTPUT_DIR, exist_ok=True)
-    slug = re.sub(r"[^a-z0-9]+", "_", header.lower()).strip("_")[:60]
-    with open(os.path.join(OUTPUT_DIR, f"{slug}.txt"), "w") as fh:
-        fh.write(text)
-    return result
-
-
-@pytest.fixture
-def reproduce(benchmark):
-    def _run(fn, header):
-        return run_and_print(benchmark, fn, header)
-
-    return _run

@@ -139,7 +139,7 @@ def main() -> None:
     w("")
     w("Derived identically from Table 1; reproduced **exactly** "
       "(580/290/145/72 FPs/Byte for NS; 405/203/101/51 for Euler; "
-      "906K..113K and 642K..80K FPs/startup).  See `bench_table2.py`.")
+      "906K..113K and 642K..80K FPs/startup).  See `repro experiment table2`.")
     w("")
 
     # ---- figures -------------------------------------------------------------

@@ -5,8 +5,8 @@ Commands
 ``list``
     Show all reproducible experiments.
 ``experiment <id>``
-    Regenerate one paper artifact (``table1``, ``table2``, ``fig01`` ..
-    ``fig13``) and print it.
+    Render one experiment (``table1``, ``table2``, ``fig01`` .. ``fig13``,
+    the ``ablation_*`` studies, ``workload_comparison``) and print it.
 ``characterize``
     Measure this package's own Table-1 application characteristics with an
     instrumented distributed run.
@@ -51,7 +51,8 @@ import sys
 def _cmd_list(args) -> int:
     from .experiments import EXPERIMENTS
 
-    print("Reproducible experiments (paper tables and figures):")
+    print("Reproducible experiments (paper tables and figures, "
+          "Section-8 ablations, workload cross-check):")
     for k in sorted(EXPERIMENTS):
         print(f"  {k}")
     return 0
@@ -436,8 +437,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("list", help="list experiments").set_defaults(fn=_cmd_list)
 
-    p = sub.add_parser("experiment", help="regenerate one paper artifact")
-    p.add_argument("id", help="table1, table2, fig01 .. fig13")
+    p = sub.add_parser("experiment", help="render one experiment")
+    p.add_argument("id", help="an id from `repro list`")
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("characterize", help="measured Table 1 / Table 2")

@@ -1,5 +1,7 @@
-"""Experiment harness: one entry point per paper table/figure."""
+"""Experiment harness: one entry point per paper table/figure/ablation,
+and the table of committed artifacts they render."""
 
+from .artifacts import ARTIFACTS, Artifact
 from .runners import (
     EXPERIMENTS,
     run_experiment,
@@ -7,4 +9,11 @@ from .runners import (
     characterize,
 )
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_fig01", "characterize"]
+__all__ = [
+    "ARTIFACTS",
+    "Artifact",
+    "EXPERIMENTS",
+    "run_experiment",
+    "run_fig01",
+    "characterize",
+]

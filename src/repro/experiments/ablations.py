@@ -1,0 +1,348 @@
+"""Section-8 ablations and the workload cross-check, one function each.
+
+Each study goes beyond a paper figure — the paper's stated future work or
+one of its design claims, swept — and returns rendered text like every
+other entry of :data:`repro.experiments.EXPERIMENTS`.  Imports stay inside
+the functions: listing or dispatching experiments loads no study.
+"""
+
+from __future__ import annotations
+
+
+def ablation_cache() -> str:
+    """Ablation: the paper's cache-design claim, swept.
+
+    "We believe that the reason for relatively poor performance of the T3D,
+    in spite of a fast processor, is the small, direct-mapped cache"
+    (Section 8).  This study grows/associates the T3D node cache and
+    re-simulates the platform comparison, quantifying how much of the gap
+    the cache explains.
+    """
+    from dataclasses import replace
+
+    from ..analysis.report import format_table
+    from ..machines.platforms import CPU_ALPHA_21064, CRAY_T3D, LACE_560
+    from ..simulate.machine import SimulatedMachine
+    from ..simulate.workload import NAVIER_STOKES
+
+    variants = [
+        ("8KB direct-mapped (real T3D)", CPU_ALPHA_21064.cache),
+        ("8KB 4-way", replace(CPU_ALPHA_21064.cache, associativity=4)),
+        ("32KB direct-mapped",
+         replace(CPU_ALPHA_21064.cache, size_bytes=32 * 1024)),
+        ("64KB 4-way (560-class)",
+         replace(CPU_ALPHA_21064.cache, size_bytes=64 * 1024, associativity=4)),
+        ("256KB 4-way (590-class)",
+         replace(CPU_ALPHA_21064.cache, size_bytes=256 * 1024, associativity=4)),
+    ]
+    rows = []
+    for label, cache in variants:
+        cpu = replace(CPU_ALPHA_21064, cache=cache, v5_target_mflops=None)
+        plat = replace(CRAY_T3D, cpu=cpu, name=f"T3D[{label}]")
+        r16 = SimulatedMachine(plat, 16).run(NAVIER_STOKES, steps_window=25)
+        rows.append(
+            [label, f"{cpu.sustained_mflops(5):.1f}",
+             f"{r16.execution_time:,.0f}"]
+        )
+    base = SimulatedMachine(LACE_560, 16).run(NAVIER_STOKES, steps_window=25)
+    rows.append(
+        ["(LACE/560 + ALLNODE-S reference)", "16.0",
+         f"{base.execution_time:,.0f}"]
+    )
+    return format_table(
+        ["T3D node cache variant", "node MFLOPS (mechanistic)",
+         "NS exec @ p=16 (s)"],
+        rows,
+        title="Cache ablation on the T3D node (unanchored CPU model):",
+    )
+
+
+def ablation_decomposition() -> str:
+    """Ablation: axial vs radial blocking (the paper's Section 8 future work).
+
+    "We will then explore other problem decompositions such as blocking
+    along the radial direction" — both decompositions are *executable* in
+    this package (bitwise-identical to the serial solver), so this study
+    measures the real communication of each with the instrumented
+    distributed solver on a paper-aspect-ratio grid (nx : nr = 2.5 : 1)
+    and reports the contrast that justifies the paper's Section-5 choice.
+    """
+    from ..analysis.report import format_table
+    from ..machines.platforms import LACE_560, LACE_560_ETHERNET
+    from ..parallel.runner import ParallelJetSolver
+    from ..scenarios import jet_scenario
+    from ..simulate.machine import SimulatedMachine
+    from ..simulate.workload import NAVIER_STOKES, Workload
+
+    # Paper aspect ratio (250x100) at reduced size: 100x40.
+    steps = 4
+    sc = jet_scenario(nx=100, nr=40, viscous=True)
+    rows = []
+    kb = {}
+    for decomp, shape in [
+        ("axial", "columns of nr=40"),
+        ("radial", "rows of nx=100"),
+    ]:
+        res = ParallelJetSolver(
+            sc.state, sc.solver.config, nranks=4, decomposition=decomp
+        ).run(steps)
+        st = res.interior_rank_stats
+        kb[decomp] = st.bytes_sent / steps / 1024
+        rows.append(
+            [
+                f"{decomp} blocks",
+                f"{st.sends / steps:.1f}",
+                f"{kb[decomp]:.1f}",
+                shape,
+            ]
+        )
+    table = format_table(
+        ["decomposition", "sends/step", "KB/step/proc", "message shape"],
+        rows,
+        title="Decomposition study (measured, real distributed solver, p=4):",
+    )
+
+    # Predict what the paper's Section-8 study would have measured: the
+    # same platforms driven by the radial-blocking workload (x2.5 volume).
+    axial_w = Workload.paper(NAVIER_STOKES)
+    radial_w = axial_w.with_volume_scale(2.5, label="radial-blocks")
+    rows2 = []
+    for plat in (LACE_560, LACE_560_ETHERNET):
+        for label, w in (("axial", axial_w), ("radial", radial_w)):
+            times = [
+                SimulatedMachine(plat, p).run(w, steps_window=20).execution_time
+                for p in (4, 8, 16)
+            ]
+            rows2.append(
+                [plat.name, label] + [f"{t:,.0f}" for t in times]
+            )
+    table2 = format_table(
+        ["platform", "blocking", "p=4", "p=8", "p=16"],
+        rows2,
+        title="\nPredicted 1995-platform impact (DES, paper NS workload "
+        "with radial volumes):",
+    )
+    return table + "\n" + table2 + (
+        "\nMeasured, both blockings send one H-deep message per neighbour "
+        "per step, so radial blocking costs volume alone: "
+        f"{kb['radial'] / kb['axial']:.1f}x the bytes of axial blocking "
+        "(nx-long rows against nr-long columns)."
+        "\nOn the switch the penalty is modest (bandwidth headroom); on "
+        "Ethernet the 2.5x volume pulls saturation several processors "
+        "earlier — the answer to the paper's open Section-8 question."
+    )
+
+
+def ablation_imbalance() -> str:
+    """Ablation: heterogeneous LACE nodes (why the paper used uniform halves).
+
+    The real LACE mixed RS6000/560 and /590 nodes (and varying memory
+    sizes); the paper ran each experiment on a *uniform* half of the
+    cluster.  This study simulates the alternative — an SPMD run spanning
+    both halves — and quantifies the imbalance penalty: with a balanced
+    (equal-columns) domain decomposition, every step waits for the slowest
+    node, so the fast 590s idle and the mixed cluster barely beats the
+    slow half.
+    """
+    from ..analysis.metrics import balance_spread
+    from ..analysis.report import format_table
+    from ..machines.platforms import LACE_560
+    from ..simulate.machine import SimulatedMachine
+    from ..simulate.workload import NAVIER_STOKES
+
+    fast = 27.5 / 16.0  # 590-class nodes vs the 560s (anchored CPU models)
+    p = 16
+    configs = [
+        ("16 x 560 (paper's upper half)", [1.0] * p),
+        ("16 x 590-equivalent", [fast] * p),
+        ("8 x 560 + 8 x 590 (mixed)", [1.0] * 8 + [fast] * 8),
+        ("alternating 560/590", [1.0, fast] * 8),
+    ]
+    rows = []
+    for label, factors in configs:
+        r = SimulatedMachine(
+            LACE_560, p, node_speed_factors=factors
+        ).run(NAVIER_STOKES, steps_window=25)
+        rows.append(
+            [
+                label,
+                f"{r.execution_time:,.0f}",
+                f"{balance_spread(r.per_rank_busy) * 100:.0f}%",
+            ]
+        )
+    table = format_table(
+        ["cluster composition", "NS exec @ p=16 (s)", "busy-time spread"],
+        rows,
+        title="Heterogeneous-cluster ablation (equal-columns decomposition):",
+    )
+    return table + (
+        "\nThe mixed cluster runs at nearly the slow half's speed — the "
+        "fast nodes idle at every halo exchange.  This is why the paper "
+        "benchmarks uniform halves, and why its Figure-13 balance holds: "
+        "equal work only balances equal nodes."
+    )
+
+
+def ablation_startup() -> str:
+    """Ablation: message-passing startup cost on the NOW (paper's Conclusion).
+
+    "NOW have the potential to be cost-effective parallel architectures if
+    the networks are made reasonably fast and message passing libraries
+    are efficiently implemented to circumvent the traditional overheads" —
+    this study sweeps the PVM per-message software cost on LACE/ALLNODE-S
+    and shows the cluster's 16-processor execution time (and speedup) as
+    the library approaches the T3D's thin shim.
+    """
+    from dataclasses import replace
+
+    from ..analysis.report import format_table
+    from ..machines.platforms import LACE_560
+    from ..msglib.libmodel import PVM
+    from ..simulate.machine import SimulatedMachine
+    from ..simulate.workload import NAVIER_STOKES
+
+    rows = []
+    for factor, label in [
+        (1.0, "PVM 3.2.2 as measured"),
+        (0.5, "2x leaner library"),
+        (0.25, "4x leaner"),
+        (0.1, "10x leaner"),
+        (0.02, "T3D-shim-class (50x)"),
+    ]:
+        lib = PVM.scaled(factor)
+        lib = replace(lib, name=f"PVM x{factor}", scale_with_cpu=False)
+        t1 = SimulatedMachine(LACE_560, 1, library=lib).run(
+            NAVIER_STOKES, steps_window=20
+        )
+        t16 = SimulatedMachine(LACE_560, 16, library=lib).run(
+            NAVIER_STOKES, steps_window=20
+        )
+        rows.append(
+            [
+                label,
+                f"{lib.cpu_send_overhead * 1e3:.2f}",
+                f"{t16.execution_time:,.0f}",
+                f"{t1.execution_time / t16.execution_time:.1f}x",
+            ]
+        )
+    return format_table(
+        ["library", "send overhead (ms)", "NS exec @ p=16 (s)", "speedup"],
+        rows,
+        title="Library-overhead sweep on LACE/560 + ALLNODE-S:",
+    )
+
+
+def ablation_vector() -> str:
+    """Ablation: Y-MP vector lengths (the paper's Section-5 partitioning rule).
+
+    "[We] partitioned the domain along the orthogonal direction of the
+    sweep to keep the vector lengths large and to avoid non-stride access"
+    — this study quantifies the rule: with orthogonal partitioning the
+    vector length stays at the full dimension regardless of processor
+    count; partitioning *along* the sweep would shrink vectors to ``n/p``
+    and fall down the Hockney curve.
+    """
+    from ..analysis.report import format_table
+    from ..machines.platforms import CRAY_YMP
+    from ..simulate.sharedmem import SharedMemoryMachine
+    from ..simulate.workload import NAVIER_STOKES
+
+    vcpu = CRAY_YMP.vector_cpu
+    rows = []
+    for p in (1, 2, 4, 8):
+        # Orthogonal partitioning: vectors stay the full 100-point radius.
+        good = SharedMemoryMachine(CRAY_YMP, p).run(
+            NAVIER_STOKES, vector_length=100
+        )
+        # Anti-pattern: partitioning along the sweep shrinks vectors.
+        bad = SharedMemoryMachine(CRAY_YMP, p).run(
+            NAVIER_STOKES, vector_length=100 / p
+        )
+        rows.append(
+            [
+                p,
+                f"{vcpu.sustained_mflops(100):.0f}",
+                f"{good.execution_time:,.0f}",
+                f"{vcpu.sustained_mflops(100 / p):.0f}",
+                f"{bad.execution_time:,.0f}",
+                f"{bad.execution_time / good.execution_time:.2f}x",
+            ]
+        )
+    return format_table(
+        [
+            "p",
+            "MFLOPS (vl=100)",
+            "exec orthogonal (s)",
+            "MFLOPS (vl=100/p)",
+            "exec along-sweep (s)",
+            "penalty",
+        ],
+        rows,
+        title="Y-MP partitioning-direction ablation (Navier-Stokes):",
+    )
+
+
+def workload_comparison() -> str:
+    """Cross-check: the paper's Table-1 workload vs this package's measured one.
+
+    The figure reproductions feed the simulated machines the paper's own
+    application characteristics.  This study re-runs the LACE scaling
+    study with the workload *measured from our instrumented distributed
+    solver* (fewer, larger messages and about twice the volume: one
+    ``H``-deep halo per neighbour per step — see EXPERIMENTS.md) and shows
+    that the qualitative shapes survive: Ethernet still saturates, and the
+    switched cluster keeps scaling.  The heavier measured volume moves the
+    Ethernet minimum earlier — to two processors, where the paper's
+    workload has it near ten.
+    """
+    from ..analysis.metrics import minimum_location
+    from ..analysis.report import format_table
+    from ..analysis.tables import measured_characteristics
+    from ..machines.platforms import LACE_560, LACE_560_ETHERNET
+    from ..simulate.machine import SimulatedMachine
+    from ..simulate.workload import NAVIER_STOKES, Application, Workload
+
+    procs = [1, 2, 4, 6, 8, 10, 12, 16]
+    m = measured_characteristics(viscous=True, nx=40)
+    app = Application(
+        name="Navier-Stokes",
+        total_flops=m.total_flops,
+        startups_per_proc=m.startups_per_proc,
+        volume_bytes_per_proc=m.volume_bytes_per_proc,
+    )
+    meas_w = Workload.measured(
+        app,
+        sends_per_step=m.startups_per_proc / 2 / app.steps,
+        bytes_per_step=m.volume_bytes_per_proc / app.steps,
+    )
+    rows = []
+    mins = {}
+    for label, w in [
+        ("paper workload", Workload.paper(NAVIER_STOKES)),
+        ("measured workload", meas_w),
+    ]:
+        eth = [
+            SimulatedMachine(LACE_560_ETHERNET, p).run(w, steps_window=20).execution_time
+            for p in procs
+        ]
+        sw = [
+            SimulatedMachine(LACE_560, p).run(w, steps_window=20).execution_time
+            for p in procs
+        ]
+        p_min, _ = minimum_location(procs, eth)
+        mins[label] = p_min
+        rows.append([label, "Ethernet"] + [f"{t:,.0f}" for t in eth])
+        rows.append([label, "ALLNODE-S"] + [f"{t:,.0f}" for t in sw])
+    table = format_table(
+        ["workload", "network"] + [f"p={p}" for p in procs],
+        rows,
+        title="LACE scaling under both workload characterizations (NS):",
+    )
+    return table + (
+        f"\nEthernet minimum: p={mins['paper workload']} (paper workload) vs "
+        f"p={mins['measured workload']} (measured workload).  Both exhibit "
+        "the saturation phenomenon while the switch keeps scaling; the "
+        "heavier measured communication (lower FPs/Byte — see Table 1 in "
+        "EXPERIMENTS.md) moves the minimum earlier, exactly as the paper's "
+        "Section-7.1 bandwidth argument predicts."
+    )

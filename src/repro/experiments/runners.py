@@ -1,8 +1,9 @@
 """Dispatch table: experiment id -> reproduction function.
 
-Every entry regenerates one table or figure of the paper and returns the
-rendered text (the benchmark harness times and prints them; EXPERIMENTS.md
-records the paper-vs-measured comparison).
+Every entry regenerates one table, figure or Section-8 ablation and
+returns the rendered text (:data:`~repro.experiments.ARTIFACTS` frames it
+into a committed ``benchmarks/output`` file; EXPERIMENTS.md records the
+paper-vs-measured comparison).
 
 ``run_fig01`` is the only experiment that runs the *real* solver — the
 excited-jet axial-momentum field.  It defaults to half the paper's
@@ -30,6 +31,7 @@ from ..analysis.figures import (
 from ..analysis.report import ascii_contour
 from ..analysis.tables import measured_characteristics, table1, table2
 from ..simulate.workload import EULER, NAVIER_STOKES
+from . import ablations
 
 
 def run_fig01(
@@ -119,16 +121,23 @@ EXPERIMENTS: dict[str, Callable[[], str]] = {
     "fig11": lambda: fig11_fig12_libraries(NAVIER_STOKES).render(),
     "fig12": lambda: fig11_fig12_libraries(EULER).render(),
     "fig13": lambda: fig13_load_balance().render(),
+    "ablation_cache": ablations.ablation_cache,
+    "ablation_decomposition": ablations.ablation_decomposition,
+    "ablation_imbalance": ablations.ablation_imbalance,
+    "ablation_startup": ablations.ablation_startup,
+    "ablation_vector": ablations.ablation_vector,
+    "workload_comparison": ablations.workload_comparison,
 }
 
 
 def run_experiment(exp_id: str, **kw) -> str:
-    """Run one experiment by id (``table1``, ``table2``, ``fig01``..``fig13``).
+    """Run one experiment by id (``table1``, ``fig01``, ``ablation_cache``..;
+    ``repro list`` prints them all).
 
     Extra keyword arguments are forwarded to the experiment callable
-    (``fig01`` accepts ``nx``/``nr``/``steps``/``full``; most others take
-    none) — the batch driver uses this to reproduce the exact benchmark
-    configurations.
+    (``fig01`` accepts ``nx``/``nr``/``steps``/``full``; the others take
+    none) — an :data:`~repro.experiments.ARTIFACTS` entry passes the ones
+    its committed file was rendered with.
     """
     try:
         fn = EXPERIMENTS[exp_id]

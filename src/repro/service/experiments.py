@@ -1,11 +1,13 @@
 """Experiment requests: paper-artifact regeneration as service jobs.
 
-The figure/table artifacts under ``benchmarks/output/*.txt`` are rendered
-text from :mod:`repro.experiments` — deterministic, so they are perfect
-cache material.  :class:`ExperimentRequest` wraps one experiment id (plus
-keyword overrides, e.g. ``fig01``'s reduced grid) as a submittable,
-fingerprintable request, letting ``scripts/run_missing.py`` regenerate
-exactly the missing/stale artifacts through the service worker pool.
+Every ``benchmarks/output/*.txt`` artifact is one entry of
+:data:`repro.experiments.ARTIFACTS`: rendered text from an experiment id
+plus literal kwargs (e.g. ``fig01``'s reduced grid), deterministic for a
+given program.  :class:`ExperimentRequest` wraps one such id and kwargs
+as a submittable, fingerprintable request, so ``scripts/run_missing.py``
+regenerates the artifacts through the service worker pool.  The
+fingerprint covers the id and kwargs, not the code behind them: a store
+that outlives a code change serves the older text.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ EXPERIMENT_SCHEMA = "repro.experiment-request/1"
 
 @dataclass(frozen=True)
 class ExperimentRequest:
-    """One paper table/figure regeneration (``table1``, ``fig01``..)."""
+    """One experiment rendering (``table1``, ``fig01``, ``ablation_cache``)."""
 
     id: str
     kw: Mapping[str, Any] = field(default_factory=dict)

@@ -10,10 +10,13 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig09" in out and "table2" in out
+        assert "ablation_decomposition" in out and "workload_comparison" in out
 
     def test_experiment_table2(self, capsys):
-        assert main(["experiment", "table2"]) == 0
-        assert "580" in capsys.readouterr().out
+        # A paper table and a Section-8 ablation, each by its id.
+        for exp_id, marker in [("table2", "580"), ("ablation_vector", "penalty")]:
+            assert main(["experiment", exp_id]) == 0
+            assert marker in capsys.readouterr().out
 
     def test_simulate_distributed(self, capsys):
         assert main(

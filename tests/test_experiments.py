@@ -1,15 +1,33 @@
-"""The experiment dispatch harness and Figure 1's real solver run."""
+"""The experiment dispatch harness, the artifact table and Figure 1's real
+solver run."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.experiments import EXPERIMENTS, characterize, run_experiment
+from repro.experiments import (
+    ARTIFACTS,
+    EXPERIMENTS,
+    characterize,
+    run_experiment,
+)
 from repro.experiments.runners import run_fig01
+
+OUTPUT_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "output"
 
 
 class TestDispatch:
     def test_every_paper_artifact_registered(self):
         expected = {"table1", "table2"} | {f"fig{k:02d}" for k in range(1, 14)}
+        expected |= {
+            "ablation_cache",
+            "ablation_decomposition",
+            "ablation_imbalance",
+            "ablation_startup",
+            "ablation_vector",
+            "workload_comparison",
+        }
         assert expected == set(EXPERIMENTS)
 
     def test_unknown_id(self):
@@ -19,6 +37,23 @@ class TestDispatch:
     def test_table_dispatch(self):
         out = run_experiment("table2")
         assert "580" in out
+
+
+class TestArtifactTable:
+    """``ARTIFACTS`` names every committed ``.txt`` artifact, once.  The
+    byte check itself is ``scripts/run_missing.py --check``."""
+
+    def test_slugs_match_the_committed_files(self):
+        committed = {p.stem for p in OUTPUT_DIR.glob("*.txt")}
+        listed = {a.slug for a in ARTIFACTS}
+        assert sorted(committed - listed) == [], "orphan artifact file(s)"
+        assert sorted(listed - committed) == [], "missing from the commit"
+
+    def test_every_entry_names_an_experiment(self):
+        assert {a.experiment for a in ARTIFACTS} <= set(EXPERIMENTS)
+
+    def test_no_two_headers_share_a_slug(self):
+        assert len({a.slug for a in ARTIFACTS}) == len(ARTIFACTS)
 
 
 class TestFig01:
