@@ -57,8 +57,9 @@ gates:
 	$(PY) scripts/perf_gate.py $(GATES_REPORT) benchmarks/output/BENCH_core.json
 
 ## loc: tracked python line counts — the code size every change reports
-## in CHANGES.md (per directory, and src/repro/obs/ alone)
+## in CHANGES.md (per directory, and src/repro/obs/ and src/repro/service/
+## alone)
 loc:
-	@for d in src tests "benchmarks scripts" src/repro/obs; do \
+	@for d in src tests "benchmarks scripts" src/repro/obs src/repro/service; do \
 		printf '%-20s %6d\n' "$$d" $$(git ls-files -- $$d | grep '\.py$$' | xargs cat | wc -l); \
 	done

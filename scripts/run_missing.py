@@ -6,9 +6,8 @@ Every committed ``benchmarks/output/<slug>.txt`` — Tables 1-2, Figures
 of :data:`repro.experiments.ARTIFACTS` (header, experiment id, literal
 kwargs).  This script runs those entries' experiments through a
 :class:`repro.service.RunService` worker pool over a throwaway result
-store: an experiment's fingerprint is its id and kwargs, not the code
-that renders it, so a persistent store would hand back the text of an
-older program.
+store, so every artifact is rendered afresh rather than served from an
+earlier render.
 
 Modes
 -----

@@ -1,9 +1,14 @@
 """Client for the Unix-socket run service (``repro submit`` / ``jobs``).
 
-One connection per call; ``watch`` holds its connection open and yields
-each streamed status line.  Results come back as real objects: the client
-reads the payload path from the server's reply and unpickles it from the
-shared filesystem.
+Each (process, thread) keeps one connection, opened on first use, for all
+its calls: no request pays a connection set-up, a forked child never
+writes into its parent's socket, and a thread blocked in ``wait`` never
+delays another's ``ping``.  A kept connection the server closed is
+reopened once and the request resent (every op is safe to resend; a
+``submit`` dedupes by fingerprint).  ``watch`` and ``tail`` stream over a
+connection of their own: a generator may be abandoned mid-stream.
+Results come back as real objects: the client reads the payload path
+from the server's reply and unpickles it from the shared filesystem.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 import os
 import pickle
 import socket
+import threading
 from typing import Any, Iterator
 
 from .server import default_socket_path
@@ -33,10 +39,23 @@ class ServiceClient:
     ) -> None:
         self.socket_path = str(socket_path or default_socket_path())
         self.timeout = timeout
+        # (pid, thread id) -> (socket, its read file) kept between calls
+        self._conns: dict[tuple[int, int], tuple[socket.socket, Any]] = {}
+
+    def close(self) -> None:
+        """Close every kept connection (the client stays usable)."""
+        for key in list(self._conns):
+            self._drop(key)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> tuple[socket.socket, Any]:
         s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         if self.timeout is not None:
             s.settimeout(self.timeout)
@@ -48,20 +67,54 @@ class ServiceClient:
                 f"no run service listening on {self.socket_path} "
                 "(start one with: repro serve)"
             ) from exc
-        return s
+        return s, s.makefile("rb")
 
     def _call(self, op: str, **kw) -> dict:
-        with self._connect() as s:
-            fh = s.makefile("rwb")
-            fh.write(json.dumps({"op": op, **kw}).encode() + b"\n")
-            fh.flush()
-            line = fh.readline()
-        if not line:
-            raise ConnectionError(f"service closed the connection mid-{op}")
+        msg = json.dumps({"op": op, **kw}).encode() + b"\n"
+        key = (os.getpid(), threading.get_ident())
+        while True:
+            reused = key in self._conns
+            if not reused:
+                self._conns[key] = self._connect()
+            s, fh = self._conns[key]
+            try:
+                s.sendall(msg)
+                line = fh.readline()
+            except (BrokenPipeError, ConnectionResetError):
+                line = b""
+            except BaseException:  # a late reply would answer the next call
+                self._drop(key)
+                raise
+            if line.endswith(b"\n"):
+                break
+            self._drop(key)
+            if not reused or line:
+                raise ConnectionError(f"service closed the connection mid-{op}")
         resp = json.loads(line)
         if not resp.get("ok"):
             raise RuntimeError(resp.get("error", f"{op} failed"))
         return resp
+
+    def _drop(self, key: tuple[int, int]) -> None:
+        for part in self._conns.pop(key, ()):
+            part.close()
+
+    def _stream(self, op: str, job_id: str, timeout: float | None):
+        """Yield each streamed reply line of ``op`` over its own
+        connection, up to and including the final one."""
+        s, fh = self._connect()
+        with s, fh:
+            s.sendall(
+                json.dumps({"op": op, "job_id": job_id, "timeout": timeout})
+                .encode() + b"\n"
+            )
+            for line in fh:
+                resp = json.loads(line)
+                if not resp.get("ok"):
+                    raise RuntimeError(resp.get("error", f"{op} failed"))
+                yield resp
+                if resp.get("final"):
+                    return
 
     # -- ops -----------------------------------------------------------------
 
@@ -98,22 +151,8 @@ class ServiceClient:
         self, job_id: str, timeout: float | None = None
     ) -> Iterator[dict]:
         """Yield job snapshots as the service streams transitions."""
-        with self._connect() as s:
-            fh = s.makefile("rwb")
-            fh.write(
-                json.dumps(
-                    {"op": "watch", "job_id": job_id, "timeout": timeout}
-                ).encode()
-                + b"\n"
-            )
-            fh.flush()
-            for line in fh:
-                resp = json.loads(line)
-                if not resp.get("ok"):
-                    raise RuntimeError(resp.get("error", "watch failed"))
-                yield resp["job"]
-                if resp.get("final"):
-                    return
+        for resp in self._stream("watch", job_id, timeout):
+            yield resp["job"]
 
     def top(self) -> dict:
         """Live service utilization: queue depth, busy workers, dedupe
@@ -124,21 +163,8 @@ class ServiceClient:
         self, job_id: str, timeout: float | None = None
     ) -> Iterator[dict]:
         """Yield the job's per-step telemetry records as they stream."""
-        with self._connect() as s:
-            fh = s.makefile("rwb")
-            fh.write(
-                json.dumps(
-                    {"op": "tail", "job_id": job_id, "timeout": timeout}
-                ).encode()
-                + b"\n"
-            )
-            fh.flush()
-            for line in fh:
-                resp = json.loads(line)
-                if not resp.get("ok"):
-                    raise RuntimeError(resp.get("error", "tail failed"))
-                if resp.get("final"):
-                    return
+        for resp in self._stream("tail", job_id, timeout):
+            if not resp["final"]:
                 yield resp["record"]
 
     def result(self, job_id: str, timeout: float | None = None) -> Any:

@@ -6,23 +6,39 @@ plus literal kwargs (e.g. ``fig01``'s reduced grid), deterministic for a
 given program.  :class:`ExperimentRequest` wraps one such id and kwargs
 as a submittable, fingerprintable request, so ``scripts/run_missing.py``
 regenerates the artifacts through the service worker pool.  The
-fingerprint covers the id and kwargs, not the code behind them: a store
-that outlives a code change serves the older text.
+fingerprint covers the id, the kwargs and :func:`code_digest` — the code
+that renders them — so a store that outlives a code change renders
+afresh instead of serving the older text.  ``RunRequest.fingerprint``
+stays code-free: the run ledger compares one config across commits by it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 from ..obs.report import config_fingerprint
 
-__all__ = ["EXPERIMENT_SCHEMA", "ExperimentRequest"]
+__all__ = ["EXPERIMENT_SCHEMA", "ExperimentRequest", "code_digest"]
 
 #: Experiment-request wire tag (also how the service tells request kinds
 #: apart on the queue).
 EXPERIMENT_SCHEMA = "repro.experiment-request/1"
+
+
+@functools.cache
+def code_digest() -> str:
+    """sha256 over the ``repro`` package's sources (the C kernels' text
+    included), read once per process."""
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -37,6 +53,7 @@ class ExperimentRequest:
             schema=EXPERIMENT_SCHEMA,
             id=self.id,
             kw=dict(sorted(dict(self.kw).items())),
+            code=code_digest(),
         )
 
     def execute(self) -> str:

@@ -1,10 +1,12 @@
 """Unix-domain-socket front end for :class:`~repro.service.RunService`.
 
-Protocol: newline-delimited JSON, one request per connection.  The client
-sends one object ``{"op": ..., ...}``; the server answers with one
-``{"ok": true, ...}`` line (or ``{"ok": false, "error": ...}``).  The
-``watch`` op streams one line per job transition and closes after the
-terminal one — job status streaming over a raw socket, no framework.
+Protocol: newline-delimited JSON.  A connection carries any number of
+requests, served in order until the client closes it: the client sends
+one object ``{"op": ..., ...}``; the server answers with one
+``{"ok": true, ...}`` line (or ``{"ok": false, "error": ...}``) and
+reads the next.  The ``watch`` op streams one line per job transition up
+to the terminal one, then the connection takes the next request — job
+status streaming over a raw socket, no framework.
 
 Result payloads never cross the socket: ``result`` returns the store
 entry's manifest plus the payload *path*, and the client unpickles it
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import socketserver
 import threading
 from pathlib import Path
@@ -46,18 +49,22 @@ def default_socket_path() -> Path:
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # one JSON request per connection
+    def handle(self) -> None:  # JSON requests, in order, until EOF
         server: "ServiceServer" = self.server  # type: ignore[assignment]
-        line = self.rfile.readline()
-        if not line:
-            return
+        try:
+            for line in self.rfile:
+                self._serve(server.service, line)
+        except OSError:
+            pass  # the client reset the connection
+
+    def _serve(self, svc: RunService, line: bytes) -> None:
         try:
             req = json.loads(line)
             op = req.get("op")
             fn = getattr(self, f"_op_{op}", None)
             if fn is None:
                 raise ValueError(f"unknown op {op!r}")
-            fn(server.service, req)
+            fn(svc, req)
         except Exception as exc:  # malformed input must not kill the server
             self._send({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
 
@@ -156,9 +163,12 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class ServiceServer(socketserver.ThreadingUnixStreamServer):
-    """Threaded Unix-socket server bound to a :class:`RunService`."""
+    """Threaded Unix-socket server fronting one :class:`RunService` for
+    its whole life: one handler thread per open connection.
+    :meth:`server_close` shuts every live connection down (no handler
+    reads another request), closes the service (a handler parked in
+    ``wait``/``watch``/``tail`` returns) and joins every handler."""
 
-    daemon_threads = True
     allow_reuse_address = True
 
     def __init__(
@@ -172,14 +182,38 @@ class ServiceServer(socketserver.ThreadingUnixStreamServer):
         if path.exists():
             path.unlink()  # stale socket from a previous serve
         self.socket_path = path
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
         super().__init__(str(path), _Handler)
 
+    def process_request(self, request, client_address) -> None:
+        t = threading.Thread(target=self.process_request_thread,
+                             args=(request, client_address), daemon=True)
+        with self._live_lock:
+            self._live[request] = t
+        t.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
     def server_close(self) -> None:
+        with self._live_lock:
+            live = dict(self._live)
+        for conn in live:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         super().server_close()
         try:
             self.socket_path.unlink()
         except OSError:
             pass
+        self.service.close()
+        for t in live.values():
+            t.join()
 
 
 def serve(

@@ -8,6 +8,7 @@ import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from repro.service import (
     ResultStore,
     RunService,
     ServiceClient,
+    ServiceServer,
     ServiceUnavailable,
+    experiments,
     serve,
 )
 
@@ -194,6 +197,16 @@ class TestPersistentStore:
             assert "Table 2" in text
             assert svc.submit(req).status == "cached"
 
+    def test_experiment_fingerprint_covers_the_code(self, monkeypatch):
+        """A store that outlives a code change must not serve the text an
+        older program rendered."""
+        req = ExperimentRequest("table2")
+        monkeypatch.setattr(experiments, "code_digest", lambda: "a" * 64)
+        first = req.fingerprint()
+        assert ExperimentRequest("table2").fingerprint() == first
+        monkeypatch.setattr(experiments, "code_digest", lambda: "b" * 64)
+        assert req.fingerprint() != first
+
 
 class TestFailures:
     def test_bad_request_fails_structurally(self, tmp_path):
@@ -240,45 +253,84 @@ class TestFailures:
             assert "worker process died" in done.error
             # The pool respawned: new work still completes.
             j2 = svc.submit(sod_request())
-            assert svc.wait(j2.id, timeout=120).status == "done"
+            done2 = svc.wait(j2.id, timeout=120)
+            assert done2.status == "done", _pool_state(svc, done2)
             assert svc.result(j2.id).steps == SOD["steps"]
+
+
+def _pool_state(svc, job) -> str:
+    """Why a job after a respawn did not finish: each worker's pid,
+    liveness and kernel wait channel, and the parent's live threads."""
+    workers = []
+    for p in list(svc._procs):
+        try:
+            wchan = Path(f"/proc/{p.pid}/wchan").read_text() or "-"
+        except OSError as exc:
+            wchan = f"unreadable ({exc.strerror})"
+        workers.append(f"pid={p.pid} alive={p.is_alive()} wchan={wchan}")
+    threads = sorted(t.name for t in threading.enumerate())
+    return (
+        f"{job.id} ended {job.status} (error: {job.error}); "
+        f"workers: {'; '.join(workers) or 'none'}; parent threads: {threads}"
+    )
+
+
+def _serve_in_thread(sock, tmp_path) -> threading.Thread:
+    """``serve()`` on ``sock`` in a thread, returned once it accepts."""
+    ready = threading.Event()
+    t = threading.Thread(
+        target=serve,
+        kwargs=dict(socket_path=sock, workers=1,
+                    store=ResultStore(tmp_path / "store"),
+                    ledger=False, ready=lambda _srv: ready.set()),
+    )
+    t.start()
+    assert ready.wait(30), "server never came up"
+    return t
+
+
+def _running_job(client) -> tuple[dict, int]:
+    """A job that runs until its worker is killed, once it is running."""
+    job = client.submit(sod_request(steps=100000))
+    deadline = time.monotonic() + 60
+    while (pid := client.status(job["id"])["worker_pid"]) is None:
+        assert time.monotonic() < deadline, "job never started"
+        time.sleep(0.02)
+    return job, pid
+
+
+def _handler_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate()
+            if "process_request_thread" in t.name]
 
 
 class TestSocketFrontEnd:
     @pytest.fixture
     def endpoint(self, tmp_path):
         sock = str(tmp_path / "svc.sock")
-        ready = threading.Event()
-        t = threading.Thread(
-            target=serve,
-            kwargs=dict(socket_path=sock, workers=1,
-                        store=ResultStore(tmp_path / "store"),
-                        ledger=False, ready=lambda _srv: ready.set()),
-        )
-        t.start()
-        assert ready.wait(30), "server never came up"
+        t = _serve_in_thread(sock, tmp_path)
         yield sock
-        client = ServiceClient(sock)
-        try:
-            client.shutdown()
-        except (ServiceUnavailable, RuntimeError):
-            pass
+        with ServiceClient(sock) as client:
+            try:
+                client.shutdown()
+            except (ServiceUnavailable, RuntimeError):
+                pass
         t.join(30)
         assert not t.is_alive()
 
     def test_submit_watch_result(self, endpoint):
-        client = ServiceClient(endpoint, timeout=120)
-        job = client.submit(sod_request())
-        states = [s["status"] for s in client.watch(job["id"], timeout=120)]
-        assert states[-1] == "done"
-        res = client.result(job["id"])
-        direct = api.run("sod", **SOD)
-        assert np.array_equal(res.state.rho, direct.state.rho)
-        # Second submit: served from the store, no execution.
-        assert client.submit(sod_request())["status"] == "cached"
-        assert client.ping()["executed"] == 1
-        assert len(client.jobs()) == 2
-        ping = client.ping()
+        with ServiceClient(endpoint, timeout=120) as client:
+            job = client.submit(sod_request())
+            states = [s["status"] for s in client.watch(job["id"], timeout=120)]
+            assert states[-1] == "done"
+            res = client.result(job["id"])
+            direct = api.run("sod", **SOD)
+            assert np.array_equal(res.state.rho, direct.state.rho)
+            # Second submit: served from the store, no execution.
+            assert client.submit(sod_request())["status"] == "cached"
+            assert client.ping()["executed"] == 1
+            assert len(client.jobs()) == 2
+            ping = client.ping()
         assert ping["jobs"] == 2 and ping["store_entries"] == 1
         assert set(ping) == {"ok", "pid", "workers", "jobs", "executed",
                              "store_root", "store_entries"}
@@ -286,18 +338,140 @@ class TestSocketFrontEnd:
     def test_unknown_wire_key_is_a_structured_error_and_no_job(self, endpoint):
         """A dict with a key nobody reads must not run as something else
         (``"nproc": 4`` used to execute, and cache, a serial run)."""
-        client = ServiceClient(endpoint, timeout=120)
         wire = sod_request().to_dict()
         wire["execution"] = {"nproc": 4}
-        with pytest.raises(
-            RuntimeError,
-            match=r"ValueError: unknown execution field\(s\) \['nproc'\]",
-        ):
-            client.submit(wire)
-        ping = client.ping()
+        with ServiceClient(endpoint, timeout=120) as client:
+            with pytest.raises(
+                RuntimeError,
+                match=r"ValueError: unknown execution field\(s\) \['nproc'\]",
+            ):
+                client.submit(wire)
+            # The error reply left the kept connection usable.
+            ping = client.ping()
         assert (ping["jobs"], ping["executed"], ping["store_entries"]) == (0, 0, 0)
 
     def test_unavailable_raises_with_hint(self, tmp_path):
-        client = ServiceClient(tmp_path / "nobody-home.sock")
-        with pytest.raises(ServiceUnavailable, match="repro serve"):
+        with ServiceClient(tmp_path / "nobody-home.sock") as client:
+            with pytest.raises(ServiceUnavailable, match="repro serve"):
+                client.ping()
+
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        """Every connection the server accepts from here on."""
+        conns = []
+        accept = ServiceServer.get_request
+
+        def counting(srv):
+            conns.append(accept(srv))
+            return conns[-1]
+
+        monkeypatch.setattr(ServiceServer, "get_request", counting)
+        return conns
+
+    def test_calls_share_one_connection(self, endpoint, accepted):
+        """Every call of one client thread rides one accepted connection,
+        a cache hit's submit + result included; ``watch`` streams over a
+        connection of its own."""
+        with ServiceClient(endpoint, timeout=120) as client:
+            job = client.submit(sod_request())
+            client.result(job["id"])
+            hit = client.submit(sod_request())
+            assert hit["status"] == "cached"
+            client.result(hit["id"])
+            for _ in range(5):
+                client.ping()
+            client.jobs()
+            client.top()
+            assert len(accepted) == 1
+            assert list(client.watch(job["id"]))[-1]["status"] == "done"
+            assert len(accepted) == 2
             client.ping()
+        assert len(accepted) == 2
+
+    def test_client_reconnects_after_server_restart(self, tmp_path):
+        sock = str(tmp_path / "svc.sock")
+        with ServiceClient(sock, timeout=120) as client:
+            for _ in range(2):
+                t = _serve_in_thread(sock, tmp_path)
+                assert client.ping()["executed"] == 0
+                client.shutdown()
+                t.join(30)
+                assert not t.is_alive()
+
+    def test_shutdown_leaves_no_handler_thread(self, tmp_path):
+        sock = str(tmp_path / "svc.sock")
+        t = _serve_in_thread(sock, tmp_path)
+        with ServiceClient(sock, timeout=120) as client:
+            client.ping()
+            # The kept connection holds one handler thread, blocked in
+            # its read of the next request.
+            assert len(_handler_threads()) == 1
+            client.shutdown()
+            t.join(30)
+            assert not t.is_alive()
+            assert _handler_threads() == []
+            with pytest.raises(ServiceUnavailable):
+                client.ping()
+
+    def test_shutdown_releases_a_client_parked_in_wait(self, tmp_path):
+        """A handler blocked in ``wait`` on a running job neither holds
+        the shutdown up nor outlives it; its client is told at once."""
+        sock = str(tmp_path / "svc.sock")
+        t = _serve_in_thread(sock, tmp_path)
+        with ServiceClient(sock, timeout=120) as client:
+            job, pid = _running_job(client)
+            errors = []
+
+            def park():
+                try:
+                    client.wait(job["id"])
+                except ConnectionError as exc:
+                    errors.append(exc)
+
+            waiter = threading.Thread(target=park)
+            waiter.start()
+            time.sleep(0.3)  # the waiter is parked in the server's wait
+            client.shutdown()
+            waiter.join(30)
+            assert not waiter.is_alive() and errors
+            # The parked handler returns while the job still runs.
+            deadline = time.monotonic() + 10
+            while _handler_threads() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert _handler_threads() == []
+            os.kill(pid, signal.SIGKILL)  # spares close() its join timeout
+            t.join(30)
+            assert not t.is_alive()
+
+    def test_blocked_wait_does_not_delay_another_threads_ping(self, endpoint):
+        with ServiceClient(endpoint, timeout=120) as client:
+            job, pid = _running_job(client)
+            waited = []
+            waiter = threading.Thread(
+                target=lambda: waited.append(client.wait(job["id"]))
+            )
+            waiter.start()
+            time.sleep(0.3)  # the waiter is parked in the server's wait
+            t0 = time.monotonic()
+            client.ping()
+            elapsed = time.monotonic() - t0
+            assert waiter.is_alive() and not waited
+            os.kill(pid, signal.SIGKILL)  # ends the job, and the wait
+            waiter.join(60)
+        assert elapsed < 1.0
+        assert waited and waited[0]["status"] == "failed"
+
+    def test_forked_child_opens_its_own_connection(self, endpoint, accepted):
+        with ServiceClient(endpoint, timeout=120) as client:
+            parent_pid = client.ping()["pid"]
+            child = os.fork()
+            if child == 0:  # never touches the parent's kept socket
+                code = 1
+                try:
+                    code = 0 if client.ping()["pid"] == parent_pid else 1
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(child, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert client.ping()["pid"] == parent_pid
+        assert len(accepted) == 2

@@ -627,33 +627,33 @@ class TestSocketTelemetry:
         t.start()
         assert ready.wait(30), "server never came up"
         yield sock
-        client = ServiceClient(sock)
-        try:
-            client.shutdown()
-        except Exception:
-            pass
+        with ServiceClient(sock) as client:
+            try:
+                client.shutdown()
+            except Exception:
+                pass
         t.join(30)
         assert not t.is_alive()
 
     def test_context_tail_and_top_over_the_socket(self, endpoint):
-        client = ServiceClient(endpoint, timeout=180)
-        ctx = TraceContext.mint(origin="client")
-        job = client.submit(
-            RunRequest.from_run_args(
-                "sod", steps=30, nx=64, nr=8, nprocs=2, substrate="process",
-                trace=True,
-            ),
-            context=ctx,
-        )
-        records = list(client.tail(job["id"], timeout=180))
-        states = [s["status"] for s in client.watch(job["id"], timeout=60)]
-        assert states[-1] == "done"
-        assert len(records) == 60
-        assert {r["rank"] for r in records} == {0, 1}
-        assert all(r["job"] == job["id"] for r in records)
-        top = client.top()
-        assert top["executed"] == 1
-        assert top["stream_records"] == 60
-        # The client-minted trace id survived two process hops and a fork.
-        res = client.result(job["id"])
-        assert res.trace.meta["trace_id"] == ctx.trace_id
+        with ServiceClient(endpoint, timeout=180) as client:
+            ctx = TraceContext.mint(origin="client")
+            job = client.submit(
+                RunRequest.from_run_args(
+                    "sod", steps=30, nx=64, nr=8, nprocs=2, substrate="process",
+                    trace=True,
+                ),
+                context=ctx,
+            )
+            records = list(client.tail(job["id"], timeout=180))
+            states = [s["status"] for s in client.watch(job["id"], timeout=60)]
+            assert states[-1] == "done"
+            assert len(records) == 60
+            assert {r["rank"] for r in records} == {0, 1}
+            assert all(r["job"] == job["id"] for r in records)
+            top = client.top()
+            assert top["executed"] == 1
+            assert top["stream_records"] == 60
+            # The client-minted trace id survived two process hops and a fork.
+            res = client.result(job["id"])
+            assert res.trace.meta["trace_id"] == ctx.trace_id
