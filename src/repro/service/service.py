@@ -1,14 +1,18 @@
-"""The run service core: queue, scheduler, worker pool, dedupe, streaming.
+"""The run service core: scheduler, worker pool, dedupe, streaming.
 
 :class:`RunService` is the in-process engine behind both the Unix-socket
 server (``repro serve``) and direct library use.  Design points:
 
-* **Worker OS processes.**  Jobs execute in forked worker processes (the
-  PR 5 process-substrate discipline): a crashing or runaway run cannot
-  take the service down, and real runs get real cores.  A worker that
-  dies mid-job (killed, segfault) is detected by liveness polling; its
-  job fails with a structured error — never a hang — and a replacement
-  worker is forked.
+* **Worker OS processes, one pipe each.**  Jobs execute in forked
+  worker processes (the process-substrate discipline): a crashing or
+  runaway run cannot take the service down, and real runs get real cores.
+  The parent schedules: it keeps the FIFO of pending jobs and sends each
+  one down the pipe of an idle worker, and the job is ``running`` from
+  that moment.  No queue is shared between processes: a worker SIGKILLed
+  while holding a shared queue's cross-process lock would leave it held
+  and wedge every other worker.  A worker that dies (killed, segfault) is
+  found by the pump's ``is_alive`` poll; its job fails with a structured
+  error — never a hang — and a replacement worker is forked.
 * **Fingerprint dedupe, two layers.**  At submit time a request whose
   ``fingerprint()`` is already in the :class:`~repro.service.store.ResultStore`
   completes instantly as ``cached``; one whose fingerprint is already
@@ -39,12 +43,13 @@ from __future__ import annotations
 import itertools
 import multiprocessing as _mp
 import os
-import queue as _queue
 import threading
 import time
 import traceback
+from collections import deque
+from multiprocessing.connection import wait as _wait
 from struct import error as struct_error
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, fields, replace as _dc_replace
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -65,7 +70,7 @@ from .store import ResultStore, write_payload
 
 __all__ = ["Job", "JobFailed", "RunService"]
 
-#: Liveness/queue poll interval for the pump thread, and how often
+#: Liveness poll interval for the pump thread, and how often
 #: ``tail`` reads a running job's step ring (seconds).
 _POLL = 0.1
 #: Step records a job's ring keeps per rank, and the most ``tail`` serves
@@ -103,6 +108,7 @@ class Job:
     """PID of the worker executing this job (while ``running``)."""
     submitted: float = 0.0
     started: float | None = None
+    """When the job was sent to a worker; it is ``running`` from then."""
     finished: float | None = None
     version: int = 0
     """Monotone transition counter (drives ``watch`` streaming)."""
@@ -126,29 +132,10 @@ class Job:
         return self.status in _TERMINAL
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "fingerprint": self.fingerprint,
-            "kind": self.kind,
-            "request": self.request,
-            "status": self.status,
-            "error": self.error,
-            "cached": self.cached,
-            "attached_to": self.attached_to,
-            "worker_pid": self.worker_pid,
-            "submitted": self.submitted,
-            "started": self.started,
-            "finished": self.finished,
-            "version": self.version,
-            "context": self.context,
-            "flight": (
-                {str(r): evs for r, evs in self.flight.items()}
-                if self.flight
-                else None
-            ),
-            "flight_path": self.flight_path,
-            "steps_path": self.steps_path,
-        }
+        wire = {f.name: getattr(self, f.name) for f in fields(self)}
+        wire["flight"] = ({str(r): evs for r, evs in self.flight.items()}
+                          if self.flight else None)
+        return wire
 
 
 def _encode_request(request) -> tuple[str, dict, str]:
@@ -192,12 +179,14 @@ def _flight_jsonl_path(path: str) -> str:
     return path.removesuffix(".ring") + ".jsonl"
 
 
-def _worker_main(tasks, results, store_root: str, policy: dict) -> None:
-    """Worker process loop: execute queued requests, ship results back.
+def _worker_main(conn, store_root: str, policy: dict) -> None:
+    """Worker process loop: execute the tasks the parent sends down
+    ``conn``, one at a time, and answer each with ``("done", report)`` or
+    ``("failed", error)``.
 
     Payloads are written straight into the store's content-addressed
     ``results/`` directory (atomic rename); only small manifests cross
-    the result queue.  ``None`` is the poison pill.
+    the pipe.  ``None`` (or the parent's end gone) ends the loop.
 
     Telemetry plumbing per run job:
 
@@ -215,11 +204,13 @@ def _worker_main(tasks, results, store_root: str, policy: dict) -> None:
     # survive a SIGKILLed service process; die with the parent instead.
     bind_to_parent_lifetime()
     while True:
-        item = tasks.get()
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
         if item is None:
             return
-        job_id, kind, req_dict, ctx_dict = item
-        results.put(("started", job_id, os.getpid(), None))
+        kind, req_dict, ctx_dict = item
         try:
             if kind == "experiment":
                 req = ExperimentRequest.from_dict(req_dict)
@@ -272,17 +263,17 @@ def _worker_main(tasks, results, store_root: str, policy: dict) -> None:
                 except OSError:
                     pass
                 report = result.perf.to_dict() if result.perf else {}
-            results.put(("done", job_id, os.getpid(), report))
+            reply = ("done", report)
         except BaseException as exc:  # ship *everything* back structured
-            err = (
+            reply = ("failed", (
                 f"{type(exc).__name__}: {exc}\n"
                 + "".join(traceback.format_exception(exc)[-3:])
-            )
-            results.put(("failed", job_id, os.getpid(), err))
+            ))
+        conn.send(reply)
 
 
 class RunService:
-    """Async job-queue run service over a pool of worker OS processes.
+    """Async run service over a pool of worker OS processes.
 
     Use as a context manager (or call :meth:`start` / :meth:`close`)::
 
@@ -325,18 +316,19 @@ class RunService:
                 "RunService requires the 'fork' start method (POSIX only), "
                 "matching the process substrate"
             ) from None
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
         # job id -> (records per rank, the last records) of its step ring,
         # read once when the job ended.
         self._tails: dict[str, tuple[dict[int, int], list[dict]]] = {}
         self._stream_records = 0  # step records of the jobs that ended
-        self._procs: list[Any] = []
+        # The pool, worker process -> the parent's end of its pipe, and the
+        # dispatch table, worker -> the job sent to it.
+        self._workers: dict[Any, Any] = {}
+        self._running: dict[Any, str] = {}
+        self._pending: deque[str] = deque()  # job ids, oldest first
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._inflight: dict[str, str] = {}  # fingerprint -> primary job id
         self._followers: dict[str, list[str]] = {}  # primary id -> followers
-        self._pid_job: dict[int, str] = {}  # worker pid -> running job id
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
@@ -366,10 +358,15 @@ class RunService:
                 return
             self._closing = True
             self._changed.notify_all()
-        for _ in self._procs:
-            self._tasks.put(None)
+        if self._pump is not None:  # the pump alone reads and closes pipes
+            self._pump.join(timeout=2.0)
+        for conn in self._workers.values():
+            try:
+                conn.send(None)
+            except OSError:
+                pass
         deadline = time.monotonic() + timeout
-        for p in self._procs:
+        for p, conn in self._workers.items():
             p.join(max(deadline - time.monotonic(), 0.1))
             if p.is_alive():
                 p.terminate()
@@ -377,10 +374,7 @@ class RunService:
             if p.is_alive():  # non-daemonic workers must not outlive us
                 p.kill()
                 p.join(1.0)
-        if self._pump is not None:
-            self._pump.join(timeout=2.0)
-        self._tasks.close()
-        self._results.close()
+            conn.close()
 
     def __enter__(self) -> "RunService":
         return self.start()
@@ -393,15 +387,16 @@ class RunService:
         # the process substrate runs one OS process per rank inside the
         # worker, and daemonic processes may not have children.  close()
         # joins, then terminates, then kills, so they never outlive us.
+        ours, theirs = self._ctx.Pipe()
         p = self._ctx.Process(
             target=_worker_main,
-            args=(self._tasks, self._results, str(self.store.root),
-                  dict(self._policy)),
+            args=(theirs, str(self.store.root), dict(self._policy)),
             daemon=False,
-            name=f"repro-service-worker-{len(self._procs)}",
+            name=f"repro-service-worker-{len(self._workers)}",
         )
         p.start()
-        self._procs.append(p)
+        theirs.close()
+        self._workers[p] = ours
 
     # -- submission ----------------------------------------------------------
 
@@ -409,7 +404,8 @@ class RunService:
         """Enqueue (or instantly satisfy) one request; returns its Job.
 
         Dedupe order: persistent store first (``cached``), then in-flight
-        fingerprints (``attached``), then a fresh queue entry.
+        fingerprints (``attached``), then execution: sent to an idle
+        worker at once (``running``) or queued behind the pending jobs.
 
         ``context`` is the submitting client's
         :class:`~repro.obs.TraceContext` (object or wire dict); ``None``
@@ -459,8 +455,9 @@ class RunService:
             if kind == "run":
                 job.flight_path = _ring_path(str(self.store.root), fp, "flight")
                 job.steps_path = _ring_path(str(self.store.root), fp, "steps")
-            self._tasks.put((job.id, kind, wire, job.context))
+            self._pending.append(job.id)
             self._bump(job)
+            self._dispatch()
             return _snapshot(job)
 
     # -- queries -------------------------------------------------------------
@@ -609,11 +606,6 @@ class RunService:
         """
         with self._lock:
             jobs = [self._jobs[i] for i in self._order]
-            queued = sum(
-                1
-                for j in jobs
-                if j.status == "queued" and j.attached_to is None
-            )
             running = [
                 j
                 for j in jobs
@@ -646,8 +638,8 @@ class RunService:
                 })
             return {
                 "workers": self.workers,
-                "busy": len(self._pid_job),
-                "queue_depth": queued,
+                "busy": len(self._running),
+                "queue_depth": len(self._pending),
                 "jobs_total": len(jobs),
                 "executed": self.executed,
                 "dedupe_hits": dedupe_hits,
@@ -782,95 +774,96 @@ class RunService:
             self._jobs[i] for i in self._followers.get(primary.id, [])
         ]
 
+    def _dispatch(self) -> None:
+        """Send pending jobs, oldest first, to idle workers (lock held).
+
+        A job is ``running`` once its task is in a worker's pipe.  A send
+        that fails means the worker is dead: the job goes back to the
+        front of the queue, and the pump replaces the worker.
+        """
+        for p, conn in self._workers.items():
+            if not self._pending:
+                return
+            if p in self._running:
+                continue
+            job = self._jobs[self._pending.popleft()]
+            try:
+                conn.send((job.kind, job.request, job.context))
+            except OSError:
+                self._pending.appendleft(job.id)
+                continue
+            self._running[p] = job.id
+            now = time.time()
+            for j in self._group(job):
+                j.status = "running"
+                j.started = now
+                j.worker_pid = p.pid
+                self._bump(j)
+
     def _pump_loop(self) -> None:
-        """Drain worker results; poll worker liveness; respawn the dead."""
+        """Read worker replies; fail the jobs of dead workers and replace
+        them; hand pending jobs to the idle.
+
+        A worker's pipe is no liveness signal: rank children it forked
+        hold its end open until their parent-death signal arrives, so the
+        ``is_alive`` poll after each wait is what finds the dead.  Only
+        this thread, and ``close`` once it has ended, reads or closes a
+        pipe.
+        """
         while True:
             with self._lock:
                 if self._closing:
                     return
-            try:
-                msg = self._results.get(timeout=_POLL)
-            except _queue.Empty:
-                msg = None
-            except (EOFError, OSError):
-                return
-            if msg is not None:
-                self._handle(msg)
-            self._check_liveness()
+                ends = {conn: p for p, conn in self._workers.items()}
+            replies = {}
+            for conn in _wait(list(ends), timeout=_POLL):
+                p = ends[conn]
+                try:
+                    replies[p] = conn.recv()
+                except (EOFError, OSError):  # the worker is dead
+                    p.kill()
+                    p.join(1.0)
+            with self._lock:
+                if self._closing:
+                    return
+                ended = [(self._running.pop(p), *r) for p, r in replies.items()]
+                for p in [p for p in self._workers if not p.is_alive()]:
+                    self._workers.pop(p).close()
+                    if p in self._running:
+                        job_id = self._running.pop(p)
+                        ended.append((job_id, "failed", (
+                            f"worker process died (pid={p.pid}, exitcode="
+                            f"{p.exitcode}) while running {job_id}"
+                        )))
+                while len(self._workers) < self.workers:
+                    self._spawn_worker()
+                self._dispatch()  # idle workers start before the ended are filed
+                for job_id, status, detail in ended:
+                    self._finish(self._jobs[job_id], status, detail)
 
-    def _handle(self, msg) -> None:
-        event, job_id, pid, detail = msg
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return
-            if event == "started":
-                self._pid_job[pid] = job_id
-                for j in self._group(job):
-                    j.status = "running"
-                    j.started = time.time()
-                    j.worker_pid = pid
-                    self._bump(j)
-                return
-            self._pid_job.pop(pid, None)
-            self._inflight.pop(job.fingerprint, None)
-            self._keep_steps(job)
-            if event == "done":
-                # Single-writer index append happens here, in the parent.
-                self.store.commit(
-                    job.fingerprint,
-                    kind=job.kind,
-                    request=job.request,
-                    report=detail or {},
-                    meta={"job": job.id},
-                )
-                self.executed += 1
-                for j in self._group(job):
-                    j.status = "done"
-                    j.finished = time.time()
-                    j.worker_pid = None
-                    self._bump(j)
-            else:  # failed
-                flight = self._post_mortem(job)
-                for j in self._group(job):
-                    j.status = "failed"
-                    j.error = detail
-                    j.flight = flight
-                    j.finished = time.time()
-                    j.worker_pid = None
-                    self._bump(j)
-
-    def _check_liveness(self) -> None:
-        """Fail jobs owned by dead workers; fork replacements."""
-        with self._lock:
-            if self._closing:
-                return
-            dead = [p for p in self._procs if not p.is_alive()]
-            if not dead:
-                return
-            for p in dead:
-                self._procs.remove(p)
-                job_id = self._pid_job.pop(p.pid, None)
-                if job_id is not None:
-                    job = self._jobs.get(job_id)
-                    if job is not None and not job.terminal:
-                        self._inflight.pop(job.fingerprint, None)
-                        # The dead worker's rings are plain files.
-                        self._keep_steps(job)
-                        flight = self._post_mortem(job)
-                        err = (
-                            f"worker process died (pid={p.pid}, "
-                            f"exitcode={p.exitcode}) while running {job_id}"
-                        )
-                        for j in self._group(job):
-                            j.status = "failed"
-                            j.error = err
-                            j.flight = flight
-                            j.finished = time.time()
-                            j.worker_pid = None
-                            self._bump(j)
-            while len(self._procs) < self.workers:
-                self._spawn_worker()
+    def _finish(self, job: Job, status: str, detail) -> None:
+        """End an executed job and its followers ``done`` (``detail`` is
+        the PerfReport dict) or ``failed`` (``detail`` is the error)."""
+        self._inflight.pop(job.fingerprint, None)
+        self._keep_steps(job)  # the rings are plain files, even of the dead
+        flight = None
+        if status == "done":
+            # Single-writer index append happens here, in the parent.
+            self.store.commit(job.fingerprint, kind=job.kind,
+                              request=job.request, report=detail or {},
+                              meta={"job": job.id})
+            self.executed += 1
+        else:
+            flight = self._post_mortem(job)
+        now = time.time()
+        for j in self._group(job):
+            j.status = status
+            if status == "failed":
+                j.error = detail
+                j.flight = flight
+            j.finished = now
+            j.worker_pid = None
+            self._bump(j)
 
 
 def _unseen(ends: dict[int, int], records: list[dict], seen: dict[int, int]):

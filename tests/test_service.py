@@ -257,21 +257,77 @@ class TestFailures:
             assert done2.status == "done", _pool_state(svc, done2)
             assert svc.result(j2.id).steps == SOD["steps"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigkilled_idle_workers_do_not_wedge_the_pool(
+        self, tmp_path, workers
+    ):
+        """Workers SIGKILLed while idle, waiting for a task, take nothing
+        of the pool with them: the next job runs on a replacement.  (A
+        worker that dies holding a lock shared with the others would
+        leave every later job ``queued``.)"""
+        with make_service(tmp_path, workers=workers) as svc:
+            time.sleep(1.0)  # every worker reaches its read of a task
+            pids = [p.pid for p in svc._workers]
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, "SIGKILL not delivered"
+                time.sleep(0.01)
+            job = svc.submit(sod_request())
+            done = svc.wait(job.id, timeout=60)
+            assert done.status == "done", _pool_state(svc, done)
+            assert svc.result(job.id).steps == SOD["steps"]
+
+
+class TestScheduling:
+    def test_pending_jobs_run_in_submission_order(self, tmp_path):
+        """One worker, three jobs: the first runs, the other two wait in
+        the parent (``top()`` counts them) and start in the order they
+        were submitted — also after the busy worker dies."""
+        with make_service(tmp_path, workers=1) as svc:
+            a = svc.submit(sod_request(steps=100000))
+            b = svc.submit(sod_request(steps=40))
+            c = svc.submit(sod_request(steps=41))
+            assert svc.job(a.id).status == "running"
+            assert [svc.job(j.id).status for j in (b, c)] == ["queued"] * 2
+            top = svc.top()
+            assert (top["busy"], top["queue_depth"]) == (1, 2)
+            assert [row["id"] for row in top["running"]] == [a.id]
+            os.kill(svc.job(a.id).worker_pid, signal.SIGKILL)
+            assert svc.wait(a.id, timeout=60).status == "failed"
+            b, c = svc.wait(b.id, timeout=60), svc.wait(c.id, timeout=60)
+            assert (b.status, c.status) == ("done", "done"), _pool_state(svc, c)
+            assert a.started <= b.started < c.started
+            assert svc.top()["busy"] == svc.top()["queue_depth"] == 0
+
+
+def _exited(pid: int) -> bool:
+    """Whether process ``pid`` is gone or a zombie (read, not reaped)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"  # state follows (comm)
+
 
 def _pool_state(svc, job) -> str:
-    """Why a job after a respawn did not finish: each worker's pid,
-    liveness and kernel wait channel, and the parent's live threads."""
+    """Why a job did not finish: each worker's pid, liveness, kernel wait
+    channel and dispatched job, the pending jobs, and the parent's live
+    threads."""
     workers = []
-    for p in list(svc._procs):
+    for p in list(svc._workers):
         try:
             wchan = Path(f"/proc/{p.pid}/wchan").read_text() or "-"
         except OSError as exc:
             wchan = f"unreadable ({exc.strerror})"
-        workers.append(f"pid={p.pid} alive={p.is_alive()} wchan={wchan}")
+        workers.append(f"pid={p.pid} alive={p.is_alive()} wchan={wchan} "
+                       f"job={svc._running.get(p)}")
     threads = sorted(t.name for t in threading.enumerate())
     return (
         f"{job.id} ended {job.status} (error: {job.error}); "
-        f"workers: {'; '.join(workers) or 'none'}; parent threads: {threads}"
+        f"workers: {'; '.join(workers) or 'none'}; "
+        f"pending: {list(svc._pending)}; parent threads: {threads}"
     )
 
 
