@@ -2,7 +2,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all lattice artifacts stress bench gates speedup loc
+.PHONY: check test test-all lattice artifacts stress bench gates speedup ab loc
 
 ## check: tier-1 test suite (the pre-commit gate)
 check:
@@ -55,6 +55,15 @@ gates:
 		--seconds 3 --trace 1 --out $(GATES_REPORT) > /dev/null
 	$(PY) benchmarks/bench_core.py
 	$(PY) scripts/perf_gate.py $(GATES_REPORT) benchmarks/output/BENCH_core.json
+
+## ab: alternating A/B pairs of one harness workload, AB_REV (a git
+## revision, default HEAD) against this checkout — per end-to-end metric
+## the parent's median [quartiles] -> the change's median, "k of N" better
+AB_REV ?= HEAD
+AB_WORKLOAD ?= des-sweep
+AB_PAIRS ?= 10
+ab:
+	$(PY) scripts/ab.py $(AB_REV) --workload $(AB_WORKLOAD) --pairs $(AB_PAIRS)
 
 ## loc: tracked python line counts — the code size every change reports
 ## in CHANGES.md (per directory, and src/repro/obs/ and src/repro/service/

@@ -9,7 +9,7 @@ The pipeline:
 2. :mod:`repro.simulate.costmodel` converts compute segments to seconds on
    a platform's CPU model for a given code version.
 3. :mod:`repro.simulate.program` builds per-rank event programs (the
-   Version 5/6/7 communication shapes).
+   Version 5/6/7 communication shapes) as plan-driven engine processes.
 4. :mod:`repro.simulate.machine` runs them over a platform's network model
    with a message-library cost model on the :mod:`repro.simulate.engine`
    event engine, producing per-rank busy / non-overlapped-communication

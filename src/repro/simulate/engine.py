@@ -1,6 +1,6 @@
 """A small deterministic discrete-event engine.
 
-Processes are plain Python generators that yield *commands*:
+A process is either a plain Python generator that yields *commands*:
 
 * ``Delay(dt)`` — resume after ``dt`` simulated seconds;
 * ``Acquire(resource)`` — block until one unit of the resource is granted
@@ -9,7 +9,12 @@ Processes are plain Python generators that yield *commands*:
 * ``Wait(event)`` — block until the event triggers (resumes immediately if
   it already has);
 * ``Trigger(event)`` — fire an event, waking all waiters;
-* ``Spawn(generator)`` — start a child process at the current time.
+* ``Spawn(generator)`` — start a child process at the current time;
+
+or a :class:`PlanProcess`, a state machine whose ``resume(now)`` runs
+until it blocks and returns the delay it waits for — the simulated
+machine's ranks and wire transfers, with no generator frame or command
+object per event.  Both kinds share one heap.
 
 Determinism: ties in time are broken by a monotone sequence number, so runs
 are exactly reproducible — a property the regression tests rely on.
@@ -29,8 +34,6 @@ class Event:
     __slots__ = ("triggered", "trigger_time", "_waiters", "name")
 
     def __init__(self, name: Hashable = "") -> None:
-        """``name`` is any hashable label — the simulated machine passes
-        the message key tuple itself; it is only formatted by ``repr``."""
         self.triggered = False
         self.trigger_time: float | None = None
         self._waiters: list["_Proc"] = []
@@ -103,6 +106,15 @@ class Spawn:
         self.generator = generator
 
 
+class PlanProcess:
+    """A process as a state machine: at each heap entry the engine calls
+    ``resume(now)``, which returns the delay to the next, or ``None`` once
+    parked (in a resource queue, say) or done; ``Engine.schedule`` wakes it."""
+
+    __slots__ = ("name", "done")
+    gen = None  # what tells the run loop it is not a generator ``_Proc``
+
+
 class _Proc:
     __slots__ = ("gen", "name", "done")
 
@@ -128,26 +140,30 @@ class Engine:
         self.processes: list[_Proc] = []
         self.steps = 0
         self.tracer = tracer
+        self._push = heapq.heappush if tracer is None else self._traced_push
 
     # -- public API -------------------------------------------------------------
-    def add_process(self, gen: Generator, name: str = "proc") -> None:
-        """Register a process to start at time 0 (or at spawn time)."""
-        proc = _Proc(gen, name)
+    def add_process(self, gen: Generator | PlanProcess, name: str = "proc") -> None:
+        """Start a process now: a generator (named ``name``) or a plan process."""
+        proc = gen if isinstance(gen, PlanProcess) else _Proc(gen, name)
         self.processes.append(proc)
+        self.schedule(proc, self.now)
+
+    def schedule(self, proc: _Proc | PlanProcess, at: float) -> None:
+        """Push ``proc`` to resume at time ``at``, after earlier pushes."""
         self._seq += 1
-        push = heapq.heappush if self.tracer is None else self._traced_push
-        push(self._heap, (self.now, self._seq, proc))
+        self._push(self._heap, (at, self._seq, proc))
 
     def run(self, max_events: int = 50_000_000) -> float:
         """Run until all processes finish; returns the end time.
 
         One loop resumes a process and executes its commands until it
-        blocks, dispatching on the command's class.  Every schedule is a
-        heap push of ``(now + dt, seq, proc)`` with ``seq`` the monotone
-        tie-break, so the event order — and with it every result — is a
-        pure function of the processes."""
-        heap, pop, tracer = self._heap, heapq.heappop, self.tracer
-        push = heapq.heappush if tracer is None else self._traced_push
+        blocks, dispatching on the command's class; a plan process runs its
+        own ``resume``.  Every schedule is a heap push of
+        ``(now + dt, seq, proc)`` with ``seq`` the monotone tie-break, so
+        the event order — and with it every result — is a pure function of
+        the processes."""
+        heap, pop, tracer, push = self._heap, heapq.heappop, self.tracer, self._push
         seq, steps, processes = self._seq, self.steps, self.processes
         while heap:
             now, _, proc = pop(heap)
@@ -155,67 +171,77 @@ class Engine:
             if tracer is not None:
                 tracer.instant("proc.resume", cat="engine", ts=now, proc=proc.name)
             gen = proc.gen
-            while True:
-                try:
-                    cmd = next(gen)
-                except StopIteration:
-                    proc.done = True
-                    break
-                cls = cmd.__class__
-                if cls is Delay:
-                    dt = cmd.dt
+            if gen is None:  # a plan process; ``seq`` lives on self meanwhile
+                self._seq = seq
+                dt = proc.resume(now)
+                seq = self._seq
+                if dt is not None:
                     if dt < 0:
                         raise ValueError(f"negative delay {dt} in {proc.name}")
                     seq += 1
                     push(heap, (now + dt, seq, proc))
-                    break
-                if cls is Acquire:
-                    res = cmd.resource
-                    if res.in_use < res.capacity and not res._queue:
-                        res.in_use += 1
-                        if res._busy_since is None:
-                            res._busy_since = now
-                        continue
-                    res._queue.append(proc)
-                    break
-                if cls is Release:
-                    res = cmd.resource
-                    if res.in_use <= 0:
-                        raise RuntimeError(f"release of idle resource {res.name!r}")
-                    res.in_use -= 1
-                    if res.in_use == 0:
-                        res.busy_time += now - res._busy_since
-                        res._busy_since = None
-                    if res._queue and res.in_use < res.capacity:
-                        res.in_use += 1
-                        if res._busy_since is None:
-                            res._busy_since = now
+            else:
+                while True:
+                    try:
+                        cmd = next(gen)
+                    except StopIteration:
+                        proc.done = True
+                        break
+                    cls = cmd.__class__
+                    if cls is Delay:
+                        dt = cmd.dt
+                        if dt < 0:
+                            raise ValueError(f"negative delay {dt} in {proc.name}")
                         seq += 1
-                        push(heap, (now, seq, res._queue.popleft()))
-                    continue
-                if cls is Wait:
-                    ev = cmd.event
-                    if ev.triggered:
-                        continue
-                    ev._waiters.append(proc)
-                    break
-                if cls is Trigger:
-                    ev = cmd.event
-                    if not ev.triggered:
-                        ev.triggered = True
-                        ev.trigger_time = now
-                        for waiter in ev._waiters:
+                        push(heap, (now + dt, seq, proc))
+                        break
+                    if cls is Acquire:
+                        res = cmd.resource
+                        if res.in_use < res.capacity and not res._queue:
+                            res.in_use += 1
+                            if res._busy_since is None:
+                                res._busy_since = now
+                            continue
+                        res._queue.append(proc)
+                        break
+                    if cls is Release:
+                        res = cmd.resource
+                        if res.in_use <= 0:
+                            raise RuntimeError(f"release of idle resource {res.name!r}")
+                        res.in_use -= 1
+                        if res.in_use == 0:
+                            res.busy_time += now - res._busy_since
+                            res._busy_since = None
+                        if res._queue and res.in_use < res.capacity:
+                            res.in_use += 1
+                            if res._busy_since is None:
+                                res._busy_since = now
                             seq += 1
-                            push(heap, (now, seq, waiter))
-                        ev._waiters.clear()
-                    continue
-                if cls is Spawn:
-                    child = _Proc(cmd.generator, f"{proc.name}.child")
-                    processes.append(child)
-                    seq += 1
-                    push(heap, (now, seq, child))
-                    continue
-                raise TypeError(f"unknown simulation command {cmd!r} from {proc.name}")
+                            push(heap, (now, seq, res._queue.popleft()))
+                        continue
+                    if cls is Wait:
+                        ev = cmd.event
+                        if ev.triggered:
+                            continue
+                        ev._waiters.append(proc)
+                        break
+                    if cls is Trigger:
+                        ev = cmd.event
+                        if not ev.triggered:
+                            ev.triggered = True
+                            ev.trigger_time = now
+                            for waiter in ev._waiters:
+                                seq += 1
+                                push(heap, (now, seq, waiter))
+                            ev._waiters.clear()
+                        continue
+                    if cls is Spawn:
+                        child = _Proc(cmd.generator, f"{proc.name}.child")
+                        processes.append(child)
+                        seq += 1
+                        push(heap, (now, seq, child))
+                        continue
+                    raise TypeError(f"unknown simulation command {cmd!r} from {proc.name}")
             steps += 1
             if steps > max_events:
                 raise RuntimeError("event budget exceeded (runaway simulation?)")

@@ -17,9 +17,9 @@ from ..msglib.libmodel import LibraryModel
 from ..obs import current, trace_from_timelines
 from ..parallel.versions import Version, version_by_number
 from .costmodel import CostModel
-from .engine import Engine, Event, Resource
+from .engine import Engine, Resource
 from .program import build_rank_program
-from .timeline import RankContext, RankTimeline
+from .timeline import RankTimeline
 from .workload import Application, Workload
 
 
@@ -177,15 +177,7 @@ class SimulatedMachine:
         resources: dict[str, Resource] = {
             k: Resource(capacity=c, name=k) for k, c in capacities.items()
         }
-        events: dict[tuple, Event] = {}
-
-        def event_for(key: tuple) -> Event:
-            ev = events.get(key)
-            if ev is None:
-                ev = events[key] = Event(key)
-            return ev
-
-        contexts = [RankContext(engine, r, trace=trace) for r in range(p)]
+        arrivals: dict[tuple, list] = {}
 
         def fault_note(src: int, dst: int, key: tuple, extra: float) -> None:
             if tracer is not None:
@@ -199,34 +191,19 @@ class SimulatedMachine:
                     seconds=round(extra, 9),
                 )
 
+        speeds = self.node_speed_factors or [1.0] * p
+        ranks = []
         for r in range(p):
-            factor = (
-                self.node_speed_factors[r]
-                if self.node_speed_factors is not None
-                else 1.0
-            )
-            engine.add_process(
-                build_rank_program(
-                    contexts[r],
-                    r,
-                    p,
-                    workload,
-                    self.version,
-                    self.library,
-                    network,
-                    resources,
-                    event_for,
-                    steps_window,
-                    step_seconds / factor,
-                    faults=self.faults,
-                    fault_note=fault_note,
-                ),
-                name=f"rank{r}",
-            )
+            ranks.append(build_rank_program(
+                engine, r, p, workload, self.version, self.library, network,
+                resources, arrivals, steps_window, step_seconds / speeds[r],
+                faults=self.faults, fault_note=fault_note, trace=trace,
+            ))
+            engine.add_process(ranks[r])
         makespan = engine.run()
         if tracer is not None:
             trace_from_timelines(
-                [c.timeline for c in contexts],
+                [rank.timeline for rank in ranks],
                 tracer=tracer,
                 meta={
                     "platform": self.platform.name,
@@ -243,7 +220,7 @@ class SimulatedMachine:
             version=self.version.number,
             steps_window=steps_window,
             total_steps=total,
-            timelines=[c.timeline for c in contexts],
+            timelines=[rank.timeline for rank in ranks],
             makespan_window=makespan,
         )
         # Scaled per-rank timeline split plus the modelled flop count, so

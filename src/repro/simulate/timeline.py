@@ -13,7 +13,6 @@ time blocked waiting on the network or on late messages accumulates into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .engine import Engine
 
 
 @dataclass(frozen=True)
@@ -49,23 +48,3 @@ class RankTimeline:
     @property
     def total(self) -> float:
         return self.busy + self.comm_wait
-
-
-class RankContext:
-    """One rank's books: the rank program charges its compute, library and
-    wait time to ``timeline`` inline and, when tracing, records each
-    interval through ``_record``."""
-
-    def __init__(self, engine: Engine, rank: int, trace: bool = False) -> None:
-        self.engine = engine
-        self.timeline = RankTimeline(rank)
-        if trace:
-            self.timeline.segments = []
-
-    def _record(self, kind: str, t0: float) -> None:
-        segs = self.timeline.segments
-        if segs is not None and self.engine.now > t0:
-            segs.append(Segment(kind, t0, self.engine.now))
-
-    def finish(self) -> None:
-        self.timeline.finished_at = self.engine.now

@@ -250,6 +250,12 @@ class TestGoldenDigest:
     TRACE = (
         "3f7a70f18d580cda1549054fb97b413fdb3982ef73f468fed6362d88e99a0639"
     )
+    #: ``RESULTS``' shape at ``run()``'s default window of 30 steps, where
+    #: queues on shared links form as they do in a sweep (p = 16 and one
+    #: mixed 560/590 cluster); recorded on the generator rank program.
+    DEFAULT_WINDOW = (
+        "491f06e7b6c3b091e2cec0774160b72b1a0252452c8a7234d321cbbe8b108dd9"
+    )
 
     PLATFORMS = (
         LACE_560, LACE_590, LACE_560_ETHERNET, LACE_560_FDDI, LACE_590_ATM,
@@ -258,10 +264,10 @@ class TestGoldenDigest:
     FAULTS = ("lossy-ethernet", "jittery-now", "drop-storm")
 
     @staticmethod
-    def _line(machine, app):
+    def _line(machine, app, steps_window=2):
         metrics = MetricsRegistry()
         with use(metrics=metrics):
-            r = machine.run(app, steps_window=2)
+            r = machine.run(app, steps_window=steps_window)
         return repr((
             r.execution_time, r.comm_time, r.busy_time, r.per_rank_busy,
             r.per_rank_wait, metrics.value("sim.engine_events"),
@@ -282,6 +288,18 @@ class TestGoldenDigest:
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.RESULTS
+
+    def test_default_window_digest(self):
+        lines = [
+            self._line(SimulatedMachine(plat, 16, version=v), app, steps_window=30)
+            for app in (NAVIER_STOKES, EULER)
+            for plat in self.PLATFORMS
+            for v in (5, 6, 7)
+        ]
+        mixed = SimulatedMachine(LACE_560, 16, node_speed_factors=[1.0] * 8 + [1.7] * 8)
+        lines.append(self._line(mixed, NAVIER_STOKES, steps_window=30))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DEFAULT_WINDOW
 
     def test_trace_digest(self):
         from repro import run

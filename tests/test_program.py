@@ -4,14 +4,13 @@ import pytest
 
 from repro.msglib.libmodel import MPL, PVM
 from repro.parallel.versions import version_by_number
-from repro.simulate.engine import Engine, Event, Resource
+from repro.simulate.engine import Engine, Resource
 from repro.simulate.program import (
     EDGE_COMPUTE_FRACTION,
+    Transfer,
     _split_for_version,
     build_rank_program,
-    transfer_process,
 )
-from repro.simulate.timeline import RankContext
 from repro.simulate.workload import EULER, NAVIER_STOKES, Message, Workload
 from repro.machines.network.crossbar import CrossbarNetwork
 
@@ -21,25 +20,18 @@ def _run_program(nprocs, workload, version=5, library=PVM, steps=2,
     engine = Engine()
     net = CrossbarNetwork(nprocs)
     resources = {k: Resource(c, k) for k, c in net.capacities().items()}
-    events = {}
-
-    def event_for(key):
-        if key not in events:
-            events[key] = Event(str(key))
-        return events[key]
-
-    contexts = [RankContext(engine, r) for r in range(nprocs)]
-    for r in range(nprocs):
-        engine.add_process(
-            build_rank_program(
-                contexts[r], r, nprocs, workload,
-                version_by_number(version), library, net, resources,
-                event_for, steps, step_seconds,
-            ),
-            name=f"rank{r}",
+    arrivals = {}
+    ranks = [
+        build_rank_program(
+            engine, r, nprocs, workload, version_by_number(version), library,
+            net, resources, arrivals, steps, step_seconds,
         )
+        for r in range(nprocs)
+    ]
+    for rank in ranks:
+        engine.add_process(rank)
     makespan = engine.run()
-    return contexts, makespan
+    return ranks, makespan
 
 
 class TestSplit:
@@ -116,12 +108,14 @@ class TestTransferProcess:
         engine = Engine()
         net = CrossbarNetwork(2, bytes_per_s=1000.0, latency=0.0)
         resources = {k: Resource(c, k) for k, c in net.capacities().items()}
-        ev = Event("arrival")
+        route = [resources[k] for k in net.link_ids(0, 1)]
+        slots = [None]
+        occupancy = net.latency + net.transfer_time(500)
         engine.add_process(
-            transfer_process(net, resources, 0, 1, 500, ev, wire_startup=0.25)
+            Transfer(engine, "transfer", route, occupancy, slots, 0, startup=0.25)
         )
         end = engine.run()
-        assert ev.triggered
+        assert slots[0] is True
         # 0.25 startup + 500/1000 transfer.
         assert end == pytest.approx(0.75)
         assert resources["pair:0->1"].in_use == 0
