@@ -2,20 +2,21 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test test-all lattice artifacts stress bench gates speedup ab loc
+.PHONY: check test test-all lattice artifacts stress bench gates speedup ab loc \
+	ci ci-service ci-compiled ci-process ci-chaos
 
 ## check: tier-1 test suite (the pre-commit gate)
 check:
-	$(PY) -m pytest -q
+	$(PY) -m pytest
 
 ## test: full test suite (`-m ""` lifts pyproject's `not slow`)
 test:
-	$(PY) -m pytest -x -q -m ""
+	$(PY) -m pytest -x -m ""
 
 ## lattice: the whole equivalence lattice (tests/test_lattice.py), every
 ## admissible row of the product whose all-pairs cover tier-1 runs
 lattice:
-	$(PY) -m pytest -q tests/test_lattice.py -m slow
+	$(PY) -m pytest tests/test_lattice.py -m slow
 
 test-all: test
 
@@ -55,6 +56,49 @@ gates:
 		--seconds 3 --trace 1 --out $(GATES_REPORT) > /dev/null
 	$(PY) benchmarks/bench_core.py
 	$(PY) scripts/perf_gate.py $(GATES_REPORT) benchmarks/output/BENCH_core.json
+
+## ci: every entry of CI's matrix (.github/workflows/ci.yml runs each as
+## `make <entry>`) in turn, each one's wall time printed; exits 1 naming the
+## entries that failed
+ci:
+	@failed=; for t in check artifacts ci-service ci-compiled ci-process ci-chaos; do \
+		t0=$$(date +%s); \
+		$(MAKE) --no-print-directory $$t || failed="$$failed $$t"; \
+		echo "== make $$t: $$(($$(date +%s) - t0)) s"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "== failed:$$failed"; exit 1; fi
+
+## ci-service: the worker-death tests five rounds over (a pool that a killed
+## worker wedges fails them only now and then), then one traced service-mix
+## harness run and the store's perf_gate.py rows over its report: a hit
+## behind 300 stored results ≤ 1.5 × one on an empty store, refresh() ≤ 1 ms
+ci-service:
+	for round in 1 2 3 4 5; do \
+		$(PY) -m pytest tests/test_service.py::TestFailures || exit 1; \
+		$(PY) -m pytest tests/test_telemetry.py -k sigkilled || exit 1; \
+	done
+	$(PY) benchmarks/harness/run.py --workload service-mix \
+		--seconds 3 --trace 1 --out benchmarks/output/GATES_service_mix.json > /dev/null
+	$(PY) scripts/perf_gate.py benchmarks/output/GATES_service_mix.json
+
+## ci-compiled: the backend ladder (Versions 1-6 step times at 250x100,
+## rewrites benchmarks/output/BENCH_kernels.json); its printout names the C
+## engine, or records the compiled rung as "available": false
+ci-compiled:
+	$(PY) -m pytest -s benchmarks/bench_solver_kernels.py::test_backend_ladder
+
+## ci-process: the transport race hunt, then every perf_gate.py row of
+## `make gates`
+ci-process: stress gates
+
+## ci-chaos: the fault layer's tests and the equivalence lattice under the
+## chaos seeds 11, 23 and 47, then under a freshly drawn one (printed:
+## replay it with --chaos-seed=<seed>)
+ci-chaos:
+	for seed in 11 23 47 random; do \
+		$(PY) -m pytest -s tests/test_faults.py tests/test_lattice.py \
+			--chaos-seed=$$seed || exit 1; \
+	done
 
 ## ab: alternating A/B pairs of one harness workload, AB_REV (a git
 ## revision, default HEAD) against this checkout — per end-to-end metric

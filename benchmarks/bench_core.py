@@ -3,8 +3,9 @@
 Not a pytest benchmark: a plain script (``make bench``, and the second
 step of ``make gates``) that runs three measurements through the
 :func:`repro.api.run` facade and writes them, as flat metrics in the
-harness ``--out`` shape (``result.metrics.<name>.value``, ``failed``,
-``attempted``), to ``benchmarks/output/BENCH_core.json``:
+harness ``--out`` shape (``workload`` ``bench_core``,
+``result.metrics.<name>.value``, ``failed``, ``attempted``), to
+``benchmarks/output/BENCH_core.json``:
 
 * ``curve.*`` — the multi-core speedup curve (:data:`SPEEDUP`): serial vs
   2 and 4 OS-process ranks on the paper's 250 x 100 grid, the paper's
@@ -222,6 +223,7 @@ def main(argv=None) -> int:
           f"speedup curve, V5 vs V6):")
     values = {**run_cases(), **run_speedup(), **run_overlap_comparison()}
     doc = {
+        "workload": "bench_core",
         "config": {
             "cases": CASES,
             "speedup": SPEEDUP,

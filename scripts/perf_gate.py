@@ -1,29 +1,36 @@
 """Performance gate: ratios measured inside one run, no baseline.
 
-Checks the rows of :data:`GATES` against the flat ``{name: value}`` metrics
-of the report files named on the command line — each in the harness
-``--out`` shape (``result.metrics.<name>.value``, ``result.failed``,
-``result.attempted``).  ``make gates`` passes two:
+Checks rows against the flat ``{name: value}`` metrics of the report files
+named on the command line — each in the harness ``--out`` shape
+(``workload``, ``result.metrics.<name>.value``, ``result.failed``,
+``result.attempted``).  A report's ``workload`` picks the row group of
+:data:`GROUPS` that reads it, and only the groups of the reports given
+run:
 
 * a traced ``benchmarks/harness/run.py --workload jet250-p2-blocking``
-  report, read by the :data:`HARNESS_GATES` rows;
-* ``benchmarks/output/BENCH_core.json`` from ``benchmarks/bench_core.py``,
-  read by the :data:`CORE_GATES` rows.
+  report, read by the :data:`HARNESS_GATES` rows (``make gates``);
+* ``benchmarks/output/BENCH_core.json`` from ``benchmarks/bench_core.py``
+  (``workload`` ``bench_core``), read by the :data:`CORE_GATES` rows
+  (``make gates``);
+* a traced ``benchmarks/harness/run.py --workload service-mix`` report,
+  read by the :data:`SERVICE_GATES` rows (``make ci-service``).
 
 Every row compares numbers measured in the same run on the same host
 (interleaved serial and 2-rank runs, ping-pong probes, the 1/2/4-rank
-curve, V5 beside V6), so the host's speed cancels and nothing is compared
-with another machine.  A row whose ``min_cores`` exceeds
-``os.cpu_count()`` is printed as "not enforced" and cannot fail: ranks
-that time-share a CPU cannot show the speedup it asks for.  The
-:data:`NOTES` are printed and never fail.
+curve, V5 beside V6, a hit on a full store beside one on an empty store),
+so the host's speed cancels and nothing is compared with another machine.
+A row whose ``min_cores`` exceeds ``os.cpu_count()`` is printed as "not
+enforced" and cannot fail: ranks that time-share a CPU cannot show the
+speedup it asks for.  A metric a row reads that is missing from its report
+fails the row.  The :data:`NOTES` are printed and never fail.
 
 Usage::
 
     python scripts/perf_gate.py REPORT [REPORT ...]
 
 Exit codes: 0 = every enforced row holds, 1 = a row failed (or a report
-counts failed operations), 2 = a report is missing or not in that shape.
+counts failed operations), 2 = a report is missing, not in that shape, or
+of a ``workload`` no row group reads.
 """
 
 from __future__ import annotations
@@ -101,70 +108,116 @@ CORE_GATES = [
     ),
 ]
 
-GATES = HARNESS_GATES + CORE_GATES
-
-#: Printed beside the rows, never failing: ``(label, metric names, format)``.
-#: The DES line is the cost model's first known miss on this program — the
-#: model predicts V6 hides all of V5's communication; nothing else
-#: computes it.
-NOTES = [
+#: The store's gate over a traced ``service-mix`` report: a hit behind the
+#: 300 stored results of its pre-filled store must cost no more than x1.5 a
+#: hit on an empty store, and ``refresh()`` must not re-read the index.
+SERVICE_GATES = [
     (
-        "2-D 2x2 vs axial p=2 step time (different rank counts)",
-        ("step_ms.ns-p4-2d-fused", "step_ms.ns-p2-process-fused"),
-        lambda two_d, axial: f"x{two_d / axial:.2f}",
+        "service.hit_growth <= 1.5",
+        ("service.hit_growth",),
+        lambda growth: growth <= 1.5,
+        1,
     ),
     (
-        "speedup curve, 250x100 compiled process ranks",
-        ("curve.speedup.p1", "curve.speedup.p2", "curve.speedup.p4"),
-        lambda *xs: ", ".join(f"p={p}: x{x:.2f}" for p, x in zip((1, 2, 4), xs)),
-    ),
-    (
-        "V5 -> V6 comm reduction, DES-predicted (LACE) vs measured",
-        ("overlap.comm_reduction.des", "overlap.comm_reduction.measured"),
-        lambda des, measured: f"{des:+.0%} predicted, {measured:+.0%} measured",
+        "service.store_refresh_ms <= 1.0",
+        ("service.store_refresh_ms",),
+        lambda refresh: refresh <= 1.0,
+        1,
     ),
 ]
 
+#: Each row group, keyed by the ``workload`` of the report it reads.
+GROUPS = {
+    "jet250-p2-blocking": HARNESS_GATES,
+    "bench_core": CORE_GATES,
+    "service-mix": SERVICE_GATES,
+}
+
+GATES = [row for rows in GROUPS.values() for row in rows]
+
+#: Printed beside the rows, never failing: ``(label, metric names, format)``
+#: per group.  The DES line is the cost model's first known miss on this
+#: program — the model predicts V6 hides all of V5's communication; nothing
+#: else computes it.  The per-call cost of a kept service connection has no
+#: runner-measured baseline yet, so it is printed, not bounded.
+NOTES = {
+    "bench_core": [
+        (
+            "2-D 2x2 vs axial p=2 step time (different rank counts)",
+            ("step_ms.ns-p4-2d-fused", "step_ms.ns-p2-process-fused"),
+            lambda two_d, axial: f"x{two_d / axial:.2f}",
+        ),
+        (
+            "speedup curve, 250x100 compiled process ranks",
+            ("curve.speedup.p1", "curve.speedup.p2", "curve.speedup.p4"),
+            lambda *xs: ", ".join(
+                f"p={p}: x{x:.2f}" for p, x in zip((1, 2, 4), xs)),
+        ),
+        (
+            "V5 -> V6 comm reduction, DES-predicted (LACE) vs measured",
+            ("overlap.comm_reduction.des", "overlap.comm_reduction.measured"),
+            lambda des, measured:
+                f"{des:+.0%} predicted, {measured:+.0%} measured",
+        ),
+    ],
+    "service-mix": [
+        (
+            "per call over a kept connection",
+            ("service.socket_rtt_ms", "service.hit_ms", "service.submit_ms.hit"),
+            lambda rtt, hit, submit:
+                f"rtt {rtt:.3f} ms, hit {hit:.3f} ms, submit {submit:.3f} ms",
+        ),
+    ],
+}
+
 
 def check(paths) -> int:
-    """Every row of :data:`GATES` over the reports at ``paths``."""
-    values: dict = {}
+    """The row group of each report at ``paths``, over that report."""
+    reports: dict = {}
     failures: list[str] = []
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
-                result = json.load(fh)["result"]
-            values.update({k: v["value"] for k, v in result["metrics"].items()})
+                doc = json.load(fh)
+            workload, result = doc["workload"], doc["result"]
+            values = {k: v["value"] for k, v in result["metrics"].items()}
         except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
             print(f"perf_gate: {path}: not a harness --out shaped report "
                   f"({exc!r})", file=sys.stderr)
             return 2
+        if workload not in GROUPS:
+            print(f"perf_gate: {path}: no row group reads workload "
+                  f"{workload!r} (known: {', '.join(GROUPS)})", file=sys.stderr)
+            return 2
+        reports[workload] = values
         if result["failed"]:
             failures.append(
                 f"{path}: {result['failed']}/{result['attempted']} operations failed"
             )
     cores = os.cpu_count() or 1
-    for what, names, holds, min_cores in GATES:
-        missing = [n for n in names if n not in values]
-        args = [values.get(n) for n in names]
-        shown = ", ".join(
-            f"{n}={v:.2f}" for n, v in zip(names, args) if v is not None
-        )
-        if min_cores > cores:
-            print(f"  [    ] {what}  ({shown or 'absent'})  not enforced: "
-                  f"{cores} core(s) < {min_cores}")
-            continue
-        if missing:
-            failures.append(f"{what}: not in the reports: {missing}")
-            print(f"  [FAIL] {what}  (missing {missing})")
-            continue
-        ok = holds(*args)
-        print(f"  [{'ok  ' if ok else 'FAIL'}] {what}  ({shown})")
-        if not ok:
-            failures.append(f"{what}: {shown}")
-    for label, names, fmt in NOTES:
-        if all(n in values for n in names):
-            print(f"  note: {label}: {fmt(*(values[n] for n in names))}")
+    for workload, values in reports.items():
+        print(f"{workload}:")
+        for what, names, holds, min_cores in GROUPS[workload]:
+            missing = [n for n in names if n not in values]
+            args = [values.get(n) for n in names]
+            shown = ", ".join(
+                f"{n}={v:.4g}" for n, v in zip(names, args) if v is not None
+            )
+            if min_cores > cores:
+                print(f"  [    ] {what}  ({shown or 'absent'})  not enforced: "
+                      f"{cores} core(s) < {min_cores}")
+                continue
+            if missing:
+                failures.append(f"{what}: not in the {workload} report: {missing}")
+                print(f"  [FAIL] {what}  (missing {missing})")
+                continue
+            ok = holds(*args)
+            print(f"  [{'ok  ' if ok else 'FAIL'}] {what}  ({shown})")
+            if not ok:
+                failures.append(f"{what}: {shown}")
+        for label, names, fmt in NOTES.get(workload, ()):
+            if all(n in values for n in names):
+                print(f"  note: {label}: {fmt(*(values[n] for n in names))}")
     if failures:
         print("\nperf gate FAILED:", file=sys.stderr)
         for f in failures:
@@ -177,8 +230,9 @@ def check(paths) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("reports", nargs="+", metavar="REPORT",
-                    help="harness --out shaped report(s): traced harness "
-                         "run, BENCH_core.json")
+                    help="harness --out shaped report(s): a traced "
+                         "jet250-p2-blocking or service-mix harness run, "
+                         "BENCH_core.json")
     return check(ap.parse_args(argv).reports)
 
 

@@ -86,8 +86,8 @@ def _cmd_simulate(args) -> int:
         platform=args.platform,
         nprocs=args.procs,
         version=args.version,
-        # The machine models' own window (run() defaults to 30): this
-        # command's printed times predate the facade and must not move.
+        # Not run()'s 30: this command's printed times were taken at a
+        # 40-step window before the facade existed and must not move.
         steps_window=40,
     )
     print(res.summary())

@@ -19,7 +19,7 @@ The pipeline:
    parallelism over the vector CPU model; no message passing).
 """
 
-from .engine import Engine, Event, Resource, Delay, Acquire, Release, Wait, Trigger
+from .engine import Engine, Resource, Delay, Acquire, Release
 from .workload import Application, NAVIER_STOKES, EULER, Workload
 from .costmodel import CostModel
 from .machine import SimulatedMachine, RunResult
@@ -28,13 +28,10 @@ from .analytic import AnalyticEstimate, analytic_execution_time, analytic_satura
 
 __all__ = [
     "Engine",
-    "Event",
     "Resource",
     "Delay",
     "Acquire",
     "Release",
-    "Wait",
-    "Trigger",
     "Application",
     "NAVIER_STOKES",
     "EULER",

@@ -6,10 +6,6 @@ A process is either a plain Python generator that yields *commands*:
 * ``Acquire(resource)`` — block until one unit of the resource is granted
   (FIFO);
 * ``Release(resource)`` — return one unit (never blocks);
-* ``Wait(event)`` — block until the event triggers (resumes immediately if
-  it already has);
-* ``Trigger(event)`` — fire an event, waking all waiters;
-* ``Spawn(generator)`` — start a child process at the current time;
 
 or a :class:`PlanProcess`, a state machine whose ``resume(now)`` runs
 until it blocks and returns the delay it waits for — the simulated
@@ -25,28 +21,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Generator, Hashable
-
-
-class Event:
-    """One-shot broadcast event."""
-
-    __slots__ = ("triggered", "trigger_time", "_waiters", "name")
-
-    def __init__(self, name: Hashable = "") -> None:
-        self.triggered = False
-        self.trigger_time: float | None = None
-        self._waiters: list["_Proc"] = []
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Event({self.name!r}, triggered={self.triggered})"
+from typing import Generator
 
 
 class Resource:
     """FIFO resource with integer capacity."""
 
-    __slots__ = ("capacity", "in_use", "_queue", "name", "busy_time", "_busy_since")
+    __slots__ = ("capacity", "in_use", "_queue", "name")
 
     def __init__(self, capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -55,10 +36,6 @@ class Resource:
         self.in_use = 0
         self._queue: deque["_Proc"] = deque()
         self.name = name
-        # Utilization accounting (any-unit-busy time), kept by the engine:
-        # ``_busy_since`` is set exactly while ``in_use > 0``.
-        self.busy_time = 0.0
-        self._busy_since: float | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Resource({self.name!r}, {self.in_use}/{self.capacity})"
@@ -83,27 +60,6 @@ class Release:
 
     def __init__(self, resource: Resource) -> None:
         self.resource = resource
-
-
-class Wait:
-    __slots__ = ("event",)
-
-    def __init__(self, event: Event) -> None:
-        self.event = event
-
-
-class Trigger:
-    __slots__ = ("event",)
-
-    def __init__(self, event: Event) -> None:
-        self.event = event
-
-
-class Spawn:
-    __slots__ = ("generator",)
-
-    def __init__(self, generator: Generator) -> None:
-        self.generator = generator
 
 
 class PlanProcess:
@@ -199,8 +155,6 @@ class Engine:
                         res = cmd.resource
                         if res.in_use < res.capacity and not res._queue:
                             res.in_use += 1
-                            if res._busy_since is None:
-                                res._busy_since = now
                             continue
                         res._queue.append(proc)
                         break
@@ -209,37 +163,10 @@ class Engine:
                         if res.in_use <= 0:
                             raise RuntimeError(f"release of idle resource {res.name!r}")
                         res.in_use -= 1
-                        if res.in_use == 0:
-                            res.busy_time += now - res._busy_since
-                            res._busy_since = None
                         if res._queue and res.in_use < res.capacity:
                             res.in_use += 1
-                            if res._busy_since is None:
-                                res._busy_since = now
                             seq += 1
                             push(heap, (now, seq, res._queue.popleft()))
-                        continue
-                    if cls is Wait:
-                        ev = cmd.event
-                        if ev.triggered:
-                            continue
-                        ev._waiters.append(proc)
-                        break
-                    if cls is Trigger:
-                        ev = cmd.event
-                        if not ev.triggered:
-                            ev.triggered = True
-                            ev.trigger_time = now
-                            for waiter in ev._waiters:
-                                seq += 1
-                                push(heap, (now, seq, waiter))
-                            ev._waiters.clear()
-                        continue
-                    if cls is Spawn:
-                        child = _Proc(cmd.generator, f"{proc.name}.child")
-                        processes.append(child)
-                        seq += 1
-                        push(heap, (now, seq, child))
                         continue
                     raise TypeError(f"unknown simulation command {cmd!r} from {proc.name}")
             steps += 1

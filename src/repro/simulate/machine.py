@@ -1,9 +1,9 @@
 """The simulated distributed-memory machine: platform + library + engine.
 
-``SimulatedMachine(platform, nprocs).run(app)`` simulates a steady-state
-window of time steps of the SPMD program over the platform's network with
-its message-library cost model, then scales the per-rank timelines to the
-full run length (the program is periodic per step, which the tests verify
+``SimulatedMachine(platform, nprocs).run(app, steps_window=n)`` simulates
+a steady-state window of ``n`` time steps of the SPMD program over the
+platform's network with its message-library cost model, then scales the
+per-rank timelines to the full run length (the program is periodic per step, which the tests verify
 against unscaled runs).  The result carries the paper's execution-time
 split: processor busy time vs non-overlapped communication time.
 """
@@ -147,7 +147,8 @@ class SimulatedMachine:
     def run(
         self,
         app: Application | Workload,
-        steps_window: int = 40,
+        *,
+        steps_window: int,
         total_steps: int | None = None,
         trace: bool = False,
         tracer=None,

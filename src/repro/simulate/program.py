@@ -80,8 +80,6 @@ class Transfer(PlanProcess):
             pc += 1
             if res.in_use < res.capacity and not res._queue:
                 res.in_use += 1
-                if res._busy_since is None:
-                    res._busy_since = now
             else:
                 res._queue.append(self.owner or self)
                 self.pc = pc
@@ -91,13 +89,8 @@ class Transfer(PlanProcess):
             return self.occupancy
         for res in reversed(route):  # the engine's Release, inline
             res.in_use -= 1
-            if res.in_use == 0:
-                res.busy_time += now - res._busy_since
-                res._busy_since = None
             if res._queue and res.in_use < res.capacity:
                 res.in_use += 1
-                if res._busy_since is None:
-                    res._busy_since = now
                 self.engine.schedule(res._queue.popleft(), now)
         waiter = self.slots[self.step]
         self.slots[self.step] = True

@@ -1,18 +1,8 @@
-"""The discrete-event engine: ordering, resources, events, determinism."""
+"""The discrete-event engine: ordering, resources, determinism."""
 
 import pytest
 
-from repro.simulate.engine import (
-    Acquire,
-    Delay,
-    Engine,
-    Event,
-    Release,
-    Resource,
-    Spawn,
-    Trigger,
-    Wait,
-)
+from repro.simulate.engine import Acquire, Delay, Engine, Release, Resource
 
 
 class TestDelays:
@@ -132,105 +122,19 @@ class TestResources:
         with pytest.raises(RuntimeError, match="idle resource"):
             eng.run()
 
-    def test_utilization_accounting(self):
+
+class TestSpawnAndErrors:
+    def test_stall_detection(self):
         eng = Engine()
         res = Resource(1)
 
-        def proc():
-            yield Acquire(res)
-            yield Delay(2.0)
-            yield Release(res)
-            yield Delay(3.0)
-
-        eng.add_process(proc())
-        eng.run()
-        assert res.busy_time == pytest.approx(2.0)
-
-
-class TestEvents:
-    def test_wait_then_trigger(self):
-        eng = Engine()
-        ev = Event("go")
-        log = []
-
-        def waiter():
-            yield Wait(ev)
-            log.append(("woke", eng.now))
-
-        def trigger():
-            yield Delay(2.0)
-            yield Trigger(ev)
-
-        eng.add_process(waiter())
-        eng.add_process(trigger())
-        eng.run()
-        assert log == [("woke", pytest.approx(2.0))]
-        assert ev.trigger_time == pytest.approx(2.0)
-
-    def test_wait_on_triggered_event_continues(self):
-        eng = Engine()
-        ev = Event()
-        log = []
-
-        def trigger():
-            yield Trigger(ev)
-
-        def late_waiter():
-            yield Delay(5.0)
-            yield Wait(ev)
-            log.append(eng.now)
-
-        eng.add_process(trigger())
-        eng.add_process(late_waiter())
-        eng.run()
-        assert log == [pytest.approx(5.0)]
-
-    def test_broadcast_wakes_all(self):
-        eng = Engine()
-        ev = Event()
-        woke = []
-
-        def waiter(k):
-            yield Wait(ev)
-            woke.append(k)
-
-        for k in range(3):
-            eng.add_process(waiter(k))
-
-        def trig():
-            yield Delay(1.0)
-            yield Trigger(ev)
-
-        eng.add_process(trig())
-        eng.run()
-        assert sorted(woke) == [0, 1, 2]
-
-
-class TestSpawnAndErrors:
-    def test_spawn_child(self):
-        eng = Engine()
-        log = []
-
-        def child():
-            yield Delay(1.0)
-            log.append("child")
-
-        def parent():
-            yield Spawn(child())
-            yield Delay(0.5)
-            log.append("parent")
-
-        eng.add_process(parent())
-        eng.run()
-        assert log == ["parent", "child"]
-
-    def test_stall_detection(self):
-        eng = Engine()
-        ev = Event()
+        def holder():
+            yield Acquire(res)  # never released
 
         def stuck():
-            yield Wait(ev)
+            yield Acquire(res)
 
+        eng.add_process(holder())
         eng.add_process(stuck())
         with pytest.raises(RuntimeError, match="stalled"):
             eng.run()
@@ -282,7 +186,6 @@ class TestEngineProperties:
                 rng = random.Random(seed)
                 eng = Engine()
                 res = [Resource(rng.randint(1, 3)) for _ in range(3)]
-                evs = [Event() for _ in range(3)]
 
                 def proc(k):
                     r = res[k % 3]
@@ -290,8 +193,6 @@ class TestEngineProperties:
                     yield Acquire(r)
                     yield Delay(0.1)
                     yield Release(r)
-                    yield Trigger(evs[k % 3])
-                    yield Wait(evs[(k + 1) % 3])
 
                 for k in range(6):
                     eng.add_process(proc(k))
@@ -321,4 +222,3 @@ class TestEngineProperties:
             eng.add_process(proc())
         eng.run()
         assert res.in_use == 0
-        assert res.busy_time > 0

@@ -156,10 +156,12 @@ def _load_perf_gate():
     return mod
 
 
-def _harness_report(tmp_path, compiled_ms=2.5, block_ms=None, **overrides):
-    """One ``--out`` shaped report holding every metric a gate row or note
-    reads, each inside its bound (the half-width block at half the step
-    unless ``block_ms`` says); ``overrides`` replace values by name."""
+def _reports(tmp_path, compiled_ms=2.5, block_ms=None, **overrides):
+    """One ``--out`` shaped report per row group of ``perf_gate.GROUPS``,
+    each holding every metric its rows and notes read, inside its bound
+    (the half-width block at half the step unless ``block_ms`` says);
+    ``overrides`` replace values by name."""
+    gate = _load_perf_gate()
     values = {
         "parallel.speedup.v5": 1.4,
         "msglib.process.oneway_us.6400B": 35.0,
@@ -177,15 +179,25 @@ def _harness_report(tmp_path, compiled_ms=2.5, block_ms=None, **overrides):
         "overlap.step_ms.v6": 4.1,
         "overlap.comm_reduction.des": 1.0,
         "overlap.comm_reduction.measured": -0.24,
+        "service.hit_growth": 1.1,
+        "service.store_refresh_ms": 0.02,
+        "service.socket_rtt_ms": 0.1,
+        "service.hit_ms": 0.3,
+        "service.submit_ms.hit": 0.4,
     }
     values.update(overrides)
-    doc = {"result": {
-        "failed": 0, "attempted": 12,
-        "metrics": {k: {"value": v} for k, v in values.items()},
-    }}
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    paths = []
+    for workload, rows in gate.GROUPS.items():
+        read = {n for _, names, *_ in rows + gate.NOTES.get(workload, [])
+                for n in names}
+        doc = {"workload": workload, "result": {
+            "failed": 0, "attempted": 12,
+            "metrics": {k: {"value": v} for k, v in values.items() if k in read},
+        }}
+        path = tmp_path / f"{workload}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
 
 
 def test_harness_gate_holds_the_compiled_rung_under_030_of_fused(
@@ -193,8 +205,8 @@ def test_harness_gate_holds_the_compiled_rung_under_030_of_fused(
 ):
     gate = _load_perf_gate()
     monkeypatch.setattr(gate.os, "cpu_count", lambda: 2)
-    assert gate.check([_harness_report(tmp_path, 2.9)]) == 0
-    assert gate.check([_harness_report(tmp_path, 3.1)]) == 1
+    assert gate.check(_reports(tmp_path, 2.9)) == 0
+    assert gate.check(_reports(tmp_path, 3.1)) == 1
     assert "numerics.step_ms.compiled <= 0.30" in capsys.readouterr().err
 
 
@@ -205,8 +217,8 @@ def test_harness_gate_holds_the_half_block_under_056_of_the_step(
     width, the half-width block costs half the step."""
     gate = _load_perf_gate()
     monkeypatch.setattr(gate.os, "cpu_count", lambda: 2)
-    assert gate.check([_harness_report(tmp_path, 2.5, 1.39)]) == 0
-    assert gate.check([_harness_report(tmp_path, 2.5, 1.41)]) == 1
+    assert gate.check(_reports(tmp_path, 2.5, 1.39)) == 0
+    assert gate.check(_reports(tmp_path, 2.5, 1.41)) == 1
     assert "numerics.block_step_ms.compiled <= 0.56" in capsys.readouterr().err
 
 
@@ -225,6 +237,10 @@ HAIRS = {
                       {"step_ms.ns-p2-radial-fused": 8.01}),
     "overlap-step": ({"overlap.step_ms.v6": 4.59},
                      {"overlap.step_ms.v6": 4.61}),
+    "hit-growth": ({"service.hit_growth": 1.5},
+                   {"service.hit_growth": 1.51}),
+    "store-refresh": ({"service.store_refresh_ms": 1.0},
+                      {"service.store_refresh_ms": 1.01}),
 }
 
 
@@ -235,8 +251,8 @@ def test_gate_row_holds_its_bound_to_a_hair(row, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(gate.os, "cpu_count", lambda: 4)
     what = gate.GATES[row][0]
     meets, misses = HAIRS[list(HAIRS)[row]]
-    assert gate.check([_harness_report(tmp_path, **meets)]) == 0
-    assert gate.check([_harness_report(tmp_path, **misses)]) == 1
+    assert gate.check(_reports(tmp_path, **meets)) == 0
+    assert gate.check(_reports(tmp_path, **misses)) == 1
     err = capsys.readouterr().err
     assert what in err
     assert [w for w, *_ in gate.GATES if w in err] == [what]
@@ -248,9 +264,9 @@ def test_gate_row_above_the_host_cores_is_not_enforced(
     """Four ranks on two cores time-share: the x2 row is printed, not held."""
     gate = _load_perf_gate()
     monkeypatch.setattr(gate.os, "cpu_count", lambda: 2)
-    report = _harness_report(tmp_path, **{"curve.speedup.p4": 0.5,
-                                          "overlap.step_ms.v6": 9.0})
-    assert gate.check([report]) == 0
+    reports = _reports(tmp_path, **{"curve.speedup.p4": 0.5,
+                                    "overlap.step_ms.v6": 9.0})
+    assert gate.check(reports) == 0
     out = capsys.readouterr().out
     for what in ("curve.speedup.p4 >= 2.0", "overlap.step_ms.v6 <= 1.15"):
         line = next(l for l in out.splitlines() if what in l)
@@ -260,13 +276,43 @@ def test_gate_row_above_the_host_cores_is_not_enforced(
 def test_gate_row_fails_on_a_missing_metric(tmp_path, monkeypatch, capsys):
     gate = _load_perf_gate()
     monkeypatch.setattr(gate.os, "cpu_count", lambda: 4)
-    path = tmp_path / "report.json"
-    _harness_report(tmp_path)
+    paths = _reports(tmp_path)
+    path = tmp_path / "bench_core.json"
     doc = json.loads(path.read_text())
     del doc["result"]["metrics"]["step_ms.ns-p2-radial-fused"]
     path.write_text(json.dumps(doc))
-    assert gate.check([str(path)]) == 1
+    assert gate.check(paths) == 1
     assert "step_ms.ns-p2-radial-fused" in capsys.readouterr().err
+
+
+def test_gate_runs_only_the_groups_of_the_reports_given(
+    tmp_path, monkeypatch, capsys
+):
+    """A service-mix report alone is checked by the service rows only, and
+    a metric missing from it still fails."""
+    gate = _load_perf_gate()
+    monkeypatch.setattr(gate.os, "cpu_count", lambda: 4)
+    service = str(tmp_path / "service-mix.json")
+    _reports(tmp_path)
+    assert gate.check([service]) == 0
+    out = capsys.readouterr().out
+    assert [w for w, *_ in gate.GATES if w in out] == [
+        w for w, *_ in gate.SERVICE_GATES]
+    assert "note: per call over a kept connection" in out
+    doc = json.loads(open(service).read())
+    del doc["result"]["metrics"]["service.hit_growth"]
+    open(service, "w").write(json.dumps(doc))
+    assert gate.check([service]) == 1
+    assert "service.hit_growth" in capsys.readouterr().err
+
+
+def test_gate_refuses_a_report_no_group_reads(tmp_path, capsys):
+    gate = _load_perf_gate()
+    path = tmp_path / "serial.json"
+    path.write_text(json.dumps({"workload": "jet250-serial", "result": {
+        "failed": 0, "attempted": 1, "metrics": {}}}))
+    assert gate.check([str(path)]) == 2
+    assert "jet250-serial" in capsys.readouterr().err
 
 
 def test_bench_core_output_has_every_gated_metric():
@@ -283,6 +329,7 @@ def test_bench_core_output_has_every_gated_metric():
     assert [k for k in sorted(values) if k.startswith("curve.speedup.")] == [
         "curve.speedup.p1", "curve.speedup.p2", "curve.speedup.p4"]
     assert values["curve.speedup.p1"] == 1.0
-    read = {n for _, names, *_ in gate.CORE_GATES + gate.NOTES for n in names}
+    read = {n for _, names, *_ in gate.CORE_GATES + gate.NOTES["bench_core"]
+            for n in names}
     assert read <= set(values)
     assert all(v > 0 for k, v in values.items() if "step_ms" in k)
