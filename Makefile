@@ -49,13 +49,15 @@ speedup:
 ## compiled step is under 0.30 of the fused one", "the half-width block is
 ## under 0.56 of the step", the 4-rank speedup, radial vs axial, V6 vs V5 —
 ## over one traced harness run of the 2-rank workload and one bench_core.py
-## run (ratios measured inside one run: no baseline, no host calibration)
+## run (ratios measured inside one run: no baseline, no host calibration);
+## both reports are git-ignored GATES_*.json files, so no tracked file moves
 GATES_REPORT ?= benchmarks/output/GATES_p2_blocking.json
 gates:
 	$(PY) benchmarks/harness/run.py --workload jet250-p2-blocking \
 		--seconds 3 --trace 1 --out $(GATES_REPORT) > /dev/null
-	$(PY) benchmarks/bench_core.py
-	$(PY) scripts/perf_gate.py $(GATES_REPORT) benchmarks/output/BENCH_core.json
+	$(PY) benchmarks/bench_core.py --output benchmarks/output/GATES_core.json
+	$(PY) scripts/perf_gate.py $(GATES_REPORT) \
+		benchmarks/output/GATES_core.json
 
 ## ci: every entry of CI's matrix (.github/workflows/ci.yml runs each as
 ## `make <entry>`) in turn, each one's wall time printed; exits 1 naming the
@@ -82,8 +84,9 @@ ci-service:
 	$(PY) scripts/perf_gate.py benchmarks/output/GATES_service_mix.json
 
 ## ci-compiled: the backend ladder (Versions 1-6 step times at 250x100,
-## rewrites benchmarks/output/BENCH_kernels.json); its printout names the C
-## engine, or records the compiled rung as "available": false
+## written to the git-ignored benchmarks/output/GATES_kernels.json); its
+## printout names the C engine, or records the compiled rung as
+## "available": false
 ci-compiled:
 	$(PY) -m pytest -s benchmarks/bench_solver_kernels.py::test_backend_ladder
 
@@ -100,14 +103,16 @@ ci-chaos:
 			--chaos-seed=$$seed || exit 1; \
 	done
 
-## ab: alternating A/B pairs of one harness workload, AB_REV (a git
-## revision, default HEAD) against this checkout — per end-to-end metric
-## the parent's median [quartiles] -> the change's median, "k of N" better
+## ab: alternating A/B pairs of harness workloads (AB_WORKLOAD, one or
+## several), AB_REV (a git revision, default HEAD) against this checkout —
+## one table per workload: per end-to-end metric the parent's median
+## [quartiles] -> the change's median, "k of N" better
 AB_REV ?= HEAD
 AB_WORKLOAD ?= des-sweep
 AB_PAIRS ?= 10
 ab:
-	$(PY) scripts/ab.py $(AB_REV) --workload $(AB_WORKLOAD) --pairs $(AB_PAIRS)
+	$(PY) scripts/ab.py $(AB_REV) $(foreach w,$(AB_WORKLOAD),--workload $(w)) \
+		--pairs $(AB_PAIRS)
 
 ## loc: tracked python line counts — the code size every change reports
 ## in CHANGES.md (per directory, and src/repro/obs/ and src/repro/service/

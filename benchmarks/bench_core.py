@@ -5,7 +5,9 @@ step of ``make gates``) that runs three measurements through the
 :func:`repro.api.run` facade and writes them, as flat metrics in the
 harness ``--out`` shape (``workload`` ``bench_core``,
 ``result.metrics.<name>.value``, ``failed``, ``attempted``), to
-``benchmarks/output/BENCH_core.json``:
+``--output`` (by default the committed ``benchmarks/output/BENCH_core.json``,
+which only ``make bench`` rewrites; ``make gates`` writes the git-ignored
+``GATES_core.json``):
 
 * ``curve.*`` — the multi-core speedup curve (:data:`SPEEDUP`): serial vs
   2 and 4 OS-process ranks on the paper's 250 x 100 grid, the paper's

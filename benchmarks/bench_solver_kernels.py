@@ -7,8 +7,8 @@ the README.
 
 ``test_backend_ladder`` compares the kernel backends (the Python analogue
 of the paper's single-processor Versions 1-5 ladder) on the paper's
-250x100 grid and records the per-backend step times in
-``benchmarks/output/BENCH_kernels.json``.
+250x100 grid and records the per-backend step times in the git-ignored
+``benchmarks/output/GATES_kernels.json``.
 """
 
 import json
@@ -45,7 +45,7 @@ def test_paper_grid_step(benchmark):
 
 
 def test_backend_ladder():
-    """Per-backend step time at 250x100, written to BENCH_kernels.json.
+    """Per-backend step time at 250x100, written to GATES_kernels.json.
 
     The fused backend must deliver at least the 1.5x speedup the ISSUE-2
     acceptance criterion demands (measured: ~2x) — the same shape of gain
@@ -93,7 +93,7 @@ def test_backend_ladder():
         )
         payload["compiled_speedup_vs_fused"] = round(compiled_speedup, 3)
     os.makedirs(OUTPUT_DIR, exist_ok=True)
-    path = os.path.join(OUTPUT_DIR, "BENCH_kernels.json")
+    path = os.path.join(OUTPUT_DIR, "GATES_kernels.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"\nbackend ladder (250x100 viscous): {json.dumps(payload, indent=2)}")

@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Alternating A/B pairs of one harness workload: a git revision against
+"""Alternating A/B pairs of harness workloads: a git revision against
 this checkout.
 
-    python scripts/ab.py REV --workload W --pairs N
+    python scripts/ab.py REV --workload W [--workload W2 ...] --pairs N
 
-``REV`` is exported with ``git archive`` into a fresh run directory; each
-pair then runs ``benchmarks/harness/run.py --workload W --seed i`` once in
-that tree (the parent) and once in this checkout (the change), the parent
-first in odd pairs and the change first in even ones, so a host that
-drifts during the session loads both sides alike.  Every ``--out`` report
-is kept in the run directory.  The summary prints, per end-to-end metric
-of ``BENCHMARK.json``, the parent's median [first quartile, third
-quartile] → the change's median, in how many pairs the change was
-better, and whether the medians differ by more than the parent's
-quartile distance (the bar a claimed gain has to clear).
+``REV`` is exported with ``git archive`` into a fresh run directory; for
+each workload in turn, each pair then runs ``benchmarks/harness/run.py
+--workload W --seed i`` once in that tree (the parent) and once in this
+checkout (the change), the parent first in odd pairs and the change first
+in even ones, so a host that drifts while the pairs run loads both sides
+alike.  Every ``--out`` report is kept in the one run directory.  The
+summary prints one table per workload: per end-to-end metric of
+``BENCHMARK.json``, the parent's median [first quartile, third quartile]
+→ the change's median, in how many pairs the change was better, and
+whether the medians differ by more than the parent's quartile distance
+(the bar a claimed gain has to clear).
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="the git revision to compare against (the parent)")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append",
+                    help="a harness workload; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
     if args.pairs < 2:
@@ -94,28 +96,30 @@ def main() -> int:
     run_dir = Path(tempfile.mkdtemp(prefix="ab-"))
     parent = run_dir / "parent-tree"
     archive(args.rev, parent)
-    pairs = []
+    pairs: dict[str, list] = {w: [] for w in args.workload}
     try:
-        for i in range(1, args.pairs + 1):
-            sides = {}
-            order = ("parent", "change") if i % 2 else ("change", "parent")
-            for side in order:
-                root = parent if side == "parent" else REPO
-                began = time.perf_counter()
-                sides[side] = run_side(
-                    root, args.workload, i, run_dir / f"pair{i:02d}-{side}.json"
-                )
-                print(f"pair {i:2d} {side:<6} {time.perf_counter() - began:6.1f} s  "
-                      + "  ".join(f"{k}={v['value']:.4g}"
-                                  for k, v in sides[side]["metrics"].items()),
-                      flush=True)
-            pairs.append((sides["parent"], sides["change"]))
+        for workload, done in pairs.items():
+            for i in range(1, args.pairs + 1):
+                sides = {}
+                order = ("parent", "change") if i % 2 else ("change", "parent")
+                for side in order:
+                    root = parent if side == "parent" else REPO
+                    began = time.perf_counter()
+                    out = run_dir / f"{workload}-pair{i:02d}-{side}.json"
+                    sides[side] = run_side(root, workload, i, out)
+                    print(f"{workload} pair {i:2d} {side:<6} "
+                          f"{time.perf_counter() - began:6.1f} s  "
+                          + "  ".join(f"{k}={v['value']:.4g}"
+                                      for k, v in sides[side]["metrics"].items()),
+                          flush=True)
+                done.append((sides["parent"], sides["change"]))
     finally:
         shutil.rmtree(parent, ignore_errors=True)
-    print(f"\n{args.workload}: {args.rev} (parent) → this checkout (change), "
-          f"{len(pairs)} alternating pairs, seeds 1..{len(pairs)}")
-    summarize(declared, pairs)
-    print(f"reports: {run_dir}")
+    for workload, done in pairs.items():
+        print(f"\n{workload}: {args.rev} (parent) → this checkout (change), "
+              f"{len(done)} alternating pairs, seeds 1..{len(done)}")
+        summarize(declared, done)
+    print(f"\nreports: {run_dir}")
     return 0
 
 

@@ -9,9 +9,10 @@ run:
 
 * a traced ``benchmarks/harness/run.py --workload jet250-p2-blocking``
   report, read by the :data:`HARNESS_GATES` rows (``make gates``);
-* ``benchmarks/output/BENCH_core.json`` from ``benchmarks/bench_core.py``
-  (``workload`` ``bench_core``), read by the :data:`CORE_GATES` rows
-  (``make gates``);
+* a ``benchmarks/bench_core.py`` report (``workload`` ``bench_core``:
+  ``make gates`` writes ``benchmarks/output/GATES_core.json``, ``make
+  bench`` the committed ``BENCH_core.json``), read by the
+  :data:`CORE_GATES` rows (``make gates``);
 * a traced ``benchmarks/harness/run.py --workload service-mix`` report,
   read by the :data:`SERVICE_GATES` rows (``make ci-service``).
 
@@ -78,7 +79,7 @@ HARNESS_GATES = [
     ),
 ]
 
-#: The rows over ``BENCH_core.json``.  Four process ranks must beat the
+#: The rows over a ``bench_core.py`` report.  Four process ranks must beat the
 #: serial solver on the paper's grid by x2 — where four cores exist.  Every
 #: block grid steps the same serial kernels on its halo-extended block and
 #: ships one halo per neighbour, so a radial split more than x2 the axial
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
     ap.add_argument("reports", nargs="+", metavar="REPORT",
                     help="harness --out shaped report(s): a traced "
                          "jet250-p2-blocking or service-mix harness run, "
-                         "BENCH_core.json")
+                         "a bench_core.py report")
     return check(ap.parse_args(argv).reports)
 
 

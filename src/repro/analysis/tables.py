@@ -71,7 +71,7 @@ def _traffic_per_step(viscous: bool, nx: int, nranks: int) -> tuple[float, float
     from ..scenarios import jet_scenario
 
     sc = jet_scenario(nx=nx, nr=constants.PAPER_NR, viscous=viscous)
-    config = sc.solver.config
+    config = sc.config
     config.backend = "fused"
     short, long = (
         ParallelJetSolver(sc.state, config, nranks=nranks, version=5)

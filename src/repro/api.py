@@ -455,7 +455,7 @@ def run_request(
             from .numerics.kernels import resolve_backend
 
             backend_name = resolve_backend(
-                ex.backend or sc.solver.config.backend
+                ex.backend or sc.config.backend
             ).name
         result.metrics = reg
         result.perf = build_perf_report(
@@ -463,7 +463,7 @@ def run_request(
             reg,
             backend=backend_name,
             grid=(sc.grid.nx, sc.grid.nr),
-            viscous=sc.solver.config.viscous,
+            viscous=sc.config.viscous,
             profile_top=top,
             fingerprint=req.fingerprint(),
         )
@@ -500,8 +500,8 @@ def _backend_config(config, backend: str | None):
 
 def _run_serial(sc: Scenario, req: RunRequest) -> RunResult:
     steps = _require_steps(req.steps)
-    config = _backend_config(sc.solver.config, req.execution.backend)
-    solver = type(sc.solver)(
+    config = _backend_config(sc.config, req.execution.backend)
+    solver = sc.solver_cls(
         FlowState(sc.grid, sc.state.q.copy(), config.gamma),
         config,
     )
@@ -530,7 +530,7 @@ def _run_parallel(sc: Scenario, req: RunRequest, plan) -> RunResult:
     # The one mapping from request fields to solver arguments.
     solver = ParallelJetSolver(
         sc.state,
-        _backend_config(sc.solver.config, ex.backend),
+        _backend_config(sc.config, ex.backend),
         nranks=ex.nprocs,
         version=ex.version,
         decomposition=ex.decomposition,
@@ -573,7 +573,7 @@ def _run_simulated(sc: Scenario, req: RunRequest, plan) -> RunResult:
 
     ex = req.execution
     platform = req.resolve_platform()
-    app = NAVIER_STOKES if sc.solver.config.viscous else EULER
+    app = NAVIER_STOKES if sc.config.viscous else EULER
     # The one hand-off past the verbs: the simulator stamps its records
     # with the engine's clock, so it is given the tracer itself.
     tracer = current().tracer

@@ -84,7 +84,7 @@ def ablation_decomposition() -> str:
         ("radial", "rows of nx=100"),
     ]:
         res = ParallelJetSolver(
-            sc.state, sc.solver.config, nranks=4, decomposition=decomp
+            sc.state, sc.config, nranks=4, decomposition=decomp
         ).run(steps)
         st = res.interior_rank_stats
         kb[decomp] = st.bytes_sent / steps / 1024

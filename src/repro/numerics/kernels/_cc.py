@@ -1019,8 +1019,8 @@ class CompileError(RuntimeError):
         self.every_unit = every_unit
 
 
-def compile_units(cc: str, out_dir: str, extra: tuple[str, ...] = ()) -> dict[str, str]:
-    """Compile every unit of :data:`UNITS` to ``out_dir/<unit>.o``, one
+def compile_units(cc: str, out_dir: str, extra: tuple[str, ...] = (), units=UNITS) -> dict[str, str]:
+    """Compile every unit of ``units`` to ``out_dir/<unit>.o``, one
     compiler process per unit, all started together; returns each unit's
     diagnostics.
 
@@ -1030,7 +1030,7 @@ def compile_units(cc: str, out_dir: str, extra: tuple[str, ...] = ()) -> dict[st
     """
     procs = {}
     try:
-        for name, text in UNITS.items():
+        for name, text in units.items():
             src = os.path.join(out_dir, f"{name}.c")
             with open(src, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -1056,8 +1056,9 @@ def compile_units(cc: str, out_dir: str, extra: tuple[str, ...] = ()) -> dict[st
     return diagnostics
 
 
-def build_library(cc: str | None = None) -> str:
-    """Compile (or reuse) the kernel shared object; returns its path.
+def build_library(cc: str | None = None, units=UNITS, stem="repro_kernels") -> str:
+    """Compile (or reuse) the shared object of ``units`` — by default the
+    kernels; the simulator's engine is the other one — and return its path.
 
     The units are built for this host's CPU (:data:`HOST_CFLAGS`), keyed
     by its :func:`isa_identity` so a shared cache never hands one CPU's
@@ -1080,28 +1081,28 @@ def build_library(cc: str | None = None) -> str:
     isa = isa_identity()
     if isa is not None:
         try:
-            return _build(cc, HOST_CFLAGS, isa)
+            return _build(cc, HOST_CFLAGS, isa, units, stem)
         except CompileError as exc:
             if not exc.every_unit:
                 raise
-    return _build(cc, (), "")
+    return _build(cc, (), "", units, stem)
 
 
-def _build(cc: str, flags: tuple[str, ...], isa: str) -> str:
-    """The library of the units built with ``CFLAGS + flags``, cached
+def _build(cc: str, flags: tuple[str, ...], isa: str, units: dict, stem: str) -> str:
+    """The library of ``units`` built with ``CFLAGS + flags``, cached
     under a key of the compiler, every flag, ``isa`` and every unit."""
     key = hashlib.sha256(
-        "\x00".join((cc, *CFLAGS, *flags, isa, *LDFLAGS, *UNITS, *UNITS.values())).encode()
+        "\x00".join((cc, *CFLAGS, *flags, isa, *LDFLAGS, *units, *units.values())).encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
-    lib_path = os.path.join(cache, f"repro_kernels_{key}.so")
+    lib_path = os.path.join(cache, f"{stem}_{key}.so")
     if os.path.exists(lib_path):
         return lib_path
     os.makedirs(cache, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        compile_units(cc, tmp, flags)
-        out = os.path.join(tmp, "repro_kernels.so")
-        objects = [os.path.join(tmp, f"{name}.o") for name in UNITS]
+        compile_units(cc, tmp, flags, units)
+        out = os.path.join(tmp, f"{stem}.so")
+        objects = [os.path.join(tmp, f"{name}.o") for name in units]
         proc = subprocess.run(
             [cc, *LDFLAGS, *objects, "-o", out], capture_output=True, text=True
         )

@@ -354,7 +354,7 @@ class RunRequest:
             # Ad-hoc scenarios: the name alone may not pin the setup.
             sc = self.scenario_obj
             ident["adhoc_grid"] = [sc.grid.nx, sc.grid.nr]
-            ident["adhoc_viscous"] = sc.solver.config.viscous
+            ident["adhoc_viscous"] = sc.config.viscous
         return ident
 
     def fingerprint(self) -> str:

@@ -10,6 +10,7 @@ solver in planar/periodic modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +29,20 @@ from .physics.state import FlowState
 
 @dataclass
 class Scenario:
-    """A ready-to-run bundle of grid, initial state, and solver."""
+    """A ready-to-run bundle of grid, initial state, and solver.
+
+    The solver is built on first access to :attr:`solver`: a run reads
+    ``solver_cls`` and ``config`` and builds the one solver it steps."""
 
     grid: Grid
     state: FlowState
-    solver: CompressibleSolver
+    solver_cls: type[CompressibleSolver]
+    config: SolverConfig
     name: str = ""
+
+    @cached_property
+    def solver(self) -> CompressibleSolver:
+        return self.solver_cls(self.state, self.config)
 
     def run(self, steps: int, **kw):
         """Run this scenario through :func:`repro.api.run` (serial by
@@ -104,9 +113,7 @@ def jet_scenario(
     )
     state = jet_initial_state(grid, profile)
     cls = NavierStokesSolver if viscous else EulerSolver
-    return Scenario(
-        grid, state, cls(state, config), name="jet-ns" if viscous else "jet-euler"
-    )
+    return Scenario(grid, state, cls, config, name="jet-ns" if viscous else "jet-euler")
 
 
 def periodic_advection_scenario(
@@ -134,7 +141,7 @@ def periodic_advection_scenario(
         boundary=None,
         cfl=0.4,
     )
-    return Scenario(grid, state, EulerSolver(state, config), name="advection")
+    return Scenario(grid, state, EulerSolver, config, name="advection")
 
 
 def acoustic_pulse_scenario(n: int = 64, amplitude: float = 1e-4) -> Scenario:
@@ -153,7 +160,7 @@ def acoustic_pulse_scenario(n: int = 64, amplitude: float = 1e-4) -> Scenario:
         boundary=None,
         cfl=0.4,
     )
-    return Scenario(grid, state, EulerSolver(state, config), name="acoustic")
+    return Scenario(grid, state, EulerSolver, config, name="acoustic")
 
 
 def shock_tube_scenario(nx: int = 200, nr: int = 8, mu: float = 2e-3) -> Scenario:
@@ -178,7 +185,7 @@ def shock_tube_scenario(nx: int = 200, nr: int = 8, mu: float = 2e-3) -> Scenari
         boundary=None,
         cfl=0.3,
     )
-    return Scenario(grid, state, NavierStokesSolver(state, config), name="sod")
+    return Scenario(grid, state, NavierStokesSolver, config, name="sod")
 
 
 def _jet_euler(**kw) -> Scenario:

@@ -11,8 +11,9 @@ The pipeline:
 3. :mod:`repro.simulate.program` builds per-rank event programs (the
    Version 5/6/7 communication shapes) as plan-driven engine processes.
 4. :mod:`repro.simulate.machine` runs them over a platform's network model
-   with a message-library cost model on the :mod:`repro.simulate.engine`
-   event engine, producing per-rank busy / non-overlapped-communication
+   with a message-library cost model in :mod:`repro.simulate.native`'s C
+   plan engine (the :mod:`repro.simulate.engine` event engine where no C
+   toolchain is), producing per-rank busy / non-overlapped-communication
    timelines (:mod:`repro.simulate.timeline`) — the paper's execution-time
    split.
 5. :mod:`repro.simulate.sharedmem` models the Cray Y-MP (loop-level

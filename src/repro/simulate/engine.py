@@ -9,8 +9,8 @@ A process is either a plain Python generator that yields *commands*:
 
 or a :class:`PlanProcess`, a state machine whose ``resume(now)`` runs
 until it blocks and returns the delay it waits for — the simulated
-machine's ranks and wire transfers, with no generator frame or command
-object per event.  Both kinds share one heap.
+machine's ranks and wire transfers, which :mod:`.native` runs in C; this
+loop is their fallback and reference.  Both kinds share one heap.
 
 Determinism: ties in time are broken by a monotone sequence number, so runs
 are exactly reproducible — a property the regression tests rely on.
@@ -22,6 +22,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Generator
+
+MAX_EVENTS = 50_000_000  # one run's event budget: past it, a runaway
 
 
 class Resource:
@@ -110,7 +112,7 @@ class Engine:
         self._seq += 1
         self._push(self._heap, (at, self._seq, proc))
 
-    def run(self, max_events: int = 50_000_000) -> float:
+    def run(self, max_events: int = MAX_EVENTS) -> float:
         """Run until all processes finish; returns the end time.
 
         One loop resumes a process and executes its commands until it

@@ -17,6 +17,7 @@ from ..msglib.libmodel import LibraryModel
 from ..obs import current, trace_from_timelines
 from ..parallel.versions import Version, version_by_number
 from .costmodel import CostModel
+from . import native
 from .engine import Engine, Resource
 from .program import build_rank_program
 from .timeline import RankTimeline
@@ -193,15 +194,17 @@ class SimulatedMachine:
                 )
 
         speeds = self.node_speed_factors or [1.0] * p
-        ranks = []
-        for r in range(p):
-            ranks.append(build_rank_program(
-                engine, r, p, workload, self.version, self.library, network,
-                resources, arrivals, steps_window, step_seconds / speeds[r],
-                faults=self.faults, fault_note=fault_note, trace=trace,
-            ))
-            engine.add_process(ranks[r])
-        makespan = engine.run()
+        ranks = [build_rank_program(
+            engine, r, p, workload, self.version, self.library, network,
+            resources, arrivals, steps_window, step_seconds / speeds[r],
+            faults=self.faults, fault_note=fault_note, trace=trace,
+        ) for r in range(p)]
+        # Natively where the C unit builds, else the same plans on ``engine``.
+        if not native.run(engine, ranks, resources, arrivals, fault_note):
+            for rank in ranks:
+                engine.add_process(rank)
+            engine.run()
+        makespan = engine.now
         if tracer is not None:
             trace_from_timelines(
                 [rank.timeline for rank in ranks],

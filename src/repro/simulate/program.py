@@ -20,7 +20,8 @@ communication time.
 Each rank runs as a :class:`RankProcess` replaying one step's plan and
 each wire transfer as a :class:`Transfer` — state machines on the
 engine's heap, not generators; a message piece's arrival is one slot per
-step in a list its sender and receiver share.
+step in a list its sender and receiver share.  ``SimulatedMachine`` runs
+these plans in C (:mod:`.native`); the engine runs them where C cannot.
 """
 
 from __future__ import annotations

@@ -16,8 +16,11 @@ from repro.machines.platforms import (
     LACE_590_ATM,
 )
 from repro.msglib.libmodel import MPL, PVM
+from repro.numerics.kernels import _cc
 from repro.obs import MetricsRegistry, chrome_trace_json, use
+from repro.simulate import native
 from repro.simulate.costmodel import CostModel
+from repro.simulate.engine import Engine
 from repro.simulate.machine import SimulatedMachine
 from repro.simulate.sharedmem import IO_TIME, SharedMemoryMachine
 from repro.simulate.workload import EULER, NAVIER_STOKES, Workload
@@ -310,3 +313,37 @@ class TestGoldenDigest:
         )
         digest = hashlib.sha256(chrome_trace_json(res.trace).encode()).hexdigest()
         assert digest == self.TRACE
+
+    # The same digests on the Python plan engine (``RankProcess`` and
+    # ``Transfer`` on ``Engine``): the reference the C unit is held to,
+    # and the fallback of a host with no C toolchain.
+    @pytest.fixture
+    def python_engine(self, monkeypatch):
+        monkeypatch.setattr(native, "run", lambda *args: False)
+
+    def test_results_digest_python_engine(self, python_engine):
+        self.test_results_digest()
+
+    def test_trace_digest_python_engine(self, python_engine):
+        self.test_trace_digest()
+
+    def test_traced_faulty_run_is_native(self, monkeypatch):
+        """Tracing and faults do not select the engine: the traced faulty
+        run never reaches ``Engine.run``."""
+        if _cc.find_compiler() is None:
+            pytest.skip("no C compiler")
+
+        def refuse(*args):
+            raise AssertionError("the Python engine ran")
+
+        monkeypatch.setattr(Engine, "run", refuse)
+        self.test_trace_digest()
+
+    def test_fallback_without_compiler(self, monkeypatch, tmp_path):
+        """No compiler and a cold cache: a warning, then the same trace."""
+        monkeypatch.setenv("REPRO_CC", "no-such-compiler")
+        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+        monkeypatch.setattr(native, "_LIB", None)
+        with pytest.warns(RuntimeWarning, match="native DES engine unavailable"):
+            self.test_trace_digest()
+        assert native._LIB is None and not list(tmp_path.iterdir())

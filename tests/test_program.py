@@ -3,9 +3,13 @@
 import pytest
 
 from repro.msglib.libmodel import MPL, PVM
+from repro.numerics.kernels import _cc
 from repro.parallel.versions import version_by_number
-from repro.simulate.engine import Engine, Resource
+from repro.simulate import native
+from repro.simulate.engine import MAX_EVENTS, Engine, Resource
 from repro.simulate.program import (
+    _COMPUTE,
+    _SEND,
     EDGE_COMPUTE_FRACTION,
     Transfer,
     _split_for_version,
@@ -122,3 +126,62 @@ class TestTransferProcess:
 
     def test_edge_fraction_sane(self):
         assert 0.0 < EDGE_COMPUTE_FRACTION < 0.2
+
+
+def _stall(ranks):
+    """Rank 1 never sends: ranks 0 and 2 wait for its first message
+    forever, and rank 1 waits for theirs a step later."""
+    ranks[1].plan[:] = [e for e in ranks[1].plan if e[0] != _SEND]
+
+
+def _negative(ranks):
+    ranks[1].plan[0] = (_COMPUTE, -1.0, None, None, None, None, None)
+
+
+class TestNativeEngine:
+    """The C plan engine against the Python one on the same plans: the
+    same timelines, clock and event count, or the same error."""
+
+    @staticmethod
+    def _outcome(use_native, library, edit=None, max_events=MAX_EVENTS):
+        engine = Engine()
+        net = CrossbarNetwork(3)
+        resources = {k: Resource(c, k) for k, c in net.capacities().items()}
+        arrivals = {}
+        ranks = [
+            build_rank_program(
+                engine, r, 3, Workload.paper(NAVIER_STOKES), version_by_number(6),
+                library, net, resources, arrivals, 2, 1.0,
+            )
+            for r in range(3)
+        ]
+        if edit is not None:
+            edit(ranks)
+        try:
+            if use_native:
+                assert native.run(engine, ranks, resources, arrivals, None, max_events)
+            else:
+                for rank in ranks:
+                    engine.add_process(rank)
+                engine.run(max_events)
+        except (RuntimeError, ValueError) as exc:
+            return type(exc), str(exc)
+        return engine.now, engine.steps, [
+            (t.busy, t.compute, t.library, t.comm_wait, t.finished_at)
+            for t in (rank.timeline for rank in ranks)
+        ]
+
+    @pytest.mark.parametrize("library", [PVM, MPL], ids=["buffered", "blocking"])
+    @pytest.mark.parametrize("edit,max_events,error", [
+        (None, MAX_EVENTS, None),
+        (_stall, MAX_EVENTS, "blocked processes: ['rank0', 'rank1', 'rank2']"),
+        (None, 7, "event budget exceeded"),
+        (_negative, MAX_EVENTS, "negative delay -1.0 in rank1"),
+    ], ids=["clean", "stall", "budget", "negative"])
+    def test_parity(self, library, edit, max_events, error):
+        if _cc.find_compiler() is None:
+            pytest.skip("no C compiler")
+        theirs = self._outcome(False, library, edit, max_events)
+        assert self._outcome(True, library, edit, max_events) == theirs
+        if error is not None:
+            assert error in theirs[1]
