@@ -44,7 +44,7 @@ def main() -> None:
 
     print(
         f"Distributed run: {args.nranks} ranks, Version {args.version} "
-        f"({'grouped' if args.version == 5 else 'overlapped' if args.version == 6 else 'one column at a time'}) ..."
+        f"({'one column at a time' if args.version == 7 else 'grouped'}) ..."
     )
     res = run(
         sc,

@@ -146,8 +146,9 @@ _REQUEST_OPTIONS = {
     "--substrate": dict(
         choices=("virtual", "process"),
         help="distributed execution substrate: 'virtual' (one thread per "
-             "rank, GIL-serialized) or 'process' (one OS process per rank "
-             "over shared memory — real multi-core speedup)"),
+             "rank; compiled kernels release the GIL and run concurrently) "
+             "or 'process' (one OS process per rank over shared memory — "
+             "real multi-core speedup)"),
     "--faults": dict(
         metavar="PRESET",
         help="inject faults: lossy-ethernet, jittery-now, drop-storm, "

@@ -197,12 +197,12 @@ def _coerce_tracer(trace) -> tuple[Tracer | None, str | None]:
     return Tracer(), os.fspath(trace)
 
 
-def _coerce_metrics(metrics, profile) -> MetricsRegistry | None:
-    """``metrics`` may be falsy, True, or a registry; profiling and the
-    ledger imply metrics (the report needs the registry to exist)."""
+def _coerce_metrics(metrics, ledger) -> MetricsRegistry | None:
+    """``metrics`` may be falsy, True, or a registry; the ledger implies
+    metrics (the report needs the registry to exist)."""
     if isinstance(metrics, MetricsRegistry):
         return metrics
-    if metrics or profile:
+    if metrics or ledger:
         return MetricsRegistry()
     return None
 
@@ -223,23 +223,6 @@ def _coerce_ring(
     if value is not True:
         capacity = value
     return FlightRing.create(nranks=nranks, capacity=capacity, slot_bytes=slot_bytes)
-
-
-def _profile_top(stats: dict, n: int) -> list[dict]:
-    """Top-``n`` functions by cumulative time from ``cProfile`` raw stats."""
-    rows = []
-    ranked = sorted(stats.items(), key=lambda kv: kv[1][3], reverse=True)
-    for func, (cc, nc, tt, ct, _callers) in ranked[:n]:
-        filename, lineno, name = func
-        rows.append(
-            {
-                "func": f"{os.path.basename(filename)}:{lineno}({name})",
-                "ncalls": nc,
-                "tottime": round(tt, 6),
-                "cumtime": round(ct, 6),
-            }
-        )
-    return rows
 
 
 def run(scenario, **options) -> RunResult:
@@ -268,6 +251,8 @@ def run(scenario, **options) -> RunResult:
         discrete-event simulation route.
     version:
         Paper code version (5 grouped / 6 overlapped / 7 de-burstified).
+        The simulated route models Version 6's overlap; real ranks run
+        it with Version 5's blocking halo refresh.
         Real distributed results are bitwise independent of it; it shapes
         message traffic and simulated cost.
     trace:
@@ -285,11 +270,12 @@ def run(scenario, **options) -> RunResult:
     substrate:
         How distributed ranks execute (``nprocs > 1``, ``platform=None``):
         ``"virtual"`` (default) runs one thread per rank — real message
-        passing, GIL-serialized, the correctness substrate; ``"process"``
-        runs one OS process per rank over POSIX shared memory — true
-        multi-core execution with measured wall-clock speedup (see
-        :mod:`repro.msglib.process`).  Both produce bitwise-identical
-        final states.
+        passing, the correctness substrate; the compiled kernels release
+        the GIL (``ctypes.CDLL``), so its ranks step them concurrently;
+        ``"process"`` runs one OS process per rank over POSIX shared
+        memory — true multi-core execution with measured wall-clock
+        speedup (see :mod:`repro.msglib.process`).  Both produce
+        bitwise-identical final states.
     steps_window:
         Simulated steps actually executed by the DES before scaling
         (simulated route only).
@@ -316,13 +302,6 @@ def run(scenario, **options) -> RunResult:
         fault counters, and a derived :class:`~repro.obs.PerfReport` in
         ``RunResult.perf`` (per-stage MFLOPS, comp:comm ratio, per-rank
         split).  Works on all three substrates.
-    profile:
-        ``True`` additionally runs the calling thread under ``cProfile``
-        and exposes the top functions by cumulative time in
-        ``perf.profile_top`` (an integer selects how many; default 15).
-        Implies ``metrics``.  Note cProfile observes only the calling
-        thread — full coverage on the serial route; rank threads of the
-        virtual cluster are outside it.
     ledger:
         A path (or ``True`` for the anchored default ledger — see
         :func:`repro.config.default_ledger_path`) to append the
@@ -392,15 +371,10 @@ def run_request(
     tracer, trace_path = _coerce_tracer(ob.trace)
     if context is not None and tracer is not None:
         tracer.adopt_context(context)
-    reg = _coerce_metrics(ob.metrics, ob.profile or ob.ledger)
+    reg = _coerce_metrics(ob.metrics, ob.ledger)
     from .faults import resolve_fault_plan
 
     plan = resolve_fault_plan(rz.faults, seed=rz.fault_seed)
-    profiler = None
-    if ob.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
     # A path asks for the post-mortem to be flushed there.
     path_given = not isinstance(ob.flight, int) and not hasattr(ob.flight, "record")
     flight_path = os.fspath(ob.flight) if ob.flight and path_given else None
@@ -411,23 +385,17 @@ def run_request(
         named = {"tracer": tracer, "metrics": reg, "stream": steps, "flight": flight}
         # Only what the request named: the rest is inherited from the caller.
         with use(**{slot: sink for slot, sink in named.items() if sink is not None}):
-            if profiler is not None:
-                profiler.enable()
-            try:
-                if ex.platform is not None:
-                    result = _run_simulated(sc, req, plan)
-                elif ex.nprocs == 1:
-                    if plan is not None:
-                        raise ValueError(
-                            "faults= requires a network to break: use nprocs > 1 "
-                            "(virtual cluster) or platform=... (simulated machine)"
-                        )
-                    result = _run_serial(sc, req)
-                else:
-                    result = _run_parallel(sc, req, plan)
-            finally:
-                if profiler is not None:
-                    profiler.disable()
+            if ex.platform is not None:
+                result = _run_simulated(sc, req, plan)
+            elif ex.nprocs == 1:
+                if plan is not None:
+                    raise ValueError(
+                        "faults= requires a network to break: use nprocs > 1 "
+                        "(virtual cluster) or platform=... (simulated machine)"
+                    )
+                result = _run_serial(sc, req)
+            else:
+                result = _run_parallel(sc, req, plan)
         if flight is not None:
             result.flight = flight.events_by_rank()
         if steps is not None and steps is not ob.stream:
@@ -445,11 +413,6 @@ def run_request(
     if flight_path is not None:
         write_flight_jsonl(result.flight, flight_path)
     if reg is not None:
-        top = None
-        if profiler is not None:
-            profiler.create_stats()
-            n = ob.profile if ob.profile is not True else 15
-            top = _profile_top(profiler.stats, int(n))
         backend_name = None
         if result.mode != "simulated":
             from .numerics.kernels import resolve_backend
@@ -464,7 +427,6 @@ def run_request(
             backend=backend_name,
             grid=(sc.grid.nx, sc.grid.nr),
             viscous=sc.config.viscous,
-            profile_top=top,
             fingerprint=req.fingerprint(),
         )
         if ob.ledger:

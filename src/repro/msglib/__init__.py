@@ -12,8 +12,10 @@ Three halves (two real, one modelled):
   + :class:`~repro.msglib.process.ProcessCommunicator`): one OS process per
   rank, halo payloads through POSIX shared memory, a pipe control plane for
   slot descriptors and aborts.  Same :class:`~repro.msglib.api.Communicator`
-  contract, bitwise-identical results, and — unlike the GIL-serialized
-  virtual cluster — real wall-clock speedup on multi-core hosts.
+  contract, bitwise-identical results, and real wall-clock speedup on
+  multi-core hosts for every backend (the virtual cluster's threads run
+  concurrently only inside calls that release the GIL, such as the
+  compiled kernels' ``ctypes.CDLL`` foreign calls).
 * **Cost models** of the 1995 message-passing libraries the paper used
   (PVM 3.2.2, IBM's MPL, PVMe) in :mod:`repro.msglib.libmodel`; these feed
   the discrete-event simulator, not the real executor.

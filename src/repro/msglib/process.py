@@ -1,9 +1,10 @@
 """The process cluster: real multi-core SPMD execution, one OS process per rank.
 
 The virtual cluster (:mod:`repro.msglib.virtual`) runs every rank on a
-daemon *thread* — real message passing, but serialized by the GIL, so
-``nprocs=8`` is slower than serial.  This module is the third execution
-substrate: :class:`ProcessCluster` forks one worker process per rank and
+daemon *thread* — real message passing, but the ranks run concurrently
+only inside calls that release the GIL (the compiled kernels' foreign
+calls among them).  This module is the third execution substrate:
+:class:`ProcessCluster` forks one worker process per rank and
 :class:`ProcessCommunicator` implements the same :class:`Communicator`
 contract over two planes:
 

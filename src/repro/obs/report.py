@@ -82,7 +82,6 @@ class PerfReport:
     faults: dict = field(default_factory=dict)
     restarts: int = 0
     trace_summary: dict | None = None
-    profile_top: list[dict] | None = None
     balance: dict | None = None
     """Straggler/imbalance verdict over ``per_rank``
     (:func:`repro.obs.stream.imbalance_verdict`); ``None`` for runs with
@@ -352,7 +351,6 @@ def build_perf_report(
     backend: str | None = None,
     grid: tuple[int, int] | None = None,
     viscous: bool | None = None,
-    profile_top: list[dict] | None = None,
 ) -> PerfReport:
     """Derive a :class:`PerfReport` from a run outcome + metrics registry.
 
@@ -435,7 +433,6 @@ def build_perf_report(
         faults=_fault_summary(snap, result.fault_stats),
         restarts=result.restarts,
         trace_summary=trace_summary,
-        profile_top=profile_top,
         balance=imbalance_verdict(per_rank),
         metrics=snap,
     )
@@ -599,15 +596,6 @@ def render_report(report: PerfReport) -> str:
         ["fault/recovery", "count"],
         [[k, f"{v:.0f}"] for k, v in report.faults.items()],
         f"faults (restarts={report.restarts})",
-    )
-    section(
-        ["ncalls", "cumtime", "function"],
-        [
-            [str(p.get("ncalls", "")), _fmt(p.get("cumtime"), "{:.4f}"),
-             str(p.get("func", ""))]
-            for p in report.profile_top or []
-        ],
-        "cProfile top functions (cumulative)",
     )
     return "\n".join(lines)
 

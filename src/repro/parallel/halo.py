@@ -14,8 +14,11 @@ at the top of the step; everything else is recomputed locally.
 
 The code versions keep their meaning as *how that one halo travels*:
 Version 5 ships it as one grouped message, Version 7 one line per message
-(``H`` startups, the same bytes), Version 6 as Version 5 with the receive
-posted instead of blocked on (:class:`PendingHalo`).
+(``H`` startups, the same bytes).  Version 6 ships it as Version 5 does:
+its overlap of communication with computation is modelled by the
+simulator (``repro.simulate.program``), and on real ranks the only work a
+posted receive could hide behind — the rank-local ``dt`` estimate — never
+paid for it (DESIGN.md §15).
 
 All sends are buffered (deposit-and-return), so the send-then-receive
 ordering is deadlock-free for any processor count.
@@ -89,37 +92,6 @@ def _lines(axis: int, first: int, count: int, across: slice) -> tuple:
     return (slice(None), across, lines)
 
 
-class PendingHalo:
-    """A halo refresh whose receives are posted, not yet waited on (V6).
-
-    Created by :meth:`ExchangePlan.refresh` with ``post=True`` *after* the
-    sends were deposited and the receives posted; the caller runs whatever
-    does not read ghost lines — the rank-local ``stable_dt`` — and then
-    calls :meth:`finish` exactly once, which waits and fills the ghosts.
-    """
-
-    __slots__ = ("_comm", "_tag", "_q", "_pieces", "_reqs", "_done")
-
-    def __init__(self, comm, tag, q, pieces, reqs) -> None:
-        self._comm = comm
-        self._tag = tag
-        self._q = q
-        self._pieces = pieces
-        self._reqs = reqs
-        self._done = False
-
-    def finish(self) -> None:
-        """Wait for the posted receives and fill the ghost lines; observed
-        as a ``halo.state`` exchange of its own, so the metrics cover the
-        part of the refresh that was not hidden."""
-        if self._done:
-            raise RuntimeError("PendingHalo.finish() called twice")
-        self._done = True
-        with current().exchange("state", self._comm, self._tag):
-            for piece, req in zip(self._pieces, self._reqs):
-                self._q[piece.ghost] = req.wait()
-
-
 class ExchangePlan:
     """One rank's halo refresh, for any ``px x pr`` decomposition.
 
@@ -170,36 +142,14 @@ class ExchangePlan:
             if pieces:
                 self._phases.append((name, pieces))
 
-    def refresh(self, q: np.ndarray, step: int, post: bool = False):
+    def refresh(self, q: np.ndarray, step: int) -> None:
         """Overwrite every ghost line of ``q`` with the neighbours' owned
-        lines: one observed ``halo.state`` exchange per split axis.
-
-        With ``post=True`` the *last* axis's receives are posted
-        (``irecv``) instead of waited on and a :class:`PendingHalo`
-        comes back — same messages, same tags, same order on the wire.
-        An earlier axis always completes: its ghosts ride in the last
-        axis's messages.
-        """
+        lines: one observed ``halo.state`` exchange per split axis."""
         comm = self.comm
         tag = f"{step}:halo"
-        pending = None
         for name, pieces in self._phases:
             with current().exchange("state", comm, f"{tag}:{name}"):
                 for piece in pieces:
                     comm.send(piece.peer, f"{tag}:{piece.send_tag}", q[piece.ship])
-                if post and pieces is self._phases[-1][1]:
-                    reqs = [
-                        comm.irecv(piece.peer, f"{tag}:{piece.recv_tag}")
-                        for piece in pieces
-                    ]
-                    # Opportunistic probe: a message that already landed is
-                    # completed now.
-                    for r in reqs:
-                        r.test()
-                    pending = PendingHalo(comm, f"{tag}:{name}", q, pieces, reqs)
-                else:
-                    for piece in pieces:
-                        q[piece.ghost] = comm.recv(
-                            piece.peer, f"{tag}:{piece.recv_tag}"
-                        )
-        return pending
+                for piece in pieces:
+                    q[piece.ghost] = comm.recv(piece.peer, f"{tag}:{piece.recv_tag}")

@@ -96,8 +96,9 @@ class ParallelJetSolver:
     nranks:
         Number of processors (axial blocks).
     version:
-        Paper code version: 5 (grouped messages), 6 (overlapped), or
-        7 (flux columns one at a time).
+        Paper code version: 5 (grouped messages), 6 (overlapped in the
+        simulator; here Version 5's blocking refresh), or 7 (flux columns
+        one at a time).
     decomposition:
         ``"axial"`` (the paper's choice), ``"radial"`` (its Section-8
         future-work variant), or ``"2d"`` (a Cartesian ``px x pr`` grid of
@@ -105,11 +106,11 @@ class ParallelJetSolver:
     timeout:
         Per-receive deadlock timeout in seconds.
     substrate:
-        ``"virtual"`` (default — one thread per rank, GIL-serialized, the
-        correctness substrate) or ``"process"`` (one OS process per rank
-        over shared memory — real multi-core execution; see
-        :mod:`repro.msglib.process`).  Results are bitwise-identical
-        across substrates.
+        ``"virtual"`` (default — one thread per rank, the correctness
+        substrate; compiled kernels release the GIL and step concurrently)
+        or ``"process"`` (one OS process per rank over shared memory —
+        real multi-core execution; see :mod:`repro.msglib.process`).
+        Results are bitwise-identical across substrates.
     faults:
         ``None`` (default), a preset name (``"lossy-ethernet"``, ...), or a
         :class:`~repro.faults.FaultPlan`: wraps every rank's communicator

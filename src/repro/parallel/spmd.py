@@ -68,8 +68,8 @@ class BlockDistributedSolver(CompressibleSolver):
         the halo is deep.
     version:
         Paper code version (5, 6 or 7): how the halo travels.  Version 6
-        posts the halo receive instead of blocking on it and finishes it
-        after the rank-local ``dt`` estimate; bitwise-identical either way.
+        refreshes it as Version 5 does (its overlap is a simulator model,
+        DESIGN.md §15); bitwise-identical either way.
     """
 
     def __init__(
@@ -121,7 +121,6 @@ class BlockDistributedSolver(CompressibleSolver):
         self.plan = ExchangePlan(
             comm, self.topo, version, self.state.q.shape, depth
         )
-        self._pending = None  # a posted refresh, between post and finish
         # Attribute this solver's spans to its rank (also bound as the
         # thread default so MacCormack-phase spans inherit it under MPI,
         # where no VirtualCluster worker does the binding).
@@ -160,29 +159,18 @@ class BlockDistributedSolver(CompressibleSolver):
     # -- the halo, then the serial step -----------------------------------------
     def _begin_step(self, stage) -> None:  # type: ignore[override]
         with stage("halo"):
-            # Version 6 posts the receive only on a step that has something
-            # to run meanwhile: the rank-local dt estimate.
-            self._pending = self.plan.refresh(
-                self.state.q, self.nstep,
-                post=self.version.overlap_communication and self._dt_is_due(),
-            )
+            self.plan.refresh(self.state.q, self.nstep)
 
     def current_dt(self) -> float:  # type: ignore[override]
-        """The serial rule over the owned cells, min-reduced.  A posted
-        (Version 6) refresh is finished between the rank-local estimate —
-        which reads no ghost line — and the all-reduce."""
+        """The serial rule over the owned cells, min-reduced."""
         cfg = self.config
-        due = self._dt_is_due()
-        if due:
-            local = self._stable_dt(self.owned)
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending.finish()
-        if due:
+        if cfg.dt is not None:
+            return cfg.dt
+        if self._dt_is_due():
             self._dt_cached = self.comm.allreduce_min(
-                local, tag=f"{self.nstep}:dt"
+                self._stable_dt(self.owned), tag=f"{self.nstep}:dt"
             )
-        return cfg.dt if cfg.dt is not None else self._dt_cached
+        return self._dt_cached
 
     # -- gathering ------------------------------------------------------------
     def gather_state(self) -> FlowState | None:

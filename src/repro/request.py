@@ -68,7 +68,8 @@ class ExecutionConfig:
     px: int | None = None
     pr: int | None = None
     version: int = 7
-    """Paper code version (5 grouped / 6 overlapped / 7 de-burstified)."""
+    """Paper code version (5 grouped / 6 overlapped / 7 de-burstified);
+    real ranks run Version 6 with Version 5's blocking halo refresh."""
     backend: str | None = None
     """Kernel backend override (``"baseline"``/``"fused"``/``"compiled"``),
     ``None`` keeps the scenario's configured backend."""
@@ -92,7 +93,7 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Tracing/metrics/profiling/ledger — orthogonal to the workload.
+    """Tracing/metrics/ledger/streams — orthogonal to the workload.
 
     In-process callers may pass live objects (a
     :class:`~repro.obs.Tracer`, a :class:`~repro.obs.MetricsRegistry`);
@@ -104,8 +105,6 @@ class ObservabilityConfig:
     """Falsy, ``True``, a Tracer, or a Chrome-trace export path."""
     metrics: Any = None
     """Falsy, ``True``, or a MetricsRegistry to record into."""
-    profile: Any = False
-    """``True`` / top-N int for cProfile coverage (implies metrics)."""
     ledger: Any = None
     """Falsy, ``True`` (anchored default ledger) or an explicit path."""
     stream: Any = None

@@ -1,18 +1,19 @@
-"""The overlapped (Version 6) halo refresh: the bitwise wall + protocol units.
+"""Version 6 on real ranks: the bitwise wall + the halo contract.
 
-A distributed ``version=6`` run is the blocking refresh's *same* messages
-with the same tags in the same order, whose receive is posted before the
-rank-local ``dt`` estimate and finished after it — so it is bitwise the
-blocking run; the ``v6`` rows of ``test_lattice.py`` hold it to serial
-across states, models, decompositions, substrates, backends and faults,
-and the wall here names some of them.  Here too: that it actually posts,
-that posting is invisible on the wire, and the protocol units — the
-post/finish-once rule of
-:class:`~repro.parallel.halo.PendingHalo`, the reach of the one-sided
-stencil it relies on, the :class:`~repro.msglib.api.MessageView` release
-discipline, and the request surface (Version 6 is selected by
-``version=6`` and nothing else; dropping the ``overlap`` field moved no
-fingerprint).
+The paper's Version 6 overlaps communication with computation; the
+simulator models it (``repro.simulate.program``, Figures 7 and 8).  On
+real ranks ``version=6`` refreshes the halo exactly as Version 5 does —
+the posted-receive split phase it once ran never beat Version 5 in
+alternating pairs (DESIGN.md §15) and is gone.  The ``v6`` rows of
+``test_lattice.py`` hold it to serial across states, models,
+decompositions, substrates, backends and faults, and the wall here names
+some of them.  Here too: that a Version 6 step observes the one blocking
+refresh of Version 5 and puts the same messages on the wire, that one
+``ExchangePlan.refresh`` leaves every ghost line filled and nothing
+pending, the reach of the one-sided stencil the halo depth relies on, the
+:class:`~repro.msglib.api.MessageView` release discipline, and the request
+surface (Version 6 is selected by ``version=6`` and nothing else; dropping
+the ``overlap`` field moved no fingerprint).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.numerics.stencils import (
     forward_difference,
 )
 from repro.obs import FlightRing, Tracer, use
-from repro.parallel.halo import PendingHalo
+from repro.parallel.halo import halo_depth
 from repro.parallel.runner import ParallelJetSolver
 from repro.request import ExecutionConfig, RunRequest
 from test_lattice import assert_row
@@ -66,8 +67,8 @@ def _send_log(sc, config, **kw):
 
 
 class TestOverlapBitwiseWall:
-    """overlap == serial, and Version 6 posts the one halo — observably,
-    and invisibly on the wire."""
+    """Version 6 == serial, through Version 5's refresh: the same spans and
+    the same messages on the wire."""
 
     @pytest.mark.parametrize("backend", ["fused", "compiled"])
     @pytest.mark.parametrize("substrate", ["virtual", "process"])
@@ -82,9 +83,9 @@ class TestOverlapBitwiseWall:
         )
 
     def test_overlap_actually_engages(self, case):
-        """Guard against a silent degrade: per step the overlapped run
-        observes the refresh twice — the post, then the finish inside the
-        ``dt`` stage — where the blocking run observes it once."""
+        """Version 6 runs Version 5's refresh: per step and rank it observes
+        one ``halo.state`` exchange, as the blocking run does — no posted
+        receive finished later in a second span."""
         sc, config = case
         counts = {}
         for version in (5, 6):
@@ -92,47 +93,41 @@ class TestOverlapBitwiseWall:
             ParallelJetSolver(
                 sc.state, config, nranks=2, timeout=60, version=version
             ).run(2, tracer=tracer)
+            assert len(_halo_spans(tracer, rank=1)) == 2
             counts[version] = len(_halo_spans(tracer))
-        assert counts == {5: 2, 6: 4}
-        # ... and only on a step that has a dt estimate to hide it behind.
-        tracer = Tracer(name="every-third")
-        ParallelJetSolver(
-            sc.state, dataclasses.replace(config, dt_recompute_every=3),
-            nranks=2, timeout=60, version=6,
-        ).run(6, tracer=tracer)
-        assert len(_halo_spans(tracer)) == 6 + 2
+        assert counts == {5: 2, 6: 2}
 
     def test_wire_identity(self, case):
-        """Posting is invisible on the wire: same peers, tags, bytes and
-        order as the blocking refresh."""
+        """Version 6 puts Version 5's messages on the wire: same peers,
+        tags, bytes and order."""
         sc, config = case
         assert _send_log(sc, config, version=6) == _send_log(sc, config, version=5)
 
     def test_baseline_backend_overlaps_too(self, case):
-        """The posted refresh touches no kernel, so it needs no workspace:
-        the allocating backend overlaps like the others."""
+        """The refresh touches no kernel, so the allocating backend runs
+        Version 6 as Version 5's refresh too, bitwise serial."""
         sc, config = case
         tracer = Tracer(name="baseline")
         ParallelJetSolver(
             sc.state, dataclasses.replace(config, backend="baseline"),
             nranks=2, timeout=60, version=6,
         ).run(2, tracer=tracer)
-        assert len(_halo_spans(tracer)) == 4  # post + finish, two steps
+        assert len(_halo_spans(tracer)) == 2  # one refresh per step
         assert_row(backend="baseline", version=6)
 
     def test_version_6_overlaps_by_default(self, case):
-        """``version=6`` alone turns the posted refresh on: there is no
-        other switch."""
+        """``version=6`` alone selects Version 6 — there is no other
+        switch — and it steps with Version 5's refresh, bitwise serial."""
         sc, config = case
         tracer = Tracer(name="v6")
         ParallelJetSolver(
             sc.state, config, nranks=2, timeout=60, version=6
         ).run(2, tracer=tracer)
-        assert len(_halo_spans(tracer)) == 4
+        assert len(_halo_spans(tracer)) == 2
         assert_row(backend="fused", version=6)
 
     def test_four_ranks_interior_and_edge(self):
-        """Interior ranks post on both sides per step; edge ranks on one."""
+        """Interior ranks refresh both sides per step; edge ranks one."""
         assert_row(backend="fused", version=6, grid=(4, 1))
 
 
@@ -195,19 +190,35 @@ class TestRateEdges:
         assert not np.array_equal(real[:, -2:, :], cubic[:, -2:, :])
 
 
-# -- split-phase protocol objects ---------------------------------------------
+# -- the refresh completes in one call ----------------------------------------
 
 
 class TestPendingGhosts:
-    def test_finish_twice_raises(self):
-        pending = PendingHalo(None, "t", None, [], [])
-        pending.finish()
-        with pytest.raises(RuntimeError, match="called twice"):
-            pending.finish()
+    def test_finish_twice_raises(self, case):
+        """One ``refresh`` fills every ghost line — corners of a 2 x 2 grid
+        included — with the neighbour's owned lines: there is nothing
+        left to finish."""
+        sc, config = case
+        runner = ParallelJetSolver(
+            sc.state, config, nranks=4, px=2, pr=2, version=6
+        )
+        depth = halo_depth(config)
+
+        def program(comm):
+            solver = runner._make_solver(comm, sc.state.q)
+            q = solver.state.q
+            owned = q[solver.plan.owned].copy()
+            q[...] = np.nan
+            q[solver.plan.owned] = owned
+            solver.plan.refresh(q, solver.nstep)
+            xsl, rsl = runner.decomp.local_block(comm.rank, depth)
+            return bool(np.array_equal(q, sc.state.q[:, xsl, rsl]))
+
+        assert VirtualCluster(4, timeout=60).run(program) == [True] * 4
 
     def test_a_step_finishes_what_it_posted(self, case):
-        """Post and finish pair up inside one step: nothing is pending
-        between steps, on any rank."""
+        """``refresh`` returns nothing, and no exchange is held between
+        steps, on any rank."""
         sc, config = case
         runner = ParallelJetSolver(sc.state, config, nranks=2, version=6)
 
@@ -216,10 +227,13 @@ class TestPendingGhosts:
             seen = []
             for _ in range(3):
                 solver.step()
-                seen.append(solver._pending)
+                seen.append(solver.plan.refresh(solver.state.q, solver.nstep))
+                seen.append("_pending" in vars(solver))
             return seen
 
-        assert VirtualCluster(2, timeout=60).run(program) == [[None] * 3] * 2
+        assert VirtualCluster(2, timeout=60).run(program) == [
+            [None, False] * 3
+        ] * 2
 
 
 class TestOwnedView:
@@ -322,7 +336,7 @@ class TestOverlapIdentity:
 
 class TestOverlapChaos:
     """The self-healing transport and checkpoint/restart compose with
-    in-flight posted receives."""
+    Version 6 runs."""
 
     @pytest.mark.parametrize("kind", ["drop", "duplicate", "mixed", "reorder"])
     def test_healing_transport_composes(self, chaos_seed, kind):
@@ -331,8 +345,8 @@ class TestOverlapChaos:
         )
 
     def test_crash_restart_composes(self, chaos_seed):
-        """A crash leaves posted receives in flight on the survivors; the
-        restart rebuilds the exchange from the checkpoint."""
+        """A crash leaves the survivors mid-exchange; the restart rebuilds
+        the exchange from the checkpoint."""
         assert_row(chaos_seed, backend="fused", version=6, faults="crash")
 
     def test_lossy_crash_preset_composes(self, chaos_seed):

@@ -111,6 +111,21 @@ def test_ledger_roundtrip(tmp_path):
     assert "sweep_x" in full and "MFLOPS" in full
 
 
+def test_old_ledger_line_with_profile_top_loads(tmp_path):
+    """A line written while reports carried ``profile_top`` (the removed
+    cProfile rows) still loads and renders: unknown keys are ignored."""
+    res = run("jet", steps=2, nx=32, nr=16, metrics=True)
+    line = res.perf.to_dict()
+    line["profile_top"] = [
+        {"func": "solver.py:1(step)", "ncalls": 2, "tottime": 0.1, "cumtime": 0.2}
+    ]
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    (back,) = read_ledger(path)
+    assert back.to_dict() == res.perf.to_dict()
+    assert "profile" not in render_report(back)
+
+
 def test_a_run_of_no_steps_reports_no_rank_rows():
     """``rank_split`` refuses a snapshot without a split; the report of a
     run that took no step still builds, with no per-rank rows."""

@@ -61,6 +61,20 @@ class TestRoundTrip:
             with pytest.raises(ValueError, match=f"unknown {group} field"):
                 RunRequest.from_dict({"scenario": "sod", group: {"bogus": 1}})
 
+    def test_removed_profile_field_refused(self):
+        """``profile`` (the cProfile knob) is gone: a wire dict carrying it
+        is refused like any unknown field, and without it the request
+        keeps its fingerprint."""
+        wire = RunRequest.from_run_args("sod", steps=5, metrics=True).to_dict()
+        fingerprint = RunRequest.from_dict(wire).fingerprint()
+        wire["observability"]["profile"] = 5
+        with pytest.raises(ValueError, match="unknown observability field.*profile"):
+            RunRequest.from_dict(wire)
+        assert "profile" not in {
+            f.name for f in dataclasses.fields(ObservabilityConfig)
+        }
+        assert fingerprint == RunRequest.from_run_args("sod", steps=5).fingerprint()
+
     def test_unknown_top_level_key_refused(self):
         """``"step"`` for ``"steps"`` used to load as ``steps=None``."""
         with pytest.raises(ValueError, match=r"\['step'\].*'steps'"):
@@ -106,7 +120,7 @@ class TestFingerprint:
     def test_excludes_observability_and_timeout(self):
         base = RunRequest.from_run_args("sod", steps=25)
         noisy = RunRequest.from_run_args(
-            "sod", steps=25, metrics=True, profile=True, ledger=True,
+            "sod", steps=25, metrics=True, ledger=True,
             timeout=9.0,
         )
         assert noisy.fingerprint() == base.fingerprint()
@@ -155,7 +169,7 @@ class TestPinnedBytes:
     def test_wire_bytes(self):
         req = RunRequest.from_run_args(
             "jet", steps=12, nx=48, nr=24, nprocs=2, substrate="process",
-            backend="compiled", checkpoint_every=4, metrics=True, profile=5,
+            backend="compiled", checkpoint_every=4, metrics=True,
             faults=FaultPlan(drop=0.05, seed=3, crashes=((1, 4),)),
         )
         assert json.dumps(req.to_dict()) == (
@@ -171,7 +185,7 @@ class TestPinnedBytes:
             '"recv_timeout": 0.5, "recv_retries": 4, "backoff": 1.5, '
             '"always_wrap": false}, "fault_seed": null, "checkpoint_every": 4, '
             '"max_restarts": 2}, "observability": {"trace": null, "metrics": '
-            'true, "profile": 5, "ledger": null, "stream": null, "flight": '
+            'true, "ledger": null, "stream": null, "flight": '
             'null}}'
         )
         assert req.fingerprint() == "7014db024bba"
@@ -258,7 +272,7 @@ class TestRunShim:
         assert dataclasses.asdict(ResilienceConfig()) == dict(
             faults=None, fault_seed=None, checkpoint_every=0, max_restarts=2)
         assert dataclasses.asdict(ObservabilityConfig()) == dict(
-            trace=None, metrics=None, profile=False, ledger=None,
+            trace=None, metrics=None, ledger=None,
             stream=None, flight=None)
 
 
