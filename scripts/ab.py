@@ -14,7 +14,10 @@ summary prints one table per workload: per end-to-end metric of
 ``BENCHMARK.json``, the parent's median [first quartile, third quartile]
 → the change's median, in how many pairs the change was better, and
 whether the medians differ by more than the parent's quartile distance
-(the bar a claimed gain has to clear).
+(the bar a claimed gain has to clear).  Under them, marked "(not gated)",
+the same row for each raw median a report's ``detail`` carries beside a
+restated metric (``op_ms.raw``, ``throughput.raw``): the value before the
+harness restates it against its host yardstick.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ def archive(rev: str, dest: Path) -> None:
 
 
 def run_side(root: Path, workload: str, seed: int, out: Path) -> dict:
-    """One harness run of ``workload`` in the tree at ``root``; its report."""
+    """One harness run of ``workload`` in the tree at ``root``; its whole
+    ``--out`` report."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [
         sys.executable, "benchmarks/harness/run.py", "--workload", workload,
@@ -57,26 +61,36 @@ def run_side(root: Path, workload: str, seed: int, out: Path) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{root}: run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
     with open(out, encoding="utf-8") as fh:
-        return json.load(fh)["result"]
+        return json.load(fh)
+
+
+def row(name: str, higher: bool, a: list[float], b: list[float], note: str = "") -> None:
+    """One table row: the parent's runs ``a`` against the change's ``b``."""
+    wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+    ma, mb = median(a), median(b)
+    q1, _, q3 = statistics.quantiles(a, n=4)
+    beyond = abs(mb - ma) > q3 - q1
+    print(f"{name:<14} {ma:>12.4g} [{q1:.4g}, {q3:.4g}]".ljust(49)
+          + f" → {mb:>10.4g}  {wins} of {len(a)}"
+          + ("  (beyond the parent's quartiles)" if beyond else "") + note)
 
 
 def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]) -> None:
-    n = len(pairs)
-    print(f"{'metric':<12} {'parent median [q1, q3]':<34}   {'change':>10}  change better")
+    print(f"{'metric':<14} {'parent median [q1, q3]':<34}   {'change':>10}  change better")
     for spec in declared:
         name, higher = spec["name"], spec["better"] == "higher"
-        a = [p["metrics"][name]["value"] for p, _ in pairs]
-        b = [c["metrics"][name]["value"] for _, c in pairs]
-        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-        ma, mb = median(a), median(b)
-        q1, _, q3 = statistics.quantiles(a, n=4)
-        beyond = abs(mb - ma) > q3 - q1
-        print(f"{name:<12} {ma:>12.4g} [{q1:.4g}, {q3:.4g}]".ljust(47)
-              + f" → {mb:>10.4g}  {wins} of {n}"
-              + ("  (beyond the parent's quartiles)" if beyond else ""))
-    failed = [sum(side["failed"] for side in sides) for sides in zip(*pairs)]
-    attempted = [sum(side["attempted"] for side in sides) for sides in zip(*pairs)]
-    correct = [all(side["correct"] for side in sides) for sides in zip(*pairs)]
+        row(name, higher, *([side["result"]["metrics"][name]["value"] for side in sides]
+                            for sides in zip(*pairs)))
+    for spec in declared:
+        raw = spec["name"] + ".raw"
+        if all(raw in side.get("detail", {}) for sides in pairs for side in sides):
+            row(raw, spec["better"] == "higher",
+                *([side["detail"][raw]["median"] for side in sides] for sides in zip(*pairs)),
+                note="  (not gated)")
+    results = [[side["result"] for side in sides] for sides in zip(*pairs)]
+    failed = [sum(r["failed"] for r in side) for side in results]
+    attempted = [sum(r["attempted"] for r in side) for side in results]
+    correct = [all(r["correct"] for r in side) for side in results]
     print(f"failed operations: parent {failed[0]} of {attempted[0]}, "
           f"change {failed[1]} of {attempted[1]}; every run correct: "
           f"parent {correct[0]}, change {correct[1]}")
@@ -109,8 +123,8 @@ def main() -> int:
                     sides[side] = run_side(root, workload, i, out)
                     print(f"{workload} pair {i:2d} {side:<6} "
                           f"{time.perf_counter() - began:6.1f} s  "
-                          + "  ".join(f"{k}={v['value']:.4g}"
-                                      for k, v in sides[side]["metrics"].items()),
+                          + "  ".join(f"{k}={v['value']:.4g}" for k, v
+                                      in sides[side]["result"]["metrics"].items()),
                           flush=True)
                 done.append((sides["parent"], sides["change"]))
     finally:

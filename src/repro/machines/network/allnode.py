@@ -50,11 +50,11 @@ class AllnodeNetwork(Network):
         return sorted(per_node_links(src, dst) + ["paths"])
 
     def capacities(self) -> dict[str, int]:
-        caps: dict[str, int] = {"paths": self.concurrent_paths}
-        for n in range(self.nnodes):
-            caps[f"in:{n}"] = 1
-            caps[f"out:{n}"] = 1
-        return caps
+        links = [f"{end}:{n}" for n in range(self.nnodes) for end in ("in", "out")]
+        return {k: self.capacity(k) for k in ["paths"] + links}
+
+    def capacity(self, link: str) -> int:
+        return self.concurrent_paths if link == "paths" else 1
 
     def transfer_time(self, nbytes: int) -> float:
         return nbytes * 8.0 / self.link_bps

@@ -32,11 +32,7 @@ class AtmNetwork(Network):
         return sorted(per_node_links(src, dst))
 
     def capacities(self) -> dict[str, int]:
-        caps: dict[str, int] = {}
-        for n in range(self.nnodes):
-            caps[f"in:{n}"] = 1
-            caps[f"out:{n}"] = 1
-        return caps
+        return {f"{end}:{n}": 1 for n in range(self.nnodes) for end in ("in", "out")}
 
     def transfer_time(self, nbytes: int) -> float:
         return nbytes * 8.0 / (self.bandwidth_bps * self.efficiency)

@@ -23,6 +23,11 @@ class Network(abc.ABC):
     def capacities(self) -> dict[str, int]:
         """Capacity of every resource key this network can name."""
 
+    def capacity(self, link: str) -> int:
+        """Capacity of one resource key, without enumerating the others:
+        one transfer at a time unless a subclass says otherwise."""
+        return 1
+
     @abc.abstractmethod
     def transfer_time(self, nbytes: int) -> float:
         """Wire occupancy seconds for a payload of ``nbytes``."""

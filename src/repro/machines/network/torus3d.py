@@ -62,13 +62,8 @@ class Torus3DNetwork(Network):
         return sorted(set(self._hops(src, dst)))
 
     def capacities(self) -> dict[str, int]:
-        caps: dict[str, int] = {}
-        for node in range(self.nnodes):
-            c = self.coords(node)
-            for label in "xyz":
-                caps[f"{label}+:{c}"] = 1
-                caps[f"{label}-:{c}"] = 1
-        return caps
+        return {f"{label}{way}:{self.coords(node)}": 1 for node in range(self.nnodes)
+                for label in "xyz" for way in "+-"}
 
     def transfer_time(self, nbytes: int) -> float:
         return nbytes / self.link_bytes_per_s

@@ -10,7 +10,8 @@ solver in planar/periodic modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -31,14 +32,20 @@ from .physics.state import FlowState
 class Scenario:
     """A ready-to-run bundle of grid, initial state, and solver.
 
-    The solver is built on first access to :attr:`solver`: a run reads
-    ``solver_cls`` and ``config`` and builds the one solver it steps."""
+    The initial state and the solver are built on first access to
+    :attr:`state` and :attr:`solver`: a run reads ``solver_cls`` and
+    ``config`` and builds the one solver it steps, and a simulated run
+    reads neither."""
 
     grid: Grid
-    state: FlowState
+    initial_state: Callable[[], FlowState]
     solver_cls: type[CompressibleSolver]
     config: SolverConfig
     name: str = ""
+
+    @cached_property
+    def state(self) -> FlowState:
+        return self.initial_state()
 
     @cached_property
     def solver(self) -> CompressibleSolver:
@@ -111,7 +118,7 @@ def jet_scenario(
         cfl=cfl,
         boundary=bc,
     )
-    state = jet_initial_state(grid, profile)
+    state = partial(jet_initial_state, grid, profile)
     cls = NavierStokesSolver if viscous else EulerSolver
     return Scenario(grid, state, cls, config, name="jet-ns" if viscous else "jet-euler")
 
@@ -132,7 +139,7 @@ def periodic_advection_scenario(
     wavelength = grid.nx * grid.dx
     rho = 1.0 + amplitude * np.sin(2.0 * np.pi * x / wavelength)
     p = 1.0 / constants.GAMMA
-    state = FlowState.from_primitive(grid, rho, mach, 0.0, p)
+    state = partial(FlowState.from_primitive, grid, rho, mach, 0.0, p)
     config = SolverConfig(
         viscous=False,
         axisymmetric=False,
@@ -151,7 +158,7 @@ def acoustic_pulse_scenario(n: int = 64, amplitude: float = 1e-4) -> Scenario:
     gauss = np.exp(-(((x - 0.5) ** 2 + (r - 0.5) ** 2) / 0.01))
     p = 1.0 / constants.GAMMA * (1.0 + amplitude * gauss)
     rho = (constants.GAMMA * p) ** (1.0 / constants.GAMMA)
-    state = FlowState.from_primitive(grid, rho, 0.0, 0.0, p)
+    state = partial(FlowState.from_primitive, grid, rho, 0.0, 0.0, p)
     config = SolverConfig(
         viscous=False,
         axisymmetric=False,
@@ -175,7 +182,7 @@ def shock_tube_scenario(nx: int = 200, nr: int = 8, mu: float = 2e-3) -> Scenari
     left = x < 0.5
     rho = np.where(left, 1.0, 0.125)
     p = np.where(left, 1.0, 0.1)
-    state = FlowState.from_primitive(grid, rho, 0.0, 0.0, p)
+    state = partial(FlowState.from_primitive, grid, rho, 0.0, 0.0, p)
     config = SolverConfig(
         viscous=True,
         mu=mu,

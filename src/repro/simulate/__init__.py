@@ -8,8 +8,8 @@ The pipeline:
    instrumented distributed solver.
 2. :mod:`repro.simulate.costmodel` converts compute segments to seconds on
    a platform's CPU model for a given code version.
-3. :mod:`repro.simulate.program` builds per-rank event programs (the
-   Version 5/6/7 communication shapes) as plan-driven engine processes.
+3. :mod:`repro.simulate.program` builds the per-rank event programs (the
+   Version 5/6/7 communication shapes) as one flat plan per run.
 4. :mod:`repro.simulate.machine` runs them over a platform's network model
    with a message-library cost model in :mod:`repro.simulate.native`'s C
    plan engine (the :mod:`repro.simulate.engine` event engine where no C

@@ -17,9 +17,7 @@ from ..msglib.libmodel import LibraryModel
 from ..obs import current, trace_from_timelines
 from ..parallel.versions import Version, version_by_number
 from .costmodel import CostModel
-from . import native
-from .engine import Engine, Resource
-from .program import build_rank_program
+from . import native, program
 from .timeline import RankTimeline
 from .workload import Application, Workload
 
@@ -173,41 +171,17 @@ class SimulatedMachine:
         ws = workload.working_set_bytes(p)
         step_seconds = cost.compute_time(workload.flops_per_step_per_rank(p), ws)
 
-        engine = Engine(tracer=tracer)
-        network = self.platform.network(p)
-        capacities = network.capacities()
-        resources: dict[str, Resource] = {
-            k: Resource(capacity=c, name=k) for k, c in capacities.items()
-        }
-        arrivals: dict[tuple, list] = {}
-
-        def fault_note(src: int, dst: int, key: tuple, extra: float) -> None:
-            if tracer is not None:
-                tracer.instant(
-                    "fault.sim_delay",
-                    cat="fault",
-                    rank=src,
-                    ts=engine.now,
-                    peer=dst,
-                    step=key[0],
-                    seconds=round(extra, 9),
-                )
-
-        speeds = self.node_speed_factors or [1.0] * p
-        ranks = [build_rank_program(
-            engine, r, p, workload, self.version, self.library, network,
-            resources, arrivals, steps_window, step_seconds / speeds[r],
-            faults=self.faults, fault_note=fault_note, trace=trace,
-        ) for r in range(p)]
-        # Natively where the C unit builds, else the same plans on ``engine``.
-        if not native.run(engine, ranks, resources, arrivals, fault_note):
-            for rank in ranks:
-                engine.add_process(rank)
-            engine.run()
-        makespan = engine.now
+        plan = program.build_plan(
+            p, workload, self.version, self.library, self.platform.network(p),
+            steps_window, step_seconds, self.node_speed_factors, self.faults,
+        )
+        timelines = [RankTimeline(r, segments=[] if trace else None) for r in range(p)]
+        # Natively where the C unit builds, else the same plan in Python.
+        makespan, events = (native.run(plan, timelines, tracer)
+                            or program.run(plan, timelines, tracer))
         if tracer is not None:
             trace_from_timelines(
-                [rank.timeline for rank in ranks],
+                timelines,
                 tracer=tracer,
                 meta={
                     "platform": self.platform.name,
@@ -224,7 +198,7 @@ class SimulatedMachine:
             version=self.version.number,
             steps_window=steps_window,
             total_steps=total,
-            timelines=[rank.timeline for rank in ranks],
+            timelines=timelines,
             makespan_window=makespan,
         )
         # Scaled per-rank timeline split plus the modelled flop count, so
@@ -241,5 +215,5 @@ class SimulatedMachine:
             obs.count("sim.busy_seconds", tl.busy * scale, rank=r)
             obs.count("sim.flops", flops, rank=r)
             obs.count("sim.steps", float(total), rank=r)
-        obs.count("sim.engine_events", float(engine.steps), rank=0)
+        obs.count("sim.engine_events", float(events), rank=0)
         return result

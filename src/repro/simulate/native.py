@@ -1,11 +1,9 @@
 """The plan engine in C: ranks, wire transfers and the event heap in one unit.
 
-:func:`run` runs the :class:`~repro.simulate.program.RankProcess` plans of
-one simulated run without a Python frame per event.  They go in as flat
-arrays (entries, routes as resource indices, arrival-slot indices,
-capacities and, on a wire-faulty run, every send's extra occupancy: a pure
-function computed up front); the C is ``Engine.run`` with
-``RankProcess.resume`` and ``Transfer.resume`` transcribed — one heap keyed
+:func:`run` runs one simulated run's :class:`~repro.simulate.program.Plan`
+without a Python frame per event: its arrays go in as they are, and the C
+is :func:`repro.simulate.program.run` transcribed — ``Engine.run`` with
+``RankProcess.resume`` and ``Transfer.resume``, one heap keyed
 ``(time, seq)``, the same pushes in the same order, the same float
 operands and association.  A traced run logs its schedule/resume instants,
 fault notes and segments in event order; Python replays them afterwards.
@@ -13,7 +11,7 @@ fault notes and segments in event order; Python replays them afterwards.
 The unit is built through :func:`repro.numerics.kernels._cc.build_library`
 (the kernels' cache) as a second shared object, at the first simulated
 run.  Without a C toolchain :func:`run` warns and returns ``False``, and
-the caller runs the plans on the Python engine — also the tests' reference.
+the caller runs the plan on the Python engine — also the tests' reference.
 """
 
 from __future__ import annotations
@@ -21,11 +19,10 @@ from __future__ import annotations
 import ctypes
 import warnings
 from array import array
-from itertools import accumulate
 
 from ..numerics.kernels import _cc
 from .engine import MAX_EVENTS
-from .program import _SEND
+from .program import note_fault
 from .timeline import Segment
 
 #: The hand-off, declared once for the C typedef and its ctypes mirror.
@@ -33,10 +30,10 @@ from .timeline import Segment
 #: finished_at, done); ``log``: ``nlog`` records (kind, who, time, aux),
 #: freed by ``des_free``.
 PLAN = """
-    int nranks, steps, nres, nslots, blocking, trace, err_who;
+    int nranks, steps, nres, nkeys, blocking, trace, err_who;
     long max_events, events, nlog, caplog;
     double startup, now, err_dt;
-    const int *eoff, *op, *slot, *roff, *route, *cap;
+    const int *eoff, *op, *side, *piece, *roff, *route, *cap;
     const double *sec, *wire, *extra;
     double *timeline;
     Rec *log;"""
@@ -108,12 +105,17 @@ static Ev pop(D *d) {
     return top;
 }
 
+static int *arrival(D *d, int r, int e, int s) {     /* Plan.slot, at step s */
+    return &d->arr[((r - 1 + d->p->side[e]) * d->p->nkeys + d->p->piece[e]) * d->p->steps + s];
+}
+
 /* Transfer.resume: 0 parked, 1 a delay in *dt, 2 done. */
 static int tr_resume(D *d, int k, double now, double *dt) {
     const DesPlan *p = d->p;
     Tr *t = &d->tr[k];
-    int e = k / p->steps, pc = t->pc, n = p->roff[e + 1] - p->roff[e];
-    const int *route = p->route + p->roff[e];
+    int e = k / p->steps, rt = 2 * t->rank + p->side[e], pc = t->pc;
+    int n = p->roff[rt + 1] - p->roff[rt];
+    const int *route = p->route + p->roff[rt];
     if (pc == 0) {
         t->pc = pc = 1;
         if (p->startup > 0.0) return *dt = p->startup, 1;
@@ -136,7 +138,7 @@ static int tr_resume(D *d, int k, double now, double *dt) {
             push(d, now, pid);
         }
     }
-    int *slot = &d->arr[p->slot[e] * p->steps + k % p->steps], waiter = *slot;
+    int *slot = arrival(d, t->rank, e, k % p->steps), waiter = *slot;
     *slot = ARRIVED;
     if (waiter >= 0) push(d, now, waiter);
     return 2;
@@ -180,7 +182,7 @@ static int rk_resume(D *d, int r, double now, double *dt) {
         }
         e = base + i;
         if (p->op[e] == RECV) {                       /* wait for the arrival */
-            int *slot = &d->arr[p->slot[e] * p->steps + k->step];
+            int *slot = arrival(d, r, e, k->step);
             k->t0 = now;
             if (*slot != ARRIVED) return *slot = r, k->i = i, k->stage = WAITING, 0;
             tl[WAIT] += now - k->t0;
@@ -196,8 +198,8 @@ static int rk_resume(D *d, int r, double now, double *dt) {
 
 int des_run(DesPlan *p) {
     int n = p->nranks, status = OK;
-    long nq = p->nres, na = (long)p->nslots * p->steps, ntr = (long)p->eoff[n] * p->steps;
-    long nint = 3 * nq + na + 1;
+    long nq = p->nres, ntr = (long)p->eoff[n] * p->steps;
+    long na = (long)(n - 1) * p->nkeys * p->steps, nint = 3 * nq + na + 1;
     D d = {p, .heap = malloc((n + ntr) * sizeof(Ev)), .tr = malloc((ntr + 1) * sizeof(Tr)),
            .rk = malloc(n * sizeof(Rk)), .head = malloc(nint * sizeof(int))};
     if (!d.heap || !d.tr || !d.rk || !d.head) { status = NOMEM; goto out; }
@@ -236,6 +238,8 @@ void des_free(DesPlan *p) {
 """
 
 DesPlan = _cc._mirror("DesPlan", PLAN)
+#: The plan's arrays, passed to the C as they are.
+_ARRAYS = ("eoff", "op", "side", "piece", "roff", "route", "cap", "sec", "wire")
 #: Segment kinds by the C engine's code (``RankProcess._record``).
 _KINDS = ("compute", "library", "wait")
 _LIB = None
@@ -262,78 +266,51 @@ def _name(code: int) -> str:
     return f"rank{code // 2}" + (".child" if code % 2 else "")
 
 
-def run(engine, ranks, resources, arrivals, fault_note, max_events=MAX_EVENTS) -> bool:
-    """Run ``ranks`` (the plan processes of one machine, over
-    ``resources`` and ``arrivals``) to the end natively, leaving what
-    ``engine.run`` would: the timelines and ``done`` flags, ``engine.now``
-    and ``engine.steps``, the tracer's instants, and the same errors.
-    ``False`` where the unit cannot be built: nothing has run."""
+def run(plan, timelines, tracer=None, max_events=MAX_EVENTS):
+    """Run ``plan`` (a :class:`~repro.simulate.program.Plan`) to the end
+    natively, leaving what :func:`repro.simulate.program.run` would: the
+    ``timelines``, the tracer's instants, the same errors, and its return,
+    the end time and the event count.  ``False`` where the unit cannot be
+    built: nothing has run."""
     lib = _library()
     if lib is None:
         return False
-    first, n, steps = ranks[0], len(ranks), ranks[0].steps
-    entries = [(rank, entry) for rank in ranks for entry in rank.plan]
-    op, sec, _, _, wire, slots, routes = zip(*(entry for _, entry in entries))
-    slot_ix = {id(s): k for k, s in enumerate(arrivals.values())}
-    res_ix = {id(res): k for k, res in enumerate(resources.values())}
-    roff, route = [0], []
-    for rt in routes:
-        route += [res_ix[id(res)] for res in rt or ()]
-        roff.append(len(route))
-    arrays = {
-        "eoff": array("i", accumulate((len(rank.plan) for rank in ranks), initial=0)),
-        "op": array("i", op), "roff": array("i", roff), "route": array("i", route),
-        "slot": array("i", [slot_ix.get(id(s), 0) for s in slots]),
-        "cap": array("i", [res.capacity for res in resources.values()]),
-        "sec": array("d", sec), "wire": array("d", [w or 0.0 for w in wire]),
-        "timeline": array("d", bytes(48 * n)),
-    }
-    if first.faults is not None:
-        arrays["extra"] = extra = array("d", bytes(8 * len(entries) * steps))
-        for e, (rank, (o, _, peer, key, w, *_)) in enumerate(entries):
-            for s in range(steps if o == _SEND else 0):
-                extra[e * steps + s] = rank.faults.sim_extra_delay(rank.rank, peer, (s,) + key, w)
-    plan = DesPlan(
-        nranks=n, steps=steps, nres=len(resources), nslots=len(arrivals),
-        blocking=first.blocking, trace=first.timeline.segments is not None,
-        max_events=max_events, startup=first.startup,
-        **{k: a.buffer_info()[0] for k, a in arrays.items()},
+    n, steps = plan.nranks, plan.steps
+    tl = array("d", bytes(48 * n))
+    des = DesPlan(
+        nranks=n, steps=steps, nres=len(plan.cap), nkeys=len(plan.keys),
+        blocking=plan.blocking, trace=timelines[0].segments is not None,
+        max_events=max_events, startup=plan.startup, timeline=tl.buffer_info()[0],
+        **{k: getattr(plan, k).buffer_info()[0] for k in _ARRAYS},
+        extra=plan.extra.buffer_info()[0] if plan.extra is not None else None,
     )
     try:
-        status = lib.des_run(ctypes.byref(plan))
-        log = (ctypes.c_double * (4 * plan.nlog)).from_address(plan.log) if plan.nlog else ()
+        status = lib.des_run(ctypes.byref(des))
+        log = (ctypes.c_double * (4 * des.nlog)).from_address(des.log) if des.nlog else ()
         it = iter(log)
         for kind, who, t, aux in zip(it, it, it, it):
             who = int(who)
             if kind == 3.0:
-                ranks[who // 3].timeline.segments.append(Segment(_KINDS[who % 3], t, aux))
-            elif engine.tracer is None:
+                timelines[who // 3].segments.append(Segment(_KINDS[who % 3], t, aux))
+            elif tracer is None:
                 continue
             elif kind == 0.0:
-                engine.tracer.instant("proc.resume", cat="engine", ts=t, proc=_name(who))
+                tracer.instant("proc.resume", cat="engine", ts=t, proc=_name(who))
             elif kind == 1.0:
-                engine.tracer.instant("proc.schedule", cat="engine", ts=t,
-                                      proc=_name(who), at=aux)
+                tracer.instant("proc.schedule", cat="engine", ts=t, proc=_name(who), at=aux)
             else:
-                e, step = divmod(who, steps)
-                rank, (_, _, peer, key, *_) = entries[e]
-                engine.now = t
-                fault_note(rank.rank, peer, (step,) + key, arrays["extra"][who])
+                note_fault(tracer, plan, t, *divmod(who, steps))
     finally:
-        lib.des_free(ctypes.byref(plan))
-    tl = arrays["timeline"]
-    for r, rank in enumerate(ranks):
-        t = rank.timeline
-        t.busy, t.compute, t.library, t.comm_wait, t.finished_at, done = tl[6 * r:6 * r + 6]
-        rank.done = done != 0.0
-    engine.now, engine.steps = plan.now, plan.events
+        lib.des_free(ctypes.byref(des))
+    for r, t in enumerate(timelines):
+        t.busy, t.compute, t.library, t.comm_wait, t.finished_at, _ = tl[6 * r:6 * r + 6]
     if status:  # Engine.run's errors, word for word
         raise {
             1: RuntimeError(
                 "simulation stalled with blocked processes: "
-                f"{[rank.name for rank in ranks if not rank.done][:8]} "
+                f"{[f'rank{r}' for r in range(n) if tl[6 * r + 5] == 0.0][:8]} "
                 "(resource or event deadlock)"),
             2: RuntimeError("event budget exceeded (runaway simulation?)"),
-            3: ValueError(f"negative delay {plan.err_dt} in {_name(plan.err_who)}"),
+            3: ValueError(f"negative delay {des.err_dt} in {_name(des.err_who)}"),
         }.get(status, MemoryError("the native DES engine ran out of memory"))
-    return True
+    return des.now, des.events

@@ -17,27 +17,33 @@ Libraries with ``blocking_send=True`` (the paper's MPL) perform the wire
 transfer inline in the sender, charging the occupancy to non-overlapped
 communication time.
 
-Each rank runs as a :class:`RankProcess` replaying one step's plan and
-each wire transfer as a :class:`Transfer` — state machines on the
-engine's heap, not generators; a message piece's arrival is one slot per
-step in a list its sender and receiver share.  ``SimulatedMachine`` runs
-these plans in C (:mod:`.native`); the engine runs them where C cannot.
+A run's programs are one flat :class:`Plan`, read by both plan engines:
+the C unit of :mod:`.native`, and :func:`run` here, which alone builds
+Python objects — a :class:`RankProcess` per rank and a :class:`Transfer`
+per wire transfer (state machines on the engine's heap), a
+:class:`~.engine.Resource` per routed link, an arrival list per slot.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
 
 from ..machines.network.base import Network
 from ..msglib.libmodel import LibraryModel
 from ..parallel.versions import Version
-from .engine import Engine, PlanProcess, Resource
+from .engine import MAX_EVENTS, Engine, PlanProcess, Resource
 from .timeline import RankTimeline, Segment
 from .workload import Message, Workload
 
 #: Fraction of a step's compute that produces subdomain-edge data first
 #: (Version 6 computes this before posting its sends).
 EDGE_COMPUTE_FRACTION = 0.08
+
+_COMPUTE, _SEND, _RECV = range(3)
+#: Where a rank is parked in entry ``i`` (``_NEXT``: nowhere, it goes on).
+_NEXT, _WAITING, _CHARGED, _SENDING = range(4)
 
 
 def _split_for_version(msg: Message, version: Version) -> list[tuple[int, int]]:
@@ -49,6 +55,110 @@ def _split_for_version(msg: Message, version: Version) -> list[tuple[int, int]]:
     return [(0, msg.nbytes)]
 
 
+class Plan:
+    """One run's rank programs, flat: the arrays ``DesPlan`` takes.
+
+    Rank ``r`` replays entries ``eoff[r]`` to ``eoff[r + 1]`` ``steps``
+    times.  Entry ``e`` charges ``sec[e]`` CPU seconds as ``op[e]``:
+    compute, or the send or receive of piece ``keys[piece[e]]`` to or from
+    the neighbour on ``side[e]`` (0: rank ``r - 1``, 1: ``r + 1``) — both
+    rank-relative, so ranks of one shape share their entries.  A send's
+    wire transfer holds route ``2r + side[e]`` (links ``route[roff[k]:
+    roff[k + 1]]`` of route ``k``, indices into ``cap``) for ``wire[e]``
+    seconds, plus ``extra[e * steps + s]`` at step ``s`` of a wire-faulty
+    run, then marks the piece arrived in its :meth:`slot`, where the
+    receive waits."""
+
+    __slots__ = ("nranks", "steps", "blocking", "startup", "keys", "eoff", "op",
+                 "sec", "wire", "piece", "side", "roff", "route", "cap", "extra")
+
+    def slot(self, rank: int, e: int) -> int:
+        """One per piece and chain link (between ranks ``l``, ``l + 1``)."""
+        return (rank - 1 + self.side[e]) * len(self.keys) + self.piece[e]
+
+    def peer(self, e: int) -> tuple[int, int, tuple]:
+        """Entry ``e``'s ``(rank, peer, (phase, message, part))``."""
+        rank = bisect_right(self.eoff, e) - 1
+        return rank, rank - 1 + 2 * self.side[e], self.keys[self.piece[e]]
+
+
+def build_plan(
+    nprocs: int, workload: Workload, version: Version, library: LibraryModel,
+    network: Network, steps: int, step_seconds: float,
+    speeds: list[float] | None = None, faults=None,
+) -> Plan:
+    """The :class:`Plan` of ``nprocs`` SPMD ranks in a chain.
+
+    Each message piece's CPU and wire seconds are computed once.  Ranks
+    differ only at the chain's ends, in their routes and in their compute
+    seconds, ``step_seconds / speeds[r]``; each such shape's entries are
+    built once.  Only the links some route names get a capacity.
+    ``faults`` (a :class:`~repro.faults.plan.FaultPlan`) becomes extra
+    occupancy of each transfer (:meth:`~repro.faults.plan.FaultPlan.sim_extra_delay`)."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    phases, keys = workload.phases, []
+    sends, recvs = [[] for _ in phases], [[] for _ in phases]
+    for ph, phase in enumerate(phases):
+        for mi, msg in enumerate(phase.messages):
+            # Symmetric SPMD: my neighbour's mirror-direction send targets me.
+            side = 0 if msg.direction == "L" else 1
+            for part, nbytes in _split_for_version(msg, version):
+                wire = network.latency + network.transfer_time(nbytes)
+                sends[ph].append((_SEND, library.send_cpu_time(nbytes), wire, side, len(keys)))
+                recvs[ph].append((_RECV, library.recv_cpu_time(nbytes), wire, 1 - side, len(keys)))
+                keys.append((ph, mi, part))
+    # An interior rank's step, (op, seconds or compute index, wire, side, piece):
+    # V5 and V7 compute each phase, then send and receive its messages; V6
+    # produces boundary data, posts every send, then computes the interior.
+    overlap = version.overlap_communication
+    template = [(_COMPUTE, 0, 0.0, -1, 0)] + sum(sends, []) if overlap else []
+    for ph in range(len(phases)):
+        template.append((_COMPUTE, ph + 1 if overlap else ph, 0.0, -1, 0))
+        template += recvs[ph] if overlap else sends[ph] + recvs[ph]
+
+    def entries(has_left: bool, has_right: bool, scs: float) -> tuple:
+        """The op, sec, wire, side and piece arrays of one rank's step."""
+        remaining = (1.0 - EDGE_COMPUTE_FRACTION) * scs if overlap else scs
+        computes = [EDGE_COMPUTE_FRACTION * scs] if overlap else []
+        computes += [phase.compute_fraction * remaining for phase in phases]
+        rows = [
+            (op, computes[sec] if op == _COMPUTE else sec, wire, side, j)
+            for op, sec, wire, side, j in template
+            if side < 0 or (has_right if side else has_left)
+        ]
+        return tuple(array(code, col) for code, col in zip("iddii", zip(*rows)))
+
+    shapes: dict[tuple, tuple] = {}
+    columns = tuple(array(code) for code in "iddii")
+    eoff = [0]
+    for r in range(nprocs):
+        shape = (r > 0, r < nprocs - 1,
+                 step_seconds / speeds[r] if speeds is not None else step_seconds)
+        cols = shapes.get(shape) or shapes.setdefault(shape, entries(*shape))
+        for column, part in zip(columns, cols):
+            column += part
+        eoff.append(len(columns[0]))
+    links = [network.link_ids(r, r + d) if 0 <= r + d < nprocs else ()
+             for r in range(nprocs) for d in (-1, 1)]
+    index: dict[str, int] = {}
+    plan = Plan()
+    plan.nranks, plan.steps, plan.keys, plan.eoff = nprocs, steps, keys, array("i", eoff)
+    plan.blocking, plan.startup = library.blocking_send, library.wire_startup
+    plan.route = array("i", [index.setdefault(k, len(index)) for ks in links for k in ks])
+    plan.roff = array("i", accumulate(map(len, links), initial=0))
+    plan.cap = array("i", [network.capacity(k) for k in index])
+    plan.op, plan.sec, plan.wire, plan.side, plan.piece = columns
+    plan.extra = None
+    if faults is not None and faults.wire_faulty:
+        plan.extra = extra = array("d", bytes(8 * len(plan.op) * steps))
+        for e in (e for e, op in enumerate(plan.op) if op == _SEND):
+            rank, peer, key = plan.peer(e)
+            for s in range(steps):
+                extra[e * steps + s] = faults.sim_extra_delay(rank, peer, (s,) + key, plan.wire[e])
+    return plan
+
+
 class Transfer(PlanProcess):
     """One wire transfer: protocol startup, hold the route, occupy, signal.
 
@@ -56,10 +166,9 @@ class Transfer(PlanProcess):
     n + 1 (occupancy) → release in reverse, mark ``slots[step]`` arrived and
     wake the rank parked there.  ``owner`` is the process queued on the
     route and scheduled: the sender of a blocking (MPL) send, which calls
-    ``resume`` inline, or ``None`` for the transfer itself.  ``occupancy`` may include a
-    fault plan's extra delay (retransmissions plus jitter), charged while
-    the route is held, so lost messages congest a shared wire as real
-    retransmissions would."""
+    ``resume`` inline, or ``None`` for the transfer itself.  A fault plan's
+    extra occupancy is charged while the route is held, so lost messages
+    congest a shared wire as real retransmissions would."""
 
     __slots__ = ("engine", "owner", "route", "occupancy", "startup", "slots",
                  "step", "pc")
@@ -101,29 +210,20 @@ class Transfer(PlanProcess):
         return None
 
 
-_COMPUTE, _SEND, _RECV = range(3)
-#: Where a rank is parked in entry ``i`` (``_NEXT``: nowhere, it goes on).
-_NEXT, _WAITING, _CHARGED, _SENDING = range(4)
-
-
 class RankProcess(PlanProcess):
-    """One rank's SPMD program: ``plan`` (one step's entries, see
-    :func:`build_rank_program`) replayed ``steps`` times, with every charge
-    and wait booked on ``timeline`` (and, when tracing, its segments)."""
+    """One rank's entries of ``plan``, replayed ``plan.steps`` times, every
+    charge and wait booked on ``timeline`` (and, when tracing, its
+    segments), over the run's ``routes`` and ``arrivals`` by slot."""
 
-    __slots__ = ("engine", "rank", "timeline", "plan", "steps", "step", "i",
-                 "stage", "t0", "transfer", "blocking", "startup", "child",
-                 "faults", "fault_note")
+    __slots__ = ("engine", "rank", "timeline", "plan", "routes", "arrivals",
+                 "base", "n", "step", "i", "stage", "t0", "transfer", "child")
 
-    def __init__(self, engine, rank, plan, steps, library, faults=None,
-                 fault_note=None, trace=False) -> None:
-        self.engine, self.rank, self.plan, self.steps = engine, rank, plan, steps
+    def __init__(self, engine, rank, plan, timeline, routes, arrivals) -> None:
+        self.engine, self.rank, self.plan, self.timeline = engine, rank, plan, timeline
+        self.routes, self.arrivals = routes, arrivals
         self.name, self.child, self.done = f"rank{rank}", f"rank{rank}.child", False
-        self.timeline = RankTimeline(rank, segments=[] if trace else None)
+        self.base, self.n = plan.eoff[rank], plan.eoff[rank + 1] - plan.eoff[rank]
         self.step, self.i, self.stage, self.t0, self.transfer = 0, -1, _NEXT, 0.0, None
-        self.blocking, self.startup = library.blocking_send, library.wire_startup
-        self.faults = faults if faults is not None and faults.wire_faulty else None
-        self.fault_note = fault_note
 
     def _record(self, kind: str, now: float) -> None:
         if now > self.t0:
@@ -139,21 +239,20 @@ class RankProcess(PlanProcess):
                 self._record("wait", now)
         else:
             if stage == _CHARGED:
-                entry = plan[i]
-                op = entry[0]
+                e = self.base + i
+                op = plan.op[e]
                 if tl.segments is not None:
                     self._record("compute" if op == _COMPUTE else "library", now)
                 if op == _SEND:
-                    _, _, peer, key, wire, slots, route = entry
                     extra, step = 0.0, self.step
-                    if self.faults is not None:
-                        fkey = (step,) + key
-                        extra = self.faults.sim_extra_delay(self.rank, peer, fkey, wire)
-                        if extra > 0.0 and self.fault_note is not None:
-                            self.fault_note(self.rank, peer, fkey, extra)
-                    tr = Transfer(self.engine, self.child, route, wire + extra,
-                                  slots, step, self.startup)
-                    if self.blocking:  # the rank runs it inline, as its owner
+                    if plan.extra is not None:
+                        extra = plan.extra[e * plan.steps + step]
+                        if extra > 0.0 and self.engine.tracer is not None:
+                            note_fault(self.engine.tracer, plan, now, e, step)
+                    route = self.routes[2 * self.rank + plan.side[e]]
+                    tr = Transfer(self.engine, self.child, route, plan.wire[e] + extra,
+                                  self.arrivals[plan.slot(self.rank, e)], step, plan.startup)
+                    if plan.blocking:  # the rank runs it inline, as its owner
                         tr.owner, self.transfer = self, tr
                         self.t0, stage = now, _SENDING
                     else:
@@ -165,21 +264,21 @@ class RankProcess(PlanProcess):
                     return dt
                 tl.comm_wait += now - self.t0
             i += 1
-            if i == len(plan):
+            if i == self.n:
                 i, self.step = 0, self.step + 1
-                if self.step == self.steps:
+                if self.step == plan.steps:
                     tl.finished_at, self.done = now, True
                     return None
-            entry = plan[i]
-            if entry[0] == _RECV:  # wait for the arrival
-                self.t0, slots = now, entry[5]
+            e = self.base + i
+            if plan.op[e] == _RECV:  # wait for the arrival
+                self.t0, slots = now, self.arrivals[plan.slot(self.rank, e)]
                 if slots[self.step] is not True:
                     slots[self.step] = self
                     self.i, self.stage = i, _WAITING
                     return None
                 tl.comm_wait += now - self.t0
-        entry = plan[i]
-        op, seconds = entry[0], entry[1]
+        e = self.base + i
+        op, seconds = plan.op[e], plan.sec[e]
         self.t0 = now
         tl.busy += seconds
         if op == _COMPUTE:
@@ -190,73 +289,22 @@ class RankProcess(PlanProcess):
         return seconds
 
 
-def build_rank_program(
-    engine: Engine, rank: int, nprocs: int, workload: Workload, version: Version,
-    library: LibraryModel, network: Network, resources: dict[str, Resource],
-    arrivals: dict[tuple, list], steps: int, step_compute_seconds: float,
-    faults=None, fault_note: Callable[[int, int, tuple, float], None] | None = None,
-    trace: bool = False,
-) -> RankProcess:
-    """The SPMD program of one rank as a :class:`RankProcess`.
+def note_fault(tracer, plan: Plan, now: float, e: int, step: int) -> None:
+    """Trace the extra occupancy a fault plan gives entry ``e``'s transfer."""
+    rank, peer, _ = plan.peer(e)
+    tracer.instant("fault.sim_delay", cat="fault", rank=rank, ts=now, peer=peer, step=step,
+                   seconds=round(plan.extra[e * plan.steps + step], 9))
 
-    The rank's step is planned once, before the first event: a flat list
-    of entries ``(op, cpu_seconds, peer, piece, wire, slots, route)`` —
-    compute, a message piece's send (library time, then the wire transfer
-    over the pre-resolved route) or its receive (the wait, then library
-    time) — with every per-message figure computed up front.  ``slots`` is
-    the piece's arrival list in ``arrivals``, shared by sender and
-    receiver: one entry per step, ``None``, the parked receiver or
-    ``True`` once arrived.
 
-    ``faults`` (a :class:`~repro.faults.plan.FaultPlan`) maps the plan's
-    wire-level faults onto deterministic extra occupancy of each transfer
-    (see :meth:`~repro.faults.plan.FaultPlan.sim_extra_delay`);
-    ``fault_note`` is called once per afflicted transfer so the machine can
-    record the injection through the tracer."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    left = rank - 1 if rank > 0 else None
-    right = rank + 1 if rank < nprocs - 1 else None
-    routes = {
-        dst: [resources[k] for k in network.link_ids(rank, dst)]
-        for dst in (left, right)
-        if dst is not None
-    }
-
-    def messages(ph: int, phase, op: int) -> list[tuple]:
-        """Plan entries of one phase's sends or receives, split for the version."""
-        out = []
-        cpu_time = library.send_cpu_time if op == _SEND else library.recv_cpu_time
-        for mi, msg in enumerate(phase.messages):
-            # Symmetric SPMD: my neighbour's mirror-direction send targets me.
-            peer = left if (msg.direction == "L") == (op == _SEND) else right
-            if peer is None:
-                continue
-            src, dst = (rank, peer) if op == _SEND else (peer, rank)
-            for part, nbytes in _split_for_version(msg, version):
-                wire = network.latency + network.transfer_time(nbytes)
-                key = (ph, mi, part)
-                slots = arrivals.setdefault((src, dst) + key, [None] * steps)
-                out.append((op, cpu_time(nbytes), peer, key, wire, slots,
-                            routes[peer] if op == _SEND else None))
-        return out
-
-    def compute(seconds: float) -> tuple:
-        return (_COMPUTE, seconds, None, None, None, None, None)
-
-    phases = workload.phases
-    plan: list[tuple] = []
-    if version.overlap_communication:
-        # Produce boundary data, post everything, then compute interior.
-        plan.append(compute(EDGE_COMPUTE_FRACTION * step_compute_seconds))
-        for ph, phase in enumerate(phases):
-            plan += messages(ph, phase, _SEND)
-        remaining = (1.0 - EDGE_COMPUTE_FRACTION) * step_compute_seconds
-        for ph, phase in enumerate(phases):
-            plan.append(compute(phase.compute_fraction * remaining))
-            plan += messages(ph, phase, _RECV)
-    else:
-        for ph, phase in enumerate(phases):
-            plan.append(compute(phase.compute_fraction * step_compute_seconds))
-            plan += messages(ph, phase, _SEND) + messages(ph, phase, _RECV)
-    return RankProcess(engine, rank, plan, steps, library, faults, fault_note, trace)
+def run(plan: Plan, timelines: list[RankTimeline], tracer=None,
+        max_events: int = MAX_EVENTS) -> tuple[float, int]:
+    """Run ``plan`` on the Python :class:`~.engine.Engine`, booking rank
+    ``r`` on ``timelines[r]``; the end time and the event count."""
+    engine = Engine(tracer=tracer)
+    links = [Resource(c) for c in plan.cap]
+    routes = [[links[k] for k in plan.route[a:b]] for a, b in zip(plan.roff, plan.roff[1:])]
+    arrivals = [[None] * plan.steps for _ in range((plan.nranks - 1) * len(plan.keys))]
+    for r, timeline in enumerate(timelines):
+        engine.add_process(RankProcess(engine, r, plan, timeline, routes, arrivals))
+    engine.run(max_events)
+    return engine.now, engine.steps

@@ -327,6 +327,21 @@ class TestGoldenDigest:
     def test_trace_digest_python_engine(self, python_engine):
         self.test_trace_digest()
 
+    @pytest.mark.slow  # ≈ 1.2 s: a million Python events
+    def test_default_window_digest_python_engine(self, python_engine):
+        self.test_default_window_digest()
+
+    def test_every_run_simulates(self):
+        """Nothing outlives one ``run()``: the same configuration twice
+        replays its events twice."""
+        machine, events = SimulatedMachine(LACE_560, 4, version=6), []
+        for _ in range(2):
+            metrics = MetricsRegistry()
+            with use(metrics=metrics):
+                machine.run(NAVIER_STOKES, steps_window=2)
+            events.append(metrics.value("sim.engine_events"))
+        assert events[0] == events[1] > 0
+
     def test_traced_faulty_run_is_native(self, monkeypatch):
         """Tracing and faults do not select the engine: the traced faulty
         run never reaches ``Engine.run``."""

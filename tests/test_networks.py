@@ -149,6 +149,21 @@ class TestCrossbar:
         assert "pair:1->1" not in CrossbarNetwork(4).capacities()
 
 
+class TestCapacity:
+    @pytest.mark.parametrize("net", [
+        EthernetNetwork(8), FddiNetwork(8), AllnodeNetwork.fast(8),
+        AllnodeNetwork.slow(16), AtmNetwork(8), SPSwitchNetwork(8),
+        CrossbarNetwork(4), Torus3DNetwork(),
+    ], ids=lambda net: net.name)
+    def test_one_link_as_in_the_table(self, net):
+        """``capacity(link)`` reads one entry of ``capacities()``, and every
+        route names only links the table has."""
+        caps, n = net.capacities(), min(net.nnodes, 8)
+        assert all(net.capacity(k) == c for k, c in caps.items())
+        assert all(k in caps for s in range(n) for d in range(n) if s != d
+                   for k in net.link_ids(s, d))
+
+
 class TestUncontendedTimes:
     def test_message_time_ordering_across_networks(self):
         """For the solver's ~3 KB messages: torus fastest wire, Ethernet

@@ -6,6 +6,7 @@ from repro.msglib.libmodel import MPL, PVM
 from repro.numerics.kernels import _cc
 from repro.parallel.versions import version_by_number
 from repro.simulate import native
+from repro.simulate import program
 from repro.simulate.engine import MAX_EVENTS, Engine, Resource
 from repro.simulate.program import (
     _COMPUTE,
@@ -13,29 +14,25 @@ from repro.simulate.program import (
     EDGE_COMPUTE_FRACTION,
     Transfer,
     _split_for_version,
-    build_rank_program,
+    build_plan,
 )
+from repro.simulate.timeline import RankTimeline
 from repro.simulate.workload import EULER, NAVIER_STOKES, Message, Workload
 from repro.machines.network.crossbar import CrossbarNetwork
 
 
+def _plan(nprocs, workload, version=5, library=PVM, steps=2, step_seconds=1.0):
+    return build_plan(nprocs, workload, version_by_number(version), library,
+                      CrossbarNetwork(nprocs), steps, step_seconds)
+
+
 def _run_program(nprocs, workload, version=5, library=PVM, steps=2,
                  step_seconds=1.0):
-    engine = Engine()
-    net = CrossbarNetwork(nprocs)
-    resources = {k: Resource(c, k) for k, c in net.capacities().items()}
-    arrivals = {}
-    ranks = [
-        build_rank_program(
-            engine, r, nprocs, workload, version_by_number(version), library,
-            net, resources, arrivals, steps, step_seconds,
-        )
-        for r in range(nprocs)
-    ]
-    for rank in ranks:
-        engine.add_process(rank)
-    makespan = engine.run()
-    return ranks, makespan
+    """The timelines and makespan of ``nprocs`` ranks on the Python engine."""
+    timelines = [RankTimeline(r) for r in range(nprocs)]
+    makespan, _ = program.run(
+        _plan(nprocs, workload, version, library, steps, step_seconds), timelines)
+    return timelines, makespan
 
 
 class TestSplit:
@@ -57,19 +54,19 @@ class TestProgramExecution:
     def test_all_ranks_finish(self):
         ctxs, makespan = _run_program(4, Workload.paper(NAVIER_STOKES))
         assert makespan > 2.0  # at least the compute time
-        for c in ctxs:
-            assert c.timeline.finished_at > 0
+        for t in ctxs:
+            assert t.finished_at > 0
 
     def test_single_rank_never_communicates(self):
         ctxs, makespan = _run_program(1, Workload.paper(NAVIER_STOKES))
-        t = ctxs[0].timeline
+        t = ctxs[0]
         assert t.library == 0.0
         assert t.comm_wait == 0.0
         assert makespan == pytest.approx(2.0)
 
     def test_edge_ranks_cheaper(self):
         ctxs, _ = _run_program(4, Workload.paper(NAVIER_STOKES))
-        lib = [c.timeline.library for c in ctxs]
+        lib = [t.library for t in ctxs]
         assert lib[0] < lib[1]
         assert lib[3] < lib[2]
         assert lib[1] == pytest.approx(lib[2], rel=1e-9)
@@ -77,12 +74,12 @@ class TestProgramExecution:
     def test_euler_communicates_less_than_ns(self):
         ns, _ = _run_program(4, Workload.paper(NAVIER_STOKES))
         eu, _ = _run_program(4, Workload.paper(EULER))
-        assert eu[1].timeline.library < ns[1].timeline.library
+        assert eu[1].library < ns[1].library
 
     def test_v7_more_library_time(self):
         v5, _ = _run_program(4, Workload.paper(NAVIER_STOKES), version=5)
         v7, _ = _run_program(4, Workload.paper(NAVIER_STOKES), version=7)
-        assert v7[1].timeline.library > v5[1].timeline.library
+        assert v7[1].library > v5[1].library
 
     def test_v6_overlap_reduces_wait(self):
         """On a fast network with early posting, waits shrink vs V5."""
@@ -92,14 +89,14 @@ class TestProgramExecution:
         v6, _ = _run_program(
             4, Workload.paper(NAVIER_STOKES), version=6, step_seconds=0.01
         )
-        w5 = sum(c.timeline.comm_wait for c in v5)
-        w6 = sum(c.timeline.comm_wait for c in v6)
+        w5 = sum(t.comm_wait for t in v5)
+        w6 = sum(t.comm_wait for t in v6)
         assert w6 <= w5 + 1e-12
 
     def test_blocking_send_charges_sender_wait(self):
         ctxs, _ = _run_program(2, Workload.paper(NAVIER_STOKES), library=MPL)
         # MPL transfers run inline: the sender accumulates comm_wait.
-        assert ctxs[0].timeline.comm_wait > 0
+        assert ctxs[0].comm_wait > 0
 
     def test_makespan_scales_with_steps(self):
         _, m2 = _run_program(4, Workload.paper(NAVIER_STOKES), steps=2)
@@ -128,49 +125,43 @@ class TestTransferProcess:
         assert 0.0 < EDGE_COMPUTE_FRACTION < 0.2
 
 
-def _stall(ranks):
+def _stall(plan):
     """Rank 1 never sends: ranks 0 and 2 wait for its first message
     forever, and rank 1 waits for theirs a step later."""
-    ranks[1].plan[:] = [e for e in ranks[1].plan if e[0] != _SEND]
+    for e in reversed(range(plan.eoff[1], plan.eoff[2])):
+        if plan.op[e] == _SEND:
+            for column in (plan.op, plan.sec, plan.wire, plan.side, plan.piece):
+                del column[e]
+            for r in range(2, len(plan.eoff)):
+                plan.eoff[r] -= 1
 
 
-def _negative(ranks):
-    ranks[1].plan[0] = (_COMPUTE, -1.0, None, None, None, None, None)
+def _negative(plan):
+    plan.op[plan.eoff[1]], plan.sec[plan.eoff[1]] = _COMPUTE, -1.0
 
 
 class TestNativeEngine:
-    """The C plan engine against the Python one on the same plans: the
+    """The C plan engine against the Python one on the same plan: the
     same timelines, clock and event count, or the same error."""
 
     @staticmethod
     def _outcome(use_native, library, edit=None, max_events=MAX_EVENTS):
-        engine = Engine()
-        net = CrossbarNetwork(3)
-        resources = {k: Resource(c, k) for k, c in net.capacities().items()}
-        arrivals = {}
-        ranks = [
-            build_rank_program(
-                engine, r, 3, Workload.paper(NAVIER_STOKES), version_by_number(6),
-                library, net, resources, arrivals, 2, 1.0,
-            )
-            for r in range(3)
-        ]
+        plan = _plan(3, Workload.paper(NAVIER_STOKES), 6, library)
         if edit is not None:
-            edit(ranks)
+            edit(plan)
+        timelines = [RankTimeline(r) for r in range(3)]
         try:
             if use_native:
-                assert native.run(engine, ranks, resources, arrivals, None, max_events)
+                end = native.run(plan, timelines, None, max_events)
+                assert end
             else:
-                for rank in ranks:
-                    engine.add_process(rank)
-                engine.run(max_events)
+                end = program.run(plan, timelines, None, max_events)
         except (RuntimeError, ValueError) as exc:
             return type(exc), str(exc)
-        return engine.now, engine.steps, [
+        return end, [
             (t.busy, t.compute, t.library, t.comm_wait, t.finished_at)
-            for t in (rank.timeline for rank in ranks)
+            for t in timelines
         ]
-
     @pytest.mark.parametrize("library", [PVM, MPL], ids=["buffered", "blocking"])
     @pytest.mark.parametrize("edit,max_events,error", [
         (None, MAX_EVENTS, None),

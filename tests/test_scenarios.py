@@ -36,6 +36,21 @@ class TestJetScenario:
         # Centerline momentum reflects the Mach number.
         assert sc.state.axial_momentum[0, 0] == pytest.approx(2.0, rel=0.01)
 
+    def test_simulated_run_builds_no_state(self, monkeypatch):
+        """The initial state is built on first access, and a simulated run
+        never reads it."""
+        import repro.scenarios
+        from repro import run
+
+        def refuse(*args):
+            raise AssertionError("the initial state was built")
+
+        monkeypatch.setattr(repro.scenarios, "jet_initial_state", refuse)
+        res = run("jet", platform="IBM SP", nprocs=4, steps_window=2, ledger=False)
+        assert res.sim.execution_time > 0
+        with pytest.raises(AssertionError, match="initial state was built"):
+            jet_scenario(nx=40, nr=20).state
+
     def test_custom_sponge(self):
         sc = jet_scenario(nx=40, nr=20, sponge=Sponge(width=2, strength=0.3))
         assert sc.solver.config.boundary.sponge.width == 2
