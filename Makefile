@@ -20,10 +20,11 @@ lattice:
 
 test-all: test
 
-## artifacts: regenerate all 21 committed paper artifacts (Tables 1-2,
-## Figures 1-13, the ablations, the workload cross-check; two of them run
-## the real solver) into a throwaway store and byte-compare them with
-## benchmarks/output — the determinism gate CI runs, ≈ 13 s
+## artifacts: regenerate all 22 committed paper artifacts (Tables 1-2,
+## Figures 1-13, the ablations, the workload cross-check, the paper-claims
+## table; two of them run the real solver) into a throwaway store and
+## byte-compare them with benchmarks/output — the determinism gate CI
+## runs, ≈ 5 s on 2 vCPUs
 artifacts:
 	$(PY) scripts/run_missing.py --check --workers 2
 

@@ -2,9 +2,9 @@
 """Batch driver: regenerate missing paper artifacts via the run service.
 
 Every committed ``benchmarks/output/<slug>.txt`` — Tables 1-2, Figures
-1-13, the Section-8 ablations and the workload cross-check — is one entry
-of :data:`repro.experiments.ARTIFACTS` (header, experiment id, literal
-kwargs).  This script runs those entries' experiments through a
+1-13, the Section-8 ablations, the workload cross-check and the
+paper-claims table — is one entry of :data:`repro.experiments.ARTIFACTS`
+(header, experiment id, literal kwargs).  This script runs those entries' experiments through a
 :class:`repro.service.RunService` worker pool over a throwaway result
 store, so every artifact is rendered afresh rather than served from an
 earlier render.

@@ -22,6 +22,7 @@ from ..machines.platforms import (
     Platform,
 )
 from ..parallel.versions import VERSIONS
+from ..request import ExecutionConfig
 from ..simulate.machine import SimulatedMachine
 from ..simulate.sharedmem import SharedMemoryMachine
 from ..simulate.workload import EULER, NAVIER_STOKES, Application
@@ -32,8 +33,8 @@ from .report import format_table, render_series
 PROC_GRID = (1, 2, 4, 6, 8, 10, 12, 14, 16)
 
 #: Steps simulated per run (scaled to the full 5000; the step pattern is
-#: periodic, verified by the test suite).
-STEPS_WINDOW = 30
+#: periodic): the window ``repro.run``, ``repro simulate`` and claims share.
+STEPS_WINDOW = ExecutionConfig.steps_window
 
 
 @dataclass

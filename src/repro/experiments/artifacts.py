@@ -1,9 +1,9 @@
 """The committed paper artifacts: one table, one rendering rule.
 
-Every ``benchmarks/output/<slug>.txt`` table, figure and ablation is one
-:class:`Artifact` of :data:`ARTIFACTS` — its header, the
-:data:`~repro.experiments.EXPERIMENTS` id that renders its body, and that
-experiment's literal keyword arguments.  ``scripts/run_missing.py``
+Every ``benchmarks/output/<slug>.txt`` table, figure, ablation and the
+claims table is one :class:`Artifact` of :data:`ARTIFACTS` — its header,
+the :data:`~repro.experiments.EXPERIMENTS` id that renders its body, and
+that experiment's literal keyword arguments.  ``scripts/run_missing.py``
 regenerates the missing ones from this table and byte-checks all of them
 (``--check``); nothing else names an artifact.
 """
@@ -106,4 +106,5 @@ ARTIFACTS: tuple[Artifact, ...] = (
     Artifact(
         "Cross-check: paper vs measured workload", "workload_comparison"
     ),
+    Artifact("Claims: paper findings vs measured (Sections 6-7)", "claims"),
 )

@@ -1,9 +1,9 @@
 """Dispatch table: experiment id -> reproduction function.
 
-Every entry regenerates one table, figure or Section-8 ablation and
-returns the rendered text (:data:`~repro.experiments.ARTIFACTS` frames it
-into a committed ``benchmarks/output`` file; EXPERIMENTS.md records the
-paper-vs-measured comparison).
+Every entry regenerates one table, figure or Section-8 ablation, or the
+paper-vs-measured claims table, and returns the rendered text
+(:data:`~repro.experiments.ARTIFACTS` frames it into a committed
+``benchmarks/output`` file).
 
 ``run_fig01`` is the only experiment that runs the *real* solver — the
 excited-jet axial-momentum field.  It defaults to half the paper's
@@ -31,7 +31,7 @@ from ..analysis.figures import (
 from ..analysis.report import ascii_contour
 from ..analysis.tables import measured_characteristics, table1, table2
 from ..simulate.workload import EULER, NAVIER_STOKES
-from . import ablations
+from . import ablations, claims
 
 
 def run_fig01(
@@ -93,7 +93,7 @@ def run_table2() -> str:
 
 def characterize() -> dict:
     """Measured Table-1 characteristics of this package's solver
-    (machine-readable; used by tests and EXPERIMENTS.md)."""
+    (machine-readable; the ``table1`` experiment prints them)."""
     ns = measured_characteristics(viscous=True)
     euler = measured_characteristics(viscous=False)
     return {
@@ -127,6 +127,7 @@ EXPERIMENTS: dict[str, Callable[[], str]] = {
     "ablation_startup": ablations.ablation_startup,
     "ablation_vector": ablations.ablation_vector,
     "workload_comparison": ablations.workload_comparison,
+    "claims": claims.render,
 }
 
 

@@ -10,8 +10,8 @@ one flop, matching the nominal convention of the era's counters).
 Our solver performs roughly half the paper's per-cell work — the original
 fourth-order code carried additional smoothing/metric terms and computed in
 a less factored form (e.g. its pre-V4 variant executed 5.5e9 divisions;
-ours shares reciprocals aggressively).  The comparison is recorded in
-EXPERIMENTS.md; the discrete-event figures use the paper's own Table-1
+ours shares reciprocals aggressively).  The ``table1`` artifact prints
+both side by side; the discrete-event figures use the paper's own Table-1
 numbers so the simulated machines see the published workload.
 """
 

@@ -11,10 +11,10 @@ segments interleaved with neighbour messages.  Two sources:
 * :meth:`Workload.measured` — characteristics measured from *this
   package's own* distributed solver (per-rank
   :class:`~repro.msglib.api.CommStats` from a real run), for the honest
-  cross-check recorded in EXPERIMENTS.md.  Our halo plan exchanges somewhat
-  more than the 1995 code (the fourth-difference filter's state halo and
-  both-phase velocity/temperature ghosts), so the derived volumes are
-  larger; the ratios and scaling shapes match.
+  cross-check the ``workload_comparison`` artifact prints.  Our halo plan
+  exchanges somewhat more than the 1995 code (the fourth-difference
+  filter's state halo and both-phase velocity/temperature ghosts), so the
+  derived volumes are larger; the ratios and scaling shapes match.
 
 Startup counting: Table 1's per-processor startups divided by 5000 steps
 give 16 (NS) and 12 (Euler) per step — consistent with counting each send

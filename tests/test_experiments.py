@@ -27,6 +27,7 @@ class TestDispatch:
             "ablation_startup",
             "ablation_vector",
             "workload_comparison",
+            "claims",
         }
         assert expected == set(EXPERIMENTS)
 

@@ -18,7 +18,7 @@ class TestOpCounts:
 
     def test_paper_configuration_magnitude(self):
         """Same order as the paper's 145/77 GFLOP (our kernels are leaner;
-        the ratio is recorded in EXPERIMENTS.md)."""
+        the ``table1`` artifact prints both totals)."""
         ns = navier_stokes_ops().total()
         eu = euler_ops().total()
         assert 0.2 * constants.PAPER_TOTAL_FLOPS_NS < ns < constants.PAPER_TOTAL_FLOPS_NS
